@@ -1,7 +1,6 @@
 """Sharp Markov constants and extremal polynomials for weighted L2 and
 weighted Sobolev norms over classical and generalized weights."""
 
-from ._kernels import NUMBA_ENABLED
 from .bounds import (
     BoundCheck,
     ExponentReport,
@@ -21,7 +20,7 @@ from .errors import (
     QuadratureError,
     WeightError,
 )
-from .linalg import SymTridiag, gen_sym_eigen_max, svd_largest, sym_eigen, tridiag_eigen
+from .linalg import gen_sym_eigen_max, svd_largest, sym_eigen
 from .markov import (
     DerivativeMatrix,
     SharpResult,
@@ -44,7 +43,7 @@ from .orthopoly import (
     recurrence_stieltjes,
     weight_to_json,
 )
-from .quadrature import QuadRule, composite_rule, gauss_rule, integrate, rule_to_csv
+from .quadrature import QuadRule, composite_rule, gauss_rule, integrate
 
 __version__ = "0.1.0"
 
@@ -56,13 +55,11 @@ __all__ = [
     "FIT_SLACK",
     "HypothesisError",
     "MarkovSharpError",
-    "NUMBA_ENABLED",
     "QuadRule",
     "QuadratureError",
     "RecurrenceTable",
     "SharpResult",
     "SobolevSpec",
-    "SymTridiag",
     "WeightError",
     "WeightSpec",
     "composite_rule",
@@ -84,13 +81,11 @@ __all__ = [
     "recurrence_classical",
     "recurrence_stieltjes",
     "result_to_json",
-    "rule_to_csv",
     "sharp_constant_l2",
     "sharp_constant_sobolev",
     "sobolev_forms",
     "svd_largest",
     "sym_eigen",
-    "tridiag_eigen",
     "verify_theorem",
     "weight_to_json",
 ]

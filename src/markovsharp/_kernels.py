@@ -1,112 +1,18 @@
-"""Hot numeric kernels: orthonormal-polynomial tables and the discretized
-Stieltjes procedure.
+"""Numeric kernels: orthonormal-polynomial tables and the discretized
+Stieltjes procedure, vectorized over the evaluation or quadrature points.
 
-Every kernel exists twice: a loop form compiled with numba's ``@njit`` and a
-vectorized pure-numpy form.  The active implementation is selected once at
-import time; set ``MARKOVSHARP_NO_NUMBA=1`` to force the numpy path (it is
-also the automatic fallback when numba is missing).  ``benchmarks/`` times
-the two paths against each other.
+Each kernel takes the recurrence arrays positionally, ``(diag, offdiag, p0,
+x, ...)`` or ``(nodes, weights, n)``, and loops only over the degree.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 
-def _want_numba() -> bool:
-    flag = os.environ.get("MARKOVSHARP_NO_NUMBA", "")
-    return not (flag and flag != "0")
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compilable, also valid plain Python)
-# ---------------------------------------------------------------------------
-
-def _poly_table_loops(diag, offdiag, p0, x):
-    n = diag.shape[0] - 1
-    m = x.shape[0]
-    out = np.empty((n + 1, m))
-    for q in range(m):
-        out[0, q] = p0
-    if n >= 1:
-        for q in range(m):
-            out[1, q] = (x[q] - diag[0]) * p0 / offdiag[0]
-    for k in range(1, n):
-        ak = diag[k]
-        bk = offdiag[k]
-        bk1 = offdiag[k - 1]
-        for q in range(m):
-            out[k + 1, q] = ((x[q] - ak) * out[k, q] - bk1 * out[k - 1, q]) / bk
-    return out
-
-
-def _deriv_tables_loops(diag, offdiag, p0, x, order):
-    n = diag.shape[0] - 1
-    m = x.shape[0]
-    out = np.zeros((order + 1, n + 1, m))
-    for q in range(m):
-        out[0, 0, q] = p0
-    for k in range(n):
-        ak = diag[k]
-        bk = offdiag[k]
-        bk1 = offdiag[k - 1] if k > 0 else 0.0
-        for d in range(order + 1):
-            for q in range(m):
-                v = (x[q] - ak) * out[d, k, q]
-                if d > 0:
-                    v += d * out[d - 1, k, q]
-                if k > 0:
-                    v -= bk1 * out[d, k - 1, q]
-                out[d, k + 1, q] = v / bk
-    return out
-
-
-def _stieltjes_loops(nodes, weights, n):
-    m = nodes.shape[0]
-    diag = np.zeros(n + 1)
-    offdiag = np.zeros(n)
-    mass = 0.0
-    for q in range(m):
-        mass += weights[q]
-    if not (mass > 0.0) or not np.isfinite(mass):
-        return diag, offdiag, mass, 0
-    p_prev = np.zeros(m)
-    p_cur = np.empty(m)
-    c = 1.0 / math.sqrt(mass)
-    for q in range(m):
-        p_cur[q] = c
-    acc = 0.0
-    for q in range(m):
-        acc += weights[q] * nodes[q] * p_cur[q] * p_cur[q]
-    diag[0] = acc
-    for k in range(n):
-        bprev = offdiag[k - 1] if k > 0 else 0.0
-        nrm2 = 0.0
-        for q in range(m):
-            t = (nodes[q] - diag[k]) * p_cur[q] - bprev * p_prev[q]
-            p_prev[q] = p_cur[q]
-            p_cur[q] = t
-            nrm2 += weights[q] * t * t
-        if not (nrm2 > 0.0) or not np.isfinite(nrm2):
-            return diag, offdiag, mass, k + 1
-        b = math.sqrt(nrm2)
-        offdiag[k] = b
-        acc = 0.0
-        for q in range(m):
-            p_cur[q] /= b
-            acc += weights[q] * nodes[q] * p_cur[q] * p_cur[q]
-        diag[k + 1] = acc
-    return diag, offdiag, mass, -1
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy implementations
-# ---------------------------------------------------------------------------
-
-def poly_table_numpy(diag, offdiag, p0, x):
+def poly_table(diag, offdiag, p0, x):
     """Values p_0(x)..p_n(x) of the orthonormal polynomials, shape (n+1, len(x))."""
     n = diag.shape[0] - 1
     out = np.empty((n + 1, x.shape[0]))
@@ -118,7 +24,7 @@ def poly_table_numpy(diag, offdiag, p0, x):
     return out
 
 
-def deriv_tables_numpy(diag, offdiag, p0, x, order):
+def deriv_tables(diag, offdiag, p0, x, order):
     """Tables of p_k^(d)(x) for d = 0..order, shape (order+1, n+1, len(x)).
 
     Obtained by differentiating the three-term recurrence d times:
@@ -139,7 +45,7 @@ def deriv_tables_numpy(diag, offdiag, p0, x, order):
     return out
 
 
-def stieltjes_numpy(nodes, weights, n):
+def stieltjes(nodes, weights, n):
     """Recurrence coefficients of the discrete measure sum w_q δ(x - x_q).
 
     Runs the Stieltjes procedure on orthonormal (not monic) values so the
@@ -166,44 +72,3 @@ def stieltjes_numpy(nodes, weights, n):
         p_cur = t / b
         diag[k + 1] = np.dot(wx, p_cur * p_cur)
     return diag, offdiag, mass, -1
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-poly_table_numba = None
-deriv_tables_numba = None
-stieltjes_numba = None
-
-NUMBA_ENABLED = False
-if _want_numba():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        poly_table_numba = njit(cache=True)(_poly_table_loops)
-        deriv_tables_numba = njit(cache=True)(_deriv_tables_loops)
-        stieltjes_numba = njit(cache=True)(_stieltjes_loops)
-        NUMBA_ENABLED = True
-
-if NUMBA_ENABLED:
-    poly_table = poly_table_numba
-    deriv_tables = deriv_tables_numba
-    stieltjes = stieltjes_numba
-else:
-    poly_table = poly_table_numpy
-    deriv_tables = deriv_tables_numpy
-    stieltjes = stieltjes_numpy
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of all kernels (no-op on the numpy path)."""
-    d = np.zeros(3)
-    o = np.array([0.5, 0.6])
-    x = np.array([0.0, 0.25])
-    w = np.array([0.5, 0.5])
-    poly_table(d, o, 1.0, x)
-    deriv_tables(d, o, 1.0, x, 2)
-    stieltjes(x, w, 1)

@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds, markov
-from ._kernels import NUMBA_ENABLED
 from .errors import HypothesisError, MarkovSharpError, WeightError
 from .linalg import gen_sym_eigen_max, svd_largest, sym_eigen
 from .markov import (
@@ -59,8 +58,6 @@ class RunConfig:
     output_path: str = ""
     tol: float | None = None
     inject_perturbation: bool = False
-    samples: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def load_weight(token: str) -> WeightSpec:
@@ -185,18 +182,7 @@ def cmd_verify(config: RunConfig) -> tuple[str, bool]:
     spec = config.weight
     case = config.case or bounds.default_case(spec)
     slack = bounds.FIT_SLACK if config.tol is None else config.tol
-    check = bounds.verify_theorem(case, spec, sob, config.n_range)
-    if config.tol is not None:
-        passed = check.fitted_exponent <= check.predicted_exponent + slack
-        check = bounds.BoundCheck(
-            case_id=check.case_id,
-            n_range=check.n_range,
-            sharp_values=check.sharp_values,
-            fitted_constant=check.fitted_constant,
-            fitted_exponent=check.fitted_exponent,
-            predicted_exponent=check.predicted_exponent,
-            passed=passed,
-        )
+    check = bounds.verify_theorem(case, spec, sob, config.n_range, slack=slack)
     if config.output_format == "csv":
         return bounds.bound_check_to_csv(check, spec), check.passed
     return _to_json(bounds.bound_check_to_json(check, spec)), check.passed
@@ -285,7 +271,7 @@ def cmd_selftest(config: RunConfig) -> tuple[str, bool]:
         ok, detail = fn()
         all_ok = all_ok and ok
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    lines.append(f"{'PASS' if all_ok else 'FAIL'} overall (numba={'on' if NUMBA_ENABLED else 'off'})")
+    lines.append(f"{'PASS' if all_ok else 'FAIL'} overall")
     return "\n".join(lines) + "\n", all_ok
 
 

@@ -10,7 +10,6 @@ accurate enough here because only the (well separated) top value is consumed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -19,22 +18,6 @@ from .errors import EigenError
 
 _SYM_RTOL = 1e-12
 _SIGN_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SymTridiag:
-    """Symmetric tridiagonal matrix given by its diagonal and offdiagonal."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        diag = np.asarray(self.diag, dtype=float)
-        offdiag = np.asarray(self.offdiag, dtype=float)
-        if diag.ndim != 1 or offdiag.shape != (max(diag.shape[0] - 1, 0),):
-            raise ValueError("offdiag must be one entry shorter than diag")
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", offdiag)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -58,22 +41,18 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def tridiag_eigen(t: SymTridiag):
-    """Eigenvalues (ascending) and first components of the unit eigenvectors."""
+def _eigh(m: np.ndarray):
+    """LAPACK eigendecomposition of a checked symmetric matrix, signs as LAPACK left them."""
+    sym = _check_symmetric(m, "matrix")
     try:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise EigenError(f"tridiagonal eigensolver did not converge: {exc}") from exc
-    return vals, vecs[0, :].copy()
+        return np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise EigenError(f"eigensolver did not converge: {exc}") from exc
 
 
 def sym_eigen(m: np.ndarray):
     """Eigendecomposition of a symmetric matrix: ascending values, orthonormal vectors."""
-    sym = _check_symmetric(m, "matrix")
-    try:
-        vals, vecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise EigenError(f"eigensolver did not converge: {exc}") from exc
+    vals, vecs = _eigh(m)
     for j in range(vecs.shape[1]):
         vecs[:, j] = _fix_sign(vecs[:, j])
     return vals, vecs
@@ -83,9 +62,9 @@ def svd_largest(m: np.ndarray):
     """Greatest singular value of m and the corresponding right singular vector."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     gram = m.T @ m
-    vals, vecs = sym_eigen(gram)
+    vals, vecs = _eigh(gram)
     sigma = float(np.sqrt(max(vals[-1], 0.0)))
-    vec = vecs[:, -1]
+    vec = _fix_sign(vecs[:, -1])
     if sigma == 0.0:
         warnings.warn("svd_largest: zero matrix, returning an arbitrary unit vector")
         vec = np.zeros(m.shape[1])
@@ -109,7 +88,9 @@ def gen_sym_eigen_max(a: np.ndarray, b: np.ndarray):
         raise EigenError("B not positive definite") from exc
     half = scipy.linalg.solve_triangular(chol, a, lower=True)
     reduced = scipy.linalg.solve_triangular(chol, half.T, lower=True).T
-    vals, vecs = sym_eigen(0.5 * (reduced + reduced.T))
+    vals, vecs = _eigh(0.5 * (reduced + reduced.T))
     theta = float(vals[-1])
+    # solve_triangular is linear, so the sign fixed below does not depend on
+    # the sign LAPACK gave the top eigenvector
     vec = scipy.linalg.solve_triangular(chol.T, vecs[:, -1], lower=False)
     return theta, _fix_sign(vec)

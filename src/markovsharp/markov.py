@@ -199,14 +199,34 @@ def _check_order(sob: SobolevSpec, max_order: int = MAX_SOBOLEV_ORDER):
         )
 
 
-def _l2_norms(rec, rule, coeffs, n, order):
-    """Weighted L2 norms squared of P, P', ..., P^(order) for P = sum coeffs p_k."""
+def _achieved_ratio(rec, rule, coeffs, n, lambdas=()) -> float:
+    """||P'||_W / ||P||_W for P = sum coeffs p_k, by quadrature on ``rule``.
+
+    With no lambdas this is the weighted L2 ratio ||P'|| / ||P||.
+    """
+    order = len(lambdas) + 1
     stack = eval_derivative_table(rec, rule.nodes, n, order=order)
-    out = []
+    norms = []
     for d in range(order + 1):
         vals = coeffs @ stack[d]
-        out.append(float(np.dot(rule.weights, vals * vals)))
-    return out
+        norms.append(float(np.dot(rule.weights, vals * vals)))
+    den = norms[0] + sum(lam * norms[j + 1] for j, lam in enumerate(lambdas))
+    num = norms[1] + sum(lam * norms[j + 2] for j, lam in enumerate(lambdas))
+    return math.sqrt(num / den)
+
+
+def _checked_residual(rec, rule, coeffs, n, value, lambdas=()) -> float:
+    """Relative gap between ``value`` and the ratio its extremal vector achieves.
+
+    Raises QuadratureError above RESIDUAL_TOL.
+    """
+    residual = abs(_achieved_ratio(rec, rule, coeffs, n, lambdas) - value) / value
+    if residual > RESIDUAL_TOL:
+        raise QuadratureError(
+            f"sharp-constant residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
+            "quadrature or eigensolver failure"
+        )
+    return residual
 
 
 def sharp_constant_l2(spec: WeightSpec, n: int) -> SharpResult:
@@ -216,14 +236,7 @@ def sharp_constant_l2(spec: WeightSpec, n: int) -> SharpResult:
     rec, rule = basis_for(spec, n)
     mat = derivative_matrix(rec, rule, n).matrix
     sigma, coeffs = svd_largest(mat)
-    norms = _l2_norms(rec, rule, coeffs, n, order=1)
-    achieved = math.sqrt(norms[1] / norms[0])
-    residual = abs(achieved - sigma) / sigma
-    if residual > RESIDUAL_TOL:
-        raise QuadratureError(
-            f"sharp-constant residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
-            "quadrature or eigensolver failure"
-        )
+    residual = _checked_residual(rec, rule, coeffs, n, sigma)
     return SharpResult(n=n, value=sigma, coeffs=coeffs, residual=residual, weight=spec)
 
 
@@ -237,17 +250,7 @@ def sharp_constant_sobolev(spec: WeightSpec, sob: SobolevSpec, n: int) -> SharpR
     a, b = _forms_from_matrix(mat, sob, n)
     theta, coeffs = gen_sym_eigen_max(a, b)
     value = math.sqrt(max(theta, 0.0))
-
-    norms = _l2_norms(rec, rule, coeffs, n, order=sob.k + 1)
-    den = norms[0] + sum(lam * norms[j + 1] for j, lam in enumerate(sob.lambdas))
-    num = norms[1] + sum(lam * norms[j + 2] for j, lam in enumerate(sob.lambdas))
-    achieved = math.sqrt(num / den)
-    residual = abs(achieved - value) / value
-    if residual > RESIDUAL_TOL:
-        raise QuadratureError(
-            f"sharp-constant residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
-            "quadrature or eigensolver failure"
-        )
+    residual = _checked_residual(rec, rule, coeffs, n, value, sob.lambdas)
     return SharpResult(
         n=n, value=value, coeffs=coeffs, residual=residual, weight=spec, lambdas=sob.lambdas
     )
@@ -272,14 +275,7 @@ class ExtremalPolynomial:
         self.result = res
         self._rec = rec
         rule = gauss_rule(rec, res.n + 1)
-        order = len(res.lambdas) + 1 if res.lambdas else 1
-        norms = _l2_norms(rec, rule, res.coeffs, res.n, order=order)
-        if res.lambdas:
-            den = norms[0] + sum(lam * norms[j + 1] for j, lam in enumerate(res.lambdas))
-            num = norms[1] + sum(lam * norms[j + 2] for j, lam in enumerate(res.lambdas))
-        else:
-            den, num = norms[0], norms[1]
-        self.achieved_ratio = math.sqrt(num / den)
+        self.achieved_ratio = _achieved_ratio(rec, rule, res.coeffs, res.n, res.lambdas)
         self.residual = abs(self.achieved_ratio - res.value) / res.value
 
     def __call__(self, x):

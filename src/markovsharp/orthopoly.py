@@ -254,29 +254,6 @@ def weight_to_json(spec: WeightSpec) -> dict:
     }
 
 
-def is_symmetric(spec: WeightSpec) -> bool:
-    """True when the weight is even about the midpoint of its interval."""
-    if spec.family == "hermite":
-        return True
-    if spec.family == "gen_hermite":
-        pts = spec.singularities
-        return all(
-            (pts[i][0] == -pts[len(pts) - 1 - i][0]) and (pts[i][1] == pts[len(pts) - 1 - i][1])
-            for i in range(len(pts))
-        )
-    if spec.family == "jacobi":
-        return spec.alpha == spec.beta
-    if spec.family == "gen_jacobi":
-        mid = 0.5 * (spec.interval[0] + spec.interval[1])
-        pts = spec.singularities
-        return all(
-            (pts[i][0] - mid == mid - pts[len(pts) - 1 - i][0])
-            and (pts[i][1] == pts[len(pts) - 1 - i][1])
-            for i in range(len(pts))
-        )
-    return False
-
-
 def _gamma(x: float) -> float:
     if x <= 170.0:
         return math.gamma(x)

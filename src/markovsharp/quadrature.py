@@ -12,7 +12,6 @@ rule weights.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -258,13 +257,3 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0) -> QuadRule:
     order = np.argsort(nodes)
     return QuadRule(nodes[order], weights[order], exactness=-1, weight_id=spec.weight_id)
 
-
-def rule_to_csv(rule: QuadRule) -> str:
-    """CSV dump (node,weight rows) with weight identity and exactness up front."""
-    buf = io.StringIO()
-    buf.write(f"# weight_id: {rule.weight_id}\n")
-    buf.write(f"# exactness: {rule.exactness}\n")
-    buf.write("node,weight\n")
-    for x, w in zip(rule.nodes, rule.weights):
-        buf.write(f"{float(x)!r},{float(w)!r}\n")
-    return buf.getvalue()

@@ -168,6 +168,28 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["pass"] is False
 
+    def test_tol_override_keeps_pointwise_checks(self, capsys, monkeypatch):
+        # constants 1% off sqrt(2n) grow at the right rate, so only the
+        # pointwise schmidt identity can fail them, with or without --tol
+        import dataclasses
+
+        from markovsharp import bounds
+
+        exact = bounds.sharp_constant_l2
+
+        def off_by_one_percent(spec, n):
+            res = exact(spec, n)
+            return dataclasses.replace(res, value=res.value * 1.01)
+
+        monkeypatch.setattr(bounds, "sharp_constant_l2", off_by_one_percent)
+        argv = [
+            "verify", "--case", "schmidt", "--weight", "hermite", "--n-min", "4", "--n-max", "12",
+        ]
+        for extra in ([], ["--tol", "0.1"]):
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == 1
+            assert json.loads(out)["pass"] is False
+
     def test_default_case_from_weight(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--weight", "laguerre0", "--n-min", "4", "--n-max", "20",

@@ -14,27 +14,6 @@ def points():
     return np.sort(rng.uniform(-3, 3, 37))
 
 
-def test_numpy_and_numba_paths_agree(points):
-    if _kernels.poly_table_numba is None:
-        pytest.skip("numba disabled")
-    diag, offdiag, p0 = _hermite_coeffs(12)
-    a = _kernels.poly_table_numpy(diag, offdiag, p0, points)
-    b = _kernels.poly_table_numba(diag, offdiag, p0, points)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
-
-    a = _kernels.deriv_tables_numpy(diag, offdiag, p0, points, 3)
-    b = _kernels.deriv_tables_numba(diag, offdiag, p0, points, 3)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-    w = np.exp(-points * points)
-    da, oa, ma, sa = _kernels.stieltjes_numpy(points, w, 10)
-    db, ob, mb, sb = _kernels.stieltjes_numba(points, w, 10)
-    assert sa == sb == -1
-    assert ma == pytest.approx(mb, rel=1e-14)
-    np.testing.assert_allclose(da, db, atol=1e-13)
-    np.testing.assert_allclose(oa, ob, rtol=1e-13)
-
-
 def test_deriv_table_order_zero_matches_poly_table(points):
     diag, offdiag, p0 = _hermite_coeffs(8)
     table = _kernels.poly_table(diag, offdiag, p0, points)

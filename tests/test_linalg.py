@@ -3,49 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from markovsharp import (
-    EigenError,
-    SymTridiag,
-    gen_sym_eigen_max,
-    svd_largest,
-    sym_eigen,
-    tridiag_eigen,
-)
+from markovsharp import EigenError, gen_sym_eigen_max, svd_largest, sym_eigen
 
 from oracles import power_iteration_largest
-
-
-class TestTridiagEigen:
-    def test_two_by_two(self):
-        vals, first = tridiag_eigen(SymTridiag(np.zeros(2), np.ones(1)))
-        np.testing.assert_allclose(vals, [-1.0, 1.0], rtol=1e-15)
-        np.testing.assert_allclose(first**2, [0.5, 0.5], rtol=1e-14)
-
-    def test_one_by_one(self):
-        vals, first = tridiag_eigen(SymTridiag(np.array([4.5]), np.array([])))
-        np.testing.assert_allclose(vals, [4.5])
-        np.testing.assert_allclose(np.abs(first), [1.0])
-
-    def test_legendre_jacobi_matrix_size_three(self):
-        off = np.array([1 / math.sqrt(3), 2 / math.sqrt(15)])
-        vals, _ = tridiag_eigen(SymTridiag(np.zeros(3), off))
-        np.testing.assert_allclose(
-            vals, [-math.sqrt(3 / 5), 0.0, math.sqrt(3 / 5)], rtol=1e-14, atol=1e-15
-        )
-
-    def test_residual_contract(self):
-        rng = np.random.default_rng(3)
-        d = rng.standard_normal(12)
-        e = rng.uniform(0.1, 2.0, 11)
-        t = SymTridiag(d, e)
-        vals, _ = tridiag_eigen(t)
-        full = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        ref = np.linalg.eigvalsh(full)
-        np.testing.assert_allclose(vals, ref, atol=1e-12 * np.linalg.norm(full))
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            SymTridiag(np.zeros(3), np.zeros(3))
 
 
 class TestSymEigen:

@@ -14,7 +14,7 @@ from markovsharp import (
     recurrence_stieltjes,
     weight_to_json,
 )
-from markovsharp.orthopoly import eval_derivative_table, is_symmetric, max_degree_cap
+from markovsharp.orthopoly import eval_derivative_table, max_degree_cap
 
 from oracles import (
     hermite_moments,
@@ -205,7 +205,6 @@ class TestStieltjes:
                 "singularities": [[-0.5, 1.0], [0.5, 1.0]],
             }
         )
-        assert is_symmetric(spec)
         rule = composite_rule(spec, 21)
         rec = recurrence_stieltjes(spec, rule, 10)
         assert np.max(np.abs(rec.diag)) <= 1e-13

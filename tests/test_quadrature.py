@@ -9,7 +9,6 @@ from markovsharp import (
     integrate,
     make_weight,
     recurrence_classical,
-    rule_to_csv,
 )
 from markovsharp.errors import WeightError
 from markovsharp.quadrature import _truncation_radius
@@ -166,14 +165,3 @@ class TestIntegrate:
         val = integrate(rule, lambda x: float(x) ** 2)
         assert val == pytest.approx(2 / 3, rel=1e-14)
 
-
-def test_rule_csv_export_roundtrip():
-    rule = _rule({"family": "jacobi", "interval": [-1, 1]}, 3)
-    text = rule_to_csv(rule)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("# weight_id:")
-    assert lines[1] == "# exactness: 5"
-    assert lines[2] == "node,weight"
-    parsed = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[3:]])
-    np.testing.assert_array_equal(parsed[:, 0], rule.nodes)
-    np.testing.assert_array_equal(parsed[:, 1], rule.weights)
