@@ -22,7 +22,6 @@ from .errors import (
 )
 from .linalg import gen_sym_eigen_max, svd_largest, sym_eigen
 from .markov import (
-    DerivativeMatrix,
     SharpResult,
     SobolevSpec,
     derivative_matrix,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundCheck",
-    "DerivativeMatrix",
     "EigenError",
     "ExponentReport",
     "FIT_SLACK",

@@ -7,9 +7,13 @@ orthonormal basis with the basis itself.  The Sobolev variant replaces both
 norms by ||P||^2 + sum_j lambda_j ||P^(j)||^2 and becomes a generalized
 symmetric eigenproblem between the two Gram forms.
 
-The connection matrix is stored with rows indexed by the target basis (the
-transpose of the usual convention) so it acts directly on coefficient
-vectors; singular values are unaffected.
+The connection matrix is built column by column from the three-term
+recurrence, with no quadrature.  It is stored square, with rows indexed by
+the target basis (the transpose of the usual convention), so it acts directly
+on coefficient vectors and its powers give the higher derivatives; singular
+values are unaffected.  Each constant is then checked a posteriori: the
+extremal polynomial is evaluated by quadrature on the basis rule, a path that
+shares no code with the matrix, and the ratio it achieves must match.
 """
 
 from __future__ import annotations
@@ -35,23 +39,6 @@ from .quadrature import QuadRule, gauss_rule
 
 RESIDUAL_TOL = 1e-8
 MAX_SOBOLEV_ORDER = 4
-
-_VANISH_RTOL = 1e-11
-
-
-@dataclass(frozen=True)
-class DerivativeMatrix:
-    """Connection matrix: entry (i, j) pairs p_j' with p_i against the weight."""
-
-    n: int
-    matrix: np.ndarray  # shape (n, n+1)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (self.n, self.n + 1):
-            raise ValueError(f"expected shape {(self.n, self.n + 1)}, got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -115,79 +102,46 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     return stabilized_stieltjes(spec, n + 1, degree=2 * n + 3)
 
 
-def derivative_matrix(rec: RecurrenceTable, rule: QuadRule, n: int) -> DerivativeMatrix:
-    """Assemble the n x (n+1) derivative connection matrix by quadrature.
+def derivative_matrix(rec: RecurrenceTable, n: int) -> np.ndarray:
+    """Square (n+1) x (n+1) derivative matrix D, entry (i, k) = <p_i, p_k'>.
 
-    Entries with column <= row must vanish (a derivative of degree j-1 is
-    orthogonal to every basis element of degree >= j); the assembly checks
-    this within 1e-11 of the matrix norm and then zeroes those entries.
+    Built from the recurrence alone: differentiating
+    x p_k = b_k p_{k+1} + a_k p_k + b_{k-1} p_{k-1} gives the columns
+    b_k D[:, k+1] = (J - a_k) D[:, k] + e_k - b_{k-1} D[:, k-1] with D[:, 0] = 0,
+    where J is the Jacobi matrix.  Column k holds the coefficients of p_k'
+    (degree k-1), so every entry on or below the diagonal is exactly zero and
+    so is the last row.
     """
     if n < 0:
         raise WeightError("n must be >= 0")
     if n > rec.n_max:
         raise WeightError(f"recurrence table too short: n={n} > n_max={rec.n_max}")
-    if rule.exactness >= 0 and rule.exactness < max(2 * n - 1, 0):
-        raise QuadratureError(
-            f"rule exactness {rule.exactness} below the 2n-1 = {2 * n - 1} required"
-        )
-    if n == 0:
-        return DerivativeMatrix(n=0, matrix=np.zeros((0, 1)))
-
-    stack = eval_derivative_table(rec, rule.nodes, n, order=1)
-    values, derivs = stack[0], stack[1]
-    full = (values * rule.weights) @ derivs.T  # (n+1, n+1); row i col j = <p_i, p_j'>
-    mat = full[:n, :].copy()
-
-    norm = np.linalg.norm(mat)
-    lower = np.tril(np.ones_like(mat, dtype=bool), k=0)
-    worst = np.max(np.abs(mat[lower])) if norm > 0 else 0.0
-    if worst > _VANISH_RTOL * norm:
-        raise QuadratureError(
-            f"quadrature insufficient: lower-triangular residue {worst:.3e} "
-            f"exceeds {_VANISH_RTOL:.0e} * ||M|| = {_VANISH_RTOL * norm:.3e}"
-        )
-    mat[lower] = 0.0
-    return DerivativeMatrix(n=n, matrix=mat)
+    a, b = rec.diag[: n + 1], rec.offdiag[:n]
+    mat = np.zeros((n + 1, n + 1))
+    for k in range(n):
+        col = mat[:, k]
+        nxt = (a - a[k]) * col
+        nxt[1:] += b * col[:-1]
+        nxt[:-1] += b * col[1:]
+        nxt[k] += 1.0
+        if k > 0:
+            nxt -= b[k - 1] * mat[:, k - 1]
+        mat[:, k + 1] = nxt / b[k]
+    return mat
 
 
-def _derivative_operators(mat: np.ndarray, n: int, k: int) -> list[np.ndarray]:
-    """[D_1, ..., D_k]: D_j maps degree-n coefficients to those of the j-th derivative."""
-    ops = []
-    cur = np.eye(n + 1)
-    for j in range(1, k + 1):
-        rows = n - j + 1
-        if rows <= 0:
-            ops.append(np.zeros((0, n + 1)))
-            cur = ops[-1]
-            continue
-        cur = mat[:rows, : rows + 1] @ cur if j > 1 else mat[:rows, : rows + 1]
-        ops.append(cur)
-    return ops
+def sobolev_forms(mat: np.ndarray, sob: SobolevSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices (A, B) of ||P'||_W^2 and ||P||_W^2 in the orthonormal basis.
 
-
-def sobolev_forms(spec: WeightSpec, sob: SobolevSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices (A, B) of ||P'||_W^2 and ||P||_W^2 in the orthonormal basis."""
-    if n < 1:
-        raise WeightError("n must be >= 1")
-    _check_order(sob)
-    rec, rule = basis_for(spec, n)
-    mat = derivative_matrix(rec, rule, n).matrix
-    return _forms_from_matrix(mat, sob, n)
-
-
-def _forms_from_matrix(mat: np.ndarray, sob: SobolevSpec, n: int):
-    k = sob.k
-    ops = _derivative_operators(mat, n, k + 1)
-    b = np.eye(n + 1)
-    for j in range(1, k + 1):
-        lam = sob.lambdas[j - 1]
-        if lam:
-            b = b + lam * ops[j - 1].T @ ops[j - 1]
-    a = ops[0].T @ ops[0]
-    for j in range(1, k + 1):
-        lam = sob.lambdas[j - 1]
-        if lam:
-            a = a + lam * ops[j].T @ ops[j]
+    ``mat`` is the square derivative matrix, so P^(j) has coefficients D^j c.
+    """
+    power = mat
+    a = power.T @ power
+    b = np.eye(mat.shape[0])
+    for lam in sob.lambdas:
+        b = b + lam * (power.T @ power)
+        power = mat @ power
+        a = a + lam * (power.T @ power)
     return 0.5 * (a + a.T), 0.5 * (b + b.T)
 
 
@@ -234,7 +188,7 @@ def sharp_constant_l2(spec: WeightSpec, n: int) -> SharpResult:
     if n < 1:
         raise WeightError("n must be >= 1")
     rec, rule = basis_for(spec, n)
-    mat = derivative_matrix(rec, rule, n).matrix
+    mat = derivative_matrix(rec, n)
     sigma, coeffs = svd_largest(mat)
     residual = _checked_residual(rec, rule, coeffs, n, sigma)
     return SharpResult(n=n, value=sigma, coeffs=coeffs, residual=residual, weight=spec)
@@ -246,8 +200,8 @@ def sharp_constant_sobolev(spec: WeightSpec, sob: SobolevSpec, n: int) -> SharpR
         raise WeightError("n must be >= 1")
     _check_order(sob)
     rec, rule = basis_for(spec, n)
-    mat = derivative_matrix(rec, rule, n).matrix
-    a, b = _forms_from_matrix(mat, sob, n)
+    mat = derivative_matrix(rec, n)
+    a, b = sobolev_forms(mat, sob)
     theta, coeffs = gen_sym_eigen_max(a, b)
     value = math.sqrt(max(theta, 0.0))
     residual = _checked_residual(rec, rule, coeffs, n, value, sob.lambdas)
@@ -260,8 +214,8 @@ def mirsky_bound(spec: WeightSpec, n: int) -> float:
     """Upper bound (sum_nu nu ||p_nu'||^2)^(1/2) for the sharp L2 constant."""
     if n < 1:
         raise WeightError("n must be >= 1")
-    rec, rule = basis_for(spec, n)
-    mat = derivative_matrix(rec, rule, n).matrix
+    rec, _ = basis_for(spec, n)
+    mat = derivative_matrix(rec, n)
     col_sq = np.sum(mat * mat, axis=0)
     return float(np.sqrt(np.dot(np.arange(n + 1), col_sq)))
 

@@ -100,3 +100,25 @@ def pencil_power_iteration(k_mat, g_mat, iters=100000, seed=0):
             return 0.0
         v = w / nrm
     return float((v @ k_mat @ v) / (v @ g_mat @ v))
+
+
+def derivative_matrix_by_quadrature(diag, offdiag, mass, nodes, weights, n):
+    """Matrix of <p_i, p_k'> for i, k <= n, by quadrature.
+
+    Evaluates p_k and p_k' at the nodes with its own pointwise recurrence
+    (differentiated once) and pairs them under the rule, which must integrate
+    polynomials of degree 2n-1 against the weight exactly.
+    """
+    p = np.zeros((n + 1, len(nodes)))
+    dp = np.zeros_like(p)
+    p[0] = 1.0 / math.sqrt(mass)
+    for k in range(n):
+        shifted = nodes - diag[k]
+        p[k + 1] = shifted * p[k]
+        dp[k + 1] = shifted * dp[k] + p[k]
+        if k > 0:
+            p[k + 1] -= offdiag[k - 1] * p[k - 1]
+            dp[k + 1] -= offdiag[k - 1] * dp[k - 1]
+        p[k + 1] /= offdiag[k]
+        dp[k + 1] /= offdiag[k]
+    return (p * weights) @ dp.T

@@ -20,7 +20,7 @@ from markovsharp import (
 )
 from markovsharp.markov import basis_for
 
-from oracles import pencil_power_iteration
+from oracles import derivative_matrix_by_quadrature, pencil_power_iteration
 
 LEGENDRE = {"family": "jacobi", "interval": [-1, 1]}
 HERMITE = {"family": "hermite"}
@@ -42,40 +42,56 @@ def _affine_image(spec, stretch, shift):
 
 class TestDerivativeMatrix:
     def test_hermite_is_weighted_shift(self):
-        spec = make_weight(HERMITE)
-        rec, rule = basis_for(spec, 3)
-        mat = derivative_matrix(rec, rule, 3).matrix
-        expected = np.zeros((3, 4))
+        rec, _ = basis_for(make_weight(HERMITE), 3)
+        mat = derivative_matrix(rec, 3)
+        expected = np.zeros((4, 4))
         for j in (1, 2, 3):
             expected[j - 1, j] = math.sqrt(2 * j)
         np.testing.assert_allclose(mat, expected, atol=1e-13)
 
     def test_legendre_degree_one_entry(self):
-        spec = make_weight(LEGENDRE)
-        rec, rule = basis_for(spec, 1)
-        mat = derivative_matrix(rec, rule, 1).matrix
-        np.testing.assert_allclose(mat, [[0.0, math.sqrt(3)]], rtol=1e-14, atol=1e-15)
+        rec, _ = basis_for(make_weight(LEGENDRE), 1)
+        mat = derivative_matrix(rec, 1)
+        np.testing.assert_allclose(mat, [[0.0, math.sqrt(3)], [0.0, 0.0]], rtol=1e-14, atol=1e-15)
 
     def test_degree_zero_empty(self):
-        spec = make_weight(LEGENDRE)
-        rec, rule = basis_for(spec, 1)
-        mat = derivative_matrix(rec, rule, 0)
-        assert mat.matrix.shape == (0, 1)
+        # p_0' = 0: the only entry is zero
+        rec, _ = basis_for(make_weight(LEGENDRE), 1)
+        mat = derivative_matrix(rec, 0)
+        np.testing.assert_array_equal(mat, np.zeros((1, 1)))
 
     def test_lower_triangle_vanishes(self):
         spec = make_weight({"family": "jacobi", "interval": [-1, 1], "alpha": 1.3, "beta": -0.2})
-        rec, rule = basis_for(spec, 8)
-        mat = derivative_matrix(rec, rule, 8).matrix
-        assert np.all(mat[np.tril_indices(8)] == 0.0)
+        rec, _ = basis_for(spec, 8)
+        mat = derivative_matrix(rec, 8)
+        assert mat.shape == (9, 9)
+        assert np.all(mat[np.tril_indices(9)] == 0.0)
 
-    def test_insufficient_exactness_rejected(self):
-        from markovsharp.errors import QuadratureError
+    def test_laguerre_closed_form(self):
+        # orthonormal Laguerre (alpha = 0): p_k' = sum_{j<k} (-1)^(j+k+1) p_j
+        n = 40
+        rec, _ = basis_for(make_weight({"family": "laguerre"}), n)
+        j, k = np.indices((n + 1, n + 1))
+        expected = np.where(j < k, (-1.0) ** (j + k + 1), 0.0)
+        np.testing.assert_allclose(derivative_matrix(rec, n), expected, rtol=0, atol=1e-13)
 
-        spec = make_weight(LEGENDRE)
-        rec = recurrence_classical(spec, 8)
-        rule = gauss_rule(rec, 3)  # exactness 5 < 2*8-1
-        with pytest.raises(QuadratureError, match="exactness"):
-            derivative_matrix(rec, rule, 8)
+    @pytest.mark.parametrize("n", [10, 40])
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]},
+            {"family": "gen_laguerre", "singularities": [[0, -0.5], [1, -0.4]]},
+            {"family": "gen_hermite", "singularities": [[-1, 0.5], [1, 0.5]]},
+        ],
+        ids=["gen_jacobi", "gen_laguerre", "gen_hermite"],
+    )
+    def test_matches_quadrature_oracle(self, raw, n):
+        rec, rule = basis_for(make_weight(raw), n)
+        ref = derivative_matrix_by_quadrature(
+            rec.diag, rec.offdiag, rec.mass, rule.nodes, rule.weights, n
+        )
+        mat = derivative_matrix(rec, n)
+        assert np.max(np.abs(mat - ref)) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestSharpL2:
@@ -152,21 +168,21 @@ class TestSharpL2:
 
 class TestSobolev:
     def test_forms_reduce_to_l2_at_zero_lambdas(self):
-        spec = make_weight(LEGENDRE)
-        a, b = sobolev_forms(spec, SobolevSpec((0.0, 0.0)), 4)
-        rec, rule = basis_for(spec, 4)
-        mat = derivative_matrix(rec, rule, 4).matrix
+        rec, _ = basis_for(make_weight(LEGENDRE), 4)
+        mat = derivative_matrix(rec, 4)
+        a, b = sobolev_forms(mat, SobolevSpec((0.0, 0.0)))
         np.testing.assert_allclose(a, mat.T @ mat, atol=1e-14)
         np.testing.assert_array_equal(b, np.eye(5))
 
     def test_hermite_two_by_two_assembly(self):
-        a, b = sobolev_forms(make_weight(HERMITE), SobolevSpec((1.0,)), 1)
+        rec, _ = basis_for(make_weight(HERMITE), 1)
+        a, b = sobolev_forms(derivative_matrix(rec, 1), SobolevSpec((1.0,)))
         np.testing.assert_allclose(a, np.diag([0.0, 2.0]), atol=1e-14)
         np.testing.assert_allclose(b, np.diag([1.0, 3.0]), rtol=1e-14)
 
     def test_forms_symmetric(self):
-        spec = make_weight({"family": "laguerre", "alpha": 0.8})
-        a, b = sobolev_forms(spec, SobolevSpec((0.7, 0.1)), 6)
+        rec, _ = basis_for(make_weight({"family": "laguerre", "alpha": 0.8}), 6)
+        a, b = sobolev_forms(derivative_matrix(rec, 6), SobolevSpec((0.7, 0.1)))
         assert np.array_equal(a, a.T) and np.array_equal(b, b.T)
 
     def test_zero_lambdas_match_l2_value(self):
