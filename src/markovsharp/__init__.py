@@ -35,7 +35,6 @@ from .markov import (
 from .orthopoly import (
     RecurrenceTable,
     WeightSpec,
-    eval_derivatives,
     eval_orthonormal,
     make_weight,
     recurrence_classical,
@@ -62,7 +61,6 @@ __all__ = [
     "WeightSpec",
     "composite_rule",
     "derivative_matrix",
-    "eval_derivatives",
     "eval_orthonormal",
     "extremal_polynomial",
     "gamma_ratio_sequence",

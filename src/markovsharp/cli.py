@@ -106,11 +106,11 @@ def _sobolev(config: RunConfig) -> SobolevSpec | None:
     return SobolevSpec(config.lambdas) if config.lambdas else None
 
 
-def _sharp(config: RunConfig, n: int):
+def _sharp(config: RunConfig, n: int, basis=None):
     sob = _sobolev(config)
     if sob is None:
-        return sharp_constant_l2(config.weight, n)
-    return sharp_constant_sobolev(config.weight, sob, n)
+        return sharp_constant_l2(config.weight, n, basis)
+    return sharp_constant_sobolev(config.weight, sob, n, basis)
 
 
 def cmd_sharp(config: RunConfig) -> str:
@@ -129,16 +129,17 @@ def cmd_sweep(config: RunConfig) -> str:
     spec = config.weight
     case = bounds.default_case(spec)
     sob = _sobolev(config) or SobolevSpec((0.0,))
+    basis = basis_for(spec, max(config.n_range))
     rows = []
     for n in config.n_range:
-        l2 = sharp_constant_l2(spec, n)
-        sobolev = sharp_constant_sobolev(spec, sob, n)
+        l2 = sharp_constant_l2(spec, n, basis)
+        sobolev = sharp_constant_sobolev(spec, sob, n, basis)
         rows.append(
             {
                 "n": n,
                 "sharp": l2.value,
                 "sobolev": sobolev.value,
-                "mirsky": mirsky_bound(spec, n),
+                "mirsky": mirsky_bound(spec, n, basis),
                 "envelope": bounds.predicted_envelope(case, spec, n),
             }
         )
@@ -154,7 +155,8 @@ def cmd_sweep(config: RunConfig) -> str:
 
 def cmd_mirsky(config: RunConfig) -> str:
     spec = config.weight
-    rows = [{"n": n, "mirsky": mirsky_bound(spec, n)} for n in config.n_range]
+    basis = basis_for(spec, max(config.n_range))
+    rows = [{"n": n, "mirsky": mirsky_bound(spec, n, basis)} for n in config.n_range]
     if config.output_format == "csv":
         lines = ["n,mirsky"] + [f"{r['n']},{r['mirsky']!r}" for r in rows]
         return "\n".join(lines) + "\n"
@@ -163,9 +165,9 @@ def cmd_mirsky(config: RunConfig) -> str:
 
 def cmd_extremal(config: RunConfig) -> str:
     n = config.n_range[0]
-    res = _sharp(config, n)
-    rec, _ = basis_for(config.weight, n)
-    poly = extremal_polynomial(res, rec)
+    basis = basis_for(config.weight, n)
+    res = _sharp(config, n, basis)
+    poly = extremal_polynomial(res, basis[0])
     if config.output_format == "csv":
         lines = [f"# achieved_ratio: {poly.achieved_ratio!r}"]
         lines.append(f"# residual: {poly.residual!r}")

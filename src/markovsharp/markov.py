@@ -13,7 +13,8 @@ the target basis (the transpose of the usual convention), so it acts directly
 on coefficient vectors and its powers give the higher derivatives; singular
 values are unaffected.  Each constant is then checked a posteriori: the
 extremal polynomial is evaluated by quadrature on the basis rule, a path that
-shares no code with the matrix, and the ratio it achieves must match.
+shares no code with the matrix, and the ratio it achieves must match.  The
+basis is nested, so every degree up to N can read one ``basis_for(spec, N)``.
 """
 
 from __future__ import annotations
@@ -99,7 +100,16 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     ):
         rec = recurrence_classical(spec, n + 2)
         return rec, gauss_rule(rec, n + 2)
-    return stabilized_stieltjes(spec, n + 1, degree=2 * n + 3)
+    return stabilized_stieltjes(spec, n + 1)
+
+
+def _basis(spec: WeightSpec, n: int, basis) -> tuple[RecurrenceTable, QuadRule]:
+    """``basis_for(spec, n)``, or ``basis`` if given: a ``basis_for(spec, N)`` pair, N >= n."""
+    if n < 1:
+        raise WeightError("n must be >= 1")
+    if basis is not None and (basis[0].n_max < n + 1 or basis[0].weight_id != spec.weight_id):
+        raise WeightError(f"the given basis does not cover degree {n} of this weight")
+    return basis_for(spec, n) if basis is None else basis
 
 
 def derivative_matrix(rec: RecurrenceTable, n: int) -> np.ndarray:
@@ -183,23 +193,19 @@ def _checked_residual(rec, rule, coeffs, n, value, lambdas=()) -> float:
     return residual
 
 
-def sharp_constant_l2(spec: WeightSpec, n: int) -> SharpResult:
+def sharp_constant_l2(spec: WeightSpec, n: int, basis=None) -> SharpResult:
     """Sharp constant of ||P'|| <= C ||P|| over P_n in the weighted L2 norm."""
-    if n < 1:
-        raise WeightError("n must be >= 1")
-    rec, rule = basis_for(spec, n)
+    rec, rule = _basis(spec, n, basis)
     mat = derivative_matrix(rec, n)
     sigma, coeffs = svd_largest(mat)
     residual = _checked_residual(rec, rule, coeffs, n, sigma)
     return SharpResult(n=n, value=sigma, coeffs=coeffs, residual=residual, weight=spec)
 
 
-def sharp_constant_sobolev(spec: WeightSpec, sob: SobolevSpec, n: int) -> SharpResult:
+def sharp_constant_sobolev(spec: WeightSpec, sob: SobolevSpec, n: int, basis=None) -> SharpResult:
     """Sharp constant of ||P'||_W <= C ||P||_W over P_n in the weighted Sobolev norm."""
-    if n < 1:
-        raise WeightError("n must be >= 1")
     _check_order(sob)
-    rec, rule = basis_for(spec, n)
+    rec, rule = _basis(spec, n, basis)
     mat = derivative_matrix(rec, n)
     a, b = sobolev_forms(mat, sob)
     theta, coeffs = gen_sym_eigen_max(a, b)
@@ -210,11 +216,9 @@ def sharp_constant_sobolev(spec: WeightSpec, sob: SobolevSpec, n: int) -> SharpR
     )
 
 
-def mirsky_bound(spec: WeightSpec, n: int) -> float:
+def mirsky_bound(spec: WeightSpec, n: int, basis=None) -> float:
     """Upper bound (sum_nu nu ||p_nu'||^2)^(1/2) for the sharp L2 constant."""
-    if n < 1:
-        raise WeightError("n must be >= 1")
-    rec, _ = basis_for(spec, n)
+    rec, _ = _basis(spec, n, basis)
     mat = derivative_matrix(rec, n)
     col_sq = np.sum(mat * mat, axis=0)
     return float(np.sqrt(np.dot(np.arange(n + 1), col_sq)))

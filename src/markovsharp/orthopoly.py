@@ -353,21 +353,19 @@ def _recurrence_change(old: RecurrenceTable, new: RecurrenceTable, hint: float =
     return float(d)
 
 
-def stabilized_stieltjes(spec: WeightSpec, n: int, degree: int | None = None):
+def stabilized_stieltjes(spec: WeightSpec, n: int):
     """Stieltjes recurrence certified by rule refinement.
 
     Builds composite rules of doubling density for integrals of polynomial
-    degree ``degree`` (default 2n+1) and accepts once two consecutive
-    densities give coefficients within 1e-12 relative of each other (at most
-    6 refinements, else an error).  Returns the accepted (table, rule) pair.
+    degree 2n+1 and accepts once two consecutive densities give coefficients
+    within 1e-12 relative of each other (at most 6 refinements, else an
+    error).  Returns the accepted (table, rule) pair.
     """
-    if degree is None:
-        degree = 2 * n + 1
     from .quadrature import composite_rule
 
     prev = None
     for level in range(MAX_REFINE + 1):
-        rule = composite_rule(spec, degree, refine=level)
+        rule = composite_rule(spec, 2 * n + 1, refine=level)
         cur = _stieltjes_once(rule, n, spec.weight_id)
         if rule.exactness >= 2 * n + 1:
             return cur, rule  # singularity-free reduction: the rule is exact
@@ -412,11 +410,6 @@ def eval_orthonormal(rec: RecurrenceTable, x, n: int) -> np.ndarray:
     pts, scalar = _as_points(x)
     table = _kernels.poly_table(rec.diag[: n + 1], rec.offdiag[:n], 1.0 / math.sqrt(rec.mass), pts)
     return table[:, 0] if scalar else table
-
-
-def eval_derivatives(rec: RecurrenceTable, x, n: int) -> np.ndarray:
-    """Values (p_0'(x), ..., p_n'(x)); p_0' = 0."""
-    return eval_derivative_table(rec, x, n, order=1)[1]
 
 
 def eval_derivative_table(rec: RecurrenceTable, x, n: int, order: int) -> np.ndarray:

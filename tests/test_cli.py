@@ -1,12 +1,24 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from markovsharp.cli import main
+import markovsharp
+from markovsharp import SobolevSpec, mirsky_bound, sharp_constant_l2, sharp_constant_sobolev
+from markovsharp.bounds import default_case, verify_theorem
+from markovsharp.cli import load_weight, main
+
+# child interpreters import the same sources as this one, installed or not
+SRC = str(Path(markovsharp.__file__).resolve().parents[1])
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p),
+}
 
 
 def run_cli(capsys, *argv):
@@ -177,7 +189,7 @@ class TestVerify:
 
         exact = bounds.sharp_constant_l2
 
-        def off_by_one_percent(spec, n):
+        def off_by_one_percent(spec, n, basis=None):
             res = exact(spec, n)
             return dataclasses.replace(res, value=res.value * 1.01)
 
@@ -190,6 +202,16 @@ class TestVerify:
             assert code == 1
             assert json.loads(out)["pass"] is False
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_rejected(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "verify", "--case", "schmidt", "--weight", "hermite",
+            "--n-min", "4", "--n-max", "16", "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_default_case_from_weight(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--weight", "laguerre0", "--n-min", "4", "--n-max", "20",
@@ -197,6 +219,99 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["case_id"] == "laguerre_1"
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Degrees passed to basis_for, counted through every markovsharp module's binding."""
+    from markovsharp import markov
+
+    calls = []
+    original = markov.basis_for
+
+    def counted(spec, n):
+        calls.append(n)
+        return original(spec, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("markovsharp") and getattr(module, "basis_for", None) is original:
+            monkeypatch.setattr(module, "basis_for", counted)
+    return calls
+
+
+GEN_JACOBI = '{"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}'
+GEN_HERMITE = '{"family": "gen_hermite", "singularities": [[-1.0, 0.5], [1.0, 0.5]]}'
+JACOBI = '{"family": "jacobi", "interval": [-1, 1], "alpha": 0.5, "beta": -0.3}'
+CLASSICAL = ["legendre", "chebyshev1", "laguerre0", "hermite", JACOBI]
+
+
+def _sweep_rows(capsys, token):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--weight", token, "--n-min", "2", "--n-max", "20", "--n-step", "2",
+        "--lambdas", "1,0.5",
+    )
+    assert code == 0
+    return json.loads(out)["rows"]
+
+
+class TestSharedBasis:
+    """A degree range reads the leading blocks of one basis built for its largest degree."""
+
+    def test_verify_theorem_builds_once(self, builds):
+        spec = load_weight(GEN_JACOBI)
+        verify_theorem("gen_jacobi_4", spec, SobolevSpec((1.0, 0.5)), range(4, 13))
+        assert builds == [12]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n-min", "4", "--n-max", "12"],
+            ["mirsky", "--n-min", "4", "--n-max", "12"],
+            ["extremal", "--n", "12"],
+        ],
+    )
+    def test_cli_command_builds_once(self, capsys, builds, argv):
+        code, _, _ = run_cli(capsys, *argv, "--weight", GEN_HERMITE)
+        assert code == 0
+        assert builds == [12]
+
+    @pytest.mark.parametrize("token", CLASSICAL)
+    def test_classical_values_equal_per_degree(self, capsys, token):
+        spec, sob = load_weight(token), SobolevSpec((1.0, 0.5))
+        for row in _sweep_rows(capsys, token):
+            n = row["n"]
+            assert row["sharp"] == sharp_constant_l2(spec, n).value
+            assert row["sobolev"] == sharp_constant_sobolev(spec, sob, n).value
+            assert row["mirsky"] == mirsky_bound(spec, n)
+        case = default_case(spec)
+        check = verify_theorem(case, spec, sob, range(4, 21))
+        if case == "schmidt":
+            expected = [sharp_constant_l2(spec, n).value for n in range(4, 21)]
+        else:
+            expected = [sharp_constant_sobolev(spec, sob, n).value for n in range(4, 21)]
+        assert list(check.sharp_values) == expected
+
+    @pytest.mark.parametrize("token", [GEN_JACOBI, GEN_HERMITE])
+    def test_generalized_values_match_per_degree(self, capsys, token):
+        spec, sob = load_weight(token), SobolevSpec((1.0, 0.5))
+        rows = _sweep_rows(capsys, token)
+        shared = [[r["sharp"], r["sobolev"], r["mirsky"]] for r in rows]
+        per_degree = [
+            [
+                sharp_constant_l2(spec, r["n"]).value,
+                sharp_constant_sobolev(spec, sob, r["n"]).value,
+                mirsky_bound(spec, r["n"]),
+            ]
+            for r in rows
+        ]
+        np.testing.assert_allclose(shared, per_degree, rtol=1e-10, atol=0)
+        check = verify_theorem(default_case(spec), spec, sob, range(4, 21))
+        np.testing.assert_allclose(
+            check.sharp_values,
+            [sharp_constant_sobolev(spec, sob, n).value for n in range(4, 21)],
+            rtol=1e-10,
+            atol=0,
+        )
 
 
 class TestSelftest:
@@ -225,7 +340,7 @@ class TestContracts:
     def test_numerical_failure_exits_three(self, capsys, monkeypatch):
         from markovsharp.errors import QuadratureError
 
-        def boom(spec, n):
+        def boom(spec, n, basis=None):
             raise QuadratureError("synthetic quadrature breakdown")
 
         monkeypatch.setattr("markovsharp.cli.sharp_constant_l2", boom)
@@ -238,14 +353,14 @@ class TestContracts:
             sys.executable, "-m", "markovsharp.cli", "sweep", "--weight", "chebyshev1",
             "--n-min", "1", "--n-max", "8", "--lambdas", "0.5,0.25", "--format", "csv",
         ]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        first = subprocess.run(cmd, capture_output=True, check=True, env=CHILD_ENV)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=CHILD_ENV)
         assert first.stdout == second.stdout
         assert first.stdout.decode().startswith("n,sharp")
 
     def test_entrypoint_help(self):
         out = subprocess.run(
-            [sys.executable, "-m", "markovsharp.cli", "--help"], capture_output=True
+            [sys.executable, "-m", "markovsharp.cli", "--help"], capture_output=True, env=CHILD_ENV
         )
         assert out.returncode == 0
         assert b"sharp" in out.stdout and b"selftest" in out.stdout

@@ -157,6 +157,17 @@ class TestSharpL2:
         theta = pencil_power_iteration(stiff, gram, iters=20000, seed=2)
         assert res.value == pytest.approx(math.sqrt(theta), rel=1e-9)
 
+    def test_given_basis_must_cover_degree_and_weight(self):
+        spec = make_weight(
+            {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}
+        )
+        basis = basis_for(spec, 8)
+        assert sharp_constant_l2(spec, 8, basis).value == sharp_constant_l2(spec, 8).value
+        with pytest.raises(WeightError, match="basis does not cover"):
+            sharp_constant_l2(spec, 9, basis)
+        with pytest.raises(WeightError, match="basis does not cover"):
+            mirsky_bound(make_weight(HERMITE), 4, basis)
+
     def test_degree_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("MARKOVSHARP_MAX_N", "10")
         with pytest.raises(WeightError, match="cap"):

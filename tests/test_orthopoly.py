@@ -6,7 +6,6 @@ import pytest
 from markovsharp import (
     QuadratureError,
     WeightError,
-    eval_derivatives,
     eval_orthonormal,
     gauss_rule,
     make_weight,
@@ -238,17 +237,17 @@ class TestEvaluation:
 
     def test_derivative_of_constant_is_zero(self):
         rec = recurrence_classical(make_weight(HERMITE), 0)
-        assert eval_derivatives(rec, 0.7, 0)[0] == 0.0
+        assert eval_derivative_table(rec, 0.7, 0, order=1)[1][0] == 0.0
 
     def test_legendre_derivatives_at_zero(self):
         rec = recurrence_classical(make_weight(LEGENDRE), 2)
-        vals = eval_derivatives(rec, 0.0, 2)
+        vals = eval_derivative_table(rec, 0.0, 2, order=1)[1]
         np.testing.assert_allclose(vals, [0.0, math.sqrt(1.5), 0.0], atol=1e-15)
 
     def test_derivatives_match_finite_differences(self):
         rec = recurrence_classical(make_weight({"family": "jacobi", "alpha": 0.8, "beta": 0.1}), 6)
         x, h = 0.37, 1e-6
-        exact = eval_derivatives(rec, x, 6)
+        exact = eval_derivative_table(rec, x, 6, order=1)[1]
         approx = (eval_orthonormal(rec, x + h, 6) - eval_orthonormal(rec, x - h, 6)) / (2 * h)
         np.testing.assert_allclose(approx, exact, rtol=1e-8, atol=1e-8)
 
@@ -256,7 +255,10 @@ class TestEvaluation:
         rec = recurrence_classical(make_weight(HERMITE), 5)
         x, h = 0.51, 1e-5
         stack = eval_derivative_table(rec, x, 5, order=2)
-        fd = (eval_derivatives(rec, x + h, 5) - eval_derivatives(rec, x - h, 5)) / (2 * h)
+        fd = (
+            eval_derivative_table(rec, x + h, 5, order=1)[1]
+            - eval_derivative_table(rec, x - h, 5, order=1)[1]
+        ) / (2 * h)
         np.testing.assert_allclose(fd, stack[2], rtol=1e-7, atol=1e-7)
 
     def test_array_input_shape(self):
