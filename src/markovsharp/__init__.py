@@ -20,7 +20,7 @@ from .errors import (
     QuadratureError,
     WeightError,
 )
-from .linalg import gen_sym_eigen_max, svd_largest, sym_eigen
+from .linalg import gen_sym_eigen_max, svd_largest
 from .markov import (
     SharpResult,
     SobolevSpec,
@@ -38,7 +38,6 @@ from .orthopoly import (
     eval_orthonormal,
     make_weight,
     recurrence_classical,
-    recurrence_stieltjes,
     weight_to_json,
 )
 from .quadrature import QuadRule, composite_rule, gauss_rule, integrate
@@ -75,13 +74,11 @@ __all__ = [
     "make_weight",
     "mirsky_bound",
     "recurrence_classical",
-    "recurrence_stieltjes",
     "result_to_json",
     "sharp_constant_l2",
     "sharp_constant_sobolev",
     "sobolev_forms",
     "svd_largest",
-    "sym_eigen",
     "verify_theorem",
     "weight_to_json",
 ]

@@ -18,10 +18,9 @@ import numpy as np
 
 from .errors import HypothesisError, WeightError
 from .markov import SobolevSpec, basis_for, mirsky_bound, sharp_constant_l2, sharp_constant_sobolev
-from .orthopoly import WeightSpec, weight_to_json
+from .orthopoly import _SUM_TOL, WeightSpec, weight_to_json
 
 FIT_SLACK = 0.1
-_SUM_TOL = 1e-12
 
 CASE_IDS = (
     "laguerre_1",

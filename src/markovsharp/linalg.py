@@ -1,10 +1,10 @@
 """Dense symmetric eigen/SVD helpers sized for the small matrices used here.
 
 Thin contracts over LAPACK (numpy/scipy): symmetry is checked on the way in,
-eigenvalues come back ascending, and every returned eigenvector has its last
-nonzero component positive so golden outputs are deterministic.  The largest
-singular value is taken from the eigendecomposition of M^T M, which is
-accurate enough here because only the (well separated) top value is consumed.
+and every returned vector has its last nonzero component positive so golden
+outputs are deterministic.  The largest singular value is taken from the
+eigendecomposition of M^T M, which is accurate enough here because only the
+(well separated) top value is consumed.
 """
 
 from __future__ import annotations
@@ -48,14 +48,6 @@ def _eigh(m: np.ndarray):
         return np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise EigenError(f"eigensolver did not converge: {exc}") from exc
-
-
-def sym_eigen(m: np.ndarray):
-    """Eigendecomposition of a symmetric matrix: ascending values, orthonormal vectors."""
-    vals, vecs = _eigh(m)
-    for j in range(vecs.shape[1]):
-        vecs[:, j] = _fix_sign(vecs[:, j])
-    return vals, vecs
 
 
 def svd_largest(m: np.ndarray):

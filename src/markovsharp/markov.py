@@ -27,10 +27,11 @@ import numpy as np
 from .errors import QuadratureError, WeightError
 from .linalg import gen_sym_eigen_max, svd_largest
 from .orthopoly import (
-    CLASSICAL_FAMILIES,
     RecurrenceTable,
     WeightSpec,
+    closed_form,
     eval_derivative_table,
+    eval_orthonormal,
     max_degree_cap,
     recurrence_classical,
     stabilized_stieltjes,
@@ -94,10 +95,7 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     cap = max_degree_cap()
     if n > cap:
         raise WeightError(f"n={n} exceeds the degree cap {cap} (set MARKOVSHARP_MAX_N to raise it)")
-    if spec.family in CLASSICAL_FAMILIES or (
-        spec.family == "gen_hermite"
-        and all(c == 0.0 for c, _ in spec.singularities)
-    ):
+    if closed_form(spec) is not None:
         rec = recurrence_classical(spec, n + 2)
         return rec, gauss_rule(rec, n + 2)
     return stabilized_stieltjes(spec, n + 1)
@@ -237,8 +235,6 @@ class ExtremalPolynomial:
         self.residual = abs(self.achieved_ratio - res.value) / res.value
 
     def __call__(self, x):
-        from .orthopoly import eval_orthonormal
-
         table = eval_orthonormal(self._rec, x, self.result.n)
         return self.result.coeffs @ table
 

@@ -2,9 +2,10 @@
 
 A weight is one of the classical families (Jacobi, Laguerre, Hermite) or a
 generalized family: the classical exponential factor times a product of
-singular factors |x - c_j|^gamma_j.  For classical families the recurrence
-coefficients of the orthonormal polynomials are closed-form; generalized
-families go through the discretized Stieltjes procedure driven by a
+singular factors |x - c_j|^gamma_j.  ``closed_form`` decides which weights
+have closed-form recurrence coefficients: the classical families, and the
+generalized weights whose singular factors restate a classical one.  Every
+other weight goes through the discretized Stieltjes procedure driven by a
 singularity-respecting quadrature rule.
 
 Orthonormal normalization throughout: p_0 = 1/sqrt(mass) and
@@ -268,21 +269,48 @@ def _jacobi_monic_beta(k: int, al: float, be: float) -> float:
     return 4 * k * (k + al) * (k + be) * (k + al + be) / (s * s * (s + 1) * (s - 1))
 
 
-def recurrence_classical(spec: WeightSpec, n: int) -> RecurrenceTable:
-    """Closed-form orthonormal recurrence for a classical family.
+def closed_form(spec: WeightSpec) -> WeightSpec | None:
+    """The weight restated in a family with a closed-form recurrence, or None.
 
-    Supports jacobi (any finite interval), laguerre, hermite, and gen_hermite
-    whose only singular factor sits at the origin (|x|^gamma e^{-x^2}).  The
-    coefficient formulas are the standard ones for these families; see e.g.
-    Gautschi, "Orthogonal Polynomials: Computation and Approximation".
+    Classical weights, and gen_hermite with singular factors only at the
+    origin, are returned as they are.  gen_laguerre with factors only at the
+    origin is laguerre(alpha=gamma); gen_jacobi with factors only at the
+    interval ends is jacobi(alpha=gamma at b, beta=gamma at a).  The scale is
+    kept.
+    """
+    at = dict(spec.singularities)
+    if spec.family in CLASSICAL_FAMILIES or (spec.family == "gen_hermite" and set(at) <= {0.0}):
+        return spec
+    if spec.family == "gen_laguerre" and set(at) <= {0.0}:
+        return WeightSpec("laguerre", spec.interval, alpha=at.get(0.0, 0.0), scale=spec.scale)
+    a, b = spec.interval
+    if spec.family == "gen_jacobi" and set(at) <= {a, b}:
+        return WeightSpec(
+            "jacobi", spec.interval, alpha=at.get(b, 0.0), beta=at.get(a, 0.0), scale=spec.scale
+        )
+    return None
+
+
+def recurrence_classical(spec: WeightSpec, n: int) -> RecurrenceTable:
+    """Closed-form orthonormal recurrence for a weight that ``closed_form`` restates.
+
+    The coefficient formulas are the standard ones for the Jacobi (any finite
+    interval), Laguerre and Hermite families and for |x|^gamma e^{-x^2}; see
+    e.g. Gautschi, "Orthogonal Polynomials: Computation and Approximation".
+    The table carries the weight_id of ``spec`` itself.
     """
     if n < 0:
         raise WeightError("n must be >= 0")
+    form = closed_form(spec)
+    if form is None:
+        raise WeightError(
+            f"no closed-form recurrence for this {spec.family} weight; use stabilized_stieltjes"
+        )
 
-    fam = spec.family
+    fam = form.family
     if fam == "jacobi":
-        al, be = spec.alpha, spec.beta
-        a, b = spec.interval
+        al, be = form.alpha, form.beta
+        a, b = form.interval
         mid, h = 0.5 * (a + b), 0.5 * (b - a)
         diag = np.empty(n + 1)
         diag[0] = (be - al) / (al + be + 2)
@@ -296,7 +324,7 @@ def recurrence_classical(spec: WeightSpec, n: int) -> RecurrenceTable:
         diag = mid + h * diag
         offdiag = h * offdiag
     elif fam == "laguerre":
-        al = spec.alpha
+        al = form.alpha
         diag = np.array([2.0 * k + al + 1.0 for k in range(n + 1)])
         offdiag = np.array([math.sqrt((k + 1) * (k + 1 + al)) for k in range(n)])
         mass = _gamma(al + 1)
@@ -304,23 +332,15 @@ def recurrence_classical(spec: WeightSpec, n: int) -> RecurrenceTable:
         diag = np.zeros(n + 1)
         offdiag = np.sqrt(np.arange(1.0, n + 1.0) / 2.0)
         mass = math.sqrt(math.pi)
-    elif fam == "gen_hermite":
-        sings = spec.singularities
-        if len(sings) > 1 or (len(sings) == 1 and sings[0][0] != 0.0):
-            raise WeightError(
-                "recurrence_classical handles gen_hermite only with a single singular "
-                "factor at the origin; use recurrence_stieltjes"
-            )
-        g = sings[0][1] if sings else 0.0
+    else:  # gen_hermite, |x|^g e^{-x^2}
+        g = form.singularities[0][1] if form.singularities else 0.0
         diag = np.zeros(n + 1)
         beta = [(k / 2.0 + (g / 2.0 if k % 2 else 0.0)) for k in range(1, n + 1)]
         offdiag = np.sqrt(np.array(beta))
         mass = _gamma((g + 1) / 2)
-    else:
-        raise WeightError(f"no closed-form recurrence for family {fam!r}; use recurrence_stieltjes")
 
     return RecurrenceTable(
-        n_max=n, diag=diag, offdiag=offdiag, mass=mass * spec.scale, weight_id=spec.weight_id
+        n_max=n, diag=diag, offdiag=offdiag, mass=mass * form.scale, weight_id=spec.weight_id
     )
 
 
@@ -367,8 +387,6 @@ def stabilized_stieltjes(spec: WeightSpec, n: int):
     for level in range(MAX_REFINE + 1):
         rule = composite_rule(spec, 2 * n + 1, refine=level)
         cur = _stieltjes_once(rule, n, spec.weight_id)
-        if rule.exactness >= 2 * n + 1:
-            return cur, rule  # singularity-free reduction: the rule is exact
         hint = float(np.max(np.abs(rule.nodes)))
         if prev is not None and _recurrence_change(prev, cur, hint) <= STABILIZE_TOL:
             return cur, rule
@@ -376,24 +394,6 @@ def stabilized_stieltjes(spec: WeightSpec, n: int):
     raise QuadratureError(
         f"recurrence coefficients did not stabilize after {MAX_REFINE} rule refinements"
     )
-
-
-def recurrence_stieltjes(spec: WeightSpec, rule, n: int) -> RecurrenceTable:
-    """Recurrence coefficients from a quadrature discretization of the weight.
-
-    A rule whose stated exactness covers degree 2n+1 determines the
-    coefficients exactly and a single pass is returned.  A
-    tolerance-controlled rule (exactness -1) only seeds validation: the
-    result is certified by rebuilding composite rules of doubling density
-    until the coefficients change by at most 1e-12 relative (at most 6
-    refinements, else an error).
-    """
-    if n < 0:
-        raise WeightError("n must be >= 0")
-    rec = _stieltjes_once(rule, n, spec.weight_id)
-    if rule.exactness >= 2 * n + 1:
-        return rec
-    return stabilized_stieltjes(spec, n)[0]
 
 
 def _as_points(x):

@@ -16,10 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.special import gammaincc
 
 from . import _kernels
-from .errors import QuadratureError, WeightError
+from .errors import EigenError, QuadratureError, WeightError
 from .orthopoly import GENERALIZED_FAMILIES, RecurrenceTable, WeightSpec, recurrence_classical
 
 TAIL_TOL = 1e-14
@@ -32,8 +33,6 @@ class QuadRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    exactness: int  # polynomial degree through which the rule is exact; -1 = tolerance-controlled
-    weight_id: str = ""
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -66,10 +65,6 @@ def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
         raise ValueError("m must be >= 1")
     if m > rec.n_max + 1:
         raise ValueError(f"recurrence table too short for an {m}-point rule (n_max={rec.n_max})")
-    import scipy.linalg
-
-    from .errors import EigenError
-
     try:
         nodes = scipy.linalg.eigh_tridiagonal(
             rec.diag[:m], rec.offdiag[: m - 1], eigvals_only=True
@@ -78,11 +73,11 @@ def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
         raise EigenError(f"tridiagonal eigensolver did not converge: {exc}") from exc
     table = _kernels.poly_table(rec.diag[:m], rec.offdiag[: m - 1], 1.0 / math.sqrt(rec.mass), nodes)
     weights = 1.0 / np.sum(table * table, axis=0)
-    return QuadRule(nodes=nodes, weights=weights, exactness=2 * m - 1, weight_id=rec.weight_id)
+    return QuadRule(nodes=nodes, weights=weights)
 
 
 def integrate(rule: QuadRule, f) -> float:
-    """Sum of weights_i * f(nodes_i); exact for polynomials up to rule.exactness."""
+    """Sum of weights_i * f(nodes_i)."""
     try:
         vals = np.asarray(f(rule.nodes), dtype=float)
         if vals.shape != rule.nodes.shape:
@@ -197,8 +192,8 @@ def _piece_node_count(spec: WeightSpec, lo: float, hi: float, degree: int, refin
 def composite_rule(spec: WeightSpec, degree: int, refine: int = 0) -> QuadRule:
     """Singularity-respecting rule for a generalized weight.
 
-    Accurate (tolerance-controlled, exactness reported as -1) for integrands
-    polynomial of the given degree times the weight.  ``refine`` doubles the
+    Accurate to a tolerance, not exact, for integrands polynomial of the given
+    degree times the weight.  ``refine`` doubles the
     per-piece node count ``refine`` times; the Stieltjes stabilization loop
     uses this to certify convergence.
     """
@@ -206,15 +201,6 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0) -> QuadRule:
         raise WeightError(f"composite_rule needs a generalized family, got {spec.family!r}")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-
-    if not spec.singularities:
-        base_family = {"gen_jacobi": "jacobi", "gen_laguerre": "laguerre", "gen_hermite": "hermite"}
-        base = WeightSpec(
-            family=base_family[spec.family], interval=spec.interval, scale=spec.scale
-        )
-        m = _piece_node_count(spec, 0.0, 0.0, degree, refine)
-        rule = gauss_rule(recurrence_classical(base, m), m)
-        return QuadRule(rule.nodes, rule.weights, rule.exactness, weight_id=spec.weight_id)
 
     a, b = spec.interval
     if spec.family == "gen_jacobi":
@@ -255,5 +241,5 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0) -> QuadRule:
     nodes = np.concatenate(all_nodes)
     weights = np.concatenate(all_weights)
     order = np.argsort(nodes)
-    return QuadRule(nodes[order], weights[order], exactness=-1, weight_id=spec.weight_id)
+    return QuadRule(nodes[order], weights[order])
 

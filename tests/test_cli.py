@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import markovsharp
-from markovsharp import SobolevSpec, mirsky_bound, sharp_constant_l2, sharp_constant_sobolev
+from markovsharp import (
+    QuadRule,
+    SobolevSpec,
+    mirsky_bound,
+    sharp_constant_l2,
+    sharp_constant_sobolev,
+)
 from markovsharp.bounds import default_case, verify_theorem
 from markovsharp.cli import load_weight, main
 
@@ -325,8 +331,19 @@ class TestSelftest:
         assert any("eigen" in ln for ln in lines)
         assert any("gamma" in ln for ln in lines)
 
-    def test_injected_perturbation_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "selftest", "--inject-perturbation")
+    def test_injected_perturbation_fails(self, capsys, monkeypatch):
+        import markovsharp.cli as cli
+
+        real_basis_for = cli.basis_for
+
+        def perturbed(spec, n):
+            rec, rule = real_basis_for(spec, n)
+            weights = rule.weights.copy()
+            weights[len(weights) // 2] *= 1.0 + 1e-6
+            return rec, QuadRule(rule.nodes, weights)
+
+        monkeypatch.setattr(cli, "basis_for", perturbed)
+        code, out, _ = run_cli(capsys, "selftest")
         assert code == 1
         assert any(ln.startswith("FAIL orthonormality") for ln in out.strip().split("\n"))
 

@@ -3,43 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from markovsharp import EigenError, gen_sym_eigen_max, svd_largest, sym_eigen
+from markovsharp import EigenError, gen_sym_eigen_max, svd_largest
 
 from oracles import power_iteration_largest
-
-
-class TestSymEigen:
-    def test_identity(self):
-        vals, _ = sym_eigen(np.eye(3))
-        np.testing.assert_allclose(vals, [1.0, 1.0, 1.0])
-
-    def test_diagonal(self):
-        vals, _ = sym_eigen(np.diag([1.0, 4.0, 9.0]))
-        np.testing.assert_allclose(vals, [1.0, 4.0, 9.0])
-
-    def test_two_by_two_by_hand(self):
-        vals, _ = sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(vals, [1.0, 3.0], rtol=1e-15)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(EigenError, match="symmetric"):
-            sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_residuals_and_orthogonality(self):
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal((9, 9))
-        sym = 0.5 * (m + m.T)
-        vals, vecs = sym_eigen(sym)
-        scale = np.linalg.norm(sym)
-        assert np.linalg.norm(sym @ vecs - vecs * vals) <= 1e-10 * scale
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(9))) <= 1e-10
-        assert np.all(np.diff(vals) >= 0)
-
-    def test_sign_convention_deterministic(self):
-        vals, vecs = sym_eigen(np.array([[2.0, 0.0], [0.0, 1.0]]))
-        # eigenvectors are +/- e_k; the last nonzero component must be positive
-        np.testing.assert_allclose(vecs[:, 0], [0.0, 1.0])
-        np.testing.assert_allclose(vecs[:, 1], [1.0, 0.0])
 
 
 class TestSvdLargest:
@@ -67,6 +33,13 @@ class TestSvdLargest:
         s2, _ = svd_largest(m.T)
         assert s1 == pytest.approx(s2, rel=1e-12)
 
+    def test_sign_convention_deterministic(self):
+        _, v = svd_largest(np.diag([1.0, -2.0]))
+        # the singular vector is +/- e_2; its last nonzero component must be positive
+        np.testing.assert_allclose(v, [0.0, 1.0])
+        _, v = svd_largest(np.random.default_rng(29).standard_normal((4, 5)))
+        assert v[-1] > 0
+
     def test_zero_matrix_flagged(self):
         with pytest.warns(UserWarning, match="zero matrix"):
             sigma, v = svd_largest(np.zeros((2, 3)))
@@ -90,6 +63,10 @@ class TestGenSymEigenMax:
         theta, _ = gen_sym_eigen_max(np.diag([2.0, 1.0]), np.diag([1.0, 4.0]))
         assert theta == pytest.approx(2.0, rel=1e-15)
 
+    def test_rejects_asymmetric(self):
+        with pytest.raises(EigenError, match="symmetric"):
+            gen_sym_eigen_max(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+
     def test_b_not_positive_definite(self):
         with pytest.raises(EigenError, match="positive definite"):
             gen_sym_eigen_max(np.eye(2), np.diag([1.0, -1.0]))
@@ -110,7 +87,7 @@ class TestGenSymEigenMax:
         m = rng.standard_normal((6, 6))
         sym = 0.5 * (m + m.T)
         theta, _ = gen_sym_eigen_max(sym, np.eye(6))
-        vals, _ = sym_eigen(sym)
+        vals = np.linalg.eigvalsh(sym)
         assert theta == pytest.approx(vals[-1], rel=1e-10, abs=1e-12)
 
     def test_scaling_property(self):

@@ -19,6 +19,7 @@ from markovsharp import (
     sobolev_forms,
 )
 from markovsharp.markov import basis_for
+from markovsharp.orthopoly import closed_form
 
 from oracles import derivative_matrix_by_quadrature, pencil_power_iteration
 
@@ -175,6 +176,62 @@ class TestSharpL2:
         monkeypatch.delenv("MARKOVSHARP_MAX_N")
         with pytest.raises(WeightError, match="cap"):
             sharp_constant_l2(make_weight(HERMITE), 61)
+
+
+class TestClosedForm:
+    """Generalized weights that restate a classical one are built from its closed form."""
+
+    TWINS = [
+        (
+            {"family": "gen_laguerre", "singularities": [[0.0, 0.74662]], "scale": 1.7},
+            {"family": "laguerre", "alpha": 0.74662, "scale": 1.7},
+        ),
+        ({"family": "gen_laguerre"}, {"family": "laguerre"}),
+        (
+            {"family": "gen_jacobi", "interval": [-2, 1], "singularities": [[-2, 0.5], [1, 1.25]]},
+            {"family": "jacobi", "interval": [-2, 1], "alpha": 1.25, "beta": 0.5},
+        ),
+        ({"family": "gen_jacobi", "interval": [0, 3]}, {"family": "jacobi", "interval": [0, 3]}),
+    ]
+
+    @pytest.fixture
+    def stieltjes_calls(self, monkeypatch):
+        import markovsharp.markov as markov
+
+        calls = []
+        real = markov.stabilized_stieltjes
+
+        def counted(spec, n):
+            calls.append(spec)
+            return real(spec, n)
+
+        monkeypatch.setattr(markov, "stabilized_stieltjes", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "raw, twin", TWINS, ids=["laguerre_origin", "laguerre_bare", "jacobi_ends", "jacobi_bare"]
+    )
+    def test_equals_classical_twin(self, raw, twin, stieltjes_calls):
+        spec, classical = make_weight(raw), make_weight(twin)
+        assert closed_form(spec) == classical
+        sob = SobolevSpec((1.0, 0.5))
+        for n in (5, 32, 40):
+            for got, want in (
+                (sharp_constant_l2(spec, n), sharp_constant_l2(classical, n)),
+                (sharp_constant_sobolev(spec, sob, n), sharp_constant_sobolev(classical, sob, n)),
+            ):
+                assert got.value == want.value
+                np.testing.assert_array_equal(got.coeffs, want.coeffs)
+        assert stieltjes_calls == []
+
+    def test_other_weights_build_through_stieltjes(self, stieltjes_calls):
+        spec = make_weight(
+            {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}
+        )
+        assert closed_form(spec) is None
+        rec, _ = basis_for(spec, 10)
+        assert stieltjes_calls == [spec]
+        assert rec.weight_id == spec.weight_id
 
 
 class TestSobolev:

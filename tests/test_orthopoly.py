@@ -10,10 +10,14 @@ from markovsharp import (
     gauss_rule,
     make_weight,
     recurrence_classical,
-    recurrence_stieltjes,
     weight_to_json,
 )
-from markovsharp.orthopoly import eval_derivative_table, max_degree_cap
+from markovsharp.orthopoly import (
+    _stieltjes_once,
+    eval_derivative_table,
+    max_degree_cap,
+    stabilized_stieltjes,
+)
 
 from oracles import (
     hermite_moments,
@@ -151,7 +155,7 @@ class TestClassicalRecurrence:
         spec = make_weight(
             {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}
         )
-        with pytest.raises(WeightError, match="recurrence_stieltjes"):
+        with pytest.raises(WeightError, match="no closed-form recurrence"):
             recurrence_classical(spec, 3)
 
 
@@ -159,8 +163,8 @@ class TestStieltjes:
     def test_matches_classical_on_legendre(self):
         spec = make_weight(LEGENDRE)
         rec = recurrence_classical(spec, 12)
-        rule = gauss_rule(rec, 12)  # exactness 23 >= 2*5+1
-        st = recurrence_stieltjes(spec, rule, 5)
+        rule = gauss_rule(rec, 12)  # exact through degree 23 >= 2*5+1
+        st = _stieltjes_once(rule, 5, spec.weight_id)
         scale = np.max(rec.offdiag[:5])
         np.testing.assert_allclose(st.diag, rec.diag[:6], atol=1e-13 * scale)
         np.testing.assert_allclose(st.offdiag, rec.offdiag[:5], rtol=1e-12)
@@ -178,25 +182,20 @@ class TestStieltjes:
         spec = make_weight(raw)
         rec = recurrence_classical(spec, 20)
         rule = gauss_rule(rec, 20)
-        st = recurrence_stieltjes(spec, rule, 8)
+        st = _stieltjes_once(rule, 8, spec.weight_id)
         scale = np.max(rec.offdiag[:8])
         np.testing.assert_allclose(st.diag, rec.diag[:9], rtol=1e-12, atol=1e-12 * scale)
         np.testing.assert_allclose(st.offdiag, rec.offdiag[:8], rtol=1e-12)
 
     def test_gen_jacobi_mass_exact(self):
-        from markovsharp import composite_rule
-
         spec = make_weight(
             {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}
         )
-        rule = composite_rule(spec, 1)
-        rec = recurrence_stieltjes(spec, rule, 0)
+        rec, _ = stabilized_stieltjes(spec, 0)
         assert rec.diag[0] == pytest.approx(0.0, abs=1e-13)
         assert rec.mass == pytest.approx(4 / 3, rel=1e-13)
 
     def test_symmetric_spec_diag_vanishes(self):
-        from markovsharp import composite_rule
-
         spec = make_weight(
             {
                 "family": "gen_jacobi",
@@ -204,15 +203,14 @@ class TestStieltjes:
                 "singularities": [[-0.5, 1.0], [0.5, 1.0]],
             }
         )
-        rule = composite_rule(spec, 21)
-        rec = recurrence_stieltjes(spec, rule, 10)
+        rec, _ = stabilized_stieltjes(spec, 10)
         assert np.max(np.abs(rec.diag)) <= 1e-13
 
     def test_rule_too_short(self):
         spec = make_weight(LEGENDRE)
         rule = gauss_rule(recurrence_classical(spec, 4), 3)
         with pytest.raises(QuadratureError, match="too short"):
-            recurrence_stieltjes(spec, rule, 3)
+            _stieltjes_once(rule, 3, spec.weight_id)
 
 
 class TestEvaluation:

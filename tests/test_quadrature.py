@@ -87,15 +87,6 @@ class TestCompositeRule:
             math.sqrt(math.pi) / 2, rel=1e-12
         )
 
-    def test_no_singularities_reduces_to_base_gauss(self):
-        spec = make_weight({"family": "gen_laguerre"})
-        rule = composite_rule(spec, 9)
-        base = make_weight({"family": "laguerre"})
-        ref = gauss_rule(recurrence_classical(base, len(rule.nodes)), len(rule.nodes))
-        np.testing.assert_allclose(rule.nodes, ref.nodes, rtol=1e-12)
-        np.testing.assert_allclose(rule.weights, ref.weights, rtol=1e-12)
-        assert rule.exactness == ref.exactness
-
     def test_classical_family_rejected(self):
         with pytest.raises(WeightError, match="generalized"):
             composite_rule(make_weight({"family": "hermite"}), 4)
