@@ -33,16 +33,36 @@ def deriv_tables(diag, offdiag, p0, x, order):
     n = diag.shape[0] - 1
     out = np.zeros((order + 1, n + 1, x.shape[0]))
     out[0, 0] = p0
+    d = np.arange(1.0, order + 1.0)[:, None]
     for k in range(n):
-        bk1 = offdiag[k - 1] if k > 0 else 0.0
-        for d in range(order + 1):
-            v = (x - diag[k]) * out[d, k]
-            if d > 0:
-                v = v + d * out[d - 1, k]
-            if k > 0:
-                v = v - bk1 * out[d, k - 1]
-            out[d, k + 1] = v / offdiag[k]
+        v = (x - diag[k]) * out[:, k]
+        v[1:] += d * out[:-1, k]
+        if k > 0:
+            v -= offdiag[k - 1] * out[:, k - 1]
+        out[:, k + 1] = v / offdiag[k]
     return out
+
+
+def christoffel_weights(diag, offdiag, p0, x):
+    """Gauss weights 1 / sum_k p_k(x_j)^2 of a stack of rules, shape of x.
+
+    Row r holds one rule: its nodes x[r], its recurrence diag[r],
+    offdiag[r] and p0[r].  A rule of m < x.shape[1] points is padded with
+    offdiag = 0 from entry m-1 on; 1/b_k is taken as 0 there, so every p_k
+    past its size vanishes.  Weights in the padded columns are meaningless.
+    """
+    inv = np.zeros_like(offdiag)
+    np.divide(1.0, offdiag, out=inv, where=offdiag > 0)
+    p_prev = np.zeros_like(x)
+    p = np.repeat(p0[:, None], x.shape[1], axis=1)
+    total = p * p
+    for k in range(x.shape[1] - 1):
+        t = (x - diag[:, k, None]) * p
+        if k > 0:
+            t -= offdiag[:, k - 1, None] * p_prev
+        p_prev, p = p, t * inv[:, k, None]
+        total += p * p
+    return 1.0 / total
 
 
 def stieltjes(nodes, weights, n):

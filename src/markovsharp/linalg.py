@@ -1,6 +1,6 @@
 """Dense symmetric eigen/SVD helpers sized for the small matrices used here.
 
-Thin contracts over LAPACK (numpy/scipy): symmetry is checked on the way in,
+Thin contracts over LAPACK (through numpy): symmetry is checked on the way in,
 and every returned vector has its last nonzero component positive so golden
 outputs are deterministic.  The largest singular value is taken from the
 eigendecomposition of M^T M, which is accurate enough here because only the
@@ -12,7 +12,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigenError
 
@@ -78,11 +77,11 @@ def gen_sym_eigen_max(a: np.ndarray, b: np.ndarray):
         chol = np.linalg.cholesky(b)
     except np.linalg.LinAlgError as exc:
         raise EigenError("B not positive definite") from exc
-    half = scipy.linalg.solve_triangular(chol, a, lower=True)
-    reduced = scipy.linalg.solve_triangular(chol, half.T, lower=True).T
+    half = np.linalg.solve(chol, a)
+    reduced = np.linalg.solve(chol, half.T).T
     vals, vecs = _eigh(0.5 * (reduced + reduced.T))
     theta = float(vals[-1])
-    # solve_triangular is linear, so the sign fixed below does not depend on
-    # the sign LAPACK gave the top eigenvector
-    vec = scipy.linalg.solve_triangular(chol.T, vecs[:, -1], lower=False)
+    # the solve is linear, so the sign fixed below does not depend on the
+    # sign LAPACK gave the top eigenvector
+    vec = np.linalg.solve(chol.T, vecs[:, -1])
     return theta, _fix_sign(vec)

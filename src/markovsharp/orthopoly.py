@@ -261,12 +261,28 @@ def _gamma(x: float) -> float:
     return math.exp(math.lgamma(x))
 
 
-def _jacobi_monic_beta(k: int, al: float, be: float) -> float:
-    # beta_k of the monic recurrence on [-1, 1]; k >= 1
-    if k == 1:
-        return 4 * (1 + al) * (1 + be) / ((2 + al + be) ** 2 * (3 + al + be))
+def _jacobi_coefficients(al: float, be: float, n: int, a: float = -1.0, b: float = 1.0):
+    """Orthonormal recurrence (diag, offdiag, mass) of (b-x)^al (x-a)^be on [a, b].
+
+    diag has n+1 entries and offdiag n, from the closed forms on [-1, 1]
+    mapped affinely to [a, b].
+    """
+    k = np.arange(1.0, n + 1.0)
     s = 2 * k + al + be
-    return 4 * k * (k + al) * (k + be) * (k + al + be) / (s * s * (s + 1) * (s - 1))
+    diag = np.empty(n + 1)
+    diag[0] = (be - al) / (al + be + 2)
+    diag[1:] = (be * be - al * al) / (s * (s + 2))
+    # beta_k of the monic recurrence, k = 1..n; beta_1 has its own form
+    beta = np.empty(n)
+    if n:
+        beta[0] = 4 * (1 + al) * (1 + be) / ((2 + al + be) ** 2 * (3 + al + be))
+    k, s = k[1:], s[1:]
+    beta[1:] = 4 * k * (k + al) * (k + be) * (k + al + be) / (s * s * (s + 1) * (s - 1))
+    mass = (b - a) ** (al + be + 1) * math.exp(
+        math.lgamma(al + 1) + math.lgamma(be + 1) - math.lgamma(al + be + 2)
+    )
+    mid, h = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + h * diag, h * np.sqrt(beta), mass
 
 
 def closed_form(spec: WeightSpec) -> WeightSpec | None:
@@ -309,20 +325,7 @@ def recurrence_classical(spec: WeightSpec, n: int) -> RecurrenceTable:
 
     fam = form.family
     if fam == "jacobi":
-        al, be = form.alpha, form.beta
-        a, b = form.interval
-        mid, h = 0.5 * (a + b), 0.5 * (b - a)
-        diag = np.empty(n + 1)
-        diag[0] = (be - al) / (al + be + 2)
-        for k in range(1, n + 1):
-            s = 2 * k + al + be
-            diag[k] = (be * be - al * al) / (s * (s + 2))
-        offdiag = np.array([math.sqrt(_jacobi_monic_beta(k + 1, al, be)) for k in range(n)])
-        mass = (b - a) ** (al + be + 1) * math.exp(
-            math.lgamma(al + 1) + math.lgamma(be + 1) - math.lgamma(al + be + 2)
-        )
-        diag = mid + h * diag
-        offdiag = h * offdiag
+        diag, offdiag, mass = _jacobi_coefficients(form.alpha, form.beta, n, *form.interval)
     elif fam == "laguerre":
         al = form.alpha
         diag = np.array([2.0 * k + al + 1.0 for k in range(n + 1)])

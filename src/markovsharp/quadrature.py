@@ -1,13 +1,13 @@
 """Gauss rules from recurrence tables and composite rules for generalized weights.
 
 ``gauss_rule`` is the Golub-Welsch construction: nodes are the eigenvalues of
-the symmetric tridiagonal Jacobi matrix, weights come from the first
-eigenvector components.  ``composite_rule`` handles generalized weights by
-splitting the interval at every singular point (and, on unbounded intervals,
-truncating at a certified radius): each finite piece gets a Gauss-Jacobi rule
-whose weight absorbs the endpoint factors |x-c|^gamma exactly, while the
-exponential factor and the off-piece singular factors are folded into the
-rule weights.
+the symmetric tridiagonal Jacobi matrix, weights come from the Christoffel
+function.  ``composite_rule`` handles generalized weights by splitting the
+interval at every singular point (and, on unbounded intervals, truncating at
+a certified radius): each finite piece gets a Gauss-Jacobi rule whose weight
+absorbs the endpoint factors |x-c|^gamma exactly, while the exponential
+factor and the off-piece singular factors are folded into the rule weights.
+All piece rules of a composite rule are built together.
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaincc
 
 from . import _kernels
 from .errors import EigenError, QuadratureError, WeightError
-from .orthopoly import GENERALIZED_FAMILIES, RecurrenceTable, WeightSpec, recurrence_classical
+from .orthopoly import GENERALIZED_FAMILIES, RecurrenceTable, WeightSpec, _jacobi_coefficients
 
 TAIL_TOL = 1e-14
 _MAX_RADIUS_DOUBLINGS = 60
+_GAMMA_TERMS = 1000
+_GAMMA_EPS = 1e-16
+_GAMMA_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,38 @@ class QuadRule:
         object.__setattr__(self, "weights", weights)
 
 
+def _gauss_rules(tables):
+    """Gauss rules for a list of (diag, offdiag, mass) recurrences.
+
+    The rule of a table has m = len(diag) points; offdiag has m-1 entries.
+    Returns (nodes, weights), one rule per row, padded to the largest m;
+    entries past a row's size are meaningless.  Nodes are the eigenvalues of
+    the dense Jacobi matrices, one LAPACK call per distinct m; the weights of
+    all rules come from one Christoffel pass.
+    """
+    sizes = [d.shape[0] for d, _, _ in tables]
+    width = max(sizes)
+    diag = np.zeros((len(tables), width))
+    offdiag = np.zeros((len(tables), width - 1))
+    p0 = np.empty(len(tables))
+    for r, (d, o, mass) in enumerate(tables):
+        diag[r, : sizes[r]] = d
+        offdiag[r, : sizes[r] - 1] = o
+        p0[r] = 1.0 / math.sqrt(mass)
+    nodes = np.zeros_like(diag)
+    for m in set(sizes):
+        rows = [r for r, size in enumerate(sizes) if size == m]
+        i = np.arange(m)
+        jacobi = np.zeros((len(rows), m, m))
+        jacobi[:, i, i] = diag[rows, :m]
+        jacobi[:, i[1:], i[:-1]] = offdiag[rows, : m - 1]  # eigvalsh reads the lower triangle
+        try:
+            nodes[rows, :m] = np.linalg.eigvalsh(jacobi)
+        except np.linalg.LinAlgError as exc:
+            raise EigenError(f"Jacobi-matrix eigensolver did not converge: {exc}") from exc
+    return nodes, _kernels.christoffel_weights(diag, offdiag, p0, nodes)
+
+
 def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
     """m-point Gauss rule for the measure behind a recurrence table.
 
@@ -58,22 +91,15 @@ def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
     node equals mass times the squared first eigenvector component, which is
     computed here through the equivalent Christoffel-function identity
     w_j = 1 / sum_k p_k(x_j)^2: LAPACK flushes first components below ~1e-17
-    to zero (extreme Gauss-Laguerre nodes), while the polynomial-table form
-    keeps them positive.
+    to zero (extreme Gauss-Laguerre nodes), while the polynomial form keeps
+    them positive.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > rec.n_max + 1:
         raise ValueError(f"recurrence table too short for an {m}-point rule (n_max={rec.n_max})")
-    try:
-        nodes = scipy.linalg.eigh_tridiagonal(
-            rec.diag[:m], rec.offdiag[: m - 1], eigvals_only=True
-        )
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise EigenError(f"tridiagonal eigensolver did not converge: {exc}") from exc
-    table = _kernels.poly_table(rec.diag[:m], rec.offdiag[: m - 1], 1.0 / math.sqrt(rec.mass), nodes)
-    weights = 1.0 / np.sum(table * table, axis=0)
-    return QuadRule(nodes=nodes, weights=weights)
+    nodes, weights = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
+    return QuadRule(nodes=nodes[0], weights=weights[0])
 
 
 def integrate(rule: QuadRule, f) -> float:
@@ -87,21 +113,45 @@ def integrate(rule: QuadRule, f) -> float:
     return float(np.dot(rule.weights, vals))
 
 
-def _gauss_jacobi_piece(lo: float, hi: float, g_lo: float, g_hi: float, m: int):
-    """Nodes/weights on [lo, hi] with weight (hi-x)^g_hi (x-lo)^g_lo absorbed."""
-    base = WeightSpec(family="jacobi", interval=(-1.0, 1.0), alpha=g_hi, beta=g_lo)
-    rule = gauss_rule(recurrence_classical(base, m), m)
-    half = 0.5 * (hi - lo)
-    nodes = 0.5 * (lo + hi) + half * rule.nodes
-    # the [-1,1] rule's mass is 2^(g_lo+g_hi+1) B(...); rescale to the piece length
-    weights = rule.weights * half ** (g_lo + g_hi + 1)
-    return nodes, weights
-
-
 def _exponent_sums(spec: WeightSpec):
     total = sum(g for _, g in spec.singularities)
     absolute = sum(abs(g) for _, g in spec.singularities)
     return total, absolute
+
+
+def _gammaincc(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma function Q(a, x), for a > 0 and x >= 0.
+
+    Below x = a + 1 through the series of P = 1 - Q, above through the
+    continued fraction of Q in modified Lentz form (Numerical Recipes, 2nd
+    ed., sec. 6.2).  Both converge within 1000 terms for a <= 1e4.
+    """
+    if x <= 0.0:
+        return 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for k in range(1, _GAMMA_TERMS):
+            term *= x / (a + k)
+            total += term
+            if term < total * _GAMMA_EPS:
+                break
+        return 1.0 - front * total
+    b = x + 1.0 - a
+    c = 1.0 / _GAMMA_TINY
+    d = 1.0 / b
+    h = d
+    for i in range(1, _GAMMA_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > _GAMMA_TINY else _GAMMA_TINY)
+        c = b + an / c
+        c = c if abs(c) > _GAMMA_TINY else _GAMMA_TINY
+        h *= d * c
+        if abs(d * c - 1.0) < _GAMMA_EPS:
+            break
+    return front * h
 
 
 def _truncation_radius(spec: WeightSpec, degree: int) -> float:
@@ -109,8 +159,8 @@ def _truncation_radius(spec: WeightSpec, degree: int) -> float:
 
     The estimate bounds every singular factor by powers of x (valid once
     x >= 2 max|c_j|) and reduces the tail to a regularized incomplete gamma
-    function of the base family.  The radius is doubled until the relative
-    tail drops below 1e-14.
+    function of the base family, ``_gammaincc``.  The radius is doubled until
+    the relative tail drops below 1e-14.
     """
     total, absolute = _exponent_sums(spec)
     cmax = max((abs(c) for c, _ in spec.singularities), default=0.0)
@@ -120,14 +170,14 @@ def _truncation_radius(spec: WeightSpec, degree: int) -> float:
         a = degree + total + 1.0
 
         def rel_tail(r):
-            return fudge * gammaincc(a, r)
+            return fudge * _gammaincc(a, r)
 
     else:  # gen_hermite
         radius = max(6.0, 1.0 + cmax, 2.0 * cmax)
         a = 0.5 * (degree + total + 1.0)
 
         def rel_tail(r):
-            return fudge * gammaincc(a, r * r)
+            return fudge * _gammaincc(a, r * r)
 
     for _ in range(_MAX_RADIUS_DOUBLINGS):
         if rel_tail(radius) < TAIL_TOL:
@@ -213,33 +263,37 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0) -> QuadRule:
 
     exponent_at = dict(spec.singularities)
     breaks = [lo] + [c for c, _ in spec.singularities if lo < c < hi] + [hi]
-
-    if spec.family == "gen_laguerre":
-        smooth_exp = lambda x: np.exp(-x)
-    elif spec.family == "gen_hermite":
-        smooth_exp = lambda x: np.exp(-(x**2))
-    else:
-        smooth_exp = lambda x: np.ones_like(x)
-
-    all_nodes = []
-    all_weights = []
+    pieces = []
     for u, v in zip(breaks, breaks[1:]):
         for lo_s, hi_s in zip(sub := _graded_subpieces(u, v, spec), sub[1:]):
             g_lo = exponent_at.get(lo_s, 0.0)
             g_hi = exponent_at.get(hi_s, 0.0)
             m = _piece_node_count(spec, lo_s, hi_s, degree, refine)
-            nodes, weights = _gauss_jacobi_piece(lo_s, hi_s, g_lo, g_hi, m)
-            smooth = spec.scale * smooth_exp(nodes)
-            for c, g in spec.singularities:
-                if c != lo_s and c != hi_s:
-                    smooth = smooth * np.abs(nodes - c) ** g
-            weights = weights * smooth
-            keep = weights > 0  # drop any node whose weight underflowed
-            all_nodes.append(nodes[keep])
-            all_weights.append(weights[keep])
+            pieces.append((lo_s, hi_s, g_lo, g_hi, m))
 
-    nodes = np.concatenate(all_nodes)
-    weights = np.concatenate(all_weights)
+    # Gauss-Jacobi rules on [-1, 1] for (1-t)^g_hi (1+t)^g_lo, one row per piece
+    ref_nodes, ref_weights = _gauss_rules(
+        [_jacobi_coefficients(g_hi, g_lo, m - 1) for _, _, g_lo, g_hi, m in pieces]
+    )
+    lo_s, hi_s, g_lo, g_hi, m = (np.array(col)[:, None] for col in zip(*pieces))
+    half = 0.5 * (hi_s - lo_s)
+    nodes = 0.5 * (lo_s + hi_s) + half * ref_nodes
+    # the [-1,1] rule's mass is 2^(g_lo+g_hi+1) B(...); rescale to the piece length
+    weights = ref_weights * half ** (g_lo + g_hi + 1)
+
+    if spec.family == "gen_laguerre":
+        smooth = spec.scale * np.exp(-nodes)
+    elif spec.family == "gen_hermite":
+        smooth = spec.scale * np.exp(-(nodes**2))
+    else:
+        smooth = spec.scale * np.ones_like(nodes)
+    for c, g in spec.singularities:
+        rows = (lo_s[:, 0] != c) & (hi_s[:, 0] != c)
+        smooth[rows] = smooth[rows] * np.abs(nodes[rows] - c) ** g
+    weights = weights * smooth
+    # drop the padding, and any node whose weight underflowed
+    keep = (np.arange(nodes.shape[1]) < m) & (weights > 0)
+    nodes = nodes[keep]
+    weights = weights[keep]
     order = np.argsort(nodes)
     return QuadRule(nodes[order], weights[order])
-

@@ -122,3 +122,30 @@ def derivative_matrix_by_quadrature(diag, offdiag, mass, nodes, weights, n):
         p[k + 1] /= offdiag[k]
         dp[k + 1] /= offdiag[k]
     return (p * weights) @ dp.T
+
+
+def gauss_jacobi_point_mp(m, alpha, beta, x0, mp):
+    """Node near x0 and its weight in the m-point Gauss-Jacobi rule for
+    (1-x)^alpha (1+x)^beta, at the working precision of ``mp``.
+
+    Two Newton steps from a double-precision x0 on mpmath's hypergeometric
+    P_m^(alpha,beta), then the closed-form weight (Szegő, *Orthogonal
+    Polynomials*, sec. 15.3); no three-term recurrence is involved.
+    """
+    a, b = mp.mpf(alpha), mp.mpf(beta)
+    x = mp.mpf(x0)
+
+    def deriv(t):
+        return (m + a + b + 1) / 2 * mp.jacobi(m - 1, a + 1, b + 1, t)
+
+    for _ in range(2):
+        # zeroprec: at an exact zero (x = 0 for odd m and alpha = beta)
+        # mpmath would otherwise chase a relative accuracy it cannot reach
+        x -= mp.jacobi(m, a, b, x, zeroprec=4 * mp.prec) / deriv(x)
+    const = (
+        2 ** (a + b + 1)
+        * mp.gamma(m + a + 1)
+        * mp.gamma(m + b + 1)
+        / (mp.gamma(m + a + b + 1) * mp.factorial(m))
+    )
+    return x, const / ((1 - x * x) * deriv(x) ** 2)

@@ -381,3 +381,22 @@ class TestContracts:
         )
         assert out.returncode == 0
         assert b"sharp" in out.stdout and b"selftest" in out.stdout
+
+    def test_runtime_imports_no_scipy(self):
+        # scipy is a test-only dependency: importing the CLI, computing a
+        # Stieltjes-built Sobolev constant and running a command load none of it
+        code = """
+import io, sys, contextlib
+import markovsharp.cli as cli
+from markovsharp import SobolevSpec, make_weight, sharp_constant_sobolev
+spec = make_weight({"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]})
+sharp_constant_sobolev(spec, SobolevSpec((1.0, 0.5)), 12)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["sharp", "--weight", "hermite", "--n", "5"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"

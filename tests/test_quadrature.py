@@ -11,7 +11,15 @@ from markovsharp import (
     recurrence_classical,
 )
 from markovsharp.errors import WeightError
-from markovsharp.quadrature import _truncation_radius
+from markovsharp.orthopoly import _jacobi_coefficients
+from markovsharp.quadrature import _gammaincc, _gauss_rules, _truncation_radius
+
+from oracles import gauss_jacobi_point_mp
+
+# (m, alpha, beta): every exponent pair from {-0.6, 0, 2.5} at each size
+PIECE_CASES = [
+    (m, al, be) for m in (5, 60, 286) for al in (-0.6, 0.0, 2.5) for be in (-0.6, 0.0, 2.5)
+]
 
 
 def _rule(raw, m, table_len=None):
@@ -129,6 +137,77 @@ class TestCompositeRule:
         fine = composite_rule(spec, 15, refine=2)
         f = lambda x: x**3 - 2 * x + 1
         assert integrate(coarse, f) == pytest.approx(integrate(fine, f), rel=1e-12)
+
+
+class TestPieceRules:
+    """The Gauss-Jacobi rules composite_rule builds, all in one padded stack."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        return _gauss_rules([_jacobi_coefficients(al, be, m - 1) for m, al, be in PIECE_CASES])
+
+    def test_nodes_match_scipy(self, stack):
+        roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
+        nodes, _ = stack
+        for row, (m, al, be) in enumerate(PIECE_CASES):
+            want, _ = roots_jacobi(m, al, be)
+            np.testing.assert_allclose(nodes[row, :m], want, rtol=0, atol=1e-13)
+
+    def test_weights_match_scipy_at_low_order(self, stack):
+        # scipy's own weights lose digits with m: against the 30-digit
+        # reference they are off by up to 2e-11 at m=60 and 3e-9 at m=286
+        roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
+        _, weights = stack
+        for row, (m, al, be) in enumerate(PIECE_CASES):
+            if m == 5:
+                _, want = roots_jacobi(m, al, be)
+                np.testing.assert_allclose(weights[row, :m], want, rtol=1e-13)
+
+    def test_weights_match_mpmath(self, stack):
+        mpmath = pytest.importorskip("mpmath")
+        nodes, weights = stack
+        with mpmath.workdps(40):
+            for row, (m, al, be) in enumerate(PIECE_CASES):
+                for j in sorted({0, 1, m // 2, m - 2, m - 1}):
+                    x, w = gauss_jacobi_point_mp(m, al, be, nodes[row, j], mpmath.mp)
+                    assert abs(nodes[row, j] - float(x)) <= 1e-15
+                    # a node error of one ulp moves an end weight by ~m^2 ulp
+                    assert abs(weights[row, j] / float(w) - 1) <= 1e-15 * m * m, (m, al, be, j)
+
+
+class TestIncompleteGamma:
+    def test_matches_scipy(self):
+        gammaincc = pytest.importorskip("scipy.special").gammaincc
+        for a in np.linspace(1.0, 140.0, 70):
+            for x in np.geomspace(0.5, 3e4, 120):
+                want = gammaincc(a, x)
+                got = _gammaincc(a, x)
+                if want < 1e-300:  # underflow, subnormal or zero
+                    assert got < 1e-290
+                else:
+                    # a ln x - x - ln Gamma(a) rounds to ~1e3 ulp at most
+                    assert abs(got - want) <= 1e-12 * want, (a, x, got, want)
+
+    def test_radii_equal_scipy_radii(self, monkeypatch):
+        import markovsharp.quadrature as quad
+
+        gammaincc = pytest.importorskip("scipy.special").gammaincc
+        specs = [
+            make_weight(raw)
+            for raw in (
+                {"family": "gen_hermite", "alpha": 0.0},
+                {"family": "gen_hermite", "alpha": 2.0},
+                {"family": "gen_laguerre", "singularities": [[2.0, 1.0]]},
+                {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]},
+                {"family": "gen_hermite", "singularities": [[0.0, 1.0]]},
+                {"family": "gen_hermite", "singularities": [[-1.0, 0.5], [1.0, 0.5]]},
+            )
+        ]
+        degrees = [2 * n + 1 for n in range(4, 62)]
+        got = [_truncation_radius(spec, d) for spec in specs for d in degrees]
+        monkeypatch.setattr(quad, "_gammaincc", lambda a, x: float(gammaincc(a, x)))
+        want = [_truncation_radius(spec, d) for spec in specs for d in degrees]
+        assert got == want
 
 
 class TestIntegrate:
