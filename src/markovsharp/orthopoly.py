@@ -379,10 +379,13 @@ def _recurrence_change(old: RecurrenceTable, new: RecurrenceTable, hint: float =
 def stabilized_stieltjes(spec: WeightSpec, n: int):
     """Stieltjes recurrence certified by rule refinement.
 
-    Builds composite rules of doubling density for integrals of polynomial
-    degree 2n+1 and accepts once two consecutive densities give coefficients
-    within 1e-12 relative of each other (at most 6 refinements, else an
-    error).  Returns the accepted (table, rule) pair.
+    Builds composite rules for integrals of polynomial degree 2n+1 at
+    refinement levels 0, 1, 2, ...: level L splits every piece of level 0
+    into 2^L equal parts with the same node count, so each level doubles the
+    nodes while the levels share most of their reference Gauss-Jacobi rules.
+    Accepts once two consecutive levels give coefficients within 1e-12
+    relative of each other (at most 6 refinements, else an error).  Returns
+    the accepted (table, rule) pair.
     """
     from .quadrature import composite_rule
 

@@ -7,12 +7,14 @@ interval at every singular point (and, on unbounded intervals, truncating at
 a certified radius): each finite piece gets a Gauss-Jacobi rule whose weight
 absorbs the endpoint factors |x-c|^gamma exactly, while the exponential
 factor and the off-piece singular factors are folded into the rule weights.
-All piece rules of a composite rule are built together.
+The piece rules are affine images of reference rules on [-1, 1], which come
+from one bounded table shared by the process.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,10 @@ _MAX_RADIUS_DOUBLINGS = 60
 _GAMMA_TERMS = 1000
 _GAMMA_EPS = 1e-16
 _GAMMA_TINY = 1e-300
+_REFERENCE_RULES_MAX = 512
+
+_REFERENCE_RULES: dict = {}  # (g_hi, g_lo, m) -> (nodes, weights) on [-1, 1]
+_REFERENCE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,9 @@ def _gauss_rules(tables):
     Returns (nodes, weights), one rule per row, padded to the largest m;
     entries past a row's size are meaningless.  Nodes are the eigenvalues of
     the dense Jacobi matrices, one LAPACK call per distinct m; the weights of
-    all rules come from one Christoffel pass.
+    all rules come from one Christoffel pass.  Raises QuadratureError when
+    that pass overflows, which happens at the outer nodes of large Laguerre
+    and Hermite rules.
     """
     sizes = [d.shape[0] for d, _, _ in tables]
     width = max(sizes)
@@ -81,7 +89,17 @@ def _gauss_rules(tables):
             nodes[rows, :m] = np.linalg.eigvalsh(jacobi)
         except np.linalg.LinAlgError as exc:
             raise EigenError(f"Jacobi-matrix eigensolver did not converge: {exc}") from exc
-    return nodes, _kernels.christoffel_weights(diag, offdiag, p0, nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = _kernels.christoffel_weights(diag, offdiag, p0, nodes)
+    padding = np.arange(width) >= np.array(sizes)[:, None]
+    ok = np.all((weights > 0) | padding, axis=1)  # a nan weight fails too
+    if not ok.all():
+        m = sizes[int(np.argmin(ok))]
+        raise QuadratureError(
+            f"{m}-point Gauss rule: the Christoffel sum sum_k p_k(x)^2 overflows at an "
+            "outer node, so its weight cannot be represented"
+        )
+    return nodes, weights
 
 
 def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
@@ -222,7 +240,7 @@ def _graded_subpieces(u: float, v: float, spec: WeightSpec) -> list[float]:
     return out
 
 
-def _piece_node_count(spec: WeightSpec, lo: float, hi: float, degree: int, refine: int) -> int:
+def _piece_node_count(spec: WeightSpec, lo: float, hi: float, degree: int) -> int:
     base = degree // 2 + 1 + 8
     if spec.family == "gen_laguerre":
         span = hi - lo
@@ -236,16 +254,51 @@ def _piece_node_count(spec: WeightSpec, lo: float, hi: float, degree: int, refin
     if span > 0.0:
         # resolve the exponential factor's variation across the piece
         base += math.ceil(0.25 * span) + 13
-    return base * (2**refine)
+    return base
+
+
+def _reference_rules(keys):
+    """Gauss-Jacobi rules on [-1, 1] for (1-t)^g_hi (1+t)^g_lo, one per key (g_hi, g_lo, m).
+
+    Rules come from a table shared by the whole process; the keys it lacks are
+    built together in one ``_gauss_rules`` call.  A rule does not depend on
+    which other rules are built with it, so neither do results depend on what
+    the table holds.  The table keeps the most recently used
+    ``_REFERENCE_RULES_MAX`` rules.  Returns one read-only (nodes, weights)
+    pair per key.
+    """
+    unique = list(dict.fromkeys(keys))
+    with _REFERENCE_LOCK:
+        found = {key: _REFERENCE_RULES.pop(key) for key in unique if key in _REFERENCE_RULES}
+    missing = [key for key in unique if key not in found]
+    if missing:
+        nodes, weights = _gauss_rules(
+            [_jacobi_coefficients(g_hi, g_lo, m - 1) for g_hi, g_lo, m in missing]
+        )
+        for row, key in enumerate(missing):
+            rule = (nodes[row, : key[2]].copy(), weights[row, : key[2]].copy())
+            for arr in rule:
+                arr.setflags(write=False)
+            found[key] = rule
+    with _REFERENCE_LOCK:
+        _REFERENCE_RULES.update(found)  # the most recently used last
+        while len(_REFERENCE_RULES) > _REFERENCE_RULES_MAX:
+            del _REFERENCE_RULES[next(iter(_REFERENCE_RULES))]
+    return [found[key] for key in keys]
 
 
 def composite_rule(spec: WeightSpec, degree: int, refine: int = 0) -> QuadRule:
     """Singularity-respecting rule for a generalized weight.
 
     Accurate to a tolerance, not exact, for integrands polynomial of the given
-    degree times the weight.  ``refine`` doubles the
-    per-piece node count ``refine`` times; the Stieltjes stabilization loop
-    uses this to certify convergence.
+    degree times the weight.  The level-0 pieces split the interval at the
+    singular points, graded dyadically near them; each gets an m-point
+    Gauss-Jacobi rule with 2m-1 >= degree+16.  ``refine`` = L splits every
+    level-0 piece into 2^L equal parts of m points each: the first part keeps
+    the piece's lower-end exponent, the last its upper-end exponent, and the
+    interior ends get exponent 0.  The Stieltjes stabilization loop uses the
+    levels to certify convergence.  Every level keeps the node counts of
+    level 0, so the levels share most of their reference rules.
     """
     if spec.family not in GENERALIZED_FAMILIES:
         raise WeightError(f"composite_rule needs a generalized family, got {spec.family!r}")
@@ -263,18 +316,25 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0) -> QuadRule:
 
     exponent_at = dict(spec.singularities)
     breaks = [lo] + [c for c, _ in spec.singularities if lo < c < hi] + [hi]
+    parts = 2**refine
     pieces = []
     for u, v in zip(breaks, breaks[1:]):
-        for lo_s, hi_s in zip(sub := _graded_subpieces(u, v, spec), sub[1:]):
-            g_lo = exponent_at.get(lo_s, 0.0)
-            g_hi = exponent_at.get(hi_s, 0.0)
-            m = _piece_node_count(spec, lo_s, hi_s, degree, refine)
-            pieces.append((lo_s, hi_s, g_lo, g_hi, m))
+        for lo_p, hi_p in zip(sub := _graded_subpieces(u, v, spec), sub[1:]):
+            m = _piece_node_count(spec, lo_p, hi_p, degree)
+            ends = [lo_p + (hi_p - lo_p) * j / parts for j in range(parts)] + [hi_p]
+            for j in range(parts):
+                g_lo = exponent_at.get(lo_p, 0.0) if j == 0 else 0.0
+                g_hi = exponent_at.get(hi_p, 0.0) if j == parts - 1 else 0.0
+                pieces.append((ends[j], ends[j + 1], g_lo, g_hi, m))
 
-    # Gauss-Jacobi rules on [-1, 1] for (1-t)^g_hi (1+t)^g_lo, one row per piece
-    ref_nodes, ref_weights = _gauss_rules(
-        [_jacobi_coefficients(g_hi, g_lo, m - 1) for _, _, g_lo, g_hi, m in pieces]
-    )
+    # the [-1, 1] rules, padded into one row per piece
+    width = max(m for *_, m in pieces)
+    ref_nodes = np.zeros((len(pieces), width))
+    ref_weights = np.zeros((len(pieces), width))
+    rules = _reference_rules([(g_hi, g_lo, m) for _, _, g_lo, g_hi, m in pieces])
+    for row, (x, w) in enumerate(rules):
+        ref_nodes[row, : x.shape[0]] = x
+        ref_weights[row, : w.shape[0]] = w
     lo_s, hi_s, g_lo, g_hi, m = (np.array(col)[:, None] for col in zip(*pieces))
     half = 0.5 * (hi_s - lo_s)
     nodes = 0.5 * (lo_s + hi_s) + half * ref_nodes

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +365,18 @@ class TestContracts:
         code, _, err = run_cli(capsys, "sharp", "--weight", "hermite", "--n", "3")
         assert code == 3
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("weight, n", [("laguerre0", "200"), ("hermite", "400")])
+    def test_christoffel_overflow_exits_three(self, capsys, monkeypatch, weight, n):
+        # the outer nodes of these Gauss rules overflow sum_k p_k(x)^2; that
+        # is a numerical failure with its cause named, and no warning leaks
+        monkeypatch.setenv("MARKOVSHARP_MAX_N", "500")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sharp", "--weight", weight, "--n", n)
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err and "Christoffel sum" in err
 
     def test_deterministic_output(self):
         cmd = [

@@ -133,10 +133,86 @@ class TestCompositeRule:
         spec = make_weight(
             {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]}
         )
+        sqrt_abs = make_weight(
+            {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}
+        )
         coarse = composite_rule(spec, 15)
-        fine = composite_rule(spec, 15, refine=2)
         f = lambda x: x**3 - 2 * x + 1
-        assert integrate(coarse, f) == pytest.approx(integrate(fine, f), rel=1e-12)
+        for refine in (1, 2, 3):
+            fine = composite_rule(spec, 15, refine=refine)
+            assert integrate(coarse, f) == pytest.approx(integrate(fine, f), rel=1e-12)
+            # closed-form moments of |x|^(1/2) on [-1, 1]
+            rule = composite_rule(sqrt_abs, 5, refine=refine)
+            assert integrate(rule, lambda x: x**2) == pytest.approx(4 / 7, rel=1e-12)
+            assert integrate(rule, lambda x: np.ones_like(x)) == pytest.approx(4 / 3, rel=1e-12)
+
+
+class TestReferenceRules:
+    """composite_rule takes its [-1, 1] Gauss-Jacobi rules from one bounded table."""
+
+    SPEC = {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]}
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """Record (level, size, entries) of every Jacobi matrix eigvalsh solves,
+        level being the refinement of the composite rule built; start from an
+        empty table."""
+        import markovsharp.quadrature as quad
+
+        monkeypatch.setattr(quad, "_REFERENCE_RULES", {})
+        log, level = [], [None]
+        eigvalsh, build = np.linalg.eigvalsh, quad.composite_rule
+
+        def recording_eigvalsh(a):
+            for mat in np.reshape(a, (-1,) + np.shape(a)[-2:]):
+                entries = mat.diagonal().tobytes() + mat.diagonal(-1).tobytes()
+                log.append((level[0], mat.shape[0], entries))
+            return eigvalsh(a)
+
+        def tagged_build(spec, degree, refine=0):
+            level[0] = refine
+            return build(spec, degree, refine)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        monkeypatch.setattr(quad, "composite_rule", tagged_build)
+        return log
+
+    def test_each_rule_solved_once(self, solved):
+        from markovsharp.markov import basis_for
+        from markovsharp.orthopoly import stabilized_stieltjes
+
+        spec = make_weight(self.SPEC)
+        stabilized_stieltjes(spec, 41)
+        levels = sorted({lvl for lvl, _, _ in solved})
+        assert levels[0] == 0 and len(levels) >= 2
+        distinct = {entries for _, _, entries in solved}
+        assert len(distinct) == len(solved)  # no matrix solved twice, at any level
+        # refinement splits pieces and keeps their node counts
+        largest = {lvl: max(m for l, m, _ in solved if l == lvl) for lvl in levels}
+        assert all(largest[lvl] <= largest[0] for lvl in levels), largest
+        count = len(solved)
+        basis_for(spec, 40)  # the same stabilized_stieltjes(spec, 41) build
+        assert len(solved) == count
+
+    def test_results_independent_of_table(self, solved):
+        import markovsharp.quadrature as quad
+
+        spec = make_weight(self.SPEC)
+        first = composite_rule(spec, 31, refine=1)
+        keys = list(quad._REFERENCE_RULES)
+        others = [(0.25 + 1e-3 * i, 0.0, 5) for i in range(quad._REFERENCE_RULES_MAX + 10)]
+        quad._reference_rules(others)
+        assert len(quad._REFERENCE_RULES) == quad._REFERENCE_RULES_MAX
+        assert not set(keys) & set(quad._REFERENCE_RULES)
+        again = composite_rule(spec, 31, refine=1)
+        # the table holds some of the rule's keys, the rest are built together
+        quad._reference_rules(others)
+        quad._reference_rules(keys[::2])
+        mixed = composite_rule(spec, 31, refine=1)
+        assert len(quad._REFERENCE_RULES) <= quad._REFERENCE_RULES_MAX
+        for rule in (again, mixed):
+            assert rule.nodes.tobytes() == first.nodes.tobytes()
+            assert rule.weights.tobytes() == first.weights.tobytes()
 
 
 class TestPieceRules:
