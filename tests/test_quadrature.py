@@ -153,13 +153,19 @@ class TestReferenceRules:
     SPEC = {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]}
 
     @pytest.fixture
-    def solved(self, monkeypatch):
-        """Record (level, size, entries) of every Jacobi matrix eigvalsh solves,
-        level being the refinement of the composite rule built; start from an
-        empty table."""
+    def table(self, monkeypatch):
+        """An empty table for the test, the process's own restored after it."""
         import markovsharp.quadrature as quad
 
         monkeypatch.setattr(quad, "_REFERENCE_RULES", {})
+        return quad._REFERENCE_RULES
+
+    @pytest.fixture
+    def solved(self, table, monkeypatch):
+        """Record (level, size, entries) of every Jacobi matrix eigvalsh solves,
+        level being the refinement of the composite rule built."""
+        import markovsharp.quadrature as quad
+
         log, level = [], [None]
         eigvalsh, build = np.linalg.eigvalsh, quad.composite_rule
 
@@ -194,22 +200,22 @@ class TestReferenceRules:
         basis_for(spec, 40)  # the same stabilized_stieltjes(spec, 41) build
         assert len(solved) == count
 
-    def test_results_independent_of_table(self, solved):
-        import markovsharp.quadrature as quad
+    def test_results_independent_of_table(self, table):
+        from markovsharp.quadrature import _REFERENCE_RULES_MAX, _reference_rules
 
         spec = make_weight(self.SPEC)
         first = composite_rule(spec, 31, refine=1)
-        keys = list(quad._REFERENCE_RULES)
-        others = [(0.25 + 1e-3 * i, 0.0, 5) for i in range(quad._REFERENCE_RULES_MAX + 10)]
-        quad._reference_rules(others)
-        assert len(quad._REFERENCE_RULES) == quad._REFERENCE_RULES_MAX
-        assert not set(keys) & set(quad._REFERENCE_RULES)
+        keys = list(table)
+        others = [(0.25 + 1e-3 * i, 0.0, 5) for i in range(_REFERENCE_RULES_MAX + 10)]
+        _reference_rules(others)
+        assert len(table) == _REFERENCE_RULES_MAX
+        assert not set(keys) & set(table)
         again = composite_rule(spec, 31, refine=1)
         # the table holds some of the rule's keys, the rest are built together
-        quad._reference_rules(others)
-        quad._reference_rules(keys[::2])
+        _reference_rules(others)
+        _reference_rules(keys[::2])
         mixed = composite_rule(spec, 31, refine=1)
-        assert len(quad._REFERENCE_RULES) <= quad._REFERENCE_RULES_MAX
+        assert len(table) <= _REFERENCE_RULES_MAX
         for rule in (again, mixed):
             assert rule.nodes.tobytes() == first.nodes.tobytes()
             assert rule.weights.tobytes() == first.weights.tobytes()
