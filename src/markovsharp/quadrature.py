@@ -65,9 +65,9 @@ def _gauss_rules(tables):
     Returns (nodes, weights), one rule per row, padded to the largest m;
     entries past a row's size are meaningless.  Nodes are the eigenvalues of
     the dense Jacobi matrices, one LAPACK call per distinct m; the weights of
-    all rules come from one Christoffel pass.  Raises QuadratureError when
-    that pass overflows, which happens at the outer nodes of large Laguerre
-    and Hermite rules.
+    all rules come from one Christoffel pass.  Raises QuadratureError when a
+    weight is not positive: that pass overflows at the outer nodes of large
+    Laguerre and Hermite rules, or the nodes or recurrence are not finite.
     """
     sizes = [d.shape[0] for d, _, _ in tables]
     width = max(sizes)
@@ -94,10 +94,18 @@ def _gauss_rules(tables):
     padding = np.arange(width) >= np.array(sizes)[:, None]
     ok = np.all((weights > 0) | padding, axis=1)  # a nan weight fails too
     if not ok.all():
-        m = sizes[int(np.argmin(ok))]
+        r = int(np.argmin(ok))
+        m = sizes[r]
+        inputs = (nodes[r, :m], diag[r, :m], offdiag[r, : m - 1], p0[r])
+        if all(np.isfinite(v).all() for v in inputs):
+            # from finite nodes and recurrence, only an overflow leaves the sum non-finite
+            raise QuadratureError(
+                f"{m}-point Gauss rule: the Christoffel sum sum_k p_k(x)^2 overflows at an "
+                "outer node, so its weight cannot be represented"
+            )
         raise QuadratureError(
-            f"{m}-point Gauss rule: the Christoffel sum sum_k p_k(x)^2 overflows at an "
-            "outer node, so its weight cannot be represented"
+            f"{m}-point Gauss rule: its nodes or recurrence are not finite, so it has no "
+            "positive weights"
         )
     return nodes, weights
 

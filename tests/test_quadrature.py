@@ -10,7 +10,7 @@ from markovsharp import (
     make_weight,
     recurrence_classical,
 )
-from markovsharp.errors import WeightError
+from markovsharp.errors import QuadratureError, WeightError
 from markovsharp.orthopoly import _jacobi_coefficients
 from markovsharp.quadrature import _gammaincc, _gauss_rules, _truncation_radius
 
@@ -50,6 +50,15 @@ class TestGaussRule:
         rule = _rule({"family": "laguerre"}, 60)
         assert np.all(rule.weights > 0)
         assert integrate(rule, lambda x: np.ones_like(x)) == pytest.approx(1.0, rel=1e-13)
+
+    def test_lost_weight_names_its_cause(self):
+        # sum_k p_k(x)^2 overflows at the outer nodes of a large Laguerre rule
+        rec = recurrence_classical(make_weight({"family": "laguerre"}), 260)
+        with pytest.raises(QuadratureError, match="overflows"):
+            gauss_rule(rec, 260)
+        # a recurrence that is not finite is not reported as an overflow
+        with pytest.raises(QuadratureError, match="not finite"):
+            _gauss_rules([(np.zeros(2), np.ones(1), math.nan)])
 
     @pytest.mark.parametrize("m", [3, 8, 17])
     def test_exactness_against_denser_reference(self, m):
