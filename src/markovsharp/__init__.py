@@ -20,7 +20,7 @@ from .errors import (
     QuadratureError,
     WeightError,
 )
-from .linalg import gen_sym_eigen_max, svd_largest
+from .linalg import svd_largest
 from .markov import (
     SharpResult,
     SobolevSpec,
@@ -30,7 +30,7 @@ from .markov import (
     result_to_json,
     sharp_constant_l2,
     sharp_constant_sobolev,
-    sobolev_forms,
+    sobolev_gram,
 )
 from .orthopoly import (
     RecurrenceTable,
@@ -66,7 +66,6 @@ __all__ = [
     "gauss_rule",
     "gen_hermite_exponent",
     "gen_laguerre_exponent",
-    "gen_sym_eigen_max",
     "growth_fit",
     "integrate",
     "lupas_constant",
@@ -77,7 +76,7 @@ __all__ = [
     "result_to_json",
     "sharp_constant_l2",
     "sharp_constant_sobolev",
-    "sobolev_forms",
+    "sobolev_gram",
     "svd_largest",
     "verify_theorem",
     "weight_to_json",

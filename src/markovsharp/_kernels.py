@@ -12,18 +12,6 @@ import math
 import numpy as np
 
 
-def poly_table(diag, offdiag, p0, x):
-    """Values p_0(x)..p_n(x) of the orthonormal polynomials, shape (n+1, len(x))."""
-    n = diag.shape[0] - 1
-    out = np.empty((n + 1, x.shape[0]))
-    out[0] = p0
-    if n >= 1:
-        out[1] = (x - diag[0]) * p0 / offdiag[0]
-    for k in range(1, n):
-        out[k + 1] = ((x - diag[k]) * out[k] - offdiag[k - 1] * out[k - 1]) / offdiag[k]
-    return out
-
-
 def deriv_tables(diag, offdiag, p0, x, order):
     """Tables of p_k^(d)(x) for d = 0..order, shape (order+1, n+1, len(x)).
 

@@ -21,15 +21,17 @@ import numpy as np
 
 from . import bounds, markov
 from .errors import HypothesisError, MarkovSharpError, WeightError
-from .linalg import gen_sym_eigen_max, svd_largest
+from .linalg import svd_largest
 from .markov import (
     SobolevSpec,
     basis_for,
+    derivative_matrix,
     extremal_polynomial,
     mirsky_bound,
     result_to_json,
     sharp_constant_l2,
     sharp_constant_sobolev,
+    sobolev_gram,
 )
 from .orthopoly import WeightSpec, eval_orthonormal, make_weight, recurrence_classical
 from .quadrature import gauss_rule, integrate
@@ -71,7 +73,10 @@ def load_weight(token: str) -> WeightSpec:
                 f"--weight {token!r} is neither a preset ({', '.join(sorted(PRESETS))}), "
                 "inline JSON, nor an existing file"
             )
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise WeightError(f"cannot read weight file {token!r}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -98,7 +103,7 @@ def _emit(config: RunConfig, payload: str) -> None:
 
 
 def _to_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _sobolev(config: RunConfig) -> SobolevSpec | None:
@@ -127,12 +132,12 @@ def cmd_sharp(config: RunConfig) -> str:
 def cmd_sweep(config: RunConfig) -> str:
     spec = config.weight
     case = bounds.default_case(spec)
-    sob = _sobolev(config) or SobolevSpec((0.0,))
+    sob = _sobolev(config)
     basis = basis_for(spec, max(config.n_range))
     rows = []
     for n in config.n_range:
         l2 = sharp_constant_l2(spec, n, basis)
-        sobolev = sharp_constant_sobolev(spec, sob, n, basis)
+        sobolev = l2 if sob is None else sharp_constant_sobolev(spec, sob, n, basis)
         rows.append(
             {
                 "n": n,
@@ -227,20 +232,23 @@ def _selftest_orthonormality() -> tuple[bool, str]:
 
 def _selftest_eigen(rng) -> tuple[bool, str]:
     worst = 0.0
-    for size in (3, 8, 15):
-        m = rng.standard_normal((size, size))
-        sym = 0.5 * (m + m.T)
+    sob = SobolevSpec((1.0, 0.5))
+    for size, name in ((3, "legendre"), (8, "laguerre0"), (15, "hermite")):
         rect = rng.standard_normal((size, size + 1))
         sigma, v = svd_largest(rect)
         worst = max(worst, abs(np.linalg.norm(rect @ v) - sigma) / max(sigma, 1e-300))
 
-        a = sym @ sym.T
-        b = np.eye(size) + 0.1 * a
-        theta, w = gen_sym_eigen_max(a, b)
-        res = np.linalg.norm(a @ w - theta * b @ w) / (
-            np.linalg.norm(a) + abs(theta) * np.linalg.norm(b)
+        # the pencil (D^T B D, B) of a Sobolev constant, with A formed here
+        spec = make_weight(dict(PRESETS[name]))
+        res = sharp_constant_sobolev(spec, sob, size)
+        mat = derivative_matrix(recurrence_classical(spec, size), size)
+        b = sobolev_gram(mat, sob.lambdas)
+        a = mat.T @ b @ mat
+        theta, c = res.value**2, res.coeffs
+        pencil = np.linalg.norm(a @ c - theta * b @ c) / (
+            np.linalg.norm(a) + theta * np.linalg.norm(b)
         )
-        worst = max(worst, res)
+        worst = max(worst, pencil)
     return worst <= 1e-10, f"max eigen/SVD residual {worst:.3e} (tol 1e-10)"
 
 
@@ -374,7 +382,7 @@ def main(argv=None) -> int:
     except (WeightError, HypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (MarkovSharpError, np.linalg.LinAlgError, ValueError) as exc:
+    except (MarkovSharpError, np.linalg.LinAlgError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

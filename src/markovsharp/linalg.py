@@ -62,26 +62,3 @@ def svd_largest(m: np.ndarray):
         vec[-1] = 1.0
     return sigma, vec
 
-
-def gen_sym_eigen_max(a: np.ndarray, b: np.ndarray):
-    """Largest theta with A v = theta B v for symmetric A and positive definite B.
-
-    Reduction through the Cholesky factor B = L L^T; the returned vector is
-    normalized so that v^T B v = 1.
-    """
-    a = _check_symmetric(a, "A")
-    b = _check_symmetric(b, "B")
-    if a.shape != b.shape:
-        raise EigenError("A and B must have equal shapes")
-    try:
-        chol = np.linalg.cholesky(b)
-    except np.linalg.LinAlgError as exc:
-        raise EigenError("B not positive definite") from exc
-    half = np.linalg.solve(chol, a)
-    reduced = np.linalg.solve(chol, half.T).T
-    vals, vecs = _eigh(0.5 * (reduced + reduced.T))
-    theta = float(vals[-1])
-    # the solve is linear, so the sign fixed below does not depend on the
-    # sign LAPACK gave the top eigenvector
-    vec = np.linalg.solve(chol.T, vecs[:, -1])
-    return theta, _fix_sign(vec)

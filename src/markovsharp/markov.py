@@ -4,8 +4,10 @@ For polynomials of degree at most n and a weight w, the least constant in
 ||P'|| <= C ||P|| over the weighted L2 norm is the greatest singular value of
 the derivative connection matrix whose entries pair the derivatives of the
 orthonormal basis with the basis itself.  The Sobolev variant replaces both
-norms by ||P||^2 + sum_j lambda_j ||P^(j)||^2 and becomes a generalized
-symmetric eigenproblem between the two Gram forms.
+norms by ||P||^2 + sum_j lambda_j ||P^(j)||^2, whose Gram matrix B in the
+orthonormal basis has a Cholesky factor B = L L^T; the constant is then the
+greatest singular value of D in that norm, L^T D L^-T (the weighted L2 norm is
+the case B = I).
 
 The connection matrix is built column by column from the three-term
 recurrence, with no quadrature.  It is stored square, with rows indexed by
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError, WeightError
-from .linalg import gen_sym_eigen_max, svd_largest
+from .errors import EigenError, QuadratureError, WeightError
+from .linalg import _fix_sign, svd_largest
 from .orthopoly import (
     RecurrenceTable,
     WeightSpec,
@@ -138,19 +140,18 @@ def derivative_matrix(rec: RecurrenceTable, n: int) -> np.ndarray:
     return mat
 
 
-def sobolev_forms(mat: np.ndarray, sob: SobolevSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices (A, B) of ||P'||_W^2 and ||P||_W^2 in the orthonormal basis.
+def sobolev_gram(mat: np.ndarray, lambdas: tuple[float, ...]) -> np.ndarray:
+    """Gram matrix B of ||P||_W^2 = ||P||^2 + sum_j lambda_j ||P^(j)||^2, orthonormal basis.
 
-    ``mat`` is the square derivative matrix, so P^(j) has coefficients D^j c.
+    ``mat`` is the square derivative matrix, so P^(j) has coefficients D^j c;
+    ``lambdas`` = () gives the weighted L2 norm, B = I.
     """
     power = mat
-    a = power.T @ power
     b = np.eye(mat.shape[0])
-    for lam in sob.lambdas:
+    for lam in lambdas:
         b = b + lam * (power.T @ power)
         power = mat @ power
-        a = a + lam * (power.T @ power)
-    return 0.5 * (a + a.T), 0.5 * (b + b.T)
+    return 0.5 * (b + b.T)
 
 
 def _check_order(sob: SobolevSpec, max_order: int = MAX_SOBOLEV_ORDER):
@@ -180,10 +181,16 @@ def _achieved_ratio(rec, rule, coeffs, n, lambdas=()) -> float:
 def _checked_residual(rec, rule, coeffs, n, value, lambdas=()) -> float:
     """Relative gap between ``value`` and the ratio its extremal vector achieves.
 
-    Raises QuadratureError above RESIDUAL_TOL.
+    Raises QuadratureError unless ``value`` is positive and finite and the gap
+    is at most RESIDUAL_TOL.
     """
+    if not (math.isfinite(value) and value > 0):
+        raise QuadratureError(
+            f"sharp constant {value!r} is not positive and finite; "
+            "the recurrence or its mass is out of floating-point range"
+        )
     residual = abs(_achieved_ratio(rec, rule, coeffs, n, lambdas) - value) / value
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise QuadratureError(
             f"sharp-constant residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
             "quadrature or eigensolver failure"
@@ -191,27 +198,39 @@ def _checked_residual(rec, rule, coeffs, n, value, lambdas=()) -> float:
     return residual
 
 
-def sharp_constant_l2(spec: WeightSpec, n: int, basis=None) -> SharpResult:
-    """Sharp constant of ||P'|| <= C ||P|| over P_n in the weighted L2 norm."""
+def _sharp_constant(spec: WeightSpec, n: int, basis, lambdas: tuple[float, ...]) -> SharpResult:
+    """Greatest ||P'||_W / ||P||_W over P_n, as the top singular value of D in the W norm.
+
+    With B = L L^T, the ratio for P = sum c_k p_k is ||L^T D c|| / ||L^T c||,
+    so the constant is sigma_max(L^T D L^-T); its right singular vector v gives
+    c = L^-T v with c^T B c = 1.  For B = I every step is exact.
+    """
     rec, rule = _basis(spec, n, basis)
     mat = derivative_matrix(rec, n)
-    sigma, coeffs = svd_largest(mat)
-    residual = _checked_residual(rec, rule, coeffs, n, sigma)
-    return SharpResult(n=n, value=sigma, coeffs=coeffs, residual=residual, weight=spec)
+    try:
+        chol = np.linalg.cholesky(sobolev_gram(mat, lambdas))
+    except np.linalg.LinAlgError as exc:
+        raise EigenError("Sobolev Gram matrix B is not positive definite") from exc
+    value, v = svd_largest(chol.T @ np.linalg.solve(chol, mat.T).T)
+    coeffs = np.linalg.solve(chol.T, v)
+    # the solve can turn -0.0 into 0.0; exact zeros keep their sign in v, so
+    # that B = I returns v bit for bit
+    coeffs = _fix_sign(np.where(coeffs == 0.0, np.copysign(0.0, v), coeffs))
+    residual = _checked_residual(rec, rule, coeffs, n, value, lambdas)
+    return SharpResult(
+        n=n, value=value, coeffs=coeffs, residual=residual, weight=spec, lambdas=lambdas
+    )
+
+
+def sharp_constant_l2(spec: WeightSpec, n: int, basis=None) -> SharpResult:
+    """Sharp constant of ||P'|| <= C ||P|| over P_n in the weighted L2 norm."""
+    return _sharp_constant(spec, n, basis, ())
 
 
 def sharp_constant_sobolev(spec: WeightSpec, sob: SobolevSpec, n: int, basis=None) -> SharpResult:
     """Sharp constant of ||P'||_W <= C ||P||_W over P_n in the weighted Sobolev norm."""
     _check_order(sob)
-    rec, rule = _basis(spec, n, basis)
-    mat = derivative_matrix(rec, n)
-    a, b = sobolev_forms(mat, sob)
-    theta, coeffs = gen_sym_eigen_max(a, b)
-    value = math.sqrt(max(theta, 0.0))
-    residual = _checked_residual(rec, rule, coeffs, n, value, sob.lambdas)
-    return SharpResult(
-        n=n, value=value, coeffs=coeffs, residual=residual, weight=spec, lambdas=sob.lambdas
-    )
+    return _sharp_constant(spec, n, basis, sob.lambdas)
 
 
 def mirsky_bound(spec: WeightSpec, n: int, basis=None) -> float:

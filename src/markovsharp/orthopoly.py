@@ -90,13 +90,18 @@ class RecurrenceTable:
         object.__setattr__(self, "offdiag", offdiag)
 
 
-def _as_float(value, name: str) -> float:
+def _as_float(value, name: str, finite: bool = True) -> float:
+    """``value`` as a float; NaN, and unless ``finite`` is False infinity, are rejected."""
     try:
         out = float(value)
     except (TypeError, ValueError) as exc:
         raise WeightError(f"{name} is not a number: {value!r}") from exc
+    except OverflowError as exc:
+        raise WeightError(f"{name} is beyond the float range: {value!r}") from exc
     if math.isnan(out):
         raise WeightError(f"{name} is NaN")
+    if finite and math.isinf(out):
+        raise WeightError(f"{name} must be finite, got {out}")
     return out
 
 
@@ -108,7 +113,7 @@ def _parse_endpoint(value, name: str) -> float:
         if token == "-inf":
             return -math.inf
         raise WeightError(f"{name}: unrecognized endpoint {value!r}")
-    return _as_float(value, name)
+    return _as_float(value, name, finite=False)
 
 
 _DEFAULT_INTERVALS = {
@@ -156,18 +161,15 @@ def make_weight(raw) -> WeightSpec:
     alpha = _as_float(raw.get("alpha", 0.0), "alpha")
     beta = _as_float(raw.get("beta", 0.0), "beta")
     scale = _as_float(raw.get("scale", 1.0), "scale")
-    if not (scale > 0 and math.isfinite(scale)):
+    if not scale > 0:
         raise WeightError(f"scale must be a positive finite number, got {scale}")
 
     sings = []
     for item in raw.get("singularities", ()):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise WeightError("singularities must be pairs [c, gamma]")
-        c = _as_float(item[0], "singularity location")
-        g = _as_float(item[1], "singularity exponent")
-        if not (math.isfinite(c) and math.isfinite(g)):
-            raise WeightError("singularity entries must be finite")
-        sings.append((c, g))
+        sings.append((_as_float(item[0], "singularity location"),
+                      _as_float(item[1], "singularity exponent")))
 
     if family in ("laguerre", "gen_laguerre") and (a, b) != (0.0, math.inf):
         raise WeightError(f"{family}: interval must be [0, inf)")
@@ -265,19 +267,21 @@ def _jacobi_coefficients(al: float, be: float, n: int, a: float = -1.0, b: float
     """Orthonormal recurrence (diag, offdiag, mass) of (b-x)^al (x-a)^be on [a, b].
 
     diag has n+1 entries and offdiag n, from the closed forms on [-1, 1]
-    mapped affinely to [a, b].
+    mapped affinely to [a, b].  Exponents too large for these forms raise an
+    ArithmeticError (OverflowError or FloatingPointError).
     """
     k = np.arange(1.0, n + 1.0)
     s = 2 * k + al + be
     diag = np.empty(n + 1)
     diag[0] = (be - al) / (al + be + 2)
-    diag[1:] = (be * be - al * al) / (s * (s + 2))
-    # beta_k of the monic recurrence, k = 1..n; beta_1 has its own form
-    beta = np.empty(n)
-    if n:
-        beta[0] = 4 * (1 + al) * (1 + be) / ((2 + al + be) ** 2 * (3 + al + be))
-    k, s = k[1:], s[1:]
-    beta[1:] = 4 * k * (k + al) * (k + be) * (k + al + be) / (s * s * (s + 1) * (s - 1))
+    with np.errstate(over="raise", invalid="raise"):
+        diag[1:] = (be * be - al * al) / (s * (s + 2))
+        # beta_k of the monic recurrence, k = 1..n; beta_1 has its own form
+        beta = np.empty(n)
+        if n:
+            beta[0] = 4 * (1 + al) * (1 + be) / ((2 + al + be) ** 2 * (3 + al + be))
+        k, s = k[1:], s[1:]
+        beta[1:] = 4 * k * (k + al) * (k + be) * (k + al + be) / (s * s * (s + 1) * (s - 1))
     mass = (b - a) ** (al + be + 1) * math.exp(
         math.lgamma(al + 1) + math.lgamma(be + 1) - math.lgamma(al + be + 2)
     )
@@ -411,11 +415,7 @@ def _as_points(x):
 
 def eval_orthonormal(rec: RecurrenceTable, x, n: int) -> np.ndarray:
     """Values (p_0(x), ..., p_n(x)) by the forward three-term recurrence."""
-    if n < 0 or n > rec.n_max:
-        raise ValueError(f"need 0 <= n <= n_max={rec.n_max}, got {n}")
-    pts, scalar = _as_points(x)
-    table = _kernels.poly_table(rec.diag[: n + 1], rec.offdiag[:n], 1.0 / math.sqrt(rec.mass), pts)
-    return table[:, 0] if scalar else table
+    return eval_derivative_table(rec, x, n, 0)[0]
 
 
 def eval_derivative_table(rec: RecurrenceTable, x, n: int, order: int) -> np.ndarray:

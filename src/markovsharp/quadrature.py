@@ -66,8 +66,9 @@ def _gauss_rules(tables):
     entries past a row's size are meaningless.  Nodes are the eigenvalues of
     the dense Jacobi matrices, one LAPACK call per distinct m; the weights of
     all rules come from one Christoffel pass.  Raises QuadratureError when a
-    weight is not positive: that pass overflows at the outer nodes of large
-    Laguerre and Hermite rules, or the nodes or recurrence are not finite.
+    weight is not positive and finite: the mass is not finite, that pass
+    overflows at the outer nodes of large Laguerre and Hermite rules, or the
+    nodes or recurrence are not finite.
     """
     sizes = [d.shape[0] for d, _, _ in tables]
     width = max(sizes)
@@ -89,13 +90,19 @@ def _gauss_rules(tables):
             nodes[rows, :m] = np.linalg.eigvalsh(jacobi)
         except np.linalg.LinAlgError as exc:
             raise EigenError(f"Jacobi-matrix eigensolver did not converge: {exc}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         weights = _kernels.christoffel_weights(diag, offdiag, p0, nodes)
     padding = np.arange(width) >= np.array(sizes)[:, None]
-    ok = np.all((weights > 0) | padding, axis=1)  # a nan weight fails too
+    ok = np.all(((weights > 0) & np.isfinite(weights)) | padding, axis=1)
     if not ok.all():
         r = int(np.argmin(ok))
         m = sizes[r]
+        mass = tables[r][2]
+        if not math.isfinite(mass):
+            raise QuadratureError(
+                f"{m}-point Gauss rule: the weight's mass {mass!r} is not finite, so its "
+                "weights cannot be represented"
+            )
         inputs = (nodes[r, :m], diag[r, :m], offdiag[r, : m - 1], p0[r])
         if all(np.isfinite(v).all() for v in inputs):
             # from finite nodes and recurrence, only an overflow leaves the sum non-finite

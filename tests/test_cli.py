@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import os
@@ -377,6 +379,65 @@ class TestContracts:
         assert code == 3
         assert out == ""
         assert "numerical failure" in err and "Christoffel sum" in err
+
+    @pytest.mark.filterwarnings("ignore:svd_largest. zero matrix:UserWarning")
+    @pytest.mark.parametrize(
+        "weight",
+        ['{"family": "jacobi", "scale": 1e308}', '{"family": "jacobi", "interval": [-1, 1e308]}'],
+        ids=["mass_overflow", "zero_constant"],
+    )
+    def test_out_of_range_weight_exits_three(self, capsys, weight):
+        # an infinite mass or a zero constant is a numerical failure, never a NaN residual
+        code, out, err = run_cli(capsys, "sharp", "--weight", weight, "--n", "5")
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err
+
+    @pytest.mark.parametrize(
+        "weight, expected",
+        [
+            ('{"family": "jacobi", "alpha": 1' + "0" * 400 + "}", 2),
+            ('{"family": "jacobi", "alpha": 1e999}', 2),
+            (b"\xff\xfe{", 2),
+            ('{"family": "laguerre", "alpha": 1e300}', 3),
+            ('{"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 1e308]]}', 3),
+        ],
+        ids=["int_beyond_float", "infinite_alpha", "undecodable_file", "laguerre_gamma_overflow",
+             "jacobi_coefficient_overflow"],
+    )
+    def test_edge_weight_exit_codes(self, capsys, tmp_path, weight, expected):
+        if isinstance(weight, bytes):
+            path = tmp_path / "w.json"
+            path.write_bytes(weight)
+            weight = str(path)
+        code, out, err = run_cli(capsys, "sharp", "--weight", weight, "--n", "5")
+        assert code == expected
+        assert out == ""
+        assert err.startswith("error:" if expected == 2 else "numerical failure:")
+
+    def test_benchmark_entry_points(self):
+        # perfbench/worker.py calls the package through ``ms.<name>(...)``; every
+        # such call must still resolve and bind to the arguments it passes
+        worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+        calls = []
+        for node in ast.walk(ast.parse(worker.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            parts, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                parts.insert(0, func.attr)
+                func = func.value
+            if isinstance(func, ast.Name) and func.id == "ms" and parts:
+                calls.append((".".join(parts), len(node.args), [k.arg for k in node.keywords]))
+        assert {name for name, _, _ in calls} >= {
+            "make_weight", "verify_theorem", "SobolevSpec", "mirsky_bound", "sharp_constant_l2",
+            "sharp_constant_sobolev", "markov.basis_for", "extremal_polynomial",
+        }
+        for name, positional, keywords in calls:
+            obj = markovsharp
+            for part in name.split("."):
+                obj = getattr(obj, part)
+            inspect.signature(obj).bind(*range(positional), **dict.fromkeys(keywords))
 
     def test_deterministic_output(self):
         cmd = [

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from markovsharp import (
+    EigenError,
     SobolevSpec,
     WeightError,
     derivative_matrix,
@@ -16,8 +17,9 @@ from markovsharp import (
     result_to_json,
     sharp_constant_l2,
     sharp_constant_sobolev,
-    sobolev_forms,
+    sobolev_gram,
 )
+from markovsharp import markov
 from markovsharp.markov import basis_for
 from markovsharp.orthopoly import closed_form
 
@@ -234,30 +236,69 @@ class TestClosedForm:
         assert rec.weight_id == spec.weight_id
 
 
+PENCIL_WEIGHTS = {
+    "jacobi": {"family": "jacobi", "interval": [-1, 1], "alpha": 0.5, "beta": -0.3},
+    "gen_laguerre_reducible": {"family": "gen_laguerre", "singularities": [[0.0, 0.5]]},
+    "gen_jacobi": {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]},
+}
+
+
 class TestSobolev:
     def test_forms_reduce_to_l2_at_zero_lambdas(self):
         rec, _ = basis_for(make_weight(LEGENDRE), 4)
         mat = derivative_matrix(rec, 4)
-        a, b = sobolev_forms(mat, SobolevSpec((0.0, 0.0)))
-        np.testing.assert_allclose(a, mat.T @ mat, atol=1e-14)
-        np.testing.assert_array_equal(b, np.eye(5))
+        np.testing.assert_array_equal(sobolev_gram(mat, (0.0, 0.0)), np.eye(5))
+        np.testing.assert_array_equal(sobolev_gram(mat, ()), np.eye(5))
 
     def test_hermite_two_by_two_assembly(self):
         rec, _ = basis_for(make_weight(HERMITE), 1)
-        a, b = sobolev_forms(derivative_matrix(rec, 1), SobolevSpec((1.0,)))
-        np.testing.assert_allclose(a, np.diag([0.0, 2.0]), atol=1e-14)
+        b = sobolev_gram(derivative_matrix(rec, 1), (1.0,))
         np.testing.assert_allclose(b, np.diag([1.0, 3.0]), rtol=1e-14)
 
     def test_forms_symmetric(self):
         rec, _ = basis_for(make_weight({"family": "laguerre", "alpha": 0.8}), 6)
-        a, b = sobolev_forms(derivative_matrix(rec, 6), SobolevSpec((0.7, 0.1)))
-        assert np.array_equal(a, a.T) and np.array_equal(b, b.T)
+        b = sobolev_gram(derivative_matrix(rec, 6), (0.7, 0.1))
+        assert np.array_equal(b, b.T)
 
     def test_zero_lambdas_match_l2_value(self):
-        spec = make_weight({"family": "jacobi", "interval": [-1, 1], "alpha": 2.0, "beta": 1.0})
-        v_l2 = sharp_constant_l2(spec, 6).value
-        v_sob = sharp_constant_sobolev(spec, SobolevSpec((0.0,)), 6).value
-        assert v_sob == pytest.approx(v_l2, rel=1e-10)
+        # B = I makes every step of the reduction exact
+        for raw in [
+            {"family": "jacobi", "interval": [-1, 1], "alpha": 2.0, "beta": 1.0},
+            {"family": "laguerre", "alpha": 0.5},
+            HERMITE,
+            {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]},
+            {"family": "gen_hermite", "singularities": [[-1, 0.5], [1, 0.5]]},
+        ]:
+            spec = make_weight(raw)
+            for n in (1, 6, 20):
+                l2 = sharp_constant_l2(spec, n)
+                sob = sharp_constant_sobolev(spec, SobolevSpec((0.0,)), n)
+                assert sob.value == l2.value
+                np.testing.assert_array_equal(sob.coeffs, l2.coeffs)
+
+    @pytest.mark.parametrize("lambdas", [(1.0, 0.5), (2.0,), (0.5, 1.0, 2.0)])
+    @pytest.mark.parametrize("name", sorted(PENCIL_WEIGHTS))
+    def test_matches_scipy_pencil(self, name, lambdas):
+        # sigma^2 is the top eigenvalue of the pencil (D^T B D, B), both forms
+        # written out here from powers of D
+        eigh = pytest.importorskip("scipy.linalg").eigh
+        spec = make_weight(PENCIL_WEIGHTS[name])
+        for n in (5, 20):
+            res = sharp_constant_sobolev(spec, SobolevSpec(lambdas), n)
+            mat = derivative_matrix(basis_for(spec, n)[0], n)
+            gram = np.eye(n + 1)
+            for j, lam in enumerate(lambdas, start=1):
+                power = np.linalg.matrix_power(mat, j)
+                gram += lam * power.T @ power
+            stiff = mat.T @ gram @ mat
+            top = eigh(stiff, gram, eigvals_only=True)[-1]
+            assert res.value**2 == pytest.approx(top, rel=1e-11)
+            assert res.coeffs @ gram @ res.coeffs == pytest.approx(1.0, rel=1e-11)
+
+    def test_gram_not_positive_definite(self, monkeypatch):
+        monkeypatch.setattr(markov, "sobolev_gram", lambda mat, lambdas: -np.eye(mat.shape[0]))
+        with pytest.raises(EigenError, match="positive definite"):
+            sharp_constant_sobolev(make_weight(HERMITE), SobolevSpec((1.0,)), 3)
 
     def test_hermite_closed_form(self):
         res = sharp_constant_sobolev(make_weight(HERMITE), SobolevSpec((1.0,)), 1)
