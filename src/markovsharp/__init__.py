@@ -27,7 +27,6 @@ from .markov import (
     derivative_matrix,
     extremal_polynomial,
     mirsky_bound,
-    result_to_json,
     sharp_constant_l2,
     sharp_constant_sobolev,
     sobolev_gram,
@@ -73,7 +72,6 @@ __all__ = [
     "make_weight",
     "mirsky_bound",
     "recurrence_classical",
-    "result_to_json",
     "sharp_constant_l2",
     "sharp_constant_sobolev",
     "sobolev_gram",

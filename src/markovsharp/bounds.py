@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import HypothesisError, WeightError
 from .markov import SobolevSpec, basis_for, mirsky_bound, sharp_constant_l2, sharp_constant_sobolev
-from .orthopoly import _SUM_TOL, WeightSpec, weight_to_json
+from .orthopoly import _SUM_TOL, WeightSpec
 
 FIT_SLACK = 0.1
 
@@ -186,30 +186,6 @@ class BoundCheck:
     fitted_exponent: float
     predicted_exponent: float
     passed: bool
-
-
-def bound_check_to_json(check: BoundCheck, spec: WeightSpec) -> dict:
-    return {
-        "case_id": check.case_id,
-        "n_range": list(check.n_range),
-        "sharp_values": list(check.sharp_values),
-        "fitted_constant": check.fitted_constant,
-        "fitted_exponent": check.fitted_exponent,
-        "predicted_exponent": check.predicted_exponent,
-        "pass": check.passed,
-        "weight": weight_to_json(spec),
-    }
-
-
-def bound_check_to_csv(check: BoundCheck, spec: WeightSpec) -> str:
-    lines = ["case_id,n,sharp,predicted_envelope,fitted_constant,fitted_exponent,pass"]
-    for n, v in zip(check.n_range, check.sharp_values):
-        env = predicted_envelope(check.case_id, spec, n)
-        lines.append(
-            f"{check.case_id},{n},{v!r},{env!r},{check.fitted_constant!r},"
-            f"{check.fitted_exponent!r},{str(check.passed).lower()}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _spec_gammas(spec: WeightSpec):

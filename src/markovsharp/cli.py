@@ -1,9 +1,20 @@
 """Batch command-line front end: compute, sweep, verify, and export.
 
-Subcommands: sharp, sweep, mirsky, extremal, verify, selftest.  Weights are
-given as a preset name, inline JSON, or a path to a JSON file.  Output is
-JSON or CSV with shortest-round-trip float formatting, so identical
-configurations produce byte-identical output.
+Subcommands and the options each one reads:
+
+    sharp, extremal   --weight --n [--lambdas] [--format] [--out]
+    sweep             --weight (--n | --n-min --n-max [--n-step]) [--lambdas] [--format] [--out]
+    mirsky            --weight (--n | --n-min --n-max [--n-step]) [--format] [--out]
+    verify            as sweep, plus [--case] [--tol]
+    selftest          [--out]
+
+Weights are given as a preset name, inline JSON, or a path to a JSON file.
+Each subparser sets ``run`` to its ``cmd_*`` function.  ``main`` resolves the
+weight, the Sobolev norm and the degrees once, calls ``args.run(args)``, which
+returns ``(text, passed)``, writes the text to stdout or ``--out`` and maps
+exceptions to exit codes.  This module alone knows the output formats: JSON
+with sorted keys, and CSV with shortest-round-trip floats and lower-case
+booleans, so identical configurations produce byte-identical output.
 
 Exit codes: 0 success (and verify pass), 1 verify exponent failure or
 selftest failure, 2 invalid weight/arguments/hypothesis, 3 numerical failure.
@@ -12,28 +23,34 @@ selftest failure, 2 invalid weight/arguments/hypothesis, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import bounds, markov
+from . import bounds
 from .errors import HypothesisError, MarkovSharpError, WeightError
 from .linalg import svd_largest
 from .markov import (
+    SharpResult,
     SobolevSpec,
     basis_for,
     derivative_matrix,
     extremal_polynomial,
     mirsky_bound,
-    result_to_json,
     sharp_constant_l2,
     sharp_constant_sobolev,
     sobolev_gram,
 )
-from .orthopoly import WeightSpec, eval_orthonormal, make_weight, recurrence_classical
+from .orthopoly import (
+    WeightSpec,
+    eval_orthonormal,
+    make_weight,
+    recurrence_classical,
+    weight_to_json,
+)
 from .quadrature import gauss_rule, integrate
 
 PRESETS = {
@@ -47,18 +64,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    weight: WeightSpec | None = None
-    lambdas: tuple[float, ...] = ()
-    n_range: tuple[int, ...] = ()
-    case: str = ""
-    output_format: str = "json"
-    output_path: str = ""
-    tol: float | None = None
 
 
 def load_weight(token: str) -> WeightSpec:
@@ -84,122 +89,140 @@ def load_weight(token: str) -> WeightSpec:
     return make_weight(raw)
 
 
-def _parse_lambdas(text: str) -> tuple[float, ...]:
+def _sobolev_spec(text: str) -> SobolevSpec | None:
+    """The --lambdas value as a Sobolev norm, or None for the weighted L2 norm."""
     if not text:
-        return ()
+        return None
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        lambdas = tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise WeightError(f"invalid --lambdas value {text!r}") from exc
+    return SobolevSpec(lambdas)
 
 
-def _emit(config: RunConfig, payload: str) -> None:
-    if config.output_path:
-        Path(config.output_path).write_text(payload)
-    else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+def _degrees(args) -> tuple[int, ...]:
+    """The degrees given by --n, or by --n-min/--n-max/--n-step where the command has them."""
+    n_min, n_max = getattr(args, "n_min", None), getattr(args, "n_max", None)
+    if args.n is not None and (n_min is not None or n_max is not None):
+        raise WeightError("give either --n or --n-min/--n-max, not both")
+    if args.n is not None:
+        return (args.n,)
+    if n_min is not None or n_max is not None:
+        if n_min is None or n_max is None:
+            raise WeightError("--n-min and --n-max must be given together")
+        if args.n_step < 1 or n_max < n_min:
+            raise WeightError("need n-min <= n-max and n-step >= 1")
+        return tuple(range(n_min, n_max + 1, args.n_step))
+    raise WeightError(f"{args.command}: a degree is required (--n or --n-min/--n-max)")
 
 
-def _to_json(obj) -> str:
+def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _sobolev(config: RunConfig) -> SobolevSpec | None:
-    return SobolevSpec(config.lambdas) if config.lambdas else None
+def _csv(header, rows, comments=()) -> str:
+    """``# key: value`` lines for ``comments``, the header, then one line per row.
+
+    Floats are written with ``repr`` (shortest round trip), booleans in lower case.
+    """
+
+    def cell(v) -> str:
+        if isinstance(v, bool):
+            return str(v).lower()
+        return repr(float(v)) if isinstance(v, float) else str(v)
+
+    lines = [f"# {key}: {cell(value)}" for key, value in comments]
+    lines.append(",".join(header))
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
-def _sharp(config: RunConfig, n: int, basis=None):
-    sob = _sobolev(config)
-    if sob is None:
-        return sharp_constant_l2(config.weight, n, basis)
-    return sharp_constant_sobolev(config.weight, sob, n, basis)
+def _result_json(res: SharpResult) -> dict:
+    return {
+        "n": res.n,
+        "value": res.value,
+        "coeffs": [float(c) for c in res.coeffs],
+        "residual": res.residual,
+        "weight": weight_to_json(res.weight),
+        "lambdas": list(res.lambdas),
+    }
 
 
-def cmd_sharp(config: RunConfig) -> str:
-    res = _sharp(config, config.n_range[0])
-    if config.output_format == "csv":
-        lines = ["n,value,residual," + ",".join(f"coeff_{k}" for k in range(res.n + 1))]
-        lines.append(
-            f"{res.n},{res.value!r},{res.residual!r},"
-            + ",".join(repr(float(c)) for c in res.coeffs)
-        )
-        return "\n".join(lines) + "\n"
-    return _to_json(result_to_json(res))
+def _table(args, header, rows, **fields) -> str:
+    """A per-degree table as CSV, or as JSON rows keyed by ``header`` beside the weight."""
+    if args.format == "csv":
+        return _csv(header, rows)
+    return _json({"weight": weight_to_json(args.weight), **fields,
+                  "rows": [dict(zip(header, row)) for row in rows]})
 
 
-def cmd_sweep(config: RunConfig) -> str:
-    spec = config.weight
+def _sharp(args, n: int, basis=None) -> SharpResult:
+    if args.sob is None:
+        return sharp_constant_l2(args.weight, n, basis)
+    return sharp_constant_sobolev(args.weight, args.sob, n, basis)
+
+
+def cmd_sharp(args) -> tuple[str, bool]:
+    res = _sharp(args, args.n)
+    if args.format == "csv":
+        header = ("n", "value", "residual", *(f"coeff_{k}" for k in range(res.n + 1)))
+        return _csv(header, [(res.n, res.value, res.residual, *res.coeffs)]), True
+    return _json(_result_json(res)), True
+
+
+def cmd_sweep(args) -> tuple[str, bool]:
+    spec, sob = args.weight, args.sob
     case = bounds.default_case(spec)
-    sob = _sobolev(config)
-    basis = basis_for(spec, max(config.n_range))
+    basis = basis_for(spec, max(args.ns))
     rows = []
-    for n in config.n_range:
+    for n in args.ns:
         l2 = sharp_constant_l2(spec, n, basis)
         sobolev = l2 if sob is None else sharp_constant_sobolev(spec, sob, n, basis)
-        rows.append(
-            {
-                "n": n,
-                "sharp": l2.value,
-                "sobolev": sobolev.value,
-                "mirsky": mirsky_bound(spec, n, basis),
-                "envelope": bounds.predicted_envelope(case, spec, n),
-            }
-        )
-    if config.output_format == "csv":
-        lines = ["n,sharp,sobolev,mirsky,envelope"]
-        for r in rows:
-            lines.append(
-                f"{r['n']},{r['sharp']!r},{r['sobolev']!r},{r['mirsky']!r},{r['envelope']!r}"
-            )
-        return "\n".join(lines) + "\n"
-    return _to_json({"weight": bounds.weight_to_json(spec), "case": case, "rows": rows})
+        rows.append((n, l2.value, sobolev.value, mirsky_bound(spec, n, basis),
+                     bounds.predicted_envelope(case, spec, n)))
+    return _table(args, ("n", "sharp", "sobolev", "mirsky", "envelope"), rows, case=case), True
 
 
-def cmd_mirsky(config: RunConfig) -> str:
-    spec = config.weight
-    basis = basis_for(spec, max(config.n_range))
-    rows = [{"n": n, "mirsky": mirsky_bound(spec, n, basis)} for n in config.n_range]
-    if config.output_format == "csv":
-        lines = ["n,mirsky"] + [f"{r['n']},{r['mirsky']!r}" for r in rows]
-        return "\n".join(lines) + "\n"
-    return _to_json({"weight": bounds.weight_to_json(spec), "rows": rows})
+def cmd_mirsky(args) -> tuple[str, bool]:
+    basis = basis_for(args.weight, max(args.ns))
+    rows = [(n, mirsky_bound(args.weight, n, basis)) for n in args.ns]
+    return _table(args, ("n", "mirsky"), rows), True
 
 
-def cmd_extremal(config: RunConfig) -> str:
-    n = config.n_range[0]
-    basis = basis_for(config.weight, n)
-    res = _sharp(config, n, basis)
+def cmd_extremal(args) -> tuple[str, bool]:
+    basis = basis_for(args.weight, args.n)
+    res = _sharp(args, args.n, basis)
     poly = extremal_polynomial(res, basis[0])
-    if config.output_format == "csv":
-        lines = [f"# achieved_ratio: {poly.achieved_ratio!r}"]
-        lines.append(f"# residual: {poly.residual!r}")
-        lines.append("k,coeff")
-        lines.extend(f"{k},{float(c)!r}" for k, c in enumerate(res.coeffs))
-        return "\n".join(lines) + "\n"
-    payload = result_to_json(res)
-    payload["achieved_ratio"] = poly.achieved_ratio
-    return _to_json(payload)
+    if args.format == "csv":
+        comments = (("achieved_ratio", poly.achieved_ratio), ("residual", poly.residual))
+        return _csv(("k", "coeff"), enumerate(res.coeffs), comments), True
+    return _json({**_result_json(res), "achieved_ratio": poly.achieved_ratio}), True
 
 
-def cmd_verify(config: RunConfig) -> tuple[str, bool]:
-    sob = _sobolev(config) or SobolevSpec((0.0,))
-    spec = config.weight
-    case = config.case or bounds.default_case(spec)
-    slack = bounds.FIT_SLACK if config.tol is None else config.tol
-    check = bounds.verify_theorem(case, spec, sob, config.n_range, slack=slack)
-    if config.output_format == "csv":
-        return bounds.bound_check_to_csv(check, spec), check.passed
-    return _to_json(bounds.bound_check_to_json(check, spec)), check.passed
+def cmd_verify(args) -> tuple[str, bool]:
+    spec = args.weight
+    case = args.case or bounds.default_case(spec)
+    slack = bounds.FIT_SLACK if args.tol is None else args.tol
+    check = bounds.verify_theorem(case, spec, args.sob or SobolevSpec((0.0,)), args.ns, slack=slack)
+    if args.format == "csv":
+        header = ("case_id", "n", "sharp", "predicted_envelope", "fitted_constant",
+                  "fitted_exponent", "pass")
+        rows = [
+            (check.case_id, n, v, bounds.predicted_envelope(check.case_id, spec, n),
+             check.fitted_constant, check.fitted_exponent, check.passed)
+            for n, v in zip(check.n_range, check.sharp_values)
+        ]
+        return _csv(header, rows), check.passed
+    payload = dataclasses.asdict(check)
+    payload["pass"] = payload.pop("passed")
+    return _json({**payload, "weight": weight_to_json(spec)}), check.passed
 
 
 def _selftest_quadrature(rng) -> tuple[bool, str]:
     worst = 0.0
     m = 8
-    for name in ("legendre", "chebyshev1", "laguerre0", "hermite"):
-        spec = make_weight(dict(PRESETS[name]))
-        rec = recurrence_classical(spec, 4 * m)
+    for name in PRESETS:
+        rec = recurrence_classical(load_weight(name), 4 * m)
         rule = gauss_rule(rec, m)
         ref = gauss_rule(rec, 4 * m)
         for _ in range(20):
@@ -211,19 +234,11 @@ def _selftest_quadrature(rng) -> tuple[bool, str]:
 
 
 def _selftest_orthonormality() -> tuple[bool, str]:
-    specs = [
-        make_weight(dict(PRESETS["legendre"])),
-        make_weight(dict(PRESETS["chebyshev1"])),
-        make_weight(dict(PRESETS["laguerre0"])),
-        make_weight(dict(PRESETS["hermite"])),
-        make_weight(
-            {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}
-        ),
-    ]
+    gen_jacobi = '{"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}'
     worst = 0.0
     n = 12
-    for spec in specs:
-        rec, rule = basis_for(spec, n)
+    for name in (*PRESETS, gen_jacobi):
+        rec, rule = basis_for(load_weight(name), n)
         table = eval_orthonormal(rec, rule.nodes, n)
         gram = (table * rule.weights) @ table.T
         worst = max(worst, float(np.max(np.abs(gram - np.eye(n + 1)))))
@@ -239,7 +254,7 @@ def _selftest_eigen(rng) -> tuple[bool, str]:
         worst = max(worst, abs(np.linalg.norm(rect @ v) - sigma) / max(sigma, 1e-300))
 
         # the pencil (D^T B D, B) of a Sobolev constant, with A formed here
-        spec = make_weight(dict(PRESETS[name]))
+        spec = load_weight(name)
         res = sharp_constant_sobolev(spec, sob, size)
         mat = derivative_matrix(recurrence_classical(spec, size), size)
         b = sobolev_gram(mat, sob.lambdas)
@@ -259,7 +274,7 @@ def _selftest_gamma_ratio() -> tuple[bool, str]:
     return ok, f"|ratio-1| sequence {devs}"
 
 
-def cmd_selftest(config: RunConfig) -> tuple[str, bool]:
+def cmd_selftest(args) -> tuple[str, bool]:
     rng = np.random.default_rng(20240901)
     suites = [
         ("quadrature-exactness", lambda: _selftest_quadrature(rng)),
@@ -277,20 +292,6 @@ def cmd_selftest(config: RunConfig) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", all_ok
 
 
-def _add_weight_args(p, required=True):
-    p.add_argument("--weight", required=required, help="preset name, inline JSON, or JSON file")
-    p.add_argument("--lambdas", default="", help="comma-separated Sobolev weights, e.g. 1,0.5")
-    p.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
-    p.add_argument("--out", default="", dest="output_path", help="output file (default stdout)")
-
-
-def _add_range_args(p):
-    p.add_argument("--n", type=int, help="single degree")
-    p.add_argument("--n-min", type=int, dest="n_min")
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--n-step", type=int, dest="n_step", default=1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="markovsharp",
@@ -298,94 +299,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, doc in (
-        ("sharp", "sharp constant and extremal coefficients at one degree"),
-        ("sweep", "table of sharp/sobolev/mirsky/envelope over a degree range"),
-        ("mirsky", "Mirsky upper bound over a degree range"),
-        ("extremal", "extremal polynomial report at one degree"),
+    # name, command, help, takes a degree range, takes --lambdas
+    for name, run, doc, ranged, sobolev in (
+        ("sharp", cmd_sharp, "sharp constant and extremal coefficients at one degree",
+         False, True),
+        ("sweep", cmd_sweep, "table of sharp/sobolev/mirsky/envelope over a degree range",
+         True, True),
+        ("mirsky", cmd_mirsky, "Mirsky upper bound over a degree range", True, False),
+        ("extremal", cmd_extremal, "extremal polynomial report at one degree", False, True),
+        ("verify", cmd_verify, "fit growth exponents against the predicted bound", True, True),
     ):
         p = sub.add_parser(name, help=doc)
-        _add_weight_args(p)
-        _add_range_args(p)
-
-    p = sub.add_parser("verify", help="fit growth exponents against the predicted bound")
-    _add_weight_args(p)
-    _add_range_args(p)
-    p.add_argument("--case", default="", choices=("",) + bounds.CASE_IDS)
-    p.add_argument("--tol", type=float, default=None, help="override the fit slack (default 0.1)")
+        p.set_defaults(run=run)
+        p.add_argument("--weight", required=True, help="preset name, inline JSON, or JSON file")
+        if sobolev:
+            p.add_argument("--lambdas", default="",
+                           help="comma-separated Sobolev weights, e.g. 1,0.5")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", default="", help="output file (default stdout)")
+        p.add_argument("--n", type=int, help="single degree")
+        if ranged:
+            p.add_argument("--n-min", type=int)
+            p.add_argument("--n-max", type=int)
+            p.add_argument("--n-step", type=int, default=1)
+        if name == "verify":
+            p.add_argument("--case", default="", choices=("",) + bounds.CASE_IDS)
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the fit slack (default 0.1)")
 
     p = sub.add_parser("selftest", help="kernel self-tests: quadrature, orthonormality, eigen, gamma")
-    p.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
-    p.add_argument("--out", default="", dest="output_path")
+    p.set_defaults(run=cmd_selftest)
+    p.add_argument("--out", default="", help="output file (default stdout)")
     return parser
 
 
-def _resolve_range(args, command: str) -> tuple[int, ...]:
-    if args.n is not None and (args.n_min is not None or args.n_max is not None):
-        raise WeightError("give either --n or --n-min/--n-max, not both")
-    if args.n is not None:
-        return (args.n,)
-    if args.n_min is not None or args.n_max is not None:
-        if args.n_min is None or args.n_max is None:
-            raise WeightError("--n-min and --n-max must be given together")
-        if args.n_step < 1 or args.n_max < args.n_min:
-            raise WeightError("need n-min <= n-max and n-step >= 1")
-        return tuple(range(args.n_min, args.n_max + 1, args.n_step))
-    raise WeightError(f"{command}: a degree is required (--n or --n-min/--n-max)")
-
-
-def parse_config(argv) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(command=args.command)
-    config.output_format = getattr(args, "output_format", "json")
-    config.output_path = getattr(args, "output_path", "")
-    if args.command == "selftest":
-        return config
-    config.weight = load_weight(args.weight)
-    config.lambdas = _parse_lambdas(args.lambdas)
-    config.n_range = _resolve_range(args, args.command)
-    if args.command in ("sharp", "extremal"):
-        if len(config.n_range) != 1:
-            raise WeightError(f"{args.command} needs a single --n")
-        if config.n_range[0] < 1:
-            raise WeightError("n must be >= 1")
-    if args.command == "verify":
-        config.case = args.case
-        config.tol = args.tol
-    return config
-
-
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        config = parse_config(argv)
-    except (WeightError, HypothesisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    try:
-        if config.command == "sharp":
-            _emit(config, cmd_sharp(config))
-        elif config.command == "sweep":
-            _emit(config, cmd_sweep(config))
-        elif config.command == "mirsky":
-            _emit(config, cmd_mirsky(config))
-        elif config.command == "extremal":
-            _emit(config, cmd_extremal(config))
-        elif config.command == "verify":
-            payload, passed = cmd_verify(config)
-            _emit(config, payload)
-            return EXIT_OK if passed else EXIT_VERIFY_FAIL
-        elif config.command == "selftest":
-            payload, passed = cmd_selftest(config)
-            _emit(config, payload)
-            return EXIT_OK if passed else EXIT_VERIFY_FAIL
+        if args.command != "selftest":
+            args.weight = load_weight(args.weight)
+            args.sob = _sobolev_spec(getattr(args, "lambdas", ""))
+            args.ns = _degrees(args)
+        text, passed = args.run(args)
     except (WeightError, HypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (MarkovSharpError, np.linalg.LinAlgError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_OK
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

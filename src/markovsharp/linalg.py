@@ -9,8 +9,6 @@ eigendecomposition of M^T M, which is accurate enough here because only the
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import EigenError
@@ -55,10 +53,5 @@ def svd_largest(m: np.ndarray):
     gram = m.T @ m
     vals, vecs = _eigh(gram)
     sigma = float(np.sqrt(max(vals[-1], 0.0)))
-    vec = _fix_sign(vecs[:, -1])
-    if sigma == 0.0:
-        warnings.warn("svd_largest: zero matrix, returning an arbitrary unit vector")
-        vec = np.zeros(m.shape[1])
-        vec[-1] = 1.0
-    return sigma, vec
+    return sigma, _fix_sign(vecs[:, -1])
 

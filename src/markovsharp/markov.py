@@ -37,7 +37,6 @@ from .orthopoly import (
     max_degree_cap,
     recurrence_classical,
     stabilized_stieltjes,
-    weight_to_json,
 )
 from .quadrature import QuadRule, gauss_rule
 
@@ -81,19 +80,10 @@ class SharpResult:
         object.__setattr__(self, "coeffs", c)
 
 
-def result_to_json(res: SharpResult) -> dict:
-    return {
-        "n": res.n,
-        "value": res.value,
-        "coeffs": [float(c) for c in res.coeffs],
-        "residual": res.residual,
-        "weight": weight_to_json(res.weight),
-        "lambdas": list(res.lambdas),
-    }
-
-
 def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     """Recurrence table (to degree n+1 at least) plus a rule good for degree 2n+2 integrals."""
+    if n < 1:
+        raise WeightError("n must be >= 1")
     cap = max_degree_cap()
     if n > cap:
         raise WeightError(f"n={n} exceeds the degree cap {cap} (set MARKOVSHARP_MAX_N to raise it)")
@@ -105,11 +95,11 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
 
 def _basis(spec: WeightSpec, n: int, basis) -> tuple[RecurrenceTable, QuadRule]:
     """``basis_for(spec, n)``, or ``basis`` if given: a ``basis_for(spec, N)`` pair, N >= n."""
-    if n < 1:
-        raise WeightError("n must be >= 1")
-    if basis is not None and (basis[0].n_max < n + 1 or basis[0].weight_id != spec.weight_id):
+    if basis is None:
+        return basis_for(spec, n)
+    if not 1 <= n < basis[0].n_max or basis[0].weight_id != spec.weight_id:
         raise WeightError(f"the given basis does not cover degree {n} of this weight")
-    return basis_for(spec, n) if basis is None else basis
+    return basis
 
 
 def derivative_matrix(rec: RecurrenceTable, n: int) -> np.ndarray:

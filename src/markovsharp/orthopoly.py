@@ -257,10 +257,15 @@ def weight_to_json(spec: WeightSpec) -> dict:
     }
 
 
-def _gamma(x: float) -> float:
-    if x <= 170.0:
-        return math.gamma(x)
-    return math.exp(math.lgamma(x))
+def _gamma_mass(family: str, exponent: float, x: float) -> float:
+    """Gamma(x), the mass of a ``family`` weight with this exponent; OverflowError names both."""
+    try:
+        return math.gamma(x) if x <= 170.0 else math.exp(math.lgamma(x))
+    except OverflowError as exc:
+        raise OverflowError(
+            f"the mass Gamma({x!r}) of the {family} weight with exponent {exponent!r} "
+            "is out of floating-point range"
+        ) from exc
 
 
 def _jacobi_coefficients(al: float, be: float, n: int, a: float = -1.0, b: float = 1.0):
@@ -268,23 +273,29 @@ def _jacobi_coefficients(al: float, be: float, n: int, a: float = -1.0, b: float
 
     diag has n+1 entries and offdiag n, from the closed forms on [-1, 1]
     mapped affinely to [a, b].  Exponents too large for these forms raise an
-    ArithmeticError (OverflowError or FloatingPointError).
+    OverflowError that names them.
     """
     k = np.arange(1.0, n + 1.0)
     s = 2 * k + al + be
     diag = np.empty(n + 1)
     diag[0] = (be - al) / (al + be + 2)
-    with np.errstate(over="raise", invalid="raise"):
-        diag[1:] = (be * be - al * al) / (s * (s + 2))
-        # beta_k of the monic recurrence, k = 1..n; beta_1 has its own form
-        beta = np.empty(n)
-        if n:
-            beta[0] = 4 * (1 + al) * (1 + be) / ((2 + al + be) ** 2 * (3 + al + be))
-        k, s = k[1:], s[1:]
-        beta[1:] = 4 * k * (k + al) * (k + be) * (k + al + be) / (s * s * (s + 1) * (s - 1))
-    mass = (b - a) ** (al + be + 1) * math.exp(
-        math.lgamma(al + 1) + math.lgamma(be + 1) - math.lgamma(al + be + 2)
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            diag[1:] = (be * be - al * al) / (s * (s + 2))
+            # beta_k of the monic recurrence, k = 1..n; beta_1 has its own form
+            beta = np.empty(n)
+            if n:
+                beta[0] = 4 * (1 + al) * (1 + be) / ((2 + al + be) ** 2 * (3 + al + be))
+            k, s = k[1:], s[1:]
+            beta[1:] = 4 * k * (k + al) * (k + be) * (k + al + be) / (s * s * (s + 1) * (s - 1))
+        mass = (b - a) ** (al + be + 1) * math.exp(
+            math.lgamma(al + 1) + math.lgamma(be + 1) - math.lgamma(al + be + 2)
+        )
+    except ArithmeticError as exc:
+        raise OverflowError(
+            f"the jacobi recurrence with exponents alpha={al!r}, beta={be!r} on [{a!r}, {b!r}] "
+            "is out of floating-point range"
+        ) from exc
     mid, h = 0.5 * (a + b), 0.5 * (b - a)
     return mid + h * diag, h * np.sqrt(beta), mass
 
@@ -334,7 +345,7 @@ def recurrence_classical(spec: WeightSpec, n: int) -> RecurrenceTable:
         al = form.alpha
         diag = np.array([2.0 * k + al + 1.0 for k in range(n + 1)])
         offdiag = np.array([math.sqrt((k + 1) * (k + 1 + al)) for k in range(n)])
-        mass = _gamma(al + 1)
+        mass = _gamma_mass("laguerre", al, al + 1)
     elif fam == "hermite":
         diag = np.zeros(n + 1)
         offdiag = np.sqrt(np.arange(1.0, n + 1.0) / 2.0)
@@ -344,7 +355,7 @@ def recurrence_classical(spec: WeightSpec, n: int) -> RecurrenceTable:
         diag = np.zeros(n + 1)
         beta = [(k / 2.0 + (g / 2.0 if k % 2 else 0.0)) for k in range(1, n + 1)]
         offdiag = np.sqrt(np.array(beta))
-        mass = _gamma((g + 1) / 2)
+        mass = _gamma_mass("gen_hermite", g, (g + 1) / 2)
 
     return RecurrenceTable(
         n_max=n, diag=diag, offdiag=offdiag, mass=mass * form.scale, weight_id=spec.weight_id

@@ -37,7 +37,7 @@ from markovsharp import (
     sharp_constant_sobolev,
     verify_theorem,
 )
-from markovsharp.cli import RunConfig, cmd_selftest
+from markovsharp.cli import build_parser, cmd_selftest
 from markovsharp.markov import basis_for
 from markovsharp.orthopoly import eval_derivative_table, eval_orthonormal
 
@@ -323,7 +323,7 @@ def test_criterion_7_lupas_suite():
 
 
 def test_criterion_8_kernel_selftests():
-    payload, passed = cmd_selftest(RunConfig(command="selftest"))
+    payload, passed = cmd_selftest(build_parser().parse_args(["selftest"]))
     for line in payload.strip().split("\n"):
         print("  " + line)
     assert _report("criterion-8 kernel-selftests", passed, "cmd_selftest all suites")

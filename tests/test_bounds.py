@@ -20,9 +20,6 @@ from markovsharp import (
     verify_theorem,
 )
 from markovsharp.bounds import (
-    BoundCheck,
-    bound_check_to_csv,
-    bound_check_to_json,
     default_case,
     predicted_envelope,
 )
@@ -260,35 +257,6 @@ class TestCaseHelpers:
         assert predicted_envelope("mirsky", hermite, 2) == pytest.approx(math.sqrt(10))
         leg = make_weight({"family": "jacobi", "interval": [-1, 1]})
         assert predicted_envelope("jacobi_3", leg, 5) == 25.0
-
-
-class TestBoundCheckSerialization:
-    def _check(self):
-        return BoundCheck(
-            case_id="jacobi_3",
-            n_range=(4, 5),
-            sharp_values=(3.0, 4.5),
-            fitted_constant=0.2,
-            fitted_exponent=1.9,
-            predicted_exponent=2.0,
-            passed=True,
-        )
-
-    def test_json_fields(self):
-        spec = make_weight({"family": "jacobi", "interval": [-1, 1]})
-        payload = bound_check_to_json(self._check(), spec)
-        assert payload["pass"] is True
-        assert payload["case_id"] == "jacobi_3"
-        assert payload["n_range"] == [4, 5]
-
-    def test_csv_rows(self):
-        spec = make_weight({"family": "jacobi", "interval": [-1, 1]})
-        text = bound_check_to_csv(self._check(), spec)
-        lines = text.strip().split("\n")
-        assert lines[0] == "case_id,n,sharp,predicted_envelope,fitted_constant,fitted_exponent,pass"
-        assert len(lines) == 3
-        assert lines[1].startswith("jacobi_3,4,3.0,16.0,")
-        assert lines[1].endswith(",true")
 
 
 def test_gen_hermite_sharp_below_schmidt_bound():

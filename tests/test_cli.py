@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -19,8 +20,8 @@ from markovsharp import (
     sharp_constant_l2,
     sharp_constant_sobolev,
 )
-from markovsharp.bounds import default_case, verify_theorem
-from markovsharp.cli import load_weight, main
+from markovsharp.bounds import BoundCheck, default_case, verify_theorem
+from markovsharp.cli import build_parser, load_weight, main
 
 # child interpreters import the same sources as this one, installed or not
 SRC = str(Path(markovsharp.__file__).resolve().parents[1])
@@ -145,8 +146,12 @@ class TestMirskyAndExtremal:
             capsys, "extremal", "--weight", "legendre", "--n", "1", "--format", "csv"
         )
         lines = out.strip().split("\n")
-        assert lines[0].startswith("# achieved_ratio:")
+        assert lines[0].startswith("# achieved_ratio: ")
+        assert float(lines[0].split(": ")[1]) == pytest.approx(math.sqrt(3), rel=1e-12)
+        assert lines[1].startswith("# residual: ")
+        assert 0.0 <= float(lines[1].split(": ")[1]) <= 1e-8
         assert lines[2] == "k,coeff"
+        assert [ln.split(",")[0] for ln in lines[3:]] == ["0", "1"]
 
 
 class TestVerify:
@@ -323,6 +328,63 @@ class TestSharedBasis:
         )
 
 
+class TestSerialization:
+    """Output formats: every one is written by markovsharp.cli."""
+
+    def test_sharp_json_schema(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sharp", "--weight", "hermite", "--n", "3", "--lambdas", "1,0.5"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"n", "value", "coeffs", "residual", "weight", "lambdas"}
+        assert payload["lambdas"] == [1.0, 0.5]
+        assert len(payload["coeffs"]) == 4
+
+    @pytest.fixture
+    def verify_output(self, capsys, monkeypatch):
+        """``verify`` output for a fixed BoundCheck on legendre, in the given format."""
+        from markovsharp import bounds
+
+        check = BoundCheck(
+            case_id="jacobi_3",
+            n_range=(4, 5),
+            sharp_values=(3.0, 4.5),
+            fitted_constant=0.2,
+            fitted_exponent=1.9,
+            predicted_exponent=2.0,
+            passed=True,
+        )
+        monkeypatch.setattr(bounds, "verify_theorem", lambda *args, **kwargs: check)
+
+        def run(fmt):
+            code, out, _ = run_cli(
+                capsys, "verify", "--case", "jacobi_3", "--weight", "legendre",
+                "--n-min", "4", "--n-max", "5", "--format", fmt,
+            )
+            assert code == 0
+            return out
+
+        return run
+
+    def test_verify_json_fields(self, verify_output):
+        payload = json.loads(verify_output("json"))
+        assert payload["pass"] is True
+        assert payload["case_id"] == "jacobi_3"
+        assert payload["n_range"] == [4, 5]
+        assert set(payload) == {
+            "case_id", "n_range", "sharp_values", "fitted_constant", "fitted_exponent",
+            "predicted_exponent", "pass", "weight",
+        }
+
+    def test_verify_csv_rows(self, verify_output):
+        lines = verify_output("csv").strip().split("\n")
+        assert lines[0] == "case_id,n,sharp,predicted_envelope,fitted_constant,fitted_exponent,pass"
+        assert len(lines) == 3
+        assert lines[1].startswith("jacobi_3,4,3.0,16.0,")
+        assert lines[1].endswith(",true")
+
+
 class TestSelftest:
     def test_all_suites_pass(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
@@ -357,6 +419,33 @@ class TestContracts:
         assert code == 2
         assert "degree" in err
 
+    @pytest.mark.parametrize("command", ["sweep", "mirsky", "verify"])
+    @pytest.mark.parametrize("weight", ["hermite", GEN_JACOBI], ids=["hermite", "gen_jacobi"])
+    @pytest.mark.parametrize("n_min, n_max", [("-5", "-2"), ("0", "0")])
+    def test_no_positive_degree_exits_two(self, capsys, command, weight, n_min, n_max):
+        code, out, err = run_cli(
+            capsys, command, "--weight", weight, "--n-min", n_min, "--n-max", n_max
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mirsky", "--weight", "hermite", "--n-min", "2", "--n-max", "4", "--lambdas", "1"],
+            ["selftest", "--format", "csv"],
+            ["sharp", "--weight", "hermite", "--n-min", "2", "--n-max", "3"],
+            ["extremal", "--weight", "hermite", "--n-min", "2", "--n-max", "2"],
+        ],
+        ids=["mirsky_lambdas", "selftest_format", "sharp_range", "extremal_range"],
+    )
+    def test_options_no_command_reads_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_numerical_failure_exits_three(self, capsys, monkeypatch):
         from markovsharp.errors import QuadratureError
 
@@ -380,32 +469,39 @@ class TestContracts:
         assert out == ""
         assert "numerical failure" in err and "Christoffel sum" in err
 
-    @pytest.mark.filterwarnings("ignore:svd_largest. zero matrix:UserWarning")
     @pytest.mark.parametrize(
         "weight",
         ['{"family": "jacobi", "scale": 1e308}', '{"family": "jacobi", "interval": [-1, 1e308]}'],
         ids=["mass_overflow", "zero_constant"],
     )
     def test_out_of_range_weight_exits_three(self, capsys, weight):
-        # an infinite mass or a zero constant is a numerical failure, never a NaN residual
-        code, out, err = run_cli(capsys, "sharp", "--weight", weight, "--n", "5")
+        # an infinite mass or a zero constant is a numerical failure, never a NaN
+        # residual, and its one-line message is all that reaches stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sharp", "--weight", weight, "--n", "5")
         assert code == 3
         assert out == ""
-        assert "numerical failure" in err
+        assert err.startswith("numerical failure")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize(
-        "weight, expected",
+        "weight, expected, named",
         [
-            ('{"family": "jacobi", "alpha": 1' + "0" * 400 + "}", 2),
-            ('{"family": "jacobi", "alpha": 1e999}', 2),
-            (b"\xff\xfe{", 2),
-            ('{"family": "laguerre", "alpha": 1e300}', 3),
-            ('{"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 1e308]]}', 3),
+            ('{"family": "jacobi", "alpha": 1' + "0" * 400 + "}", 2, ""),
+            ('{"family": "jacobi", "alpha": 1e999}', 2, ""),
+            (b"\xff\xfe{", 2, ""),
+            ('{"family": "laguerre", "alpha": 1e300}', 3, "laguerre weight with exponent 1e+300"),
+            ('{"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 1e308]]}', 3,
+             "exponents alpha=1e+308, beta=0.0"),
+            ('{"family": "jacobi", "alpha": 2000}', 3, "exponents alpha=2000.0, beta=0.0"),
+            ('{"family": "gen_hermite", "alpha": 400}', 3, "gen_hermite weight with exponent 400.0"),
         ],
         ids=["int_beyond_float", "infinite_alpha", "undecodable_file", "laguerre_gamma_overflow",
-             "jacobi_coefficient_overflow"],
+             "jacobi_coefficient_overflow", "jacobi_mass_overflow", "gen_hermite_gamma_overflow"],
     )
-    def test_edge_weight_exit_codes(self, capsys, tmp_path, weight, expected):
+    def test_edge_weight_exit_codes(self, capsys, tmp_path, weight, expected, named):
+        # an overflow names the family and the exponents that caused it
         if isinstance(weight, bytes):
             path = tmp_path / "w.json"
             path.write_bytes(weight)
@@ -414,11 +510,13 @@ class TestContracts:
         assert code == expected
         assert out == ""
         assert err.startswith("error:" if expected == 2 else "numerical failure:")
+        assert named in err
 
     def test_benchmark_entry_points(self):
         # perfbench/worker.py calls the package through ``ms.<name>(...)``; every
         # such call must still resolve and bind to the arguments it passes
-        worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        worker = bench / "worker.py"
         calls = []
         for node in ast.walk(ast.parse(worker.read_text())):
             if not isinstance(node, ast.Call):
@@ -438,6 +536,37 @@ class TestContracts:
             for part in name.split("."):
                 obj = getattr(obj, part)
             inspect.signature(obj).bind(*range(positional), **dict.fromkeys(keywords))
+
+        # perfbench/cli_traced.py runs the command line as ``cli.main(argv)``
+        traced = ast.parse((bench / "cli_traced.py").read_text())
+        mains = [
+            node for node in ast.walk(traced)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "main" and getattr(node.func.value, "id", None) == "cli"
+        ]
+        assert [(len(c.args), len(c.keywords)) for c in mains] == [(1, 0)]
+        inspect.signature(main).bind(["sharp"])
+
+        # every command line the cli_cold workload sends still parses; the
+        # generator module is loaded on its own, as it imports only json and random
+        source = (bench / "workloads.py").read_text()
+        imported = {
+            alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+        }
+        assert imported <= {"annotations", "json", "random"}
+        workloads = {}
+        exec(compile(source, "workloads.py", "exec"), workloads)
+        setup = next(
+            node.value for node in ast.parse((bench / "run.py").read_text()).body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SETUP_CLI"
+        )
+        argvs = [ast.literal_eval(setup)["args"]]
+        for seed in range(1, 21):
+            argvs += [inv["args"] for inv in workloads["cli_cycle"](random.Random(seed))]
+        for argv in argvs:
+            for extra in ([], ["--out", "FILE"]):
+                build_parser().parse_args(argv + extra)
 
     def test_deterministic_output(self):
         cmd = [

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from markovsharp import (
     make_weight,
     mirsky_bound,
     recurrence_classical,
-    result_to_json,
     sharp_constant_l2,
     sharp_constant_sobolev,
     sobolev_gram,
@@ -170,6 +168,8 @@ class TestSharpL2:
             sharp_constant_l2(spec, 9, basis)
         with pytest.raises(WeightError, match="basis does not cover"):
             mirsky_bound(make_weight(HERMITE), 4, basis)
+        with pytest.raises(WeightError, match="basis does not cover"):
+            mirsky_bound(spec, 0, basis)
 
     def test_degree_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("MARKOVSHARP_MAX_N", "10")
@@ -406,15 +406,6 @@ class TestExtremal:
         poly = extremal_polynomial(res, rec)
         assert poly.report["achieved_ratio"] == pytest.approx(math.sqrt(2 / 3), rel=1e-12)
         assert poly.residual <= 1e-8
-
-
-def test_result_serialization_schema():
-    res = sharp_constant_sobolev(make_weight(HERMITE), SobolevSpec((1.0, 0.5)), 3)
-    payload = result_to_json(res)
-    assert set(payload) == {"n", "value", "coeffs", "residual", "weight", "lambdas"}
-    assert payload["lambdas"] == [1.0, 0.5]
-    assert len(payload["coeffs"]) == 4
-    json.dumps(payload)  # round-trippable
 
 
 def test_gauss_rule_from_generalized_recurrence():
