@@ -5,7 +5,6 @@ from .bounds import (
     BoundCheck,
     ExponentReport,
     FIT_SLACK,
-    gamma_ratio_sequence,
     gen_hermite_exponent,
     gen_laguerre_exponent,
     growth_fit,
@@ -39,7 +38,7 @@ from .orthopoly import (
     recurrence_classical,
     weight_to_json,
 )
-from .quadrature import QuadRule, composite_rule, gauss_rule, integrate
+from .quadrature import QuadRule, composite_rule, gauss_rule
 
 __version__ = "0.1.0"
 
@@ -61,12 +60,10 @@ __all__ = [
     "derivative_matrix",
     "eval_orthonormal",
     "extremal_polynomial",
-    "gamma_ratio_sequence",
     "gauss_rule",
     "gen_hermite_exponent",
     "gen_laguerre_exponent",
     "growth_fit",
-    "integrate",
     "lupas_constant",
     "lupas_growth_exponent",
     "make_weight",

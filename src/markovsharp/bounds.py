@@ -22,18 +22,6 @@ from .orthopoly import _SUM_TOL, WeightSpec
 
 FIT_SLACK = 0.1
 
-CASE_IDS = (
-    "laguerre_1",
-    "gen_hermite_2",
-    "jacobi_3",
-    "gen_jacobi_4",
-    "gen_laguerre_51",
-    "gen_laguerre_52",
-    "gen_hermite_6",
-    "mirsky",
-    "schmidt",
-)
-
 
 @dataclass(frozen=True)
 class ExponentReport:
@@ -49,10 +37,21 @@ class ExponentReport:
     pair_terms: tuple[float, ...]
 
 
-def _pair_terms(padded: list[float]) -> list[float]:
-    return [
-        g1 + g2 + abs(g1 - g2) + 2.0 for g1, g2 in zip(padded, padded[1:])
-    ]
+def _pair_report(gs: list[float], shift: float) -> ExponentReport:
+    """Pair terms of the zero-padded exponents, and the exponent max(2, (pair_max + shift) / 2).
+
+    Requires max(g_j, g_{j+1}) >= -1/2 for every consecutive padded pair.
+    """
+    padded = [0.0] + gs + [0.0]
+    terms = []
+    for g1, g2 in zip(padded, padded[1:]):
+        if max(g1, g2) < -0.5:
+            raise HypothesisError(
+                f"need max of each consecutive exponent pair >= -1/2, got ({g1}, {g2})"
+            )
+        terms.append(g1 + g2 + abs(g1 - g2) + 2.0)
+    b = max(terms)
+    return ExponentReport(exponent=max(2.0, (b + shift) / 2.0), pair_max=b, pair_terms=tuple(terms))
 
 
 def gen_hermite_exponent(gammas) -> ExponentReport:
@@ -66,15 +65,7 @@ def gen_hermite_exponent(gammas) -> ExponentReport:
         raise HypothesisError("every singular exponent must be > -1")
     if sum(gs) < 0:
         raise HypothesisError(f"exponent sum must be >= 0, got {sum(gs)}")
-    padded = [0.0] + gs + [0.0]
-    for g1, g2 in zip(padded, padded[1:]):
-        if max(g1, g2) < -0.5:
-            raise HypothesisError(
-                f"need max of each consecutive exponent pair >= -1/2, got ({g1}, {g2})"
-            )
-    terms = _pair_terms(padded)
-    b = max(terms)
-    return ExponentReport(exponent=max(2.0, (b + 1.0) / 2.0), pair_max=b, pair_terms=tuple(terms))
+    return _pair_report(gs, 1.0)
 
 
 def gen_laguerre_exponent(gammas, centers) -> ExponentReport:
@@ -100,15 +91,7 @@ def gen_laguerre_exponent(gammas, centers) -> ExponentReport:
     if not total > -1:
         raise HypothesisError(f"total exponent sum must be > -1, got {total}")
     first = next(j for j, c in enumerate(cs) if c >= 0)
-    padded = [0.0] + gs[first:] + [0.0]
-    for g1, g2 in zip(padded, padded[1:]):
-        if max(g1, g2) < -0.5:
-            raise HypothesisError(
-                f"need max of each consecutive exponent pair >= -1/2, got ({g1}, {g2})"
-            )
-    terms = _pair_terms(padded)
-    b = max(terms)
-    return ExponentReport(exponent=max(2.0, (b + 2.0) / 2.0), pair_max=b, pair_terms=tuple(terms))
+    return _pair_report(gs[first:], 2.0)
 
 
 def lupas_constant(n: int, alpha: float, beta: float) -> float:
@@ -142,16 +125,6 @@ def lupas_constant(n: int, alpha: float, beta: float) -> float:
 def lupas_growth_exponent(alpha: float, beta: float) -> float:
     """Power of n governing the squared Lupas constant: a + b + |a-b| + 2."""
     return alpha + beta + abs(alpha - beta) + 2.0
-
-
-def gamma_ratio_sequence(x: float, y: float, ns) -> list[float]:
-    """The ratios G(n+x) / (G(n+y) n^(x-y)), which tend to 1 as n grows."""
-    out = []
-    for n in ns:
-        if n + min(x, y) <= 0:
-            raise WeightError(f"gamma pole: n + min(x, y) = {n + min(x, y)} <= 0")
-        out.append(math.exp(math.lgamma(n + x) - math.lgamma(n + y) - (x - y) * math.log(n)))
-    return out
 
 
 def growth_fit(ns, values) -> tuple[float, float]:
@@ -192,23 +165,36 @@ def _spec_gammas(spec: WeightSpec):
     return [g for _, g in spec.singularities], [c for c, _ in spec.singularities]
 
 
+# case id -> (weight families it covers, exponent of n in its bound, or the
+# function of the weight that gives it)
+_CASES = {
+    "laguerre_1": (("laguerre",), 1.0),
+    "gen_hermite_2": (("hermite", "gen_hermite"), 0.5),
+    "jacobi_3": (("jacobi",), 2.0),
+    "gen_jacobi_4": (("gen_jacobi",), 2.0),
+    "gen_laguerre_51": (("gen_laguerre",), 2.0),
+    "gen_laguerre_52": (
+        ("gen_laguerre",), lambda spec: gen_laguerre_exponent(*_spec_gammas(spec)).exponent
+    ),
+    "gen_hermite_6": (
+        ("gen_hermite",), lambda spec: gen_hermite_exponent(_spec_gammas(spec)[0]).exponent
+    ),
+    "mirsky": (("hermite",), 1.5),
+    "schmidt": (("hermite",), 0.5),
+}
+CASE_IDS = tuple(_CASES)
+
+
+def _case(case_id: str):
+    if case_id not in _CASES:
+        raise WeightError(f"unknown case id {case_id!r}; expected one of {CASE_IDS}")
+    return _CASES[case_id]
+
+
 def predicted_exponent(case_id: str, spec: WeightSpec) -> float:
     """Exponent of n in the bound the given case asserts for this weight."""
-    if case_id == "laguerre_1":
-        return 1.0
-    if case_id in ("gen_hermite_2", "schmidt"):
-        return 0.5
-    if case_id in ("jacobi_3", "gen_jacobi_4", "gen_laguerre_51"):
-        return 2.0
-    if case_id == "gen_laguerre_52":
-        gs, cs = _spec_gammas(spec)
-        return gen_laguerre_exponent(gs, cs).exponent
-    if case_id == "gen_hermite_6":
-        gs, _ = _spec_gammas(spec)
-        return gen_hermite_exponent(gs).exponent
-    if case_id == "mirsky":
-        return 1.5
-    raise WeightError(f"unknown case id {case_id!r}; expected one of {CASE_IDS}")
+    _, exponent = _case(case_id)
+    return exponent(spec) if callable(exponent) else exponent
 
 
 def predicted_envelope(case_id: str, spec: WeightSpec, n: int) -> float:
@@ -242,22 +228,11 @@ def default_case(spec: WeightSpec) -> str:
 
 
 def _check_case_applies(case_id: str, spec: WeightSpec):
-    fam = spec.family
-    need = {
-        "laguerre_1": ("laguerre",),
-        "gen_hermite_2": ("hermite", "gen_hermite"),
-        "jacobi_3": ("jacobi",),
-        "gen_jacobi_4": ("gen_jacobi",),
-        "gen_laguerre_51": ("gen_laguerre",),
-        "gen_laguerre_52": ("gen_laguerre",),
-        "gen_hermite_6": ("gen_hermite",),
-        "mirsky": ("hermite",),
-        "schmidt": ("hermite",),
-    }
-    if case_id not in need:
-        raise WeightError(f"unknown case id {case_id!r}; expected one of {CASE_IDS}")
-    if fam not in need[case_id]:
-        raise HypothesisError(f"case {case_id} needs a weight family in {need[case_id]}, got {fam}")
+    families, _ = _case(case_id)
+    if spec.family not in families:
+        raise HypothesisError(
+            f"case {case_id} needs a weight family in {families}, got {spec.family}"
+        )
     if case_id == "gen_hermite_2":
         if any(c != 0.0 for c, _ in spec.singularities):
             raise HypothesisError(

@@ -38,7 +38,6 @@ from .markov import (
     SobolevSpec,
     basis_for,
     derivative_matrix,
-    extremal_polynomial,
     mirsky_bound,
     sharp_constant_l2,
     sharp_constant_sobolev,
@@ -51,7 +50,7 @@ from .orthopoly import (
     recurrence_classical,
     weight_to_json,
 )
-from .quadrature import gauss_rule, integrate
+from .quadrature import gauss_rule
 
 PRESETS = {
     "legendre": {"family": "jacobi", "interval": [-1, 1], "alpha": 0.0, "beta": 0.0},
@@ -156,14 +155,14 @@ def _table(args, header, rows, **fields) -> str:
                   "rows": [dict(zip(header, row)) for row in rows]})
 
 
-def _sharp(args, n: int, basis=None) -> SharpResult:
+def _sharp(args) -> SharpResult:
     if args.sob is None:
-        return sharp_constant_l2(args.weight, n, basis)
-    return sharp_constant_sobolev(args.weight, args.sob, n, basis)
+        return sharp_constant_l2(args.weight, args.n)
+    return sharp_constant_sobolev(args.weight, args.sob, args.n)
 
 
 def cmd_sharp(args) -> tuple[str, bool]:
-    res = _sharp(args, args.n)
+    res = _sharp(args)
     if args.format == "csv":
         header = ("n", "value", "residual", *(f"coeff_{k}" for k in range(res.n + 1)))
         return _csv(header, [(res.n, res.value, res.residual, *res.coeffs)]), True
@@ -190,13 +189,11 @@ def cmd_mirsky(args) -> tuple[str, bool]:
 
 
 def cmd_extremal(args) -> tuple[str, bool]:
-    basis = basis_for(args.weight, args.n)
-    res = _sharp(args, args.n, basis)
-    poly = extremal_polynomial(res, basis[0])
+    res = _sharp(args)
     if args.format == "csv":
-        comments = (("achieved_ratio", poly.achieved_ratio), ("residual", poly.residual))
+        comments = (("achieved_ratio", res.achieved_ratio), ("residual", res.residual))
         return _csv(("k", "coeff"), enumerate(res.coeffs), comments), True
-    return _json({**_result_json(res), "achieved_ratio": poly.achieved_ratio}), True
+    return _json({**_result_json(res), "achieved_ratio": res.achieved_ratio}), True
 
 
 def cmd_verify(args) -> tuple[str, bool]:
@@ -227,8 +224,8 @@ def _selftest_quadrature(rng) -> tuple[bool, str]:
         ref = gauss_rule(rec, 4 * m)
         for _ in range(20):
             coeffs = rng.standard_normal(2 * m)  # degree 2m-1
-            val = integrate(rule, lambda x: np.polyval(coeffs, x))
-            ref_val = integrate(ref, lambda x: np.polyval(coeffs, x))
+            val = np.dot(rule.weights, np.polyval(coeffs, rule.nodes))
+            ref_val = np.dot(ref.weights, np.polyval(coeffs, ref.nodes))
             worst = max(worst, abs(val - ref_val) / max(1.0, abs(ref_val)))
     return worst <= 1e-11, f"max exactness deviation {worst:.3e} (tol 1e-11)"
 
@@ -267,20 +264,12 @@ def _selftest_eigen(rng) -> tuple[bool, str]:
     return worst <= 1e-10, f"max eigen/SVD residual {worst:.3e} (tol 1e-10)"
 
 
-def _selftest_gamma_ratio() -> tuple[bool, str]:
-    ratios = bounds.gamma_ratio_sequence(0.5, 0.0, [10, 100, 1000])
-    devs = [abs(r - 1.0) for r in ratios]
-    ok = all(d2 < d1 for d1, d2 in zip(devs, devs[1:])) and devs[-1] < 1e-3
-    return ok, f"|ratio-1| sequence {devs}"
-
-
 def cmd_selftest(args) -> tuple[str, bool]:
     rng = np.random.default_rng(20240901)
     suites = [
         ("quadrature-exactness", lambda: _selftest_quadrature(rng)),
         ("orthonormality", _selftest_orthonormality),
         ("eigen-svd-residuals", lambda: _selftest_eigen(rng)),
-        ("gamma-ratio-limit", _selftest_gamma_ratio),
     ]
     lines = []
     all_ok = True
@@ -327,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=None,
                            help="override the fit slack (default 0.1)")
 
-    p = sub.add_parser("selftest", help="kernel self-tests: quadrature, orthonormality, eigen, gamma")
+    p = sub.add_parser("selftest", help="kernel self-tests: quadrature, orthonormality, eigen")
     p.set_defaults(run=cmd_selftest)
     p.add_argument("--out", default="", help="output file (default stdout)")
     return parser

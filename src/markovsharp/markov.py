@@ -65,13 +65,17 @@ class SobolevSpec:
 
 @dataclass(frozen=True)
 class SharpResult:
-    """Sharp constant, extremal coefficients, and the verification residual."""
+    """Sharp constant, extremal coefficients, and the ratio they achieve on the basis rule.
+
+    ``residual`` is the relative gap between ``achieved_ratio`` and ``value``.
+    """
 
     n: int
     value: float
     coeffs: np.ndarray
     residual: float
     weight: WeightSpec
+    achieved_ratio: float
     lambdas: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -134,29 +138,37 @@ def sobolev_gram(mat: np.ndarray, lambdas: tuple[float, ...]) -> np.ndarray:
     """Gram matrix B of ||P||_W^2 = ||P||^2 + sum_j lambda_j ||P^(j)||^2, orthonormal basis.
 
     ``mat`` is the square derivative matrix, so P^(j) has coefficients D^j c;
-    ``lambdas`` = () gives the weighted L2 norm, B = I.
+    ``lambdas`` = () gives the weighted L2 norm, B = I.  numpy forms every
+    term (D^j)^T D^j exactly symmetric, so B needs no symmetrizing.
     """
     power = mat
     b = np.eye(mat.shape[0])
     for lam in lambdas:
         b = b + lam * (power.T @ power)
         power = mat @ power
-    return 0.5 * (b + b.T)
+    return b
 
 
-def _check_order(sob: SobolevSpec, max_order: int = MAX_SOBOLEV_ORDER):
-    if sob.k > max_order:
+def _check_order(sob: SobolevSpec):
+    if sob.k > MAX_SOBOLEV_ORDER:
         raise WeightError(
-            f"derivative order k={sob.k} beyond the supported cap {max_order} "
+            f"derivative order k={sob.k} beyond the supported cap {MAX_SOBOLEV_ORDER} "
             "(higher orders are numerically fragile at these degrees)"
         )
 
 
-def _achieved_ratio(rec, rule, coeffs, n, lambdas=()) -> float:
-    """||P'||_W / ||P||_W for P = sum coeffs p_k, by quadrature on ``rule``.
+def _checked_residual(rec, rule, coeffs, n, value, lambdas=()) -> tuple[float, float]:
+    """||P'||_W / ||P||_W for P = sum coeffs p_k by quadrature on ``rule``, and its gap to ``value``.
 
-    With no lambdas this is the weighted L2 ratio ||P'|| / ||P||.
+    With no lambdas the ratio is the weighted L2 ratio ||P'|| / ||P||.  The
+    gap is relative; QuadratureError is raised unless ``value`` is positive and
+    finite and the gap is at most RESIDUAL_TOL.
     """
+    if not (math.isfinite(value) and value > 0):
+        raise QuadratureError(
+            f"sharp constant {value!r} is not positive and finite; "
+            "the recurrence or its mass is out of floating-point range"
+        )
     order = len(lambdas) + 1
     stack = eval_derivative_table(rec, rule.nodes, n, order=order)
     norms = []
@@ -165,27 +177,14 @@ def _achieved_ratio(rec, rule, coeffs, n, lambdas=()) -> float:
         norms.append(float(np.dot(rule.weights, vals * vals)))
     den = norms[0] + sum(lam * norms[j + 1] for j, lam in enumerate(lambdas))
     num = norms[1] + sum(lam * norms[j + 2] for j, lam in enumerate(lambdas))
-    return math.sqrt(num / den)
-
-
-def _checked_residual(rec, rule, coeffs, n, value, lambdas=()) -> float:
-    """Relative gap between ``value`` and the ratio its extremal vector achieves.
-
-    Raises QuadratureError unless ``value`` is positive and finite and the gap
-    is at most RESIDUAL_TOL.
-    """
-    if not (math.isfinite(value) and value > 0):
-        raise QuadratureError(
-            f"sharp constant {value!r} is not positive and finite; "
-            "the recurrence or its mass is out of floating-point range"
-        )
-    residual = abs(_achieved_ratio(rec, rule, coeffs, n, lambdas) - value) / value
+    achieved = math.sqrt(num / den)
+    residual = abs(achieved - value) / value
     if not residual <= RESIDUAL_TOL:
         raise QuadratureError(
             f"sharp-constant residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
             "quadrature or eigensolver failure"
         )
-    return residual
+    return achieved, residual
 
 
 def _sharp_constant(spec: WeightSpec, n: int, basis, lambdas: tuple[float, ...]) -> SharpResult:
@@ -206,9 +205,10 @@ def _sharp_constant(spec: WeightSpec, n: int, basis, lambdas: tuple[float, ...])
     # the solve can turn -0.0 into 0.0; exact zeros keep their sign in v, so
     # that B = I returns v bit for bit
     coeffs = _fix_sign(np.where(coeffs == 0.0, np.copysign(0.0, v), coeffs))
-    residual = _checked_residual(rec, rule, coeffs, n, value, lambdas)
+    achieved, residual = _checked_residual(rec, rule, coeffs, n, value, lambdas)
     return SharpResult(
-        n=n, value=value, coeffs=coeffs, residual=residual, weight=spec, lambdas=lambdas
+        n=n, value=value, coeffs=coeffs, residual=residual, weight=spec,
+        achieved_ratio=achieved, lambdas=lambdas,
     )
 
 
@@ -232,16 +232,17 @@ def mirsky_bound(spec: WeightSpec, n: int, basis=None) -> float:
 
 
 class ExtremalPolynomial:
-    """Evaluator for the extremal polynomial of a SharpResult, with its report."""
+    """Evaluator for the extremal polynomial of a SharpResult, with the result's report."""
 
     def __init__(self, res: SharpResult, rec: RecurrenceTable):
+        if rec.weight_id != res.weight.weight_id:
+            raise WeightError("the recurrence table belongs to another weight than the result")
         if rec.n_max < res.n + 1:
             raise WeightError(f"recurrence table too short: need n_max >= {res.n + 1}")
         self.result = res
         self._rec = rec
-        rule = gauss_rule(rec, res.n + 1)
-        self.achieved_ratio = _achieved_ratio(rec, rule, res.coeffs, res.n, res.lambdas)
-        self.residual = abs(self.achieved_ratio - res.value) / res.value
+        self.achieved_ratio = res.achieved_ratio
+        self.residual = res.residual
 
     def __call__(self, x):
         table = eval_orthonormal(self._rec, x, self.result.n)

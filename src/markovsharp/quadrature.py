@@ -135,23 +135,6 @@ def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
     return QuadRule(nodes=nodes[0], weights=weights[0])
 
 
-def integrate(rule: QuadRule, f) -> float:
-    """Sum of weights_i * f(nodes_i)."""
-    try:
-        vals = np.asarray(f(rule.nodes), dtype=float)
-        if vals.shape != rule.nodes.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(t)) for t in rule.nodes])
-    return float(np.dot(rule.weights, vals))
-
-
-def _exponent_sums(spec: WeightSpec):
-    total = sum(g for _, g in spec.singularities)
-    absolute = sum(abs(g) for _, g in spec.singularities)
-    return total, absolute
-
-
 def _gammaincc(a: float, x: float) -> float:
     """Regularized upper incomplete gamma function Q(a, x), for a > 0 and x >= 0.
 
@@ -193,11 +176,19 @@ def _truncation_radius(spec: WeightSpec, degree: int) -> float:
     The estimate bounds every singular factor by powers of x (valid once
     x >= 2 max|c_j|) and reduces the tail to a regularized incomplete gamma
     function of the base family, ``_gammaincc``.  The radius is doubled until
-    the relative tail drops below 1e-14.
+    the relative tail drops below 1e-14.  A bound out of floating-point range
+    raises an OverflowError that names the family and the absolute exponent sum.
     """
-    total, absolute = _exponent_sums(spec)
+    total = sum(g for _, g in spec.singularities)
+    absolute = sum(abs(g) for _, g in spec.singularities)
     cmax = max((abs(c) for c, _ in spec.singularities), default=0.0)
-    fudge = 4.0**absolute
+    try:
+        fudge = 4.0**absolute
+    except OverflowError as exc:
+        raise OverflowError(
+            f"the tail bound of the {spec.family} weight with absolute exponent sum "
+            f"{absolute!r} is out of floating-point range"
+        ) from exc
     if spec.family == "gen_laguerre":
         radius = max(10.0, 1.0 + cmax, 2.0 * cmax)
         a = degree + total + 1.0

@@ -7,7 +7,6 @@ from markovsharp import (
     HypothesisError,
     SobolevSpec,
     WeightError,
-    gamma_ratio_sequence,
     gauss_rule,
     gen_hermite_exponent,
     gen_laguerre_exponent,
@@ -133,27 +132,6 @@ class TestLupas:
         ns = [128, 181, 256, 362, 512, 724, 1024]
         _, e = growth_fit(ns, [lupas_constant(n, *ab) for n in ns])
         assert abs(e - lupas_growth_exponent(*ab) / 2) <= 0.05
-
-
-class TestGammaRatio:
-    def test_equal_arguments_exact_ones(self):
-        assert gamma_ratio_sequence(1.3, 1.3, [5, 50]) == [1.0, 1.0]
-
-    def test_shift_by_one_exact(self):
-        # exact identity up to log-gamma roundoff
-        vals = gamma_ratio_sequence(1.0, 0.0, [100])
-        assert vals[0] == pytest.approx(1.0, abs=1e-13)
-
-    def test_monotone_approach(self):
-        vals = gamma_ratio_sequence(0.5, 0.0, [10, 100, 1000])
-        devs = [abs(v - 1) for v in vals]
-        assert devs[0] > devs[1] > devs[2]
-        # leading correction is (x-y)(x+y-1)/(2n) = -1/(8n) here
-        assert devs[1] == pytest.approx(1 / (8 * 100), rel=0.05)
-
-    def test_pole_rejected(self):
-        with pytest.raises(WeightError, match="pole"):
-            gamma_ratio_sequence(-5.0, 0.0, [3])
 
 
 class TestGrowthFit:

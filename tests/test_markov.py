@@ -387,6 +387,33 @@ class TestExtremal:
             rec, _ = basis_for(spec, n)
             poly = extremal_polynomial(res, rec)
             assert poly.residual <= 1e-8
+            # the report is the residual check's own computation
+            assert poly.achieved_ratio == res.achieved_ratio
+            assert poly.residual == res.residual
+
+    def test_report_builds_no_rule(self, monkeypatch):
+        # every Gauss rule takes its nodes from eigvalsh; the report reuses the result's
+        spec = make_weight(LEGENDRE)
+        res = sharp_constant_sobolev(spec, SobolevSpec((1.0, 0.5)), 9)
+        rec, _ = basis_for(spec, 9)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        poly = extremal_polynomial(res, rec)
+        assert calls == []
+        assert poly.report["achieved_ratio"] == res.achieved_ratio
+
+    def test_table_of_another_weight_rejected(self):
+        # a Legendre result read with a Hermite table would evaluate the wrong polynomial
+        res = sharp_constant_l2(make_weight(LEGENDRE), 4)
+        rec, _ = basis_for(make_weight(HERMITE), 4)
+        with pytest.raises(WeightError, match="another weight"):
+            extremal_polynomial(res, rec)
 
     def test_evaluator_matches_basis_expansion(self):
         from markovsharp import eval_orthonormal
@@ -406,6 +433,8 @@ class TestExtremal:
         poly = extremal_polynomial(res, rec)
         assert poly.report["achieved_ratio"] == pytest.approx(math.sqrt(2 / 3), rel=1e-12)
         assert poly.residual <= 1e-8
+        assert poly.achieved_ratio == res.achieved_ratio
+        assert poly.residual == res.residual
 
 
 def test_gauss_rule_from_generalized_recurrence():

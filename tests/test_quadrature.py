@@ -6,7 +6,6 @@ import pytest
 from markovsharp import (
     composite_rule,
     gauss_rule,
-    integrate,
     make_weight,
     recurrence_classical,
 )
@@ -49,7 +48,7 @@ class TestGaussRule:
     def test_laguerre_high_order_weights_stay_positive(self):
         rule = _rule({"family": "laguerre"}, 60)
         assert np.all(rule.weights > 0)
-        assert integrate(rule, lambda x: np.ones_like(x)) == pytest.approx(1.0, rel=1e-13)
+        assert np.sum(rule.weights) == pytest.approx(1.0, rel=1e-13)
 
     def test_lost_weight_names_its_cause(self):
         # sum_k p_k(x)^2 overflows at the outer nodes of a large Laguerre rule
@@ -69,8 +68,8 @@ class TestGaussRule:
         ref = gauss_rule(rec, 4 * m)
         for _ in range(25):
             coeffs = rng.standard_normal(2 * m)  # degree 2m-1
-            got = integrate(rule, lambda x: np.polyval(coeffs, x))
-            want = integrate(ref, lambda x: np.polyval(coeffs, x))
+            got = np.dot(rule.weights, np.polyval(coeffs, rule.nodes))
+            want = np.dot(ref.weights, np.polyval(coeffs, ref.nodes))
             assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
     def test_nodes_inside_interval_weights_sum_to_mass(self):
@@ -94,15 +93,13 @@ class TestCompositeRule:
             {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}
         )
         rule = composite_rule(spec, 5)
-        assert integrate(rule, lambda x: x**2) == pytest.approx(4 / 7, rel=1e-12)
-        assert integrate(rule, lambda x: np.ones_like(x)) == pytest.approx(4 / 3, rel=1e-12)
+        assert np.dot(rule.weights, rule.nodes**2) == pytest.approx(4 / 7, rel=1e-12)
+        assert np.sum(rule.weights) == pytest.approx(4 / 3, rel=1e-12)
 
     def test_gen_hermite_squared_factor_mass(self):
         spec = make_weight({"family": "gen_hermite", "alpha": 2.0})
         rule = composite_rule(spec, 2)
-        assert integrate(rule, lambda x: np.ones_like(x)) == pytest.approx(
-            math.sqrt(math.pi) / 2, rel=1e-12
-        )
+        assert np.sum(rule.weights) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
 
     def test_classical_family_rejected(self):
         with pytest.raises(WeightError, match="generalized"):
@@ -122,20 +119,18 @@ class TestCompositeRule:
 
     def test_scale_multiplies_mass(self):
         base = {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.2, -0.3]]}
-        m0 = integrate(composite_rule(make_weight(base), 3), lambda x: np.ones_like(x))
-        m1 = integrate(
-            composite_rule(make_weight(dict(base, scale=7.0)), 3), lambda x: np.ones_like(x)
-        )
+        m0 = np.sum(composite_rule(make_weight(base), 3).weights)
+        m1 = np.sum(composite_rule(make_weight(dict(base, scale=7.0)), 3).weights)
         assert m1 == pytest.approx(7.0 * m0, rel=1e-14)
 
     def test_truncation_radius_certified(self, monkeypatch):
         import markovsharp.quadrature as quad
 
         spec = make_weight({"family": "gen_hermite", "singularities": [[1.0, 1.0]]})
-        mass = integrate(composite_rule(spec, 11), lambda x: np.ones_like(x))
+        mass = np.sum(composite_rule(spec, 11).weights)
         r0 = _truncation_radius(spec, 11)
         monkeypatch.setattr(quad, "_truncation_radius", lambda s, d: 2.0 * r0)
-        mass_doubled = integrate(composite_rule(spec, 11), lambda x: np.ones_like(x))
+        mass_doubled = np.sum(composite_rule(spec, 11).weights)
         assert abs(mass_doubled - mass) <= 1e-13 * abs(mass)
 
     def test_refine_changes_little(self):
@@ -149,11 +144,12 @@ class TestCompositeRule:
         f = lambda x: x**3 - 2 * x + 1
         for refine in (1, 2, 3):
             fine = composite_rule(spec, 15, refine=refine)
-            assert integrate(coarse, f) == pytest.approx(integrate(fine, f), rel=1e-12)
+            want = np.dot(fine.weights, f(fine.nodes))
+            assert np.dot(coarse.weights, f(coarse.nodes)) == pytest.approx(want, rel=1e-12)
             # closed-form moments of |x|^(1/2) on [-1, 1]
             rule = composite_rule(sqrt_abs, 5, refine=refine)
-            assert integrate(rule, lambda x: x**2) == pytest.approx(4 / 7, rel=1e-12)
-            assert integrate(rule, lambda x: np.ones_like(x)) == pytest.approx(4 / 3, rel=1e-12)
+            assert np.dot(rule.weights, rule.nodes**2) == pytest.approx(4 / 7, rel=1e-12)
+            assert np.sum(rule.weights) == pytest.approx(4 / 3, rel=1e-12)
 
 
 class TestReferenceRules:
@@ -302,15 +298,15 @@ class TestIncompleteGamma:
 
 
 class TestIntegrate:
+    """Integrals as the weights' dot product with the integrand at the nodes."""
+
     def test_constant_gives_mass(self):
         rule = _rule({"family": "hermite"}, 6)
-        assert integrate(rule, lambda x: np.ones_like(x)) == pytest.approx(
-            math.sqrt(math.pi), rel=1e-14
-        )
+        assert np.sum(rule.weights) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
     def test_odd_function_on_symmetric_weight(self):
         rule = _rule({"family": "hermite"}, 9)
-        assert abs(integrate(rule, lambda x: x)) <= 1e-12
+        assert abs(np.dot(rule.weights, rule.nodes)) <= 1e-12
 
     def test_orthonormal_square_integrates_to_one(self):
         from markovsharp import eval_orthonormal
@@ -318,11 +314,6 @@ class TestIntegrate:
         spec = make_weight({"family": "jacobi", "interval": [-1, 1]})
         rec = recurrence_classical(spec, 4)
         rule = gauss_rule(rec, 4)
-        val = integrate(rule, lambda x: eval_orthonormal(rec, x, 3)[3] ** 2)
+        val = np.dot(rule.weights, eval_orthonormal(rec, rule.nodes, 3)[3] ** 2)
         assert val == pytest.approx(1.0, rel=1e-12)
-
-    def test_scalar_only_callable_supported(self):
-        rule = _rule({"family": "jacobi", "interval": [-1, 1]}, 3)
-        val = integrate(rule, lambda x: float(x) ** 2)
-        assert val == pytest.approx(2 / 3, rel=1e-14)
 
