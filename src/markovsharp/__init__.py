@@ -26,9 +26,12 @@ from .markov import (
     derivative_matrix,
     extremal_polynomial,
     mirsky_bound,
+    mirsky_bounds,
     sharp_constant_l2,
     sharp_constant_sobolev,
+    sharp_constants,
     sobolev_gram,
+    sweep_columns,
 )
 from .orthopoly import (
     RecurrenceTable,
@@ -68,11 +71,14 @@ __all__ = [
     "lupas_growth_exponent",
     "make_weight",
     "mirsky_bound",
+    "mirsky_bounds",
     "recurrence_classical",
     "sharp_constant_l2",
     "sharp_constant_sobolev",
+    "sharp_constants",
     "sobolev_gram",
     "svd_largest",
+    "sweep_columns",
     "verify_theorem",
     "weight_to_json",
 ]

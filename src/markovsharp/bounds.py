@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, WeightError
-from .markov import SobolevSpec, basis_for, mirsky_bound, sharp_constant_l2, sharp_constant_sobolev
+from .markov import SobolevSpec, sharp_constants, sweep_columns
 from .orthopoly import _SUM_TOL, WeightSpec
 
 FIT_SLACK = 0.1
@@ -266,20 +266,18 @@ def verify_theorem(
     if len(ns) < 4:
         raise WeightError("need at least 4 degrees for the exponent fit")
     predicted = predicted_exponent(case_id, spec)
-    basis = basis_for(spec, ns[-1])
 
     if case_id == "mirsky":
-        values = [mirsky_bound(spec, n, basis) for n in ns]
-        sharp = [sharp_constant_l2(spec, n, basis).value for n in ns]
-        extra_ok = all(m >= s for m, s in zip(values, sharp))
+        sharp, _, values = sweep_columns(spec, ns)
+        extra_ok = all(m >= s.value for m, s in zip(values, sharp))
     elif case_id == "schmidt":
-        values = [sharp_constant_l2(spec, n, basis).value for n in ns]
+        values = [res.value for res in sharp_constants(spec, ns)]
         extra_ok = all(
             abs(v - math.sqrt(2.0 * n)) <= 1e-10 * math.sqrt(2.0 * n)
             for n, v in zip(ns, values)
         )
     else:
-        values = [sharp_constant_sobolev(spec, sob, n, basis).value for n in ns]
+        values = [res.value for res in sharp_constants(spec, ns, sob.lambdas)]
         extra_ok = True
         if case_id == "gen_hermite_2":
             extra_ok = all(

@@ -38,10 +38,11 @@ from .markov import (
     SobolevSpec,
     basis_for,
     derivative_matrix,
-    mirsky_bound,
+    mirsky_bounds,
     sharp_constant_l2,
     sharp_constant_sobolev,
     sobolev_gram,
+    sweep_columns,
 )
 from .orthopoly import (
     WeightSpec,
@@ -170,21 +171,18 @@ def cmd_sharp(args) -> tuple[str, bool]:
 
 
 def cmd_sweep(args) -> tuple[str, bool]:
-    spec, sob = args.weight, args.sob
+    spec = args.weight
     case = bounds.default_case(spec)
-    basis = basis_for(spec, max(args.ns))
-    rows = []
-    for n in args.ns:
-        l2 = sharp_constant_l2(spec, n, basis)
-        sobolev = l2 if sob is None else sharp_constant_sobolev(spec, sob, n, basis)
-        rows.append((n, l2.value, sobolev.value, mirsky_bound(spec, n, basis),
-                     bounds.predicted_envelope(case, spec, n)))
+    l2, sobolev, mirsky = sweep_columns(spec, args.ns, args.sob.lambdas if args.sob else ())
+    rows = [
+        (n, a.value, b.value, m, bounds.predicted_envelope(case, spec, n))
+        for n, a, b, m in zip(args.ns, l2, sobolev, mirsky)
+    ]
     return _table(args, ("n", "sharp", "sobolev", "mirsky", "envelope"), rows, case=case), True
 
 
 def cmd_mirsky(args) -> tuple[str, bool]:
-    basis = basis_for(args.weight, max(args.ns))
-    rows = [(n, mirsky_bound(args.weight, n, basis)) for n in args.ns]
+    rows = list(zip(args.ns, mirsky_bounds(args.weight, args.ns)))
     return _table(args, ("n", "mirsky"), rows), True
 
 

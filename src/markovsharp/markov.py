@@ -15,8 +15,15 @@ the target basis (the transpose of the usual convention), so it acts directly
 on coefficient vectors and its powers give the higher derivatives; singular
 values are unaffected.  Each constant is then checked a posteriori: the
 extremal polynomial is evaluated by quadrature on the basis rule, a path that
-shares no code with the matrix, and the ratio it achieves must match.  The
-basis is nested, so every degree up to N can read one ``basis_for(spec, N)``.
+shares no code with the matrix, and the ratio it achieves must match.
+
+The basis is nested and D is upper triangular, so a degree range is one
+computation at its largest degree N: one ``basis_for(spec, N)``, one D_N and
+one table of the p_k^(d) at the rule nodes.  Degree n reads the leading
+(n+1) x (n+1) block of D_N and the first n+1 rows of the table, which are
+exactly the degree-n objects.  ``sharp_constants``, ``sweep_columns`` and
+``mirsky_bounds`` are these range paths; the single-degree functions call
+them with one degree.
 """
 
 from __future__ import annotations
@@ -84,10 +91,14 @@ class SharpResult:
         object.__setattr__(self, "coeffs", c)
 
 
+def _check_degree(n: int):
+    if n < 1:
+        raise WeightError(f"n must be >= 1, got {n}")
+
+
 def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     """Recurrence table (to degree n+1 at least) plus a rule good for degree 2n+2 integrals."""
-    if n < 1:
-        raise WeightError("n must be >= 1")
+    _check_degree(n)
     cap = max_degree_cap()
     if n > cap:
         raise WeightError(f"n={n} exceeds the degree cap {cap} (set MARKOVSHARP_MAX_N to raise it)")
@@ -97,12 +108,16 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     return stabilized_stieltjes(spec, n + 1)
 
 
-def _basis(spec: WeightSpec, n: int, basis) -> tuple[RecurrenceTable, QuadRule]:
-    """``basis_for(spec, n)``, or ``basis`` if given: a ``basis_for(spec, N)`` pair, N >= n."""
+def _basis(spec: WeightSpec, ns, basis) -> tuple[RecurrenceTable, QuadRule]:
+    """``basis_for(spec, max(ns))``, or ``basis``: a ``basis_for(spec, N)`` pair, N >= max(ns)."""
+    if not ns:
+        raise WeightError("need at least one degree")
+    _check_degree(min(ns))
+    top = max(ns)
     if basis is None:
-        return basis_for(spec, n)
-    if not 1 <= n < basis[0].n_max or basis[0].weight_id != spec.weight_id:
-        raise WeightError(f"the given basis does not cover degree {n} of this weight")
+        return basis_for(spec, top)
+    if top >= basis[0].n_max or basis[0].weight_id != spec.weight_id:
+        raise WeightError(f"the given basis does not cover degree {top} of this weight")
     return basis
 
 
@@ -149,17 +164,24 @@ def sobolev_gram(mat: np.ndarray, lambdas: tuple[float, ...]) -> np.ndarray:
     return b
 
 
-def _check_order(sob: SobolevSpec):
+def _checked_lambdas(lambdas) -> tuple[float, ...]:
+    """Validated derivative weights of a Sobolev norm; () is the weighted L2 norm."""
+    if not lambdas:
+        return ()
+    sob = SobolevSpec(tuple(lambdas))
     if sob.k > MAX_SOBOLEV_ORDER:
         raise WeightError(
             f"derivative order k={sob.k} beyond the supported cap {MAX_SOBOLEV_ORDER} "
             "(higher orders are numerically fragile at these degrees)"
         )
+    return sob.lambdas
 
 
-def _checked_residual(rec, rule, coeffs, n, value, lambdas=()) -> tuple[float, float]:
-    """||P'||_W / ||P||_W for P = sum coeffs p_k by quadrature on ``rule``, and its gap to ``value``.
+def _checked_residual(stack, weights, coeffs, n, value, lambdas=()) -> tuple[float, float]:
+    """||P'||_W / ||P||_W for P = sum coeffs p_k by quadrature, and its gap to ``value``.
 
+    ``stack[d, k]`` holds p_k^(d) at the rule nodes and ``weights`` the rule
+    weights; rows past degree n and orders past len(lambdas) + 1 are not read.
     With no lambdas the ratio is the weighted L2 ratio ||P'|| / ||P||.  The
     gap is relative; QuadratureError is raised unless ``value`` is positive and
     finite and the gap is at most RESIDUAL_TOL.
@@ -169,12 +191,10 @@ def _checked_residual(rec, rule, coeffs, n, value, lambdas=()) -> tuple[float, f
             f"sharp constant {value!r} is not positive and finite; "
             "the recurrence or its mass is out of floating-point range"
         )
-    order = len(lambdas) + 1
-    stack = eval_derivative_table(rec, rule.nodes, n, order=order)
     norms = []
-    for d in range(order + 1):
-        vals = coeffs @ stack[d]
-        norms.append(float(np.dot(rule.weights, vals * vals)))
+    for d in range(len(lambdas) + 2):
+        vals = coeffs @ stack[d, : n + 1]
+        norms.append(float(np.dot(weights, vals * vals)))
     den = norms[0] + sum(lam * norms[j + 1] for j, lam in enumerate(lambdas))
     num = norms[1] + sum(lam * norms[j + 2] for j, lam in enumerate(lambdas))
     achieved = math.sqrt(num / den)
@@ -187,48 +207,98 @@ def _checked_residual(rec, rule, coeffs, n, value, lambdas=()) -> tuple[float, f
     return achieved, residual
 
 
-def _sharp_constant(spec: WeightSpec, n: int, basis, lambdas: tuple[float, ...]) -> SharpResult:
-    """Greatest ||P'||_W / ||P||_W over P_n, as the top singular value of D in the W norm.
+def _constants(spec, ns, lambdas, rec, rule, mat) -> list[SharpResult]:
+    """Greatest ||P'||_W / ||P||_W over P_n for n in ``ns``, from D_N = ``mat``.
 
     With B = L L^T, the ratio for P = sum c_k p_k is ||L^T D c|| / ||L^T c||,
     so the constant is sigma_max(L^T D L^-T); its right singular vector v gives
-    c = L^-T v with c^T B c = 1.  For B = I every step is exact.
+    c = L^-T v with c^T B c = 1.  For B = I that is sigma_max(D) and c = v.
     """
-    rec, rule = _basis(spec, n, basis)
-    mat = derivative_matrix(rec, n)
-    try:
-        chol = np.linalg.cholesky(sobolev_gram(mat, lambdas))
-    except np.linalg.LinAlgError as exc:
-        raise EigenError("Sobolev Gram matrix B is not positive definite") from exc
-    value, v = svd_largest(chol.T @ np.linalg.solve(chol, mat.T).T)
-    coeffs = np.linalg.solve(chol.T, v)
-    # the solve can turn -0.0 into 0.0; exact zeros keep their sign in v, so
-    # that B = I returns v bit for bit
-    coeffs = _fix_sign(np.where(coeffs == 0.0, np.copysign(0.0, v), coeffs))
-    achieved, residual = _checked_residual(rec, rule, coeffs, n, value, lambdas)
-    return SharpResult(
-        n=n, value=value, coeffs=coeffs, residual=residual, weight=spec,
-        achieved_ratio=achieved, lambdas=lambdas,
-    )
+    top = mat.shape[0] - 1
+    stack = eval_derivative_table(rec, rule.nodes, top, order=len(lambdas) + 1)
+    out = []
+    for n in ns:
+        block = np.ascontiguousarray(mat[: n + 1, : n + 1])
+        if lambdas:
+            try:
+                chol = np.linalg.cholesky(sobolev_gram(block, lambdas))
+            except np.linalg.LinAlgError as exc:
+                raise EigenError("Sobolev Gram matrix B is not positive definite") from exc
+            value, v = svd_largest(chol.T @ np.linalg.solve(chol, block.T).T)
+            coeffs = np.linalg.solve(chol.T, v)
+            # the solve can turn -0.0 into 0.0; exact zeros keep their sign in v
+            coeffs = _fix_sign(np.where(coeffs == 0.0, np.copysign(0.0, v), coeffs))
+        else:
+            value, v = svd_largest(block)
+            # a contiguous copy: the residual's products round differently on
+            # a strided column of the eigenvector matrix
+            coeffs = v.copy()
+        achieved, residual = _checked_residual(stack, rule.weights, coeffs, n, value, lambdas)
+        out.append(SharpResult(
+            n=n, value=value, coeffs=coeffs, residual=residual, weight=spec,
+            achieved_ratio=achieved, lambdas=lambdas,
+        ))
+    return out
+
+
+def _mirsky(mat, ns) -> list[float]:
+    out = []
+    for n in ns:
+        block = np.ascontiguousarray(mat[: n + 1, : n + 1])
+        col_sq = np.sum(block * block, axis=0)
+        out.append(float(np.sqrt(np.dot(np.arange(n + 1), col_sq))))
+    return out
+
+
+def sharp_constants(spec: WeightSpec, ns, lambdas=(), basis=None) -> list[SharpResult]:
+    """Sharp constants of ||P'||_W <= C ||P||_W over P_n, one per degree n in ``ns``.
+
+    ``lambdas`` are the derivative weights of the Sobolev norm W; () gives the
+    weighted L2 norm.  ``basis`` is a ``basis_for(spec, N)`` pair with
+    N >= max(ns), built here when not given.  Every degree reads the one D_N
+    and residual table of that basis.
+    """
+    ns, lambdas = list(ns), _checked_lambdas(lambdas)
+    rec, rule = _basis(spec, ns, basis)
+    return _constants(spec, ns, lambdas, rec, rule, derivative_matrix(rec, max(ns)))
+
+
+def sweep_columns(
+    spec: WeightSpec, ns, lambdas=()
+) -> tuple[list[SharpResult], list[SharpResult], list[float]]:
+    """L2 constants, constants in the norm of ``lambdas`` and Mirsky bounds over ``ns``.
+
+    Returns three lists in the order of ``ns``; with ``lambdas`` = () the
+    second is the first.  All three read one basis and one D_N.
+    """
+    ns, lambdas = list(ns), _checked_lambdas(lambdas)
+    rec, rule = _basis(spec, ns, None)
+    mat = derivative_matrix(rec, max(ns))
+    l2 = _constants(spec, ns, (), rec, rule, mat)
+    sobolev = _constants(spec, ns, lambdas, rec, rule, mat) if lambdas else l2
+    return l2, sobolev, _mirsky(mat, ns)
 
 
 def sharp_constant_l2(spec: WeightSpec, n: int, basis=None) -> SharpResult:
     """Sharp constant of ||P'|| <= C ||P|| over P_n in the weighted L2 norm."""
-    return _sharp_constant(spec, n, basis, ())
+    return sharp_constants(spec, [n], (), basis)[0]
 
 
 def sharp_constant_sobolev(spec: WeightSpec, sob: SobolevSpec, n: int, basis=None) -> SharpResult:
     """Sharp constant of ||P'||_W <= C ||P||_W over P_n in the weighted Sobolev norm."""
-    _check_order(sob)
-    return _sharp_constant(spec, n, basis, sob.lambdas)
+    return sharp_constants(spec, [n], sob.lambdas, basis)[0]
+
+
+def mirsky_bounds(spec: WeightSpec, ns, basis=None) -> list[float]:
+    """Upper bounds (sum_nu nu ||p_nu'||^2)^(1/2) for the sharp L2 constants, n in ``ns``."""
+    ns = list(ns)
+    rec, _ = _basis(spec, ns, basis)
+    return _mirsky(derivative_matrix(rec, max(ns)), ns)
 
 
 def mirsky_bound(spec: WeightSpec, n: int, basis=None) -> float:
     """Upper bound (sum_nu nu ||p_nu'||^2)^(1/2) for the sharp L2 constant."""
-    rec, _ = _basis(spec, n, basis)
-    mat = derivative_matrix(rec, n)
-    col_sq = np.sum(mat * mat, axis=0)
-    return float(np.sqrt(np.dot(np.arange(n + 1), col_sq)))
+    return mirsky_bounds(spec, [n], basis)[0]
 
 
 class ExtremalPolynomial:

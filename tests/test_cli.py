@@ -201,13 +201,15 @@ class TestVerify:
 
         from markovsharp import bounds
 
-        exact = bounds.sharp_constant_l2
+        exact = bounds.sharp_constants
 
-        def off_by_one_percent(spec, n, basis=None):
-            res = exact(spec, n)
-            return dataclasses.replace(res, value=res.value * 1.01)
+        def off_by_one_percent(spec, ns, lambdas=(), basis=None):
+            return [
+                dataclasses.replace(res, value=res.value * 1.01)
+                for res in exact(spec, ns, lambdas, basis)
+            ]
 
-        monkeypatch.setattr(bounds, "sharp_constant_l2", off_by_one_percent)
+        monkeypatch.setattr(bounds, "sharp_constants", off_by_one_percent)
         argv = [
             "verify", "--case", "schmidt", "--weight", "hermite", "--n-min", "4", "--n-max", "12",
         ]
@@ -253,6 +255,25 @@ def builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def range_builds(monkeypatch):
+    """Calls of derivative_matrix and eval_derivative_table through every module's binding."""
+    from markovsharp import markov, orthopoly
+
+    calls = {"derivative_matrix": 0, "eval_derivative_table": 0}
+    for owner, name in ((markov, "derivative_matrix"), (orthopoly, "eval_derivative_table")):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("markovsharp") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 GEN_JACOBI = '{"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}'
 GEN_HERMITE = '{"family": "gen_hermite", "singularities": [[-1.0, 0.5], [1.0, 0.5]]}'
 JACOBI = '{"family": "jacobi", "interval": [-1, 1], "alpha": 0.5, "beta": -0.3}'
@@ -288,6 +309,21 @@ class TestSharedBasis:
         code, _, _ = run_cli(capsys, *argv, "--weight", GEN_HERMITE)
         assert code == 0
         assert builds == [12]
+
+    @pytest.mark.parametrize(
+        "case, token", [("gen_jacobi_4", GEN_JACOBI), ("mirsky", "hermite"), ("schmidt", "hermite")]
+    )
+    def test_verify_theorem_one_matrix_and_table(self, range_builds, case, token):
+        verify_theorem(case, load_weight(token), SobolevSpec((1.0, 0.5)), range(4, 41))
+        assert range_builds == {"derivative_matrix": 1, "eval_derivative_table": 1}
+
+    def test_sweep_one_matrix_and_table_per_norm(self, capsys, range_builds):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--weight", GEN_HERMITE, "--n-min", "4", "--n-max", "40",
+            "--lambdas", "1,0.5",
+        )
+        assert code == 0
+        assert max(range_builds.values()) <= 2
 
     @pytest.mark.parametrize("token", CLASSICAL)
     def test_classical_values_equal_per_degree(self, capsys, token):
@@ -429,6 +465,16 @@ class TestContracts:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["sweep", "mirsky", "verify"])
+    @pytest.mark.parametrize("n_min", ["0", "-2"])
+    def test_range_below_degree_one_names_it(self, capsys, command, n_min):
+        code, out, err = run_cli(
+            capsys, command, "--weight", "legendre", "--n-min", n_min, "--n-max", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"n must be >= 1, got {n_min}" in err
 
     @pytest.mark.parametrize(
         "argv",

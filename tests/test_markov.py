@@ -168,8 +168,41 @@ class TestSharpL2:
             sharp_constant_l2(spec, 9, basis)
         with pytest.raises(WeightError, match="basis does not cover"):
             mirsky_bound(make_weight(HERMITE), 4, basis)
-        with pytest.raises(WeightError, match="basis does not cover"):
+        with pytest.raises(WeightError, match="n must be >= 1, got 0"):
             mirsky_bound(spec, 0, basis)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            LEGENDRE,
+            {"family": "jacobi", "interval": [-1, 2], "alpha": 0.5, "beta": -0.3},
+            {"family": "laguerre", "alpha": 1.5},
+            HERMITE,
+            {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]},
+            {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]},
+            {"family": "gen_hermite", "singularities": [[-1.0, 0.5], [1.0, 0.5]]},
+        ],
+        ids=lambda raw: raw["family"],
+    )
+    def test_range_equals_per_degree_bitwise(self, raw):
+        # degree n reads the leading blocks of the degree-N matrix and table,
+        # which are exactly the degree-n ones
+        def fields(results):
+            return [(r.n, r.value, r.coeffs.tobytes(), r.residual, r.achieved_ratio)
+                    for r in results]
+
+        spec = make_weight(raw)
+        ns = range(1, 21)
+        basis = basis_for(spec, 20)
+        for lams in ((), (0.0,), (1.0, 0.5), (0.5, 1.0, 2.0)):
+            if lams:
+                single = [sharp_constant_sobolev(spec, SobolevSpec(lams), n, basis) for n in ns]
+            else:
+                single = [sharp_constant_l2(spec, n, basis) for n in ns]
+            ranged = markov.sharp_constants(spec, ns, lams, basis)
+            assert fields(ranged) == fields(single)
+            # a strided eigenvector column would round the residual's products differently
+            assert all(r.coeffs.flags.c_contiguous for r in ranged)
 
     def test_degree_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("MARKOVSHARP_MAX_N", "10")
