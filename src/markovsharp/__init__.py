@@ -31,7 +31,6 @@ from .markov import (
     sharp_constant_sobolev,
     sharp_constants,
     sobolev_gram,
-    sweep_columns,
 )
 from .orthopoly import (
     RecurrenceTable,
@@ -78,7 +77,6 @@ __all__ = [
     "sharp_constants",
     "sobolev_gram",
     "svd_largest",
-    "sweep_columns",
     "verify_theorem",
     "weight_to_json",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, WeightError
-from .markov import SobolevSpec, sharp_constants, sweep_columns
+from .markov import SobolevSpec, basis_for, mirsky_bounds, sharp_constants
 from .orthopoly import _SUM_TOL, WeightSpec
 
 FIT_SLACK = 0.1
@@ -268,8 +268,10 @@ def verify_theorem(
     predicted = predicted_exponent(case_id, spec)
 
     if case_id == "mirsky":
-        sharp, _, values = sweep_columns(spec, ns)
-        extra_ok = all(m >= s.value for m, s in zip(values, sharp))
+        basis = basis_for(spec, ns[-1])
+        values = mirsky_bounds(spec, ns, basis)
+        sharp = [res.value for res in sharp_constants(spec, ns, (), basis)]
+        extra_ok = all(m >= s for m, s in zip(values, sharp))
     elif case_id == "schmidt":
         values = [res.value for res in sharp_constants(spec, ns)]
         extra_ok = all(

@@ -41,8 +41,8 @@ from .markov import (
     mirsky_bounds,
     sharp_constant_l2,
     sharp_constant_sobolev,
+    sharp_constants,
     sobolev_gram,
-    sweep_columns,
 )
 from .orthopoly import (
     WeightSpec,
@@ -171,9 +171,12 @@ def cmd_sharp(args) -> tuple[str, bool]:
 
 
 def cmd_sweep(args) -> tuple[str, bool]:
-    spec = args.weight
+    spec, sob = args.weight, args.sob
     case = bounds.default_case(spec)
-    l2, sobolev, mirsky = sweep_columns(spec, args.ns, args.sob.lambdas if args.sob else ())
+    basis = basis_for(spec, max(args.ns))
+    l2 = sharp_constants(spec, args.ns, (), basis)
+    sobolev = l2 if sob is None else sharp_constants(spec, args.ns, sob.lambdas, basis)
+    mirsky = mirsky_bounds(spec, args.ns, basis)
     rows = [
         (n, a.value, b.value, m, bounds.predicted_envelope(case, spec, n))
         for n, a, b, m in zip(args.ns, l2, sobolev, mirsky)

@@ -21,9 +21,8 @@ The basis is nested and D is upper triangular, so a degree range is one
 computation at its largest degree N: one ``basis_for(spec, N)``, one D_N and
 one table of the p_k^(d) at the rule nodes.  Degree n reads the leading
 (n+1) x (n+1) block of D_N and the first n+1 rows of the table, which are
-exactly the degree-n objects.  ``sharp_constants``, ``sweep_columns`` and
-``mirsky_bounds`` are these range paths; the single-degree functions call
-them with one degree.
+exactly the degree-n objects.  ``sharp_constants`` and ``mirsky_bounds`` are
+these range paths; the single-degree functions call them with one degree.
 """
 
 from __future__ import annotations
@@ -166,9 +165,10 @@ def sobolev_gram(mat: np.ndarray, lambdas: tuple[float, ...]) -> np.ndarray:
 
 def _checked_lambdas(lambdas) -> tuple[float, ...]:
     """Validated derivative weights of a Sobolev norm; () is the weighted L2 norm."""
+    lambdas = tuple(lambdas)
     if not lambdas:
         return ()
-    sob = SobolevSpec(tuple(lambdas))
+    sob = SobolevSpec(lambdas)
     if sob.k > MAX_SOBOLEV_ORDER:
         raise WeightError(
             f"derivative order k={sob.k} beyond the supported cap {MAX_SOBOLEV_ORDER} "
@@ -207,15 +207,22 @@ def _checked_residual(stack, weights, coeffs, n, value, lambdas=()) -> tuple[flo
     return achieved, residual
 
 
-def _constants(spec, ns, lambdas, rec, rule, mat) -> list[SharpResult]:
-    """Greatest ||P'||_W / ||P||_W over P_n for n in ``ns``, from D_N = ``mat``.
+def sharp_constants(spec: WeightSpec, ns, lambdas=(), basis=None) -> list[SharpResult]:
+    """Sharp constants of ||P'||_W <= C ||P||_W over P_n, one per degree n in ``ns``.
+
+    ``lambdas`` are the derivative weights of the Sobolev norm W; () gives the
+    weighted L2 norm.  ``basis`` is a ``basis_for(spec, N)`` pair with
+    N >= max(ns), built here when not given.  Every degree reads the one D_N
+    and residual table of that basis.
 
     With B = L L^T, the ratio for P = sum c_k p_k is ||L^T D c|| / ||L^T c||,
     so the constant is sigma_max(L^T D L^-T); its right singular vector v gives
     c = L^-T v with c^T B c = 1.  For B = I that is sigma_max(D) and c = v.
     """
-    top = mat.shape[0] - 1
-    stack = eval_derivative_table(rec, rule.nodes, top, order=len(lambdas) + 1)
+    ns, lambdas = list(ns), _checked_lambdas(lambdas)
+    rec, rule = _basis(spec, ns, basis)
+    mat = derivative_matrix(rec, max(ns))
+    stack = eval_derivative_table(rec, rule.nodes, max(ns), order=len(lambdas) + 1)
     out = []
     for n in ns:
         block = np.ascontiguousarray(mat[: n + 1, : n + 1])
@@ -229,9 +236,10 @@ def _constants(spec, ns, lambdas, rec, rule, mat) -> list[SharpResult]:
             # the solve can turn -0.0 into 0.0; exact zeros keep their sign in v
             coeffs = _fix_sign(np.where(coeffs == 0.0, np.copysign(0.0, v), coeffs))
         else:
+            # B = I needs no Cholesky factor or solves (4.5% of random_requests
+            # p50 on a 2-vCPU Xeon); coeffs is a contiguous copy of v, because
+            # the residual's products round differently on a strided column
             value, v = svd_largest(block)
-            # a contiguous copy: the residual's products round differently on
-            # a strided column of the eigenvector matrix
             coeffs = v.copy()
         achieved, residual = _checked_residual(stack, rule.weights, coeffs, n, value, lambdas)
         out.append(SharpResult(
@@ -239,44 +247,6 @@ def _constants(spec, ns, lambdas, rec, rule, mat) -> list[SharpResult]:
             achieved_ratio=achieved, lambdas=lambdas,
         ))
     return out
-
-
-def _mirsky(mat, ns) -> list[float]:
-    out = []
-    for n in ns:
-        block = np.ascontiguousarray(mat[: n + 1, : n + 1])
-        col_sq = np.sum(block * block, axis=0)
-        out.append(float(np.sqrt(np.dot(np.arange(n + 1), col_sq))))
-    return out
-
-
-def sharp_constants(spec: WeightSpec, ns, lambdas=(), basis=None) -> list[SharpResult]:
-    """Sharp constants of ||P'||_W <= C ||P||_W over P_n, one per degree n in ``ns``.
-
-    ``lambdas`` are the derivative weights of the Sobolev norm W; () gives the
-    weighted L2 norm.  ``basis`` is a ``basis_for(spec, N)`` pair with
-    N >= max(ns), built here when not given.  Every degree reads the one D_N
-    and residual table of that basis.
-    """
-    ns, lambdas = list(ns), _checked_lambdas(lambdas)
-    rec, rule = _basis(spec, ns, basis)
-    return _constants(spec, ns, lambdas, rec, rule, derivative_matrix(rec, max(ns)))
-
-
-def sweep_columns(
-    spec: WeightSpec, ns, lambdas=()
-) -> tuple[list[SharpResult], list[SharpResult], list[float]]:
-    """L2 constants, constants in the norm of ``lambdas`` and Mirsky bounds over ``ns``.
-
-    Returns three lists in the order of ``ns``; with ``lambdas`` = () the
-    second is the first.  All three read one basis and one D_N.
-    """
-    ns, lambdas = list(ns), _checked_lambdas(lambdas)
-    rec, rule = _basis(spec, ns, None)
-    mat = derivative_matrix(rec, max(ns))
-    l2 = _constants(spec, ns, (), rec, rule, mat)
-    sobolev = _constants(spec, ns, lambdas, rec, rule, mat) if lambdas else l2
-    return l2, sobolev, _mirsky(mat, ns)
 
 
 def sharp_constant_l2(spec: WeightSpec, n: int, basis=None) -> SharpResult:
@@ -293,7 +263,13 @@ def mirsky_bounds(spec: WeightSpec, ns, basis=None) -> list[float]:
     """Upper bounds (sum_nu nu ||p_nu'||^2)^(1/2) for the sharp L2 constants, n in ``ns``."""
     ns = list(ns)
     rec, _ = _basis(spec, ns, basis)
-    return _mirsky(derivative_matrix(rec, max(ns)), ns)
+    mat = derivative_matrix(rec, max(ns))
+    out = []
+    for n in ns:
+        block = np.ascontiguousarray(mat[: n + 1, : n + 1])
+        col_sq = np.sum(block * block, axis=0)
+        out.append(float(np.sqrt(np.dot(np.arange(n + 1), col_sq))))
+    return out
 
 
 def mirsky_bound(spec: WeightSpec, n: int, basis=None) -> float:

@@ -311,19 +311,28 @@ class TestSharedBasis:
         assert builds == [12]
 
     @pytest.mark.parametrize(
-        "case, token", [("gen_jacobi_4", GEN_JACOBI), ("mirsky", "hermite"), ("schmidt", "hermite")]
+        "case, token, matrices",
+        [("gen_jacobi_4", GEN_JACOBI, 1), ("mirsky", "hermite", 2), ("schmidt", "hermite", 1)],
     )
-    def test_verify_theorem_one_matrix_and_table(self, range_builds, case, token):
+    def test_verify_theorem_one_matrix_and_table_per_range(
+        self, range_builds, case, token, matrices
+    ):
+        # the mirsky case reads two ranges: the Mirsky bounds and the sharp constants
         verify_theorem(case, load_weight(token), SobolevSpec((1.0, 0.5)), range(4, 41))
-        assert range_builds == {"derivative_matrix": 1, "eval_derivative_table": 1}
+        assert range_builds == {"derivative_matrix": matrices, "eval_derivative_table": 1}
 
-    def test_sweep_one_matrix_and_table_per_norm(self, capsys, range_builds):
+    @pytest.mark.parametrize(
+        "lambdas, matrices, tables", [([], 2, 1), (["--lambdas", "1,0.5"], 3, 2)]
+    )
+    def test_sweep_one_matrix_and_table_per_range(
+        self, capsys, range_builds, lambdas, matrices, tables
+    ):
+        # one range per column: sharp, sobolev (when it differs from sharp) and mirsky
         code, _, _ = run_cli(
-            capsys, "sweep", "--weight", GEN_HERMITE, "--n-min", "4", "--n-max", "40",
-            "--lambdas", "1,0.5",
+            capsys, "sweep", "--weight", GEN_HERMITE, "--n-min", "4", "--n-max", "40", *lambdas
         )
         assert code == 0
-        assert max(range_builds.values()) <= 2
+        assert range_builds == {"derivative_matrix": matrices, "eval_derivative_table": tables}
 
     @pytest.mark.parametrize("token", CLASSICAL)
     def test_classical_values_equal_per_degree(self, capsys, token):

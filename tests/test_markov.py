@@ -204,6 +204,16 @@ class TestSharpL2:
             # a strided eigenvector column would round the residual's products differently
             assert all(r.coeffs.flags.c_contiguous for r in ranged)
 
+    def test_range_takes_lambdas_as_any_sequence(self):
+        spec = make_weight(HERMITE)
+        by_array = markov.sharp_constants(spec, [4, 6], np.array([1.0, 0.5]))
+        by_tuple = markov.sharp_constants(spec, [4, 6], (1.0, 0.5))
+        assert [r.value for r in by_array] == [r.value for r in by_tuple]
+        assert by_array[0].lambdas == (1.0, 0.5)
+        assert markov.sharp_constants(spec, [4], np.array([]))[0].lambdas == ()
+        with pytest.raises(WeightError, match="lambdas must be finite and >= 0"):
+            markov.sharp_constants(spec, [4], np.array([-1.0, 0.5]))
+
     def test_degree_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("MARKOVSHARP_MAX_N", "10")
         with pytest.raises(WeightError, match="cap"):
