@@ -103,16 +103,20 @@ def _sobolev_spec(text: str) -> SobolevSpec | None:
 def _degrees(args) -> tuple[int, ...]:
     """The degrees given by --n, or by --n-min/--n-max/--n-step where the command has them."""
     n_min, n_max = getattr(args, "n_min", None), getattr(args, "n_max", None)
+    n_step = getattr(args, "n_step", None)
     if args.n is not None and (n_min is not None or n_max is not None):
         raise WeightError("give either --n or --n-min/--n-max, not both")
     if args.n is not None:
+        if n_step is not None:
+            raise WeightError("--n-step goes with --n-min/--n-max, not with --n")
         return (args.n,)
     if n_min is not None or n_max is not None:
         if n_min is None or n_max is None:
             raise WeightError("--n-min and --n-max must be given together")
-        if args.n_step < 1 or n_max < n_min:
+        step = 1 if n_step is None else n_step
+        if step < 1 or n_max < n_min:
             raise WeightError("need n-min <= n-max and n-step >= 1")
-        return tuple(range(n_min, n_max + 1, args.n_step))
+        return tuple(range(n_min, n_max + 1, step))
     raise WeightError(f"{args.command}: a degree is required (--n or --n-min/--n-max)")
 
 
@@ -311,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         if ranged:
             p.add_argument("--n-min", type=int)
             p.add_argument("--n-max", type=int)
-            p.add_argument("--n-step", type=int, default=1)
+            p.add_argument("--n-step", type=int)
         if name == "verify":
             p.add_argument("--case", default="", choices=("",) + bounds.CASE_IDS)
             p.add_argument("--tol", type=float, default=None,

@@ -23,11 +23,15 @@ one table of the p_k^(d) at the rule nodes.  Degree n reads the leading
 (n+1) x (n+1) block of D_N and the first n+1 rows of the table, which are
 exactly the degree-n objects.  ``sharp_constants`` and ``mirsky_bounds`` are
 these range paths; the single-degree functions call them with one degree.
+``basis_for`` keeps the pairs it builds in one bounded table shared by the
+process, so a weight and degree asked for again, by another job or by the
+extremal evaluator after its constant, is built once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +52,10 @@ from .quadrature import QuadRule, gauss_rule
 
 RESIDUAL_TOL = 1e-8
 MAX_SOBOLEV_ORDER = 4
+_BASES_MAX = 32
+
+_BASES: dict = {}  # (weight_id, n) -> (RecurrenceTable, QuadRule)
+_BASES_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -96,15 +104,31 @@ def _check_degree(n: int):
 
 
 def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
-    """Recurrence table (to degree n+1 at least) plus a rule good for degree 2n+2 integrals."""
+    """Recurrence table (to degree n+1 at least) plus a rule good for degree 2n+2 integrals.
+
+    Pairs come from a table shared by the whole process, keyed by the weight
+    and n exactly: a basis built for a larger degree has another rule, so it
+    would change residuals.  The table keeps the most recently used
+    ``_BASES_MAX`` pairs; both objects of a pair are immutable.
+    """
     _check_degree(n)
     cap = max_degree_cap()
     if n > cap:
         raise WeightError(f"n={n} exceeds the degree cap {cap} (set MARKOVSHARP_MAX_N to raise it)")
-    if closed_form(spec) is not None:
-        rec = recurrence_classical(spec, n + 2)
-        return rec, gauss_rule(rec, n + 2)
-    return stabilized_stieltjes(spec, n + 1)
+    key = (spec.weight_id, n)
+    with _BASES_LOCK:
+        basis = _BASES.pop(key, None)
+    if basis is None:
+        if closed_form(spec) is not None:
+            rec = recurrence_classical(spec, n + 2)
+            basis = rec, gauss_rule(rec, n + 2)
+        else:
+            basis = stabilized_stieltjes(spec, n + 1)
+    with _BASES_LOCK:
+        _BASES[key] = basis  # the most recently used last
+        while len(_BASES) > _BASES_MAX:
+            del _BASES[next(iter(_BASES))]
+    return basis
 
 
 def _basis(spec: WeightSpec, ns, basis) -> tuple[RecurrenceTable, QuadRule]:
@@ -157,9 +181,10 @@ def sobolev_gram(mat: np.ndarray, lambdas: tuple[float, ...]) -> np.ndarray:
     """
     power = mat
     b = np.eye(mat.shape[0])
-    for lam in lambdas:
+    for j, lam in enumerate(lambdas):
+        if j:
+            power = mat @ power
         b = b + lam * (power.T @ power)
-        power = mat @ power
     return b
 
 
@@ -213,13 +238,18 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=(), basis=None) -> list[SharpR
     ``lambdas`` are the derivative weights of the Sobolev norm W; () gives the
     weighted L2 norm.  ``basis`` is a ``basis_for(spec, N)`` pair with
     N >= max(ns), built here when not given.  Every degree reads the one D_N
-    and residual table of that basis.
+    and residual table of that basis.  Trailing zero lambdas add exactly
+    nothing to B or to the residual, so they are dropped after validation;
+    all-zero lambdas take the L2 path.  Results keep the lambdas as given.
 
     With B = L L^T, the ratio for P = sum c_k p_k is ||L^T D c|| / ||L^T c||,
     so the constant is sigma_max(L^T D L^-T); its right singular vector v gives
     c = L^-T v with c^T B c = 1.  For B = I that is sigma_max(D) and c = v.
     """
-    ns, lambdas = list(ns), _checked_lambdas(lambdas)
+    ns, given = list(ns), _checked_lambdas(lambdas)
+    lambdas = given
+    while lambdas and lambdas[-1] == 0.0:
+        lambdas = lambdas[:-1]
     rec, rule = _basis(spec, ns, basis)
     mat = derivative_matrix(rec, max(ns))
     stack = eval_derivative_table(rec, rule.nodes, max(ns), order=len(lambdas) + 1)
@@ -244,7 +274,7 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=(), basis=None) -> list[SharpR
         achieved, residual = _checked_residual(stack, rule.weights, coeffs, n, value, lambdas)
         out.append(SharpResult(
             n=n, value=value, coeffs=coeffs, residual=residual, weight=spec,
-            achieved_ratio=achieved, lambdas=lambdas,
+            achieved_ratio=achieved, lambdas=given,
         ))
     return out
 

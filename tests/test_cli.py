@@ -485,6 +485,16 @@ class TestContracts:
         assert out == ""
         assert f"n must be >= 1, got {n_min}" in err
 
+    @pytest.mark.parametrize("command", ["sweep", "mirsky", "verify"])
+    def test_step_with_single_degree_exits_two(self, capsys, command):
+        # a step has no range to act on with --n; it was silently ignored
+        code, out, err = run_cli(
+            capsys, command, "--weight", "legendre", "--n", "3", "--n-step", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--n-step" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

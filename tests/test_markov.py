@@ -25,6 +25,31 @@ from oracles import derivative_matrix_by_quadrature, pencil_power_iteration
 
 LEGENDRE = {"family": "jacobi", "interval": [-1, 1]}
 HERMITE = {"family": "hermite"}
+GEN_JACOBI = {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}
+# every family, two Jacobi weights
+RANGE_WEIGHTS = [
+    LEGENDRE,
+    {"family": "jacobi", "interval": [-1, 2], "alpha": 0.5, "beta": -0.3},
+    {"family": "laguerre", "alpha": 1.5},
+    HERMITE,
+    GEN_JACOBI,
+    {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]},
+    {"family": "gen_hermite", "singularities": [[-1.0, 0.5], [1.0, 0.5]]},
+]
+
+
+@pytest.fixture
+def stieltjes_calls(monkeypatch):
+    """Weights that basis_for builds through stabilized_stieltjes."""
+    calls = []
+    real = markov.stabilized_stieltjes
+
+    def counted(spec, n):
+        calls.append(spec)
+        return real(spec, n)
+
+    monkeypatch.setattr(markov, "stabilized_stieltjes", counted)
+    return calls
 
 
 def _affine_image(spec, stretch, shift):
@@ -171,19 +196,7 @@ class TestSharpL2:
         with pytest.raises(WeightError, match="n must be >= 1, got 0"):
             mirsky_bound(spec, 0, basis)
 
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            LEGENDRE,
-            {"family": "jacobi", "interval": [-1, 2], "alpha": 0.5, "beta": -0.3},
-            {"family": "laguerre", "alpha": 1.5},
-            HERMITE,
-            {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]},
-            {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]},
-            {"family": "gen_hermite", "singularities": [[-1.0, 0.5], [1.0, 0.5]]},
-        ],
-        ids=lambda raw: raw["family"],
-    )
+    @pytest.mark.parametrize("raw", RANGE_WEIGHTS, ids=lambda raw: raw["family"])
     def test_range_equals_per_degree_bitwise(self, raw):
         # degree n reads the leading blocks of the degree-N matrix and table,
         # which are exactly the degree-n ones
@@ -238,20 +251,6 @@ class TestClosedForm:
         ),
         ({"family": "gen_jacobi", "interval": [0, 3]}, {"family": "jacobi", "interval": [0, 3]}),
     ]
-
-    @pytest.fixture
-    def stieltjes_calls(self, monkeypatch):
-        import markovsharp.markov as markov
-
-        calls = []
-        real = markov.stabilized_stieltjes
-
-        def counted(spec, n):
-            calls.append(spec)
-            return real(spec, n)
-
-        monkeypatch.setattr(markov, "stabilized_stieltjes", counted)
-        return calls
 
     @pytest.mark.parametrize(
         "raw, twin", TWINS, ids=["laguerre_origin", "laguerre_bare", "jacobi_ends", "jacobi_bare"]
@@ -372,14 +371,97 @@ class TestSobolev:
             assert v_sob <= v_l2 * (1 + 1e-10)
 
     def test_order_cap(self):
-        with pytest.raises(WeightError, match="cap"):
-            sharp_constant_sobolev(make_weight(HERMITE), SobolevSpec((1.0,) * 5), 8)
+        # zero weights are dropped only after the lambdas given pass validation
+        for lam in (1.0, 0.0):
+            with pytest.raises(WeightError, match="cap"):
+                sharp_constant_sobolev(make_weight(HERMITE), SobolevSpec((lam,) * 5), 8)
 
     def test_lambda_validation(self):
         with pytest.raises(WeightError):
             SobolevSpec(())
         with pytest.raises(WeightError):
             SobolevSpec((-1.0,))
+
+
+class TestZeroLambdas:
+    """Trailing zero Sobolev weights add nothing, so they take the shorter path."""
+
+    @pytest.mark.parametrize(
+        "given, kept", [((0.0,), ()), ((1.0, 0.0), (1.0,)), ((0.5, 0.0, 0.0), (0.5,))]
+    )
+    @pytest.mark.parametrize("raw", RANGE_WEIGHTS, ids=lambda raw: raw["family"])
+    def test_equal_without_trailing_zeros_bitwise(self, raw, given, kept):
+        spec = make_weight(raw)
+        ns = range(4, 41)
+        for got, want in zip(
+            markov.sharp_constants(spec, ns, given), markov.sharp_constants(spec, ns, kept)
+        ):
+            assert got.value == want.value
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.residual == want.residual
+            assert got.achieved_ratio == want.achieved_ratio
+            assert got.lambdas == given
+
+    def test_verify_builds_no_gram_and_one_first_order_table(self, monkeypatch):
+        from markovsharp.bounds import verify_theorem
+
+        grams, orders = [], []
+        gram, table = markov.sobolev_gram, markov.eval_derivative_table
+
+        def counted_gram(mat, lambdas):
+            grams.append(lambdas)
+            return gram(mat, lambdas)
+
+        def counted_table(rec, x, n, order):
+            orders.append(order)
+            return table(rec, x, n, order)
+
+        monkeypatch.setattr(markov, "sobolev_gram", counted_gram)
+        monkeypatch.setattr(markov, "eval_derivative_table", counted_table)
+        spec = make_weight(GEN_JACOBI)
+        verify_theorem("gen_jacobi_4", spec, SobolevSpec((0.0,)), range(4, 41))
+        assert grams == []
+        assert orders == [1]
+
+
+class TestBasisTable:
+    """basis_for keeps the pairs it builds in one bounded table shared by the process."""
+
+    def test_repeat_returns_the_same_objects(self, stieltjes_calls):
+        for raw in (LEGENDRE, GEN_JACOBI):
+            spec = make_weight(raw)
+            rec, rule = basis_for(spec, 12)
+            again = basis_for(spec, 12)
+            assert again[0] is rec and again[1] is rule
+        assert len(stieltjes_calls) == 1
+
+    def test_other_degree_or_weight_builds_anew(self, stieltjes_calls):
+        spec = make_weight(GEN_JACOBI)
+        other = make_weight({**GEN_JACOBI, "scale": 2.0})
+        first = basis_for(spec, 12)
+        # a basis of a larger degree has another rule, so it never serves degree 12
+        bigger, scaled = basis_for(spec, 13), basis_for(other, 12)
+        assert stieltjes_calls == [spec, spec, other]
+        assert bigger[1] is not first[1] and scaled[1] is not first[1]
+        assert scaled[0].weight_id == other.weight_id
+
+    def test_table_is_bounded_and_keeps_the_recently_used(self):
+        spec = make_weight(HERMITE)
+        for n in range(1, markov._BASES_MAX + 1):
+            basis_for(spec, n)
+        assert len(markov._BASES) == markov._BASES_MAX
+        basis_for(spec, 1)
+        basis_for(spec, markov._BASES_MAX + 1)
+        assert len(markov._BASES) == markov._BASES_MAX
+        assert (spec.weight_id, 1) in markov._BASES
+        assert (spec.weight_id, 2) not in markov._BASES
+
+    def test_cached_degree_past_lowered_cap_raises(self, monkeypatch):
+        spec = make_weight(HERMITE)
+        basis_for(spec, 20)
+        monkeypatch.setenv("MARKOVSHARP_MAX_N", "10")
+        with pytest.raises(WeightError, match="degree cap 10"):
+            basis_for(spec, 20)
 
 
 class TestMirsky:
