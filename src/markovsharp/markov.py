@@ -23,15 +23,15 @@ one table of the p_k^(d) at the rule nodes.  Degree n reads the leading
 (n+1) x (n+1) block of D_N and the first n+1 rows of the table, which are
 exactly the degree-n objects.  ``sharp_constants`` and ``mirsky_bounds`` are
 these range paths; the single-degree functions call them with one degree.
-``basis_for`` keeps the pairs it builds in one bounded table shared by the
-process, so a weight and degree asked for again, by another job or by the
-extremal evaluator after its constant, is built once.
+``basis_for`` keeps the last pair it built for a weight while that weight is
+alive, so the extremal evaluator after its constant builds nothing.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +52,8 @@ from .quadrature import QuadRule, gauss_rule
 
 RESIDUAL_TOL = 1e-8
 MAX_SOBOLEV_ORDER = 4
-_BASES_MAX = 32
 
-_BASES: dict = {}  # (weight_id, n) -> (RecurrenceTable, QuadRule)
+_BASES = weakref.WeakKeyDictionary()  # WeightSpec -> (n, (RecurrenceTable, QuadRule))
 _BASES_LOCK = threading.Lock()
 
 
@@ -106,28 +105,29 @@ def _check_degree(n: int):
 def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     """Recurrence table (to degree n+1 at least) plus a rule good for degree 2n+2 integrals.
 
-    Pairs come from a table shared by the whole process, keyed by the weight
-    and n exactly: a basis built for a larger degree has another rule, so it
-    would change residuals.  The table keeps the most recently used
-    ``_BASES_MAX`` pairs; both objects of a pair are immutable.
+    The last pair built for a weight is kept while that weight (or an equal
+    one) is alive, and serves the same n again: ``sharp_constant_l2(spec, n)``
+    and then ``basis_for(spec, n)`` for the extremal evaluator build once.  A
+    basis built for another degree has another rule, so it never serves n.
+    Nothing outlives the weight, so a request that makes its weight from
+    JSON costs the same whatever requests came before it.  Both objects of a
+    pair are immutable.
     """
     _check_degree(n)
     cap = max_degree_cap()
     if n > cap:
         raise WeightError(f"n={n} exceeds the degree cap {cap} (set MARKOVSHARP_MAX_N to raise it)")
-    key = (spec.weight_id, n)
     with _BASES_LOCK:
-        basis = _BASES.pop(key, None)
-    if basis is None:
-        if closed_form(spec) is not None:
-            rec = recurrence_classical(spec, n + 2)
-            basis = rec, gauss_rule(rec, n + 2)
-        else:
-            basis = stabilized_stieltjes(spec, n + 1)
+        last = _BASES.get(spec)
+    if last is not None and last[0] == n:
+        return last[1]
+    if closed_form(spec) is not None:
+        rec = recurrence_classical(spec, n + 2)
+        basis = rec, gauss_rule(rec, n + 2)
+    else:
+        basis = stabilized_stieltjes(spec, n + 1)
     with _BASES_LOCK:
-        _BASES[key] = basis  # the most recently used last
-        while len(_BASES) > _BASES_MAX:
-            del _BASES[next(iter(_BASES))]
+        _BASES[spec] = n, basis
     return basis
 
 

@@ -397,16 +397,17 @@ def stabilized_stieltjes(spec: WeightSpec, n: int):
     Builds composite rules for integrals of polynomial degree 2n+1 at
     refinement levels 0, 1, 2, ...: level L splits every piece of level 0
     into 2^L equal parts with the same node count, so each level doubles the
-    nodes while the levels share most of their reference Gauss-Jacobi rules.
-    Accepts once two consecutive levels give coefficients within 1e-12
-    relative of each other (at most 6 refinements, else an error).  Returns
-    the accepted (table, rule) pair.
+    nodes while the levels share most of their reference Gauss-Jacobi rules,
+    through one table of them private to this call.  Accepts once two
+    consecutive levels give coefficients within 1e-12 relative of each other
+    (at most 6 refinements, else an error).  Returns the accepted (table,
+    rule) pair.
     """
     from .quadrature import composite_rule
 
-    prev = None
+    prev, rules = None, {}
     for level in range(MAX_REFINE + 1):
-        rule = composite_rule(spec, 2 * n + 1, refine=level)
+        rule = composite_rule(spec, 2 * n + 1, refine=level, rules=rules)
         cur = _stieltjes_once(rule, n, spec.weight_id)
         hint = float(np.max(np.abs(rule.nodes)))
         if prev is not None and _recurrence_change(prev, cur, hint) <= STABILIZE_TOL:

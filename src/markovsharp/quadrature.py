@@ -8,13 +8,12 @@ a certified radius): each finite piece gets a Gauss-Jacobi rule whose weight
 absorbs the endpoint factors |x-c|^gamma exactly, while the exponential
 factor and the off-piece singular factors are folded into the rule weights.
 The piece rules are affine images of reference rules on [-1, 1], which come
-from one bounded table shared by the process.
+from a table private to one Stieltjes stabilization.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +27,6 @@ _MAX_RADIUS_DOUBLINGS = 60
 _GAMMA_TERMS = 1000
 _GAMMA_EPS = 1e-16
 _GAMMA_TINY = 1e-300
-_REFERENCE_RULES_MAX = 512
-
-_REFERENCE_RULES: dict = {}  # (g_hi, g_lo, m) -> (nodes, weights) on [-1, 1]
-_REFERENCE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -263,20 +258,16 @@ def _piece_node_count(spec: WeightSpec, lo: float, hi: float, degree: int) -> in
     return base
 
 
-def _reference_rules(keys):
+def _reference_rules(keys, table: dict):
     """Gauss-Jacobi rules on [-1, 1] for (1-t)^g_hi (1+t)^g_lo, one per key (g_hi, g_lo, m).
 
-    Rules come from a table shared by the whole process; the keys it lacks are
-    built together in one ``_gauss_rules`` call.  A rule does not depend on
-    which other rules are built with it, so neither do results depend on what
-    the table holds.  The table keeps the most recently used
-    ``_REFERENCE_RULES_MAX`` rules.  Returns one read-only (nodes, weights)
-    pair per key.
+    ``table`` maps the keys of rules built before to their rules; the keys it
+    lacks are built together in one ``_gauss_rules`` call and added to it.  A
+    rule does not depend on which other rules are built with it, so neither
+    do results depend on what the table holds.  Returns one read-only
+    (nodes, weights) pair per key.
     """
-    unique = list(dict.fromkeys(keys))
-    with _REFERENCE_LOCK:
-        found = {key: _REFERENCE_RULES.pop(key) for key in unique if key in _REFERENCE_RULES}
-    missing = [key for key in unique if key not in found]
+    missing = [key for key in dict.fromkeys(keys) if key not in table]
     if missing:
         nodes, weights = _gauss_rules(
             [_jacobi_coefficients(g_hi, g_lo, m - 1) for g_hi, g_lo, m in missing]
@@ -285,15 +276,11 @@ def _reference_rules(keys):
             rule = (nodes[row, : key[2]].copy(), weights[row, : key[2]].copy())
             for arr in rule:
                 arr.setflags(write=False)
-            found[key] = rule
-    with _REFERENCE_LOCK:
-        _REFERENCE_RULES.update(found)  # the most recently used last
-        while len(_REFERENCE_RULES) > _REFERENCE_RULES_MAX:
-            del _REFERENCE_RULES[next(iter(_REFERENCE_RULES))]
-    return [found[key] for key in keys]
+            table[key] = rule
+    return [table[key] for key in keys]
 
 
-def composite_rule(spec: WeightSpec, degree: int, refine: int = 0) -> QuadRule:
+def composite_rule(spec: WeightSpec, degree: int, refine: int = 0, rules=None) -> QuadRule:
     """Singularity-respecting rule for a generalized weight.
 
     Accurate to a tolerance, not exact, for integrands polynomial of the given
@@ -304,7 +291,13 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0) -> QuadRule:
     the piece's lower-end exponent, the last its upper-end exponent, and the
     interior ends get exponent 0.  The Stieltjes stabilization loop uses the
     levels to certify convergence.  Every level keeps the node counts of
-    level 0, so the levels share most of their reference rules.
+    level 0, so the levels share most of their reference rules: ``rules`` is
+    a dict of the [-1, 1] rules built so far, which one stabilization passes
+    to each of its levels (None builds every rule here).  A stabilization
+    builds level 1 after level 0 in every case, so level 0 given ``rules``
+    also builds the rules of level 1's end parts, in the same batch.  No rule
+    outlives its caller's dict, so what a rule costs never depends on what
+    was built before it.
     """
     if spec.family not in GENERALIZED_FAMILIES:
         raise WeightError(f"composite_rule needs a generalized family, got {spec.family!r}")
@@ -337,8 +330,12 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0) -> QuadRule:
     width = max(m for *_, m in pieces)
     ref_nodes = np.zeros((len(pieces), width))
     ref_weights = np.zeros((len(pieces), width))
-    rules = _reference_rules([(g_hi, g_lo, m) for _, _, g_lo, g_hi, m in pieces])
-    for row, (x, w) in enumerate(rules):
+    keys = [(g_hi, g_lo, m) for _, _, g_lo, g_hi, m in pieces]
+    ahead = []
+    if rules is not None and refine == 0:
+        ahead = [k for g_hi, g_lo, m in keys for k in ((0.0, g_lo, m), (g_hi, 0.0, m))]
+    found = _reference_rules(keys + ahead, {} if rules is None else rules)
+    for row, (x, w) in enumerate(found[: len(keys)]):
         ref_nodes[row, : x.shape[0]] = x
         ref_weights[row, : w.shape[0]] = w
     lo_s, hi_s, g_lo, g_hi, m = (np.array(col)[:, None] for col in zip(*pieces))

@@ -1,5 +1,7 @@
 """Fixtures shared by every test module."""
 
+import weakref
+
 import pytest
 
 
@@ -11,4 +13,4 @@ def empty_basis_table(monkeypatch):
     """
     from markovsharp import markov
 
-    monkeypatch.setattr(markov, "_BASES", {})
+    monkeypatch.setattr(markov, "_BASES", weakref.WeakKeyDictionary())

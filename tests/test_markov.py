@@ -425,7 +425,7 @@ class TestZeroLambdas:
 
 
 class TestBasisTable:
-    """basis_for keeps the pairs it builds in one bounded table shared by the process."""
+    """basis_for keeps the last pair it built for a weight while the weight lives."""
 
     def test_repeat_returns_the_same_objects(self, stieltjes_calls):
         for raw in (LEGENDRE, GEN_JACOBI):
@@ -445,16 +445,21 @@ class TestBasisTable:
         assert bigger[1] is not first[1] and scaled[1] is not first[1]
         assert scaled[0].weight_id == other.weight_id
 
-    def test_table_is_bounded_and_keeps_the_recently_used(self):
-        spec = make_weight(HERMITE)
-        for n in range(1, markov._BASES_MAX + 1):
-            basis_for(spec, n)
-        assert len(markov._BASES) == markov._BASES_MAX
-        basis_for(spec, 1)
-        basis_for(spec, markov._BASES_MAX + 1)
-        assert len(markov._BASES) == markov._BASES_MAX
-        assert (spec.weight_id, 1) in markov._BASES
-        assert (spec.weight_id, 2) not in markov._BASES
+    def test_keeps_one_degree_per_weight(self, stieltjes_calls):
+        spec = make_weight(GEN_JACOBI)
+        basis_for(spec, 12)
+        basis_for(spec, 13)
+        basis_for(spec, 12)
+        assert stieltjes_calls == [spec, spec, spec]
+        assert len(markov._BASES) == 1
+
+    def test_nothing_outlives_the_weight(self):
+        spec = make_weight(GEN_JACOBI)
+        first = basis_for(spec, 12)
+        # an equal weight shares the pair while one of them is alive
+        assert basis_for(make_weight(GEN_JACOBI), 12)[1] is first[1]
+        del spec, first
+        assert len(markov._BASES) == 0
 
     def test_cached_degree_past_lowered_cap_raises(self, monkeypatch):
         spec = make_weight(HERMITE)

@@ -153,20 +153,12 @@ class TestCompositeRule:
 
 
 class TestReferenceRules:
-    """composite_rule takes its [-1, 1] Gauss-Jacobi rules from one bounded table."""
+    """composite_rule takes its [-1, 1] Gauss-Jacobi rules from a table its caller owns."""
 
     SPEC = {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]}
 
     @pytest.fixture
-    def table(self, monkeypatch):
-        """An empty table for the test, the process's own restored after it."""
-        import markovsharp.quadrature as quad
-
-        monkeypatch.setattr(quad, "_REFERENCE_RULES", {})
-        return quad._REFERENCE_RULES
-
-    @pytest.fixture
-    def solved(self, table, monkeypatch):
+    def solved(self, monkeypatch):
         """Record (level, size, entries) of every Jacobi matrix eigvalsh solves,
         level being the refinement of the composite rule built."""
         import markovsharp.quadrature as quad
@@ -180,47 +172,50 @@ class TestReferenceRules:
                 log.append((level[0], mat.shape[0], entries))
             return eigvalsh(a)
 
-        def tagged_build(spec, degree, refine=0):
+        def tagged_build(spec, degree, refine=0, rules=None):
             level[0] = refine
-            return build(spec, degree, refine)
+            return build(spec, degree, refine, rules)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         monkeypatch.setattr(quad, "composite_rule", tagged_build)
         return log
 
     def test_each_rule_solved_once(self, solved):
+        import markovsharp.quadrature as quad
         from markovsharp.markov import basis_for
         from markovsharp.orthopoly import stabilized_stieltjes
 
         spec = make_weight(self.SPEC)
         stabilized_stieltjes(spec, 41)
-        levels = sorted({lvl for lvl, _, _ in solved})
-        assert levels[0] == 0 and len(levels) >= 2
+        # level 0 builds level 1's rules in its own batch
+        assert {lvl for lvl, _, _ in solved} == {0}
         distinct = {entries for _, _, entries in solved}
         assert len(distinct) == len(solved)  # no matrix solved twice, at any level
+        first = sorted(solved)
         # refinement splits pieces and keeps their node counts
-        largest = {lvl: max(m for l, m, _ in solved if l == lvl) for lvl in levels}
-        assert all(largest[lvl] <= largest[0] for lvl in levels), largest
-        count = len(solved)
-        basis_for(spec, 40)  # the same stabilized_stieltjes(spec, 41) build
-        assert len(solved) == count
+        solved.clear()
+        quad.composite_rule(spec, 83, refine=2)
+        assert max(m for _, m, _ in solved) <= max(m for _, m, _ in first)
+        # the same stabilized_stieltjes(spec, 41) build solves the same matrices
+        # again: no rule outlives the build, so its cost does not depend on it
+        solved.clear()
+        basis_for(spec, 40)
+        assert sorted(solved) == first
 
-    def test_results_independent_of_table(self, table):
-        from markovsharp.quadrature import _REFERENCE_RULES_MAX, _reference_rules
+    def test_results_independent_of_table(self):
+        from markovsharp.quadrature import _reference_rules
 
         spec = make_weight(self.SPEC)
         first = composite_rule(spec, 31, refine=1)
+        table = {}
+        again = composite_rule(spec, 31, refine=1, rules=table)
         keys = list(table)
-        others = [(0.25 + 1e-3 * i, 0.0, 5) for i in range(_REFERENCE_RULES_MAX + 10)]
-        _reference_rules(others)
-        assert len(table) == _REFERENCE_RULES_MAX
-        assert not set(keys) & set(table)
-        again = composite_rule(spec, 31, refine=1)
-        # the table holds some of the rule's keys, the rest are built together
-        _reference_rules(others)
-        _reference_rules(keys[::2])
-        mixed = composite_rule(spec, 31, refine=1)
-        assert len(table) <= _REFERENCE_RULES_MAX
+        assert keys
+        # a table holding other rules and some of this rule's: the rest are built together
+        held = {key: table[key] for key in keys[::2]}
+        _reference_rules([(0.25 + 1e-3 * i, 0.0, 5) for i in range(10)], held)
+        mixed = composite_rule(spec, 31, refine=1, rules=held)
+        assert set(keys) <= set(held)
         for rule in (again, mixed):
             assert rule.nodes.tobytes() == first.nodes.tobytes()
             assert rule.weights.tobytes() == first.weights.tobytes()
