@@ -17,7 +17,8 @@ with sorted keys, and CSV with shortest-round-trip floats and lower-case
 booleans, so identical configurations produce byte-identical output.
 
 Exit codes: 0 success (and verify pass), 1 verify exponent failure or
-selftest failure, 2 invalid weight/arguments/hypothesis, 3 numerical failure.
+selftest failure, 2 invalid weight/arguments/hypothesis or an unwritable
+``--out``, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -177,10 +178,11 @@ def cmd_sharp(args) -> tuple[str, bool]:
 def cmd_sweep(args) -> tuple[str, bool]:
     spec, sob = args.weight, args.sob
     case = bounds.default_case(spec)
-    basis = basis_for(spec, max(args.ns))
-    l2 = sharp_constants(spec, args.ns, (), basis)
-    sobolev = l2 if sob is None else sharp_constants(spec, args.ns, sob.lambdas, basis)
-    mirsky = mirsky_bounds(spec, args.ns, basis)
+    l2 = sharp_constants(spec, args.ns)
+    # all-zero lambdas give the weighted L2 norm, which the sharp column already holds
+    lambdas = sob.lambdas if sob is not None and any(sob.lambdas) else ()
+    sobolev = sharp_constants(spec, args.ns, lambdas) if lambdas else l2
+    mirsky = mirsky_bounds(spec, args.ns)
     rows = [
         (n, a.value, b.value, m, bounds.predicted_envelope(case, spec, n))
         for n, a, b, m in zip(args.ns, l2, sobolev, mirsky)
@@ -342,7 +344,11 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return EXIT_OK if passed else EXIT_VERIFY_FAIL

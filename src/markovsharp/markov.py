@@ -20,11 +20,13 @@ shares no code with the matrix, and the ratio it achieves must match.
 The basis is nested and D is upper triangular, so a degree range is one
 computation at its largest degree N: one ``basis_for(spec, N)``, one D_N and
 one table of the p_k^(d) at the rule nodes.  Degree n reads the leading
-(n+1) x (n+1) block of D_N and the first n+1 rows of the table, which are
-exactly the degree-n objects.  ``sharp_constants`` and ``mirsky_bounds`` are
-these range paths; the single-degree functions call them with one degree.
-``basis_for`` keeps the last pair it built for a weight while that weight is
-alive, so the extremal evaluator after its constant builds nothing.
+(n+1) x (n+1) block of D_N and the first n+1 rows of the table, bit for bit
+what a single degree computes on that basis.  ``sharp_constants`` and
+``mirsky_bounds`` are these range paths; the single-degree functions call
+them with one degree.  ``basis_for`` keeps the last pair it built for a
+weight while that weight is alive, so every range over the same degrees (the
+columns of a sweep, a Mirsky check beside its constants) and the extremal
+evaluator after its constant share one build.
 """
 
 from __future__ import annotations
@@ -69,11 +71,12 @@ class SobolevSpec:
             raise WeightError("need at least one lambda (k >= 1)")
         if any(not (v >= 0 and math.isfinite(v)) for v in lams):
             raise WeightError(f"lambdas must be finite and >= 0, got {lams}")
+        if len(lams) > MAX_SOBOLEV_ORDER:
+            raise WeightError(
+                f"derivative order k={len(lams)} beyond the supported cap {MAX_SOBOLEV_ORDER} "
+                "(higher orders are numerically fragile at these degrees)"
+            )
         object.__setattr__(self, "lambdas", lams)
-
-    @property
-    def k(self) -> int:
-        return len(self.lambdas)
 
 
 @dataclass(frozen=True)
@@ -106,9 +109,10 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     """Recurrence table (to degree n+1 at least) plus a rule good for degree 2n+2 integrals.
 
     The last pair built for a weight is kept while that weight (or an equal
-    one) is alive, and serves the same n again: ``sharp_constant_l2(spec, n)``
-    and then ``basis_for(spec, n)`` for the extremal evaluator build once.  A
-    basis built for another degree has another rule, so it never serves n.
+    one) is alive, and serves the same n again: the ranges of a sweep over
+    one degree range, or ``sharp_constant_l2(spec, n)`` and then
+    ``basis_for(spec, n)`` for the extremal evaluator, build once.  A basis
+    built for another degree has another rule, so it never serves n.
     Nothing outlives the weight, so a request that makes its weight from
     JSON costs the same whatever requests came before it.  Both objects of a
     pair are immutable.
@@ -131,17 +135,12 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     return basis
 
 
-def _basis(spec: WeightSpec, ns, basis) -> tuple[RecurrenceTable, QuadRule]:
-    """``basis_for(spec, max(ns))``, or ``basis``: a ``basis_for(spec, N)`` pair, N >= max(ns)."""
+def _basis(spec: WeightSpec, ns) -> tuple[RecurrenceTable, QuadRule]:
+    """``basis_for(spec, max(ns))``, once every degree in ``ns`` is checked."""
     if not ns:
         raise WeightError("need at least one degree")
     _check_degree(min(ns))
-    top = max(ns)
-    if basis is None:
-        return basis_for(spec, top)
-    if top >= basis[0].n_max or basis[0].weight_id != spec.weight_id:
-        raise WeightError(f"the given basis does not cover degree {top} of this weight")
-    return basis
+    return basis_for(spec, max(ns))
 
 
 def derivative_matrix(rec: RecurrenceTable, n: int) -> np.ndarray:
@@ -191,15 +190,7 @@ def sobolev_gram(mat: np.ndarray, lambdas: tuple[float, ...]) -> np.ndarray:
 def _checked_lambdas(lambdas) -> tuple[float, ...]:
     """Validated derivative weights of a Sobolev norm; () is the weighted L2 norm."""
     lambdas = tuple(lambdas)
-    if not lambdas:
-        return ()
-    sob = SobolevSpec(lambdas)
-    if sob.k > MAX_SOBOLEV_ORDER:
-        raise WeightError(
-            f"derivative order k={sob.k} beyond the supported cap {MAX_SOBOLEV_ORDER} "
-            "(higher orders are numerically fragile at these degrees)"
-        )
-    return sob.lambdas
+    return SobolevSpec(lambdas).lambdas if lambdas else ()
 
 
 def _checked_residual(stack, weights, coeffs, n, value, lambdas=()) -> tuple[float, float]:
@@ -232,13 +223,12 @@ def _checked_residual(stack, weights, coeffs, n, value, lambdas=()) -> tuple[flo
     return achieved, residual
 
 
-def sharp_constants(spec: WeightSpec, ns, lambdas=(), basis=None) -> list[SharpResult]:
+def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     """Sharp constants of ||P'||_W <= C ||P||_W over P_n, one per degree n in ``ns``.
 
     ``lambdas`` are the derivative weights of the Sobolev norm W; () gives the
-    weighted L2 norm.  ``basis`` is a ``basis_for(spec, N)`` pair with
-    N >= max(ns), built here when not given.  Every degree reads the one D_N
-    and residual table of that basis.  Trailing zero lambdas add exactly
+    weighted L2 norm.  Every degree reads the one D_N and residual table of
+    ``basis_for(spec, N)``, N = max(ns).  Trailing zero lambdas add exactly
     nothing to B or to the residual, so they are dropped after validation;
     all-zero lambdas take the L2 path.  Results keep the lambdas as given.
 
@@ -250,7 +240,7 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=(), basis=None) -> list[SharpR
     lambdas = given
     while lambdas and lambdas[-1] == 0.0:
         lambdas = lambdas[:-1]
-    rec, rule = _basis(spec, ns, basis)
+    rec, rule = _basis(spec, ns)
     mat = derivative_matrix(rec, max(ns))
     stack = eval_derivative_table(rec, rule.nodes, max(ns), order=len(lambdas) + 1)
     out = []
@@ -279,20 +269,20 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=(), basis=None) -> list[SharpR
     return out
 
 
-def sharp_constant_l2(spec: WeightSpec, n: int, basis=None) -> SharpResult:
+def sharp_constant_l2(spec: WeightSpec, n: int) -> SharpResult:
     """Sharp constant of ||P'|| <= C ||P|| over P_n in the weighted L2 norm."""
-    return sharp_constants(spec, [n], (), basis)[0]
+    return sharp_constants(spec, [n])[0]
 
 
-def sharp_constant_sobolev(spec: WeightSpec, sob: SobolevSpec, n: int, basis=None) -> SharpResult:
+def sharp_constant_sobolev(spec: WeightSpec, sob: SobolevSpec, n: int) -> SharpResult:
     """Sharp constant of ||P'||_W <= C ||P||_W over P_n in the weighted Sobolev norm."""
-    return sharp_constants(spec, [n], sob.lambdas, basis)[0]
+    return sharp_constants(spec, [n], sob.lambdas)[0]
 
 
-def mirsky_bounds(spec: WeightSpec, ns, basis=None) -> list[float]:
+def mirsky_bounds(spec: WeightSpec, ns) -> list[float]:
     """Upper bounds (sum_nu nu ||p_nu'||^2)^(1/2) for the sharp L2 constants, n in ``ns``."""
     ns = list(ns)
-    rec, _ = _basis(spec, ns, basis)
+    rec, _ = _basis(spec, ns)
     mat = derivative_matrix(rec, max(ns))
     out = []
     for n in ns:
@@ -302,13 +292,13 @@ def mirsky_bounds(spec: WeightSpec, ns, basis=None) -> list[float]:
     return out
 
 
-def mirsky_bound(spec: WeightSpec, n: int, basis=None) -> float:
+def mirsky_bound(spec: WeightSpec, n: int) -> float:
     """Upper bound (sum_nu nu ||p_nu'||^2)^(1/2) for the sharp L2 constant."""
-    return mirsky_bounds(spec, [n], basis)[0]
+    return mirsky_bounds(spec, [n])[0]
 
 
 class ExtremalPolynomial:
-    """Evaluator for the extremal polynomial of a SharpResult, with the result's report."""
+    """Evaluator for the extremal polynomial of a SharpResult, with the ratio it achieves."""
 
     def __init__(self, res: SharpResult, rec: RecurrenceTable):
         if rec.weight_id != res.weight.weight_id:
@@ -318,22 +308,12 @@ class ExtremalPolynomial:
         self.result = res
         self._rec = rec
         self.achieved_ratio = res.achieved_ratio
-        self.residual = res.residual
 
     def __call__(self, x):
         table = eval_orthonormal(self._rec, x, self.result.n)
         return self.result.coeffs @ table
 
-    @property
-    def report(self) -> dict:
-        return {
-            "n": self.result.n,
-            "value": self.result.value,
-            "achieved_ratio": self.achieved_ratio,
-            "residual": self.residual,
-        }
-
 
 def extremal_polynomial(res: SharpResult, rec: RecurrenceTable) -> ExtremalPolynomial:
-    """Wrap a SharpResult as a callable polynomial plus an achievement report."""
+    """Wrap a SharpResult as a callable polynomial with the ratio it achieves."""
     return ExtremalPolynomial(res, rec)

@@ -185,6 +185,14 @@ class TestVerify:
         )
         assert code == 2
         assert "-1/2" in err
+        # the schmidt case reads no lambdas, but a Sobolev norm is checked where it is made
+        code, out, err = run_cli(
+            capsys, "verify", "--case", "schmidt", "--weight", "hermite",
+            "--lambdas", "1,1,1,1,1", "--n-min", "4", "--n-max", "8",
+        )
+        assert code == 2
+        assert out == ""
+        assert "derivative order k=5 beyond the supported cap 4" in err
 
     def test_tol_override_can_fail(self, capsys):
         code, out, _ = run_cli(
@@ -203,10 +211,10 @@ class TestVerify:
 
         exact = bounds.sharp_constants
 
-        def off_by_one_percent(spec, ns, lambdas=(), basis=None):
+        def off_by_one_percent(spec, ns, lambdas=()):
             return [
                 dataclasses.replace(res, value=res.value * 1.01)
-                for res in exact(spec, ns, lambdas, basis)
+                for res in exact(spec, ns, lambdas)
             ]
 
         monkeypatch.setattr(bounds, "sharp_constants", off_by_one_percent)
@@ -239,15 +247,21 @@ class TestVerify:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Degrees passed to basis_for, counted through every markovsharp module's binding."""
+    """Degrees of the bases basis_for builds, seen through every markovsharp module's binding.
+
+    A pair basis_for returned before is a lookup, not a build, so it is not counted.
+    """
     from markovsharp import markov
 
-    calls = []
+    calls, seen = [], []
     original = markov.basis_for
 
     def counted(spec, n):
-        calls.append(n)
-        return original(spec, n)
+        pair = original(spec, n)
+        if not any(pair is old for old in seen):
+            seen.append(pair)
+            calls.append(n)
+        return pair
 
     for name, module in list(sys.modules.items()):
         if name.startswith("markovsharp") and getattr(module, "basis_for", None) is original:
@@ -293,9 +307,11 @@ class TestSharedBasis:
     """A degree range reads the leading blocks of one basis built for its largest degree."""
 
     def test_verify_theorem_builds_once(self, builds):
-        spec = load_weight(GEN_JACOBI)
-        verify_theorem("gen_jacobi_4", spec, SobolevSpec((1.0, 0.5)), range(4, 13))
-        assert builds == [12]
+        # the mirsky case reads two ranges, which share one basis through basis_for
+        for case, token in (("gen_jacobi_4", GEN_JACOBI), ("mirsky", "hermite")):
+            builds.clear()
+            verify_theorem(case, load_weight(token), SobolevSpec((1.0, 0.5)), range(4, 13))
+            assert builds == [12]
 
     @pytest.mark.parametrize(
         "argv",
@@ -322,12 +338,13 @@ class TestSharedBasis:
         assert range_builds == {"derivative_matrix": matrices, "eval_derivative_table": 1}
 
     @pytest.mark.parametrize(
-        "lambdas, matrices, tables", [([], 2, 1), (["--lambdas", "1,0.5"], 3, 2)]
+        "lambdas, matrices, tables",
+        [([], 2, 1), (["--lambdas", "1,0.5"], 3, 2), (["--lambdas", "0"], 2, 1)],
     )
     def test_sweep_one_matrix_and_table_per_range(
         self, capsys, range_builds, lambdas, matrices, tables
     ):
-        # one range per column: sharp, sobolev (when it differs from sharp) and mirsky
+        # one range per column: sharp, sobolev (when its norm is not the L2 one) and mirsky
         code, _, _ = run_cli(
             capsys, "sweep", "--weight", GEN_HERMITE, "--n-min", "4", "--n-max", "40", *lambdas
         )
@@ -514,7 +531,7 @@ class TestContracts:
     def test_numerical_failure_exits_three(self, capsys, monkeypatch):
         from markovsharp.errors import QuadratureError
 
-        def boom(spec, n, basis=None):
+        def boom(spec, n):
             raise QuadratureError("synthetic quadrature breakdown")
 
         monkeypatch.setattr("markovsharp.cli.sharp_constant_l2", boom)
@@ -581,6 +598,17 @@ class TestContracts:
         assert out == ""
         assert err.startswith("error:" if expected == 2 else "numerical failure:")
         assert named in err
+
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, "sharp", "--weight", "hermite", "--n", "3", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write --out {target}: ")
+        assert err.count("\n") == 1
+        assert not target.exists()
 
     def test_benchmark_entry_points(self):
         # perfbench/worker.py calls the package through ``ms.<name>(...)``; every

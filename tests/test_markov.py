@@ -139,6 +139,8 @@ class TestSharpL2:
     def test_requires_positive_degree(self):
         with pytest.raises(WeightError, match=">= 1"):
             sharp_constant_l2(make_weight(HERMITE), 0)
+        with pytest.raises(WeightError, match="n must be >= 1, got 0"):
+            mirsky_bound(make_weight(GEN_JACOBI), 0)
 
     def test_monotone_in_degree(self):
         spec = make_weight({"family": "jacobi", "interval": [-1, 1], "alpha": 0.7, "beta": 2.2})
@@ -183,23 +185,11 @@ class TestSharpL2:
         theta = pencil_power_iteration(stiff, gram, iters=20000, seed=2)
         assert res.value == pytest.approx(math.sqrt(theta), rel=1e-9)
 
-    def test_given_basis_must_cover_degree_and_weight(self):
-        spec = make_weight(
-            {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}
-        )
-        basis = basis_for(spec, 8)
-        assert sharp_constant_l2(spec, 8, basis).value == sharp_constant_l2(spec, 8).value
-        with pytest.raises(WeightError, match="basis does not cover"):
-            sharp_constant_l2(spec, 9, basis)
-        with pytest.raises(WeightError, match="basis does not cover"):
-            mirsky_bound(make_weight(HERMITE), 4, basis)
-        with pytest.raises(WeightError, match="n must be >= 1, got 0"):
-            mirsky_bound(spec, 0, basis)
-
     @pytest.mark.parametrize("raw", RANGE_WEIGHTS, ids=lambda raw: raw["family"])
-    def test_range_equals_per_degree_bitwise(self, raw):
+    def test_range_equals_per_degree_bitwise(self, raw, monkeypatch):
         # degree n reads the leading blocks of the degree-N matrix and table,
-        # which are exactly the degree-n ones
+        # which are exactly the degree-n ones; the single degrees are run on
+        # the degree-20 basis the range builds
         def fields(results):
             return [(r.n, r.value, r.coeffs.tobytes(), r.residual, r.achieved_ratio)
                     for r in results]
@@ -208,11 +198,13 @@ class TestSharpL2:
         ns = range(1, 21)
         basis = basis_for(spec, 20)
         for lams in ((), (0.0,), (1.0, 0.5), (0.5, 1.0, 2.0)):
-            if lams:
-                single = [sharp_constant_sobolev(spec, SobolevSpec(lams), n, basis) for n in ns]
-            else:
-                single = [sharp_constant_l2(spec, n, basis) for n in ns]
-            ranged = markov.sharp_constants(spec, ns, lams, basis)
+            with monkeypatch.context() as patched:
+                patched.setattr(markov, "basis_for", lambda _spec, _n: basis)
+                if lams:
+                    single = [sharp_constant_sobolev(spec, SobolevSpec(lams), n) for n in ns]
+                else:
+                    single = [sharp_constant_l2(spec, n) for n in ns]
+            ranged = markov.sharp_constants(spec, ns, lams)
             assert fields(ranged) == fields(single)
             # a strided eigenvector column would round the residual's products differently
             assert all(r.coeffs.flags.c_contiguous for r in ranged)
@@ -375,6 +367,8 @@ class TestSobolev:
         for lam in (1.0, 0.0):
             with pytest.raises(WeightError, match="cap"):
                 sharp_constant_sobolev(make_weight(HERMITE), SobolevSpec((lam,) * 5), 8)
+            with pytest.raises(WeightError, match="cap"):
+                markov.sharp_constants(make_weight(HERMITE), [8], (lam,) * 5)
 
     def test_lambda_validation(self):
         with pytest.raises(WeightError):
@@ -516,13 +510,12 @@ class TestExtremal:
             res = sharp_constant_l2(spec, n)
             rec, _ = basis_for(spec, n)
             poly = extremal_polynomial(res, rec)
-            assert poly.residual <= 1e-8
-            # the report is the residual check's own computation
+            assert res.residual <= 1e-8
+            # the evaluator's ratio is the residual check's own computation
             assert poly.achieved_ratio == res.achieved_ratio
-            assert poly.residual == res.residual
 
     def test_report_builds_no_rule(self, monkeypatch):
-        # every Gauss rule takes its nodes from eigvalsh; the report reuses the result's
+        # every Gauss rule takes its nodes from eigvalsh; the evaluator reuses the result's
         spec = make_weight(LEGENDRE)
         res = sharp_constant_sobolev(spec, SobolevSpec((1.0, 0.5)), 9)
         rec, _ = basis_for(spec, 9)
@@ -536,7 +529,7 @@ class TestExtremal:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         poly = extremal_polynomial(res, rec)
         assert calls == []
-        assert poly.report["achieved_ratio"] == res.achieved_ratio
+        assert poly.achieved_ratio == res.achieved_ratio
 
     def test_table_of_another_weight_rejected(self):
         # a Legendre result read with a Hermite table would evaluate the wrong polynomial
@@ -561,10 +554,9 @@ class TestExtremal:
         res = sharp_constant_sobolev(spec, SobolevSpec((1.0,)), 1)
         rec, _ = basis_for(spec, 1)
         poly = extremal_polynomial(res, rec)
-        assert poly.report["achieved_ratio"] == pytest.approx(math.sqrt(2 / 3), rel=1e-12)
-        assert poly.residual <= 1e-8
+        assert poly.achieved_ratio == pytest.approx(math.sqrt(2 / 3), rel=1e-12)
+        assert res.residual <= 1e-8
         assert poly.achieved_ratio == res.achieved_ratio
-        assert poly.residual == res.residual
 
 
 def test_gauss_rule_from_generalized_recurrence():
