@@ -179,9 +179,7 @@ def cmd_sweep(args) -> tuple[str, bool]:
     spec, sob = args.weight, args.sob
     case = bounds.default_case(spec)
     l2 = sharp_constants(spec, args.ns)
-    # all-zero lambdas give the weighted L2 norm, which the sharp column already holds
-    lambdas = sob.lambdas if sob is not None and any(sob.lambdas) else ()
-    sobolev = sharp_constants(spec, args.ns, lambdas) if lambdas else l2
+    sobolev = l2 if sob is None else sharp_constants(spec, args.ns, sob.lambdas)
     mirsky = mirsky_bounds(spec, args.ns)
     rows = [
         (n, a.value, b.value, m, bounds.predicted_envelope(case, spec, n))
