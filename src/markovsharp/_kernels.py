@@ -58,12 +58,13 @@ def stieltjes(nodes, weights, n):
 
     Runs the Stieltjes procedure on orthonormal (not monic) values so the
     iterates stay O(1).  Returns (diag, offdiag, mass, status); status is -1
-    on success, else 1 + the index k at which positivity was lost.
+    on success, 0 if the mass or its reciprocal is not finite, else 1 + the
+    index k at which positivity was lost.
     """
     diag = np.zeros(n + 1)
     offdiag = np.zeros(n)
     mass = float(np.sum(weights))
-    if not (mass > 0.0 and np.isfinite(mass)):
+    if not (0.0 < mass < math.inf and 1.0 / mass < math.inf):
         return diag, offdiag, mass, 0
     wx = weights * nodes
     p_prev = np.zeros_like(nodes)

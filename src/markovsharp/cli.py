@@ -46,10 +46,13 @@ from .markov import (
     sobolev_gram,
 )
 from .orthopoly import (
+    RecurrenceTable,
     WeightSpec,
+    _recurrence_change,
     eval_orthonormal,
     make_weight,
     recurrence_classical,
+    stabilized_stieltjes,
     weight_to_json,
 )
 from .quadrature import gauss_rule
@@ -247,6 +250,17 @@ def _selftest_orthonormality() -> tuple[bool, str]:
     return worst <= 1e-10, f"max Gram deviation from identity {worst:.3e} (tol 1e-10)"
 
 
+def _selftest_recurrence() -> tuple[bool, str]:
+    # separate builds must agree: a degree-n table is the leading block of a longer one
+    spec = load_weight('{"family": "gen_laguerre", "singularities": [[2.0, 1.0]]}')
+    ref, _ = stabilized_stieltjes(spec, 12)
+    worst = 0.0
+    for n in (4, 8):
+        block = RecurrenceTable(n, ref.diag[: n + 1], ref.offdiag[:n], ref.mass)
+        worst = max(worst, _recurrence_change(block, stabilized_stieltjes(spec, n)[0]))
+    return worst <= 1e-12, f"max deviation from degree-12 leading blocks {worst:.3e} (tol 1e-12)"
+
+
 def _selftest_eigen(rng) -> tuple[bool, str]:
     worst = 0.0
     sob = SobolevSpec((1.0, 0.5))
@@ -274,6 +288,7 @@ def cmd_selftest(args) -> tuple[str, bool]:
     suites = [
         ("quadrature-exactness", lambda: _selftest_quadrature(rng)),
         ("orthonormality", _selftest_orthonormality),
+        ("recurrence-consistency", _selftest_recurrence),
         ("eigen-svd-residuals", lambda: _selftest_eigen(rng)),
     ]
     lines = []
@@ -321,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=None,
                            help="override the fit slack (default 0.1)")
 
-    p = sub.add_parser("selftest", help="kernel self-tests: quadrature, orthonormality, eigen")
+    p = sub.add_parser(
+        "selftest", help="kernel self-tests: quadrature, orthonormality, recurrence, eigen"
+    )
     p.set_defaults(run=cmd_selftest)
     p.add_argument("--out", default="", help="output file (default stdout)")
     return parser

@@ -176,14 +176,20 @@ def sobolev_gram(mat: np.ndarray, lambdas: tuple[float, ...]) -> np.ndarray:
 
     ``mat`` is the square derivative matrix, so P^(j) has coefficients D^j c;
     ``lambdas`` = () gives the weighted L2 norm, B = I.  numpy forms every
-    term (D^j)^T D^j exactly symmetric, so B needs no symmetrizing.
+    term (D^j)^T D^j exactly symmetric, so B needs no symmetrizing.  A B out
+    of floating-point range raises an EigenError that names the lambdas.
     """
     power = mat
     b = np.eye(mat.shape[0])
-    for j, lam in enumerate(lambdas):
-        if j:
-            power = mat @ power
-        b = b + lam * (power.T @ power)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, lam in enumerate(lambdas):
+            if j:
+                power = mat @ power
+            b = b + lam * (power.T @ power)
+    if not np.isfinite(b).all():
+        raise EigenError(
+            f"the Sobolev Gram matrix B for lambdas {lambdas!r} is out of floating-point range"
+        )
     return b
 
 

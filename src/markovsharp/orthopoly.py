@@ -371,7 +371,9 @@ def _stieltjes_once(rule, n: int, weight_id: str) -> RecurrenceTable:
             f"(need at least {n + 1})"
         )
     diag, offdiag, mass, status = _kernels.stieltjes(nodes, weights, n)
-    if status >= 0:
+    if status == 0:
+        raise QuadratureError(f"the weight's mass {mass!r} or its reciprocal is not finite")
+    if status > 0:
         raise QuadratureError(f"quadrature insufficient: lost positivity at degree {status}")
     return RecurrenceTable(n_max=n, diag=diag, offdiag=offdiag, mass=mass, weight_id=weight_id)
 

@@ -3,12 +3,15 @@
 ``gauss_rule`` is the Golub-Welsch construction: nodes are the eigenvalues of
 the symmetric tridiagonal Jacobi matrix, weights come from the Christoffel
 function.  ``composite_rule`` handles generalized weights by splitting the
-interval at every singular point (and, on unbounded intervals, truncating at
-a certified radius): each finite piece gets a Gauss-Jacobi rule whose weight
-absorbs the endpoint factors |x-c|^gamma exactly, while the exponential
-factor and the off-piece singular factors are folded into the rule weights.
-The piece rules are affine images of reference rules on [-1, 1], which come
-from a table private to one Stieltjes stabilization.
+interval at every singular point: each finite piece gets a Gauss-Jacobi rule
+whose weight absorbs the endpoint factors |x-c|^gamma exactly, while the
+exponential factor and the off-piece singular factors are folded into the
+rule weights.  On unbounded intervals the finite part ends TAIL_GAP beyond
+the outermost singular point, and each tail beyond it gets a Gauss-Laguerre
+rule that takes the exponential factor exactly, so nothing is truncated.
+The piece rules are affine images of reference rules on [-1, 1]; those and
+the tail's reference rules on [0, inf) come from a table private to one
+Stieltjes stabilization.
 """
 
 from __future__ import annotations
@@ -22,11 +25,8 @@ from . import _kernels
 from .errors import EigenError, QuadratureError, WeightError
 from .orthopoly import GENERALIZED_FAMILIES, RecurrenceTable, WeightSpec, _jacobi_coefficients
 
-TAIL_TOL = 1e-14
-_MAX_RADIUS_DOUBLINGS = 60
-_GAMMA_TERMS = 1000
-_GAMMA_EPS = 1e-16
-_GAMMA_TINY = 1e-300
+TAIL_GAP = 4.0  # the tails start this far beyond the outermost singular point
+MAX_PIECE_NODES = 2000  # a dense Jacobi matrix of this size takes 32 MB
 
 
 @dataclass(frozen=True)
@@ -130,81 +130,6 @@ def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
     return QuadRule(nodes=nodes[0], weights=weights[0])
 
 
-def _gammaincc(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma function Q(a, x), for a > 0 and x >= 0.
-
-    Below x = a + 1 through the series of P = 1 - Q, above through the
-    continued fraction of Q in modified Lentz form (Numerical Recipes, 2nd
-    ed., sec. 6.2).  Both converge within 1000 terms for a <= 1e4.
-    """
-    if x <= 0.0:
-        return 1.0
-    front = math.exp(a * math.log(x) - x - math.lgamma(a))
-    if x < a + 1.0:
-        term = total = 1.0 / a
-        for k in range(1, _GAMMA_TERMS):
-            term *= x / (a + k)
-            total += term
-            if term < total * _GAMMA_EPS:
-                break
-        return 1.0 - front * total
-    b = x + 1.0 - a
-    c = 1.0 / _GAMMA_TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_TERMS):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) > _GAMMA_TINY else _GAMMA_TINY)
-        c = b + an / c
-        c = c if abs(c) > _GAMMA_TINY else _GAMMA_TINY
-        h *= d * c
-        if abs(d * c - 1.0) < _GAMMA_EPS:
-            break
-    return front * h
-
-
-def _truncation_radius(spec: WeightSpec, degree: int) -> float:
-    """Radius beyond which the weight's degree-weighted tail is negligible.
-
-    The estimate bounds every singular factor by powers of x (valid once
-    x >= 2 max|c_j|) and reduces the tail to a regularized incomplete gamma
-    function of the base family, ``_gammaincc``.  The radius is doubled until
-    the relative tail drops below 1e-14.  A bound out of floating-point range
-    raises an OverflowError that names the family and the absolute exponent sum.
-    """
-    total = sum(g for _, g in spec.singularities)
-    absolute = sum(abs(g) for _, g in spec.singularities)
-    cmax = max((abs(c) for c, _ in spec.singularities), default=0.0)
-    try:
-        fudge = 4.0**absolute
-    except OverflowError as exc:
-        raise OverflowError(
-            f"the tail bound of the {spec.family} weight with absolute exponent sum "
-            f"{absolute!r} is out of floating-point range"
-        ) from exc
-    if spec.family == "gen_laguerre":
-        radius = max(10.0, 1.0 + cmax, 2.0 * cmax)
-        a = degree + total + 1.0
-
-        def rel_tail(r):
-            return fudge * _gammaincc(a, r)
-
-    else:  # gen_hermite
-        radius = max(6.0, 1.0 + cmax, 2.0 * cmax)
-        a = 0.5 * (degree + total + 1.0)
-
-        def rel_tail(r):
-            return fudge * _gammaincc(a, r * r)
-
-    for _ in range(_MAX_RADIUS_DOUBLINGS):
-        if rel_tail(radius) < TAIL_TOL:
-            return radius
-        radius *= 2.0
-    raise QuadratureError("tail mass beyond the truncation radius exceeds tolerance")
-
-
 def _graded_subpieces(u: float, v: float, spec: WeightSpec) -> list[float]:
     """Split [u, v] dyadically away from nearby off-piece singular points.
 
@@ -259,7 +184,8 @@ def _piece_node_count(spec: WeightSpec, lo: float, hi: float, degree: int) -> in
 
 
 def _reference_rules(keys, table: dict):
-    """Gauss-Jacobi rules on [-1, 1] for (1-t)^g_hi (1+t)^g_lo, one per key (g_hi, g_lo, m).
+    """Reference Gauss rules of m points, one per key: (g_hi, g_lo, m) for
+    (1-t)^g_hi (1+t)^g_lo on [-1, 1], ("laguerre", m) for e^-s on [0, inf).
 
     ``table`` maps the keys of rules built before to their rules; the keys it
     lacks are built together in one ``_gauss_rules`` call and added to it.  A
@@ -269,49 +195,87 @@ def _reference_rules(keys, table: dict):
     """
     missing = [key for key in dict.fromkeys(keys) if key not in table]
     if missing:
-        nodes, weights = _gauss_rules(
-            [_jacobi_coefficients(g_hi, g_lo, m - 1) for g_hi, g_lo, m in missing]
-        )
+        nodes, weights = _gauss_rules([
+            (2.0 * np.arange(key[1]) + 1.0, np.arange(1.0, key[1]), 1.0)
+            if key[0] == "laguerre" else _jacobi_coefficients(key[0], key[1], key[2] - 1)
+            for key in missing
+        ])
         for row, key in enumerate(missing):
-            rule = (nodes[row, : key[2]].copy(), weights[row, : key[2]].copy())
+            rule = (nodes[row, : key[-1]].copy(), weights[row, : key[-1]].copy())
             for arr in rule:
                 arr.setflags(write=False)
             table[key] = rule
     return [table[key] for key in keys]
 
 
+def _tail_rule(spec: WeightSpec, start: float, s, w):
+    """Nodes and weights beyond ``start`` from a Gauss-Laguerre rule (s, w) for e^-s.
+
+    The nodes are start + s (gen_laguerre) or +-sqrt(start^2 + s) (gen_hermite),
+    and the weights, formed in log space, carry the exponential factor at
+    ``start`` and the singular factors.  Weights beyond the floating-point
+    range raise an OverflowError that names the family and its absolute
+    exponent sum; weights below it come out as zeros.
+    """
+    if spec.family == "gen_laguerre":
+        x, log_w = start + s, np.log(w) - start
+    else:
+        root = np.sqrt(start * start + s)
+        x = np.concatenate([-root, root])
+        log_w = np.tile(np.log(w) - np.log(2.0 * root) - start * start, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_w = log_w + math.log(spec.scale)
+        for c, g in spec.singularities:
+            log_w = log_w + g * np.log(np.abs(x - c))
+        weights = np.exp(log_w)
+    if not np.isfinite(weights).all():
+        absolute = sum(abs(g) for _, g in spec.singularities)
+        raise OverflowError(
+            f"the tail of the {spec.family} weight with absolute exponent sum "
+            f"{absolute!r} is out of floating-point range"
+        )
+    return x, weights
+
+
 def composite_rule(spec: WeightSpec, degree: int, refine: int = 0, rules=None) -> QuadRule:
     """Singularity-respecting rule for a generalized weight.
 
     Accurate to a tolerance, not exact, for integrands polynomial of the given
-    degree times the weight.  The level-0 pieces split the interval at the
+    degree times the weight.  The level-0 pieces split the interval, or on
+    unbounded intervals [0, T] or [-T, T] with T = TAIL_GAP + max|c_j|, at the
     singular points, graded dyadically near them; each gets an m-point
-    Gauss-Jacobi rule with 2m-1 >= degree+16.  ``refine`` = L splits every
-    level-0 piece into 2^L equal parts of m points each: the first part keeps
-    the piece's lower-end exponent, the last its upper-end exponent, and the
-    interior ends get exponent 0.  The Stieltjes stabilization loop uses the
-    levels to certify convergence.  Every level keeps the node counts of
-    level 0, so the levels share most of their reference rules: ``rules`` is
-    a dict of the [-1, 1] rules built so far, which one stabilization passes
-    to each of its levels (None builds every rule here).  A stabilization
-    builds level 1 after level 0 in every case, so level 0 given ``rules``
-    also builds the rules of level 1's end parts, in the same batch.  No rule
-    outlives its caller's dict, so what a rule costs never depends on what
-    was built before it.
+    Gauss-Jacobi rule with 2m-1 >= degree+16.  Each tail beyond T gets a
+    Gauss-Laguerre rule (``_tail_rule``) of degree//2 + 9 points, half as many
+    again at each level.  ``refine`` = L splits every level-0 piece into 2^L
+    equal parts of m points each: the first part keeps the piece's lower-end
+    exponent, the last its upper-end exponent, and the interior ends get
+    exponent 0.  The Stieltjes stabilization loop uses the levels to certify
+    convergence, of the pieces and the tails alike.  ``rules`` is a dict of
+    the reference rules built so far, which one stabilization passes to each
+    of its levels (None builds every rule here).  A stabilization builds
+    level 1 after level 0 in every case, so level 0 given ``rules`` also
+    builds the rules of level 1's end parts and of the tails of levels 1 and
+    2, in the same batch: no level up to 2 then needs a rule larger than
+    those.  No rule outlives its caller's dict, so what a rule costs never
+    depends on what was built before it.
     """
     if spec.family not in GENERALIZED_FAMILIES:
         raise WeightError(f"composite_rule needs a generalized family, got {spec.family!r}")
     if degree < 0:
         raise ValueError("degree must be >= 0")
 
-    a, b = spec.interval
+    ahead = rules is not None and refine == 0
+    tail_keys = []
     if spec.family == "gen_jacobi":
-        lo, hi = a, b
-    elif spec.family == "gen_laguerre":
-        lo, hi = 0.0, _truncation_radius(spec, degree)
+        lo, hi = spec.interval
     else:
-        r = _truncation_radius(spec, degree)
-        lo, hi = -r, r
+        hi = TAIL_GAP + max((abs(c) for c, _ in spec.singularities), default=0.0)
+        lo = 0.0 if spec.family == "gen_laguerre" else -hi
+        # a weight out of range where the tails start fails before any rule is built
+        _tail_rule(spec, hi, np.zeros(1), np.ones(1))
+        base = degree // 2 + 9
+        levels = (0, 1, 2) if ahead else (refine,)
+        tail_keys = [("laguerre", base + level * ((base + 1) // 2)) for level in levels]
 
     exponent_at = dict(spec.singularities)
     breaks = [lo] + [c for c, _ in spec.singularities if lo < c < hi] + [hi]
@@ -320,6 +284,11 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0, rules=None) -
     for u, v in zip(breaks, breaks[1:]):
         for lo_p, hi_p in zip(sub := _graded_subpieces(u, v, spec), sub[1:]):
             m = _piece_node_count(spec, lo_p, hi_p, degree)
+            if m > MAX_PIECE_NODES:
+                raise QuadratureError(
+                    f"the piece [{lo_p!r}, {hi_p!r}] needs a {m}-point Gauss rule, more "
+                    f"than the {MAX_PIECE_NODES} points a piece may have"
+                )
             ends = [lo_p + (hi_p - lo_p) * j / parts for j in range(parts)] + [hi_p]
             for j in range(parts):
                 g_lo = exponent_at.get(lo_p, 0.0) if j == 0 else 0.0
@@ -331,11 +300,10 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0, rules=None) -
     ref_nodes = np.zeros((len(pieces), width))
     ref_weights = np.zeros((len(pieces), width))
     keys = [(g_hi, g_lo, m) for _, _, g_lo, g_hi, m in pieces]
-    ahead = []
-    if rules is not None and refine == 0:
-        ahead = [k for g_hi, g_lo, m in keys for k in ((0.0, g_lo, m), (g_hi, 0.0, m))]
-    found = _reference_rules(keys + ahead, {} if rules is None else rules)
-    for row, (x, w) in enumerate(found[: len(keys)]):
+    if ahead:
+        keys += [k for g_hi, g_lo, m in keys for k in ((0.0, g_lo, m), (g_hi, 0.0, m))]
+    found = _reference_rules(tail_keys + keys, {} if rules is None else rules)
+    for row, (x, w) in enumerate(found[len(tail_keys) : len(tail_keys) + len(pieces)]):
         ref_nodes[row, : x.shape[0]] = x
         ref_weights[row, : w.shape[0]] = w
     lo_s, hi_s, g_lo, g_hi, m = (np.array(col)[:, None] for col in zip(*pieces))
@@ -353,10 +321,12 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0, rules=None) -
     for c, g in spec.singularities:
         rows = (lo_s[:, 0] != c) & (hi_s[:, 0] != c)
         smooth[rows] = smooth[rows] * np.abs(nodes[rows] - c) ** g
-    weights = weights * smooth
-    # drop the padding, and any node whose weight underflowed
-    keep = (np.arange(nodes.shape[1]) < m) & (weights > 0)
-    nodes = nodes[keep]
-    weights = weights[keep]
-    order = np.argsort(nodes)
-    return QuadRule(nodes[order], weights[order])
+    # drop the padding, add the tails, and drop any node whose weight underflowed
+    padding = np.arange(nodes.shape[1]) >= m
+    nodes, weights = nodes[~padding], (weights * smooth)[~padding]
+    if tail_keys:
+        x, w = _tail_rule(spec, hi, *found[0])
+        nodes, weights = np.concatenate([nodes, x]), np.concatenate([weights, w])
+    keep = weights > 0
+    order = np.argsort(nodes[keep])
+    return QuadRule(nodes[keep][order], weights[keep][order])

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import json
 import math
@@ -454,8 +455,10 @@ class TestSelftest:
         assert all(ln.startswith("PASS") for ln in lines)
         assert any("quadrature" in ln for ln in lines)
         assert any("orthonormality" in ln for ln in lines)
+        assert any("recurrence-consistency" in ln for ln in lines)
         assert any("eigen" in ln for ln in lines)
-        assert len(lines) == 4  # three suites and the overall verdict
+        assert len(lines) == 5  # four suites and the overall verdict
+        assert lines[-1] == "PASS overall"
 
     def test_injected_perturbation_fails(self, capsys, monkeypatch):
         import markovsharp.cli as cli
@@ -472,6 +475,22 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 1
         assert any(ln.startswith("FAIL orthonormality") for ln in out.strip().split("\n"))
+
+    def test_inconsistent_recurrence_fails(self, capsys, monkeypatch):
+        import markovsharp.cli as cli
+
+        real = cli.stabilized_stieltjes
+
+        def perturbed(spec, n):
+            rec, rule = real(spec, n)
+            if n < 12:
+                rec = dataclasses.replace(rec, offdiag=rec.offdiag * (1.0 + 1e-9))
+            return rec, rule
+
+        monkeypatch.setattr(cli, "stabilized_stieltjes", perturbed)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        assert any(ln.startswith("FAIL recurrence-consistency") for ln in out.strip().split("\n"))
 
 
 class TestContracts:
@@ -551,16 +570,21 @@ class TestContracts:
         assert "numerical failure" in err and "Christoffel sum" in err
 
     @pytest.mark.parametrize(
-        "weight",
-        ['{"family": "jacobi", "scale": 1e308}', '{"family": "jacobi", "interval": [-1, 1e308]}'],
-        ids=["mass_overflow", "zero_constant"],
+        "weight, extra",
+        [
+            ('{"family": "jacobi", "scale": 1e308}', []),
+            ('{"family": "jacobi", "interval": [-1, 1e308]}', []),
+            ("hermite", ["--lambdas", "1e308,1e308"]),
+            ('{"family": "gen_laguerre", "singularities": [[1, 0.5]], "scale": 1e-320}', []),
+        ],
+        ids=["mass_overflow", "zero_constant", "sobolev_gram_overflow", "subnormal_mass"],
     )
-    def test_out_of_range_weight_exits_three(self, capsys, weight):
+    def test_out_of_range_weight_exits_three(self, capsys, weight, extra):
         # an infinite mass or a zero constant is a numerical failure, never a NaN
         # residual, and its one-line message is all that reaches stderr
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "sharp", "--weight", weight, "--n", "5")
+            code, out, err = run_cli(capsys, "sharp", "--weight", weight, "--n", "5", *extra)
         assert code == 3
         assert out == ""
         assert err.startswith("numerical failure")
@@ -581,10 +605,17 @@ class TestContracts:
              "gen_laguerre weight with absolute exponent sum 1e+300"),
             ('{"family": "gen_hermite", "singularities": [[0.5, 1e300]]}', 3,
              "gen_hermite weight with absolute exponent sum 1e+300"),
+            ('{"family": "gen_laguerre", "singularities": [[0.5, 500]]}', 3,
+             "gen_laguerre weight with absolute exponent sum 500.0"),
+            ('{"family": "gen_laguerre", "singularities": [[0, 0.5], [1e6, 1]]}', 3,
+             "250028-point Gauss rule"),
+            ('{"family": "gen_hermite", "singularities": [[1e6, 1]]}', 3,
+             "250002000032-point Gauss rule"),
         ],
         ids=["int_beyond_float", "infinite_alpha", "undecodable_file", "laguerre_gamma_overflow",
              "jacobi_coefficient_overflow", "jacobi_mass_overflow", "gen_hermite_gamma_overflow",
-             "gen_laguerre_tail_overflow", "gen_hermite_tail_overflow"],
+             "gen_laguerre_tail_overflow", "gen_hermite_tail_overflow", "gen_laguerre_mass_overflow",
+             "gen_laguerre_far_singularity", "gen_hermite_far_singularity"],
     )
     def test_edge_weight_exit_codes(self, capsys, tmp_path, weight, expected, named):
         # an overflow names the family and the exponents that caused it

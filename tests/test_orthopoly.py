@@ -206,6 +206,33 @@ class TestStieltjes:
         rec, _ = stabilized_stieltjes(spec, 10)
         assert np.max(np.abs(rec.diag)) <= 1e-13
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]},
+            {"family": "gen_laguerre", "singularities": [[2.0, 1.0]]},
+            {"family": "gen_hermite", "singularities": [[-1.0, 0.5], [1.0, 0.5]]},
+            {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]},
+        ],
+        ids=["gen_laguerre_two", "gen_laguerre_one", "gen_hermite", "gen_jacobi_control"],
+    )
+    def test_degree_n_table_is_leading_block(self, raw):
+        # a table built for degree n must be the leading block of a longer one:
+        # its rule has to carry the weight as far out as the degree-n
+        # polynomials live, which a tail cut off too early does not
+        spec = make_weight(raw)
+        ref, _ = stabilized_stieltjes(spec, 60)
+        floor = np.max(ref.offdiag)
+        off = {}
+        for n in range(4, 61):
+            rec, _ = stabilized_stieltjes(spec, n)
+            diag, offdiag = ref.diag[: n + 1], ref.offdiag[:n]
+            off[n] = max(
+                np.max(np.abs(rec.diag - diag) / np.maximum(np.abs(diag), floor)),
+                np.max(np.abs(rec.offdiag - offdiag) / np.maximum(offdiag, floor)),
+            )
+        assert {n: d for n, d in off.items() if d > 1e-12} == {}
+
     def test_rule_too_short(self):
         spec = make_weight(LEGENDRE)
         rule = gauss_rule(recurrence_classical(spec, 4), 3)
