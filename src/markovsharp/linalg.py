@@ -27,6 +27,19 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def solve_triangular(t: np.ndarray, x: np.ndarray, lower: bool = False) -> np.ndarray:
+    """Solve t y = x for a triangular t by substitution.
+
+    numpy has no triangular solver, but LAPACK's partially pivoted LU finds
+    every pivot on the diagonal of an upper-triangular matrix and eliminates
+    nothing, so ``np.linalg.solve`` reduces to back substitution there.  A
+    lower-triangular system is solved as the reversed, upper-triangular one.
+    """
+    if lower:
+        return np.linalg.solve(t[::-1, ::-1], x[::-1])[::-1]
+    return np.linalg.solve(t, x)
+
+
 def svd_largest(m: np.ndarray):
     """Greatest singular value of m and the corresponding right singular vector."""
     m = np.atleast_2d(np.asarray(m, dtype=float))

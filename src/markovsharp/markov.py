@@ -17,11 +17,16 @@ values are unaffected.  Each constant is then checked a posteriori: the
 extremal polynomial is evaluated by quadrature on the basis rule, a path that
 shares no code with the matrix, and the ratio it achieves must match.
 
-The basis is nested and D is upper triangular, so a degree range is one
-computation at its largest degree N: one ``basis_for(spec, N)``, one D_N and
-one table of the p_k^(d) at the rule nodes.  Degree n reads the leading
-(n+1) x (n+1) block of D_N and the first n+1 rows of the table, bit for bit
-what a single degree computes on that basis.  ``sharp_constants`` and
+The basis is nested and D is strictly upper triangular, so a degree range is
+one computation at its largest degree N: one ``basis_for(spec, N)``, one
+D_N, one table of the p_k^(d) at the rule nodes and, for a Sobolev norm, one
+Cholesky factor L_N of B_N and one L_N^T D_N L_N^-T.  Degree n reads the
+leading (n+1) x (n+1) blocks of these matrices and the first n+1 rows of the
+table.  In the weighted L2 norm that is bit for bit what a single degree
+computes on that basis.  In a Sobolev norm the entries of B_N are sums over
+more (exactly zero) terms than those of B_n, which round differently, so the
+values agree with a single degree to 1e-11 relative and to a high-precision
+reference as closely as single degrees do.  ``sharp_constants`` and
 ``mirsky_bounds`` are these range paths; the single-degree functions call
 them with one degree.  ``basis_for`` keeps the last pair it built for a
 weight while that weight is alive, so every range over the same degrees (the
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenError, QuadratureError, WeightError
-from .linalg import _fix_sign, svd_largest
+from .linalg import _fix_sign, solve_triangular, svd_largest
 from .orthopoly import (
     RecurrenceTable,
     WeightSpec,
@@ -234,7 +239,8 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
 
     ``lambdas`` are the derivative weights of the Sobolev norm W; () gives the
     weighted L2 norm.  Every degree reads the one D_N and residual table of
-    ``basis_for(spec, N)``, N = max(ns).  Trailing zero lambdas add exactly
+    ``basis_for(spec, N)``, N = max(ns), and in a Sobolev norm the one factor
+    L_N of B_N.  Trailing zero lambdas add exactly
     nothing to B or to the residual, so they are dropped after validation;
     all-zero lambdas take the L2 path.  Results keep the lambdas as given.
 
@@ -249,23 +255,30 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     rec, rule = _basis(spec, ns)
     mat = derivative_matrix(rec, max(ns))
     stack = eval_derivative_table(rec, rule.nodes, max(ns), order=len(lambdas) + 1)
+    if lambdas:
+        # D_N[:, :n+1] = [D_n; 0], so B_n, L_n and L_n^T D_n L_n^-T are the
+        # leading blocks of the degree-N ones: one factorization serves the
+        # range.  Every factor is triangular with exact zeros, so the product
+        # is too, and its leading blocks read no entry past degree n
+        try:
+            chol = np.linalg.cholesky(sobolev_gram(mat, lambdas))
+        except np.linalg.LinAlgError as exc:
+            raise EigenError("Sobolev Gram matrix B is not positive definite") from exc
+        reduced = chol.T @ solve_triangular(chol, mat.T, lower=True).T
+    else:
+        # B = I needs no Cholesky factor or solves (4.5% of random_requests
+        # p50 on a 2-vCPU Xeon)
+        reduced = mat
     out = []
     for n in ns:
-        block = np.ascontiguousarray(mat[: n + 1, : n + 1])
+        value, v = svd_largest(np.ascontiguousarray(reduced[: n + 1, : n + 1]))
         if lambdas:
-            try:
-                chol = np.linalg.cholesky(sobolev_gram(block, lambdas))
-            except np.linalg.LinAlgError as exc:
-                raise EigenError("Sobolev Gram matrix B is not positive definite") from exc
-            value, v = svd_largest(chol.T @ np.linalg.solve(chol, block.T).T)
-            coeffs = np.linalg.solve(chol.T, v)
+            coeffs = solve_triangular(chol.T[: n + 1, : n + 1], v)
             # the solve can turn -0.0 into 0.0; exact zeros keep their sign in v
             coeffs = _fix_sign(np.where(coeffs == 0.0, np.copysign(0.0, v), coeffs))
         else:
-            # B = I needs no Cholesky factor or solves (4.5% of random_requests
-            # p50 on a 2-vCPU Xeon); coeffs is a contiguous copy of v, because
-            # the residual's products round differently on a strided column
-            value, v = svd_largest(block)
+            # a contiguous copy of v: the residual's products round
+            # differently on a strided column
             coeffs = v.copy()
         achieved, residual = _checked_residual(stack, rule.weights, coeffs, n, value, lambdas)
         out.append(SharpResult(

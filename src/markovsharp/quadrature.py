@@ -61,9 +61,9 @@ def _gauss_rules(tables):
     entries past a row's size are meaningless.  Nodes are the eigenvalues of
     the dense Jacobi matrices, one LAPACK call per distinct m; the weights of
     all rules come from one Christoffel pass.  Raises QuadratureError when a
-    weight is not positive and finite: the mass is not finite, that pass
-    overflows at the outer nodes of large Laguerre and Hermite rules, or the
-    nodes or recurrence are not finite.
+    weight is not positive and finite: the mass or its reciprocal is not
+    finite, that pass overflows at the outer nodes of large Laguerre and
+    Hermite rules, or the nodes or recurrence are not finite.
     """
     sizes = [d.shape[0] for d, _, _ in tables]
     width = max(sizes)
@@ -93,10 +93,11 @@ def _gauss_rules(tables):
         r = int(np.argmin(ok))
         m = sizes[r]
         mass = tables[r][2]
-        if not math.isfinite(mass):
+        if not (math.isfinite(mass) and math.isfinite(1.0 / mass)):
+            # p_0^2 = 1/mass: a subnormal mass leaves p_0 finite but its square not
             raise QuadratureError(
-                f"{m}-point Gauss rule: the weight's mass {mass!r} is not finite, so its "
-                "weights cannot be represented"
+                f"{m}-point Gauss rule: the weight's mass {mass!r} or its reciprocal is not "
+                "finite, so its weights cannot be represented"
             )
         inputs = (nodes[r, :m], diag[r, :m], offdiag[r, : m - 1], p0[r])
         if all(np.isfinite(v).all() for v in inputs):

@@ -15,7 +15,9 @@ top-half slope is printed but not asserted: for Laguerre alpha = 0 the
 constants are exactly linear, S_n = (2/pi)(n - c) with c ~ 2.87, so the
 least-squares slope over degrees 22..40 is 1.107 however accurate they are.
 `test_criterion_5_laguerre_sobolev_constants_mpmath` pins that sub-case's
-constants to a high-precision reference instead.
+constants to a high-precision reference instead, one degree at a time, and
+`test_criterion_5_laguerre_sobolev_range_mpmath` pins the degree range that
+`verify_theorem` reads.
 """
 
 import math
@@ -35,6 +37,7 @@ from markovsharp import (
     recurrence_classical,
     sharp_constant_l2,
     sharp_constant_sobolev,
+    sharp_constants,
     verify_theorem,
 )
 from markovsharp.cli import build_parser, cmd_selftest
@@ -246,6 +249,25 @@ def test_criterion_5_laguerre_sobolev_constants_mpmath():
         worst <= 1e-12,
         f"laguerre alpha=0 lam=(1, 0.5) at n=10,25,40: max rel error {worst:.2e} "
         "against a 30-digit pencil (tol 1e-12)",
+    )
+
+
+def test_criterion_5_laguerre_sobolev_range_mpmath():
+    # the range path reads every degree from one factored degree-40 Gram matrix
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    spec = make_weight({"family": "laguerre", "alpha": 0.0})
+    values = {res.n: res.value for res in sharp_constants(spec, range(4, 41), (1.0, 0.5))}
+    worst = 0.0
+    with mpmath.workdps(30):
+        for n in (10, 25, 40):
+            ref = _laguerre_sobolev_reference(mp, n, (1, mp.mpf(1) / 2))
+            worst = max(worst, float(abs(values[n] - ref) / ref))
+    assert _report(
+        "criterion-5 laguerre-sobolev-range-mpmath",
+        worst <= 1e-12,
+        f"laguerre alpha=0 lam=(1, 0.5), range 4..40 at n=10,25,40: max rel error "
+        f"{worst:.2e} against a 30-digit pencil (tol 1e-12)",
     )
 
 

@@ -353,19 +353,24 @@ class TestSharedBasis:
 
     @pytest.mark.parametrize("token", CLASSICAL)
     def test_classical_values_equal_per_degree(self, capsys, token):
+        # L2 values are bit-identical; a Sobolev range reads the leading blocks
+        # of one factored degree-N Gram matrix, which round differently
         spec, sob = load_weight(token), SobolevSpec((1.0, 0.5))
         for row in _sweep_rows(capsys, token):
             n = row["n"]
             assert row["sharp"] == sharp_constant_l2(spec, n).value
-            assert row["sobolev"] == sharp_constant_sobolev(spec, sob, n).value
+            assert row["sobolev"] == pytest.approx(
+                sharp_constant_sobolev(spec, sob, n).value, rel=1e-11, abs=0
+            )
             assert row["mirsky"] == mirsky_bound(spec, n)
         case = default_case(spec)
         check = verify_theorem(case, spec, sob, range(4, 21))
         if case == "schmidt":
             expected = [sharp_constant_l2(spec, n).value for n in range(4, 21)]
+            assert list(check.sharp_values) == expected
         else:
             expected = [sharp_constant_sobolev(spec, sob, n).value for n in range(4, 21)]
-        assert list(check.sharp_values) == expected
+            np.testing.assert_allclose(check.sharp_values, expected, rtol=1e-11, atol=0)
 
     @pytest.mark.parametrize("token", [GEN_JACOBI, GEN_HERMITE])
     def test_generalized_values_match_per_degree(self, capsys, token):
@@ -576,8 +581,11 @@ class TestContracts:
             ('{"family": "jacobi", "interval": [-1, 1e308]}', []),
             ("hermite", ["--lambdas", "1e308,1e308"]),
             ('{"family": "gen_laguerre", "singularities": [[1, 0.5]], "scale": 1e-320}', []),
+            ('{"family": "hermite", "scale": 1e-320}', []),
+            ('{"family": "laguerre", "scale": 1e-320}', []),
         ],
-        ids=["mass_overflow", "zero_constant", "sobolev_gram_overflow", "subnormal_mass"],
+        ids=["mass_overflow", "zero_constant", "sobolev_gram_overflow", "subnormal_mass",
+             "hermite_subnormal_mass", "laguerre_subnormal_mass"],
     )
     def test_out_of_range_weight_exits_three(self, capsys, weight, extra):
         # an infinite mass or a zero constant is a numerical failure, never a NaN

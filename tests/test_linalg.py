@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from markovsharp import svd_largest
+from markovsharp.linalg import solve_triangular
 
 from oracles import power_iteration_largest
 
@@ -49,3 +50,22 @@ class TestSvdLargest:
         assert sigma == 0.0
         np.testing.assert_array_equal(v, [0.0, 0.0, 1.0])
 
+
+class TestSolveTriangular:
+    def test_substitution_keeps_the_zeros(self):
+        # a strictly lower right-hand side has a strictly lower solution, with
+        # exact zeros, whose leading block is the leading block's solution
+        rng = np.random.default_rng(11)
+        low = np.tril(rng.standard_normal((9, 9)), -1) + np.diag(rng.uniform(1.0, 2.0, 9))
+        rhs = np.tril(rng.standard_normal((9, 9)), -1)
+        y = solve_triangular(low, rhs, lower=True)
+        np.testing.assert_allclose(low @ y, rhs, rtol=0, atol=1e-13)
+        assert np.all(np.triu(y) == 0.0)
+        lead = solve_triangular(low[:4, :4], rhs[:4, :4], lower=True)
+        np.testing.assert_allclose(lead, y[:4, :4], rtol=0, atol=1e-14)
+
+    def test_upper_system(self):
+        rng = np.random.default_rng(13)
+        up = np.triu(rng.standard_normal((7, 7)), 1) + np.diag(rng.uniform(1.0, 2.0, 7))
+        rhs = rng.standard_normal(7)
+        np.testing.assert_allclose(up @ solve_triangular(up, rhs), rhs, rtol=0, atol=1e-13)

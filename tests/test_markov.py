@@ -189,7 +189,10 @@ class TestSharpL2:
     def test_range_equals_per_degree_bitwise(self, raw, monkeypatch):
         # degree n reads the leading blocks of the degree-N matrix and table,
         # which are exactly the degree-n ones; the single degrees are run on
-        # the degree-20 basis the range builds
+        # the degree-20 basis the range builds.  A Sobolev range also reads
+        # the leading block of one factored degree-N Gram matrix, whose
+        # entries round differently from the degree-n one, so lambdas > 0
+        # agree to 1e-11 relative and the L2 norm bit for bit
         def fields(results):
             return [(r.n, r.value, r.coeffs.tobytes(), r.residual, r.achieved_ratio)
                     for r in results]
@@ -205,7 +208,13 @@ class TestSharpL2:
                 else:
                     single = [sharp_constant_l2(spec, n) for n in ns]
             ranged = markov.sharp_constants(spec, ns, lams)
-            assert fields(ranged) == fields(single)
+            if any(lams):
+                assert [r.n for r in ranged] == list(ns)
+                np.testing.assert_allclose(
+                    [r.value for r in ranged], [r.value for r in single], rtol=1e-11, atol=0
+                )
+            else:
+                assert fields(ranged) == fields(single)
             # a strided eigenvector column would round the residual's products differently
             assert all(r.coeffs.flags.c_contiguous for r in ranged)
 
@@ -314,12 +323,19 @@ class TestSobolev:
     @pytest.mark.parametrize("name", sorted(PENCIL_WEIGHTS))
     def test_matches_scipy_pencil(self, name, lambdas):
         # sigma^2 is the top eigenvalue of the pencil (D^T B D, B), both forms
-        # written out here from powers of D
+        # written out here from powers of D: at single degrees, and at every
+        # degree of a range, which reads one factored degree-20 Gram matrix
         eigh = pytest.importorskip("scipy.linalg").eigh
         spec = make_weight(PENCIL_WEIGHTS[name])
+        cases = []
         for n in (5, 20):
             res = sharp_constant_sobolev(spec, SobolevSpec(lambdas), n)
-            mat = derivative_matrix(basis_for(spec, n)[0], n)
+            cases.append((res, basis_for(spec, n)[0]))
+        rec_20 = basis_for(spec, 20)[0]
+        cases += [(res, rec_20) for res in markov.sharp_constants(spec, range(1, 21), lambdas)]
+        for res, rec in cases:
+            n = res.n
+            mat = derivative_matrix(rec, n)
             gram = np.eye(n + 1)
             for j, lam in enumerate(lambdas, start=1):
                 power = np.linalg.matrix_power(mat, j)
@@ -328,6 +344,27 @@ class TestSobolev:
             top = eigh(stiff, gram, eigvals_only=True)[-1]
             assert res.value**2 == pytest.approx(top, rel=1e-11)
             assert res.coeffs @ gram @ res.coeffs == pytest.approx(1.0, rel=1e-11)
+
+    def test_verify_factors_one_gram(self, monkeypatch):
+        # every degree of the range reads the leading block of one L_N
+        from markovsharp.bounds import verify_theorem
+
+        calls = []
+        gram, cholesky = markov.sobolev_gram, np.linalg.cholesky
+
+        def counted_gram(mat, lambdas):
+            calls.append("sobolev_gram")
+            return gram(mat, lambdas)
+
+        def counted_cholesky(a):
+            calls.append("cholesky")
+            return cholesky(a)
+
+        monkeypatch.setattr(markov, "sobolev_gram", counted_gram)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        spec = make_weight(GEN_JACOBI)
+        verify_theorem("gen_jacobi_4", spec, SobolevSpec((1.0, 0.5)), range(4, 41))
+        assert calls == ["sobolev_gram", "cholesky"]
 
     def test_gram_not_positive_definite(self, monkeypatch):
         monkeypatch.setattr(markov, "sobolev_gram", lambda mat, lambdas: -np.eye(mat.shape[0]))

@@ -58,6 +58,11 @@ class TestGaussRule:
         # a recurrence that is not finite is not reported as an overflow
         with pytest.raises(QuadratureError, match="not finite"):
             _gauss_rules([(np.zeros(2), np.ones(1), math.nan)])
+        # nor is a subnormal mass, whose p_0 = 1/sqrt(mass) is finite but p_0^2 is not
+        for family in ("hermite", "laguerre"):
+            rec = recurrence_classical(make_weight({"family": family, "scale": 1e-320}), 7)
+            with pytest.raises(QuadratureError, match="mass .* or its reciprocal is not finite"):
+                gauss_rule(rec, 7)
 
     @pytest.mark.parametrize("m", [3, 8, 17])
     def test_exactness_against_denser_reference(self, m):
