@@ -20,13 +20,17 @@ shares no code with the matrix, and the ratio it achieves must match.
 The basis is nested and D is strictly upper triangular, so a degree range is
 one computation at its largest degree N: one ``basis_for(spec, N)``, one
 D_N, one table of the p_k^(d) at the rule nodes and, for a Sobolev norm, one
-Cholesky factor L_N of B_N and one L_N^T D_N L_N^-T.  Degree n reads the
-leading (n+1) x (n+1) blocks of these matrices and the first n+1 rows of the
-table.  In the weighted L2 norm that is bit for bit what a single degree
-computes on that basis.  In a Sobolev norm the entries of B_N are sums over
-more (exactly zero) terms than those of B_n, which round differently, so the
-values agree with a single degree to 1e-11 relative and to a high-precision
-reference as closely as single degrees do.  ``sharp_constants`` and
+Cholesky factor L_N of B_N and one L_N^T D_N L_N^-T.  Degree n takes its
+top singular pair from the leading (n+1) x (n+1) block of that matrix; the
+rest is one pass over the range: one back substitution with L_N^T gives every
+coefficient vector, and one product per derivative order with the table
+checks every degree.  In the weighted L2 norm the values and coefficients are
+bit for bit what a single degree computes on that basis, and the residual
+and achieved ratio, summed by one zero-padded product, agree with it to
+1e-15.  In a Sobolev norm the entries of B_N are sums over more (exactly
+zero) terms than those of B_n, which round differently, so the values agree
+with a single degree to 1e-11 relative and to a high-precision reference as
+closely as single degrees do.  ``sharp_constants`` and
 ``mirsky_bounds`` are these range paths; the single-degree functions call
 them with one degree.  ``basis_for`` keeps the last pair it built for a
 weight while that weight is alive, so every range over the same degrees (the
@@ -204,33 +208,35 @@ def _checked_lambdas(lambdas) -> tuple[float, ...]:
     return SobolevSpec(lambdas).lambdas if lambdas else ()
 
 
-def _checked_residual(stack, weights, coeffs, n, value, lambdas=()) -> tuple[float, float]:
-    """||P'||_W / ||P||_W for P = sum coeffs p_k by quadrature, and its gap to ``value``.
+def _checked_residual(stack, weights, coeffs, ns, values, lambdas=()):
+    """||P'||_W / ||P||_W by quadrature for each row of ``coeffs``, and its gap to ``values``.
 
-    ``stack[d, k]`` holds p_k^(d) at the rule nodes and ``weights`` the rule
-    weights; rows past degree n and orders past len(lambdas) + 1 are not read.
-    With no lambdas the ratio is the weighted L2 ratio ||P'|| / ||P||.  The
-    gap is relative; QuadratureError is raised unless ``value`` is positive and
-    finite and the gap is at most RESIDUAL_TOL.
+    Row i of ``coeffs`` holds the coefficients of P in the basis for degree
+    ns[i], zero past it; ``stack[d, k]`` holds p_k^(d) at the rule nodes and
+    ``weights`` the rule weights, and orders past len(lambdas) + 1 are not
+    read.  Each order d is one product over the whole range,
+    ||P^(d)||^2 = (coeffs @ stack[d])^2 @ weights.  With no lambdas the ratio
+    is the weighted L2 ratio ||P'|| / ||P||.  The gaps are relative;
+    QuadratureError names the first degree whose value is not positive and
+    finite, else the first whose gap exceeds RESIDUAL_TOL.
     """
-    if not (math.isfinite(value) and value > 0):
-        raise QuadratureError(
-            f"sharp constant {value!r} is not positive and finite; "
-            "the recurrence or its mass is out of floating-point range"
-        )
-    norms = []
-    for d in range(len(lambdas) + 2):
-        vals = coeffs @ stack[d, : n + 1]
-        norms.append(float(np.dot(weights, vals * vals)))
+    for n, value in zip(ns, values):
+        if not (math.isfinite(value) and value > 0):
+            raise QuadratureError(
+                f"sharp constant {value!r} at n={n} is not positive and finite; "
+                "the recurrence or its mass is out of floating-point range"
+            )
+    norms = [(coeffs @ stack[d]) ** 2 @ weights for d in range(len(lambdas) + 2)]
     den = norms[0] + sum(lam * norms[j + 1] for j, lam in enumerate(lambdas))
     num = norms[1] + sum(lam * norms[j + 2] for j, lam in enumerate(lambdas))
-    achieved = math.sqrt(num / den)
-    residual = abs(achieved - value) / value
-    if not residual <= RESIDUAL_TOL:
-        raise QuadratureError(
-            f"sharp-constant residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
-            "quadrature or eigensolver failure"
-        )
+    achieved = np.sqrt(num / den)
+    residual = np.abs(achieved - values) / values
+    for n, gap in zip(ns, residual):
+        if not gap <= RESIDUAL_TOL:
+            raise QuadratureError(
+                f"sharp-constant residual {gap:.3e} at n={n} exceeds {RESIDUAL_TOL:.0e}; "
+                "quadrature or eigensolver failure"
+            )
     return achieved, residual
 
 
@@ -247,14 +253,23 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     With B = L L^T, the ratio for P = sum c_k p_k is ||L^T D c|| / ||L^T c||,
     so the constant is sigma_max(L^T D L^-T); its right singular vector v gives
     c = L^-T v with c^T B c = 1.  For B = I that is sigma_max(D) and c = v.
+
+    Each degree takes its top pair from its own leading block; the rest is
+    one pass over the range.  The vectors, zero-padded to N+1 entries, are
+    the columns of one matrix V, and one back substitution L_N^T C = V gives
+    every coefficient vector: L_N^T is upper triangular and column n of V is
+    zero past row n, so its solution is too, and its top part solves the
+    leading block.  One product per derivative order then checks every
+    degree (``_checked_residual``).
     """
     ns, given = list(ns), _checked_lambdas(lambdas)
     lambdas = given
     while lambdas and lambdas[-1] == 0.0:
         lambdas = lambdas[:-1]
     rec, rule = _basis(spec, ns)
-    mat = derivative_matrix(rec, max(ns))
-    stack = eval_derivative_table(rec, rule.nodes, max(ns), order=len(lambdas) + 1)
+    top = max(ns)
+    mat = derivative_matrix(rec, top)
+    stack = eval_derivative_table(rec, rule.nodes, top, order=len(lambdas) + 1)
     if lambdas:
         # D_N[:, :n+1] = [D_n; 0], so B_n, L_n and L_n^T D_n L_n^-T are the
         # leading blocks of the degree-N ones: one factorization serves the
@@ -269,23 +284,27 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
         # B = I needs no Cholesky factor or solves (4.5% of random_requests
         # p50 on a 2-vCPU Xeon)
         reduced = mat
-    out = []
-    for n in ns:
-        value, v = svd_largest(np.ascontiguousarray(reduced[: n + 1, : n + 1]))
-        if lambdas:
-            coeffs = solve_triangular(chol.T[: n + 1, : n + 1], v)
+    # one row per degree, C-contiguous: the residual's products then read
+    # each row as one contiguous vector
+    values, vecs = [], np.zeros((len(ns), top + 1))
+    for row, n in enumerate(ns):
+        value, vecs[row, : n + 1] = svd_largest(np.ascontiguousarray(reduced[: n + 1, : n + 1]))
+        values.append(value)
+    coeffs = vecs
+    if lambdas:
+        solved, coeffs = solve_triangular(chol.T, vecs.T).T, np.zeros_like(vecs)
+        for row, n in enumerate(ns):
+            c, v = solved[row, : n + 1], vecs[row, : n + 1]
             # the solve can turn -0.0 into 0.0; exact zeros keep their sign in v
-            coeffs = _fix_sign(np.where(coeffs == 0.0, np.copysign(0.0, v), coeffs))
-        else:
-            # a contiguous copy of v: the residual's products round
-            # differently on a strided column
-            coeffs = v.copy()
-        achieved, residual = _checked_residual(stack, rule.weights, coeffs, n, value, lambdas)
-        out.append(SharpResult(
-            n=n, value=value, coeffs=coeffs, residual=residual, weight=spec,
-            achieved_ratio=achieved, lambdas=given,
-        ))
-    return out
+            coeffs[row, : n + 1] = _fix_sign(np.where(c == 0.0, np.copysign(0.0, v), c))
+    achieved, residual = _checked_residual(stack, rule.weights, coeffs, ns, values, lambdas)
+    return [
+        SharpResult(
+            n=n, value=value, coeffs=coeffs[row, : n + 1], residual=float(residual[row]),
+            weight=spec, achieved_ratio=float(achieved[row]), lambdas=given,
+        )
+        for row, (n, value) in enumerate(zip(ns, values))
+    ]
 
 
 def sharp_constant_l2(spec: WeightSpec, n: int) -> SharpResult:

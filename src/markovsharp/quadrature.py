@@ -255,10 +255,11 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0, rules=None) -
     the reference rules built so far, which one stabilization passes to each
     of its levels (None builds every rule here).  A stabilization builds
     level 1 after level 0 in every case, so level 0 given ``rules`` also
-    builds the rules of level 1's end parts and of the tails of levels 1 and
-    2, in the same batch: no level up to 2 then needs a rule larger than
-    those.  No rule outlives its caller's dict, so what a rule costs never
-    depends on what was built before it.
+    builds the rules of level 1's end parts and of level 1's tail, in the
+    same batch.  A later level builds the rules it lacks, among them its own
+    larger tail rule; its piece rules are no larger than level 0's.  No rule
+    outlives its caller's dict, so what a rule costs never depends on what
+    was built before it.
     """
     if spec.family not in GENERALIZED_FAMILIES:
         raise WeightError(f"composite_rule needs a generalized family, got {spec.family!r}")
@@ -275,7 +276,7 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0, rules=None) -
         # a weight out of range where the tails start fails before any rule is built
         _tail_rule(spec, hi, np.zeros(1), np.ones(1))
         base = degree // 2 + 9
-        levels = (0, 1, 2) if ahead else (refine,)
+        levels = (0, 1) if ahead else (refine,)
         tail_keys = [("laguerre", base + level * ((base + 1) // 2)) for level in levels]
 
     exponent_at = dict(spec.singularities)

@@ -5,6 +5,7 @@ import pytest
 
 from markovsharp import (
     EigenError,
+    QuadratureError,
     SobolevSpec,
     WeightError,
     derivative_matrix,
@@ -192,10 +193,12 @@ class TestSharpL2:
         # the degree-20 basis the range builds.  A Sobolev range also reads
         # the leading block of one factored degree-N Gram matrix, whose
         # entries round differently from the degree-n one, so lambdas > 0
-        # agree to 1e-11 relative and the L2 norm bit for bit
+        # agree to 1e-11 relative and the L2 norm bit for bit.  The residual
+        # check is one zero-padded product per derivative order over the
+        # whole range, which rounds differently from a product per degree,
+        # so residual and achieved ratio agree to 1e-15
         def fields(results):
-            return [(r.n, r.value, r.coeffs.tobytes(), r.residual, r.achieved_ratio)
-                    for r in results]
+            return [(r.n, r.value, r.coeffs.tobytes()) for r in results]
 
         spec = make_weight(raw)
         ns = range(1, 21)
@@ -215,7 +218,13 @@ class TestSharpL2:
                 )
             else:
                 assert fields(ranged) == fields(single)
-            # a strided eigenvector column would round the residual's products differently
+                np.testing.assert_allclose(
+                    [r.residual for r in ranged], [r.residual for r in single], rtol=0, atol=1e-15
+                )
+                np.testing.assert_allclose(
+                    [r.achieved_ratio for r in ranged], [r.achieved_ratio for r in single],
+                    rtol=1e-15, atol=0,
+                )
             assert all(r.coeffs.flags.c_contiguous for r in ranged)
 
     def test_range_takes_lambdas_as_any_sequence(self):
@@ -366,6 +375,24 @@ class TestSobolev:
         verify_theorem("gen_jacobi_4", spec, SobolevSpec((1.0, 0.5)), range(4, 41))
         assert calls == ["sobolev_gram", "cholesky"]
 
+    def test_verify_solves_twice(self, monkeypatch):
+        # one forward substitution forms L_N^T D_N L_N^-T, and one back
+        # substitution with a right-hand side per degree gives every
+        # coefficient vector of the range
+        from markovsharp.bounds import verify_theorem
+
+        calls = []
+        solve = markov.solve_triangular
+
+        def counted_solve(t, x, lower=False):
+            calls.append(lower)
+            return solve(t, x, lower)
+
+        monkeypatch.setattr(markov, "solve_triangular", counted_solve)
+        spec = make_weight(GEN_JACOBI)
+        verify_theorem("gen_jacobi_4", spec, SobolevSpec((1.0, 0.5)), range(4, 41))
+        assert calls == [True, False]
+
     def test_gram_not_positive_definite(self, monkeypatch):
         monkeypatch.setattr(markov, "sobolev_gram", lambda mat, lambdas: -np.eye(mat.shape[0]))
         with pytest.raises(EigenError, match="positive definite"):
@@ -453,6 +480,34 @@ class TestZeroLambdas:
         verify_theorem("gen_jacobi_4", spec, SobolevSpec((0.0,)), range(4, 41))
         assert grams == []
         assert orders == [1]
+
+
+class TestResidualCheck:
+    """One quadrature check covers a whole range and names the degree that fails it."""
+
+    @staticmethod
+    def _patch_sigma(monkeypatch, change):
+        # changes the top singular value of degree 17 alone, leaving its vector
+        top = markov.svd_largest
+
+        def patched(m):
+            value, v = top(m)
+            return (change(value) if m.shape[0] == 18 else value), v
+
+        monkeypatch.setattr(markov, "svd_largest", patched)
+
+    @pytest.mark.parametrize("lams", [(), (1.0, 0.5)], ids=["l2", "sobolev"])
+    def test_off_sigma_names_its_degree(self, monkeypatch, lams):
+        self._patch_sigma(monkeypatch, lambda value: value * (1 + 1e-6))
+        with pytest.raises(QuadratureError, match=r"residual 1\.0\d*e-06 at n=17 exceeds"):
+            markov.sharp_constants(make_weight(GEN_JACOBI), range(4, 41), lams)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("lams", [(), (1.0, 0.5)], ids=["l2", "sobolev"])
+    def test_non_finite_sigma_names_its_degree(self, monkeypatch, lams, bad):
+        self._patch_sigma(monkeypatch, lambda value: bad)
+        with pytest.raises(QuadratureError, match=r"constant \S+ at n=17 is not positive and finite"):
+            markov.sharp_constants(make_weight(GEN_JACOBI), range(4, 41), lams)
 
 
 class TestBasisTable:

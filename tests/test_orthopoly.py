@@ -13,6 +13,8 @@ from markovsharp import (
     weight_to_json,
 )
 from markovsharp.orthopoly import (
+    RecurrenceTable,
+    _recurrence_change,
     _stieltjes_once,
     eval_derivative_table,
     max_degree_cap,
@@ -232,6 +234,22 @@ class TestStieltjes:
                 np.max(np.abs(rec.offdiag - offdiag) / np.maximum(offdiag, floor)),
             )
         assert {n: d for n, d in off.items() if d > 1e-12} == {}
+
+    def test_raised_cap_reaches_degree_100(self, monkeypatch):
+        # level 0 builds only level 1's Gauss-Laguerre tail, so a degree-100
+        # basis needs no tail rule past level 1's 165 points, below the ~187
+        # where the Christoffel sum of a Gauss-Laguerre rule overflows
+        from markovsharp import sharp_constant_l2
+        from markovsharp.markov import basis_for
+
+        monkeypatch.setenv("MARKOVSHARP_MAX_N", "100")
+        spec = make_weight({"family": "gen_laguerre", "singularities": [[2.0, 1.0]]})
+        assert sharp_constant_l2(spec, 100).n == 100
+        ref, _ = basis_for(spec, 100)
+        rec, _ = basis_for(spec, 82)
+        n = rec.n_max
+        block = RecurrenceTable(n, ref.diag[: n + 1], ref.offdiag[:n], ref.mass)
+        assert _recurrence_change(block, rec) <= 1e-12
 
     def test_rule_too_short(self):
         spec = make_weight(LEGENDRE)
