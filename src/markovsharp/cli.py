@@ -33,7 +33,7 @@ import numpy as np
 
 from . import bounds
 from .errors import HypothesisError, MarkovSharpError, WeightError
-from .linalg import svd_largest
+from .linalg import solve_triangular, svd_largest
 from .markov import (
     SharpResult,
     SobolevSpec,
@@ -279,7 +279,12 @@ def _selftest_eigen(rng) -> tuple[bool, str]:
         pencil = np.linalg.norm(a @ c - theta * b @ c) / (
             np.linalg.norm(a) + theta * np.linalg.norm(b)
         )
-        worst = max(worst, pencil)
+        # every eigenpair of the pencil passes that residual: theta must also
+        # be the top eigenvalue of L^-1 A L^-T, where B = L L^T
+        chol = np.linalg.cholesky(b)
+        half = solve_triangular(chol, a, lower=True)
+        top = np.linalg.eigvalsh(solve_triangular(chol, half.T, lower=True))[-1]
+        worst = max(worst, pencil, abs(theta - top) / top)
     return worst <= 1e-10, f"max eigen/SVD residual {worst:.3e} (tol 1e-10)"
 
 

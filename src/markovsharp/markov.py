@@ -21,21 +21,24 @@ The basis is nested and D is strictly upper triangular, so a degree range is
 one computation at its largest degree N: one ``basis_for(spec, N)``, one
 D_N, one table of the p_k^(d) at the rule nodes and, for a Sobolev norm, one
 Cholesky factor L_N of B_N and one L_N^T D_N L_N^-T.  Degree n takes its
-top singular pair from the leading (n+1) x (n+1) block of that matrix; the
-rest is one pass over the range: one back substitution with L_N^T gives every
-coefficient vector, and one product per derivative order with the table
-checks every degree.  In the weighted L2 norm the values and coefficients are
-bit for bit what a single degree computes on that basis, and the residual
-and achieved ratio, summed by one zero-padded product, agree with it to
-1e-15.  In a Sobolev norm the entries of B_N are sums over more (exactly
-zero) terms than those of B_n, which round differently, so the values agree
-with a single degree to 1e-11 relative and to a high-precision reference as
-closely as single degrees do.  ``sharp_constants`` and
-``mirsky_bounds`` are these range paths; the single-degree functions call
-them with one degree.  ``basis_for`` keeps the last pair it built for a
-weight while that weight is alive, so every range over the same degrees (the
-columns of a sweep, a Mirsky check beside its constants) and the extremal
-evaluator after its constant share one build.
+top singular pair from the leading (n+1) x (n+1) block of that matrix.  For
+a weight symmetric about its centre that block maps even coefficient indices
+to odd ones and odd to even, so its Gram matrix is an even and an odd block;
+degree n adds index n to one of them, so it solves that block alone and
+keeps the other's pair from degree n - 1.  The rest is one pass over the
+range: one back substitution with L_N^T gives every coefficient vector, and
+one product per derivative order with the table checks every degree.  In the
+weighted L2 norm the values and coefficients are bit for bit what a single
+degree computes on that basis, and the residual and achieved ratio, summed
+by one zero-padded product, agree with it to 1e-15.  In a Sobolev norm the
+entries of B_N are sums over more (exactly zero) terms than those of B_n,
+which round differently, so the values agree with a single degree to 1e-11
+relative and to a high-precision reference as closely as single degrees do.
+``sharp_constants`` and ``mirsky_bounds`` are these range paths; the
+single-degree functions call them with one degree.  ``basis_for`` keeps the
+last pair it built for a weight while that weight is alive, so every range
+over the same degrees (the columns of a sweep, a Mirsky check beside its
+constants) and the extremal evaluator after its constant share one build.
 """
 
 from __future__ import annotations
@@ -240,6 +243,59 @@ def _checked_residual(stack, weights, coeffs, ns, values, lambdas=()):
     return achieved, residual
 
 
+def _symmetric(spec: WeightSpec) -> bool:
+    """Whether the weight is symmetric about the centre of its interval.
+
+    Decided on the closed-form restatement, so a generalized weight and its
+    classical twin agree: hermite always, jacobi when alpha = beta, gen_hermite
+    and gen_jacobi when their singular factors mirror each other about 0 and
+    about (a + b) / 2, laguerre never.  The recurrence diagonal of such a
+    weight is constant, so p_k' holds only p_{k-1}, p_{k-3}, ...
+    """
+    spec = closed_form(spec) or spec
+    if spec.family in ("hermite", "jacobi"):
+        return spec.family == "hermite" or spec.alpha == spec.beta
+    if spec.family not in ("gen_hermite", "gen_jacobi"):
+        return False
+    # the singular points are strictly increasing, so mirror pairs are c_j, c_{m-1-j}
+    total = 0.0 if spec.family == "gen_hermite" else sum(spec.interval)
+    sings = spec.singularities
+    return all(c + d == total and g == h for (c, g), (d, h) in zip(sings, reversed(sings)))
+
+
+def _top_pairs(reduced: np.ndarray, ns, split: bool):
+    """Top singular value and right vector of each degree's leading block of ``reduced``.
+
+    Row i of the vectors holds degree ns[i]'s, zero past it; one row per
+    degree, C-contiguous, so the residual's products read each row as one
+    contiguous vector.  With ``split`` (a symmetric weight) ``reduced`` maps
+    even coefficient indices to odd ones and odd to even, so M_n^T M_n is an
+    even block and an odd block.  The block ending in column c reads the
+    other parity's rows above c (``reduced`` is strictly upper triangular, so
+    the rows from c on are zero): a slice fixed by c alone, so a range and a
+    single degree solve the same bytes.  Degree n has the blocks ending in
+    n and n - 1, of which only the first grew from degree n - 1; each block is
+    solved once, and the larger value wins.
+    """
+
+    def block(c):  # rows and columns of the block ending in column c
+        if split:
+            return slice(1 - c % 2, c, 2), slice(c % 2, c + 1, 2)
+        return slice(c + 1), slice(c + 1)
+
+    values, vecs = [], np.zeros((len(ns), reduced.shape[1]))
+    pairs = {}  # last column c -> top pair of its block
+    for row, n in enumerate(ns):
+        ends = (n, n - 1) if split else (n,)
+        for c in ends:
+            if c not in pairs:
+                pairs[c] = svd_largest(np.ascontiguousarray(reduced[block(c)]))
+        c = max(ends, key=lambda end: pairs[end][0])
+        value, vecs[row, block(c)[1]] = pairs[c]
+        values.append(value)
+    return values, vecs
+
+
 def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     """Sharp constants of ||P'||_W <= C ||P||_W over P_n, one per degree n in ``ns``.
 
@@ -254,13 +310,15 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     so the constant is sigma_max(L^T D L^-T); its right singular vector v gives
     c = L^-T v with c^T B c = 1.  For B = I that is sigma_max(D) and c = v.
 
-    Each degree takes its top pair from its own leading block; the rest is
-    one pass over the range.  The vectors, zero-padded to N+1 entries, are
-    the columns of one matrix V, and one back substitution L_N^T C = V gives
-    every coefficient vector: L_N^T is upper triangular and column n of V is
-    zero past row n, so its solution is too, and its top part solves the
-    leading block.  One product per derivative order then checks every
-    degree (``_checked_residual``).
+    Each degree takes its top pair from its own leading block
+    (``_top_pairs``): for a symmetric weight, from the larger of its two
+    parity blocks, of which only the one that grew from degree n - 1 is
+    solved anew.  The rest is one pass over the range.  The vectors,
+    zero-padded to N+1 entries, are the columns of one matrix V, and one back
+    substitution L_N^T C = V gives every coefficient vector: L_N^T is upper
+    triangular and column n of V is zero past row n, so its solution is too,
+    and its top part solves the leading block.  One product per derivative
+    order then checks every degree (``_checked_residual``).
     """
     ns, given = list(ns), _checked_lambdas(lambdas)
     lambdas = given
@@ -284,12 +342,7 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
         # B = I needs no Cholesky factor or solves (4.5% of random_requests
         # p50 on a 2-vCPU Xeon)
         reduced = mat
-    # one row per degree, C-contiguous: the residual's products then read
-    # each row as one contiguous vector
-    values, vecs = [], np.zeros((len(ns), top + 1))
-    for row, n in enumerate(ns):
-        value, vecs[row, : n + 1] = svd_largest(np.ascontiguousarray(reduced[: n + 1, : n + 1]))
-        values.append(value)
+    values, vecs = _top_pairs(reduced, ns, _symmetric(spec))
     coeffs = vecs
     if lambdas:
         solved, coeffs = solve_triangular(chol.T, vecs.T).T, np.zeros_like(vecs)

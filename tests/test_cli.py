@@ -17,9 +17,12 @@ import markovsharp
 from markovsharp import (
     QuadRule,
     SobolevSpec,
+    derivative_matrix,
     mirsky_bound,
+    recurrence_classical,
     sharp_constant_l2,
     sharp_constant_sobolev,
+    sobolev_gram,
 )
 from markovsharp.bounds import BoundCheck, default_case, verify_theorem
 from markovsharp.cli import build_parser, load_weight, main
@@ -480,6 +483,30 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 1
         assert any(ln.startswith("FAIL orthonormality") for ln in out.strip().split("\n"))
+
+    def test_non_top_pair_fails(self, capsys, monkeypatch):
+        # the second eigenpair of the pencil (D^T B D, B) has a pencil residual
+        # as small as the top one's, so only the top-eigenvalue check rejects it
+        import markovsharp.cli as cli
+
+        real = cli.sharp_constant_sobolev
+
+        def second_pair(spec, sob, n):
+            res = real(spec, sob, n)
+            mat = derivative_matrix(recurrence_classical(spec, n), n)
+            gram = sobolev_gram(mat, sob.lambdas)
+            chol = np.linalg.cholesky(gram)
+            half = np.linalg.solve(chol, mat.T @ gram @ mat)
+            vals, vecs = np.linalg.eigh(np.linalg.solve(chol, half.T))
+            coeffs = np.linalg.solve(chol.T, vecs[:, -2])
+            return dataclasses.replace(res, value=math.sqrt(vals[-2]), coeffs=coeffs)
+
+        monkeypatch.setattr(cli, "sharp_constant_sobolev", second_pair)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        lines = out.strip().split("\n")
+        assert any(ln.startswith("FAIL eigen-svd-residuals") for ln in lines)
+        assert lines[0].startswith("PASS quadrature-exactness")
 
     def test_inconsistent_recurrence_fails(self, capsys, monkeypatch):
         import markovsharp.cli as cli

@@ -488,13 +488,13 @@ class TestResidualCheck:
     @staticmethod
     def _patch_sigma(monkeypatch, change):
         # changes the top singular value of degree 17 alone, leaving its vector
-        top = markov.svd_largest
+        top = markov._top_pairs
 
-        def patched(m):
-            value, v = top(m)
-            return (change(value) if m.shape[0] == 18 else value), v
+        def patched(reduced, ns, split):
+            values, vecs = top(reduced, ns, split)
+            return [change(value) if n == 17 else value for n, value in zip(ns, values)], vecs
 
-        monkeypatch.setattr(markov, "svd_largest", patched)
+        monkeypatch.setattr(markov, "_top_pairs", patched)
 
     @pytest.mark.parametrize("lams", [(), (1.0, 0.5)], ids=["l2", "sobolev"])
     def test_off_sigma_names_its_degree(self, monkeypatch, lams):
@@ -508,6 +508,100 @@ class TestResidualCheck:
         self._patch_sigma(monkeypatch, lambda value: bad)
         with pytest.raises(QuadratureError, match=r"constant \S+ at n=17 is not positive and finite"):
             markov.sharp_constants(make_weight(GEN_JACOBI), range(4, 41), lams)
+
+
+SYMMETRIC_WEIGHTS = {
+    "legendre": LEGENDRE,
+    "chebyshev1": {"family": "jacobi", "interval": [-1, 1], "alpha": -0.5, "beta": -0.5},
+    "hermite": HERMITE,
+    "gen_hermite_2": {"family": "gen_hermite", "alpha": 2.0},
+    "gen_jacobi": GEN_JACOBI,
+    "jacobi_0_3": {"family": "jacobi", "interval": [0, 3], "alpha": 1.5, "beta": 1.5},
+}
+
+
+class TestParitySplit:
+    """A symmetric weight's degree n solves only the parity block that grew from n - 1."""
+
+    @pytest.mark.parametrize(
+        "raw, symmetric",
+        [
+            (HERMITE, True),
+            ({"family": "jacobi", "interval": [0, 3]}, True),
+            ({"family": "gen_jacobi", "interval": [0, 3]}, True),
+            ({"family": "gen_jacobi", "interval": [-1, 2], "singularities": [[-1, 0.5], [2, 0.5]]},
+             True),
+            (GEN_JACOBI, True),
+            ({"family": "gen_hermite", "alpha": 2.0}, True),
+            ({"family": "gen_hermite", "singularities": [[-1.0, 0.5], [1.0, 0.5]]}, True),
+            ({"family": "gen_hermite", "singularities": [[-1.0, 0.5], [1.0, 0.6]]}, False),
+            ({"family": "gen_hermite", "singularities": [[-1.0, 0.5], [1.5, 0.5]]}, False),
+            ({"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.1, 0.5]]}, False),
+            ({"family": "jacobi", "interval": [-1, 1], "alpha": 1.0, "beta": 2.0}, False),
+            ({"family": "laguerre"}, False),
+            ({"family": "gen_laguerre", "singularities": [[0.0, 0.5]]}, False),
+            ({"family": "gen_laguerre", "singularities": [[1.0, 0.5]]}, False),
+        ],
+    )
+    def test_symmetry_of_the_weight(self, raw, symmetric):
+        assert markov._symmetric(make_weight(raw)) is symmetric
+
+    @pytest.mark.parametrize("raw, twin", TestClosedForm.TWINS)
+    def test_twins_agree(self, raw, twin):
+        assert markov._symmetric(make_weight(raw)) == markov._symmetric(make_weight(twin))
+
+    @pytest.mark.parametrize("lams", [(), (1.0, 0.5)], ids=["l2", "sobolev"])
+    @pytest.mark.parametrize("name", SYMMETRIC_WEIGHTS)
+    def test_values_are_the_full_blocks_top(self, name, lams):
+        # the residual check passes the top pair of either block, so the block
+        # choice is checked against the SVD of each degree's whole leading
+        # block of M_N = L_N^T D_N L_N^-T, formed as sharp_constants forms it
+        spec = make_weight(SYMMETRIC_WEIGHTS[name])
+        assert markov._symmetric(spec)
+        ns = range(1, 41)
+        results = markov.sharp_constants(spec, ns, lams)
+        mat = derivative_matrix(basis_for(spec, 40)[0], 40)
+        reduced = mat
+        if lams:
+            chol = np.linalg.cholesky(sobolev_gram(mat, lams))
+            reduced = chol.T @ markov.solve_triangular(chol, mat.T, lower=True).T
+        full = [np.linalg.svd(reduced[: n + 1, : n + 1], compute_uv=False)[0] for n in ns]
+        np.testing.assert_allclose([r.value for r in results], full, rtol=1e-14, atol=0)
+        if name == "legendre" and not lams:
+            # <p_i, p_k'> = sqrt((2i+1)(2k+1)) for k > i with k - i odd
+            i, k = np.indices((41, 41))
+            odd = (k > i) & ((k - i) % 2 == 1)
+            closed = np.where(odd, np.sqrt((2 * i + 1) * (2 * k + 1)), 0.0)
+            exact = [np.linalg.svd(closed[: n + 1, : n + 1], compute_uv=False)[0] for n in ns]
+            np.testing.assert_allclose([r.value for r in results], exact, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize(
+        "case, raw, solves",
+        [
+            ("jacobi_3", LEGENDRE, 38),
+            ("gen_jacobi_4", GEN_JACOBI, 38),
+            ("gen_hermite_6", {"family": "gen_hermite", "singularities": [[0.0, 1.0]]}, 38),
+            ("jacobi_3", {"family": "jacobi", "interval": [-1, 1], "alpha": 1.0, "beta": 2.0}, 37),
+            ("gen_laguerre_52", RANGE_WEIGHTS[5], 37),
+        ],
+    )
+    def test_verify_eigensolves(self, monkeypatch, case, raw, solves):
+        # degree 4 solves both blocks, every later degree the one that grew
+        from markovsharp.bounds import verify_theorem
+
+        shapes = []
+        top = markov.svd_largest
+
+        def counted(m):
+            shapes.append(m.shape)
+            return top(m)
+
+        monkeypatch.setattr(markov, "svd_largest", counted)
+        spec = make_weight(raw)
+        verify_theorem(case, spec, SobolevSpec((1.0, 0.5)), range(4, 41))
+        assert len(shapes) == solves
+        if markov._symmetric(spec):
+            assert max(max(shape) for shape in shapes) == 21
 
 
 class TestBasisTable:
