@@ -18,13 +18,9 @@ _SIGN_RTOL = 1e-12
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     """Flip v so its last component of non-negligible size is positive."""
-    top = np.max(np.abs(v)) if v.size else 0.0
-    if top == 0.0:
-        return v
-    idx = np.nonzero(np.abs(v) > _SIGN_RTOL * top)[0]
-    if idx.size and v[idx[-1]] < 0:
-        return -v
-    return v
+    mag = np.abs(v)
+    idx = np.flatnonzero(mag > _SIGN_RTOL * mag.max(initial=0.0))
+    return -v if idx.size and v[idx[-1]] < 0 else v
 
 
 def solve_triangular(t: np.ndarray, x: np.ndarray, lower: bool = False) -> np.ndarray:

@@ -375,12 +375,9 @@ def mirsky_bounds(spec: WeightSpec, ns) -> list[float]:
     ns = list(ns)
     rec, _ = _basis(spec, ns)
     mat = derivative_matrix(rec, max(ns))
-    out = []
-    for n in ns:
-        block = np.ascontiguousarray(mat[: n + 1, : n + 1])
-        col_sq = np.sum(block * block, axis=0)
-        out.append(float(np.sqrt(np.dot(np.arange(n + 1), col_sq))))
-    return out
+    # D is strictly upper triangular: column k of D_n is the head of column k of D_N
+    col_sq = np.sum(mat * mat, axis=0)
+    return [float(np.sqrt(np.dot(np.arange(n + 1), col_sq[: n + 1]))) for n in ns]
 
 
 def mirsky_bound(spec: WeightSpec, n: int) -> float:

@@ -346,11 +346,7 @@ def recurrence_classical(spec: WeightSpec, n: int) -> RecurrenceTable:
         diag = np.array([2.0 * k + al + 1.0 for k in range(n + 1)])
         offdiag = np.array([math.sqrt((k + 1) * (k + 1 + al)) for k in range(n)])
         mass = _gamma_mass("laguerre", al, al + 1)
-    elif fam == "hermite":
-        diag = np.zeros(n + 1)
-        offdiag = np.sqrt(np.arange(1.0, n + 1.0) / 2.0)
-        mass = math.sqrt(math.pi)
-    else:  # gen_hermite, |x|^g e^{-x^2}
+    else:  # hermite and gen_hermite, |x|^g e^{-x^2} with g = 0 for hermite
         g = form.singularities[0][1] if form.singularities else 0.0
         diag = np.zeros(n + 1)
         beta = [(k / 2.0 + (g / 2.0 if k % 2 else 0.0)) for k in range(1, n + 1)]
@@ -399,17 +395,18 @@ def stabilized_stieltjes(spec: WeightSpec, n: int):
     Builds composite rules for integrals of polynomial degree 2n+1 at
     refinement levels 0, 1, 2, ...: level L splits every piece of level 0
     into 2^L equal parts with the same node count, so each level doubles the
-    nodes while the levels share most of their reference Gauss-Jacobi rules,
-    through one table of them private to this call.  Accepts once two
-    consecutive levels give coefficients within 1e-12 relative of each other
-    (at most 6 refinements, else an error).  Returns the accepted (table,
-    rule) pair.
+    nodes.  Every stabilization compares levels 0 and 1, so one
+    ``composite_rules`` call builds both from one batch of reference rules;
+    each later level is built alone.  Accepts once two consecutive levels
+    give coefficients within 1e-12 relative of each other (at most 6
+    refinements, else an error).  Returns the accepted (table, rule) pair.
     """
-    from .quadrature import composite_rule
+    from .quadrature import composite_rules
 
-    prev, rules = None, {}
+    prev, degree = None, 2 * n + 1
+    first = composite_rules(spec, degree, (0, 1))
     for level in range(MAX_REFINE + 1):
-        rule = composite_rule(spec, 2 * n + 1, refine=level, rules=rules)
+        rule = first[level] if level < 2 else composite_rules(spec, degree, (level,))[0]
         cur = _stieltjes_once(rule, n, spec.weight_id)
         hint = float(np.max(np.abs(rule.nodes)))
         if prev is not None and _recurrence_change(prev, cur, hint) <= STABILIZE_TOL:

@@ -10,8 +10,8 @@ rule weights.  On unbounded intervals the finite part ends TAIL_GAP beyond
 the outermost singular point, and each tail beyond it gets a Gauss-Laguerre
 rule that takes the exponential factor exactly, so nothing is truncated.
 The piece rules are affine images of reference rules on [-1, 1]; those and
-the tail's reference rules on [0, inf) come from a table private to one
-Stieltjes stabilization.
+the tail's reference rules on [0, inf) are built in one batch per
+``composite_rules`` call, for all the refinement levels it is asked for.
 """
 
 from __future__ import annotations
@@ -184,29 +184,22 @@ def _piece_node_count(spec: WeightSpec, lo: float, hi: float, degree: int) -> in
     return base
 
 
-def _reference_rules(keys, table: dict):
-    """Reference Gauss rules of m points, one per key: (g_hi, g_lo, m) for
-    (1-t)^g_hi (1+t)^g_lo on [-1, 1], ("laguerre", m) for e^-s on [0, inf).
+def _reference_rules(keys) -> dict:
+    """Reference Gauss rules of m points, one per distinct key: (g_hi, g_lo, m)
+    for (1-t)^g_hi (1+t)^g_lo on [-1, 1], ("laguerre", m) for e^-s on [0, inf).
 
-    ``table`` maps the keys of rules built before to their rules; the keys it
-    lacks are built together in one ``_gauss_rules`` call and added to it.  A
-    rule does not depend on which other rules are built with it, so neither
-    do results depend on what the table holds.  Returns one read-only
-    (nodes, weights) pair per key.
+    All are built together in one ``_gauss_rules`` call.  A rule does not
+    depend on which other rules are built with it, so neither do results
+    depend on what else a batch holds.  Returns a dict from each key to its
+    (nodes, weights) pair.
     """
-    missing = [key for key in dict.fromkeys(keys) if key not in table]
-    if missing:
-        nodes, weights = _gauss_rules([
-            (2.0 * np.arange(key[1]) + 1.0, np.arange(1.0, key[1]), 1.0)
-            if key[0] == "laguerre" else _jacobi_coefficients(key[0], key[1], key[2] - 1)
-            for key in missing
-        ])
-        for row, key in enumerate(missing):
-            rule = (nodes[row, : key[-1]].copy(), weights[row, : key[-1]].copy())
-            for arr in rule:
-                arr.setflags(write=False)
-            table[key] = rule
-    return [table[key] for key in keys]
+    keys = list(dict.fromkeys(keys))
+    nodes, weights = _gauss_rules([
+        (2.0 * np.arange(key[1]) + 1.0, np.arange(1.0, key[1]), 1.0)
+        if key[0] == "laguerre" else _jacobi_coefficients(key[0], key[1], key[2] - 1)
+        for key in keys
+    ])
+    return {key: (nodes[row, : key[-1]], weights[row, : key[-1]]) for row, key in enumerate(keys)}
 
 
 def _tail_rule(spec: WeightSpec, start: float, s, w):
@@ -238,8 +231,14 @@ def _tail_rule(spec: WeightSpec, start: float, s, w):
     return x, weights
 
 
-def composite_rule(spec: WeightSpec, degree: int, refine: int = 0, rules=None) -> QuadRule:
-    """Singularity-respecting rule for a generalized weight.
+def composite_rule(spec: WeightSpec, degree: int, refine: int = 0) -> QuadRule:
+    """Singularity-respecting rule for a generalized weight at refinement level
+    ``refine``: the one rule ``composite_rules`` builds for that level alone."""
+    return composite_rules(spec, degree, (refine,))[0]
+
+
+def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
+    """Singularity-respecting rules for a generalized weight, one per level in ``levels``.
 
     Accurate to a tolerance, not exact, for integrands polynomial of the given
     degree times the weight.  The level-0 pieces split the interval, or on
@@ -247,27 +246,21 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0, rules=None) -
     singular points, graded dyadically near them; each gets an m-point
     Gauss-Jacobi rule with 2m-1 >= degree+16.  Each tail beyond T gets a
     Gauss-Laguerre rule (``_tail_rule``) of degree//2 + 9 points, half as many
-    again at each level.  ``refine`` = L splits every level-0 piece into 2^L
-    equal parts of m points each: the first part keeps the piece's lower-end
+    again at each level.  Level L splits every level-0 piece into 2^L equal
+    parts of m points each: the first part keeps the piece's lower-end
     exponent, the last its upper-end exponent, and the interior ends get
     exponent 0.  The Stieltjes stabilization loop uses the levels to certify
-    convergence, of the pieces and the tails alike.  ``rules`` is a dict of
-    the reference rules built so far, which one stabilization passes to each
-    of its levels (None builds every rule here).  A stabilization builds
-    level 1 after level 0 in every case, so level 0 given ``rules`` also
-    builds the rules of level 1's end parts and of level 1's tail, in the
-    same batch.  A later level builds the rules it lacks, among them its own
-    larger tail rule; its piece rules are no larger than level 0's.  No rule
-    outlives its caller's dict, so what a rule costs never depends on what
-    was built before it.
+    convergence, of the pieces and the tails alike.  The reference rules of
+    all the listed levels are built in one ``_reference_rules`` batch; since a
+    rule does not depend on its batch, each level's rule is the one it gets
+    when built alone.  No reference rule outlives the call.
     """
     if spec.family not in GENERALIZED_FAMILIES:
         raise WeightError(f"composite_rule needs a generalized family, got {spec.family!r}")
     if degree < 0:
         raise ValueError("degree must be >= 0")
 
-    ahead = rules is not None and refine == 0
-    tail_keys = []
+    tails = {}
     if spec.family == "gen_jacobi":
         lo, hi = spec.interval
     else:
@@ -276,13 +269,11 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0, rules=None) -
         # a weight out of range where the tails start fails before any rule is built
         _tail_rule(spec, hi, np.zeros(1), np.ones(1))
         base = degree // 2 + 9
-        levels = (0, 1) if ahead else (refine,)
-        tail_keys = [("laguerre", base + level * ((base + 1) // 2)) for level in levels]
+        tails = {level: ("laguerre", base + level * ((base + 1) // 2)) for level in levels}
 
     exponent_at = dict(spec.singularities)
     breaks = [lo] + [c for c, _ in spec.singularities if lo < c < hi] + [hi]
-    parts = 2**refine
-    pieces = []
+    coarse = []
     for u, v in zip(breaks, breaks[1:]):
         for lo_p, hi_p in zip(sub := _graded_subpieces(u, v, spec), sub[1:]):
             m = _piece_node_count(spec, lo_p, hi_p, degree)
@@ -291,44 +282,49 @@ def composite_rule(spec: WeightSpec, degree: int, refine: int = 0, rules=None) -
                     f"the piece [{lo_p!r}, {hi_p!r}] needs a {m}-point Gauss rule, more "
                     f"than the {MAX_PIECE_NODES} points a piece may have"
                 )
+            coarse.append((lo_p, hi_p, exponent_at.get(lo_p, 0.0), exponent_at.get(hi_p, 0.0), m))
+    layouts = []
+    for parts in (2**level for level in levels):
+        pieces = []
+        for lo_p, hi_p, g_lo, g_hi, m in coarse:
             ends = [lo_p + (hi_p - lo_p) * j / parts for j in range(parts)] + [hi_p]
-            for j in range(parts):
-                g_lo = exponent_at.get(lo_p, 0.0) if j == 0 else 0.0
-                g_hi = exponent_at.get(hi_p, 0.0) if j == parts - 1 else 0.0
-                pieces.append((ends[j], ends[j + 1], g_lo, g_hi, m))
+            pieces += [(ends[j], ends[j + 1], g_lo if j == 0 else 0.0,
+                        g_hi if j == parts - 1 else 0.0, m) for j in range(parts)]
+        layouts.append(pieces)
+    found = _reference_rules(list(tails.values()) + [
+        (g_hi, g_lo, m) for pieces in layouts for _, _, g_lo, g_hi, m in pieces
+    ])
 
-    # the [-1, 1] rules, padded into one row per piece
-    width = max(m for *_, m in pieces)
-    ref_nodes = np.zeros((len(pieces), width))
-    ref_weights = np.zeros((len(pieces), width))
-    keys = [(g_hi, g_lo, m) for _, _, g_lo, g_hi, m in pieces]
-    if ahead:
-        keys += [k for g_hi, g_lo, m in keys for k in ((0.0, g_lo, m), (g_hi, 0.0, m))]
-    found = _reference_rules(tail_keys + keys, {} if rules is None else rules)
-    for row, (x, w) in enumerate(found[len(tail_keys) : len(tail_keys) + len(pieces)]):
-        ref_nodes[row, : x.shape[0]] = x
-        ref_weights[row, : w.shape[0]] = w
-    lo_s, hi_s, g_lo, g_hi, m = (np.array(col)[:, None] for col in zip(*pieces))
-    half = 0.5 * (hi_s - lo_s)
-    nodes = 0.5 * (lo_s + hi_s) + half * ref_nodes
-    # the [-1,1] rule's mass is 2^(g_lo+g_hi+1) B(...); rescale to the piece length
-    weights = ref_weights * half ** (g_lo + g_hi + 1)
+    rules = []
+    for level, pieces in zip(levels, layouts):
+        # the [-1, 1] rules, padded into one row per piece
+        width = max(m for *_, m in pieces)
+        ref_nodes = np.zeros((len(pieces), width))
+        ref_weights = np.zeros((len(pieces), width))
+        for row, (_, _, g_lo, g_hi, m) in enumerate(pieces):
+            ref_nodes[row, :m], ref_weights[row, :m] = found[g_hi, g_lo, m]
+        lo_s, hi_s, g_lo, g_hi, m = (np.array(col)[:, None] for col in zip(*pieces))
+        half = 0.5 * (hi_s - lo_s)
+        nodes = 0.5 * (lo_s + hi_s) + half * ref_nodes
+        # the [-1,1] rule's mass is 2^(g_lo+g_hi+1) B(...); rescale to the piece length
+        weights = ref_weights * half ** (g_lo + g_hi + 1)
 
-    if spec.family == "gen_laguerre":
-        smooth = spec.scale * np.exp(-nodes)
-    elif spec.family == "gen_hermite":
-        smooth = spec.scale * np.exp(-(nodes**2))
-    else:
-        smooth = spec.scale * np.ones_like(nodes)
-    for c, g in spec.singularities:
-        rows = (lo_s[:, 0] != c) & (hi_s[:, 0] != c)
-        smooth[rows] = smooth[rows] * np.abs(nodes[rows] - c) ** g
-    # drop the padding, add the tails, and drop any node whose weight underflowed
-    padding = np.arange(nodes.shape[1]) >= m
-    nodes, weights = nodes[~padding], (weights * smooth)[~padding]
-    if tail_keys:
-        x, w = _tail_rule(spec, hi, *found[0])
-        nodes, weights = np.concatenate([nodes, x]), np.concatenate([weights, w])
-    keep = weights > 0
-    order = np.argsort(nodes[keep])
-    return QuadRule(nodes[keep][order], weights[keep][order])
+        if spec.family == "gen_laguerre":
+            smooth = spec.scale * np.exp(-nodes)
+        elif spec.family == "gen_hermite":
+            smooth = spec.scale * np.exp(-(nodes**2))
+        else:
+            smooth = spec.scale * np.ones_like(nodes)
+        for c, g in spec.singularities:
+            rows = (lo_s[:, 0] != c) & (hi_s[:, 0] != c)
+            smooth[rows] = smooth[rows] * np.abs(nodes[rows] - c) ** g
+        # drop the padding, add the tails, and drop any node whose weight underflowed
+        padding = np.arange(nodes.shape[1]) >= m
+        nodes, weights = nodes[~padding], (weights * smooth)[~padding]
+        if tails:
+            x, w = _tail_rule(spec, hi, *found[tails[level]])
+            nodes, weights = np.concatenate([nodes, x]), np.concatenate([weights, w])
+        keep = weights > 0
+        order = np.argsort(nodes[keep])
+        rules.append(QuadRule(nodes[keep][order], weights[keep][order]))
+    return rules

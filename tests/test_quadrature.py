@@ -158,75 +158,79 @@ class TestCompositeRule:
 
 
 class TestReferenceRules:
-    """composite_rule takes its [-1, 1] Gauss-Jacobi rules from a table its caller owns."""
+    """composite_rules builds the [-1, 1] Gauss-Jacobi and Gauss-Laguerre
+    reference rules of all its levels in one batch, private to the call."""
 
     SPEC = {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]}
 
     @pytest.fixture
     def solved(self, monkeypatch):
-        """Record (level, size, entries) of every Jacobi matrix eigvalsh solves,
-        level being the refinement of the composite rule built."""
+        """Record (size, entries) of every Jacobi matrix eigvalsh solves, and
+        the size of every _gauss_rules batch."""
         import markovsharp.quadrature as quad
 
-        log, level = [], [None]
-        eigvalsh, build = np.linalg.eigvalsh, quad.composite_rule
+        log, batches = [], []
+        eigvalsh, gauss_rules = np.linalg.eigvalsh, quad._gauss_rules
 
         def recording_eigvalsh(a):
             for mat in np.reshape(a, (-1,) + np.shape(a)[-2:]):
-                entries = mat.diagonal().tobytes() + mat.diagonal(-1).tobytes()
-                log.append((level[0], mat.shape[0], entries))
+                log.append((mat.shape[0], mat.diagonal().tobytes() + mat.diagonal(-1).tobytes()))
             return eigvalsh(a)
 
-        def tagged_build(spec, degree, refine=0, rules=None):
-            level[0] = refine
-            return build(spec, degree, refine, rules)
+        def counted_gauss_rules(tables):
+            batches.append(len(tables))
+            return gauss_rules(tables)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-        monkeypatch.setattr(quad, "composite_rule", tagged_build)
-        return log
+        monkeypatch.setattr(quad, "_gauss_rules", counted_gauss_rules)
+        return log, batches
 
     def test_each_rule_solved_once(self, solved):
-        import markovsharp.quadrature as quad
         from markovsharp.markov import basis_for
         from markovsharp.orthopoly import stabilized_stieltjes
 
+        log, batches = solved
         spec = make_weight(self.SPEC)
         stabilized_stieltjes(spec, 41)
-        # level 0 builds level 1's rules in its own batch
-        assert {lvl for lvl, _, _ in solved} == {0}
-        distinct = {entries for _, _, entries in solved}
-        assert len(distinct) == len(solved)  # no matrix solved twice, at any level
-        first = sorted(solved)
+        # accepted at level 1, from the one batch that builds levels 0 and 1
+        assert len(batches) == 1
+        assert len({entries for _, entries in log}) == len(log)  # no matrix solved twice
+        first = sorted(log)
+        # the matrices of levels 0 and 1, as each level built alone solves them
+        log.clear()
+        composite_rule(spec, 83, refine=1)
+        level_1 = set(log)
+        log.clear()
+        composite_rule(spec, 83)
+        assert set(first) == level_1 | set(log)
         # refinement splits pieces and keeps their node counts; the one rule
         # larger than level 0's is level 2's own Gauss-Laguerre tail
-        solved.clear()
-        quad.composite_rule(spec, 83, refine=2)
-        widest = max(m for _, m, _ in first)
+        widest = max(m for m, _ in log)
+        log.clear()
+        composite_rule(spec, 83, refine=2)
         base = 83 // 2 + 9
-        assert [m for _, m, _ in solved if m > widest] == [base + 2 * ((base + 1) // 2)]
+        assert [m for m, _ in log if m > widest] == [base + 2 * ((base + 1) // 2)]
         # the same stabilized_stieltjes(spec, 41) build solves the same matrices
         # again: no rule outlives the build, so its cost does not depend on it
-        solved.clear()
+        log.clear()
         basis_for(spec, 40)
-        assert sorted(solved) == first
+        assert sorted(log) == first
 
     def test_results_independent_of_table(self):
-        from markovsharp.quadrature import _reference_rules
+        """A rule's bytes do not depend on the other rules its batch's table holds."""
+        from markovsharp.quadrature import composite_rules
 
-        spec = make_weight(self.SPEC)
-        first = composite_rule(spec, 31, refine=1)
-        table = {}
-        again = composite_rule(spec, 31, refine=1, rules=table)
-        keys = list(table)
-        assert keys
-        # a table holding other rules and some of this rule's: the rest are built together
-        held = {key: table[key] for key in keys[::2]}
-        _reference_rules([(0.25 + 1e-3 * i, 0.0, 5) for i in range(10)], held)
-        mixed = composite_rule(spec, 31, refine=1, rules=held)
-        assert set(keys) <= set(held)
-        for rule in (again, mixed):
-            assert rule.nodes.tobytes() == first.nodes.tobytes()
-            assert rule.weights.tobytes() == first.weights.tobytes()
+        for raw in (
+            {"family": "gen_jacobi", "interval": [-1, 2], "singularities": [[0.0, 0.5], [1.0, -0.3]]},
+            self.SPEC,
+            {"family": "gen_hermite", "singularities": [[-1.0, 0.5], [0.5, 1.5]]},
+        ):
+            spec = make_weight(raw)
+            both = composite_rules(spec, 31, (0, 1))
+            for refine, rule in enumerate(both):
+                alone = composite_rule(spec, 31, refine=refine)
+                assert rule.nodes.tobytes() == alone.nodes.tobytes()
+                assert rule.weights.tobytes() == alone.weights.tobytes()
 
 
 class TestPieceRules:
