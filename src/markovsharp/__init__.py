@@ -40,7 +40,7 @@ from .orthopoly import (
     recurrence_classical,
     weight_to_json,
 )
-from .quadrature import QuadRule, composite_rule, gauss_rule
+from .quadrature import QuadRule, composite_rules, gauss_rule
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,7 @@ __all__ = [
     "SobolevSpec",
     "WeightError",
     "WeightSpec",
-    "composite_rule",
+    "composite_rules",
     "derivative_matrix",
     "eval_orthonormal",
     "extremal_polynomial",

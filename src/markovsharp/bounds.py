@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -165,89 +166,101 @@ def _spec_gammas(spec: WeightSpec):
     return [g for _, g in spec.singularities], [c for c, _ in spec.singularities]
 
 
-# case id -> (weight families it covers, exponent of n in its bound, or the
-# function of the weight that gives it)
+def _gen_hermite_2_violation(spec: WeightSpec):
+    if any(c != 0.0 for c, _ in spec.singularities):
+        return "case gen_hermite_2 covers |x|^a e^(-x^2) only; use gen_hermite_6"
+    if any(g < 0 for _, g in spec.singularities):
+        return "case gen_hermite_2 needs the |x|^a exponent >= 0"
+
+
+def _gen_laguerre_51_violation(spec: WeightSpec):
+    gs, cs = _spec_gammas(spec)
+    if gs and abs(sum(gs[:-1])) > _SUM_TOL:
+        return "case gen_laguerre_51 needs the exponents short of the last to sum to zero"
+    if gs and cs[-1] < 0:
+        return "the largest singularity location must be >= 0"
+
+
+@dataclass(frozen=True)
+class _Case:
+    """One verification case: the weights it covers and the bound it asserts.
+
+    ``exponent`` is the power of n in the bound, or the function of the weight
+    that gives it; ``hypothesis`` returns the violated condition beyond the
+    family, or None.  ``envelope`` is the explicit bound at degree n, where
+    known, and ``check(value, envelope, sharp)`` the pointwise test each degree
+    must pass, with ``sharp`` the sharp L2 constant.
+    """
+
+    families: tuple[str, ...]
+    exponent: float | Callable[[WeightSpec], float]
+    hypothesis: Callable[[WeightSpec], str | None] = lambda spec: None
+    envelope: Callable[[int], float] | None = None
+    check: Callable[[float, float, float], bool] | None = None
+
+
 _CASES = {
-    "laguerre_1": (("laguerre",), 1.0),
-    "gen_hermite_2": (("hermite", "gen_hermite"), 0.5),
-    "jacobi_3": (("jacobi",), 2.0),
-    "gen_jacobi_4": (("gen_jacobi",), 2.0),
-    "gen_laguerre_51": (("gen_laguerre",), 2.0),
-    "gen_laguerre_52": (
+    "laguerre_1": _Case(("laguerre",), 1.0),
+    "gen_hermite_2": _Case(
+        ("hermite", "gen_hermite"), 0.5, _gen_hermite_2_violation,
+        envelope=lambda n: math.sqrt(2.0 * n), check=lambda v, env, s: v <= env * (1 + 1e-9),
+    ),
+    "jacobi_3": _Case(("jacobi",), 2.0),
+    "gen_jacobi_4": _Case(("gen_jacobi",), 2.0),
+    "gen_laguerre_51": _Case(("gen_laguerre",), 2.0, _gen_laguerre_51_violation),
+    "gen_laguerre_52": _Case(
         ("gen_laguerre",), lambda spec: gen_laguerre_exponent(*_spec_gammas(spec)).exponent
     ),
-    "gen_hermite_6": (
+    "gen_hermite_6": _Case(
         ("gen_hermite",), lambda spec: gen_hermite_exponent(_spec_gammas(spec)[0]).exponent
     ),
-    "mirsky": (("hermite",), 1.5),
-    "schmidt": (("hermite",), 0.5),
+    "mirsky": _Case(
+        ("hermite",), 1.5, envelope=lambda n: math.sqrt(n * (n + 1) * (2 * n + 1) / 3.0),
+        check=lambda m, env, s: m >= s,
+    ),
+    "schmidt": _Case(
+        ("hermite",), 0.5, envelope=lambda n: math.sqrt(2.0 * n),
+        check=lambda v, env, s: abs(v - env) <= 1e-10 * env,
+    ),
 }
 CASE_IDS = tuple(_CASES)
+# default_case tries a family's cases in CASE_IDS order, unless listed here
+_PREFERRED = {"hermite": ("schmidt",)}
 
 
-def _case(case_id: str):
+def _case(case_id: str) -> _Case:
     if case_id not in _CASES:
         raise WeightError(f"unknown case id {case_id!r}; expected one of {CASE_IDS}")
     return _CASES[case_id]
 
 
+def _violation(case_id: str, spec: WeightSpec):
+    """Why the case does not cover the weight, or None when it does."""
+    case = _case(case_id)
+    if spec.family not in case.families:
+        return f"case {case_id} needs a weight family in {case.families}, got {spec.family}"
+    return case.hypothesis(spec)
+
+
 def predicted_exponent(case_id: str, spec: WeightSpec) -> float:
     """Exponent of n in the bound the given case asserts for this weight."""
-    _, exponent = _case(case_id)
+    exponent = _case(case_id).exponent
     return exponent(spec) if callable(exponent) else exponent
 
 
 def predicted_envelope(case_id: str, spec: WeightSpec, n: int) -> float:
     """Pointwise bound envelope: explicit where known, else unit-constant n^e."""
-    if case_id in ("gen_hermite_2", "schmidt"):
-        return math.sqrt(2.0 * n)
-    if case_id == "mirsky":
-        return math.sqrt(n * (n + 1) * (2 * n + 1) / 3.0)
-    return float(n) ** predicted_exponent(case_id, spec)
+    envelope = _case(case_id).envelope
+    return envelope(n) if envelope else float(n) ** predicted_exponent(case_id, spec)
 
 
 def default_case(spec: WeightSpec) -> str:
-    """Most specific verification case applicable to a weight."""
-    fam = spec.family
-    if fam == "hermite":
-        return "schmidt"
-    if fam == "laguerre":
-        return "laguerre_1"
-    if fam == "jacobi":
-        return "jacobi_3"
-    if fam == "gen_jacobi":
-        return "gen_jacobi_4"
-    if fam == "gen_hermite":
-        if all(c == 0.0 for c, _ in spec.singularities):
-            return "gen_hermite_2"
-        return "gen_hermite_6"
-    gs, _ = _spec_gammas(spec)
-    if not gs or abs(sum(gs[:-1])) <= _SUM_TOL:
-        return "gen_laguerre_51"
-    return "gen_laguerre_52"
+    """Most specific verification case applicable to a weight.
 
-
-def _check_case_applies(case_id: str, spec: WeightSpec):
-    families, _ = _case(case_id)
-    if spec.family not in families:
-        raise HypothesisError(
-            f"case {case_id} needs a weight family in {families}, got {spec.family}"
-        )
-    if case_id == "gen_hermite_2":
-        if any(c != 0.0 for c, _ in spec.singularities):
-            raise HypothesisError(
-                "case gen_hermite_2 covers |x|^a e^(-x^2) only; use gen_hermite_6"
-            )
-        if any(g < 0 for _, g in spec.singularities):
-            raise HypothesisError("case gen_hermite_2 needs the |x|^a exponent >= 0")
-    if case_id == "gen_laguerre_51":
-        gs, cs = _spec_gammas(spec)
-        if gs and abs(sum(gs[:-1])) > _SUM_TOL:
-            raise HypothesisError(
-                "case gen_laguerre_51 needs the exponents short of the last to sum to zero"
-            )
-        if gs and cs[-1] < 0:
-            raise HypothesisError("the largest singularity location must be >= 0")
+    The first of the family's cases whose hypothesis the weight meets.
+    """
+    cases = _PREFERRED.get(spec.family, CASE_IDS)
+    return next(c for c in cases if _violation(c, spec) is None)
 
 
 def verify_theorem(
@@ -258,32 +271,23 @@ def verify_theorem(
     Passes when the fitted exponent is at most predicted + slack (default
     0.1) and, for the explicit constant cases, when the pointwise bound holds
     as well (schmidt additionally checks equality with sqrt(2n) to 1e-10).
+    mirsky fits the Mirsky bounds; mirsky and schmidt use the L2 norm.
     """
-    _check_case_applies(case_id, spec)
+    if violation := _violation(case_id, spec):
+        raise HypothesisError(violation)
     if not math.isfinite(slack):
         raise WeightError(f"the fit slack must be finite, got {slack}")
     ns = sorted(int(n) for n in ns)
     if len(ns) < 4:
         raise WeightError("need at least 4 degrees for the exponent fit")
     predicted = predicted_exponent(case_id, spec)
+    case = _CASES[case_id]
 
-    if case_id == "mirsky":
-        values = mirsky_bounds(spec, ns)
-        sharp = [res.value for res in sharp_constants(spec, ns)]
-        extra_ok = all(m >= s for m, s in zip(values, sharp))
-    elif case_id == "schmidt":
-        values = [res.value for res in sharp_constants(spec, ns)]
-        extra_ok = all(
-            abs(v - math.sqrt(2.0 * n)) <= 1e-10 * math.sqrt(2.0 * n)
-            for n, v in zip(ns, values)
-        )
-    else:
-        values = [res.value for res in sharp_constants(spec, ns, sob.lambdas)]
-        extra_ok = True
-        if case_id == "gen_hermite_2":
-            extra_ok = all(
-                v <= math.sqrt(2.0 * n) * (1 + 1e-9) for n, v in zip(ns, values)
-            )
+    lambdas = () if case_id in ("mirsky", "schmidt") else sob.lambdas
+    sharp = [res.value for res in sharp_constants(spec, ns, lambdas)]
+    values = mirsky_bounds(spec, ns) if case_id == "mirsky" else sharp
+    extra_ok = case.check is None or all(
+        case.check(v, case.envelope(n), s) for n, v, s in zip(ns, values, sharp))
 
     fitted_constant, fitted_exponent = growth_fit(ns, values)
     passed = bool(fitted_exponent <= predicted + slack) and extra_ok

@@ -249,8 +249,9 @@ def _symmetric(spec: WeightSpec) -> bool:
     Decided on the closed-form restatement, so a generalized weight and its
     classical twin agree: hermite always, jacobi when alpha = beta, gen_hermite
     and gen_jacobi when their singular factors mirror each other about 0 and
-    about (a + b) / 2, laguerre never.  The recurrence diagonal of such a
-    weight is constant, so p_k' holds only p_{k-1}, p_{k-3}, ...
+    about (a + b) / 2 (to 4 ulps of b - a), laguerre never.  The recurrence
+    diagonal of such a weight is constant, so p_k' holds only p_{k-1},
+    p_{k-3}, ...
     """
     spec = closed_form(spec) or spec
     if spec.family in ("hermite", "jacobi"):
@@ -258,9 +259,13 @@ def _symmetric(spec: WeightSpec) -> bool:
     if spec.family not in ("gen_hermite", "gen_jacobi"):
         return False
     # the singular points are strictly increasing, so mirror pairs are c_j, c_{m-1-j}
-    total = 0.0 if spec.family == "gen_hermite" else sum(spec.interval)
+    total, tol = 0.0, 0.0
+    if spec.family == "gen_jacobi":  # c + d rounds, so it may miss a + b by a few ulps of b - a
+        a, b = spec.interval
+        total, tol = a + b, 4 * np.finfo(float).eps * (b - a)
     sings = spec.singularities
-    return all(c + d == total and g == h for (c, g), (d, h) in zip(sings, reversed(sings)))
+    return all(abs(c + d - total) <= tol and g == h
+               for (c, g), (d, h) in zip(sings, reversed(sings)))
 
 
 def _top_pairs(reduced: np.ndarray, ns, split: bool):

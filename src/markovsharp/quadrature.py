@@ -2,7 +2,7 @@
 
 ``gauss_rule`` is the Golub-Welsch construction: nodes are the eigenvalues of
 the symmetric tridiagonal Jacobi matrix, weights come from the Christoffel
-function.  ``composite_rule`` handles generalized weights by splitting the
+function.  ``composite_rules`` handles generalized weights by splitting the
 interval at every singular point: each finite piece gets a Gauss-Jacobi rule
 whose weight absorbs the endpoint factors |x-c|^gamma exactly, while the
 exponential factor and the off-piece singular factors are folded into the
@@ -231,12 +231,6 @@ def _tail_rule(spec: WeightSpec, start: float, s, w):
     return x, weights
 
 
-def composite_rule(spec: WeightSpec, degree: int, refine: int = 0) -> QuadRule:
-    """Singularity-respecting rule for a generalized weight at refinement level
-    ``refine``: the one rule ``composite_rules`` builds for that level alone."""
-    return composite_rules(spec, degree, (refine,))[0]
-
-
 def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     """Singularity-respecting rules for a generalized weight, one per level in ``levels``.
 
@@ -256,7 +250,7 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     when built alone.  No reference rule outlives the call.
     """
     if spec.family not in GENERALIZED_FAMILIES:
-        raise WeightError(f"composite_rule needs a generalized family, got {spec.family!r}")
+        raise WeightError(f"composite_rules needs a generalized family, got {spec.family!r}")
     if degree < 0:
         raise ValueError("degree must be >= 0")
 

@@ -19,6 +19,7 @@ from markovsharp import (
     verify_theorem,
 )
 from markovsharp.bounds import (
+    CASE_IDS,
     default_case,
     predicted_envelope,
 )
@@ -235,6 +236,43 @@ class TestCaseHelpers:
         assert predicted_envelope("mirsky", hermite, 2) == pytest.approx(math.sqrt(10))
         leg = make_weight({"family": "jacobi", "interval": [-1, 1]})
         assert predicted_envelope("jacobi_3", leg, 5) == 25.0
+
+
+class TestCaseMatrix:
+    """Every case id against one weight of every family, plus weights that
+    break the gen_hermite_2 and gen_laguerre_51 hypotheses."""
+
+    # name -> (weight, the cases that cover it, its default case)
+    WEIGHTS = {
+        "hermite": ({"family": "hermite"}, {"gen_hermite_2", "mirsky", "schmidt"}, "schmidt"),
+        "laguerre": ({"family": "laguerre", "alpha": 0.5}, {"laguerre_1"}, "laguerre_1"),
+        "jacobi": ({"family": "jacobi", "interval": [-1, 1], "alpha": 0.5, "beta": -0.3},
+                   {"jacobi_3"}, "jacobi_3"),
+        "gen_jacobi": ({"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.2, 0.5]]},
+                       {"gen_jacobi_4"}, "gen_jacobi_4"),
+        "gen_laguerre": ({"family": "gen_laguerre", "singularities": [[2.0, 1.0]]},
+                         {"gen_laguerre_51", "gen_laguerre_52"}, "gen_laguerre_51"),
+        "gen_laguerre_inner_sum": (
+            {"family": "gen_laguerre", "singularities": [[0.0, 0.5], [1.0, 0.5]]},
+            {"gen_laguerre_52"}, "gen_laguerre_52",
+        ),
+        "gen_hermite": ({"family": "gen_hermite", "alpha": 1.0},
+                        {"gen_hermite_2", "gen_hermite_6"}, "gen_hermite_2"),
+        "gen_hermite_off_origin": ({"family": "gen_hermite", "singularities": [[1.0, 1.0]]},
+                                   {"gen_hermite_6"}, "gen_hermite_6"),
+    }
+
+    @pytest.mark.parametrize("name", WEIGHTS)
+    def test_hypothesis_error_exactly_outside_the_cover(self, name):
+        raw, covered, default = self.WEIGHTS[name]
+        spec = make_weight(raw)
+        for case_id in CASE_IDS:
+            if case_id in covered:
+                verify_theorem(case_id, spec, SobolevSpec((0.0,)), range(4, 8))
+            else:
+                with pytest.raises(HypothesisError):
+                    verify_theorem(case_id, spec, SobolevSpec((0.0,)), range(4, 8))
+        assert default_case(spec) == default and default in covered
 
 
 def test_gen_hermite_sharp_below_schmidt_bound():

@@ -517,6 +517,10 @@ SYMMETRIC_WEIGHTS = {
     "gen_hermite_2": {"family": "gen_hermite", "alpha": 2.0},
     "gen_jacobi": GEN_JACOBI,
     "jacobi_0_3": {"family": "jacobi", "interval": [0, 3], "alpha": 1.5, "beta": 1.5},
+    # 0.1 + 0.2 != 0.3 in floats: a mirror pair found only to a few ulps of b - a
+    "gen_jacobi_rounded": {
+        "family": "gen_jacobi", "interval": [0, 0.3], "singularities": [[0.1, 0.5], [0.2, 0.5]]
+    },
 }
 
 
@@ -541,6 +545,14 @@ class TestParitySplit:
             ({"family": "laguerre"}, False),
             ({"family": "gen_laguerre", "singularities": [[0.0, 0.5]]}, False),
             ({"family": "gen_laguerre", "singularities": [[1.0, 0.5]]}, False),
+            # 0.1 + 0.2 != 0.3: a mirror pair found to 4 ulps of b - a
+            ({"family": "gen_jacobi", "interval": [0, 0.3],
+              "singularities": [[0.1, 0.5], [0.2, 0.5]]}, True),
+            # beyond 4 ulps of b - a: a shifted mirror, and sums rounded at 1e6
+            ({"family": "gen_jacobi", "interval": [0, 0.3],
+              "singularities": [[0.1, 0.5], [0.2 + 1e-12, 0.5]]}, False),
+            ({"family": "gen_jacobi", "interval": [1e6, 1e6 + 0.3],
+              "singularities": [[1e6 + 0.1, 0.5], [1e6 + 0.2, 0.5]]}, False),
         ],
     )
     def test_symmetry_of_the_weight(self, raw, symmetric):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from markovsharp import (
-    composite_rule,
+    composite_rules,
     gauss_rule,
     make_weight,
     recurrence_classical,
@@ -97,18 +97,18 @@ class TestCompositeRule:
         spec = make_weight(
             {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}
         )
-        rule = composite_rule(spec, 5)
+        rule = composite_rules(spec, 5, (0,))[0]
         assert np.dot(rule.weights, rule.nodes**2) == pytest.approx(4 / 7, rel=1e-12)
         assert np.sum(rule.weights) == pytest.approx(4 / 3, rel=1e-12)
 
     def test_gen_hermite_squared_factor_mass(self):
         spec = make_weight({"family": "gen_hermite", "alpha": 2.0})
-        rule = composite_rule(spec, 2)
+        rule = composite_rules(spec, 2, (0,))[0]
         assert np.sum(rule.weights) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
 
     def test_classical_family_rejected(self):
         with pytest.raises(WeightError, match="generalized"):
-            composite_rule(make_weight({"family": "hermite"}), 4)
+            composite_rules(make_weight({"family": "hermite"}), 4, (0,))
 
     def test_nodes_contained_and_positive(self):
         spec = make_weight(
@@ -117,15 +117,15 @@ class TestCompositeRule:
                 "singularities": [[-0.5, 2.0], [1.0, -0.5], [3.0, 1.0]],
             }
         )
-        rule = composite_rule(spec, 13)
+        rule = composite_rules(spec, 13, (0,))[0]
         assert np.all(rule.weights > 0)
         assert np.all(rule.nodes > 0)
         assert np.all(np.diff(rule.nodes) > 0)
 
     def test_scale_multiplies_mass(self):
         base = {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.2, -0.3]]}
-        m0 = np.sum(composite_rule(make_weight(base), 3).weights)
-        m1 = np.sum(composite_rule(make_weight(dict(base, scale=7.0)), 3).weights)
+        m0 = np.sum(composite_rules(make_weight(base), 3, (0,))[0].weights)
+        m1 = np.sum(composite_rules(make_weight(dict(base, scale=7.0)), 3, (0,))[0].weights)
         assert m1 == pytest.approx(7.0 * m0, rel=1e-14)
 
     def test_tail_gap_certified(self, monkeypatch):
@@ -133,9 +133,9 @@ class TestCompositeRule:
         import markovsharp.quadrature as quad
 
         spec = make_weight({"family": "gen_hermite", "singularities": [[1.0, 1.0]]})
-        mass = np.sum(composite_rule(spec, 11).weights)
+        mass = np.sum(composite_rules(spec, 11, (0,))[0].weights)
         monkeypatch.setattr(quad, "TAIL_GAP", 2.0 * quad.TAIL_GAP)
-        mass_doubled = np.sum(composite_rule(spec, 11).weights)
+        mass_doubled = np.sum(composite_rules(spec, 11, (0,))[0].weights)
         assert abs(mass_doubled - mass) <= 1e-13 * abs(mass)
 
     def test_refine_changes_little(self):
@@ -145,14 +145,14 @@ class TestCompositeRule:
         sqrt_abs = make_weight(
             {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}
         )
-        coarse = composite_rule(spec, 15)
+        coarse = composite_rules(spec, 15, (0,))[0]
         f = lambda x: x**3 - 2 * x + 1
         for refine in (1, 2, 3):
-            fine = composite_rule(spec, 15, refine=refine)
+            fine = composite_rules(spec, 15, (refine,))[0]
             want = np.dot(fine.weights, f(fine.nodes))
             assert np.dot(coarse.weights, f(coarse.nodes)) == pytest.approx(want, rel=1e-12)
             # closed-form moments of |x|^(1/2) on [-1, 1]
-            rule = composite_rule(sqrt_abs, 5, refine=refine)
+            rule = composite_rules(sqrt_abs, 5, (refine,))[0]
             assert np.dot(rule.weights, rule.nodes**2) == pytest.approx(4 / 7, rel=1e-12)
             assert np.sum(rule.weights) == pytest.approx(4 / 3, rel=1e-12)
 
@@ -198,16 +198,16 @@ class TestReferenceRules:
         first = sorted(log)
         # the matrices of levels 0 and 1, as each level built alone solves them
         log.clear()
-        composite_rule(spec, 83, refine=1)
+        composite_rules(spec, 83, (1,))
         level_1 = set(log)
         log.clear()
-        composite_rule(spec, 83)
+        composite_rules(spec, 83, (0,))
         assert set(first) == level_1 | set(log)
         # refinement splits pieces and keeps their node counts; the one rule
         # larger than level 0's is level 2's own Gauss-Laguerre tail
         widest = max(m for m, _ in log)
         log.clear()
-        composite_rule(spec, 83, refine=2)
+        composite_rules(spec, 83, (2,))
         base = 83 // 2 + 9
         assert [m for m, _ in log if m > widest] == [base + 2 * ((base + 1) // 2)]
         # the same stabilized_stieltjes(spec, 41) build solves the same matrices
@@ -218,8 +218,6 @@ class TestReferenceRules:
 
     def test_results_independent_of_table(self):
         """A rule's bytes do not depend on the other rules its batch's table holds."""
-        from markovsharp.quadrature import composite_rules
-
         for raw in (
             {"family": "gen_jacobi", "interval": [-1, 2], "singularities": [[0.0, 0.5], [1.0, -0.3]]},
             self.SPEC,
@@ -228,13 +226,13 @@ class TestReferenceRules:
             spec = make_weight(raw)
             both = composite_rules(spec, 31, (0, 1))
             for refine, rule in enumerate(both):
-                alone = composite_rule(spec, 31, refine=refine)
+                alone = composite_rules(spec, 31, (refine,))[0]
                 assert rule.nodes.tobytes() == alone.nodes.tobytes()
                 assert rule.weights.tobytes() == alone.weights.tobytes()
 
 
 class TestPieceRules:
-    """The Gauss-Jacobi rules composite_rule builds, all in one padded stack."""
+    """The Gauss-Jacobi rules composite_rules builds, all in one padded stack."""
 
     @pytest.fixture(scope="class")
     def stack(self):
