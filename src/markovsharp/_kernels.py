@@ -2,7 +2,8 @@
 Stieltjes procedure, vectorized over the evaluation or quadrature points.
 
 Each kernel takes the recurrence arrays positionally, ``(diag, offdiag, p0,
-x, ...)`` or ``(nodes, weights, n)``, and loops only over the degree.
+x, ...)`` or ``(nodes, weights, n)``, and loops only over the degree.  A
+kernel that cannot finish raises ``QuadratureError`` naming the cause.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import QuadratureError
 
 
 def deriv_tables(diag, offdiag, p0, x, order):
@@ -57,15 +60,15 @@ def stieltjes(nodes, weights, n):
     """Recurrence coefficients of the discrete measure sum w_q δ(x - x_q).
 
     Runs the Stieltjes procedure on orthonormal (not monic) values so the
-    iterates stay O(1).  Returns (diag, offdiag, mass, status); status is -1
-    on success, 0 if the mass or its reciprocal is not finite, else 1 + the
-    index k at which positivity was lost.
+    iterates stay O(1).  Returns (diag, offdiag, mass).  Raises
+    ``QuadratureError`` if the mass or its reciprocal is not finite, or if
+    the rule loses positivity at some degree.
     """
     diag = np.zeros(n + 1)
     offdiag = np.zeros(n)
     mass = float(np.sum(weights))
     if not (0.0 < mass < math.inf and 1.0 / mass < math.inf):
-        return diag, offdiag, mass, 0
+        raise QuadratureError(f"the weight's mass {mass!r} or its reciprocal is not finite")
     wx = weights * nodes
     p_prev = np.zeros_like(nodes)
     p_cur = np.full_like(nodes, 1.0 / math.sqrt(mass))
@@ -74,10 +77,10 @@ def stieltjes(nodes, weights, n):
         t = (nodes - diag[k]) * p_cur - (offdiag[k - 1] if k > 0 else 0.0) * p_prev
         nrm2 = float(np.dot(weights, t * t))
         if not (nrm2 > 0.0 and np.isfinite(nrm2)):
-            return diag, offdiag, mass, k + 1
+            raise QuadratureError(f"quadrature insufficient: lost positivity at degree {k + 1}")
         b = math.sqrt(nrm2)
         offdiag[k] = b
         p_prev = p_cur
         p_cur = t / b
         diag[k + 1] = np.dot(wx, p_cur * p_cur)
-    return diag, offdiag, mass, -1
+    return diag, offdiag, mass

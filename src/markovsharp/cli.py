@@ -10,11 +10,13 @@ Subcommands and the options each one reads:
 
 Weights are given as a preset name, inline JSON, or a path to a JSON file.
 Each subparser sets ``run`` to its ``cmd_*`` function.  ``main`` resolves the
-weight, the Sobolev norm and the degrees once, calls ``args.run(args)``, which
-returns ``(text, passed)``, writes the text to stdout or ``--out`` and maps
-exceptions to exit codes.  This module alone knows the output formats: JSON
-with sorted keys, and CSV with shortest-round-trip floats and lower-case
-booleans, so identical configurations produce byte-identical output.
+weight, the Sobolev weights (``()`` for the weighted L2 norm) and the degrees
+once, calls ``args.run(args)``, which returns ``(text, passed)``, writes the
+text to stdout or ``--out`` and maps exceptions to exit codes.  Every sharp
+constant comes from ``sharp_constants(weight, degrees, lambdas)``.  This
+module alone knows the output formats: JSON with sorted keys, and CSV with
+shortest-round-trip floats and lower-case booleans, so identical
+configurations produce byte-identical output.
 
 Exit codes: 0 success (and verify pass), 1 verify exponent failure or
 selftest failure, 2 invalid weight/arguments/hypothesis or an unwritable
@@ -40,8 +42,6 @@ from .markov import (
     basis_for,
     derivative_matrix,
     mirsky_bounds,
-    sharp_constant_l2,
-    sharp_constant_sobolev,
     sharp_constants,
     sobolev_gram,
 )
@@ -93,15 +93,15 @@ def load_weight(token: str) -> WeightSpec:
     return make_weight(raw)
 
 
-def _sobolev_spec(text: str) -> SobolevSpec | None:
-    """The --lambdas value as a Sobolev norm, or None for the weighted L2 norm."""
+def _lambdas(text: str) -> tuple[float, ...]:
+    """The --lambdas value, validated as a Sobolev norm's weights; () for the weighted L2 norm."""
     if not text:
-        return None
+        return ()
     try:
         lambdas = tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise WeightError(f"invalid --lambdas value {text!r}") from exc
-    return SobolevSpec(lambdas)
+    return SobolevSpec(lambdas).lambdas
 
 
 def _degrees(args) -> tuple[int, ...]:
@@ -164,14 +164,8 @@ def _table(args, header, rows, **fields) -> str:
                   "rows": [dict(zip(header, row)) for row in rows]})
 
 
-def _sharp(args) -> SharpResult:
-    if args.sob is None:
-        return sharp_constant_l2(args.weight, args.n)
-    return sharp_constant_sobolev(args.weight, args.sob, args.n)
-
-
 def cmd_sharp(args) -> tuple[str, bool]:
-    res = _sharp(args)
+    res = sharp_constants(args.weight, args.ns, args.lambdas)[0]
     if args.format == "csv":
         header = ("n", "value", "residual", *(f"coeff_{k}" for k in range(res.n + 1)))
         return _csv(header, [(res.n, res.value, res.residual, *res.coeffs)]), True
@@ -179,10 +173,10 @@ def cmd_sharp(args) -> tuple[str, bool]:
 
 
 def cmd_sweep(args) -> tuple[str, bool]:
-    spec, sob = args.weight, args.sob
+    spec = args.weight
     case = bounds.default_case(spec)
     l2 = sharp_constants(spec, args.ns)
-    sobolev = l2 if sob is None else sharp_constants(spec, args.ns, sob.lambdas)
+    sobolev = sharp_constants(spec, args.ns, args.lambdas) if args.lambdas else l2
     mirsky = mirsky_bounds(spec, args.ns)
     rows = [
         (n, a.value, b.value, m, bounds.predicted_envelope(case, spec, n))
@@ -197,7 +191,7 @@ def cmd_mirsky(args) -> tuple[str, bool]:
 
 
 def cmd_extremal(args) -> tuple[str, bool]:
-    res = _sharp(args)
+    res = sharp_constants(args.weight, args.ns, args.lambdas)[0]
     if args.format == "csv":
         comments = (("achieved_ratio", res.achieved_ratio), ("residual", res.residual))
         return _csv(("k", "coeff"), enumerate(res.coeffs), comments), True
@@ -208,7 +202,8 @@ def cmd_verify(args) -> tuple[str, bool]:
     spec = args.weight
     case = args.case or bounds.default_case(spec)
     slack = bounds.FIT_SLACK if args.tol is None else args.tol
-    check = bounds.verify_theorem(case, spec, args.sob or SobolevSpec((0.0,)), args.ns, slack=slack)
+    sob = SobolevSpec(args.lambdas or (0.0,))
+    check = bounds.verify_theorem(case, spec, sob, args.ns, slack=slack)
     if args.format == "csv":
         header = ("case_id", "n", "sharp", "predicted_envelope", "fitted_constant",
                   "fitted_exponent", "pass")
@@ -263,7 +258,7 @@ def _selftest_recurrence() -> tuple[bool, str]:
 
 def _selftest_eigen(rng) -> tuple[bool, str]:
     worst = 0.0
-    sob = SobolevSpec((1.0, 0.5))
+    lambdas = (1.0, 0.5)
     for size, name in ((3, "legendre"), (8, "laguerre0"), (15, "hermite")):
         rect = rng.standard_normal((size, size + 1))
         sigma, v = svd_largest(rect)
@@ -271,9 +266,9 @@ def _selftest_eigen(rng) -> tuple[bool, str]:
 
         # the pencil (D^T B D, B) of a Sobolev constant, with A formed here
         spec = load_weight(name)
-        res = sharp_constant_sobolev(spec, sob, size)
+        res = sharp_constants(spec, [size], lambdas)[0]
         mat = derivative_matrix(recurrence_classical(spec, size), size)
-        b = sobolev_gram(mat, sob.lambdas)
+        b = sobolev_gram(mat, lambdas)
         a = mat.T @ b @ mat
         theta, c = res.value**2, res.coeffs
         pencil = np.linalg.norm(a @ c - theta * b @ c) / (
@@ -354,7 +349,7 @@ def main(argv=None) -> int:
     try:
         if args.command != "selftest":
             args.weight = load_weight(args.weight)
-            args.sob = _sobolev_spec(getattr(args, "lambdas", ""))
+            args.lambdas = _lambdas(getattr(args, "lambdas", ""))
             args.ns = _degrees(args)
         text, passed = args.run(args)
     except (WeightError, HypothesisError) as exc:

@@ -366,11 +366,7 @@ def _stieltjes_once(rule, n: int, weight_id: str) -> RecurrenceTable:
             f"rule too short: {nodes.shape[0]} nodes cannot support degree {n} "
             f"(need at least {n + 1})"
         )
-    diag, offdiag, mass, status = _kernels.stieltjes(nodes, weights, n)
-    if status == 0:
-        raise QuadratureError(f"the weight's mass {mass!r} or its reciprocal is not finite")
-    if status > 0:
-        raise QuadratureError(f"quadrature insufficient: lost positivity at degree {status}")
+    diag, offdiag, mass = _kernels.stieltjes(nodes, weights, n)
     return RecurrenceTable(n_max=n, diag=diag, offdiag=offdiag, mass=mass, weight_id=weight_id)
 
 

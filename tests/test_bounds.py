@@ -23,7 +23,7 @@ from markovsharp.bounds import (
     default_case,
     predicted_envelope,
 )
-from markovsharp.orthopoly import eval_orthonormal
+from markovsharp.orthopoly import WeightSpec, eval_orthonormal, weight_to_json
 
 
 class TestGenHermiteExponent:
@@ -273,6 +273,26 @@ class TestCaseMatrix:
                 with pytest.raises(HypothesisError):
                     verify_theorem(case_id, spec, SobolevSpec((0.0,)), range(4, 8))
         assert default_case(spec) == default and default in covered
+
+    @pytest.mark.parametrize(
+        "case_id, spec, message",
+        [
+            ("gen_hermite_2",
+             WeightSpec("gen_hermite", (-math.inf, math.inf), singularities=((0.0, -0.3),)),
+             "exponent >= 0"),
+            ("gen_laguerre_51",
+             WeightSpec("gen_laguerre", (0.0, math.inf), singularities=((-1.0, 0.5),)),
+             "largest singularity location must be >= 0"),
+        ],
+        ids=["gen_hermite_2_negative_exponent", "gen_laguerre_51_negative_location"],
+    )
+    def test_hypothesis_guards_a_hand_built_spec(self, case_id, spec, message):
+        # make_weight rejects these weights first, so only a WeightSpec built
+        # by hand reaches the case's own guard
+        with pytest.raises(WeightError):
+            make_weight(weight_to_json(spec))
+        with pytest.raises(HypothesisError, match=message):
+            verify_theorem(case_id, spec, SobolevSpec((0.0,)), range(4, 8))
 
 
 def test_gen_hermite_sharp_below_schmidt_bound():

@@ -489,19 +489,20 @@ class TestSelftest:
         # as small as the top one's, so only the top-eigenvalue check rejects it
         import markovsharp.cli as cli
 
-        real = cli.sharp_constant_sobolev
+        real = cli.sharp_constants
 
-        def second_pair(spec, sob, n):
-            res = real(spec, sob, n)
+        def second_pair(spec, ns, lambdas=()):
+            (res,) = real(spec, ns, lambdas)
+            n = res.n
             mat = derivative_matrix(recurrence_classical(spec, n), n)
-            gram = sobolev_gram(mat, sob.lambdas)
+            gram = sobolev_gram(mat, lambdas)
             chol = np.linalg.cholesky(gram)
             half = np.linalg.solve(chol, mat.T @ gram @ mat)
             vals, vecs = np.linalg.eigh(np.linalg.solve(chol, half.T))
             coeffs = np.linalg.solve(chol.T, vecs[:, -2])
-            return dataclasses.replace(res, value=math.sqrt(vals[-2]), coeffs=coeffs)
+            return [dataclasses.replace(res, value=math.sqrt(vals[-2]), coeffs=coeffs)]
 
-        monkeypatch.setattr(cli, "sharp_constant_sobolev", second_pair)
+        monkeypatch.setattr(cli, "sharp_constants", second_pair)
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 1
         lines = out.strip().split("\n")
@@ -581,10 +582,10 @@ class TestContracts:
     def test_numerical_failure_exits_three(self, capsys, monkeypatch):
         from markovsharp.errors import QuadratureError
 
-        def boom(spec, n):
+        def boom(spec, ns, lambdas=()):
             raise QuadratureError("synthetic quadrature breakdown")
 
-        monkeypatch.setattr("markovsharp.cli.sharp_constant_l2", boom)
+        monkeypatch.setattr("markovsharp.cli.sharp_constants", boom)
         code, _, err = run_cli(capsys, "sharp", "--weight", "hermite", "--n", "3")
         assert code == 3
         assert "numerical failure" in err
