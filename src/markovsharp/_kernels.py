@@ -4,6 +4,8 @@ Stieltjes procedure, vectorized over the evaluation or quadrature points.
 Each kernel takes the recurrence arrays positionally, ``(diag, offdiag, p0,
 x, ...)`` or ``(nodes, weights, n)``, and loops only over the degree.  A
 kernel that cannot finish raises ``QuadratureError`` naming the cause.
+``_p0`` is the one place a weight's mass becomes p_0 = 1/sqrt(mass), and the
+one check that the mass allows it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,18 @@ import math
 import numpy as np
 
 from .errors import QuadratureError
+
+
+def _p0(mass):
+    """p_0 = 1/sqrt(mass), the constant orthonormal polynomial of a weight.
+
+    Raises ``QuadratureError`` unless the mass and its reciprocal are
+    positive and finite: p_0^2 = 1/mass, so a subnormal mass leaves p_0
+    finite but its square not.
+    """
+    if not (0.0 < mass < math.inf and 1.0 / mass < math.inf):
+        raise QuadratureError(f"the weight's mass {mass!r} or its reciprocal is not finite")
+    return 1.0 / math.sqrt(mass)
 
 
 def deriv_tables(diag, offdiag, p0, x, order):
@@ -61,26 +75,31 @@ def stieltjes(nodes, weights, n):
 
     Runs the Stieltjes procedure on orthonormal (not monic) values so the
     iterates stay O(1).  Returns (diag, offdiag, mass).  Raises
-    ``QuadratureError`` if the mass or its reciprocal is not finite, or if
-    the rule loses positivity at some degree.
+    ``QuadratureError`` if the mass or its reciprocal is not finite, if the
+    sums of some degree leave the floating-point range, or if the rule loses
+    positivity at some degree.
     """
     diag = np.zeros(n + 1)
     offdiag = np.zeros(n)
     mass = float(np.sum(weights))
-    if not (0.0 < mass < math.inf and 1.0 / mass < math.inf):
-        raise QuadratureError(f"the weight's mass {mass!r} or its reciprocal is not finite")
-    wx = weights * nodes
     p_prev = np.zeros_like(nodes)
-    p_cur = np.full_like(nodes, 1.0 / math.sqrt(mass))
-    diag[0] = np.dot(wx, p_cur * p_cur)
-    for k in range(n):
-        t = (nodes - diag[k]) * p_cur - (offdiag[k - 1] if k > 0 else 0.0) * p_prev
-        nrm2 = float(np.dot(weights, t * t))
-        if not (nrm2 > 0.0 and np.isfinite(nrm2)):
-            raise QuadratureError(f"quadrature insufficient: lost positivity at degree {k + 1}")
-        b = math.sqrt(nrm2)
-        offdiag[k] = b
-        p_prev = p_cur
-        p_cur = t / b
-        diag[k + 1] = np.dot(wx, p_cur * p_cur)
+    p_cur = np.full_like(nodes, _p0(mass))
+    # an overflow leaves a sum non-finite, and that sum names its degree below
+    with np.errstate(over="ignore", invalid="ignore"):
+        wx = weights * nodes
+        diag[0] = np.dot(wx, p_cur * p_cur)
+        for k in range(n):
+            t = (nodes - diag[k]) * p_cur - (offdiag[k - 1] if k > 0 else 0.0) * p_prev
+            nrm2 = float(np.dot(weights, t * t))
+            if not math.isfinite(nrm2):
+                raise QuadratureError(f"quadrature out of floating-point range at degree {k + 1}")
+            if not nrm2 > 0.0:
+                raise QuadratureError(f"quadrature insufficient: lost positivity at degree {k + 1}")
+            b = math.sqrt(nrm2)
+            offdiag[k] = b
+            p_prev = p_cur
+            p_cur = t / b
+            diag[k + 1] = np.dot(wx, p_cur * p_cur)
+    if not math.isfinite(diag[n]):
+        raise QuadratureError(f"quadrature out of floating-point range at degree {n}")
     return diag, offdiag, mass

@@ -300,6 +300,17 @@ def _jacobi_coefficients(al: float, be: float, n: int, a: float = -1.0, b: float
     return mid + h * diag, h * np.sqrt(beta), mass
 
 
+def _laguerre_coefficients(al: float, n: int):
+    """Orthonormal recurrence (diag, offdiag, mass) of x^al e^-x on [0, inf).
+
+    diag has n+1 entries and offdiag n.  A mass Gamma(al+1) out of
+    floating-point range raises the OverflowError of ``_gamma_mass``.
+    """
+    mass = _gamma_mass("laguerre", al, al + 1)
+    k = np.arange(1.0, n + 1.0)
+    return 2.0 * np.arange(n + 1.0) + al + 1.0, np.sqrt(k * (k + al)), mass
+
+
 def closed_form(spec: WeightSpec) -> WeightSpec | None:
     """The weight restated in a family with a closed-form recurrence, or None.
 
@@ -342,15 +353,11 @@ def recurrence_classical(spec: WeightSpec, n: int) -> RecurrenceTable:
     if fam == "jacobi":
         diag, offdiag, mass = _jacobi_coefficients(form.alpha, form.beta, n, *form.interval)
     elif fam == "laguerre":
-        al = form.alpha
-        diag = np.array([2.0 * k + al + 1.0 for k in range(n + 1)])
-        offdiag = np.array([math.sqrt((k + 1) * (k + 1 + al)) for k in range(n)])
-        mass = _gamma_mass("laguerre", al, al + 1)
+        diag, offdiag, mass = _laguerre_coefficients(form.alpha, n)
     else:  # hermite and gen_hermite, |x|^g e^{-x^2} with g = 0 for hermite
         g = form.singularities[0][1] if form.singularities else 0.0
-        diag = np.zeros(n + 1)
-        beta = [(k / 2.0 + (g / 2.0 if k % 2 else 0.0)) for k in range(1, n + 1)]
-        offdiag = np.sqrt(np.array(beta))
+        k = np.arange(1.0, n + 1.0)
+        diag, offdiag = np.zeros(n + 1), np.sqrt(k / 2.0 + k % 2 * (g / 2.0))
         mass = _gamma_mass("gen_hermite", g, (g + 1) / 2)
 
     return RecurrenceTable(
@@ -435,7 +442,6 @@ def eval_derivative_table(rec: RecurrenceTable, x, n: int, order: int) -> np.nda
     if order < 0:
         raise ValueError("order must be >= 0")
     pts, scalar = _as_points(x)
-    stack = _kernels.deriv_tables(
-        rec.diag[: n + 1], rec.offdiag[:n], 1.0 / math.sqrt(rec.mass), pts, order
-    )
+    p0 = _kernels._p0(rec.mass)
+    stack = _kernels.deriv_tables(rec.diag[: n + 1], rec.offdiag[:n], p0, pts, order)
     return stack[:, :, 0] if scalar else stack

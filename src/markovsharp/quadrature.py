@@ -9,9 +9,10 @@ exponential factor and the off-piece singular factors are folded into the
 rule weights.  On unbounded intervals the finite part ends TAIL_GAP beyond
 the outermost singular point, and each tail beyond it gets a Gauss-Laguerre
 rule that takes the exponential factor exactly, so nothing is truncated.
-The piece rules are affine images of reference rules on [-1, 1]; those and
-the tail's reference rules on [0, inf) are built in one batch per
-``composite_rules`` call, for all the refinement levels it is asked for.
+The piece rules are affine images of reference Gauss-Jacobi rules on
+[-1, 1]; those and the tails' reference Gauss-Laguerre rules on [0, inf) are
+built in one batch per ``composite_rules`` call, for all the refinement
+levels it is asked for, and read from that batch in place.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import EigenError, QuadratureError, WeightError
-from .orthopoly import GENERALIZED_FAMILIES, RecurrenceTable, WeightSpec, _jacobi_coefficients
+from .orthopoly import GENERALIZED_FAMILIES, RecurrenceTable, WeightSpec
+from .orthopoly import _jacobi_coefficients, _laguerre_coefficients
 
 TAIL_GAP = 4.0  # the tails start this far beyond the outermost singular point
 MAX_PIECE_NODES = 2000  # a dense Jacobi matrix of this size takes 32 MB
@@ -57,23 +59,21 @@ def _gauss_rules(tables):
     """Gauss rules for a list of (diag, offdiag, mass) recurrences.
 
     The rule of a table has m = len(diag) points; offdiag has m-1 entries.
-    Returns (nodes, weights), one rule per row, padded to the largest m;
-    entries past a row's size are meaningless.  Nodes are the eigenvalues of
-    the dense Jacobi matrices, one LAPACK call per distinct m; the weights of
-    all rules come from one Christoffel pass.  Raises QuadratureError when a
-    weight is not positive and finite: the mass or its reciprocal is not
-    finite, that pass overflows at the outer nodes of large Laguerre and
-    Hermite rules, or the nodes or recurrence are not finite.
+    Returns (nodes, weights), one rule per row, padded with zeros to the
+    largest m.  Nodes are the eigenvalues of the dense Jacobi matrices, one
+    LAPACK call per distinct m; the weights of all rules come from one
+    Christoffel pass.  Raises QuadratureError before any solve when a mass
+    or its reciprocal is not finite, and after the pass when a weight is not
+    positive and finite: that pass overflows at the outer nodes of large
+    Laguerre and Hermite rules, or the nodes or recurrence are not finite.
     """
     sizes = [d.shape[0] for d, _, _ in tables]
     width = max(sizes)
     diag = np.zeros((len(tables), width))
     offdiag = np.zeros((len(tables), width - 1))
-    p0 = np.empty(len(tables))
-    for r, (d, o, mass) in enumerate(tables):
-        diag[r, : sizes[r]] = d
-        offdiag[r, : sizes[r] - 1] = o
-        p0[r] = 1.0 / math.sqrt(mass)
+    p0 = np.array([_kernels._p0(mass) for _, _, mass in tables])
+    for r, (d, o, _) in enumerate(tables):
+        diag[r, : sizes[r]], offdiag[r, : sizes[r] - 1] = d, o
     nodes = np.zeros_like(diag)
     for m in set(sizes):
         rows = [r for r, size in enumerate(sizes) if size == m]
@@ -88,28 +88,19 @@ def _gauss_rules(tables):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         weights = _kernels.christoffel_weights(diag, offdiag, p0, nodes)
     padding = np.arange(width) >= np.array(sizes)[:, None]
+    weights[padding] = 0.0
     ok = np.all(((weights > 0) & np.isfinite(weights)) | padding, axis=1)
     if not ok.all():
         r = int(np.argmin(ok))
         m = sizes[r]
-        mass = tables[r][2]
-        if not (math.isfinite(mass) and math.isfinite(1.0 / mass)):
-            # p_0^2 = 1/mass: a subnormal mass leaves p_0 finite but its square not
-            raise QuadratureError(
-                f"{m}-point Gauss rule: the weight's mass {mass!r} or its reciprocal is not "
-                "finite, so its weights cannot be represented"
-            )
-        inputs = (nodes[r, :m], diag[r, :m], offdiag[r, : m - 1], p0[r])
-        if all(np.isfinite(v).all() for v in inputs):
-            # from finite nodes and recurrence, only an overflow leaves the sum non-finite
-            raise QuadratureError(
-                f"{m}-point Gauss rule: the Christoffel sum sum_k p_k(x)^2 overflows at an "
-                "outer node, so its weight cannot be represented"
-            )
-        raise QuadratureError(
-            f"{m}-point Gauss rule: its nodes or recurrence are not finite, so it has no "
-            "positive weights"
+        inputs = (nodes[r, :m], diag[r, :m], offdiag[r, : m - 1])
+        # from finite nodes and recurrence, only an overflow leaves the sum non-finite
+        cause = (
+            "the Christoffel sum sum_k p_k(x)^2 overflows at an outer node, so its weight "
+            "cannot be represented" if all(np.isfinite(v).all() for v in inputs)
+            else "its nodes or recurrence are not finite, so it has no positive weights"
         )
+        raise QuadratureError(f"{m}-point Gauss rule: {cause}")
     return nodes, weights
 
 
@@ -184,24 +175,6 @@ def _piece_node_count(spec: WeightSpec, lo: float, hi: float, degree: int) -> in
     return base
 
 
-def _reference_rules(keys) -> dict:
-    """Reference Gauss rules of m points, one per distinct key: (g_hi, g_lo, m)
-    for (1-t)^g_hi (1+t)^g_lo on [-1, 1], ("laguerre", m) for e^-s on [0, inf).
-
-    All are built together in one ``_gauss_rules`` call.  A rule does not
-    depend on which other rules are built with it, so neither do results
-    depend on what else a batch holds.  Returns a dict from each key to its
-    (nodes, weights) pair.
-    """
-    keys = list(dict.fromkeys(keys))
-    nodes, weights = _gauss_rules([
-        (2.0 * np.arange(key[1]) + 1.0, np.arange(1.0, key[1]), 1.0)
-        if key[0] == "laguerre" else _jacobi_coefficients(key[0], key[1], key[2] - 1)
-        for key in keys
-    ])
-    return {key: (nodes[row, : key[-1]], weights[row, : key[-1]]) for row, key in enumerate(keys)}
-
-
 def _tail_rule(spec: WeightSpec, start: float, s, w):
     """Nodes and weights beyond ``start`` from a Gauss-Laguerre rule (s, w) for e^-s.
 
@@ -244,10 +217,13 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     parts of m points each: the first part keeps the piece's lower-end
     exponent, the last its upper-end exponent, and the interior ends get
     exponent 0.  The Stieltjes stabilization loop uses the levels to certify
-    convergence, of the pieces and the tails alike.  The reference rules of
-    all the listed levels are built in one ``_reference_rules`` batch; since a
-    rule does not depend on its batch, each level's rule is the one it gets
-    when built alone.  No reference rule outlives the call.
+    convergence, of the pieces and the tails alike.  The reference rules are
+    the classical Gauss-Jacobi rules for (1-t)^g_hi (1+t)^g_lo on [-1, 1],
+    one per key (g_hi, g_lo, m), and the Gauss-Laguerre rules for e^-s on
+    [0, inf), one per key ("laguerre", m).  Those of all the listed levels
+    are built in one ``_gauss_rules`` batch and each level reads its rows of
+    it in place; since a rule does not depend on its batch, each level's rule
+    is the one it gets when built alone.  No reference rule outlives the call.
     """
     if spec.family not in GENERALIZED_FAMILIES:
         raise WeightError(f"composite_rules needs a generalized family, got {spec.family!r}")
@@ -285,38 +261,40 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
             pieces += [(ends[j], ends[j + 1], g_lo if j == 0 else 0.0,
                         g_hi if j == parts - 1 else 0.0, m) for j in range(parts)]
         layouts.append(pieces)
-    found = _reference_rules(list(tails.values()) + [
+    row_of = {key: row for row, key in enumerate(dict.fromkeys(list(tails.values()) + [
         (g_hi, g_lo, m) for pieces in layouts for _, _, g_lo, g_hi, m in pieces
+    ]))}
+    ref_nodes, ref_weights = _gauss_rules([
+        _laguerre_coefficients(0.0, key[1] - 1) if key[0] == "laguerre"
+        else _jacobi_coefficients(key[0], key[1], key[2] - 1) for key in row_of
     ])
 
     rules = []
     for level, pieces in zip(levels, layouts):
-        # the [-1, 1] rules, padded into one row per piece
+        # each piece's [-1, 1] rule is its row of the batch, zero-padded to this level's widest
+        rows = [row_of[g_hi, g_lo, m] for _, _, g_lo, g_hi, m in pieces]
         width = max(m for *_, m in pieces)
-        ref_nodes = np.zeros((len(pieces), width))
-        ref_weights = np.zeros((len(pieces), width))
-        for row, (_, _, g_lo, g_hi, m) in enumerate(pieces):
-            ref_nodes[row, :m], ref_weights[row, :m] = found[g_hi, g_lo, m]
         lo_s, hi_s, g_lo, g_hi, m = (np.array(col)[:, None] for col in zip(*pieces))
         half = 0.5 * (hi_s - lo_s)
-        nodes = 0.5 * (lo_s + hi_s) + half * ref_nodes
+        nodes = 0.5 * (lo_s + hi_s) + half * ref_nodes[rows, :width]
         # the [-1,1] rule's mass is 2^(g_lo+g_hi+1) B(...); rescale to the piece length
-        weights = ref_weights * half ** (g_lo + g_hi + 1)
+        weights = ref_weights[rows, :width] * half ** (g_lo + g_hi + 1)
 
-        if spec.family == "gen_laguerre":
-            smooth = spec.scale * np.exp(-nodes)
-        elif spec.family == "gen_hermite":
-            smooth = spec.scale * np.exp(-(nodes**2))
-        else:
-            smooth = spec.scale * np.ones_like(nodes)
-        for c, g in spec.singularities:
-            rows = (lo_s[:, 0] != c) & (hi_s[:, 0] != c)
-            smooth[rows] = smooth[rows] * np.abs(nodes[rows] - c) ** g
-        # drop the padding, add the tails, and drop any node whose weight underflowed
-        padding = np.arange(nodes.shape[1]) >= m
-        nodes, weights = nodes[~padding], (weights * smooth)[~padding]
+        if spec.family == "gen_jacobi":
+            smooth = np.full_like(nodes, spec.scale)
+        else:  # the exponential factor e^-x or e^(-x^2)
+            smooth = spec.scale * np.exp(-(nodes if spec.family == "gen_laguerre" else nodes**2))
+        # a scale near the float range overflows here, and the Stieltjes mass check names it
+        with np.errstate(over="ignore"):
+            for c, g in spec.singularities:
+                off = (lo_s[:, 0] != c) & (hi_s[:, 0] != c)
+                smooth[off] = smooth[off] * np.abs(nodes[off] - c) ** g
+            # drop the padding, add the tails, and drop any node whose weight underflowed
+            padding = np.arange(nodes.shape[1]) >= m
+            nodes, weights = nodes[~padding], (weights * smooth)[~padding]
         if tails:
-            x, w = _tail_rule(spec, hi, *found[tails[level]])
+            row, size = row_of[tails[level]], tails[level][1]
+            x, w = _tail_rule(spec, hi, ref_nodes[row, :size], ref_weights[row, :size])
             nodes, weights = np.concatenate([nodes, x]), np.concatenate([weights, w])
         keep = weights > 0
         order = np.argsort(nodes[keep])

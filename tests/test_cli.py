@@ -603,27 +603,39 @@ class TestContracts:
         assert "numerical failure" in err and "Christoffel sum" in err
 
     @pytest.mark.parametrize(
-        "weight, extra",
+        "weight, extra, named",
         [
-            ('{"family": "jacobi", "scale": 1e308}', []),
-            ('{"family": "jacobi", "interval": [-1, 1e308]}', []),
-            ("hermite", ["--lambdas", "1e308,1e308"]),
-            ('{"family": "gen_laguerre", "singularities": [[1, 0.5]], "scale": 1e-320}', []),
-            ('{"family": "hermite", "scale": 1e-320}', []),
-            ('{"family": "laguerre", "scale": 1e-320}', []),
+            ('{"family": "jacobi", "scale": 1e308}', [], "mass inf"),
+            ('{"family": "jacobi", "interval": [-1, 1e308]}', [], "sharp constant 0.0"),
+            ("hermite", ["--lambdas", "1e308,1e308"], "Sobolev Gram matrix"),
+            ('{"family": "gen_laguerre", "singularities": [[1, 0.5]], "scale": 1e-320}', [],
+             "mass 7.88e-321"),
+            ('{"family": "hermite", "scale": 1e-320}', [], "mass 1.772e-320"),
+            ('{"family": "laguerre", "scale": 1e-320}', [], "mass 1e-320"),
+            # p_0 = 1/sqrt(mass) is near 1e150, so the Stieltjes sums overflow
+            ('{"family": "gen_laguerre", "singularities": [[2, 1]], "scale": 1e-300}', [],
+             "out of floating-point range at degree 3"),
+            ('{"family": "gen_hermite", "singularities": [[-1, 0.5], [1, 0.5]], '
+             '"scale": 1e-300}', [], "out of floating-point range at degree 6"),
+            # the composite rule's weights overflow to an infinite mass
+            ('{"family": "gen_laguerre", "singularities": [[2, 1]], "scale": 1e308}', [],
+             "mass inf"),
         ],
         ids=["mass_overflow", "zero_constant", "sobolev_gram_overflow", "subnormal_mass",
-             "hermite_subnormal_mass", "laguerre_subnormal_mass"],
+             "hermite_subnormal_mass", "laguerre_subnormal_mass", "gen_laguerre_tiny_scale",
+             "gen_hermite_tiny_scale", "gen_laguerre_huge_scale"],
     )
-    def test_out_of_range_weight_exits_three(self, capsys, weight, extra):
+    def test_out_of_range_weight_exits_three(self, capsys, weight, extra, named):
         # an infinite mass or a zero constant is a numerical failure, never a NaN
-        # residual, and its one-line message is all that reaches stderr
+        # residual, and its one-line message, naming the cause, is all that
+        # reaches stderr
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "sharp", "--weight", weight, "--n", "5", *extra)
         assert code == 3
         assert out == ""
         assert err.startswith("numerical failure")
+        assert named in err
         assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize(
@@ -647,11 +659,15 @@ class TestContracts:
              "250028-point Gauss rule"),
             ('{"family": "gen_hermite", "singularities": [[1e6, 1]]}', 3,
              "250002000032-point Gauss rule"),
+            # the mass 0.001^201 B(101, 101) underflows to exactly 0
+            ('{"family": "jacobi", "interval": [0, 0.001], "alpha": 100, "beta": 100}', 3,
+             "mass 0.0"),
         ],
         ids=["int_beyond_float", "infinite_alpha", "undecodable_file", "laguerre_gamma_overflow",
              "jacobi_coefficient_overflow", "jacobi_mass_overflow", "gen_hermite_gamma_overflow",
              "gen_laguerre_tail_overflow", "gen_hermite_tail_overflow", "gen_laguerre_mass_overflow",
-             "gen_laguerre_far_singularity", "gen_hermite_far_singularity"],
+             "gen_laguerre_far_singularity", "gen_hermite_far_singularity",
+             "jacobi_zero_mass"],
     )
     def test_edge_weight_exit_codes(self, capsys, tmp_path, weight, expected, named):
         # an overflow names the family and the exponents that caused it

@@ -19,3 +19,29 @@ def test_stieltjes_flags_empty_mass():
     weights = np.array([1.0, -1.0])
     with pytest.raises(QuadratureError, match="mass 0.0 or its reciprocal is not finite"):
         _kernels.stieltjes(nodes, weights, 1)
+
+
+def test_stieltjes_names_an_overflow():
+    # p_0 = 1/sqrt(2e-300) is about 7e149, so the degree-1 residual at the
+    # nodes, about 3.5e154, overflows when squared: a floating-point-range
+    # failure at degree 1, not a loss of positivity, and no warning leaks
+    nodes = np.array([0.0, 1e5])
+    weights = np.array([1e-300, 1e-300])
+    with pytest.raises(QuadratureError, match="out of floating-point range at degree 1"):
+        _kernels.stieltjes(nodes, weights, 2)
+
+
+def test_stieltjes_names_an_overflow_of_the_last_diagonal():
+    # the degree-1 norm is 1e-6 and finite, but p_1 = 1e155 at the node of
+    # subnormal weight, so the last diagonal sum overflows
+    nodes = np.array([-1e-3, 1e-3, 1e152])
+    weights = np.array([0.5, 0.5, 1e-320])
+    with pytest.raises(QuadratureError, match="out of floating-point range at degree 1"):
+        _kernels.stieltjes(nodes, weights, 1)
+
+
+def test_p0_checks_the_mass():
+    assert _kernels._p0(4.0) == 0.5
+    for mass in (0.0, -1.0, 1e-320, float("inf"), float("nan")):
+        with pytest.raises(QuadratureError, match="or its reciprocal is not finite"):
+            _kernels._p0(mass)

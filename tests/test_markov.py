@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -658,6 +659,27 @@ class TestTwinPaths:
         got = [r.value for r in sharp_constants(gen, ns, lams)]
         np.testing.assert_allclose(got, want, rtol=tol, atol=0)
 
+    @pytest.mark.parametrize("lams, tol", [((), 3e-13), ((1.0, 0.5), 1e-12)],
+                             ids=["l2", "sobolev"])
+    @pytest.mark.parametrize("classical, twin", CLOSED_FORM_TWINS.values(),
+                             ids=CLOSED_FORM_TWINS)
+    def test_values_agree_under_raised_cap(self, monkeypatch, classical, twin, lams, tol):
+        """The same comparison for n = 1..110, with the degree cap raised.
+
+        n = 114 is the last degree at which the generalized Laguerre and
+        Hermite twins still build their basis: at 115 the level-1 tail rule
+        has 188 points and its Christoffel sum overflows.  The largest
+        relative gaps measured are 1.1e-13 in L2 and 3.4e-13 with
+        lambda = (1, 0.5), both on Legendre, so the tolerances leave margins
+        of 2.8x and 2.9x.  This is the regression harness for work that lifts
+        the degree ceiling.
+        """
+        monkeypatch.setenv("MARKOVSHARP_MAX_N", "110")
+        ns = range(1, 111)
+        want = [r.value for r in sharp_constants(make_weight(classical), ns, lams)]
+        got = [r.value for r in sharp_constants(make_weight(twin), ns, lams)]
+        np.testing.assert_allclose(got, want, rtol=tol, atol=0)
+
     def test_legendre_twin_crosses_the_parity_split(self):
         # the twin's factor at 0.3 has no mirror, so it takes the whole-block
         # path while Legendre solves its parity blocks
@@ -666,16 +688,21 @@ class TestTwinPaths:
         assert not markov._symmetric(make_weight(twin))
 
 
-def _hermite_sobolev(lams, n):
-    """max_{1<=k<=n} sqrt(2k B_{k-1} / B_k), B_k = 1 + sum_j lambda_j 2^j k!/(k-j)!.
+def _hermite_shift_weight(lams, k):
+    """sqrt(2k B_{k-1} / B_k), B_k = 1 + sum_j lambda_j 2^j k!/(k-j)!.
 
-    B_k and the ratios are exact; only the square root rounds.
+    B_k and the ratio are exact; only the square root rounds.
     """
 
     def gram(k):
         return 1 + sum(Fraction(lam) * 2**j * math.perm(k, j) for j, lam in enumerate(lams, 1))
 
-    return max(math.sqrt(Fraction(2 * k) * gram(k - 1) / gram(k)) for k in range(1, n + 1))
+    return math.sqrt(Fraction(2 * k) * gram(k - 1) / gram(k))
+
+
+def _hermite_sobolev(lams, n):
+    """max_{1<=k<=n} of ``_hermite_shift_weight``."""
+    return max(_hermite_shift_weight(lams, k) for k in range(1, n + 1))
 
 
 class TestHermiteSobolevClosedForm:
@@ -693,6 +720,22 @@ class TestHermiteSobolevClosedForm:
         values = [r.value for r in sharp_constants(make_weight(HERMITE), self.NS, lams)]
         want = [_hermite_sobolev(lams, n) for n in self.NS]
         np.testing.assert_allclose(values, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("lams", [(1.0,), (1.0, 0.5), (0.3, 2.0, 0.1)])
+    def test_every_degree_under_raised_cap(self, monkeypatch, lams):
+        """The same check for n = 1..300, with the degree cap raised.
+
+        By n = 389 the Hermite basis rule (391 points) fails with its
+        Christoffel-sum overflow.  The largest relative error measured is
+        1.8e-15, with lambda = (1, 0.5), so the tolerance leaves a margin of
+        5.6x.  This is the regression harness for work that lifts the degree
+        ceiling.
+        """
+        monkeypatch.setenv("MARKOVSHARP_MAX_N", "300")
+        ns = range(1, 301)
+        values = [r.value for r in sharp_constants(make_weight(HERMITE), ns, lams)]
+        want = itertools.accumulate((_hermite_shift_weight(lams, k) for k in ns), max)
+        np.testing.assert_allclose(values, list(want), rtol=1e-14, atol=0)
 
     def test_one_lambda(self):
         # with B_k = 1 + 2 lambda k the weights grow with k, so S_n is the last one
