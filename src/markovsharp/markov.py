@@ -20,8 +20,12 @@ shares no code with the matrix, and the ratio it achieves must match.
 The basis is nested and D is strictly upper triangular, so a degree range is
 one computation at its largest degree N: one ``basis_for(spec, N)``, one
 D_N, one table of the p_k^(d) at the rule nodes and, for a Sobolev norm, one
-Cholesky factor L_N of B_N and one L_N^T D_N L_N^-T.  Degree n takes its
-top singular pair from the leading (n+1) x (n+1) block of that matrix.  For
+Cholesky factor L_N of B_N and one L_N^T D_N L_N^-T.  For a weight with a
+closed-form recurrence that table comes from the pass over the degree that
+gives the rule its weights, and is kept with the basis; a Stieltjes basis,
+or a later range that needs higher derivatives than the kept table holds,
+builds it on its own.  Degree n takes its top singular pair from the
+leading (n+1) x (n+1) block of that matrix.  For
 a weight symmetric about its centre that block maps even coefficient indices
 to odd ones and odd to even, so its Gram matrix is an even and an odd block;
 degree n adds index n to one of them, so it solves that block alone and
@@ -39,6 +43,8 @@ single-degree functions call them with one degree.  ``basis_for`` keeps the
 last pair it built for a weight while that weight is alive, so every range
 over the same degrees (the columns of a sweep, a Mirsky check beside its
 constants) and the extremal evaluator after its constant share one build.
+A Mirsky bound needs D alone, so for a closed-form weight it reads the
+recurrence and builds no rule.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import EigenError, QuadratureError, WeightError
 from .linalg import _fix_sign, solve_triangular, svd_largest
 from .orthopoly import (
@@ -62,12 +69,13 @@ from .orthopoly import (
     recurrence_classical,
     stabilized_stieltjes,
 )
-from .quadrature import QuadRule, gauss_rule
+from .quadrature import QuadRule, _gauss_rule_table
 
 RESIDUAL_TOL = 1e-8
 MAX_SOBOLEV_ORDER = 4
 
-_BASES = weakref.WeakKeyDictionary()  # WeightSpec -> (n, (RecurrenceTable, QuadRule))
+# WeightSpec -> (n, (RecurrenceTable, QuadRule), table of the p_k^(d) at the rule nodes or None)
+_BASES = weakref.WeakKeyDictionary()
 _BASES_LOCK = threading.Lock()
 
 
@@ -117,6 +125,44 @@ def _check_degree(n: int):
         raise WeightError(f"n must be >= 1, got {n}")
 
 
+def _top_degree(ns) -> int:
+    """max(ns), once every degree in ``ns`` is >= 1 and the largest is within the cap."""
+    if not ns:
+        raise WeightError("need at least one degree")
+    _check_degree(min(ns))
+    top = max(ns)
+    cap = max_degree_cap()
+    if top > cap:
+        raise WeightError(
+            f"n={top} exceeds the degree cap {cap} (set MARKOVSHARP_MAX_N to raise it)"
+        )
+    return top
+
+
+def _kept(spec: WeightSpec, n: int, order: int):
+    """The pair ``basis_for(spec, n)`` returns, and the table of p_k^(d) built with it.
+
+    A weight that ``closed_form`` restates gets its rule and table from one
+    pass (``_gauss_rule_table``): p_k^(d) for k <= n+1 and d <= ``order`` at
+    the n+2 rule nodes.  A Stieltjes basis has no table (None).  The entry
+    is kept as ``basis_for`` describes; a later call for the same degree
+    gets it whatever order it asks for.
+    """
+    with _BASES_LOCK:
+        last = _BASES.get(spec)
+    if last is not None and last[0] == n:
+        return last[1:]
+    if closed_form(spec) is not None:
+        rec = recurrence_classical(spec, n + 2)
+        rule, table = _gauss_rule_table(rec, n + 2, order)
+        pair = rec, rule
+    else:
+        pair, table = stabilized_stieltjes(spec, n + 1), None
+    with _BASES_LOCK:
+        _BASES[spec] = n, pair, table
+    return pair, table
+
+
 def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     """Recurrence table (to degree n+1 at least) plus a rule good for degree 2n+2 integrals.
 
@@ -129,30 +175,21 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     JSON costs the same whatever requests came before it.  Both objects of a
     pair are immutable.
     """
-    _check_degree(n)
-    cap = max_degree_cap()
-    if n > cap:
-        raise WeightError(f"n={n} exceeds the degree cap {cap} (set MARKOVSHARP_MAX_N to raise it)")
-    with _BASES_LOCK:
-        last = _BASES.get(spec)
-    if last is not None and last[0] == n:
-        return last[1]
-    if closed_form(spec) is not None:
-        rec = recurrence_classical(spec, n + 2)
-        basis = rec, gauss_rule(rec, n + 2)
-    else:
-        basis = stabilized_stieltjes(spec, n + 1)
-    with _BASES_LOCK:
-        _BASES[spec] = n, basis
-    return basis
+    return _kept(spec, _top_degree([n]), 0)[0]
 
 
-def _basis(spec: WeightSpec, ns) -> tuple[RecurrenceTable, QuadRule]:
-    """``basis_for(spec, max(ns))``, once every degree in ``ns`` is checked."""
-    if not ns:
-        raise WeightError("need at least one degree")
-    _check_degree(min(ns))
-    return basis_for(spec, max(ns))
+def _basis(spec: WeightSpec, ns, order: int):
+    """``basis_for(spec, max(ns))`` and a table of p_k^(d) at its rule nodes, d <= ``order``.
+
+    The table holds at least the rows k <= max(ns).  A classical basis
+    serves the one its pass built when that reached ``order``; otherwise
+    the table is built here, with ``eval_derivative_table``.
+    """
+    top = _top_degree(ns)
+    (rec, rule), table = _kept(spec, top, order)
+    if table is None or table.shape[0] <= order:
+        table = eval_derivative_table(rec, rule.nodes, top, order)
+    return rec, rule, table
 
 
 def derivative_matrix(rec: RecurrenceTable, n: int) -> np.ndarray:
@@ -216,10 +253,10 @@ def _checked_residual(stack, weights, coeffs, ns, values, lambdas=()):
 
     Row i of ``coeffs`` holds the coefficients of P in the basis for degree
     ns[i], zero past it; ``stack[d, k]`` holds p_k^(d) at the rule nodes and
-    ``weights`` the rule weights, and orders past len(lambdas) + 1 are not
-    read.  Each order d is one product over the whole range,
-    ||P^(d)||^2 = (coeffs @ stack[d])^2 @ weights.  With no lambdas the ratio
-    is the weighted L2 ratio ||P'|| / ||P||.  The gaps are relative;
+    ``weights`` the rule weights; rows past the width of ``coeffs`` and
+    orders past len(lambdas) + 1 are not read.  Each order d is one product
+    over the whole range, ||P^(d)||^2 = (coeffs @ stack[d])^2 @ weights.
+    With no lambdas the ratio is the weighted L2 ratio ||P'|| / ||P||.  The gaps are relative;
     QuadratureError names the first degree whose value is not positive and
     finite, else the first whose gap exceeds RESIDUAL_TOL.
     """
@@ -229,7 +266,9 @@ def _checked_residual(stack, weights, coeffs, ns, values, lambdas=()):
                 f"sharp constant {value!r} at n={n} is not positive and finite; "
                 "the recurrence or its mass is out of floating-point range"
             )
-    norms = [(coeffs @ stack[d]) ** 2 @ weights for d in range(len(lambdas) + 2)]
+    norms = [
+        (coeffs @ stack[d, : coeffs.shape[1]]) ** 2 @ weights for d in range(len(lambdas) + 2)
+    ]
     den = norms[0] + sum(lam * norms[j + 1] for j, lam in enumerate(lambdas))
     num = norms[1] + sum(lam * norms[j + 2] for j, lam in enumerate(lambdas))
     achieved = np.sqrt(num / den)
@@ -329,10 +368,9 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     lambdas = given
     while lambdas and lambdas[-1] == 0.0:
         lambdas = lambdas[:-1]
-    rec, rule = _basis(spec, ns)
+    rec, rule, stack = _basis(spec, ns, len(lambdas) + 1)
     top = max(ns)
     mat = derivative_matrix(rec, top)
-    stack = eval_derivative_table(rec, rule.nodes, top, order=len(lambdas) + 1)
     if lambdas:
         # D_N[:, :n+1] = [D_n; 0], so B_n, L_n and L_n^T D_n L_n^-T are the
         # leading blocks of the degree-N ones: one factorization serves the
@@ -378,8 +416,14 @@ def sharp_constant_sobolev(spec: WeightSpec, sob: SobolevSpec, n: int) -> SharpR
 def mirsky_bounds(spec: WeightSpec, ns) -> list[float]:
     """Upper bounds (sum_nu nu ||p_nu'||^2)^(1/2) for the sharp L2 constants, n in ``ns``."""
     ns = list(ns)
-    rec, _ = _basis(spec, ns)
-    mat = derivative_matrix(rec, max(ns))
+    top = _top_degree(ns)
+    if closed_form(spec) is not None:
+        # D needs the recurrence alone; its mass is checked as a basis would check it
+        rec = recurrence_classical(spec, top + 2)
+        _kernels._p0(rec.mass)
+    else:
+        rec = basis_for(spec, top)[0]
+    mat = derivative_matrix(rec, top)
     # D is strictly upper triangular: column k of D_n is the head of column k of D_N
     col_sq = np.sum(mat * mat, axis=0)
     return [float(np.sqrt(np.dot(np.arange(n + 1), col_sq[: n + 1]))) for n in ns]

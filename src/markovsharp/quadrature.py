@@ -2,17 +2,21 @@
 
 ``gauss_rule`` is the Golub-Welsch construction: nodes are the eigenvalues of
 the symmetric tridiagonal Jacobi matrix, weights come from the Christoffel
-function.  ``composite_rules`` handles generalized weights by splitting the
-interval at every singular point: each finite piece gets a Gauss-Jacobi rule
-whose weight absorbs the endpoint factors |x-c|^gamma exactly, while the
-exponential factor and the off-piece singular factors are folded into the
-rule weights.  On unbounded intervals the finite part ends TAIL_GAP beyond
-the outermost singular point, and each tail beyond it gets a Gauss-Laguerre
-rule that takes the exponential factor exactly, so nothing is truncated.
+function.  A single rule reads its weights from the same recurrence pass that
+tabulates the p_k^(d) at its nodes (``_gauss_rule_table``), which is how a
+classical basis gets its residual table.  ``composite_rules`` handles
+generalized weights by splitting the interval at every singular point: each
+finite piece gets a Gauss-Jacobi rule whose weight absorbs the endpoint
+factors |x-c|^gamma exactly, while the exponential factor and the off-piece
+singular factors are folded into the rule weights.  On unbounded intervals
+the finite part ends TAIL_GAP beyond the outermost singular point, and each
+tail beyond it gets a Gauss-Laguerre rule that takes the exponential factor
+exactly, so nothing is truncated.
 The piece rules are affine images of reference Gauss-Jacobi rules on
 [-1, 1]; those and the tails' reference Gauss-Laguerre rules on [0, inf) are
 built in one batch per ``composite_rules`` call, for all the refinement
-levels it is asked for, and read from that batch in place.
+levels it is asked for, and read from that batch in place; that batch
+(``_gauss_rules``) is the one user of the Christoffel-weight kernel.
 """
 
 from __future__ import annotations
@@ -55,17 +59,57 @@ class QuadRule:
         object.__setattr__(self, "weights", weights)
 
 
+def _jacobi_nodes(diag, offdiag):
+    """Eigenvalues of the Jacobi matrices of a stack of m-point recurrences, shape (rows, m).
+
+    Row r holds diag[r] (m entries) and offdiag[r] (m - 1 entries); the
+    dense matrices go to one LAPACK call, whose failure raises EigenError.
+    """
+    rows, m = diag.shape
+    i = np.arange(m)
+    jacobi = np.zeros((rows, m, m))
+    jacobi[:, i, i] = diag
+    jacobi[:, i[1:], i[:-1]] = offdiag  # eigvalsh reads the lower triangle
+    try:
+        return np.linalg.eigvalsh(jacobi)
+    except np.linalg.LinAlgError as exc:
+        raise EigenError(f"Jacobi-matrix eigensolver did not converge: {exc}") from exc
+
+
+def _check_weights(nodes, weights, diag, offdiag, sizes):
+    """Raise QuadratureError for the first rule of a stack whose weights are not usable.
+
+    Row r holds a rule of sizes[r] points, padded past it.  Every weight of
+    a rule must be positive and finite.  From finite nodes and recurrence
+    only an overflow of the Christoffel sum at the outer nodes (large
+    Laguerre and Hermite rules) can spoil one, and the message says so;
+    otherwise it names the nodes or recurrence that are not finite.
+    """
+    padding = np.arange(nodes.shape[1]) >= np.array(sizes)[:, None]
+    ok = np.all(((weights > 0) & np.isfinite(weights)) | padding, axis=1)
+    if ok.all():
+        return
+    r = int(np.argmin(ok))
+    m = sizes[r]
+    inputs = (nodes[r, :m], diag[r, :m], offdiag[r, : m - 1])
+    cause = (
+        "the Christoffel sum sum_k p_k(x)^2 overflows at an outer node, so its weight "
+        "cannot be represented" if all(np.isfinite(v).all() for v in inputs)
+        else "its nodes or recurrence are not finite, so it has no positive weights"
+    )
+    raise QuadratureError(f"{m}-point Gauss rule: {cause}")
+
+
 def _gauss_rules(tables):
-    """Gauss rules for a list of (diag, offdiag, mass) recurrences.
+    """Gauss rules for a list of (diag, offdiag, mass) recurrences: the composite rules' batch.
 
     The rule of a table has m = len(diag) points; offdiag has m-1 entries.
     Returns (nodes, weights), one rule per row, padded with zeros to the
-    largest m.  Nodes are the eigenvalues of the dense Jacobi matrices, one
-    LAPACK call per distinct m; the weights of all rules come from one
-    Christoffel pass.  Raises QuadratureError before any solve when a mass
-    or its reciprocal is not finite, and after the pass when a weight is not
-    positive and finite: that pass overflows at the outer nodes of large
-    Laguerre and Hermite rules, or the nodes or recurrence are not finite.
+    largest m.  Nodes come from one ``_jacobi_nodes`` call per distinct m;
+    the weights of all rules come from one Christoffel pass.  Raises
+    QuadratureError before any solve when a mass or its reciprocal is not
+    finite, and through ``_check_weights`` when a weight is not positive and
+    finite.
     """
     sizes = [d.shape[0] for d, _, _ in tables]
     width = max(sizes)
@@ -77,31 +121,35 @@ def _gauss_rules(tables):
     nodes = np.zeros_like(diag)
     for m in set(sizes):
         rows = [r for r, size in enumerate(sizes) if size == m]
-        i = np.arange(m)
-        jacobi = np.zeros((len(rows), m, m))
-        jacobi[:, i, i] = diag[rows, :m]
-        jacobi[:, i[1:], i[:-1]] = offdiag[rows, : m - 1]  # eigvalsh reads the lower triangle
-        try:
-            nodes[rows, :m] = np.linalg.eigvalsh(jacobi)
-        except np.linalg.LinAlgError as exc:
-            raise EigenError(f"Jacobi-matrix eigensolver did not converge: {exc}") from exc
+        nodes[rows, :m] = _jacobi_nodes(diag[rows, :m], offdiag[rows, : m - 1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         weights = _kernels.christoffel_weights(diag, offdiag, p0, nodes)
-    padding = np.arange(width) >= np.array(sizes)[:, None]
-    weights[padding] = 0.0
-    ok = np.all(((weights > 0) & np.isfinite(weights)) | padding, axis=1)
-    if not ok.all():
-        r = int(np.argmin(ok))
-        m = sizes[r]
-        inputs = (nodes[r, :m], diag[r, :m], offdiag[r, : m - 1])
-        # from finite nodes and recurrence, only an overflow leaves the sum non-finite
-        cause = (
-            "the Christoffel sum sum_k p_k(x)^2 overflows at an outer node, so its weight "
-            "cannot be represented" if all(np.isfinite(v).all() for v in inputs)
-            else "its nodes or recurrence are not finite, so it has no positive weights"
-        )
-        raise QuadratureError(f"{m}-point Gauss rule: {cause}")
+    weights[np.arange(width) >= np.array(sizes)[:, None]] = 0.0
+    _check_weights(nodes, weights, diag, offdiag, sizes)
     return nodes, weights
+
+
+def _gauss_rule_table(rec: RecurrenceTable, m: int, order: int):
+    """The m-point Gauss rule of ``rec`` and the table of p_k^(d) at its nodes, from one pass.
+
+    The table is ``eval_derivative_table(rec, nodes, m - 1, order)``, of
+    shape (order+1, m, m), run once by ``_kernels.deriv_tables``; the rule
+    weights 1 / sum_k p_k(x_j)^2 are read from its order-0 rows.  The nodes
+    are the eigenvalues of the m x m Jacobi matrix, as in ``_gauss_rules``.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > rec.n_max + 1:
+        raise ValueError(f"recurrence table too short for an {m}-point rule (n_max={rec.n_max})")
+    diag, offdiag = rec.diag[:m], rec.offdiag[: m - 1]
+    p0 = _kernels._p0(rec.mass)
+    nodes = _jacobi_nodes(diag[None], offdiag[None])[0]
+    # an overflow at an outer node spoils its weight, which _check_weights names
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = _kernels.deriv_tables(diag, offdiag, p0, nodes, order)
+        weights = 1.0 / np.sum(table[0] * table[0], axis=0)
+    _check_weights(nodes[None], weights[None], diag[None], offdiag[None], [m])
+    return QuadRule(nodes=nodes, weights=weights), table
 
 
 def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
@@ -112,14 +160,9 @@ def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
     computed here through the equivalent Christoffel-function identity
     w_j = 1 / sum_k p_k(x_j)^2: LAPACK flushes first components below ~1e-17
     to zero (extreme Gauss-Laguerre nodes), while the polynomial form keeps
-    them positive.
+    them positive.  This is ``_gauss_rule_table`` with no derivative rows.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > rec.n_max + 1:
-        raise ValueError(f"recurrence table too short for an {m}-point rule (n_max={rec.n_max})")
-    nodes, weights = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
-    return QuadRule(nodes=nodes[0], weights=weights[0])
+    return _gauss_rule_table(rec, m, 0)[0]
 
 
 def _graded_subpieces(u: float, v: float, spec: WeightSpec) -> list[float]:

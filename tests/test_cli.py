@@ -251,25 +251,24 @@ class TestVerify:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Degrees of the bases basis_for builds, seen through every markovsharp module's binding.
+    """Degrees of the bases built, by basis_for and by the ranges that read a basis with its table.
 
-    A pair basis_for returned before is a lookup, not a build, so it is not counted.
+    Both keep their pair through ``markov._kept``; a pair it returned before
+    is a lookup, not a build, so it is not counted.
     """
     from markovsharp import markov
 
     calls, seen = [], []
-    original = markov.basis_for
+    original = markov._kept
 
-    def counted(spec, n):
-        pair = original(spec, n)
+    def counted(spec, n, order):
+        pair, table = original(spec, n, order)
         if not any(pair is old for old in seen):
             seen.append(pair)
             calls.append(n)
-        return pair
+        return pair, table
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("markovsharp") and getattr(module, "basis_for", None) is original:
-            monkeypatch.setattr(module, "basis_for", counted)
+    monkeypatch.setattr(markov, "_kept", counted)
     return calls
 
 
@@ -331,25 +330,37 @@ class TestSharedBasis:
         assert builds == [12]
 
     @pytest.mark.parametrize(
-        "case, token, matrices",
-        [("gen_jacobi_4", GEN_JACOBI, 1), ("mirsky", "hermite", 2), ("schmidt", "hermite", 1)],
+        "case, token, matrices, tables",
+        [("gen_jacobi_4", GEN_JACOBI, 1, 1), ("mirsky", "hermite", 2, 0),
+         ("schmidt", "hermite", 1, 0)],
+        ids=[f"gen_jacobi_4-{GEN_JACOBI}-1", "mirsky-hermite-2", "schmidt-hermite-1"],
     )
     def test_verify_theorem_one_matrix_and_table_per_range(
-        self, range_builds, case, token, matrices
+        self, range_builds, case, token, matrices, tables
     ):
-        # the mirsky case reads two ranges: the Mirsky bounds and the sharp constants
+        # the mirsky case reads two ranges: the Mirsky bounds and the sharp constants.
+        # A classical basis builds its table in the pass that makes its rule
         verify_theorem(case, load_weight(token), SobolevSpec((1.0, 0.5)), range(4, 41))
-        assert range_builds == {"derivative_matrix": matrices, "eval_derivative_table": 1}
+        assert range_builds == {"derivative_matrix": matrices, "eval_derivative_table": tables}
 
     @pytest.mark.parametrize(
-        "lambdas, matrices, tables", [([], 2, 1), (["--lambdas", "1,0.5"], 3, 2)]
+        "token, lambdas, matrices, tables",
+        [
+            (GEN_HERMITE, [], 2, 1),
+            (GEN_HERMITE, ["--lambdas", "1,0.5"], 3, 2),
+            ("hermite", [], 2, 0),
+            ("hermite", ["--lambdas", "1,0.5"], 3, 1),
+        ],
+        ids=["lambdas0-2-1", "lambdas1-3-2", "hermite-lambdas0-2-0", "hermite-lambdas1-3-1"],
     )
     def test_sweep_one_matrix_and_table_per_range(
-        self, capsys, range_builds, lambdas, matrices, tables
+        self, capsys, range_builds, token, lambdas, matrices, tables
     ):
-        # one range per column: sharp, sobolev (when it differs from sharp) and mirsky
+        # one range per column: sharp, sobolev (when it differs from sharp) and
+        # mirsky.  A classical basis comes with the order-1 table of the sharp
+        # column, so only the sobolev column's higher orders build a table
         code, _, _ = run_cli(
-            capsys, "sweep", "--weight", GEN_HERMITE, "--n-min", "4", "--n-max", "40", *lambdas
+            capsys, "sweep", "--weight", token, "--n-min", "4", "--n-max", "40", *lambdas
         )
         assert code == 0
         assert range_builds == {"derivative_matrix": matrices, "eval_derivative_table": tables}

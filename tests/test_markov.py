@@ -193,9 +193,9 @@ class TestSharpL2:
     def test_range_equals_per_degree_bitwise(self, raw, monkeypatch):
         # degree n reads the leading blocks of the degree-N matrix and table,
         # which are exactly the degree-n ones; the single degrees are run on
-        # the degree-20 basis the range builds.  A Sobolev range also reads
-        # the leading block of one factored degree-N Gram matrix, whose
-        # entries round differently from the degree-n one, so lambdas > 0
+        # the degree-20 basis and table the range reads.  A Sobolev range
+        # also reads the leading block of one factored degree-N Gram matrix,
+        # whose entries round differently from the degree-n one, so lambdas > 0
         # agree to 1e-11 relative and the L2 norm bit for bit.  The residual
         # check is one zero-padded product per derivative order over the
         # whole range, which rounds differently from a product per degree,
@@ -205,10 +205,11 @@ class TestSharpL2:
 
         spec = make_weight(raw)
         ns = range(1, 21)
-        basis = basis_for(spec, 20)
+        # the table reaches the highest order asked for below, so the range reads it too
+        basis = markov._basis(spec, [20], 4)
         for lams in ((), (0.0,), (1.0, 0.5), (0.5, 1.0, 2.0)):
             with monkeypatch.context() as patched:
-                patched.setattr(markov, "basis_for", lambda _spec, _n: basis)
+                patched.setattr(markov, "_basis", lambda _spec, _ns, _order: basis)
                 if lams:
                     single = [sharp_constant_sobolev(spec, SobolevSpec(lams), n) for n in ns]
                 else:
@@ -790,12 +791,95 @@ class TestBasisTable:
             basis_for(spec, 20)
 
 
+FUSED_WEIGHTS = [{"family": "jacobi", "alpha": 1.0, "beta": 2.0}, {"family": "laguerre"}, HERMITE]
+
+
+class TestFusedBasis:
+    """A classical basis takes its rule weights and its residual table from one pass."""
+
+    @pytest.mark.parametrize("raw", FUSED_WEIGHTS, ids=lambda raw: raw["family"])
+    def test_rule_matches_the_christoffel_rule(self, raw):
+        from markovsharp.quadrature import _gauss_rules
+
+        spec = make_weight(raw)
+        for n in (1, 7, 40, 60):
+            (rec, rule), _ = markov._kept(spec, n, 1)
+            m = n + 2
+            nodes, weights = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
+            assert rule.nodes.tobytes() == nodes[0].tobytes()
+            np.testing.assert_allclose(rule.weights, weights[0], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("raw", FUSED_WEIGHTS, ids=lambda raw: raw["family"])
+    def test_table_rows_equal_eval_derivative_table(self, raw):
+        from markovsharp.orthopoly import eval_derivative_table
+
+        spec, n = make_weight(raw), 30
+        for order in range(markov.MAX_SOBOLEV_ORDER + 2):
+            markov._BASES.clear()
+            rec, rule, table = markov._basis(spec, [n], order)
+            # the table of the pass that built the rule, not one built afterwards
+            assert table is markov._BASES[spec][2]
+            assert table.shape == (order + 1, n + 2, n + 2)
+            want = eval_derivative_table(rec, rule.nodes, n + 1, order)
+            assert table.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("raw", FUSED_WEIGHTS, ids=lambda raw: raw["family"])
+    def test_sobolev_after_l2_equals_a_fresh_build(self, raw):
+        # a sweep's order: the L2 range builds the basis with an order-1 table,
+        # and the Sobolev range after it needs order 3
+        def fields(results):
+            return [(r.value, r.coeffs.tobytes(), r.residual, r.achieved_ratio) for r in results]
+
+        spec, ns, lams = make_weight(raw), range(4, 41), (1.0, 0.5)
+        sharp_constants(spec, ns)
+        after_l2 = sharp_constants(spec, ns, lams)
+        markov._BASES.clear()
+        assert fields(after_l2) == fields(sharp_constants(spec, ns, lams))
+
+    @pytest.mark.parametrize("lams", [(), (1.0, 0.5)])
+    @pytest.mark.parametrize("raw", FUSED_WEIGHTS, ids=lambda raw: raw["family"])
+    def test_one_pass_per_range(self, raw, lams, monkeypatch):
+        from markovsharp import _kernels
+
+        calls = {"deriv_tables": 0, "christoffel_weights": 0, "eval_derivative_table": 0}
+        for owner, name in ((_kernels, "deriv_tables"), (_kernels, "christoffel_weights"),
+                            (markov, "eval_derivative_table")):
+            def counted(*args, _name=name, _original=getattr(owner, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        sharp_constants(make_weight(raw), range(4, 41), lams)
+        assert calls == {"deriv_tables": 1, "christoffel_weights": 0, "eval_derivative_table": 0}
+
+
 class TestMirsky:
     def test_hermite_closed_form(self):
         spec = make_weight(HERMITE)
         for n in (1, 2, 10, 40):
             want = math.sqrt(n * (n + 1) * (2 * n + 1) / 3)
             assert mirsky_bound(spec, n) == pytest.approx(want, rel=1e-10)
+
+    def test_classical_builds_no_rule(self, monkeypatch):
+        # D needs the recurrence alone, so Mirsky reaches past the degree where
+        # the Gauss rule's Christoffel sum overflows
+        from markovsharp import quadrature
+
+        def no_rule(*args):
+            raise AssertionError("a Gauss rule was built")
+
+        monkeypatch.setenv("MARKOVSHARP_MAX_N", "500")
+        monkeypatch.setattr(quadrature, "_jacobi_nodes", no_rule)
+        ns = [4, 60, 200]
+        got = markov.mirsky_bounds(make_weight({"family": "laguerre"}), ns)
+        # ||p_nu'||^2 = nu for Laguerre alpha = 0
+        want = [math.sqrt(n * (n + 1) * (2 * n + 1) / 6) for n in ns]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert len(markov._BASES) == 0
+
+    def test_classical_checks_the_mass(self):
+        with pytest.raises(QuadratureError, match="mass 1.772e-320"):
+            markov.mirsky_bounds(make_weight({"family": "hermite", "scale": 1e-320}), [5])
 
     def test_tight_at_degree_one(self):
         spec = make_weight(HERMITE)
