@@ -2,8 +2,11 @@
 Stieltjes procedure, vectorized over the evaluation or quadrature points.
 
 Each kernel takes the recurrence arrays positionally, ``(diag, offdiag, p0,
-x, ...)`` or ``(nodes, weights, n)``, and loops only over the degree.  A
-kernel that cannot finish raises ``QuadratureError`` naming the cause.
+x, order)`` or ``(nodes, weights, n)``, and loops only over the degree.
+``deriv_tables`` is the one kernel that evaluates a recurrence at points:
+the Gauss rules' weights, the residual tables and ``eval_orthonormal`` all
+read it, for one recurrence or a zero-padded stack of them.  A kernel that
+cannot finish raises ``QuadratureError`` naming the cause.
 ``_p0`` is the one place a weight's mass becomes p_0 = 1/sqrt(mass), and the
 one check that the mass allows it.
 """
@@ -30,44 +33,35 @@ def _p0(mass):
 
 
 def deriv_tables(diag, offdiag, p0, x, order):
-    """Tables of p_k^(d)(x) for d = 0..order, shape (order+1, n+1, len(x)).
+    """Tables of p_k^(d)(x) for d = 0..order, shape (order+1, n+1, *x.shape).
 
-    Obtained by differentiating the three-term recurrence d times:
-    b_k p_{k+1}^(d) = (x - a_k) p_k^(d) + d p_k^(d-1) - b_{k-1} p_{k-1}^(d).
+    Obtained by differentiating the three-term recurrence d times,
+    p_{k+1}^(d) = ((x - a_k) p_k^(d) + d p_k^(d-1) - b_{k-1} p_{k-1}^(d)) * (1/b_k).
+    Takes one recurrence, diag (n+1,), offdiag (n,), a scalar p0 and points
+    x (points,), or a stack of them, one per row: diag (rows, n+1), offdiag
+    (rows, n), p0 (rows,) and x (rows, points).  A row of m < n+1 points is
+    padded with offdiag = 0 from entry m-1 on; 1/b_k is taken as 0 there,
+    so every p_k past its size vanishes.
     """
-    n = diag.shape[0] - 1
-    out = np.zeros((order + 1, n + 1, x.shape[0]))
-    out[0, 0] = p0
-    d = np.arange(1.0, order + 1.0)[:, None]
+    n = diag.shape[-1] - 1
+    # the degree first and one trailing axis, so a[k] broadcasts against x
+    a, b = diag.T[..., None], offdiag.T[..., None]
+    inv = np.zeros_like(b)
+    np.divide(1.0, b, out=inv, where=b > 0)
+    d = np.arange(1.0, order + 1.0).reshape((order,) + (1,) * x.ndim)
+    # work[k] holds every order of p_k, one contiguous block per degree
+    work = np.zeros((n + 1, order + 1) + x.shape)
+    work[0, 0] = np.asarray(p0)[..., None]
     for k in range(n):
-        v = (x - diag[k]) * out[:, k]
-        v[1:] += d * out[:-1, k]
-        if k > 0:
-            v -= offdiag[k - 1] * out[:, k - 1]
-        out[:, k + 1] = v / offdiag[k]
-    return out
-
-
-def christoffel_weights(diag, offdiag, p0, x):
-    """Gauss weights 1 / sum_k p_k(x_j)^2 of a stack of rules, shape of x.
-
-    Row r holds one rule: its nodes x[r], its recurrence diag[r],
-    offdiag[r] and p0[r].  A rule of m < x.shape[1] points is padded with
-    offdiag = 0 from entry m-1 on; 1/b_k is taken as 0 there, so every p_k
-    past its size vanishes.  Weights in the padded columns are meaningless.
-    """
-    inv = np.zeros_like(offdiag)
-    np.divide(1.0, offdiag, out=inv, where=offdiag > 0)
-    p_prev = np.zeros_like(x)
-    p = np.repeat(p0[:, None], x.shape[1], axis=1)
-    total = p * p
-    for k in range(x.shape[1] - 1):
-        t = (x - diag[:, k, None]) * p
-        if k > 0:
-            t -= offdiag[:, k - 1, None] * p_prev
-        p_prev, p = p, t * inv[:, k, None]
-        total += p * p
-    return 1.0 / total
+        nxt = work[k + 1]
+        np.subtract(x, a[k], out=nxt)
+        nxt *= work[k]
+        if order:
+            nxt[1:] += d * work[k, :-1]
+        if k:
+            nxt -= b[k - 1] * work[k - 1]
+        nxt *= inv[k]
+    return np.ascontiguousarray(work.swapaxes(0, 1))
 
 
 def stieltjes(nodes, weights, n):

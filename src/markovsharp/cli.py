@@ -175,12 +175,13 @@ def cmd_sharp(args) -> tuple[str, bool]:
 def cmd_sweep(args) -> tuple[str, bool]:
     spec = args.weight
     case = bounds.default_case(spec)
+    # the sobolev column first: the kept table of its higher orders serves the sharp column
+    sobolev = sharp_constants(spec, args.ns, args.lambdas) if args.lambdas else None
     l2 = sharp_constants(spec, args.ns)
-    sobolev = sharp_constants(spec, args.ns, args.lambdas) if args.lambdas else l2
     mirsky = mirsky_bounds(spec, args.ns)
     rows = [
         (n, a.value, b.value, m, bounds.predicted_envelope(case, spec, n))
-        for n, a, b, m in zip(args.ns, l2, sobolev, mirsky)
+        for n, a, b, m in zip(args.ns, l2, sobolev or l2, mirsky)
     ]
     return _table(args, ("n", "sharp", "sobolev", "mirsky", "envelope"), rows, case=case), True
 

@@ -20,11 +20,12 @@ shares no code with the matrix, and the ratio it achieves must match.
 The basis is nested and D is strictly upper triangular, so a degree range is
 one computation at its largest degree N: one ``basis_for(spec, N)``, one
 D_N, one table of the p_k^(d) at the rule nodes and, for a Sobolev norm, one
-Cholesky factor L_N of B_N and one L_N^T D_N L_N^-T.  For a weight with a
-closed-form recurrence that table comes from the pass over the degree that
-gives the rule its weights, and is kept with the basis; a Stieltjes basis,
-or a later range that needs higher derivatives than the kept table holds,
-builds it on its own.  Degree n takes its top singular pair from the
+Cholesky factor L_N of B_N and one L_N^T D_N L_N^-T.  That table is kept
+with the basis.  For a weight with a closed-form recurrence it comes from the
+pass over the degree that gives the rule its weights; a Stieltjes basis
+builds it when a range first asks for one, and a range that needs higher
+derivatives than the kept table holds builds the larger table, which
+replaces it.  Degree n takes its top singular pair from the
 leading (n+1) x (n+1) block of that matrix.  For
 a weight symmetric about its centre that block maps even coefficient indices
 to odd ones and odd to even, so its Gram matrix is an even and an odd block;
@@ -69,7 +70,7 @@ from .orthopoly import (
     recurrence_classical,
     stabilized_stieltjes,
 )
-from .quadrature import QuadRule, _gauss_rule_table
+from .quadrature import QuadRule, _gauss_rules
 
 RESIDUAL_TOL = 1e-8
 MAX_SOBOLEV_ORDER = 4
@@ -139,25 +140,32 @@ def _top_degree(ns) -> int:
     return top
 
 
-def _kept(spec: WeightSpec, n: int, order: int):
-    """The pair ``basis_for(spec, n)`` returns, and the table of p_k^(d) built with it.
+def _kept(spec: WeightSpec, n: int, order):
+    """The pair ``basis_for(spec, n)`` returns, and a table of p_k^(d) at its rule nodes.
 
-    A weight that ``closed_form`` restates gets its rule and table from one
-    pass (``_gauss_rule_table``): p_k^(d) for k <= n+1 and d <= ``order`` at
-    the n+2 rule nodes.  A Stieltjes basis has no table (None).  The entry
-    is kept as ``basis_for`` describes; a later call for the same degree
-    gets it whatever order it asks for.
+    The table holds k <= n+1 and d <= ``order`` at least; with ``order``
+    None none is asked for.  A weight that ``closed_form`` restates gets
+    its rule and table from one ``_gauss_rules`` pass at the n+2 rule
+    nodes; a Stieltjes basis builds its table with ``eval_derivative_table``
+    when a range first asks for one.  A range that needs a higher order
+    than the kept table holds builds the larger table, which replaces it:
+    its rows d <= order are the bytes of the smaller one.  The entry is
+    kept as ``basis_for`` describes.
     """
     with _BASES_LOCK:
         last = _BASES.get(spec)
     if last is not None and last[0] == n:
-        return last[1:]
-    if closed_form(spec) is not None:
+        pair, table = last[1:]
+    elif closed_form(spec) is not None:
         rec = recurrence_classical(spec, n + 2)
-        rule, table = _gauss_rule_table(rec, n + 2, order)
-        pair = rec, rule
+        nodes, weights, table = _gauss_rules(
+            [(rec.diag[: n + 2], rec.offdiag[: n + 1], rec.mass)], order or 0
+        )
+        pair, table = (rec, QuadRule(nodes[0], weights[0])), table[:, :, 0]
     else:
         pair, table = stabilized_stieltjes(spec, n + 1), None
+    if order is not None and (table is None or table.shape[0] <= order):
+        table = eval_derivative_table(pair[0], pair[1].nodes, n + 1, order)
     with _BASES_LOCK:
         _BASES[spec] = n, pair, table
     return pair, table
@@ -175,20 +183,12 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     JSON costs the same whatever requests came before it.  Both objects of a
     pair are immutable.
     """
-    return _kept(spec, _top_degree([n]), 0)[0]
+    return _kept(spec, _top_degree([n]), None)[0]
 
 
 def _basis(spec: WeightSpec, ns, order: int):
-    """``basis_for(spec, max(ns))`` and a table of p_k^(d) at its rule nodes, d <= ``order``.
-
-    The table holds at least the rows k <= max(ns).  A classical basis
-    serves the one its pass built when that reached ``order``; otherwise
-    the table is built here, with ``eval_derivative_table``.
-    """
-    top = _top_degree(ns)
-    (rec, rule), table = _kept(spec, top, order)
-    if table is None or table.shape[0] <= order:
-        table = eval_derivative_table(rec, rule.nodes, top, order)
+    """``basis_for(spec, max(ns))`` and its kept table of p_k^(d), d <= ``order`` (``_kept``)."""
+    (rec, rule), table = _kept(spec, _top_degree(ns), order)
     return rec, rule, table
 
 

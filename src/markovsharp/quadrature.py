@@ -2,9 +2,10 @@
 
 ``gauss_rule`` is the Golub-Welsch construction: nodes are the eigenvalues of
 the symmetric tridiagonal Jacobi matrix, weights come from the Christoffel
-function.  A single rule reads its weights from the same recurrence pass that
-tabulates the p_k^(d) at its nodes (``_gauss_rule_table``), which is how a
-classical basis gets its residual table.  ``composite_rules`` handles
+function.  One builder (``_gauss_rules``) makes every rule: it reads the
+weights from the pass of ``_kernels.deriv_tables`` that tabulates the
+p_k^(d) at the nodes of a stack of rules, which is also how a classical
+basis gets its residual table.  ``composite_rules`` handles
 generalized weights by splitting the interval at every singular point: each
 finite piece gets a Gauss-Jacobi rule whose weight absorbs the endpoint
 factors |x-c|^gamma exactly, while the exponential factor and the off-piece
@@ -15,8 +16,7 @@ exactly, so nothing is truncated.
 The piece rules are affine images of reference Gauss-Jacobi rules on
 [-1, 1]; those and the tails' reference Gauss-Laguerre rules on [0, inf) are
 built in one batch per ``composite_rules`` call, for all the refinement
-levels it is asked for, and read from that batch in place; that batch
-(``_gauss_rules``) is the one user of the Christoffel-weight kernel.
+levels it is asked for, and read from that batch in place.
 """
 
 from __future__ import annotations
@@ -76,21 +76,20 @@ def _jacobi_nodes(diag, offdiag):
         raise EigenError(f"Jacobi-matrix eigensolver did not converge: {exc}") from exc
 
 
-def _check_weights(nodes, weights, diag, offdiag, sizes):
+def _check_weights(nodes, weights, diag, offdiag, padding):
     """Raise QuadratureError for the first rule of a stack whose weights are not usable.
 
-    Row r holds a rule of sizes[r] points, padded past it.  Every weight of
-    a rule must be positive and finite.  From finite nodes and recurrence
+    Row r holds a rule padded where padding[r] is True.  Every weight of a
+    rule must be positive and finite.  From finite nodes and recurrence
     only an overflow of the Christoffel sum at the outer nodes (large
     Laguerre and Hermite rules) can spoil one, and the message says so;
     otherwise it names the nodes or recurrence that are not finite.
     """
-    padding = np.arange(nodes.shape[1]) >= np.array(sizes)[:, None]
-    ok = np.all(((weights > 0) & np.isfinite(weights)) | padding, axis=1)
+    ok = ((weights > 0) & (weights < math.inf)) | padding
     if ok.all():
         return
-    r = int(np.argmin(ok))
-    m = sizes[r]
+    r = int(np.argmin(ok.all(axis=1)))
+    m = int(np.count_nonzero(~padding[r]))
     inputs = (nodes[r, :m], diag[r, :m], offdiag[r, : m - 1])
     cause = (
         "the Christoffel sum sum_k p_k(x)^2 overflows at an outer node, so its weight "
@@ -100,56 +99,43 @@ def _check_weights(nodes, weights, diag, offdiag, sizes):
     raise QuadratureError(f"{m}-point Gauss rule: {cause}")
 
 
-def _gauss_rules(tables):
-    """Gauss rules for a list of (diag, offdiag, mass) recurrences: the composite rules' batch.
+def _gauss_rules(tables, order=0):
+    """Gauss rules of a list of (diag, offdiag, mass) recurrences, and the p_k^(d) at their nodes.
 
     The rule of a table has m = len(diag) points; offdiag has m-1 entries.
-    Returns (nodes, weights), one rule per row, padded with zeros to the
-    largest m.  Nodes come from one ``_jacobi_nodes`` call per distinct m;
-    the weights of all rules come from one Christoffel pass.  Raises
-    QuadratureError before any solve when a mass or its reciprocal is not
-    finite, and through ``_check_weights`` when a weight is not positive and
-    finite.
+    Returns (nodes, weights, table): one rule per row, padded with zeros to
+    the largest m, and ``_kernels.deriv_tables`` of the stack at its nodes,
+    table[d, k, r] = p_k^(d) at the nodes of row r for d <= ``order``.
+    Nodes come from one ``_jacobi_nodes`` call per distinct m; the weights
+    1 / sum_k p_k(x_j)^2 from the order-0 rows of the one pass, summed in
+    order from k = 0.  The composite rules' reference batch reads it at
+    order 0; a classical basis (its rule and residual table) and
+    ``gauss_rule`` read a one-row stack.  Raises QuadratureError before any
+    solve when a mass or its reciprocal is not finite, and through
+    ``_check_weights`` when a weight is not positive and finite.
     """
     sizes = [d.shape[0] for d, _, _ in tables]
-    width = max(sizes)
-    diag = np.zeros((len(tables), width))
-    offdiag = np.zeros((len(tables), width - 1))
+    padding = np.arange(max(sizes)) >= np.array(sizes)[:, None]
+    diag = np.zeros(padding.shape)
+    offdiag = np.zeros((len(tables), padding.shape[1] - 1))
     p0 = np.array([_kernels._p0(mass) for _, _, mass in tables])
+    rows_of = {}
     for r, (d, o, _) in enumerate(tables):
         diag[r, : sizes[r]], offdiag[r, : sizes[r] - 1] = d, o
-    nodes = np.zeros_like(diag)
-    for m in set(sizes):
-        rows = [r for r, size in enumerate(sizes) if size == m]
-        nodes[rows, :m] = _jacobi_nodes(diag[rows, :m], offdiag[rows, : m - 1])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        weights = _kernels.christoffel_weights(diag, offdiag, p0, nodes)
-    weights[np.arange(width) >= np.array(sizes)[:, None]] = 0.0
-    _check_weights(nodes, weights, diag, offdiag, sizes)
-    return nodes, weights
-
-
-def _gauss_rule_table(rec: RecurrenceTable, m: int, order: int):
-    """The m-point Gauss rule of ``rec`` and the table of p_k^(d) at its nodes, from one pass.
-
-    The table is ``eval_derivative_table(rec, nodes, m - 1, order)``, of
-    shape (order+1, m, m), run once by ``_kernels.deriv_tables``; the rule
-    weights 1 / sum_k p_k(x_j)^2 are read from its order-0 rows.  The nodes
-    are the eigenvalues of the m x m Jacobi matrix, as in ``_gauss_rules``.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > rec.n_max + 1:
-        raise ValueError(f"recurrence table too short for an {m}-point rule (n_max={rec.n_max})")
-    diag, offdiag = rec.diag[:m], rec.offdiag[: m - 1]
-    p0 = _kernels._p0(rec.mass)
-    nodes = _jacobi_nodes(diag[None], offdiag[None])[0]
+        rows_of.setdefault(sizes[r], []).append(r)
+    if len(rows_of) == 1:  # no padding: the stack is one solve
+        nodes = _jacobi_nodes(diag, offdiag)
+    else:
+        nodes = np.zeros_like(diag)
+        for m, rows in rows_of.items():
+            nodes[rows, :m] = _jacobi_nodes(diag[rows, :m], offdiag[rows, : m - 1])
     # an overflow at an outer node spoils its weight, which _check_weights names
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         table = _kernels.deriv_tables(diag, offdiag, p0, nodes, order)
         weights = 1.0 / np.sum(table[0] * table[0], axis=0)
-    _check_weights(nodes[None], weights[None], diag[None], offdiag[None], [m])
-    return QuadRule(nodes=nodes, weights=weights), table
+    weights[padding] = 0.0
+    _check_weights(nodes, weights, diag, offdiag, padding)
+    return nodes, weights, table
 
 
 def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
@@ -160,9 +146,14 @@ def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
     computed here through the equivalent Christoffel-function identity
     w_j = 1 / sum_k p_k(x_j)^2: LAPACK flushes first components below ~1e-17
     to zero (extreme Gauss-Laguerre nodes), while the polynomial form keeps
-    them positive.  This is ``_gauss_rule_table`` with no derivative rows.
+    them positive.  This is ``_gauss_rules`` of a one-row stack at order 0.
     """
-    return _gauss_rule_table(rec, m, 0)[0]
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > rec.n_max + 1:
+        raise ValueError(f"recurrence table too short for an {m}-point rule (n_max={rec.n_max})")
+    nodes, weights, _ = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
+    return QuadRule(nodes=nodes[0], weights=weights[0])
 
 
 def _graded_subpieces(u: float, v: float, spec: WeightSpec) -> list[float]:
@@ -307,7 +298,7 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     row_of = {key: row for row, key in enumerate(dict.fromkeys(list(tails.values()) + [
         (g_hi, g_lo, m) for pieces in layouts for _, _, g_lo, g_hi, m in pieces
     ]))}
-    ref_nodes, ref_weights = _gauss_rules([
+    ref_nodes, ref_weights, _ = _gauss_rules([
         _laguerre_coefficients(0.0, key[1] - 1) if key[0] == "laguerre"
         else _jacobi_coefficients(key[0], key[1], key[2] - 1) for key in row_of
     ])

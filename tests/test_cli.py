@@ -347,18 +347,19 @@ class TestSharedBasis:
         "token, lambdas, matrices, tables",
         [
             (GEN_HERMITE, [], 2, 1),
-            (GEN_HERMITE, ["--lambdas", "1,0.5"], 3, 2),
+            (GEN_HERMITE, ["--lambdas", "1,0.5"], 3, 1),
             ("hermite", [], 2, 0),
-            ("hermite", ["--lambdas", "1,0.5"], 3, 1),
+            ("hermite", ["--lambdas", "1,0.5"], 3, 0),
         ],
         ids=["lambdas0-2-1", "lambdas1-3-2", "hermite-lambdas0-2-0", "hermite-lambdas1-3-1"],
     )
     def test_sweep_one_matrix_and_table_per_range(
         self, capsys, range_builds, token, lambdas, matrices, tables
     ):
-        # one range per column: sharp, sobolev (when it differs from sharp) and
-        # mirsky.  A classical basis comes with the order-1 table of the sharp
-        # column, so only the sobolev column's higher orders build a table
+        # one range per column: sobolev (when it differs from sharp), sharp and
+        # mirsky.  The first range keeps its table with the basis and the sharp
+        # column reads its rows d <= 1; a classical basis builds that table in
+        # the pass that makes its rule, so it builds none on its own
         code, _, _ = run_cli(
             capsys, "sweep", "--weight", token, "--n-min", "4", "--n-max", "40", *lambdas
         )

@@ -45,3 +45,27 @@ def test_p0_checks_the_mass():
     for mass in (0.0, -1.0, 1e-320, float("inf"), float("nan")):
         with pytest.raises(QuadratureError, match="or its reciprocal is not finite"):
             _kernels._p0(mass)
+
+
+def test_deriv_tables_of_a_stack_equal_each_row_alone():
+    # rules of 3, 9 and 14 points zero-padded to one stack: every row's table
+    # is, byte for byte, the table of its own recurrence at its points, and
+    # zero past its size
+    from markovsharp.orthopoly import _jacobi_coefficients, _laguerre_coefficients
+
+    recs = [_jacobi_coefficients(0.5, -0.3, 2), _laguerre_coefficients(1.2, 8),
+            _jacobi_coefficients(2.5, 0.0, 13)]
+    width = max(d.shape[0] for d, _, _ in recs)
+    diag, offdiag = np.zeros((3, width)), np.zeros((3, width - 1))
+    for r, (d, o, _) in enumerate(recs):
+        diag[r, : d.shape[0]], offdiag[r, : o.shape[0]] = d, o
+    p0 = np.array([_kernels._p0(mass) for _, _, mass in recs])
+    x = np.random.default_rng(3).uniform(-1.0, 4.0, (3, width))
+    for order in range(6):
+        stack = _kernels.deriv_tables(diag, offdiag, p0, x, order)
+        assert stack.shape == (order + 1, width, 3, width)
+        for r, (d, o, _) in enumerate(recs):
+            alone = _kernels.deriv_tables(d, o, p0[r], x[r], order)
+            m = d.shape[0]
+            assert stack[:, :m, r].tobytes() == alone.tobytes()
+            assert not stack[:, m:, r].any()

@@ -791,6 +791,10 @@ class TestBasisTable:
             basis_for(spec, 20)
 
 
+def _fields(results):
+    return [(r.value, r.coeffs.tobytes(), r.residual, r.achieved_ratio) for r in results]
+
+
 FUSED_WEIGHTS = [{"family": "jacobi", "alpha": 1.0, "beta": 2.0}, {"family": "laguerre"}, HERMITE]
 
 
@@ -805,9 +809,9 @@ class TestFusedBasis:
         for n in (1, 7, 40, 60):
             (rec, rule), _ = markov._kept(spec, n, 1)
             m = n + 2
-            nodes, weights = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
+            nodes, weights, _ = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
             assert rule.nodes.tobytes() == nodes[0].tobytes()
-            np.testing.assert_allclose(rule.weights, weights[0], rtol=1e-13, atol=0)
+            assert rule.weights.tobytes() == weights[0].tobytes()
 
     @pytest.mark.parametrize("raw", FUSED_WEIGHTS, ids=lambda raw: raw["family"])
     def test_table_rows_equal_eval_derivative_table(self, raw):
@@ -825,32 +829,43 @@ class TestFusedBasis:
 
     @pytest.mark.parametrize("raw", FUSED_WEIGHTS, ids=lambda raw: raw["family"])
     def test_sobolev_after_l2_equals_a_fresh_build(self, raw):
-        # a sweep's order: the L2 range builds the basis with an order-1 table,
-        # and the Sobolev range after it needs order 3
-        def fields(results):
-            return [(r.value, r.coeffs.tobytes(), r.residual, r.achieved_ratio) for r in results]
-
+        # the L2 range builds the basis with an order-1 table, and the Sobolev
+        # range after it needs order 3
         spec, ns, lams = make_weight(raw), range(4, 41), (1.0, 0.5)
         sharp_constants(spec, ns)
         after_l2 = sharp_constants(spec, ns, lams)
         markov._BASES.clear()
-        assert fields(after_l2) == fields(sharp_constants(spec, ns, lams))
+        assert _fields(after_l2) == _fields(sharp_constants(spec, ns, lams))
+
+    @pytest.mark.parametrize("raw", FUSED_WEIGHTS + [GEN_JACOBI], ids=lambda raw: raw["family"])
+    def test_l2_after_sobolev_reads_the_kept_table(self, raw):
+        # a sweep's order: the Sobolev range keeps its order-3 table with the
+        # basis, Stieltjes bases included, and the L2 range reads its rows d <= 1
+        spec, ns = make_weight(raw), range(4, 41)
+        sharp_constants(spec, ns, (1.0, 0.5))
+        kept = markov._BASES[spec][2]
+        assert kept.shape[:2] == (4, 42)
+        after_sobolev = sharp_constants(spec, ns)
+        assert markov._BASES[spec][2] is kept
+        markov._BASES.clear()
+        assert _fields(after_sobolev) == _fields(sharp_constants(spec, ns))
+        # its rows d <= 1 are the bytes of the order-1 table a fresh L2 range keeps
+        assert kept[:2].tobytes() == markov._BASES[spec][2].tobytes()
 
     @pytest.mark.parametrize("lams", [(), (1.0, 0.5)])
     @pytest.mark.parametrize("raw", FUSED_WEIGHTS, ids=lambda raw: raw["family"])
     def test_one_pass_per_range(self, raw, lams, monkeypatch):
         from markovsharp import _kernels
 
-        calls = {"deriv_tables": 0, "christoffel_weights": 0, "eval_derivative_table": 0}
-        for owner, name in ((_kernels, "deriv_tables"), (_kernels, "christoffel_weights"),
-                            (markov, "eval_derivative_table")):
+        calls = {"deriv_tables": 0, "eval_derivative_table": 0}
+        for owner, name in ((_kernels, "deriv_tables"), (markov, "eval_derivative_table")):
             def counted(*args, _name=name, _original=getattr(owner, name)):
                 calls[_name] += 1
                 return _original(*args)
 
             monkeypatch.setattr(owner, name, counted)
         sharp_constants(make_weight(raw), range(4, 41), lams)
-        assert calls == {"deriv_tables": 1, "christoffel_weights": 0, "eval_derivative_table": 0}
+        assert calls == {"deriv_tables": 1, "eval_derivative_table": 0}
 
 
 class TestMirsky:

@@ -177,9 +177,9 @@ class TestReferenceRules:
                 log.append((mat.shape[0], mat.diagonal().tobytes() + mat.diagonal(-1).tobytes()))
             return eigvalsh(a)
 
-        def counted_gauss_rules(tables):
+        def counted_gauss_rules(tables, *order):
             batches.append(len(tables))
-            return gauss_rules(tables)
+            return gauss_rules(tables, *order)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         monkeypatch.setattr(quad, "_gauss_rules", counted_gauss_rules)
@@ -230,6 +230,36 @@ class TestReferenceRules:
                 assert rule.nodes.tobytes() == alone.nodes.tobytes()
                 assert rule.weights.tobytes() == alone.weights.tobytes()
 
+    def test_weights_multiply_by_the_reciprocal(self, monkeypatch):
+        """The batch's weights are, byte for byte, 1 / sum_k p_k(x_j)^2 from a
+        loop that multiplies by 1/b_k and sums from k = 0 at the batch's nodes."""
+        import markovsharp.quadrature as quad
+
+        batches, gauss_rules = [], quad._gauss_rules
+
+        def recorded(tables, *order):
+            out = gauss_rules(tables, *order)
+            batches.append((tables, out))
+            return out
+
+        monkeypatch.setattr(quad, "_gauss_rules", recorded)
+        gen_hermite = {"family": "gen_hermite", "singularities": [[-1.0, 0.5], [1.0, 0.5]]}
+        for raw in (self.SPEC, gen_hermite):
+            composite_rules(make_weight(raw), 61, (0, 1))
+        assert len(batches) == 2
+        for tables, (nodes, weights, _) in batches:
+            for row, (diag, offdiag, mass) in enumerate(tables):
+                x = nodes[row, : diag.shape[0]]
+                p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
+                total = p * p
+                for k in range(diag.shape[0] - 1):
+                    t = (x - diag[k]) * p
+                    if k > 0:
+                        t -= offdiag[k - 1] * p_prev
+                    p_prev, p = p, t * (1.0 / offdiag[k])
+                    total += p * p
+                assert weights[row, : diag.shape[0]].tobytes() == (1.0 / total).tobytes()
+
 
 class TestPieceRules:
     """The Gauss-Jacobi rules composite_rules builds, all in one padded stack."""
@@ -240,7 +270,7 @@ class TestPieceRules:
 
     def test_nodes_match_scipy(self, stack):
         roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
-        nodes, _ = stack
+        nodes, _, _ = stack
         for row, (m, al, be) in enumerate(PIECE_CASES):
             want, _ = roots_jacobi(m, al, be)
             np.testing.assert_allclose(nodes[row, :m], want, rtol=0, atol=1e-13)
@@ -249,7 +279,7 @@ class TestPieceRules:
         # scipy's own weights lose digits with m: against the 30-digit
         # reference they are off by up to 2e-11 at m=60 and 3e-9 at m=286
         roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
-        _, weights = stack
+        _, weights, _ = stack
         for row, (m, al, be) in enumerate(PIECE_CASES):
             if m == 5:
                 _, want = roots_jacobi(m, al, be)
@@ -257,7 +287,7 @@ class TestPieceRules:
 
     def test_weights_match_mpmath(self, stack):
         mpmath = pytest.importorskip("mpmath")
-        nodes, weights = stack
+        nodes, weights, _ = stack
         with mpmath.workdps(40):
             for row, (m, al, be) in enumerate(PIECE_CASES):
                 for j in sorted({0, 1, m // 2, m - 2, m - 1}):
