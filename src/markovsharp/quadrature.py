@@ -76,20 +76,21 @@ def _jacobi_nodes(diag, offdiag):
         raise EigenError(f"Jacobi-matrix eigensolver did not converge: {exc}") from exc
 
 
-def _check_weights(nodes, weights, diag, offdiag, padding):
+def _check_weights(nodes, weights, diag, offdiag, sizes):
     """Raise QuadratureError for the first rule of a stack whose weights are not usable.
 
-    Row r holds a rule padded where padding[r] is True.  Every weight of a
-    rule must be positive and finite.  From finite nodes and recurrence
+    Row r holds a rule of sizes[r] points, padded past it.  Every weight of
+    a rule must be positive and finite.  From finite nodes and recurrence
     only an overflow of the Christoffel sum at the outer nodes (large
     Laguerre and Hermite rules) can spoil one, and the message says so;
     otherwise it names the nodes or recurrence that are not finite.
     """
-    ok = ((weights > 0) & (weights < math.inf)) | padding
+    padding = np.arange(nodes.shape[1]) >= np.array(sizes)[:, None]
+    ok = np.all(((weights > 0) & np.isfinite(weights)) | padding, axis=1)
     if ok.all():
         return
-    r = int(np.argmin(ok.all(axis=1)))
-    m = int(np.count_nonzero(~padding[r]))
+    r = int(np.argmin(ok))
+    m = sizes[r]
     inputs = (nodes[r, :m], diag[r, :m], offdiag[r, : m - 1])
     cause = (
         "the Christoffel sum sum_k p_k(x)^2 overflows at an outer node, so its weight "
@@ -99,43 +100,57 @@ def _check_weights(nodes, weights, diag, offdiag, padding):
     raise QuadratureError(f"{m}-point Gauss rule: {cause}")
 
 
-def _gauss_rules(tables, order=0):
+def _gauss_rules(tables, order=None):
     """Gauss rules of a list of (diag, offdiag, mass) recurrences, and the p_k^(d) at their nodes.
 
     The rule of a table has m = len(diag) points; offdiag has m-1 entries.
     Returns (nodes, weights, table): one rule per row, padded with zeros to
-    the largest m, and ``_kernels.deriv_tables`` of the stack at its nodes,
-    table[d, k, r] = p_k^(d) at the nodes of row r for d <= ``order``.
-    Nodes come from one ``_jacobi_nodes`` call per distinct m; the weights
-    1 / sum_k p_k(x_j)^2 from the order-0 rows of the one pass, summed in
-    order from k = 0.  The composite rules' reference batch reads it at
-    order 0; a classical basis (its rule and residual table) and
-    ``gauss_rule`` read a one-row stack.  Raises QuadratureError before any
-    solve when a mass or its reciprocal is not finite, and through
-    ``_check_weights`` when a weight is not positive and finite.
+    the largest m, and, unless ``order`` is None, the table of the last
+    run below, table[d, k, i] = p_k^(d) at the nodes of its i-th rule for
+    d <= ``order``; a one-row stack (a classical basis's rule and residual
+    table) is one run.  Nodes come from one ``_jacobi_nodes`` call per
+    stretch of equal m.  ``_kernels.deriv_tables`` runs on consecutive rules
+    zero-padded to the largest of them; a new run starts where padding the
+    run to the next rule's m would make its table more than twice its
+    rules' own.  Listed in increasing m, as ``composite_rules`` lists them
+    (any order gives the same rules), a batch of close sizes is one pass,
+    and one of far sizes needs no more memory than the eigensolve of its
+    largest rules.  The weights 1 / sum_k p_k(x_j)^2 are the order-0 rows
+    of each run summed in order from k = 0, squared in place when no table
+    is asked for.  Raises QuadratureError before any solve when a mass or
+    its reciprocal is not finite, and through ``_check_weights`` when a
+    weight is not positive and finite.
     """
     sizes = [d.shape[0] for d, _, _ in tables]
-    padding = np.arange(max(sizes)) >= np.array(sizes)[:, None]
-    diag = np.zeros(padding.shape)
-    offdiag = np.zeros((len(tables), padding.shape[1] - 1))
+    width = max(sizes)
+    diag = np.zeros((len(tables), width))
+    offdiag = np.zeros((len(tables), width - 1))
     p0 = np.array([_kernels._p0(mass) for _, _, mass in tables])
-    rows_of = {}
     for r, (d, o, _) in enumerate(tables):
         diag[r, : sizes[r]], offdiag[r, : sizes[r] - 1] = d, o
-        rows_of.setdefault(sizes[r], []).append(r)
-    if len(rows_of) == 1:  # no padding: the stack is one solve
-        nodes = _jacobi_nodes(diag, offdiag)
-    else:
-        nodes = np.zeros_like(diag)
-        for m, rows in rows_of.items():
-            nodes[rows, :m] = _jacobi_nodes(diag[rows, :m], offdiag[rows, : m - 1])
-    # an overflow at an outer node spoils its weight, which _check_weights names
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        table = _kernels.deriv_tables(diag, offdiag, p0, nodes, order)
-        weights = 1.0 / np.sum(table[0] * table[0], axis=0)
-    weights[padding] = 0.0
-    _check_weights(nodes, weights, diag, offdiag, padding)
-    return nodes, weights, table
+    nodes, weights = np.zeros_like(diag), np.zeros_like(diag)
+    # stretches of equal size go to one eigensolve, runs of close sizes to one kernel pass
+    stretches = [r for r in range(len(sizes)) if r == 0 or sizes[r] != sizes[r - 1]]
+    runs, own = [0], 0
+    for r, m in enumerate(sizes[1:], 1):
+        own += sizes[r - 1] ** 2
+        if (r - runs[-1] + 1) * m * m > 2 * (own + m * m):
+            runs.append(r)
+            own = 0
+    for lo, hi in zip(stretches, stretches[1:] + [len(sizes)]):
+        m = sizes[lo]
+        nodes[lo:hi, :m] = _jacobi_nodes(diag[lo:hi, :m], offdiag[lo:hi, : m - 1])
+    for lo, hi in zip(runs, runs[1:] + [len(sizes)]):
+        m = max(sizes[lo:hi])
+        a, b = diag[lo:hi, :m], offdiag[lo:hi, : m - 1]
+        # an overflow at an outer node spoils its weight, which _check_weights names
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            table = _kernels.deriv_tables(a, b, p0[lo:hi], nodes[lo:hi, :m], order or 0)
+            squares = np.square(table[0], out=table[0] if order is None else None)
+            weights[lo:hi, :m] = 1.0 / np.sum(squares, axis=0)
+    weights[np.arange(width) >= np.array(sizes)[:, None]] = 0.0
+    _check_weights(nodes, weights, diag, offdiag, sizes)
+    return nodes, weights, None if order is None else table
 
 
 def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
@@ -146,7 +161,7 @@ def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
     computed here through the equivalent Christoffel-function identity
     w_j = 1 / sum_k p_k(x_j)^2: LAPACK flushes first components below ~1e-17
     to zero (extreme Gauss-Laguerre nodes), while the polynomial form keeps
-    them positive.  This is ``_gauss_rules`` of a one-row stack at order 0.
+    them positive.  This is ``_gauss_rules`` of a one-row stack.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -295,9 +310,10 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
             pieces += [(ends[j], ends[j + 1], g_lo if j == 0 else 0.0,
                         g_hi if j == parts - 1 else 0.0, m) for j in range(parts)]
         layouts.append(pieces)
-    row_of = {key: row for row, key in enumerate(dict.fromkeys(list(tails.values()) + [
+    # one row per distinct key, in increasing node count, so the batch pads only close sizes
+    row_of = {key: row for row, key in enumerate(sorted(dict.fromkeys(list(tails.values()) + [
         (g_hi, g_lo, m) for pieces in layouts for _, _, g_lo, g_hi, m in pieces
-    ]))}
+    ]), key=lambda key: key[-1]))}
     ref_nodes, ref_weights, _ = _gauss_rules([
         _laguerre_coefficients(0.0, key[1] - 1) if key[0] == "laguerre"
         else _jacobi_coefficients(key[0], key[1], key[2] - 1) for key in row_of

@@ -260,6 +260,32 @@ class TestReferenceRules:
                     total += p * p
                 assert weights[row, : diag.shape[0]].tobytes() == (1.0 / total).tobytes()
 
+    def test_batch_memory_stays_near_the_eigensolve(self, monkeypatch):
+        """A wide gen_hermite batch (rules of 50 to 463 points, three of 463)
+        pads only rules of close sizes into one kernel pass and squares the
+        table in place, so its traced peak stays near the dense Jacobi
+        matrices of the largest size, which the eigensolve builds anyway."""
+        import tracemalloc
+
+        import markovsharp._kernels as kernels
+
+        shapes, deriv_tables = [], kernels.deriv_tables
+
+        def recorded(diag, offdiag, p0, x, order):
+            shapes.append(x.shape)
+            return deriv_tables(diag, offdiag, p0, x, order)
+
+        monkeypatch.setattr(kernels, "deriv_tables", recorded)
+        spec = make_weight({"family": "gen_hermite", "singularities": [[-40.0, 0.5], [40.0, 0.5]]})
+        tracemalloc.start()
+        try:
+            composite_rules(spec, 83, (0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shapes == [(2, 75), (3, 147), (3, 463)]
+        assert peak <= 1.3 * 3 * 463 * 463 * 8
+
 
 class TestPieceRules:
     """The Gauss-Jacobi rules composite_rules builds, all in one padded stack."""
@@ -295,6 +321,26 @@ class TestPieceRules:
                     assert abs(nodes[row, j] - float(x)) <= 1e-15
                     # a node error of one ulp moves an end weight by ~m^2 ulp
                     assert abs(weights[row, j] / float(w) - 1) <= 1e-15 * m * m, (m, al, be, j)
+
+
+    def test_rules_of_mixed_sizes_equal_each_rule_alone(self):
+        """Rules of 3, 9, 9 and 14 points in one batch are, byte for byte, each
+        rule built alone, zero past its size, in whatever order they are
+        listed; listed by size, the last run and its table are the 14-point
+        rule's."""
+        from markovsharp.orthopoly import _laguerre_coefficients
+
+        tables = [_jacobi_coefficients(0.5, -0.3, 2), _laguerre_coefficients(1.2, 8),
+                  _jacobi_coefficients(-0.6, 0.0, 8), _jacobi_coefficients(2.5, 0.0, 13)]
+        alone = [_gauss_rules([rec], 2) for rec in tables]
+        for listed in ([0, 1, 2, 3], [3, 1, 0, 2]):
+            nodes, weights, table = _gauss_rules([tables[i] for i in listed], 2)
+            for row, i in enumerate(listed):
+                m = tables[i][0].shape[0]
+                assert nodes[row, :m].tobytes() == alone[i][0].tobytes()
+                assert weights[row, :m].tobytes() == alone[i][1].tobytes()
+                assert not nodes[row, m:].any() and not weights[row, m:].any()
+        assert _gauss_rules(tables, 2)[2].tobytes() == alone[3][2].tobytes()
 
 
 class TestIntegrate:
