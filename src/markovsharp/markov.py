@@ -18,15 +18,17 @@ extremal polynomial is evaluated by quadrature on the basis rule, a path that
 shares no code with the matrix, and the ratio it achieves must match.
 
 The basis is nested and D is strictly upper triangular, so a degree range is
-one computation at its largest degree N: one ``basis_for(spec, N)``, one
-D_N, one table of the p_k^(d) at the rule nodes and, for a Sobolev norm, one
-Cholesky factor L_N of B_N and one L_N^T D_N L_N^-T.  That table is kept
-with the basis.  For a weight with a closed-form recurrence it comes from the
-pass over the degree that gives the rule its weights; a Stieltjes basis
-builds it when a range first asks for one, and a range that needs higher
-derivatives than the kept table holds builds the larger table, which
-replaces it.  Degree n takes its top singular pair from the
-leading (n+1) x (n+1) block of that matrix.  For
+one computation at its largest degree N on one kept basis (``_kept``): one
+recurrence to N+1, one D_N, one (N+2)-point rule with its table of the
+p_k^(d) at the nodes and, for a Sobolev norm, one Cholesky factor L_N of
+B_N and one L_N^T D_N L_N^-T.  ``closed_form`` decides once, when the
+basis is built, whether the recurrence has a closed form.  If it has, the
+rule and its table come from one pass over the degree that gives the rule
+its weights, made only when a caller first needs the rule; a Stieltjes
+basis gets its rule with its recurrence and builds its table when a range
+first asks for one.  A range that needs higher derivatives than the kept
+table holds builds the larger table, which replaces it.  Degree n takes its
+top singular pair from the leading (n+1) x (n+1) block of that matrix.  For
 a weight symmetric about its centre that block maps even coefficient indices
 to odd ones and odd to even, so its Gram matrix is an even and an odd block;
 degree n adds index n to one of them, so it solves that block alone and
@@ -40,12 +42,12 @@ entries of B_N are sums over more (exactly zero) terms than those of B_n,
 which round differently, so the values agree with a single degree to 1e-11
 relative and to a high-precision reference as closely as single degrees do.
 ``sharp_constants`` and ``mirsky_bounds`` are these range paths; the
-single-degree functions call them with one degree.  ``basis_for`` keeps the
-last pair it built for a weight while that weight is alive, so every range
-over the same degrees (the columns of a sweep, a Mirsky check beside its
-constants) and the extremal evaluator after its constant share one build.
-A Mirsky bound needs D alone, so for a closed-form weight it reads the
-recurrence and builds no rule.
+single-degree functions call them with one degree.  The basis of the last
+degree N asked for is kept while its weight is alive, so every range up to
+the same N (the columns of a sweep, a Mirsky check beside its constants)
+and ``basis_for``, which the extremal evaluator reads after its constant,
+share one recurrence and one D_N.  A Mirsky bound needs D_N alone, so for a
+closed-form weight it builds no rule.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +78,10 @@ from .quadrature import QuadRule, _gauss_rules
 RESIDUAL_TOL = 1e-8
 MAX_SOBOLEV_ORDER = 4
 
-# WeightSpec -> (n, (RecurrenceTable, QuadRule), table of the p_k^(d) at the rule nodes or None)
+# The basis kept for one weight and top degree n: the recurrence to n+1, D_n, the
+# (n+2)-point rule and the table of the p_k^(d) at its nodes; rule and table may be None
+_Basis = namedtuple("_Basis", "n rec rule table mat")
+# WeightSpec -> its _Basis
 _BASES = weakref.WeakKeyDictionary()
 _BASES_LOCK = threading.Lock()
 
@@ -121,16 +127,12 @@ class SharpResult:
         object.__setattr__(self, "coeffs", c)
 
 
-def _check_degree(n: int):
-    if n < 1:
-        raise WeightError(f"n must be >= 1, got {n}")
-
-
 def _top_degree(ns) -> int:
     """max(ns), once every degree in ``ns`` is >= 1 and the largest is within the cap."""
     if not ns:
         raise WeightError("need at least one degree")
-    _check_degree(min(ns))
+    if min(ns) < 1:
+        raise WeightError(f"n must be >= 1, got {min(ns)}")
     top = max(ns)
     cap = max_degree_cap()
     if top > cap:
@@ -140,56 +142,60 @@ def _top_degree(ns) -> int:
     return top
 
 
-def _kept(spec: WeightSpec, n: int, order):
-    """The pair ``basis_for(spec, n)`` returns, and a table of p_k^(d) at its rule nodes.
+def _kept(spec: WeightSpec, ns, order=None, rule=True) -> _Basis:
+    """The kept basis of ``spec`` for the degrees ``ns``: the ``_Basis`` of N = max(ns).
 
-    The table holds k <= n+1 and d <= ``order`` at least; with ``order``
-    None none is asked for.  A weight that ``closed_form`` restates gets
-    its rule and table from one ``_gauss_rules`` pass at the n+2 rule
-    nodes; a Stieltjes basis builds its table with ``eval_derivative_table``
-    when a range first asks for one.  A range that needs a higher order
-    than the kept table holds builds the larger table, which replaces it:
-    its rows d <= order are the bytes of the smaller one.  The entry is
-    kept as ``basis_for`` describes.
+    A kept entry for N is read as it is; otherwise ``closed_form`` decides,
+    once, how the recurrence to N+1 is built: by its closed form, whose mass
+    is checked here, or by ``stabilized_stieltjes``, which builds the rule
+    with it.  A closed-form weight builds its rule only when ``rule`` asks
+    for one, and then in one ``_gauss_rules`` pass at the N+2 rule nodes
+    that also gives the table of p_k^(d), k <= N+1, d <= ``order`` (None
+    asks for no table, so the pass keeps its order-0 rows).  A Stieltjes
+    basis builds its table with ``eval_derivative_table`` when a range first
+    asks for one.  A range that needs a higher order than the kept table
+    holds builds the larger table, which replaces it: its rows d <= order
+    are the bytes of the smaller one.  D_N is built after the rule and
+    table, once per entry.  The entry is kept as ``basis_for`` describes.
     """
+    top = _top_degree(ns)
     with _BASES_LOCK:
-        last = _BASES.get(spec)
-    if last is not None and last[0] == n:
-        pair, table = last[1:]
-    elif closed_form(spec) is not None:
-        rec = recurrence_classical(spec, n + 2)
-        nodes, weights, table = _gauss_rules(
-            [(rec.diag[: n + 2], rec.offdiag[: n + 1], rec.mass)], order or 0
-        )
-        pair, table = (rec, QuadRule(nodes[0], weights[0])), table[:, :, 0]
-    else:
-        pair, table = stabilized_stieltjes(spec, n + 1), None
-    if order is not None and (table is None or table.shape[0] <= order):
-        table = eval_derivative_table(pair[0], pair[1].nodes, n + 1, order)
+        kept = _BASES.get(spec)
+    if kept is None or kept.n != top:
+        if closed_form(spec) is None:
+            kept = _Basis(top, *stabilized_stieltjes(spec, top + 1), None, None)
+        else:
+            kept = _Basis(top, recurrence_classical(spec, top + 1), None, None, None)
+            _kernels._p0(kept.rec.mass)
+    rec = kept.rec
+    if rule and kept.rule is None:
+        nodes, weights, table = _gauss_rules([(rec.diag, rec.offdiag, rec.mass)], order or 0)
+        kept = kept._replace(rule=QuadRule(nodes[0], weights[0]), table=table[:, :, 0])
+    if order is not None and (kept.table is None or kept.table.shape[0] <= order):
+        kept = kept._replace(table=eval_derivative_table(rec, kept.rule.nodes, top + 1, order))
+    if kept.mat is None:
+        kept = kept._replace(mat=derivative_matrix(rec, top))
     with _BASES_LOCK:
-        _BASES[spec] = n, pair, table
-    return pair, table
+        _BASES[spec] = kept
+    return kept
 
 
 def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
-    """Recurrence table (to degree n+1 at least) plus a rule good for degree 2n+2 integrals.
+    """Recurrence table (to degree n+1) plus a rule good for degree 2n+2 integrals.
 
-    The last pair built for a weight is kept while that weight (or an equal
-    one) is alive, and serves the same n again: the ranges of a sweep over
-    one degree range, or ``sharp_constant_l2(spec, n)`` and then
-    ``basis_for(spec, n)`` for the extremal evaluator, build once.  A basis
-    built for another degree has another rule, so it never serves n.
-    Nothing outlives the weight, so a request that makes its weight from
-    JSON costs the same whatever requests came before it.  Both objects of a
-    pair are immutable.
+    Both come from the basis kept for the weight (``_kept``), which also
+    holds D_n and the residual table, so the extremal evaluator after
+    ``sharp_constant_l2(spec, n)``, and every range over degrees up to the
+    same n (the columns of a sweep, a Mirsky check beside its constants),
+    build one recurrence and one D_n.  Only the last degree built for a
+    weight is kept, while that weight (or an equal one) is alive: a basis
+    built for another degree has another rule, so it never serves n, and
+    nothing outlives the weight, so a request that makes its weight from
+    JSON costs the same whatever requests came before it.  Both objects of
+    the pair are immutable.
     """
-    return _kept(spec, _top_degree([n]), None)[0]
-
-
-def _basis(spec: WeightSpec, ns, order: int):
-    """``basis_for(spec, max(ns))`` and its kept table of p_k^(d), d <= ``order`` (``_kept``)."""
-    (rec, rule), table = _kept(spec, _top_degree(ns), order)
-    return rec, rule, table
+    kept = _kept(spec, [n])
+    return kept.rec, kept.rule
 
 
 def derivative_matrix(rec: RecurrenceTable, n: int) -> np.ndarray:
@@ -345,8 +351,8 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
 
     ``lambdas`` are the derivative weights of the Sobolev norm W; () gives the
     weighted L2 norm.  Every degree reads the one D_N and residual table of
-    ``basis_for(spec, N)``, N = max(ns), and in a Sobolev norm the one factor
-    L_N of B_N.  Trailing zero lambdas add exactly
+    the basis kept for N = max(ns) (``_kept``), and in a Sobolev norm the one
+    factor L_N of B_N.  Trailing zero lambdas add exactly
     nothing to B or to the residual, so they are dropped after validation;
     all-zero lambdas take the L2 path.  Results keep the lambdas as given.
 
@@ -368,9 +374,7 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     lambdas = given
     while lambdas and lambdas[-1] == 0.0:
         lambdas = lambdas[:-1]
-    rec, rule, stack = _basis(spec, ns, len(lambdas) + 1)
-    top = max(ns)
-    mat = derivative_matrix(rec, top)
+    _, _, rule, stack, mat = _kept(spec, ns, len(lambdas) + 1)
     if lambdas:
         # D_N[:, :n+1] = [D_n; 0], so B_n, L_n and L_n^T D_n L_n^-T are the
         # leading blocks of the degree-N ones: one factorization serves the
@@ -414,16 +418,12 @@ def sharp_constant_sobolev(spec: WeightSpec, sob: SobolevSpec, n: int) -> SharpR
 
 
 def mirsky_bounds(spec: WeightSpec, ns) -> list[float]:
-    """Upper bounds (sum_nu nu ||p_nu'||^2)^(1/2) for the sharp L2 constants, n in ``ns``."""
+    """Upper bounds (sum_nu nu ||p_nu'||^2)^(1/2) for the sharp L2 constants, n in ``ns``.
+
+    They read D_N of the kept basis alone, so a closed-form weight builds no rule.
+    """
     ns = list(ns)
-    top = _top_degree(ns)
-    if closed_form(spec) is not None:
-        # D needs the recurrence alone; its mass is checked as a basis would check it
-        rec = recurrence_classical(spec, top + 2)
-        _kernels._p0(rec.mass)
-    else:
-        rec = basis_for(spec, top)[0]
-    mat = derivative_matrix(rec, top)
+    mat = _kept(spec, ns, rule=False).mat
     # D is strictly upper triangular: column k of D_n is the head of column k of D_N
     col_sq = np.sum(mat * mat, axis=0)
     return [float(np.sqrt(np.dot(np.arange(n + 1), col_sq[: n + 1]))) for n in ns]

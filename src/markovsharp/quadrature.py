@@ -327,15 +327,15 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
         lo_s, hi_s, g_lo, g_hi, m = (np.array(col)[:, None] for col in zip(*pieces))
         half = 0.5 * (hi_s - lo_s)
         nodes = 0.5 * (lo_s + hi_s) + half * ref_nodes[rows, :width]
-        # the [-1,1] rule's mass is 2^(g_lo+g_hi+1) B(...); rescale to the piece length
-        weights = ref_weights[rows, :width] * half ** (g_lo + g_hi + 1)
-
         if spec.family == "gen_jacobi":
             smooth = np.full_like(nodes, spec.scale)
         else:  # the exponential factor e^-x or e^(-x^2)
             smooth = spec.scale * np.exp(-(nodes if spec.family == "gen_laguerre" else nodes**2))
-        # a scale near the float range overflows here, and the Stieltjes mass check names it
-        with np.errstate(over="ignore"):
+        # a scale or exponent near the float range overflows here (and inf * 0 is
+        # NaN); the Stieltjes mass check names the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the [-1,1] rule's mass is 2^(g_lo+g_hi+1) B(...); rescale to the piece length
+            weights = ref_weights[rows, :width] * half ** (g_lo + g_hi + 1)
             for c, g in spec.singularities:
                 off = (lo_s[:, 0] != c) & (hi_s[:, 0] != c)
                 smooth[off] = smooth[off] * np.abs(nodes[off] - c) ** g

@@ -251,22 +251,22 @@ class TestVerify:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Degrees of the bases built, by basis_for and by the ranges that read a basis with its table.
+    """Degrees of the bases built, by basis_for and by the ranges that read the kept basis.
 
-    Both keep their pair through ``markov._kept``; a pair it returned before
-    is a lookup, not a build, so it is not counted.
+    Every one goes through ``markov._kept``; an entry whose recurrence it
+    returned before is a lookup, not a build, so it is not counted.
     """
     from markovsharp import markov
 
     calls, seen = [], []
     original = markov._kept
 
-    def counted(spec, n, order):
-        pair, table = original(spec, n, order)
-        if not any(pair is old for old in seen):
-            seen.append(pair)
-            calls.append(n)
-        return pair, table
+    def counted(*args, **kwargs):
+        kept = original(*args, **kwargs)
+        if not any(kept.rec is old for old in seen):
+            seen.append(kept.rec)
+            calls.append(kept.n)
+        return kept
 
     monkeypatch.setattr(markov, "_kept", counted)
     return calls
@@ -274,15 +274,23 @@ def builds(monkeypatch):
 
 @pytest.fixture
 def range_builds(monkeypatch):
-    """Calls of derivative_matrix and eval_derivative_table through every module's binding."""
+    """Calls of the recurrence, D_N and table builders through every module's binding.
+
+    ``recurrences`` counts recurrence_classical and stabilized_stieltjes together.
+    """
     from markovsharp import markov, orthopoly
 
-    calls = {"derivative_matrix": 0, "eval_derivative_table": 0}
-    for owner, name in ((markov, "derivative_matrix"), (orthopoly, "eval_derivative_table")):
+    calls = {"recurrences": 0, "derivative_matrix": 0, "eval_derivative_table": 0}
+    for owner, name, key in (
+        (orthopoly, "recurrence_classical", "recurrences"),
+        (orthopoly, "stabilized_stieltjes", "recurrences"),
+        (markov, "derivative_matrix", "derivative_matrix"),
+        (orthopoly, "eval_derivative_table", "eval_derivative_table"),
+    ):
         original = getattr(owner, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+        def counted(*args, _key=key, _original=original, **kwargs):
+            calls[_key] += 1
             return _original(*args, **kwargs)
 
         for module_name, module in list(sys.modules.items()):
@@ -310,7 +318,7 @@ class TestSharedBasis:
     """A degree range reads the leading blocks of one basis built for its largest degree."""
 
     def test_verify_theorem_builds_once(self, builds):
-        # the mirsky case reads two ranges, which share one basis through basis_for
+        # the mirsky case reads two ranges, which share one kept basis
         for case, token in (("gen_jacobi_4", GEN_JACOBI), ("mirsky", "hermite")):
             builds.clear()
             verify_theorem(case, load_weight(token), SobolevSpec((1.0, 0.5)), range(4, 13))
@@ -330,41 +338,47 @@ class TestSharedBasis:
         assert builds == [12]
 
     @pytest.mark.parametrize(
-        "case, token, matrices, tables",
-        [("gen_jacobi_4", GEN_JACOBI, 1, 1), ("mirsky", "hermite", 2, 0),
-         ("schmidt", "hermite", 1, 0)],
-        ids=[f"gen_jacobi_4-{GEN_JACOBI}-1", "mirsky-hermite-2", "schmidt-hermite-1"],
+        "case, token, tables",
+        [("gen_jacobi_4", GEN_JACOBI, 1), ("mirsky", "hermite", 0), ("schmidt", "hermite", 0)],
+        ids=["gen_jacobi_4-gen_jacobi", "mirsky-hermite", "schmidt-hermite"],
     )
     def test_verify_theorem_one_matrix_and_table_per_range(
-        self, range_builds, case, token, matrices, tables
+        self, range_builds, case, token, tables
     ):
-        # the mirsky case reads two ranges: the Mirsky bounds and the sharp constants.
-        # A classical basis builds its table in the pass that makes its rule
+        # the mirsky case reads two ranges, the Mirsky bounds and the sharp
+        # constants, from one kept basis.  A classical basis builds its table
+        # in the pass that makes its rule
         verify_theorem(case, load_weight(token), SobolevSpec((1.0, 0.5)), range(4, 41))
-        assert range_builds == {"derivative_matrix": matrices, "eval_derivative_table": tables}
+        assert range_builds == {
+            "recurrences": 1, "derivative_matrix": 1, "eval_derivative_table": tables
+        }
 
     @pytest.mark.parametrize(
-        "token, lambdas, matrices, tables",
+        "token, lambdas, tables",
         [
-            (GEN_HERMITE, [], 2, 1),
-            (GEN_HERMITE, ["--lambdas", "1,0.5"], 3, 1),
-            ("hermite", [], 2, 0),
-            ("hermite", ["--lambdas", "1,0.5"], 3, 0),
+            (GEN_HERMITE, [], 1),
+            (GEN_HERMITE, ["--lambdas", "1,0.5"], 1),
+            ("hermite", [], 0),
+            ("hermite", ["--lambdas", "1,0.5"], 0),
         ],
-        ids=["lambdas0-2-1", "lambdas1-3-2", "hermite-lambdas0-2-0", "hermite-lambdas1-3-1"],
+        ids=["gen_hermite-lambdas0", "gen_hermite-lambdas1", "hermite-lambdas0",
+             "hermite-lambdas1"],
     )
     def test_sweep_one_matrix_and_table_per_range(
-        self, capsys, range_builds, token, lambdas, matrices, tables
+        self, capsys, range_builds, token, lambdas, tables
     ):
         # one range per column: sobolev (when it differs from sharp), sharp and
-        # mirsky.  The first range keeps its table with the basis and the sharp
-        # column reads its rows d <= 1; a classical basis builds that table in
-        # the pass that makes its rule, so it builds none on its own
+        # mirsky, all on one kept basis.  The first range keeps its table with
+        # the basis and the sharp column reads its rows d <= 1; a classical
+        # basis builds that table in the pass that makes its rule, so it
+        # builds none on its own
         code, _, _ = run_cli(
             capsys, "sweep", "--weight", token, "--n-min", "4", "--n-max", "40", *lambdas
         )
         assert code == 0
-        assert range_builds == {"derivative_matrix": matrices, "eval_derivative_table": tables}
+        assert range_builds == {
+            "recurrences": 1, "derivative_matrix": 1, "eval_derivative_table": tables
+        }
 
     @pytest.mark.parametrize("token", CLASSICAL)
     def test_classical_values_equal_per_degree(self, capsys, token):
@@ -632,10 +646,20 @@ class TestContracts:
             # the composite rule's weights overflow to an infinite mass
             ('{"family": "gen_laguerre", "singularities": [[2, 1]], "scale": 1e308}', [],
              "mass inf"),
+            # a piece rescale or a singular factor overflows, and inf * 0 is NaN
+            ('{"family": "gen_jacobi", "interval": [0, 100], '
+             '"singularities": [[0, 300], [50, 0.5]]}', [], "mass inf"),
+            ('{"family": "gen_hermite", "singularities": [[22.5, 240]]}', [], "mass inf"),
+            ('{"family": "gen_hermite", "singularities": [[-27, 3], [11, 93], [15, 186]]}', [],
+             "mass inf"),
+            ('{"family": "gen_laguerre", "singularities": [[4, 1], [17, 1], [23, 390]]}', [],
+             "absolute exponent sum 392.0"),
         ],
         ids=["mass_overflow", "zero_constant", "sobolev_gram_overflow", "subnormal_mass",
              "hermite_subnormal_mass", "laguerre_subnormal_mass", "gen_laguerre_tiny_scale",
-             "gen_hermite_tiny_scale", "gen_laguerre_huge_scale"],
+             "gen_hermite_tiny_scale", "gen_laguerre_huge_scale", "gen_jacobi_rescale_overflow",
+             "gen_hermite_rescale_overflow", "gen_hermite_factor_nan",
+             "gen_laguerre_factor_nan"],
     )
     def test_out_of_range_weight_exits_three(self, capsys, weight, extra, named):
         # an infinite mass or a zero constant is a numerical failure, never a NaN

@@ -206,10 +206,15 @@ class TestSharpL2:
         spec = make_weight(raw)
         ns = range(1, 21)
         # the table reaches the highest order asked for below, so the range reads it too
-        basis = markov._basis(spec, [20], 4)
+        basis = markov._kept(spec, [20], 4)
+
+        def degree_n(_spec, ns, _order):
+            # the degree-20 rule and table with D_n of the same recurrence
+            return basis._replace(n=max(ns), mat=markov.derivative_matrix(basis.rec, max(ns)))
+
         for lams in ((), (0.0,), (1.0, 0.5), (0.5, 1.0, 2.0)):
             with monkeypatch.context() as patched:
-                patched.setattr(markov, "_basis", lambda _spec, _ns, _order: basis)
+                patched.setattr(markov, "_kept", degree_n)
                 if lams:
                     single = [sharp_constant_sobolev(spec, SobolevSpec(lams), n) for n in ns]
                 else:
@@ -807,8 +812,8 @@ class TestFusedBasis:
 
         spec = make_weight(raw)
         for n in (1, 7, 40, 60):
-            (rec, rule), _ = markov._kept(spec, n, 1)
-            m = n + 2
+            kept = markov._kept(spec, [n], 1)
+            rec, rule, m = kept.rec, kept.rule, n + 2
             nodes, weights, _ = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
             assert rule.nodes.tobytes() == nodes[0].tobytes()
             assert rule.weights.tobytes() == weights[0].tobytes()
@@ -820,12 +825,12 @@ class TestFusedBasis:
         spec, n = make_weight(raw), 30
         for order in range(markov.MAX_SOBOLEV_ORDER + 2):
             markov._BASES.clear()
-            rec, rule, table = markov._basis(spec, [n], order)
+            kept = markov._kept(spec, [n], order)
             # the table of the pass that built the rule, not one built afterwards
-            assert table is markov._BASES[spec][2]
-            assert table.shape == (order + 1, n + 2, n + 2)
-            want = eval_derivative_table(rec, rule.nodes, n + 1, order)
-            assert table.tobytes() == want.tobytes()
+            assert kept.table is markov._BASES[spec].table
+            assert kept.table.shape == (order + 1, n + 2, n + 2)
+            want = eval_derivative_table(kept.rec, kept.rule.nodes, n + 1, order)
+            assert kept.table.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("raw", FUSED_WEIGHTS, ids=lambda raw: raw["family"])
     def test_sobolev_after_l2_equals_a_fresh_build(self, raw):
@@ -843,14 +848,14 @@ class TestFusedBasis:
         # basis, Stieltjes bases included, and the L2 range reads its rows d <= 1
         spec, ns = make_weight(raw), range(4, 41)
         sharp_constants(spec, ns, (1.0, 0.5))
-        kept = markov._BASES[spec][2]
+        kept = markov._BASES[spec].table
         assert kept.shape[:2] == (4, 42)
         after_sobolev = sharp_constants(spec, ns)
-        assert markov._BASES[spec][2] is kept
+        assert markov._BASES[spec].table is kept
         markov._BASES.clear()
         assert _fields(after_sobolev) == _fields(sharp_constants(spec, ns))
         # its rows d <= 1 are the bytes of the order-1 table a fresh L2 range keeps
-        assert kept[:2].tobytes() == markov._BASES[spec][2].tobytes()
+        assert kept[:2].tobytes() == markov._BASES[spec].table.tobytes()
 
     @pytest.mark.parametrize("lams", [(), (1.0, 0.5)])
     @pytest.mark.parametrize("raw", FUSED_WEIGHTS, ids=lambda raw: raw["family"])
@@ -869,6 +874,19 @@ class TestFusedBasis:
 
 
 class TestMirsky:
+    @pytest.mark.parametrize("lams", [(), (1.0, 0.5)])
+    @pytest.mark.parametrize("raw", FUSED_WEIGHTS + [GEN_JACOBI], ids=lambda raw: raw["family"])
+    def test_range_after_mirsky_equals_a_fresh_range(self, raw, lams):
+        # Mirsky keeps the basis, without a rule for a classical weight, and
+        # the range after it builds what it needs into that same basis
+        spec, ns = make_weight(raw), range(4, 41)
+        markov.mirsky_bounds(spec, ns)
+        rec = markov._BASES[spec].rec
+        after_mirsky = sharp_constants(spec, ns, lams)
+        assert markov._BASES[spec].rec is rec
+        markov._BASES.clear()
+        assert _fields(after_mirsky) == _fields(sharp_constants(spec, ns, lams))
+
     def test_hermite_closed_form(self):
         spec = make_weight(HERMITE)
         for n in (1, 2, 10, 40):
