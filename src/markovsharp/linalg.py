@@ -4,7 +4,9 @@ The largest singular value is taken from LAPACK's eigendecomposition of
 M^T M (through numpy), which is accurate enough here because only the (well
 separated) top value is consumed.  numpy's product M^T M is exactly
 symmetric, so it goes to the eigensolver as it is.  Every returned vector has
-its last nonzero component positive so golden outputs are deterministic.
+its last component of non-negligible size positive, so golden outputs are
+deterministic; ``_fix_sign`` is that rule, for one vector here and for the
+rows of a whole degree range in ``markov``.
 """
 
 from __future__ import annotations
@@ -16,11 +18,19 @@ from .errors import EigenError
 _SIGN_RTOL = 1e-12
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    """Flip v so its last component of non-negligible size is positive."""
-    mag = np.abs(v)
-    idx = np.flatnonzero(mag > _SIGN_RTOL * mag.max(initial=0.0))
-    return -v if idx.size and v[idx[-1]] < 0 else v
+def _fix_sign(rows: np.ndarray, solved=True) -> np.ndarray:
+    """Flip each row so its last entry of non-negligible size is positive.
+
+    Only the ``solved`` entries (a mask broadcast against ``rows``) change
+    sign, so the zero padding around a row's solved entries keeps its +0.0;
+    padding never decides the sign, because it is never of non-negligible
+    size.  A row with no such entry is kept as it is.
+    """
+    mag = np.abs(rows)
+    big = mag > _SIGN_RTOL * mag.max(axis=1, keepdims=True)
+    last = rows.shape[1] - 1 - big[:, ::-1].argmax(axis=1)
+    flip = (rows * big)[np.arange(len(rows)), last] < 0
+    return np.where(flip[:, None] & solved, -rows, rows)
 
 
 def solve_triangular(t: np.ndarray, x: np.ndarray, lower: bool = False) -> np.ndarray:
@@ -44,4 +54,4 @@ def svd_largest(m: np.ndarray):
     except np.linalg.LinAlgError as exc:
         raise EigenError(f"eigensolver did not converge: {exc}") from exc
     sigma = float(np.sqrt(max(vals[-1], 0.0)))
-    return sigma, _fix_sign(vecs[:, -1])
+    return sigma, _fix_sign(vecs[None, :, -1])[0]

@@ -32,9 +32,16 @@ top singular pair from the leading (n+1) x (n+1) block of that matrix.  For
 a weight symmetric about its centre that block maps even coefficient indices
 to odd ones and odd to even, so its Gram matrix is an even and an odd block;
 degree n adds index n to one of them, so it solves that block alone and
-keeps the other's pair from degree n - 1.  The rest is one pass over the
-range: one back substitution with L_N^T gives every coefficient vector, and
-one product per derivative order with the table checks every degree.  In the
+keeps the other's pair from degree n - 1.  Each block costs only its copy,
+its Gram product and one eigensolve; the rest is one pass over the range:
+the square roots, the choice of block, the placement of every vector in one
+zero-padded matrix and the sign rule, then one back substitution with L_N^T
+for every coefficient vector, the step that gives exact zeros their sign
+from the vector, the sign rule again, and one product per derivative order
+with the table to check every degree.  Squares that leave the
+floating-point range (of D_N on a tiny interval, say) fail as a named
+numerical error with the degree: one check per range before the Gram
+products, and one on the residual's quadrature norms.  In the
 weighted L2 norm the values and coefficients are bit for bit what a single
 degree computes on that basis, and the residual and achieved ratio, summed
 by one zero-padded product, agree with it to 1e-15.  In a Sobolev norm the
@@ -62,7 +69,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import EigenError, QuadratureError, WeightError
-from .linalg import _fix_sign, solve_triangular, svd_largest
+from .linalg import _fix_sign, solve_triangular
 from .orthopoly import (
     RecurrenceTable,
     WeightSpec,
@@ -213,17 +220,20 @@ def derivative_matrix(rec: RecurrenceTable, n: int) -> np.ndarray:
     if n > rec.n_max:
         raise WeightError(f"recurrence table too short: n={n} > n_max={rec.n_max}")
     a, b = rec.diag[: n + 1], rec.offdiag[:n]
-    mat = np.zeros((n + 1, n + 1))
+    # row k of cols is column k of D, filled in place with the roundings of
+    # the column recurrence; row k of shifts is a - a_k
+    shifts = a - a[:n, None]
+    cols = np.zeros((n + 1, n + 1))
     for k in range(n):
-        col = mat[:, k]
-        nxt = (a - a[k]) * col
+        col, nxt = cols[k], cols[k + 1]
+        np.multiply(shifts[k], col, out=nxt)
         nxt[1:] += b * col[:-1]
         nxt[:-1] += b * col[1:]
         nxt[k] += 1.0
         if k > 0:
-            nxt -= b[k - 1] * mat[:, k - 1]
-        mat[:, k + 1] = nxt / b[k]
-    return mat
+            nxt -= b[k - 1] * cols[k - 1]
+        nxt /= b[k]
+    return np.ascontiguousarray(cols.T)
 
 
 def sobolev_gram(mat: np.ndarray, lambdas: tuple[float, ...]) -> np.ndarray:
@@ -264,7 +274,8 @@ def _checked_residual(stack, weights, coeffs, ns, values, lambdas=()):
     over the whole range, ||P^(d)||^2 = (coeffs @ stack[d])^2 @ weights.
     With no lambdas the ratio is the weighted L2 ratio ||P'|| / ||P||.  The gaps are relative;
     QuadratureError names the first degree whose value is not positive and
-    finite, else the first whose gap exceeds RESIDUAL_TOL.
+    finite, else the first whose gap exceeds RESIDUAL_TOL, and then names
+    the norms as the cause when their squares left the floating-point range.
     """
     for n, value in zip(ns, values):
         if not (math.isfinite(value) and value > 0):
@@ -272,15 +283,22 @@ def _checked_residual(stack, weights, coeffs, ns, values, lambdas=()):
                 f"sharp constant {value!r} at n={n} is not positive and finite; "
                 "the recurrence or its mass is out of floating-point range"
             )
-    norms = [
-        (coeffs @ stack[d, : coeffs.shape[1]]) ** 2 @ weights for d in range(len(lambdas) + 2)
-    ]
-    den = norms[0] + sum(lam * norms[j + 1] for j, lam in enumerate(lambdas))
-    num = norms[1] + sum(lam * norms[j + 2] for j, lam in enumerate(lambdas))
-    achieved = np.sqrt(num / den)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [
+            (coeffs @ stack[d, : coeffs.shape[1]]) ** 2 @ weights for d in range(len(lambdas) + 2)
+        ]
+        den = norms[0] + sum(lam * norms[j + 1] for j, lam in enumerate(lambdas))
+        num = norms[1] + sum(lam * norms[j + 2] for j, lam in enumerate(lambdas))
+        achieved = np.sqrt(num / den)
     residual = np.abs(achieved - values) / values
-    for n, gap in zip(ns, residual):
+    for row, (n, gap) in enumerate(zip(ns, residual)):
         if not gap <= RESIDUAL_TOL:
+            # a norm out of range gives a gap of 1, inf or nan, never a pass
+            if not all(math.isfinite(norm[row]) for norm in norms):
+                raise QuadratureError(
+                    f"the quadrature norms of the extremal polynomial at n={n} are out of "
+                    "floating-point range"
+                )
             raise QuadratureError(
                 f"sharp-constant residual {gap:.3e} at n={n} exceeds {RESIDUAL_TOL:.0e}; "
                 "quadrature or eigensolver failure"
@@ -316,16 +334,25 @@ def _symmetric(spec: WeightSpec) -> bool:
 def _top_pairs(reduced: np.ndarray, ns, split: bool):
     """Top singular value and right vector of each degree's leading block of ``reduced``.
 
-    Row i of the vectors holds degree ns[i]'s, zero past it; one row per
-    degree, C-contiguous, so the residual's products read each row as one
-    contiguous vector.  With ``split`` (a symmetric weight) ``reduced`` maps
-    even coefficient indices to odd ones and odd to even, so M_n^T M_n is an
-    even block and an odd block.  The block ending in column c reads the
-    other parity's rows above c (``reduced`` is strictly upper triangular, so
-    the rows from c on are zero): a slice fixed by c alone, so a range and a
-    single degree solve the same bytes.  Degree n has the blocks ending in
-    n and n - 1, of which only the first grew from degree n - 1; each block is
-    solved once, and the larger value wins.
+    Returns the values, one per degree, and the vectors, one row per degree
+    holding that degree's solved entries and +0.0 elsewhere (C-contiguous,
+    so the residual's products read each row as one contiguous vector).
+    With ``split`` (a symmetric weight) ``reduced`` maps even coefficient
+    indices to odd ones and odd to even, so M_n^T M_n is an even block and
+    an odd block.  The block ending in column c reads the other parity's
+    rows above c (``reduced`` is strictly upper triangular, so the rows from
+    c on are zero): a slice fixed by c alone, so a range and a single degree
+    solve the same bytes.  Degree n has the blocks ending in n and n - 1, of
+    which only the first grew from degree n - 1; it takes the larger value,
+    and the block ending in n on a tie.
+
+    Each block costs only its copy, its Gram product and one eigensolve,
+    formed as ``svd_largest`` forms them.  The square roots, the choice of
+    block, the placement and the sign rule (``_fix_sign``, which negates
+    only the solved entries) run once on the whole range and give the bytes
+    that ``svd_largest`` on each block gives.  One check per range keeps
+    every Gram product in floating-point range: an EigenError names the
+    first degree that reads a column whose squared norm overflows.
     """
 
     def block(c):  # rows and columns of the block ending in column c
@@ -333,17 +360,43 @@ def _top_pairs(reduced: np.ndarray, ns, split: bool):
             return slice(1 - c % 2, c, 2), slice(c % 2, c + 1, 2)
         return slice(c + 1), slice(c + 1)
 
-    values, vecs = [], np.zeros((len(ns), reduced.shape[1]))
-    pairs = {}  # last column c -> top pair of its block
-    for row, n in enumerate(ns):
-        ends = (n, n - 1) if split else (n,)
+    # the sum of all squares bounds every Gram entry; only when it overflows
+    # are the columns summed one by one
+    with np.errstate(over="ignore"):
+        if not math.isfinite(np.vdot(reduced, reduced)):
+            finite = np.isfinite((reduced * reduced).sum(axis=0))
+            if not finite.all():
+                first = int(np.argmin(finite))
+                raise EigenError(
+                    f"the Gram matrix M^T M at n={min(n for n in ns if n >= first)} "
+                    "is out of floating-point range"
+                )
+    ends = {}  # last column c -> index of its block's pair
+    for n in ns:
+        for c in (n, n - 1) if split else (n,):
+            ends.setdefault(c, len(ends))
+    tops, vecs = [], []
+    try:
         for c in ends:
-            if c not in pairs:
-                pairs[c] = svd_largest(np.ascontiguousarray(reduced[block(c)]))
-        c = max(ends, key=lambda end: pairs[end][0])
-        value, vecs[row, block(c)[1]] = pairs[c]
-        values.append(value)
-    return values, vecs
+            m = np.ascontiguousarray(reduced[block(c)])
+            vals, eig = np.linalg.eigh(m.T @ m)
+            tops.append(max(vals[-1], 0.0))
+            vecs.append(eig[:, -1])
+    except np.linalg.LinAlgError as exc:
+        raise EigenError(f"eigensolver did not converge: {exc}") from exc
+    sigma = np.sqrt(tops)
+    last, pick = np.array(ns), np.array([ends[n] for n in ns])
+    if split:
+        prev = np.array([ends[n - 1] for n in ns])
+        older = sigma[prev] > sigma[pick]
+        last, pick = last - older, np.where(older, prev, pick)
+    cols = np.arange(reduced.shape[1])
+    solved = cols <= last[:, None]
+    if split:
+        solved &= (last[:, None] - cols) % 2 == 0
+    rows = np.zeros(solved.shape)
+    rows[solved] = np.concatenate([vecs[i] for i in pick])
+    return sigma[pick].tolist(), _fix_sign(rows, solved)
 
 
 def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
@@ -367,8 +420,10 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     zero-padded to N+1 entries, are the columns of one matrix V, and one back
     substitution L_N^T C = V gives every coefficient vector: L_N^T is upper
     triangular and column n of V is zero past row n, so its solution is too,
-    and its top part solves the leading block.  One product per derivative
-    order then checks every degree (``_checked_residual``).
+    and its top part solves the leading block.  Exact zeros of the solution
+    take their sign from V, and the sign rule then runs once over the first
+    n+1 entries of every row.  One product per derivative order then checks
+    every degree (``_checked_residual``).
     """
     ns, given = list(ns), _checked_lambdas(lambdas)
     lambdas = given
@@ -392,11 +447,11 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     values, vecs = _top_pairs(reduced, ns, _symmetric(spec))
     coeffs = vecs
     if lambdas:
-        solved, coeffs = solve_triangular(chol.T, vecs.T).T, np.zeros_like(vecs)
-        for row, n in enumerate(ns):
-            c, v = solved[row, : n + 1], vecs[row, : n + 1]
-            # the solve can turn -0.0 into 0.0; exact zeros keep their sign in v
-            coeffs[row, : n + 1] = _fix_sign(np.where(c == 0.0, np.copysign(0.0, v), c))
+        solved = solve_triangular(chol.T, vecs.T).T
+        # the solve can turn -0.0 into 0.0; exact zeros keep their sign in v
+        # (+0.0 past each degree), and only then is the sign fixed
+        coeffs = _fix_sign(np.where(solved == 0.0, np.copysign(0.0, vecs), solved),
+                           np.arange(vecs.shape[1]) <= np.array(ns)[:, None])
     achieved, residual = _checked_residual(stack, rule.weights, coeffs, ns, values, lambdas)
     return [
         SharpResult(
@@ -425,8 +480,13 @@ def mirsky_bounds(spec: WeightSpec, ns) -> list[float]:
     ns = list(ns)
     mat = _kept(spec, ns, rule=False).mat
     # D is strictly upper triangular: column k of D_n is the head of column k of D_N
-    col_sq = np.sum(mat * mat, axis=0)
-    return [float(np.sqrt(np.dot(np.arange(n + 1), col_sq[: n + 1]))) for n in ns]
+    with np.errstate(over="ignore"):
+        col_sq = np.sum(mat * mat, axis=0)
+    bounds = [float(np.sqrt(np.dot(np.arange(n + 1), col_sq[: n + 1]))) for n in ns]
+    for n, bound in zip(ns, bounds):
+        if not math.isfinite(bound):
+            raise QuadratureError(f"the Mirsky bound at n={n} is out of floating-point range")
+    return bounds
 
 
 def mirsky_bound(spec: WeightSpec, n: int) -> float:

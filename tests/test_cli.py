@@ -35,6 +35,10 @@ CHILD_ENV = {
 }
 
 
+# the subcommand and degree of most out-of-range cases
+SHARP_5 = ["sharp", "--n", "5"]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -629,45 +633,54 @@ class TestContracts:
         assert "numerical failure" in err and "Christoffel sum" in err
 
     @pytest.mark.parametrize(
-        "weight, extra, named",
+        "weight, argv, named",
         [
-            ('{"family": "jacobi", "scale": 1e308}', [], "mass inf"),
-            ('{"family": "jacobi", "interval": [-1, 1e308]}', [], "sharp constant 0.0"),
-            ("hermite", ["--lambdas", "1e308,1e308"], "Sobolev Gram matrix"),
-            ('{"family": "gen_laguerre", "singularities": [[1, 0.5]], "scale": 1e-320}', [],
+            ('{"family": "jacobi", "scale": 1e308}', SHARP_5, "mass inf"),
+            ('{"family": "jacobi", "interval": [-1, 1e308]}', SHARP_5, "sharp constant 0.0"),
+            ("hermite", [*SHARP_5, "--lambdas", "1e308,1e308"], "Sobolev Gram matrix"),
+            ('{"family": "gen_laguerre", "singularities": [[1, 0.5]], "scale": 1e-320}', SHARP_5,
              "mass 7.88e-321"),
-            ('{"family": "hermite", "scale": 1e-320}', [], "mass 1.772e-320"),
-            ('{"family": "laguerre", "scale": 1e-320}', [], "mass 1e-320"),
+            ('{"family": "hermite", "scale": 1e-320}', SHARP_5, "mass 1.772e-320"),
+            ('{"family": "laguerre", "scale": 1e-320}', SHARP_5, "mass 1e-320"),
             # p_0 = 1/sqrt(mass) is near 1e150, so the Stieltjes sums overflow
-            ('{"family": "gen_laguerre", "singularities": [[2, 1]], "scale": 1e-300}', [],
+            ('{"family": "gen_laguerre", "singularities": [[2, 1]], "scale": 1e-300}', SHARP_5,
              "out of floating-point range at degree 3"),
             ('{"family": "gen_hermite", "singularities": [[-1, 0.5], [1, 0.5]], '
-             '"scale": 1e-300}', [], "out of floating-point range at degree 6"),
+             '"scale": 1e-300}', SHARP_5, "out of floating-point range at degree 6"),
             # the composite rule's weights overflow to an infinite mass
-            ('{"family": "gen_laguerre", "singularities": [[2, 1]], "scale": 1e308}', [],
+            ('{"family": "gen_laguerre", "singularities": [[2, 1]], "scale": 1e308}', SHARP_5,
              "mass inf"),
             # a piece rescale or a singular factor overflows, and inf * 0 is NaN
             ('{"family": "gen_jacobi", "interval": [0, 100], '
-             '"singularities": [[0, 300], [50, 0.5]]}', [], "mass inf"),
-            ('{"family": "gen_hermite", "singularities": [[22.5, 240]]}', [], "mass inf"),
-            ('{"family": "gen_hermite", "singularities": [[-27, 3], [11, 93], [15, 186]]}', [],
+             '"singularities": [[0, 300], [50, 0.5]]}', SHARP_5, "mass inf"),
+            ('{"family": "gen_hermite", "singularities": [[22.5, 240]]}', SHARP_5, "mass inf"),
+            ('{"family": "gen_hermite", "singularities": [[-27, 3], [11, 93], [15, 186]]}', SHARP_5,
              "mass inf"),
-            ('{"family": "gen_laguerre", "singularities": [[4, 1], [17, 1], [23, 390]]}', [],
+            ('{"family": "gen_laguerre", "singularities": [[4, 1], [17, 1], [23, 390]]}', SHARP_5,
              "absolute exponent sum 392.0"),
+            # D_N is finite on a tiny interval, but its squares overflow: in the
+            # residual's quadrature norms, the Gram products and the Mirsky sums
+            ('{"family": "jacobi", "interval": [0, 1e-100]}', ["sharp", "--n", "40"],
+             "quadrature norms of the extremal polynomial at n=40"),
+            ('{"family": "jacobi", "interval": [0, 1e-300]}', ["sharp", "--n", "40"],
+             "Gram matrix M^T M at n=40"),
+            ('{"family": "jacobi", "interval": [0, 1e-300]}',
+             ["mirsky", "--n-min", "38", "--n-max", "40"], "Mirsky bound at n=38"),
         ],
         ids=["mass_overflow", "zero_constant", "sobolev_gram_overflow", "subnormal_mass",
              "hermite_subnormal_mass", "laguerre_subnormal_mass", "gen_laguerre_tiny_scale",
              "gen_hermite_tiny_scale", "gen_laguerre_huge_scale", "gen_jacobi_rescale_overflow",
              "gen_hermite_rescale_overflow", "gen_hermite_factor_nan",
-             "gen_laguerre_factor_nan"],
+             "gen_laguerre_factor_nan", "residual_square_overflow", "gram_overflow",
+             "mirsky_square_overflow"],
     )
-    def test_out_of_range_weight_exits_three(self, capsys, weight, extra, named):
+    def test_out_of_range_weight_exits_three(self, capsys, weight, argv, named):
         # an infinite mass or a zero constant is a numerical failure, never a NaN
         # residual, and its one-line message, naming the cause, is all that
         # reaches stderr
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "sharp", "--weight", weight, "--n", "5", *extra)
+            code, out, err = run_cli(capsys, *argv, "--weight", weight)
         assert code == 3
         assert out == ""
         assert err.startswith("numerical failure")

@@ -21,11 +21,12 @@ from markovsharp import (
     sharp_constants,
     sobolev_gram,
 )
-from markovsharp import markov
+from markovsharp import linalg, markov, svd_largest
 from markovsharp.markov import basis_for
 from markovsharp.orthopoly import closed_form
 
 from oracles import derivative_matrix_by_quadrature, pencil_power_iteration
+from test_acceptance import CASE5_MATRIX
 
 LEGENDRE = {"family": "jacobi", "interval": [-1, 1]}
 HERMITE = {"family": "hermite"}
@@ -611,18 +612,99 @@ class TestParitySplit:
         from markovsharp.bounds import verify_theorem
 
         shapes = []
-        top = markov.svd_largest
+        eigh = np.linalg.eigh
 
-        def counted(m):
-            shapes.append(m.shape)
-            return top(m)
+        def counted(gram):
+            shapes.append(gram.shape)
+            return eigh(gram)
 
-        monkeypatch.setattr(markov, "svd_largest", counted)
+        # markov solves each block's Gram matrix with np.linalg.eigh; the
+        # rule and node solves of the basis use eigvalsh
+        monkeypatch.setattr(markov.np.linalg, "eigh", counted)
         spec = make_weight(raw)
         verify_theorem(case, spec, SobolevSpec((1.0, 0.5)), range(4, 41))
         assert len(shapes) == solves
         if markov._symmetric(spec):
             assert max(max(shape) for shape in shapes) == 21
+
+
+def _per_block_pairs(reduced, ns, split):
+    """The per-degree loop the range pass replaced: svd_largest on each block,
+    max over the blocks ending in (n, n - 1), the vector placed in zeros."""
+
+    def block(c):
+        if split:
+            return slice(1 - c % 2, c, 2), slice(c % 2, c + 1, 2)
+        return slice(c + 1), slice(c + 1)
+
+    values, vecs = [], np.zeros((len(ns), reduced.shape[1]))
+    pairs = {}
+    for row, n in enumerate(ns):
+        ends = (n, n - 1) if split else (n,)
+        for c in ends:
+            if c not in pairs:
+                pairs[c] = svd_largest(np.ascontiguousarray(reduced[block(c)]))
+        c = max(ends, key=lambda end: pairs[end][0])
+        value, vecs[row, block(c)[1]] = pairs[c]
+        values.append(value)
+    return values, vecs
+
+
+def _per_block_constants(spec, ns, lams):
+    """Values and coefficient vectors of sharp_constants, one block and one row at a time."""
+    mat = markov._kept(spec, ns).mat
+    reduced = mat
+    if lams:
+        chol = np.linalg.cholesky(sobolev_gram(mat, lams))
+        reduced = chol.T @ markov.solve_triangular(chol, mat.T, lower=True).T
+    values, vecs = _per_block_pairs(reduced, ns, markov._symmetric(spec))
+    coeffs = [vecs[row, : n + 1] for row, n in enumerate(ns)]
+    if lams:
+        solved = markov.solve_triangular(chol.T, vecs.T).T
+        for row, n in enumerate(ns):
+            c, v = solved[row, : n + 1], vecs[row, : n + 1]
+            coeffs[row] = linalg._fix_sign(np.where(c == 0.0, np.copysign(0.0, v), c)[None])[0]
+    return values, coeffs
+
+
+class TestRangePass:
+    """The whole-range pass gives the bytes of the per-block loop it replaced."""
+
+    @pytest.mark.parametrize("lams", [(), (1.0, 0.5)], ids=["l2", "sobolev"])
+    @pytest.mark.parametrize(
+        "raw",
+        [raw for _, raw in CASE5_MATRIX] + list(SYMMETRIC_WEIGHTS.values()),
+        ids=[f"{case}-{i}" for i, (case, _) in enumerate(CASE5_MATRIX)] + list(SYMMETRIC_WEIGHTS),
+    )
+    def test_equals_per_block_loop(self, monkeypatch, raw, lams):
+        # values and coefficient bytes, signed zeros included
+        spec, ns = make_weight(raw), range(1, 41)
+
+        def check():
+            results = markov.sharp_constants(spec, ns, lams)
+            values, coeffs = _per_block_constants(spec, ns, lams)
+            assert [r.value for r in results] == values
+            assert [r.coeffs.tobytes() for r in results] == [c.tobytes() for c in coeffs]
+
+        check()
+        if lams:
+            # a negated back substitution (the same coefficients up to their
+            # sign) makes the last sign rule flip every row, so its place after
+            # the "-0.0 keeps its sign" step is checked too
+            solve = markov.solve_triangular
+            monkeypatch.setattr(markov, "solve_triangular",
+                                lambda t, x, lower=False: solve(t, x, lower) * (1 if lower else -1))
+            check()
+
+    def test_ties_go_to_the_block_ending_in_n(self):
+        # the blocks ending in 2 (rows {1}, columns {0, 2}) and in 1 (rows
+        # {0}, columns {1}) both have singular value 1
+        reduced = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        values, vecs = markov._top_pairs(reduced, [1, 2], split=True)
+        ref_values, ref_vecs = _per_block_pairs(reduced, [1, 2], split=True)
+        assert values == ref_values == [1.0, 1.0]
+        assert vecs.tobytes() == ref_vecs.tobytes()
+        assert vecs[1].tolist() == [0.0, 0.0, 1.0]
 
 
 # One measure, two paths: a generalized factor with exponent 0 leaves the
