@@ -12,8 +12,7 @@ checked pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 import numpy as np
 
@@ -24,8 +23,7 @@ from .orthopoly import _SUM_TOL, WeightSpec
 FIT_SLACK = 0.1
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(namedtuple("ExponentReport", "exponent pair_max pair_terms")):
     """Growth exponent derived from singular-factor exponents.
 
     ``pair_terms`` lists g_j + g_{j+1} + |g_j - g_{j+1}| + 2 over consecutive
@@ -33,9 +31,7 @@ class ExponentReport:
     the resulting power of n.
     """
 
-    exponent: float
-    pair_max: float
-    pair_terms: tuple[float, ...]
+    __slots__ = ()
 
 
 def _pair_report(gs: list[float], shift: float) -> ExponentReport:
@@ -149,17 +145,17 @@ def growth_fit(ns, values) -> tuple[float, float]:
     return float(np.exp(intercept)), float(slope)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """Outcome of one growth-bound verification run."""
+class BoundCheck(namedtuple("BoundCheck", "case_id n_range sharp_values fitted_constant "
+                                       "fitted_exponent predicted_exponent passed")):
+    """Outcome of one growth-bound verification run.
 
-    case_id: str
-    n_range: tuple[int, ...]
-    sharp_values: tuple[float, ...]
-    fitted_constant: float
-    fitted_exponent: float
-    predicted_exponent: float
-    passed: bool
+    ``n_range`` is the tuple of sorted degrees and ``sharp_values`` the tuple
+    of values fitted over them (the Mirsky bounds for case mirsky);
+    ``fitted_constant`` and ``fitted_exponent`` are the power-law fit,
+    ``predicted_exponent`` the case's exponent and ``passed`` the verdict.
+    """
+
+    __slots__ = ()
 
 
 def _spec_gammas(spec: WeightSpec):
@@ -181,8 +177,8 @@ def _gen_laguerre_51_violation(spec: WeightSpec):
         return "the largest singularity location must be >= 0"
 
 
-@dataclass(frozen=True)
-class _Case:
+class _Case(namedtuple("_Case", "families exponent hypothesis envelope check",
+                        defaults=(lambda spec: None, None, None))):
     """One verification case: the weights it covers and the bound it asserts.
 
     ``exponent`` is the power of n in the bound, or the function of the weight
@@ -192,11 +188,7 @@ class _Case:
     must pass, with ``sharp`` the sharp L2 constant.
     """
 
-    families: tuple[str, ...]
-    exponent: float | Callable[[WeightSpec], float]
-    hypothesis: Callable[[WeightSpec], str | None] = lambda spec: None
-    envelope: Callable[[int], float] | None = None
-    check: Callable[[float, float, float], bool] | None = None
+    __slots__ = ()
 
 
 _CASES = {

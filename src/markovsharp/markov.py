@@ -63,7 +63,6 @@ import math
 import threading
 import weakref
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,14 +92,17 @@ _BASES = weakref.WeakKeyDictionary()
 _BASES_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
-class SobolevSpec:
-    """Derivative weights lambda_1..lambda_k of a weighted Sobolev norm."""
+class SobolevSpec(namedtuple("SobolevSpec", "lambdas")):
+    """Derivative weights lambda_1..lambda_k of a weighted Sobolev norm.
 
-    lambdas: tuple[float, ...]
+    ``lambdas`` is a tuple of 1 to MAX_SOBOLEV_ORDER finite floats >= 0,
+    checked on every construction, ``_replace`` included.
+    """
 
-    def __post_init__(self):
-        lams = tuple(float(v) for v in self.lambdas)
+    __slots__ = ()
+
+    def __new__(cls, lambdas):
+        lams = tuple(float(v) for v in lambdas)
         if len(lams) < 1:
             raise WeightError("need at least one lambda (k >= 1)")
         if any(not (v >= 0 and math.isfinite(v)) for v in lams):
@@ -110,28 +112,34 @@ class SobolevSpec:
                 f"derivative order k={len(lams)} beyond the supported cap {MAX_SOBOLEV_ORDER} "
                 "(higher orders are numerically fragile at these degrees)"
             )
-        object.__setattr__(self, "lambdas", lams)
+        return super().__new__(cls, lams)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SharpResult:
+class SharpResult(
+    namedtuple("SharpResult", "n value coeffs residual weight achieved_ratio lambdas")
+):
     """Sharp constant, extremal coefficients, and the ratio they achieve on the basis rule.
 
     ``residual`` is the relative gap between ``achieved_ratio`` and ``value``.
+    ``coeffs`` is a read-only float array on every construction, ``_replace``
+    included.
     """
 
-    n: int
-    value: float
-    coeffs: np.ndarray
-    residual: float
-    weight: WeightSpec
-    achieved_ratio: float
-    lambdas: tuple[float, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+    def __new__(cls, n: int, value: float, coeffs, residual: float, weight: WeightSpec,
+                achieved_ratio: float, lambdas: tuple[float, ...] = ()):
+        c = np.asarray(coeffs, dtype=float)
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        return super().__new__(cls, n, value, c, residual, weight, achieved_ratio, lambdas)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _top_degree(ns) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ STABILIZE_TOL = 1e-12
 MAX_REFINE = 6
 
 _SUM_TOL = 1e-12  # tolerance for the "sum of exponents is zero" hypothesis
+_WEIGHT_FIELDS = ("family", "interval", "alpha", "beta", "singularities", "scale")
 
 
 def max_degree_cap() -> int:
@@ -51,47 +52,81 @@ def max_degree_cap() -> int:
     return DEFAULT_MAX_N
 
 
-@dataclass(frozen=True)
 class WeightSpec:
-    """A validated weight: family, interval, exponents, singular factors, scale."""
+    """A validated weight: family, interval, exponents, singular factors, scale.
 
-    family: str
-    interval: tuple[float, float]
-    alpha: float = 0.0
-    beta: float = 0.0
-    singularities: tuple[tuple[float, float], ...] = ()
-    scale: float = 1.0
+    Immutable, and equal and hashed by its field tuple.  A slotted class
+    rather than a tuple, because the kept bases are keyed by weak
+    references to it.
+    """
+
+    __slots__ = _WEIGHT_FIELDS + ("__weakref__",)
+
+    def __init__(self, family: str, interval: tuple[float, float], alpha: float = 0.0,
+                 beta: float = 0.0, singularities: tuple[tuple[float, float], ...] = (),
+                 scale: float = 1.0):
+        values = (family, interval, alpha, beta, singularities, scale)
+        for name, value in zip(_WEIGHT_FIELDS, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return (self.family, self.interval, self.alpha, self.beta, self.singularities, self.scale)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WeightSpec is immutable: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"WeightSpec is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_WEIGHT_FIELDS, self._key()))
+        return f"WeightSpec({fields})"
 
     @property
     def weight_id(self) -> str:
         return json.dumps(weight_to_json(self), sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class RecurrenceTable:
-    """Three-term recurrence coefficients of the orthonormal polynomials."""
+class RecurrenceTable(namedtuple("RecurrenceTable", "n_max diag offdiag mass weight_id")):
+    """Three-term recurrence coefficients of the orthonormal polynomials.
 
-    n_max: int
-    diag: np.ndarray
-    offdiag: np.ndarray
-    mass: float
-    weight_id: str = field(default="", compare=False)
+    The coefficient arrays are read-only float arrays, checked against
+    ``n_max`` on every construction, ``_replace`` included.
+    """
 
-    def __post_init__(self):
-        diag = np.asarray(self.diag, dtype=float)
-        offdiag = np.asarray(self.offdiag, dtype=float)
-        if diag.shape != (self.n_max + 1,) or offdiag.shape != (self.n_max,):
+    __slots__ = ()
+
+    def __new__(cls, n_max: int, diag, offdiag, mass: float, weight_id: str = ""):
+        diag = np.asarray(diag, dtype=float)
+        offdiag = np.asarray(offdiag, dtype=float)
+        if diag.shape != (n_max + 1,) or offdiag.shape != (n_max,):
             raise ValueError("recurrence arrays inconsistent with n_max")
-        if self.n_max > 0 and not np.all(offdiag > 0):
+        if n_max > 0 and not np.all(offdiag > 0):
             raise ValueError("offdiag coefficients must be strictly positive")
         diag.setflags(write=False)
         offdiag.setflags(write=False)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", offdiag)
+        return super().__new__(cls, n_max, diag, offdiag, mass, weight_id)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _as_float(value, name: str, finite: bool = True) -> float:
     """``value`` as a float; NaN, and unless ``finite`` is False infinity, are rejected."""
+    if isinstance(value, bool):  # JSON true and false are not 1.0 and 0.0
+        raise WeightError(f"{name} is not a number: {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError) as exc:

@@ -22,7 +22,7 @@ levels it is asked for, and read from that batch in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -35,16 +35,18 @@ TAIL_GAP = 4.0  # the tails start this far beyond the outermost singular point
 MAX_PIECE_NODES = 2000  # a dense Jacobi matrix of this size takes 32 MB
 
 
-@dataclass(frozen=True)
-class QuadRule:
-    """Positive quadrature rule for integrals against one weight."""
+class QuadRule(namedtuple("QuadRule", "nodes weights")):
+    """Positive quadrature rule for integrals against one weight.
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    Nodes strictly increasing and weights positive, as read-only float
+    arrays, checked on every construction, ``_replace`` included.
+    """
 
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+    __slots__ = ()
+
+    def __new__(cls, nodes, weights):
+        nodes = np.asarray(nodes, dtype=float)
+        weights = np.asarray(weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be 1-D arrays of equal length")
         if nodes.size == 0:
@@ -55,8 +57,11 @@ class QuadRule:
             raise ValueError("weights must be strictly positive")
         nodes.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        return super().__new__(cls, nodes, weights)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _jacobi_nodes(diag, offdiag):

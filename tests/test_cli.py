@@ -1,13 +1,14 @@
 import ast
-import dataclasses
 import inspect
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,10 @@ import markovsharp
 from markovsharp import (
     QuadRule,
     SobolevSpec,
+    WeightError,
     derivative_matrix,
+    gauss_rule,
+    make_weight,
     mirsky_bound,
     recurrence_classical,
     sharp_constant_l2,
@@ -213,15 +217,13 @@ class TestVerify:
     def test_tol_override_keeps_pointwise_checks(self, capsys, monkeypatch):
         # constants 1% off sqrt(2n) grow at the right rate, so only the
         # pointwise schmidt identity can fail them, with or without --tol
-        import dataclasses
-
         from markovsharp import bounds
 
         exact = bounds.sharp_constants
 
         def off_by_one_percent(spec, ns, lambdas=()):
             return [
-                dataclasses.replace(res, value=res.value * 1.01)
+                res._replace(value=res.value * 1.01)
                 for res in exact(spec, ns, lambdas)
             ]
 
@@ -530,7 +532,7 @@ class TestSelftest:
             half = np.linalg.solve(chol, mat.T @ gram @ mat)
             vals, vecs = np.linalg.eigh(np.linalg.solve(chol, half.T))
             coeffs = np.linalg.solve(chol.T, vecs[:, -2])
-            return [dataclasses.replace(res, value=math.sqrt(vals[-2]), coeffs=coeffs)]
+            return [res._replace(value=math.sqrt(vals[-2]), coeffs=coeffs)]
 
         monkeypatch.setattr(cli, "sharp_constants", second_pair)
         code, out, _ = run_cli(capsys, "selftest")
@@ -547,7 +549,7 @@ class TestSelftest:
         def perturbed(spec, n):
             rec, rule = real(spec, n)
             if n < 12:
-                rec = dataclasses.replace(rec, offdiag=rec.offdiag * (1.0 + 1e-9))
+                rec = rec._replace(offdiag=rec.offdiag * (1.0 + 1e-9))
             return rec, rule
 
         monkeypatch.setattr(cli, "stabilized_stieltjes", perturbed)
@@ -711,12 +713,19 @@ class TestContracts:
             # the mass 0.001^201 B(101, 101) underflows to exactly 0
             ('{"family": "jacobi", "interval": [0, 0.001], "alpha": 100, "beta": 100}', 3,
              "mass 0.0"),
+            # JSON booleans are not the numbers 1.0 and 0.0
+            ('{"family": "hermite", "scale": true}', 2, "scale is not a number: True"),
+            ('{"family": "laguerre", "alpha": true}', 2, "alpha is not a number: True"),
+            ('{"family": "jacobi", "interval": [false, 1]}', 2,
+             "interval[0] is not a number: False"),
+            ('{"family": "gen_hermite", "singularities": [[true, 1]]}', 2,
+             "singularity location is not a number: True"),
         ],
         ids=["int_beyond_float", "infinite_alpha", "undecodable_file", "laguerre_gamma_overflow",
              "jacobi_coefficient_overflow", "jacobi_mass_overflow", "gen_hermite_gamma_overflow",
              "gen_laguerre_tail_overflow", "gen_hermite_tail_overflow", "gen_laguerre_mass_overflow",
              "gen_laguerre_far_singularity", "gen_hermite_far_singularity",
-             "jacobi_zero_mass"],
+             "jacobi_zero_mass", "bool_scale", "bool_alpha", "bool_endpoint", "bool_singularity"],
     )
     def test_edge_weight_exit_codes(self, capsys, tmp_path, weight, expected, named):
         # an overflow names the family and the exponents that caused it
@@ -853,3 +862,60 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
     def test_public_names_resolve(self):
         assert [name for name in markovsharp.__all__ if not hasattr(markovsharp, name)] == []
+
+
+class TestRecords:
+    # the records are namedtuples that validate in __new__, and WeightSpec a
+    # slotted class; a cold call then runs no generated dataclass code
+    def test_replace_validates(self):
+        spec = make_weight({"family": "hermite"})
+        res = sharp_constant_l2(spec, 3)
+        again = res._replace(coeffs=[1, 2, 3, 4])
+        assert again.coeffs.dtype == float and not again.coeffs.flags.writeable
+        assert again.coeffs.tolist() == [1.0, 2.0, 3.0, 4.0]
+        rec = recurrence_classical(spec, 3)
+        with pytest.raises(ValueError, match="strictly positive"):
+            rec._replace(offdiag=-rec.offdiag)
+        rule = gauss_rule(rec, 3)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rule._replace(nodes=rule.nodes[::-1])
+        with pytest.raises(WeightError, match="finite and >= 0"):
+            SobolevSpec((1.0,))._replace(lambdas=(-1.0,))
+
+    def test_weight_spec_is_immutable_hashable_and_weakly_referenced(self):
+        spec = make_weight({"family": "jacobi", "alpha": 0.5})
+        twin = make_weight({"family": "jacobi", "alpha": 0.5})
+        assert spec == twin and spec is not twin and hash(spec) == hash(twin)
+        assert spec != make_weight({"family": "jacobi", "alpha": 0.25})
+        with pytest.raises(AttributeError):
+            spec.alpha = 1.0
+        assert spec.alpha == 0.5
+        assert weakref.ref(spec)() is spec
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_no_module_imports_dataclasses(self):
+        imported = []
+        for path in sorted(Path(markovsharp.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported += [(path.name, alias.name) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    imported.append((path.name, node.module))
+        assert [(f, m) for f, m in imported if m.split(".")[0] == "dataclasses"] == []
+
+    def test_selftest_loads_no_numpy_random(self):
+        # numpy 1.x imports numpy.random with numpy itself, so compare with a
+        # bare import; -X importtime lists every module a process loads
+        def random_modules(*argv):
+            out = subprocess.run(
+                [sys.executable, "-X", "importtime", *argv],
+                capture_output=True, text=True, env=CHILD_ENV,
+            )
+            assert out.returncode == 0, out.stderr
+            names = {ln.rsplit("|", 1)[-1].strip() for ln in out.stderr.splitlines()
+                     if ln.startswith("import time:")}
+            return {name for name in names if name.startswith("numpy.random")}
+
+        assert random_modules("-m", "markovsharp.cli", "selftest") == random_modules(
+            "-c", "import numpy"
+        )
