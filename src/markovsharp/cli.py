@@ -48,14 +48,12 @@ from .markov import (
 from .orthopoly import (
     RecurrenceTable,
     WeightSpec,
-    _recurrence_change,
     eval_orthonormal,
     make_weight,
     recurrence_classical,
-    stabilized_stieltjes,
     weight_to_json,
 )
-from .quadrature import gauss_rule
+from .quadrature import _recurrence_change, gauss_rule, stabilized_stieltjes
 
 PRESETS = {
     "legendre": {"family": "jacobi", "interval": [-1, 1], "alpha": 0.0, "beta": 0.0},

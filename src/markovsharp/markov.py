@@ -72,14 +72,14 @@ from .linalg import _fix_sign, solve_triangular
 from .orthopoly import (
     RecurrenceTable,
     WeightSpec,
+    _symmetric,
     closed_form,
     eval_derivative_table,
     eval_orthonormal,
     max_degree_cap,
     recurrence_classical,
-    stabilized_stieltjes,
 )
-from .quadrature import QuadRule, _gauss_rules
+from .quadrature import QuadRule, _gauss_rules, stabilized_stieltjes
 
 RESIDUAL_TOL = 1e-8
 MAX_SOBOLEV_ORDER = 4
@@ -157,21 +157,23 @@ def _top_degree(ns) -> int:
     return top
 
 
-def _kept(spec: WeightSpec, ns, order=None, rule=True) -> _Basis:
+def _kept(spec: WeightSpec, ns, order=None) -> _Basis:
     """The kept basis of ``spec`` for the degrees ``ns``: the ``_Basis`` of N = max(ns).
 
     A kept entry for N is read as it is; otherwise ``closed_form`` decides,
     once, how the recurrence to N+1 is built: by its closed form, whose mass
     is checked here, or by ``stabilized_stieltjes``, which builds the rule
-    with it.  A closed-form weight builds its rule only when ``rule`` asks
-    for one, and then in one ``_gauss_rules`` pass at the N+2 rule nodes
-    that also gives the table of p_k^(d), k <= N+1, d <= ``order`` (None
-    asks for no table, so the pass keeps its order-0 rows).  A Stieltjes
-    basis builds its table with ``eval_derivative_table`` when a range first
-    asks for one.  A range that needs a higher order than the kept table
-    holds builds the larger table, which replaces it: its rows d <= order
-    are the bytes of the smaller one.  D_N is built after the rule and
-    table, once per entry.  The entry is kept as ``basis_for`` describes.
+    with it.  ``order`` None asks for D_N alone (Mirsky), so a closed-form
+    weight builds no rule; any other order asks for the rule, which a
+    closed-form weight builds in one ``_gauss_rules`` pass at the N+2 rule
+    nodes that also gives the table of p_k^(d), k <= N+1, d <= ``order``.
+    A table is built apart from the rule only for ``order`` >= 1: a
+    Stieltjes basis builds it with ``eval_derivative_table`` when a range
+    first asks for one, and a range that needs a higher order than the kept
+    table holds builds the larger table, which replaces it: its rows
+    d <= order are the bytes of the smaller one.  D_N is built after the
+    rule and table, once per entry.  The entry is kept as ``basis_for``
+    describes.
     """
     top = _top_degree(ns)
     with _BASES_LOCK:
@@ -183,10 +185,10 @@ def _kept(spec: WeightSpec, ns, order=None, rule=True) -> _Basis:
             kept = _Basis(top, recurrence_classical(spec, top + 1), None, None, None)
             _kernels._p0(kept.rec.mass)
     rec = kept.rec
-    if rule and kept.rule is None:
-        nodes, weights, table = _gauss_rules([(rec.diag, rec.offdiag, rec.mass)], order or 0)
+    if order is not None and kept.rule is None:
+        nodes, weights, table = _gauss_rules([(rec.diag, rec.offdiag, rec.mass)], order)
         kept = kept._replace(rule=QuadRule(nodes[0], weights[0]), table=table[:, :, 0])
-    if order is not None and (kept.table is None or kept.table.shape[0] <= order):
+    if order and (kept.table is None or kept.table.shape[0] <= order):
         kept = kept._replace(table=eval_derivative_table(rec, kept.rule.nodes, top + 1, order))
     if kept.mat is None:
         kept = kept._replace(mat=derivative_matrix(rec, top))
@@ -209,7 +211,7 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     JSON costs the same whatever requests came before it.  Both objects of
     the pair are immutable.
     """
-    kept = _kept(spec, [n])
+    kept = _kept(spec, [n], 0)
     return kept.rec, kept.rule
 
 
@@ -312,31 +314,6 @@ def _checked_residual(stack, weights, coeffs, ns, values, lambdas=()):
                 "quadrature or eigensolver failure"
             )
     return achieved, residual
-
-
-def _symmetric(spec: WeightSpec) -> bool:
-    """Whether the weight is symmetric about the centre of its interval.
-
-    Decided on the closed-form restatement, so a generalized weight and its
-    classical twin agree: hermite always, jacobi when alpha = beta, gen_hermite
-    and gen_jacobi when their singular factors mirror each other about 0 and
-    about (a + b) / 2 (to 4 ulps of b - a), laguerre never.  The recurrence
-    diagonal of such a weight is constant, so p_k' holds only p_{k-1},
-    p_{k-3}, ...
-    """
-    spec = closed_form(spec) or spec
-    if spec.family in ("hermite", "jacobi"):
-        return spec.family == "hermite" or spec.alpha == spec.beta
-    if spec.family not in ("gen_hermite", "gen_jacobi"):
-        return False
-    # the singular points are strictly increasing, so mirror pairs are c_j, c_{m-1-j}
-    total, tol = 0.0, 0.0
-    if spec.family == "gen_jacobi":  # c + d rounds, so it may miss a + b by a few ulps of b - a
-        a, b = spec.interval
-        total, tol = a + b, 4 * np.finfo(float).eps * (b - a)
-    sings = spec.singularities
-    return all(abs(c + d - total) <= tol and g == h
-               for (c, g), (d, h) in zip(sings, reversed(sings)))
 
 
 def _top_pairs(reduced: np.ndarray, ns, split: bool):
@@ -486,7 +463,7 @@ def mirsky_bounds(spec: WeightSpec, ns) -> list[float]:
     They read D_N of the kept basis alone, so a closed-form weight builds no rule.
     """
     ns = list(ns)
-    mat = _kept(spec, ns, rule=False).mat
+    mat = _kept(spec, ns).mat
     # D is strictly upper triangular: column k of D_n is the head of column k of D_N
     with np.errstate(over="ignore"):
         col_sq = np.sum(mat * mat, axis=0)

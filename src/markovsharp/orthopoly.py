@@ -4,9 +4,12 @@ A weight is one of the classical families (Jacobi, Laguerre, Hermite) or a
 generalized family: the classical exponential factor times a product of
 singular factors |x - c_j|^gamma_j.  ``closed_form`` decides which weights
 have closed-form recurrence coefficients: the classical families, and the
-generalized weights whose singular factors restate a classical one.  Every
-other weight goes through the discretized Stieltjes procedure driven by a
-singularity-respecting quadrature rule.
+generalized weights whose singular factors restate a classical one; every
+other weight gets its recurrence from ``quadrature.stabilized_stieltjes``.
+``_symmetric`` decides, from the family as ``closed_form`` restates it,
+whether a weight is symmetric about the centre of its interval, so that
+``markov`` names no family.  This module imports only ``errors`` and
+``_kernels``.
 
 Orthonormal normalization throughout: p_0 = 1/sqrt(mass) and
 x p_k = b_k p_{k+1} + a_k p_k + b_{k-1} p_{k-1}, with every b_k > 0 and the
@@ -23,15 +26,13 @@ from collections import namedtuple
 import numpy as np
 
 from . import _kernels
-from .errors import QuadratureError, WeightError
+from .errors import WeightError
 
 CLASSICAL_FAMILIES = ("jacobi", "laguerre", "hermite")
 GENERALIZED_FAMILIES = ("gen_jacobi", "gen_laguerre", "gen_hermite")
 FAMILIES = CLASSICAL_FAMILIES + GENERALIZED_FAMILIES
 
 DEFAULT_MAX_N = 60
-STABILIZE_TOL = 1e-12
-MAX_REFINE = 6
 
 _SUM_TOL = 1e-12  # tolerance for the "sum of exponents is zero" hypothesis
 _WEIGHT_FIELDS = ("family", "interval", "alpha", "beta", "singularities", "scale")
@@ -125,7 +126,8 @@ class RecurrenceTable(namedtuple("RecurrenceTable", "n_max diag offdiag mass wei
 
 def _as_float(value, name: str, finite: bool = True) -> float:
     """``value`` as a float; NaN, and unless ``finite`` is False infinity, are rejected."""
-    if isinstance(value, bool):  # JSON true and false are not 1.0 and 0.0
+    # JSON true and false are not 1.0 and 0.0, nor is "2" the number 2
+    if isinstance(value, (bool, str)):
         raise WeightError(f"{name} is not a number: {value!r}")
     try:
         out = float(value)
@@ -199,8 +201,10 @@ def make_weight(raw) -> WeightSpec:
     if not scale > 0:
         raise WeightError(f"scale must be a positive finite number, got {scale}")
 
-    sings = []
-    for item in raw.get("singularities", ()):
+    pairs, sings = raw.get("singularities", ()), []
+    if not isinstance(pairs, (list, tuple)):
+        raise WeightError("singularities must be pairs [c, gamma]")
+    for item in pairs:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise WeightError("singularities must be pairs [c, gamma]")
         sings.append((_as_float(item[0], "singularity location"),
@@ -368,6 +372,31 @@ def closed_form(spec: WeightSpec) -> WeightSpec | None:
     return None
 
 
+def _symmetric(spec: WeightSpec) -> bool:
+    """Whether the weight is symmetric about the centre of its interval.
+
+    Decided on the closed-form restatement, so a generalized weight and its
+    classical twin agree: hermite always, jacobi when alpha = beta, gen_hermite
+    and gen_jacobi when their singular factors mirror each other about 0 and
+    about (a + b) / 2 (to 4 ulps of b - a), laguerre never.  The recurrence
+    diagonal of such a weight is constant, so p_k' holds only p_{k-1},
+    p_{k-3}, ...
+    """
+    spec = closed_form(spec) or spec
+    if spec.family in ("hermite", "jacobi"):
+        return spec.family == "hermite" or spec.alpha == spec.beta
+    if spec.family not in ("gen_hermite", "gen_jacobi"):
+        return False
+    # the singular points are strictly increasing, so mirror pairs are c_j, c_{m-1-j}
+    total, tol = 0.0, 0.0
+    if spec.family == "gen_jacobi":  # c + d rounds, so it may miss a + b by a few ulps of b - a
+        a, b = spec.interval
+        total, tol = a + b, 4 * np.finfo(float).eps * (b - a)
+    sings = spec.singularities
+    return all(abs(c + d - total) <= tol and g == h
+               for (c, g), (d, h) in zip(sings, reversed(sings)))
+
+
 def recurrence_classical(spec: WeightSpec, n: int) -> RecurrenceTable:
     """Closed-form orthonormal recurrence for a weight that ``closed_form`` restates.
 
@@ -397,61 +426,6 @@ def recurrence_classical(spec: WeightSpec, n: int) -> RecurrenceTable:
 
     return RecurrenceTable(
         n_max=n, diag=diag, offdiag=offdiag, mass=mass * form.scale, weight_id=spec.weight_id
-    )
-
-
-def _stieltjes_once(rule, n: int, weight_id: str) -> RecurrenceTable:
-    nodes = np.asarray(rule.nodes, dtype=float)
-    weights = np.asarray(rule.weights, dtype=float)
-    if nodes.shape[0] < n + 1:
-        raise QuadratureError(
-            f"rule too short: {nodes.shape[0]} nodes cannot support degree {n} "
-            f"(need at least {n + 1})"
-        )
-    diag, offdiag, mass = _kernels.stieltjes(nodes, weights, n)
-    return RecurrenceTable(n_max=n, diag=diag, offdiag=offdiag, mass=mass, weight_id=weight_id)
-
-
-def _recurrence_change(old: RecurrenceTable, new: RecurrenceTable, hint: float = 0.0) -> float:
-    # componentwise relative change; entries far below the natural scale of
-    # the recurrence (roundoff-level diag entries of symmetric weights, say)
-    # are measured against that scale instead.  The Stieltjes sums round off
-    # proportionally to the node magnitudes, hence the hint.
-    scale = float(np.max(np.abs(new.diag)))
-    if new.n_max > 0:
-        scale = max(scale, float(np.max(new.offdiag)))
-    floor = max(scale, hint, 1e-300)
-    d = np.max(np.abs(new.diag - old.diag) / np.maximum(np.abs(new.diag), floor))
-    if new.n_max > 0:
-        d = max(d, np.max(np.abs(new.offdiag - old.offdiag) / np.maximum(new.offdiag, floor)))
-    return float(d)
-
-
-def stabilized_stieltjes(spec: WeightSpec, n: int):
-    """Stieltjes recurrence certified by rule refinement.
-
-    Builds composite rules for integrals of polynomial degree 2n+1 at
-    refinement levels 0, 1, 2, ...: level L splits every piece of level 0
-    into 2^L equal parts with the same node count, so each level doubles the
-    nodes.  Every stabilization compares levels 0 and 1, so one
-    ``composite_rules`` call builds both from one batch of reference rules;
-    each later level is built alone.  Accepts once two consecutive levels
-    give coefficients within 1e-12 relative of each other (at most 6
-    refinements, else an error).  Returns the accepted (table, rule) pair.
-    """
-    from .quadrature import composite_rules
-
-    prev, degree = None, 2 * n + 1
-    first = composite_rules(spec, degree, (0, 1))
-    for level in range(MAX_REFINE + 1):
-        rule = first[level] if level < 2 else composite_rules(spec, degree, (level,))[0]
-        cur = _stieltjes_once(rule, n, spec.weight_id)
-        hint = float(np.max(np.abs(rule.nodes)))
-        if prev is not None and _recurrence_change(prev, cur, hint) <= STABILIZE_TOL:
-            return cur, rule
-        prev = cur
-    raise QuadratureError(
-        f"recurrence coefficients did not stabilize after {MAX_REFINE} rule refinements"
     )
 
 

@@ -1,4 +1,4 @@
-"""Gauss rules from recurrence tables and composite rules for generalized weights.
+"""Gauss rules, composite rules, and the Stieltjes recurrences they certify.
 
 ``gauss_rule`` is the Golub-Welsch construction: nodes are the eigenvalues of
 the symmetric tridiagonal Jacobi matrix, weights come from the Christoffel
@@ -17,6 +17,10 @@ The piece rules are affine images of reference Gauss-Jacobi rules on
 [-1, 1]; those and the tails' reference Gauss-Laguerre rules on [0, inf) are
 built in one batch per ``composite_rules`` call, for all the refinement
 levels it is asked for, and read from that batch in place.
+``stabilized_stieltjes`` gives a generalized weight with no closed form its
+recurrence: the discretized Stieltjes procedure on the composite rules,
+refined level by level until two levels agree.  This module imports only
+``errors``, ``_kernels`` and ``orthopoly``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from .orthopoly import _jacobi_coefficients, _laguerre_coefficients
 
 TAIL_GAP = 4.0  # the tails start this far beyond the outermost singular point
 MAX_PIECE_NODES = 2000  # a dense Jacobi matrix of this size takes 32 MB
+STABILIZE_TOL = 1e-12
+MAX_REFINE = 6
 
 
 class QuadRule(namedtuple("QuadRule", "nodes weights")):
@@ -355,3 +361,52 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
         order = np.argsort(nodes[keep])
         rules.append(QuadRule(nodes[keep][order], weights[keep][order]))
     return rules
+
+
+def _recurrence_change(old: RecurrenceTable, new: RecurrenceTable, hint: float = 0.0) -> float:
+    # componentwise relative change; entries far below the natural scale of
+    # the recurrence (roundoff-level diag entries of symmetric weights, say)
+    # are measured against that scale instead.  The Stieltjes sums round off
+    # proportionally to the node magnitudes, hence the hint.
+    scale = float(np.max(np.abs(new.diag)))
+    if new.n_max > 0:
+        scale = max(scale, float(np.max(new.offdiag)))
+    floor = max(scale, hint, 1e-300)
+    d = np.max(np.abs(new.diag - old.diag) / np.maximum(np.abs(new.diag), floor))
+    if new.n_max > 0:
+        d = max(d, np.max(np.abs(new.offdiag - old.offdiag) / np.maximum(new.offdiag, floor)))
+    return float(d)
+
+
+def stabilized_stieltjes(spec: WeightSpec, n: int):
+    """Stieltjes recurrence certified by rule refinement.
+
+    Builds composite rules for integrals of polynomial degree 2n+1 at
+    refinement levels 0, 1, 2, ...: level L splits every piece of level 0
+    into 2^L equal parts with the same node count, so each level doubles the
+    nodes.  Every stabilization compares levels 0 and 1, so one
+    ``composite_rules`` call builds both from one batch of reference rules;
+    each later level is built alone.  Each level runs ``_kernels.stieltjes``
+    on its rule's arrays; a rule of n or fewer nodes raises QuadratureError
+    first, since the kernel would return a last b_k of roundoff size rather
+    than fail.  Accepts once two consecutive levels give coefficients within
+    1e-12 relative of each other (at most 6 refinements, else an error).
+    Returns the accepted (table, rule) pair.
+    """
+    prev, degree, weight_id = None, 2 * n + 1, spec.weight_id
+    first = composite_rules(spec, degree, (0, 1))
+    for level in range(MAX_REFINE + 1):
+        rule = first[level] if level < 2 else composite_rules(spec, degree, (level,))[0]
+        size = rule.nodes.shape[0]
+        if size < n + 1:
+            raise QuadratureError(
+                f"rule too short: {size} nodes cannot support degree {n} (need at least {n + 1})"
+            )
+        cur = RecurrenceTable(n, *_kernels.stieltjes(rule.nodes, rule.weights, n), weight_id)
+        hint = float(np.max(np.abs(rule.nodes)))
+        if prev is not None and _recurrence_change(prev, cur, hint) <= STABILIZE_TOL:
+            return cur, rule
+        prev = cur
+    raise QuadratureError(
+        f"recurrence coefficients did not stabilize after {MAX_REFINE} rule refinements"
+    )

@@ -284,12 +284,12 @@ def range_builds(monkeypatch):
 
     ``recurrences`` counts recurrence_classical and stabilized_stieltjes together.
     """
-    from markovsharp import markov, orthopoly
+    from markovsharp import markov, orthopoly, quadrature
 
     calls = {"recurrences": 0, "derivative_matrix": 0, "eval_derivative_table": 0}
     for owner, name, key in (
         (orthopoly, "recurrence_classical", "recurrences"),
-        (orthopoly, "stabilized_stieltjes", "recurrences"),
+        (quadrature, "stabilized_stieltjes", "recurrences"),
         (markov, "derivative_matrix", "derivative_matrix"),
         (orthopoly, "eval_derivative_table", "eval_derivative_table"),
     ):
@@ -720,12 +720,25 @@ class TestContracts:
              "interval[0] is not a number: False"),
             ('{"family": "gen_hermite", "singularities": [[true, 1]]}', 2,
              "singularity location is not a number: True"),
+            # singularities that are not a list of pairs, and numbers spelled as strings
+            ('{"family": "gen_hermite", "singularities": null}', 2,
+             "singularities must be pairs [c, gamma]"),
+            ('{"family": "gen_hermite", "singularities": 5}', 2,
+             "singularities must be pairs [c, gamma]"),
+            ('{"family": "gen_hermite", "singularities": true}', 2,
+             "singularities must be pairs [c, gamma]"),
+            ('{"family": "hermite", "scale": "2"}', 2, "scale is not a number: '2'"),
+            ('{"family": "laguerre", "alpha": "0.5"}', 2, "alpha is not a number: '0.5'"),
+            ('{"family": "gen_jacobi", "interval": [-1, 1], "singularities": [["0.5", "1"]]}', 2,
+             "singularity location is not a number: '0.5'"),
         ],
         ids=["int_beyond_float", "infinite_alpha", "undecodable_file", "laguerre_gamma_overflow",
              "jacobi_coefficient_overflow", "jacobi_mass_overflow", "gen_hermite_gamma_overflow",
              "gen_laguerre_tail_overflow", "gen_hermite_tail_overflow", "gen_laguerre_mass_overflow",
              "gen_laguerre_far_singularity", "gen_hermite_far_singularity",
-             "jacobi_zero_mass", "bool_scale", "bool_alpha", "bool_endpoint", "bool_singularity"],
+             "jacobi_zero_mass", "bool_scale", "bool_alpha", "bool_endpoint", "bool_singularity",
+             "null_singularities", "number_singularities", "bool_singularities", "string_scale",
+             "string_alpha", "string_singularity"],
     )
     def test_edge_weight_exit_codes(self, capsys, tmp_path, weight, expected, named):
         # an overflow names the family and the exponents that caused it
@@ -859,6 +872,32 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
                     bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
                     unused += [f"{path.name}: {name}" for name in bound if name not in read]
         assert unused == []
+
+    def test_modules_import_in_layer_order(self):
+        # each module imports only the modules before it, and only at the top;
+        # the weight families are named below markov, never in it
+        layers = ["errors", "_kernels", "linalg", "orthopoly", "quadrature", "markov", "bounds",
+                  "cli"]
+        wrong = []
+        for path in sorted(Path(markovsharp.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    wrong += [f"{path.name}: import inside {node.name}"
+                              for inner in ast.walk(node)
+                              if isinstance(inner, (ast.Import, ast.ImportFrom))]
+            if path.stem == "__init__":
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    names = [node.module] if node.module else [a.name for a in node.names]
+                    wrong += [f"{path.name}: imports {name}" for name in names
+                              if layers.index(name) >= layers.index(path.stem)]
+        markov_source = Path(markovsharp.markov.__file__).read_text()
+        wrong += [f"markov.py: names {node.value!r}" for node in ast.walk(ast.parse(markov_source))
+                  if isinstance(node, ast.Constant)
+                  and node.value in markovsharp.orthopoly.FAMILIES]
+        assert wrong == []
 
     def test_public_names_resolve(self):
         assert [name for name in markovsharp.__all__ if not hasattr(markovsharp, name)] == []

@@ -187,7 +187,7 @@ class TestReferenceRules:
 
     def test_each_rule_solved_once(self, solved):
         from markovsharp.markov import basis_for
-        from markovsharp.orthopoly import stabilized_stieltjes
+        from markovsharp.quadrature import stabilized_stieltjes
 
         log, batches = solved
         spec = make_weight(self.SPEC)
