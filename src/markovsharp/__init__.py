@@ -19,7 +19,6 @@ from .errors import (
     QuadratureError,
     WeightError,
 )
-from .linalg import svd_largest
 from .markov import (
     SharpResult,
     SobolevSpec,
@@ -76,7 +75,6 @@ __all__ = [
     "sharp_constant_sobolev",
     "sharp_constants",
     "sobolev_gram",
-    "svd_largest",
     "verify_theorem",
     "weight_to_json",
 ]

@@ -1,24 +1,20 @@
-"""Largest singular value and vector, sized for the small matrices used here.
+"""The sign rule and the triangular solve behind every sharp constant.
 
-The largest singular value is taken from LAPACK's eigendecomposition of
-M^T M (through numpy), which is accurate enough here because only the (well
-separated) top value is consumed.  numpy's product M^T M is exactly
-symmetric, so it goes to the eigensolver as it is.  Every returned vector has
-its last component of non-negligible size positive, so golden outputs are
-deterministic; ``_fix_sign`` is that rule, for one vector here and for the
-rows of a whole degree range in ``markov``.
+``markov._top_pairs`` takes each degree's top singular pair from LAPACK's
+eigendecomposition of M^T M (through numpy); ``_fix_sign`` makes every
+vector of a degree range have its last component of non-negligible size
+positive, so golden outputs are deterministic.  ``solve_triangular`` is the
+substitution of the Sobolev factor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EigenError
-
 _SIGN_RTOL = 1e-12
 
 
-def _fix_sign(rows: np.ndarray, solved=True) -> np.ndarray:
+def _fix_sign(rows: np.ndarray, solved) -> np.ndarray:
     """Flip each row so its last entry of non-negligible size is positive.
 
     Only the ``solved`` entries (a mask broadcast against ``rows``) change
@@ -44,14 +40,3 @@ def solve_triangular(t: np.ndarray, x: np.ndarray, lower: bool = False) -> np.nd
     if lower:
         return np.linalg.solve(t[::-1, ::-1], x[::-1])[::-1]
     return np.linalg.solve(t, x)
-
-
-def svd_largest(m: np.ndarray):
-    """Greatest singular value of m and the corresponding right singular vector."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    try:
-        vals, vecs = np.linalg.eigh(m.T @ m)
-    except np.linalg.LinAlgError as exc:
-        raise EigenError(f"eigensolver did not converge: {exc}") from exc
-    sigma = float(np.sqrt(max(vals[-1], 0.0)))
-    return sigma, _fix_sign(vecs[None, :, -1])[0]

@@ -22,27 +22,28 @@ one computation at its largest degree N on one kept basis (``_kept``): one
 recurrence to N+1, one D_N, one (N+2)-point rule with its table of the
 p_k^(d) at the nodes and, for a Sobolev norm, one Cholesky factor L_N of
 B_N and one L_N^T D_N L_N^-T.  ``closed_form`` decides once, when the
-basis is built, whether the recurrence has a closed form.  If it has, the
-rule and its table come from one pass over the degree that gives the rule
-its weights, made only when a caller first needs the rule; a Stieltjes
-basis gets its rule with its recurrence and builds its table when a range
-first asks for one.  A range that needs higher derivatives than the kept
-table holds builds the larger table, which replaces it.  Degree n takes its
-top singular pair from the leading (n+1) x (n+1) block of that matrix.  For
-a weight symmetric about its centre that block maps even coefficient indices
-to odd ones and odd to even, so its Gram matrix is an even and an odd block;
-degree n adds index n to one of them, so it solves that block alone and
-keeps the other's pair from degree n - 1.  Each block costs only its copy,
-its Gram product and one eigensolve; the rest is one pass over the range:
-the square roots, the choice of block, the placement of every vector in one
-zero-padded matrix and the sign rule, then one back substitution with L_N^T
-for every coefficient vector, the step that gives exact zeros their sign
-from the vector, the sign rule again, and one product per derivative order
-with the table to check every degree.  Squares that leave the
-floating-point range (of D_N on a tiny interval, say) fail as a named
-numerical error with the degree: one check per range before the Gram
-products, and one on the residual's quadrature norms.  In the
-weighted L2 norm the values and coefficients are bit for bit what a single
+basis is built, whether the recurrence has a closed form or comes from the
+Stieltjes ladder.  Either way the rule is the (N+2)-point Gauss rule of that
+recurrence, exact to degree 2N+3 (Golub & Welsch, 1969), which covers every
+integrand of the residual.  The rule and its table come from one pass over
+the degree that gives the rule its weights, made only when a caller first
+needs the rule.  A range that needs higher derivatives than the kept table
+holds runs that pass again, and the larger table replaces the kept one.
+Degree n takes its top singular pair from the leading (n+1) x (n+1) block of
+that matrix.  For a weight symmetric about its centre that block maps even
+coefficient indices to odd ones and odd to even, so its Gram matrix is an
+even and an odd block; degree n adds index n to one of them, so it solves
+that block alone and keeps the other's pair from degree n - 1.  Each block
+costs only its copy, its Gram product and one eigensolve; the rest is one
+pass over the range: the square roots, the choice of block, the placement of
+every vector in one zero-padded matrix and the sign rule, then one back
+substitution with L_N^T for every coefficient vector, the step that gives
+exact zeros their sign from the vector, the sign rule again, and one product
+per derivative order with the table to check every degree.  Squares that
+leave the floating-point range (of D_N on a tiny interval, say) fail as a
+named numerical error with the degree: one check per range before the Gram
+products, and one on the residual's quadrature norms.  In the weighted L2
+norm the values and coefficients are bit for bit what a single
 degree computes on that basis, and the residual and achieved ratio, summed
 by one zero-padded product, agree with it to 1e-15.  In a Sobolev norm the
 entries of B_N are sums over more (exactly zero) terms than those of B_n,
@@ -53,8 +54,8 @@ single-degree functions call them with one degree.  The basis of the last
 degree N asked for is kept while its weight is alive, so every range up to
 the same N (the columns of a sweep, a Mirsky check beside its constants)
 and ``basis_for``, which the extremal evaluator reads after its constant,
-share one recurrence and one D_N.  A Mirsky bound needs D_N alone, so for a
-closed-form weight it builds no rule.
+share one recurrence and one D_N.  A Mirsky bound needs D_N alone, so it
+builds no rule.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from .orthopoly import (
     WeightSpec,
     _symmetric,
     closed_form,
-    eval_derivative_table,
     eval_orthonormal,
     max_degree_cap,
     recurrence_classical,
@@ -162,17 +162,15 @@ def _kept(spec: WeightSpec, ns, order=None) -> _Basis:
 
     A kept entry for N is read as it is; otherwise ``closed_form`` decides,
     once, how the recurrence to N+1 is built: by its closed form, whose mass
-    is checked here, or by ``stabilized_stieltjes``, which builds the rule
-    with it.  ``order`` None asks for D_N alone (Mirsky), so a closed-form
-    weight builds no rule; any other order asks for the rule, which a
-    closed-form weight builds in one ``_gauss_rules`` pass at the N+2 rule
-    nodes that also gives the table of p_k^(d), k <= N+1, d <= ``order``.
-    A table is built apart from the rule only for ``order`` >= 1: a
-    Stieltjes basis builds it with ``eval_derivative_table`` when a range
-    first asks for one, and a range that needs a higher order than the kept
-    table holds builds the larger table, which replaces it: its rows
-    d <= order are the bytes of the smaller one.  D_N is built after the
-    rule and table, once per entry.  The entry is kept as ``basis_for``
+    is checked here, or by ``stabilized_stieltjes``.  ``order`` None asks
+    for D_N alone (Mirsky), so no rule is built; any other order asks for
+    the rule, which every basis builds in one ``_gauss_rules`` pass over its
+    recurrence: the N+2 point Gauss rule, exact to degree 2N+3, and the
+    table of p_k^(d) at its nodes, k <= N+1, d <= ``order``.  A range that
+    needs a higher order than the kept table holds runs that pass again:
+    the rule has the same bytes, and the larger table replaces the kept
+    one, whose rows d <= order are its bytes.  D_N is built after the rule
+    and table, once per entry.  The entry is kept as ``basis_for``
     describes.
     """
     top = _top_degree(ns)
@@ -180,16 +178,15 @@ def _kept(spec: WeightSpec, ns, order=None) -> _Basis:
         kept = _BASES.get(spec)
     if kept is None or kept.n != top:
         if closed_form(spec) is None:
-            kept = _Basis(top, *stabilized_stieltjes(spec, top + 1), None, None)
+            rec = stabilized_stieltjes(spec, top + 1)
         else:
-            kept = _Basis(top, recurrence_classical(spec, top + 1), None, None, None)
-            _kernels._p0(kept.rec.mass)
+            rec = recurrence_classical(spec, top + 1)
+            _kernels._p0(rec.mass)
+        kept = _Basis(top, rec, None, None, None)
     rec = kept.rec
-    if order is not None and kept.rule is None:
+    if order is not None and (kept.table is None or kept.table.shape[0] <= order):
         nodes, weights, table = _gauss_rules([(rec.diag, rec.offdiag, rec.mass)], order)
         kept = kept._replace(rule=QuadRule(nodes[0], weights[0]), table=table[:, :, 0])
-    if order and (kept.table is None or kept.table.shape[0] <= order):
-        kept = kept._replace(table=eval_derivative_table(rec, kept.rule.nodes, top + 1, order))
     if kept.mat is None:
         kept = kept._replace(mat=derivative_matrix(rec, top))
     with _BASES_LOCK:
@@ -331,11 +328,11 @@ def _top_pairs(reduced: np.ndarray, ns, split: bool):
     which only the first grew from degree n - 1; it takes the larger value,
     and the block ending in n on a tie.
 
-    Each block costs only its copy, its Gram product and one eigensolve,
-    formed as ``svd_largest`` forms them.  The square roots, the choice of
-    block, the placement and the sign rule (``_fix_sign``, which negates
-    only the solved entries) run once on the whole range and give the bytes
-    that ``svd_largest`` on each block gives.  One check per range keeps
+    Each block costs only its copy, its Gram product M^T M and one ``eigh``,
+    whose top eigenvalue is well separated, so its square root is accurate
+    enough.  The square roots, the choice of block, the placement and the
+    sign rule (``_fix_sign``, which negates only the solved entries) run
+    once on the whole range.  One check per range keeps
     every Gram product in floating-point range: an EigenError names the
     first degree that reads a column whose squared norm overflows.
     """
@@ -460,7 +457,7 @@ def sharp_constant_sobolev(spec: WeightSpec, sob: SobolevSpec, n: int) -> SharpR
 def mirsky_bounds(spec: WeightSpec, ns) -> list[float]:
     """Upper bounds (sum_nu nu ||p_nu'||^2)^(1/2) for the sharp L2 constants, n in ``ns``.
 
-    They read D_N of the kept basis alone, so a closed-form weight builds no rule.
+    They read D_N of the kept basis alone, so no rule is built.
     """
     ns = list(ns)
     mat = _kept(spec, ns).mat

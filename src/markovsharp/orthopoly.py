@@ -311,14 +311,17 @@ def _jacobi_coefficients(al: float, be: float, n: int, a: float = -1.0, b: float
     """Orthonormal recurrence (diag, offdiag, mass) of (b-x)^al (x-a)^be on [a, b].
 
     diag has n+1 entries and offdiag n, from the closed forms on [-1, 1]
-    mapped affinely to [a, b].  Exponents too large for these forms raise an
-    OverflowError that names them.
+    mapped affinely to [a, b].  Exponents too large for these forms, or an
+    interval whose length b - a overflows, raise an OverflowError that names
+    the exponents and the interval.
     """
     k = np.arange(1.0, n + 1.0)
     s = 2 * k + al + be
     diag = np.empty(n + 1)
     diag[0] = (be - al) / (al + be + 2)
     try:
+        if math.isinf(b - a):  # the mapping below would turn a zero entry into inf * 0
+            raise OverflowError
         with np.errstate(over="raise", invalid="raise"):
             diag[1:] = (be * be - al * al) / (s * (s + 2))
             # beta_k of the monic recurrence, k = 1..n; beta_1 has its own form

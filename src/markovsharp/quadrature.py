@@ -4,8 +4,8 @@
 the symmetric tridiagonal Jacobi matrix, weights come from the Christoffel
 function.  One builder (``_gauss_rules``) makes every rule: it reads the
 weights from the pass of ``_kernels.deriv_tables`` that tabulates the
-p_k^(d) at the nodes of a stack of rules, which is also how a classical
-basis gets its residual table.  ``composite_rules`` handles
+p_k^(d) at the nodes of a stack of rules, which is also how every basis,
+closed-form or Stieltjes, gets its residual table.  ``composite_rules`` handles
 generalized weights by splitting the interval at every singular point: each
 finite piece gets a Gauss-Jacobi rule whose weight absorbs the endpoint
 factors |x-c|^gamma exactly, while the exponential factor and the off-piece
@@ -19,7 +19,9 @@ built in one batch per ``composite_rules`` call, for all the refinement
 levels it is asked for, and read from that batch in place.
 ``stabilized_stieltjes`` gives a generalized weight with no closed form its
 recurrence: the discretized Stieltjes procedure on the composite rules,
-refined level by level until two levels agree.  This module imports only
+refined level by level until two levels agree.  It returns the recurrence
+alone; the basis checks its constants on the Gauss rule of that recurrence,
+as a closed-form basis does.  This module imports only
 ``errors``, ``_kernels`` and ``orthopoly``.
 """
 
@@ -357,6 +359,10 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
             row, size = row_of[tails[level]], tails[level][1]
             x, w = _tail_rule(spec, hi, ref_nodes[row, :size], ref_weights[row, :size])
             nodes, weights = np.concatenate([nodes, x]), np.concatenate([weights, w])
+        if not weights.any():
+            raise QuadratureError(
+                f"every weight of the {weights.shape[0]}-point composite rule underflowed to 0"
+            )
         keep = weights > 0
         order = np.argsort(nodes[keep])
         rules.append(QuadRule(nodes[keep][order], weights[keep][order]))
@@ -391,7 +397,7 @@ def stabilized_stieltjes(spec: WeightSpec, n: int):
     first, since the kernel would return a last b_k of roundoff size rather
     than fail.  Accepts once two consecutive levels give coefficients within
     1e-12 relative of each other (at most 6 refinements, else an error).
-    Returns the accepted (table, rule) pair.
+    Returns the accepted table; no rule outlives the ladder.
     """
     prev, degree, weight_id = None, 2 * n + 1, spec.weight_id
     first = composite_rules(spec, degree, (0, 1))
@@ -405,7 +411,7 @@ def stabilized_stieltjes(spec: WeightSpec, n: int):
         cur = RecurrenceTable(n, *_kernels.stieltjes(rule.nodes, rule.weights, n), weight_id)
         hint = float(np.max(np.abs(rule.nodes)))
         if prev is not None and _recurrence_change(prev, cur, hint) <= STABILIZE_TOL:
-            return cur, rule
+            return cur
         prev = cur
     raise QuadratureError(
         f"recurrence coefficients did not stabilize after {MAX_REFINE} rule refinements"

@@ -73,20 +73,6 @@ def hermite_moments(count):
     return [0.0 if k % 2 else math.gamma((k + 1) / 2) for k in range(count)]
 
 
-def power_iteration_largest(mat, iters=10000, seed=0):
-    """Dominant eigenvalue/vector of a symmetric PSD matrix by power iteration."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(mat.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = mat @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 0.0, v
-        v = w / nrm
-    return float(v @ mat @ v), v
-
-
 def pencil_power_iteration(k_mat, g_mat, iters=100000, seed=0):
     """Largest theta of K v = theta G v by power iteration on solve(G, K)."""
     rng = np.random.default_rng(seed)

@@ -345,15 +345,15 @@ class TestSharedBasis:
 
     @pytest.mark.parametrize(
         "case, token, tables",
-        [("gen_jacobi_4", GEN_JACOBI, 1), ("mirsky", "hermite", 0), ("schmidt", "hermite", 0)],
+        [("gen_jacobi_4", GEN_JACOBI, 0), ("mirsky", "hermite", 0), ("schmidt", "hermite", 0)],
         ids=["gen_jacobi_4-gen_jacobi", "mirsky-hermite", "schmidt-hermite"],
     )
     def test_verify_theorem_one_matrix_and_table_per_range(
         self, range_builds, case, token, tables
     ):
         # the mirsky case reads two ranges, the Mirsky bounds and the sharp
-        # constants, from one kept basis.  A classical basis builds its table
-        # in the pass that makes its rule
+        # constants, from one kept basis.  Every basis, classical or
+        # Stieltjes, builds its table in the pass that makes its rule
         verify_theorem(case, load_weight(token), SobolevSpec((1.0, 0.5)), range(4, 41))
         assert range_builds == {
             "recurrences": 1, "derivative_matrix": 1, "eval_derivative_table": tables
@@ -362,8 +362,8 @@ class TestSharedBasis:
     @pytest.mark.parametrize(
         "token, lambdas, tables",
         [
-            (GEN_HERMITE, [], 1),
-            (GEN_HERMITE, ["--lambdas", "1,0.5"], 1),
+            (GEN_HERMITE, [], 0),
+            (GEN_HERMITE, ["--lambdas", "1,0.5"], 0),
             ("hermite", [], 0),
             ("hermite", ["--lambdas", "1,0.5"], 0),
         ],
@@ -375,9 +375,9 @@ class TestSharedBasis:
     ):
         # one range per column: sobolev (when it differs from sharp), sharp and
         # mirsky, all on one kept basis.  The first range keeps its table with
-        # the basis and the sharp column reads its rows d <= 1; a classical
-        # basis builds that table in the pass that makes its rule, so it
-        # builds none on its own
+        # the basis and the sharp column reads its rows d <= 1; every basis
+        # builds that table in the pass that makes its rule, so it builds
+        # none on its own
         code, _, _ = run_cli(
             capsys, "sweep", "--weight", token, "--n-min", "4", "--n-max", "40", *lambdas
         )
@@ -547,10 +547,10 @@ class TestSelftest:
         real = cli.stabilized_stieltjes
 
         def perturbed(spec, n):
-            rec, rule = real(spec, n)
+            rec = real(spec, n)
             if n < 12:
                 rec = rec._replace(offdiag=rec.offdiag * (1.0 + 1e-9))
-            return rec, rule
+            return rec
 
         monkeypatch.setattr(cli, "stabilized_stieltjes", perturbed)
         code, out, _ = run_cli(capsys, "selftest")
@@ -668,13 +668,28 @@ class TestContracts:
              "Gram matrix M^T M at n=40"),
             ('{"family": "jacobi", "interval": [0, 1e-300]}',
              ["mirsky", "--n-min", "38", "--n-max", "40"], "Mirsky bound at n=38"),
+            # the length b - a overflows, so no recurrence is mapped onto the interval
+            ('{"family": "jacobi", "interval": [-1e308, 1e308]}', ["sharp", "--n", "7"],
+             "exponents alpha=0.0, beta=0.0 on [-1e+308, 1e+308]"),
+            ('{"family": "jacobi", "interval": [-1e308, 1e308]}', ["mirsky", "--n", "7"],
+             "exponents alpha=0.0, beta=0.0 on [-1e+308, 1e+308]"),
+            ('{"family": "jacobi", "interval": [-1e308, 1e308], "alpha": 0.5, "beta": -0.5}',
+             ["sharp", "--n", "7"], "exponents alpha=0.5, beta=-0.5 on [-1e+308, 1e+308]"),
+            ('{"family": "jacobi", "interval": [-1e308, 1e308], "alpha": 0.5, "beta": -0.5}',
+             ["mirsky", "--n", "7"], "exponents alpha=0.5, beta=-0.5 on [-1e+308, 1e+308]"),
+            # every weight of the composite rule underflows to 0
+            ('{"family": "gen_jacobi", "interval": [0, 1e-300], '
+             '"singularities": [[5e-301, 1]]}', SHARP_5,
+             "every weight of the 30-point composite rule underflowed"),
         ],
         ids=["mass_overflow", "zero_constant", "sobolev_gram_overflow", "subnormal_mass",
              "hermite_subnormal_mass", "laguerre_subnormal_mass", "gen_laguerre_tiny_scale",
              "gen_hermite_tiny_scale", "gen_laguerre_huge_scale", "gen_jacobi_rescale_overflow",
              "gen_hermite_rescale_overflow", "gen_hermite_factor_nan",
              "gen_laguerre_factor_nan", "residual_square_overflow", "gram_overflow",
-             "mirsky_square_overflow"],
+             "mirsky_square_overflow", "length_overflow_sharp", "length_overflow_mirsky",
+             "antisymmetric_length_overflow_sharp", "antisymmetric_length_overflow_mirsky",
+             "composite_weights_underflow"],
     )
     def test_out_of_range_weight_exits_three(self, capsys, weight, argv, named):
         # an infinite mass or a zero constant is a numerical failure, never a NaN

@@ -1,54 +1,29 @@
-import math
-import warnings
-
 import numpy as np
-import pytest
 
-from markovsharp import svd_largest
-from markovsharp.linalg import solve_triangular
-
-from oracles import power_iteration_largest
+from markovsharp.linalg import _fix_sign, solve_triangular
 
 
-class TestSvdLargest:
-    def test_diagonal(self):
-        sigma, _ = svd_largest(np.diag([3.0, 5.0]))
-        assert sigma == pytest.approx(5.0, rel=1e-15)
+class TestFixSign:
+    def test_last_entry_of_size_made_positive(self):
+        # the last entry is below the 1e-12 relative threshold, so the one before it decides
+        rows = np.array([[0.0, 2.0, -1.0], [3.0, -1.0, 1e-13], [1.0, 2.0, 3.0]])
+        got = _fix_sign(rows, True)
+        np.testing.assert_array_equal(got, [[-0.0, -2.0, 1.0], [-3.0, 1.0, -1e-13], rows[2]])
 
-    def test_rank_one_row(self):
-        sigma, v = svd_largest(np.array([[0.0, math.sqrt(2)]]))
-        assert sigma == pytest.approx(math.sqrt(2), rel=1e-15)
-        np.testing.assert_allclose(v, [0.0, 1.0], atol=1e-15)
+    def test_padding_keeps_positive_zero(self):
+        # only the solved entries change sign; the padding stays +0.0, never -0.0
+        rows = np.array([[1.0, 0.0, -2.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+        solved = np.array([[True, True, True, False], [True, True, False, False]])
+        got = _fix_sign(rows, solved)
+        np.testing.assert_array_equal(got, [[-1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        assert not np.signbit(got[:, -1]).any()
+        assert not np.signbit(got[1, 2:]).any()
 
-    def test_matches_power_iteration_oracle(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((5, 6))
-        sigma, v = svd_largest(m)
-        lam, _ = power_iteration_largest(m.T @ m, iters=10000, seed=1)
-        assert sigma == pytest.approx(math.sqrt(lam), rel=1e-9)
-        assert np.linalg.norm(m @ v) == pytest.approx(sigma, rel=1e-10)
-
-    def test_transpose_invariance(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((4, 7))
-        s1, _ = svd_largest(m)
-        s2, _ = svd_largest(m.T)
-        assert s1 == pytest.approx(s2, rel=1e-12)
-
-    def test_sign_convention_deterministic(self):
-        _, v = svd_largest(np.diag([1.0, -2.0]))
-        # the singular vector is +/- e_2; its last nonzero component must be positive
-        np.testing.assert_allclose(v, [0.0, 1.0])
-        _, v = svd_largest(np.random.default_rng(29).standard_normal((4, 5)))
-        assert v[-1] > 0
-
-    def test_zero_matrix_flagged(self):
-        # eigh of the zero Gram matrix returns the identity's columns; callers reject sigma = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sigma, v = svd_largest(np.zeros((2, 3)))
-        assert sigma == 0.0
-        np.testing.assert_array_equal(v, [0.0, 0.0, 1.0])
+    def test_zero_row_kept(self):
+        rows = np.array([[0.0, -0.0, 0.0], [0.0, -1.0, 0.0]])
+        got = _fix_sign(rows, True)
+        assert got[0].tobytes() == rows[0].tobytes()
+        np.testing.assert_array_equal(got[1], [-0.0, 1.0, -0.0])
 
 
 class TestSolveTriangular:

@@ -21,7 +21,7 @@ from markovsharp import (
     sharp_constants,
     sobolev_gram,
 )
-from markovsharp import linalg, markov, svd_largest
+from markovsharp import linalg, markov
 from markovsharp.markov import basis_for
 from markovsharp.orthopoly import closed_form
 
@@ -474,18 +474,18 @@ class TestZeroLambdas:
         from markovsharp.bounds import verify_theorem
 
         grams, orders = [], []
-        gram, table = markov.sobolev_gram, markov.eval_derivative_table
+        gram, table = markov.sobolev_gram, markov._gauss_rules
 
         def counted_gram(mat, lambdas):
             grams.append(lambdas)
             return gram(mat, lambdas)
 
-        def counted_table(rec, x, n, order):
+        def counted_table(tables, order=None):
             orders.append(order)
-            return table(rec, x, n, order)
+            return table(tables, order)
 
         monkeypatch.setattr(markov, "sobolev_gram", counted_gram)
-        monkeypatch.setattr(markov, "eval_derivative_table", counted_table)
+        monkeypatch.setattr(markov, "_gauss_rules", counted_table)
         spec = make_weight(GEN_JACOBI)
         verify_theorem("gen_jacobi_4", spec, SobolevSpec((0.0,)), range(4, 41))
         assert grams == []
@@ -629,8 +629,9 @@ class TestParitySplit:
 
 
 def _per_block_pairs(reduced, ns, split):
-    """The per-degree loop the range pass replaced: svd_largest on each block,
-    max over the blocks ending in (n, n - 1), the vector placed in zeros."""
+    """The per-degree loop the range pass replaced: the top eigenpair of each
+    block's Gram matrix, signed by _fix_sign, max over the blocks ending in
+    (n, n - 1), the vector placed in zeros."""
 
     def block(c):
         if split:
@@ -643,7 +644,10 @@ def _per_block_pairs(reduced, ns, split):
         ends = (n, n - 1) if split else (n,)
         for c in ends:
             if c not in pairs:
-                pairs[c] = svd_largest(np.ascontiguousarray(reduced[block(c)]))
+                m = np.ascontiguousarray(reduced[block(c)])
+                vals, eig = np.linalg.eigh(m.T @ m)
+                pairs[c] = (float(np.sqrt(max(vals[-1], 0.0))),
+                            linalg._fix_sign(eig[None, :, -1], True)[0])
         c = max(ends, key=lambda end: pairs[end][0])
         value, vecs[row, block(c)[1]] = pairs[c]
         values.append(value)
@@ -663,7 +667,8 @@ def _per_block_constants(spec, ns, lams):
         solved = markov.solve_triangular(chol.T, vecs.T).T
         for row, n in enumerate(ns):
             c, v = solved[row, : n + 1], vecs[row, : n + 1]
-            coeffs[row] = linalg._fix_sign(np.where(c == 0.0, np.copysign(0.0, v), c)[None])[0]
+            coeffs[row] = linalg._fix_sign(np.where(c == 0.0, np.copysign(0.0, v), c)[None],
+                                           True)[0]
     return values, coeffs
 
 
@@ -883,12 +888,15 @@ def _fields(results):
 
 
 FUSED_WEIGHTS = [{"family": "jacobi", "alpha": 1.0, "beta": 2.0}, {"family": "laguerre"}, HERMITE]
+# gen_jacobi, gen_laguerre and gen_hermite weights with no closed form
+STIELTJES_WEIGHTS = RANGE_WEIGHTS[4:]
 
 
 class TestFusedBasis:
-    """A classical basis takes its rule weights and its residual table from one pass."""
+    """Every basis takes its rule weights and its residual table from one pass."""
 
-    @pytest.mark.parametrize("raw", FUSED_WEIGHTS, ids=lambda raw: raw["family"])
+    @pytest.mark.parametrize("raw", FUSED_WEIGHTS + STIELTJES_WEIGHTS,
+                             ids=lambda raw: raw["family"])
     def test_rule_matches_the_christoffel_rule(self, raw):
         from markovsharp.quadrature import _gauss_rules
 
@@ -900,7 +908,8 @@ class TestFusedBasis:
             assert rule.nodes.tobytes() == nodes[0].tobytes()
             assert rule.weights.tobytes() == weights[0].tobytes()
 
-    @pytest.mark.parametrize("raw", FUSED_WEIGHTS, ids=lambda raw: raw["family"])
+    @pytest.mark.parametrize("raw", FUSED_WEIGHTS + STIELTJES_WEIGHTS,
+                             ids=lambda raw: raw["family"])
     def test_table_rows_equal_eval_derivative_table(self, raw):
         from markovsharp.orthopoly import eval_derivative_table
 
@@ -940,19 +949,34 @@ class TestFusedBasis:
         assert kept[:2].tobytes() == markov._BASES[spec].table.tobytes()
 
     @pytest.mark.parametrize("lams", [(), (1.0, 0.5)])
-    @pytest.mark.parametrize("raw", FUSED_WEIGHTS, ids=lambda raw: raw["family"])
+    @pytest.mark.parametrize("raw", FUSED_WEIGHTS + STIELTJES_WEIGHTS,
+                             ids=lambda raw: raw["family"])
     def test_one_pass_per_range(self, raw, lams, monkeypatch):
+        # the basis makes its rule and table in one _gauss_rules pass at the
+        # order the range needs, one kernel run; the Stieltjes ladder's
+        # reference rules run the kernel outside that pass
         from markovsharp import _kernels
 
-        calls = {"deriv_tables": 0, "eval_derivative_table": 0}
-        for owner, name in ((_kernels, "deriv_tables"), (markov, "eval_derivative_table")):
-            def counted(*args, _name=name, _original=getattr(owner, name)):
-                calls[_name] += 1
-                return _original(*args)
+        kernel_runs, passes = [], []
+        kernel, gauss_rules = _kernels.deriv_tables, markov._gauss_rules
 
-            monkeypatch.setattr(owner, name, counted)
-        sharp_constants(make_weight(raw), range(4, 41), lams)
-        assert calls == {"deriv_tables": 1, "eval_derivative_table": 0}
+        def counted_kernel(*args):
+            kernel_runs.append(1)
+            return kernel(*args)
+
+        def counted_pass(tables, order=None):
+            before = len(kernel_runs)
+            out = gauss_rules(tables, order)
+            passes.append((order, len(kernel_runs) - before))
+            return out
+
+        monkeypatch.setattr(_kernels, "deriv_tables", counted_kernel)
+        monkeypatch.setattr(markov, "_gauss_rules", counted_pass)
+        spec = make_weight(raw)
+        sharp_constants(spec, range(4, 41), lams)
+        assert passes == [(len(lams) + 1, 1)]
+        if closed_form(spec) is not None:  # a classical basis runs the kernel nowhere else
+            assert len(kernel_runs) == 1
 
 
 class TestMirsky:
