@@ -3,10 +3,13 @@ Stieltjes procedure, vectorized over the evaluation or quadrature points.
 
 Each kernel takes the recurrence arrays positionally, ``(diag, offdiag, p0,
 x, order)`` or ``(nodes, weights, n)``, and loops only over the degree.
-``deriv_tables`` is the one kernel that evaluates a recurrence at points:
-the Gauss rules' weights, the residual tables and ``eval_orthonormal`` all
-read it, for one recurrence or a zero-padded stack of them.  A kernel that
-cannot finish raises ``QuadratureError`` naming the cause.
+``deriv_tables`` is the one kernel that evaluates a recurrence at points,
+for one recurrence or a zero-padded stack of them: the Gauss rules' weights
+read its order-0 values, and ``eval_orthonormal`` and
+``eval_derivative_table`` its derivatives too.  No constant reads it: the
+residual of a constant is taken from its derivative matrix, so the
+derivative orders serve the self-test and the tests' quadrature oracle.
+A kernel that cannot finish raises ``QuadratureError`` naming the cause.
 ``_p0`` is the one place a weight's mass becomes p_0 = 1/sqrt(mass), and the
 one check that the mass allows it.
 """

@@ -48,7 +48,7 @@ from .markov import (
 from .orthopoly import (
     RecurrenceTable,
     WeightSpec,
-    eval_orthonormal,
+    eval_derivative_table,
     make_weight,
     recurrence_classical,
     weight_to_json,
@@ -173,7 +173,7 @@ def cmd_sharp(args) -> tuple[str, bool]:
 def cmd_sweep(args) -> tuple[str, bool]:
     spec = args.weight
     case = bounds.default_case(spec)
-    # the sobolev column first: the kept table of its higher orders serves the sharp column
+    # every column reads the one basis kept for the largest degree
     sobolev = sharp_constants(spec, args.ns, args.lambdas) if args.lambdas else None
     l2 = sharp_constants(spec, args.ns)
     mirsky = mirsky_bounds(spec, args.ns)
@@ -250,15 +250,22 @@ def _selftest_quadrature(draw) -> tuple[bool, str]:
 
 
 def _selftest_orthonormality() -> tuple[bool, str]:
+    # on basis_for's rule the basis is orthonormal, and the quadrature matrix
+    # of <p_i, p_k'> is derivative_matrix's, which the constants read
     gen_jacobi = '{"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}'
-    worst = 0.0
+    gram_dev = mat_dev = 0.0
     n = 12
     for name in (*PRESETS, gen_jacobi):
         rec, rule = basis_for(load_weight(name), n)
-        table = eval_orthonormal(rec, rule.nodes, n)
-        gram = (table * rule.weights) @ table.T
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(n + 1)))))
-    return worst <= 1e-10, f"max Gram deviation from identity {worst:.3e} (tol 1e-10)"
+        table = eval_derivative_table(rec, rule.nodes, n, 1)
+        # entries (i, k) of <p_i, p_k> and <p_i, p_k'>
+        gram, conn = (table[0] * rule.weights) @ table.transpose(0, 2, 1)
+        mat = derivative_matrix(rec, n)
+        gram_dev = max(gram_dev, float(np.max(np.abs(gram - np.eye(n + 1)))))
+        mat_dev = max(mat_dev, float(np.max(np.abs(conn - mat)) / np.linalg.norm(mat, 2)))
+    return gram_dev <= 1e-10 and mat_dev <= 1e-10, (
+        f"max Gram deviation from identity {gram_dev:.3e}, max derivative-matrix deviation "
+        f"{mat_dev:.3e} of its norm (tol 1e-10)")
 
 
 def _selftest_recurrence() -> tuple[bool, str]:

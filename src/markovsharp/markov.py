@@ -14,48 +14,42 @@ recurrence, with no quadrature.  It is stored square, with rows indexed by
 the target basis (the transpose of the usual convention), so it acts directly
 on coefficient vectors and its powers give the higher derivatives; singular
 values are unaffected.  Each constant is then checked a posteriori: the
-extremal polynomial is evaluated by quadrature on the basis rule, a path that
-shares no code with the matrix, and the ratio it achieves must match.
+ratio its extremal coefficients c achieve is read from D and c alone, by
+Parseval, ||P^(d)||^2 = ||D^d c||^2 in the orthonormal basis, never from the
+factored matrix whose singular value it checks.
 
 The basis is nested and D is strictly upper triangular, so a degree range is
 one computation at its largest degree N on one kept basis (``_kept``): one
-recurrence to N+1, one D_N, one (N+2)-point rule with its table of the
-p_k^(d) at the nodes and, for a Sobolev norm, one Cholesky factor L_N of
-B_N and one L_N^T D_N L_N^-T.  ``closed_form`` decides once, when the
+recurrence to N+1, one D_N and, for a Sobolev norm, one Cholesky factor L_N
+of B_N and one L_N^T D_N L_N^-T.  ``closed_form`` decides once, when the
 basis is built, whether the recurrence has a closed form or comes from the
-Stieltjes ladder.  Either way the rule is the (N+2)-point Gauss rule of that
-recurrence, exact to degree 2N+3 (Golub & Welsch, 1969), which covers every
-integrand of the residual.  The rule and its table come from one pass over
-the degree that gives the rule its weights, made only when a caller first
-needs the rule.  A range that needs higher derivatives than the kept table
-holds runs that pass again, and the larger table replaces the kept one.
-Degree n takes its top singular pair from the leading (n+1) x (n+1) block of
-that matrix.  For a weight symmetric about its centre that block maps even
-coefficient indices to odd ones and odd to even, so its Gram matrix is an
-even and an odd block; degree n adds index n to one of them, so it solves
-that block alone and keeps the other's pair from degree n - 1.  Each block
-costs only its copy, its Gram product and one eigensolve; the rest is one
-pass over the range: the square roots, the choice of block, the placement of
-every vector in one zero-padded matrix and the sign rule, then one back
-substitution with L_N^T for every coefficient vector, the step that gives
-exact zeros their sign from the vector, the sign rule again, and one product
-per derivative order with the table to check every degree.  Squares that
-leave the floating-point range (of D_N on a tiny interval, say) fail as a
-named numerical error with the degree: one check per range before the Gram
-products, and one on the residual's quadrature norms.  In the weighted L2
-norm the values and coefficients are bit for bit what a single
-degree computes on that basis, and the residual and achieved ratio, summed
-by one zero-padded product, agree with it to 1e-15.  In a Sobolev norm the
-entries of B_N are sums over more (exactly zero) terms than those of B_n,
-which round differently, so the values agree with a single degree to 1e-11
+Stieltjes ladder.  Degree n takes its top singular pair from the leading
+(n+1) x (n+1) block of that matrix.  For a weight symmetric about its centre
+that block maps even coefficient indices to odd ones and odd to even, so its
+Gram matrix is an even and an odd block; degree n adds index n to one of
+them, so it solves that block alone and keeps the other's pair from degree
+n - 1.  Each block costs only its copy, its Gram product and one eigensolve;
+the rest is one pass over the range: the square roots, the choice of block,
+the placement of every vector in one zero-padded matrix and the sign rule,
+then one back substitution with L_N^T for every coefficient vector, the step
+that gives exact zeros their sign from the vector, the sign rule again, and
+one product with D_N^T per derivative order to check every degree.  Squares
+that leave the floating-point range (of D_N on a tiny interval, say) fail as
+a named numerical error with the degree: one check per range before the
+Gram products, and one on the norms of the residual.  In the weighted L2
+norm the values and coefficients are bit for bit what a single degree
+computes on that basis, and the residual and achieved ratio, summed by one
+zero-padded product, agree with it to 1e-15.  In a Sobolev norm the entries
+of B_N are sums over more (exactly zero) terms than those of B_n, which
+round differently, so the values agree with a single degree to 1e-11
 relative and to a high-precision reference as closely as single degrees do.
 ``sharp_constants`` and ``mirsky_bounds`` are these range paths; the
 single-degree functions call them with one degree.  The basis of the last
 degree N asked for is kept while its weight is alive, so every range up to
 the same N (the columns of a sweep, a Mirsky check beside its constants)
 and ``basis_for``, which the extremal evaluator reads after its constant,
-share one recurrence and one D_N.  A Mirsky bound needs D_N alone, so it
-builds no rule.
+share one recurrence and one D_N.  No Gauss rule is kept: ``basis_for``
+builds the (N+2)-point rule of the recurrence each time it is called.
 """
 
 from __future__ import annotations
@@ -79,14 +73,13 @@ from .orthopoly import (
     max_degree_cap,
     recurrence_classical,
 )
-from .quadrature import QuadRule, _gauss_rules, stabilized_stieltjes
+from .quadrature import QuadRule, gauss_rule, stabilized_stieltjes
 
 RESIDUAL_TOL = 1e-8
 MAX_SOBOLEV_ORDER = 4
 
-# The basis kept for one weight and top degree n: the recurrence to n+1, D_n, the
-# (n+2)-point rule and the table of the p_k^(d) at its nodes; rule and table may be None
-_Basis = namedtuple("_Basis", "n rec rule table mat")
+# The basis kept for one weight and top degree n: the recurrence to n+1 and D_n
+_Basis = namedtuple("_Basis", "n rec mat")
 # WeightSpec -> its _Basis
 _BASES = weakref.WeakKeyDictionary()
 _BASES_LOCK = threading.Lock()
@@ -122,7 +115,7 @@ class SobolevSpec(namedtuple("SobolevSpec", "lambdas")):
 class SharpResult(
     namedtuple("SharpResult", "n value coeffs residual weight achieved_ratio lambdas")
 ):
-    """Sharp constant, extremal coefficients, and the ratio they achieve on the basis rule.
+    """Sharp constant, extremal coefficients, and the ratio they achieve.
 
     ``residual`` is the relative gap between ``achieved_ratio`` and ``value``.
     ``coeffs`` is a read-only float array on every construction, ``_replace``
@@ -157,21 +150,13 @@ def _top_degree(ns) -> int:
     return top
 
 
-def _kept(spec: WeightSpec, ns, order=None) -> _Basis:
+def _kept(spec: WeightSpec, ns) -> _Basis:
     """The kept basis of ``spec`` for the degrees ``ns``: the ``_Basis`` of N = max(ns).
 
     A kept entry for N is read as it is; otherwise ``closed_form`` decides,
     once, how the recurrence to N+1 is built: by its closed form, whose mass
-    is checked here, or by ``stabilized_stieltjes``.  ``order`` None asks
-    for D_N alone (Mirsky), so no rule is built; any other order asks for
-    the rule, which every basis builds in one ``_gauss_rules`` pass over its
-    recurrence: the N+2 point Gauss rule, exact to degree 2N+3, and the
-    table of p_k^(d) at its nodes, k <= N+1, d <= ``order``.  A range that
-    needs a higher order than the kept table holds runs that pass again:
-    the rule has the same bytes, and the larger table replaces the kept
-    one, whose rows d <= order are its bytes.  D_N is built after the rule
-    and table, once per entry.  The entry is kept as ``basis_for``
-    describes.
+    is checked here, or by ``stabilized_stieltjes``.  D_N is built with it,
+    and the entry is kept as ``basis_for`` describes.
     """
     top = _top_degree(ns)
     with _BASES_LOCK:
@@ -182,34 +167,28 @@ def _kept(spec: WeightSpec, ns, order=None) -> _Basis:
         else:
             rec = recurrence_classical(spec, top + 1)
             _kernels._p0(rec.mass)
-        kept = _Basis(top, rec, None, None, None)
-    rec = kept.rec
-    if order is not None and (kept.table is None or kept.table.shape[0] <= order):
-        nodes, weights, table = _gauss_rules([(rec.diag, rec.offdiag, rec.mass)], order)
-        kept = kept._replace(rule=QuadRule(nodes[0], weights[0]), table=table[:, :, 0])
-    if kept.mat is None:
-        kept = kept._replace(mat=derivative_matrix(rec, top))
-    with _BASES_LOCK:
-        _BASES[spec] = kept
+        kept = _Basis(top, rec, derivative_matrix(rec, top))
+        with _BASES_LOCK:
+            _BASES[spec] = kept
     return kept
 
 
 def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
-    """Recurrence table (to degree n+1) plus a rule good for degree 2n+2 integrals.
+    """Recurrence table (to degree n+1) plus its (n+2)-point Gauss rule, exact to degree 2n+3.
 
-    Both come from the basis kept for the weight (``_kept``), which also
-    holds D_n and the residual table, so the extremal evaluator after
+    The recurrence is that of the basis kept for the weight (``_kept``),
+    which also holds D_n, so the extremal evaluator after
     ``sharp_constant_l2(spec, n)``, and every range over degrees up to the
     same n (the columns of a sweep, a Mirsky check beside its constants),
     build one recurrence and one D_n.  Only the last degree built for a
-    weight is kept, while that weight (or an equal one) is alive: a basis
-    built for another degree has another rule, so it never serves n, and
+    weight is kept, while that weight (or an equal one) is alive, and
     nothing outlives the weight, so a request that makes its weight from
-    JSON costs the same whatever requests came before it.  Both objects of
-    the pair are immutable.
+    JSON costs the same whatever requests came before it.  The rule is
+    built on each call and not kept.  Both objects of the pair are
+    immutable.
     """
-    kept = _kept(spec, [n], 0)
-    return kept.rec, kept.rule
+    rec = _kept(spec, [n]).rec
+    return rec, gauss_rule(rec, n + 2)
 
 
 def derivative_matrix(rec: RecurrenceTable, n: int) -> np.ndarray:
@@ -271,18 +250,18 @@ def _checked_lambdas(lambdas) -> tuple[float, ...]:
     return SobolevSpec(lambdas).lambdas if lambdas else ()
 
 
-def _checked_residual(stack, weights, coeffs, ns, values, lambdas=()):
-    """||P'||_W / ||P||_W by quadrature for each row of ``coeffs``, and its gap to ``values``.
+def _checked_residual(mat, coeffs, ns, values, lambdas=()):
+    """||P'||_W / ||P||_W by Parseval for each row of ``coeffs``, and its gap to ``values``.
 
     Row i of ``coeffs`` holds the coefficients of P in the basis for degree
-    ns[i], zero past it; ``stack[d, k]`` holds p_k^(d) at the rule nodes and
-    ``weights`` the rule weights; rows past the width of ``coeffs`` and
-    orders past len(lambdas) + 1 are not read.  Each order d is one product
-    over the whole range, ||P^(d)||^2 = (coeffs @ stack[d])^2 @ weights.
-    With no lambdas the ratio is the weighted L2 ratio ||P'|| / ||P||.  The gaps are relative;
-    QuadratureError names the first degree whose value is not positive and
-    finite, else the first whose gap exceeds RESIDUAL_TOL, and then names
-    the norms as the cause when their squares left the floating-point range.
+    ns[i], zero past it, and ``mat`` is the square derivative matrix D_N.
+    Each order d is one product over the whole range: the rows times D_N^T
+    are the coefficients of the next derivative, and
+    ||P^(d)||^2 = ||D^d c||^2.  With no lambdas the ratio is the weighted L2
+    ratio ||P'|| / ||P||.  The gaps are relative; QuadratureError names the
+    first degree whose value is not positive and finite, else the first
+    whose gap exceeds RESIDUAL_TOL, and then names the norms as the cause
+    when their squares left the floating-point range.
     """
     for n, value in zip(ns, values):
         if not (math.isfinite(value) and value > 0):
@@ -291,9 +270,10 @@ def _checked_residual(stack, weights, coeffs, ns, values, lambdas=()):
                 "the recurrence or its mass is out of floating-point range"
             )
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = [
-            (coeffs @ stack[d, : coeffs.shape[1]]) ** 2 @ weights for d in range(len(lambdas) + 2)
-        ]
+        rows, norms = coeffs, [np.sum(coeffs * coeffs, axis=1)]
+        for _ in range(len(lambdas) + 1):
+            rows = rows @ mat.T
+            norms.append(np.sum(rows * rows, axis=1))
         den = norms[0] + sum(lam * norms[j + 1] for j, lam in enumerate(lambdas))
         num = norms[1] + sum(lam * norms[j + 2] for j, lam in enumerate(lambdas))
         achieved = np.sqrt(num / den)
@@ -303,7 +283,7 @@ def _checked_residual(stack, weights, coeffs, ns, values, lambdas=()):
             # a norm out of range gives a gap of 1, inf or nan, never a pass
             if not all(math.isfinite(norm[row]) for norm in norms):
                 raise QuadratureError(
-                    f"the quadrature norms of the extremal polynomial at n={n} are out of "
+                    f"the norms of the extremal polynomial at n={n} are out of "
                     "floating-point range"
                 )
             raise QuadratureError(
@@ -385,11 +365,11 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     """Sharp constants of ||P'||_W <= C ||P||_W over P_n, one per degree n in ``ns``.
 
     ``lambdas`` are the derivative weights of the Sobolev norm W; () gives the
-    weighted L2 norm.  Every degree reads the one D_N and residual table of
-    the basis kept for N = max(ns) (``_kept``), and in a Sobolev norm the one
-    factor L_N of B_N.  Trailing zero lambdas add exactly
-    nothing to B or to the residual, so they are dropped after validation;
-    all-zero lambdas take the L2 path.  Results keep the lambdas as given.
+    weighted L2 norm.  Every degree reads the one D_N of the basis kept for
+    N = max(ns) (``_kept``), and in a Sobolev norm the one factor L_N of B_N.
+    Trailing zero lambdas add exactly nothing to B or to the residual, so
+    they are dropped after validation; all-zero lambdas take the L2 path.
+    Results keep the lambdas as given.
 
     With B = L L^T, the ratio for P = sum c_k p_k is ||L^T D c|| / ||L^T c||,
     so the constant is sigma_max(L^T D L^-T); its right singular vector v gives
@@ -404,14 +384,14 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     triangular and column n of V is zero past row n, so its solution is too,
     and its top part solves the leading block.  Exact zeros of the solution
     take their sign from V, and the sign rule then runs once over the first
-    n+1 entries of every row.  One product per derivative order then checks
-    every degree (``_checked_residual``).
+    n+1 entries of every row.  One product with D_N^T per derivative order
+    then checks every degree (``_checked_residual``).
     """
     ns, given = list(ns), _checked_lambdas(lambdas)
     lambdas = given
     while lambdas and lambdas[-1] == 0.0:
         lambdas = lambdas[:-1]
-    _, _, rule, stack, mat = _kept(spec, ns, len(lambdas) + 1)
+    mat = _kept(spec, ns).mat
     if lambdas:
         # D_N[:, :n+1] = [D_n; 0], so B_n, L_n and L_n^T D_n L_n^-T are the
         # leading blocks of the degree-N ones: one factorization serves the
@@ -434,7 +414,7 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
         # (+0.0 past each degree), and only then is the sign fixed
         coeffs = _fix_sign(np.where(solved == 0.0, np.copysign(0.0, vecs), solved),
                            np.arange(vecs.shape[1]) <= np.array(ns)[:, None])
-    achieved, residual = _checked_residual(stack, rule.weights, coeffs, ns, values, lambdas)
+    achieved, residual = _checked_residual(mat, coeffs, ns, values, lambdas)
     return [
         SharpResult(
             n=n, value=value, coeffs=coeffs[row, : n + 1], residual=float(residual[row]),
@@ -457,7 +437,7 @@ def sharp_constant_sobolev(spec: WeightSpec, sob: SobolevSpec, n: int) -> SharpR
 def mirsky_bounds(spec: WeightSpec, ns) -> list[float]:
     """Upper bounds (sum_nu nu ||p_nu'||^2)^(1/2) for the sharp L2 constants, n in ``ns``.
 
-    They read D_N of the kept basis alone, so no rule is built.
+    They read D_N of the kept basis alone.
     """
     ns = list(ns)
     mat = _kept(spec, ns).mat

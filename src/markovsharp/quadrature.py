@@ -2,10 +2,9 @@
 
 ``gauss_rule`` is the Golub-Welsch construction: nodes are the eigenvalues of
 the symmetric tridiagonal Jacobi matrix, weights come from the Christoffel
-function.  One builder (``_gauss_rules``) makes every rule: it reads the
-weights from the pass of ``_kernels.deriv_tables`` that tabulates the
-p_k^(d) at the nodes of a stack of rules, which is also how every basis,
-closed-form or Stieltjes, gets its residual table.  ``composite_rules`` handles
+function.  One builder (``_gauss_rules``) makes every rule, for a stack of
+recurrences at once: it reads the weights from ``_kernels.deriv_tables`` at
+order 0 on the nodes of the stack.  ``composite_rules`` handles
 generalized weights by splitting the interval at every singular point: each
 finite piece gets a Gauss-Jacobi rule whose weight absorbs the endpoint
 factors |x-c|^gamma exactly, while the exponential factor and the off-piece
@@ -20,8 +19,9 @@ levels it is asked for, and read from that batch in place.
 ``stabilized_stieltjes`` gives a generalized weight with no closed form its
 recurrence: the discretized Stieltjes procedure on the composite rules,
 refined level by level until two levels agree.  It returns the recurrence
-alone; the basis checks its constants on the Gauss rule of that recurrence,
-as a closed-form basis does.  This module imports only
+alone, and no rule outlives it.  A basis checks its constants without a
+rule, by Parseval on its derivative matrix, and ``markov.basis_for`` builds
+the Gauss rule of its recurrence only when called.  This module imports only
 ``errors``, ``_kernels`` and ``orthopoly``.
 """
 
@@ -113,26 +113,22 @@ def _check_weights(nodes, weights, diag, offdiag, sizes):
     raise QuadratureError(f"{m}-point Gauss rule: {cause}")
 
 
-def _gauss_rules(tables, order=None):
-    """Gauss rules of a list of (diag, offdiag, mass) recurrences, and the p_k^(d) at their nodes.
+def _gauss_rules(tables):
+    """Gauss rules of a list of (diag, offdiag, mass) recurrences, one rule per row.
 
     The rule of a table has m = len(diag) points; offdiag has m-1 entries.
-    Returns (nodes, weights, table): one rule per row, padded with zeros to
-    the largest m, and, unless ``order`` is None, the table of the last
-    run below, table[d, k, i] = p_k^(d) at the nodes of its i-th rule for
-    d <= ``order``; a one-row stack (a classical basis's rule and residual
-    table) is one run.  Nodes come from one ``_jacobi_nodes`` call per
-    stretch of equal m.  ``_kernels.deriv_tables`` runs on consecutive rules
-    zero-padded to the largest of them; a new run starts where padding the
-    run to the next rule's m would make its table more than twice its
-    rules' own.  Listed in increasing m, as ``composite_rules`` lists them
-    (any order gives the same rules), a batch of close sizes is one pass,
-    and one of far sizes needs no more memory than the eigensolve of its
-    largest rules.  The weights 1 / sum_k p_k(x_j)^2 are the order-0 rows
-    of each run summed in order from k = 0, squared in place when no table
-    is asked for.  Raises QuadratureError before any solve when a mass or
-    its reciprocal is not finite, and through ``_check_weights`` when a
-    weight is not positive and finite.
+    Returns (nodes, weights), padded with zeros to the largest m.  Nodes
+    come from one ``_jacobi_nodes`` call per stretch of equal m.  The
+    weights 1 / sum_k p_k(x_j)^2 come from ``_kernels.deriv_tables`` at
+    order 0, run on consecutive rules zero-padded to the largest of them,
+    squared in place and summed in order from k = 0; a new run starts where
+    padding the run to the next rule's m would make its table more than
+    twice its rules' own.  Listed in increasing m, as ``composite_rules``
+    lists them (any order gives the same rules), a batch of close sizes is
+    one pass, and one of far sizes needs no more memory than the eigensolve
+    of its largest rules.  Raises QuadratureError before any solve when a
+    mass or its reciprocal is not finite, and through ``_check_weights``
+    when a weight is not positive and finite.
     """
     sizes = [d.shape[0] for d, _, _ in tables]
     width = max(sizes)
@@ -158,12 +154,11 @@ def _gauss_rules(tables, order=None):
         a, b = diag[lo:hi, :m], offdiag[lo:hi, : m - 1]
         # an overflow at an outer node spoils its weight, which _check_weights names
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            table = _kernels.deriv_tables(a, b, p0[lo:hi], nodes[lo:hi, :m], order or 0)
-            squares = np.square(table[0], out=table[0] if order is None else None)
-            weights[lo:hi, :m] = 1.0 / np.sum(squares, axis=0)
+            values = _kernels.deriv_tables(a, b, p0[lo:hi], nodes[lo:hi, :m], 0)[0]
+            weights[lo:hi, :m] = 1.0 / np.sum(np.square(values, out=values), axis=0)
     weights[np.arange(width) >= np.array(sizes)[:, None]] = 0.0
     _check_weights(nodes, weights, diag, offdiag, sizes)
-    return nodes, weights, None if order is None else table
+    return nodes, weights
 
 
 def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
@@ -180,7 +175,7 @@ def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
         raise ValueError("m must be >= 1")
     if m > rec.n_max + 1:
         raise ValueError(f"recurrence table too short for an {m}-point rule (n_max={rec.n_max})")
-    nodes, weights, _ = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
+    nodes, weights = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
     return QuadRule(nodes=nodes[0], weights=weights[0])
 
 
@@ -327,7 +322,7 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     row_of = {key: row for row, key in enumerate(sorted(dict.fromkeys(list(tails.values()) + [
         (g_hi, g_lo, m) for pieces in layouts for _, _, g_lo, g_hi, m in pieces
     ]), key=lambda key: key[-1]))}
-    ref_nodes, ref_weights, _ = _gauss_rules([
+    ref_nodes, ref_weights = _gauss_rules([
         _laguerre_coefficients(0.0, key[1] - 1) if key[0] == "laguerre"
         else _jacobi_coefficients(key[0], key[1], key[2] - 1) for key in row_of
     ])

@@ -280,7 +280,7 @@ def builds(monkeypatch):
 
 @pytest.fixture
 def range_builds(monkeypatch):
-    """Calls of the recurrence, D_N and table builders through every module's binding.
+    """Calls of the recurrence, D_N and point-table builders through every module's binding.
 
     ``recurrences`` counts recurrence_classical and stabilized_stieltjes together.
     """
@@ -352,8 +352,8 @@ class TestSharedBasis:
         self, range_builds, case, token, tables
     ):
         # the mirsky case reads two ranges, the Mirsky bounds and the sharp
-        # constants, from one kept basis.  Every basis, classical or
-        # Stieltjes, builds its table in the pass that makes its rule
+        # constants, from one kept basis.  The residual reads D_N, so no
+        # basis, classical or Stieltjes, evaluates a table at points
         verify_theorem(case, load_weight(token), SobolevSpec((1.0, 0.5)), range(4, 41))
         assert range_builds == {
             "recurrences": 1, "derivative_matrix": 1, "eval_derivative_table": tables
@@ -374,10 +374,8 @@ class TestSharedBasis:
         self, capsys, range_builds, token, lambdas, tables
     ):
         # one range per column: sobolev (when it differs from sharp), sharp and
-        # mirsky, all on one kept basis.  The first range keeps its table with
-        # the basis and the sharp column reads its rows d <= 1; every basis
-        # builds that table in the pass that makes its rule, so it builds
-        # none on its own
+        # mirsky, all on one kept basis, whose residuals read D_N, so no
+        # column evaluates a table at points
         code, _, _ = run_cli(
             capsys, "sweep", "--weight", token, "--n-min", "4", "--n-max", "40", *lambdas
         )
@@ -516,6 +514,23 @@ class TestSelftest:
         assert code == 1
         assert any(ln.startswith("FAIL orthonormality") for ln in out.strip().split("\n"))
 
+    def test_perturbed_derivative_matrix_fails(self, capsys, monkeypatch):
+        # the rule stays exact, so only the quadrature check of D rejects it
+        import markovsharp.cli as cli
+
+        real = cli.derivative_matrix
+
+        def perturbed(rec, n):
+            mat = real(rec, n)
+            mat[-2, -1] *= 1.0 + 1e-6  # the leading coefficient of p_n', never zero
+            return mat
+
+        monkeypatch.setattr(cli, "derivative_matrix", perturbed)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        line = next(ln for ln in out.strip().split("\n") if "orthonormality" in ln)
+        assert line.startswith("FAIL orthonormality: max Gram deviation from identity ")
+
     def test_non_top_pair_fails(self, capsys, monkeypatch):
         # the second eigenpair of the pencil (D^T B D, B) has a pencil residual
         # as small as the top one's, so only the top-eigenvalue check rejects it
@@ -622,17 +637,47 @@ class TestContracts:
         assert code == 3
         assert "numerical failure" in err
 
-    @pytest.mark.parametrize("weight, n", [("laguerre0", "200"), ("hermite", "400")])
-    def test_christoffel_overflow_exits_three(self, capsys, monkeypatch, weight, n):
-        # the outer nodes of these Gauss rules overflow sum_k p_k(x)^2; that
-        # is a numerical failure with its cause named, and no warning leaks
+    @pytest.mark.parametrize("weight, n", [("laguerre0", 200), ("hermite", 400)])
+    def test_degrees_past_the_christoffel_limit(self, capsys, monkeypatch, weight, n):
+        # the (n+2)-point Gauss rules of these bases overflow sum_k p_k(x)^2 at
+        # their outer nodes, but no constant reads a rule: each matches its
+        # closed form, and no warning leaks
         monkeypatch.setenv("MARKOVSHARP_MAX_N", "500")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "sharp", "--weight", weight, "--n", n)
+            code, out, err = run_cli(capsys, "sharp", "--weight", weight, "--n", str(n))
+        assert code == 0 and err == ""
+        if weight == "hermite":
+            want = math.sqrt(2 * n)
+        else:
+            # |D| of Laguerre alpha = 0 is the all-ones strictly upper-triangular matrix
+            want = np.linalg.svd(np.triu(np.ones((n + 1, n + 1)), 1), compute_uv=False)[0]
+        assert json.loads(out)["value"] == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_christoffel_overflow_exits_three(self, capsys, monkeypatch):
+        # at n = 115 the Stieltjes ladder's 188-point Gauss-Laguerre tail rule
+        # overflows sum_k p_k(x)^2 at its outer nodes (n = 114 still builds);
+        # that is a numerical failure with its cause named, and no warning leaks
+        monkeypatch.setenv("MARKOVSHARP_MAX_N", "500")
+        weight = '{"family": "gen_laguerre", "singularities": [[2, 1]]}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sharp", "--weight", weight, "--n", "115")
         assert code == 3
         assert out == ""
-        assert "numerical failure" in err and "Christoffel sum" in err
+        assert err.startswith("numerical failure: 188-point Gauss rule")
+        assert "Christoffel sum" in err
+
+    def test_tiny_interval_scales_the_legendre_constant(self, capsys):
+        # D_N on [0, 1e-100] is 2e100 times Legendre's, and the residual reads
+        # its squares, which stay in range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sharp", "--weight",
+                                     '{"family": "jacobi", "interval": [0, 1e-100]}', "--n", "40")
+        assert code == 0 and err == ""
+        want = 2e100 * sharp_constant_l2(load_weight("legendre"), 40).value
+        assert json.loads(out)["value"] == pytest.approx(want, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize(
         "weight, argv, named",
@@ -661,9 +706,11 @@ class TestContracts:
             ('{"family": "gen_laguerre", "singularities": [[4, 1], [17, 1], [23, 390]]}', SHARP_5,
              "absolute exponent sum 392.0"),
             # D_N is finite on a tiny interval, but its squares overflow: in the
-            # residual's quadrature norms, the Gram products and the Mirsky sums
-            ('{"family": "jacobi", "interval": [0, 1e-100]}', ["sharp", "--n", "40"],
-             "quadrature norms of the extremal polynomial at n=40"),
+            # residual's norms of P'' (lambda_1 = 1e-300 keeps B in range), the
+            # Gram products and the Mirsky sums
+            ('{"family": "jacobi", "interval": [0, 1e-100]}',
+             ["sharp", "--n", "40", "--lambdas", "1e-300"],
+             "the norms of the extremal polynomial at n=40 are out of floating-point range"),
             ('{"family": "jacobi", "interval": [0, 1e-300]}', ["sharp", "--n", "40"],
              "Gram matrix M^T M at n=40"),
             ('{"family": "jacobi", "interval": [0, 1e-300]}',

@@ -1,0 +1,34 @@
+"""The verify-matrix constants stay where golden_verify_matrix.json pins them.
+
+The file is written by make_golden.py.  Its values were checked against
+independent references when it was written: Hermite's sqrt(2n) and
+Mirsky closed forms (5.0e-16 and 2.0e-16 relative), the all-ones strictly
+upper-triangular matrix of Laguerre alpha = 0 (6.2e-16), a 40-digit mpmath
+eigensolve for Legendre at n = 5, 17, 40 (2.7e-15 in L2, 4.0e-15 with
+lambda = (1, 0.5)), and the benchmark's scipy reference for every weight
+(6.4e-13, that reference's own discretization error).  The tolerances are
+those of the range contract: 1e-14 relative for the L2 constants and the
+Mirsky bounds, 1e-11 for lambda > 0.  Bytes are not compared, since
+another numpy or BLAS build may round differently.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from markovsharp import make_weight, markov
+
+GOLDEN = json.loads(Path(__file__).with_name("golden_verify_matrix.json").read_text())
+
+
+@pytest.mark.parametrize("row", GOLDEN["weights"],
+                         ids=[f"{row['case']}-{i}" for i, row in enumerate(GOLDEN["weights"])])
+def test_verify_matrix_constants(row):
+    spec, ns = make_weight(row["weight"]), GOLDEN["ns"]
+    l2 = [r.value for r in markov.sharp_constants(spec, ns)]
+    sobolev = [r.value for r in markov.sharp_constants(spec, ns, GOLDEN["lambdas"])]
+    np.testing.assert_allclose(l2, row["l2"], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(markov.mirsky_bounds(spec, ns), row["mirsky"], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(sobolev, row["sobolev"], rtol=1e-11, atol=0)

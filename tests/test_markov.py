@@ -57,6 +57,38 @@ def stieltjes_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def outside_ladder(monkeypatch):
+    """Calls of quadrature._gauss_rules and _kernels.deriv_tables made outside the Stieltjes ladder.
+
+    Every Gauss rule is built by ``_gauss_rules``, and every table of the
+    p_k^(d) at points by ``deriv_tables``; the ladder's own reference rules
+    are not counted.
+    """
+    from markovsharp import _kernels, quadrature
+
+    calls, depth = {"_gauss_rules": 0, "deriv_tables": 0}, [0]
+    ladder = markov.stabilized_stieltjes
+
+    def in_ladder(spec, n):
+        depth[0] += 1
+        try:
+            return ladder(spec, n)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(markov, "stabilized_stieltjes", in_ladder)
+    for owner, name in ((quadrature, "_gauss_rules"), (_kernels, "deriv_tables")):
+
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            if not depth[0]:
+                calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def _affine_image(spec, stretch, shift):
     """Weight of the same family after x -> stretch*x + shift (stretch > 0)."""
     a, b = spec.interval
@@ -192,25 +224,24 @@ class TestSharpL2:
 
     @pytest.mark.parametrize("raw", RANGE_WEIGHTS, ids=lambda raw: raw["family"])
     def test_range_equals_per_degree_bitwise(self, raw, monkeypatch):
-        # degree n reads the leading blocks of the degree-N matrix and table,
-        # which are exactly the degree-n ones; the single degrees are run on
-        # the degree-20 basis and table the range reads.  A Sobolev range
+        # degree n reads the leading block of the degree-N matrix, which is
+        # exactly the degree-n one; the single degrees are run on the
+        # degree-20 recurrence the range reads.  A Sobolev range
         # also reads the leading block of one factored degree-N Gram matrix,
         # whose entries round differently from the degree-n one, so lambdas > 0
         # agree to 1e-11 relative and the L2 norm bit for bit.  The residual
-        # check is one zero-padded product per derivative order over the
-        # whole range, which rounds differently from a product per degree,
+        # check is one zero-padded product with D_N^T per derivative order over
+        # the whole range, which rounds differently from a product per degree,
         # so residual and achieved ratio agree to 1e-15
         def fields(results):
             return [(r.n, r.value, r.coeffs.tobytes()) for r in results]
 
         spec = make_weight(raw)
         ns = range(1, 21)
-        # the table reaches the highest order asked for below, so the range reads it too
-        basis = markov._kept(spec, [20], 4)
+        basis = markov._kept(spec, [20])
 
-        def degree_n(_spec, ns, _order):
-            # the degree-20 rule and table with D_n of the same recurrence
+        def degree_n(_spec, ns):
+            # the degree-20 recurrence with D_n
             return basis._replace(n=max(ns), mat=markov.derivative_matrix(basis.rec, max(ns)))
 
         for lams in ((), (0.0,), (1.0, 0.5), (0.5, 1.0, 2.0)):
@@ -470,26 +501,25 @@ class TestZeroLambdas:
             assert got.achieved_ratio == want.achieved_ratio
             assert got.lambdas == given
 
-    def test_verify_builds_no_gram_and_one_first_order_table(self, monkeypatch):
+    def test_verify_builds_no_gram_and_one_first_order_table(self, monkeypatch, outside_ladder):
+        # the L2 residual reads D_N, so outside the Stieltjes ladder no Gauss
+        # rule and no table of the p_k^(d) is built at all
         from markovsharp.bounds import verify_theorem
 
-        grams, orders = [], []
-        gram, table = markov.sobolev_gram, markov._gauss_rules
+        grams, gram = [], markov.sobolev_gram
 
         def counted_gram(mat, lambdas):
             grams.append(lambdas)
             return gram(mat, lambdas)
 
-        def counted_table(tables, order=None):
-            orders.append(order)
-            return table(tables, order)
-
         monkeypatch.setattr(markov, "sobolev_gram", counted_gram)
-        monkeypatch.setattr(markov, "_gauss_rules", counted_table)
         spec = make_weight(GEN_JACOBI)
         verify_theorem("gen_jacobi_4", spec, SobolevSpec((0.0,)), range(4, 41))
         assert grams == []
-        assert orders == [1]
+        assert outside_ladder == {"_gauss_rules": 0, "deriv_tables": 0}
+        # the counters see a rule that is built: basis_for's
+        basis_for(spec, 40)
+        assert outside_ladder == {"_gauss_rules": 1, "deriv_tables": 1}
 
 
 class TestResidualCheck:
@@ -518,6 +548,30 @@ class TestResidualCheck:
         self._patch_sigma(monkeypatch, lambda value: bad)
         with pytest.raises(QuadratureError, match=r"constant \S+ at n=17 is not positive and finite"):
             markov.sharp_constants(make_weight(GEN_JACOBI), range(4, 41), lams)
+
+
+class TestAchievedRatio:
+    """The ratio read from D_N by Parseval is the ratio a Gauss rule integrates."""
+
+    @pytest.mark.parametrize("lams", [(), (1.0, 0.5), (0.5, 1.0, 2.0)], ids=["l2", "k2", "k3"])
+    @pytest.mark.parametrize("raw", RANGE_WEIGHTS, ids=lambda raw: raw["family"])
+    def test_equals_the_quadrature_ratio(self, raw, lams):
+        # ||P^(d)||^2 integrated on the (n+2)-point Gauss rule of the
+        # recurrence, exact to degree 2n+3, from the differentiated recurrence
+        # at its nodes: a path that shares no arithmetic with D_N.  The largest
+        # relative gap measured is 2.2e-14, so 1e-12 leaves a margin of 45x
+        from markovsharp.orthopoly import eval_derivative_table
+
+        spec, ns = make_weight(raw), range(1, 21)
+        results = sharp_constants(spec, ns, lams)
+        rec = markov._BASES[spec].rec
+        for res in results:
+            rule = gauss_rule(rec, res.n + 2)
+            table = eval_derivative_table(rec, rule.nodes, res.n, len(lams) + 1)
+            norms = [(res.coeffs @ rows) ** 2 @ rule.weights for rows in table]
+            den = norms[0] + sum(lam * norms[j + 1] for j, lam in enumerate(lams))
+            num = norms[1] + sum(lam * norms[j + 2] for j, lam in enumerate(lams))
+            assert res.achieved_ratio == pytest.approx(math.sqrt(num / den), rel=1e-12, abs=0)
 
 
 SYMMETRIC_WEIGHTS = {
@@ -818,8 +872,9 @@ class TestHermiteSobolevClosedForm:
     def test_every_degree_under_raised_cap(self, monkeypatch, lams):
         """The same check for n = 1..300, with the degree cap raised.
 
-        By n = 389 the Hermite basis rule (391 points) fails with its
-        Christoffel-sum overflow.  The largest relative error measured is
+        No constant reads a Gauss rule, so the Christoffel-sum overflow of
+        the 391-point Hermite rule at n = 389 limits only ``basis_for``.
+        The largest relative error measured is
         1.8e-15, with lambda = (1, 0.5), so the tolerance leaves a margin of
         5.6x.  This is the regression harness for work that lifts the degree
         ceiling.
@@ -839,24 +894,27 @@ class TestHermiteSobolevClosedForm:
 
 
 class TestBasisTable:
-    """basis_for keeps the last pair it built for a weight while the weight lives."""
+    """basis_for keeps the last recurrence it built for a weight while the weight lives."""
 
     def test_repeat_returns_the_same_objects(self, stieltjes_calls):
+        # the recurrence is kept; the rule is built anew on each call, with the same bytes
         for raw in (LEGENDRE, GEN_JACOBI):
             spec = make_weight(raw)
             rec, rule = basis_for(spec, 12)
             again = basis_for(spec, 12)
-            assert again[0] is rec and again[1] is rule
+            assert again[0] is rec and again[0] is markov._BASES[spec].rec
+            assert again[1].nodes.tobytes() == rule.nodes.tobytes()
+            assert again[1].weights.tobytes() == rule.weights.tobytes()
         assert len(stieltjes_calls) == 1
 
     def test_other_degree_or_weight_builds_anew(self, stieltjes_calls):
         spec = make_weight(GEN_JACOBI)
         other = make_weight({**GEN_JACOBI, "scale": 2.0})
         first = basis_for(spec, 12)
-        # a basis of a larger degree has another rule, so it never serves degree 12
+        # a basis of a larger degree has another recurrence, so it never serves degree 12
         bigger, scaled = basis_for(spec, 13), basis_for(other, 12)
         assert stieltjes_calls == [spec, spec, other]
-        assert bigger[1] is not first[1] and scaled[1] is not first[1]
+        assert bigger[0] is not first[0] and scaled[0] is not first[0]
         assert scaled[0].weight_id == other.weight_id
 
     def test_keeps_one_degree_per_weight(self, stieltjes_calls):
@@ -870,8 +928,8 @@ class TestBasisTable:
     def test_nothing_outlives_the_weight(self):
         spec = make_weight(GEN_JACOBI)
         first = basis_for(spec, 12)
-        # an equal weight shares the pair while one of them is alive
-        assert basis_for(make_weight(GEN_JACOBI), 12)[1] is first[1]
+        # an equal weight shares the recurrence while one of them is alive
+        assert basis_for(make_weight(GEN_JACOBI), 12)[0] is first[0]
         del spec, first
         assert len(markov._BASES) == 0
 
@@ -893,40 +951,56 @@ STIELTJES_WEIGHTS = RANGE_WEIGHTS[4:]
 
 
 class TestFusedBasis:
-    """Every basis takes its rule weights and its residual table from one pass."""
+    """One kept basis, a recurrence and D_N, serves every range, and basis_for's rule.
+
+    No basis keeps a Gauss rule or a table of the p_k^(d): the residual reads
+    D_N by Parseval, and ``basis_for`` builds the Christoffel rule of the kept
+    recurrence when it is called.
+    """
 
     @pytest.mark.parametrize("raw", FUSED_WEIGHTS + STIELTJES_WEIGHTS,
                              ids=lambda raw: raw["family"])
     def test_rule_matches_the_christoffel_rule(self, raw):
+        # the (n+2)-point Gauss rule of the kept recurrence, which integrates
+        # p_j p_k, j, k <= n+1, exactly: measured within 5.4e-14 of the
+        # identity (gen_hermite, n = 60), so 1e-12 leaves a margin of 18x
+        from markovsharp.orthopoly import eval_orthonormal
         from markovsharp.quadrature import _gauss_rules
 
         spec = make_weight(raw)
         for n in (1, 7, 40, 60):
-            kept = markov._kept(spec, [n], 1)
-            rec, rule, m = kept.rec, kept.rule, n + 2
-            nodes, weights, _ = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
+            rec, rule = basis_for(spec, n)
+            assert rec is markov._BASES[spec].rec
+            m = n + 2
+            nodes, weights = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
             assert rule.nodes.tobytes() == nodes[0].tobytes()
             assert rule.weights.tobytes() == weights[0].tobytes()
+            table = eval_orthonormal(rec, rule.nodes, n + 1)
+            gram = (table * rule.weights) @ table.T
+            np.testing.assert_allclose(gram, np.eye(m), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("raw", FUSED_WEIGHTS + STIELTJES_WEIGHTS,
                              ids=lambda raw: raw["family"])
     def test_table_rows_equal_eval_derivative_table(self, raw):
+        # Parseval holds because column k of D^d holds the coefficients of
+        # p_k^(d): the table that D_N gives from the values of the p_i matches
+        # the differentiated recurrence at every order the residual reads,
+        # within 1e-13 of each row's largest entry (6.6e-15 measured, n = 30)
         from markovsharp.orthopoly import eval_derivative_table
 
         spec, n = make_weight(raw), 30
-        for order in range(markov.MAX_SOBOLEV_ORDER + 2):
-            markov._BASES.clear()
-            kept = markov._kept(spec, [n], order)
-            # the table of the pass that built the rule, not one built afterwards
-            assert kept.table is markov._BASES[spec].table
-            assert kept.table.shape == (order + 1, n + 2, n + 2)
-            want = eval_derivative_table(kept.rec, kept.rule.nodes, n + 1, order)
-            assert kept.table.tobytes() == want.tobytes()
+        rec, rule = basis_for(spec, n)
+        mat = markov._BASES[spec].mat
+        want = eval_derivative_table(rec, rule.nodes, n, markov.MAX_SOBOLEV_ORDER + 1)
+        got = want[0]
+        for d in range(1, markov.MAX_SOBOLEV_ORDER + 2):
+            got = mat.T @ got
+            scale = np.max(np.abs(want[d]))
+            np.testing.assert_allclose(got, want[d], rtol=0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("raw", FUSED_WEIGHTS, ids=lambda raw: raw["family"])
     def test_sobolev_after_l2_equals_a_fresh_build(self, raw):
-        # the L2 range builds the basis with an order-1 table, and the Sobolev
-        # range after it needs order 3
+        # the L2 range builds the basis, and the Sobolev range after it reads it
         spec, ns, lams = make_weight(raw), range(4, 41), (1.0, 0.5)
         sharp_constants(spec, ns)
         after_l2 = sharp_constants(spec, ns, lams)
@@ -935,56 +1009,36 @@ class TestFusedBasis:
 
     @pytest.mark.parametrize("raw", FUSED_WEIGHTS + [GEN_JACOBI], ids=lambda raw: raw["family"])
     def test_l2_after_sobolev_reads_the_kept_table(self, raw):
-        # a sweep's order: the Sobolev range keeps its order-3 table with the
-        # basis, Stieltjes bases included, and the L2 range reads its rows d <= 1
+        # a sweep's order: the L2 range after the Sobolev one reads the same
+        # kept recurrence table and D_N, Stieltjes bases included, and builds nothing
         spec, ns = make_weight(raw), range(4, 41)
         sharp_constants(spec, ns, (1.0, 0.5))
-        kept = markov._BASES[spec].table
-        assert kept.shape[:2] == (4, 42)
+        kept = markov._BASES[spec]
         after_sobolev = sharp_constants(spec, ns)
-        assert markov._BASES[spec].table is kept
+        assert markov._BASES[spec] is kept
         markov._BASES.clear()
         assert _fields(after_sobolev) == _fields(sharp_constants(spec, ns))
-        # its rows d <= 1 are the bytes of the order-1 table a fresh L2 range keeps
-        assert kept[:2].tobytes() == markov._BASES[spec].table.tobytes()
 
     @pytest.mark.parametrize("lams", [(), (1.0, 0.5)])
     @pytest.mark.parametrize("raw", FUSED_WEIGHTS + STIELTJES_WEIGHTS,
                              ids=lambda raw: raw["family"])
-    def test_one_pass_per_range(self, raw, lams, monkeypatch):
-        # the basis makes its rule and table in one _gauss_rules pass at the
-        # order the range needs, one kernel run; the Stieltjes ladder's
-        # reference rules run the kernel outside that pass
-        from markovsharp import _kernels
-
-        kernel_runs, passes = [], []
-        kernel, gauss_rules = _kernels.deriv_tables, markov._gauss_rules
-
-        def counted_kernel(*args):
-            kernel_runs.append(1)
-            return kernel(*args)
-
-        def counted_pass(tables, order=None):
-            before = len(kernel_runs)
-            out = gauss_rules(tables, order)
-            passes.append((order, len(kernel_runs) - before))
-            return out
-
-        monkeypatch.setattr(_kernels, "deriv_tables", counted_kernel)
-        monkeypatch.setattr(markov, "_gauss_rules", counted_pass)
+    def test_one_pass_per_range(self, raw, lams, outside_ladder):
+        # a range builds its basis and checks every degree on D_N: outside the
+        # Stieltjes ladder it builds no Gauss rule and runs no table kernel,
+        # and a classical basis runs them nowhere
         spec = make_weight(raw)
         sharp_constants(spec, range(4, 41), lams)
-        assert passes == [(len(lams) + 1, 1)]
-        if closed_form(spec) is not None:  # a classical basis runs the kernel nowhere else
-            assert len(kernel_runs) == 1
+        assert outside_ladder == {"_gauss_rules": 0, "deriv_tables": 0}
+        # the counters see a rule that is built: basis_for's
+        basis_for(spec, 40)
+        assert outside_ladder == {"_gauss_rules": 1, "deriv_tables": 1}
 
 
 class TestMirsky:
     @pytest.mark.parametrize("lams", [(), (1.0, 0.5)])
     @pytest.mark.parametrize("raw", FUSED_WEIGHTS + [GEN_JACOBI], ids=lambda raw: raw["family"])
     def test_range_after_mirsky_equals_a_fresh_range(self, raw, lams):
-        # Mirsky keeps the basis, without a rule for a classical weight, and
-        # the range after it builds what it needs into that same basis
+        # Mirsky keeps the basis, and the range after it reads that same basis
         spec, ns = make_weight(raw), range(4, 41)
         markov.mirsky_bounds(spec, ns)
         rec = markov._BASES[spec].rec

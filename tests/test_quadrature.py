@@ -177,9 +177,9 @@ class TestReferenceRules:
                 log.append((mat.shape[0], mat.diagonal().tobytes() + mat.diagonal(-1).tobytes()))
             return eigvalsh(a)
 
-        def counted_gauss_rules(tables, *order):
+        def counted_gauss_rules(tables):
             batches.append(len(tables))
-            return gauss_rules(tables, *order)
+            return gauss_rules(tables)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         monkeypatch.setattr(quad, "_gauss_rules", counted_gauss_rules)
@@ -212,7 +212,7 @@ class TestReferenceRules:
         assert [m for m, _ in log if m > widest] == [base + 2 * ((base + 1) // 2)]
         # the same stabilized_stieltjes(spec, 41) build solves the same matrices
         # again: no rule outlives the build, so its cost does not depend on it.
-        # The basis adds one matrix, the 42-point Jacobi matrix of its own rule
+        # basis_for adds one matrix, the 42-point Jacobi matrix of the rule it builds
         log.clear()
         rec, _ = basis_for(spec, 40)
         own = (42, rec.diag.tobytes() + rec.offdiag.tobytes())
@@ -239,8 +239,8 @@ class TestReferenceRules:
 
         batches, gauss_rules = [], quad._gauss_rules
 
-        def recorded(tables, *order):
-            out = gauss_rules(tables, *order)
+        def recorded(tables):
+            out = gauss_rules(tables)
             batches.append((tables, out))
             return out
 
@@ -249,7 +249,7 @@ class TestReferenceRules:
         for raw in (self.SPEC, gen_hermite):
             composite_rules(make_weight(raw), 61, (0, 1))
         assert len(batches) == 2
-        for tables, (nodes, weights, _) in batches:
+        for tables, (nodes, weights) in batches:
             for row, (diag, offdiag, mass) in enumerate(tables):
                 x = nodes[row, : diag.shape[0]]
                 p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
@@ -298,7 +298,7 @@ class TestPieceRules:
 
     def test_nodes_match_scipy(self, stack):
         roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
-        nodes, _, _ = stack
+        nodes, _ = stack
         for row, (m, al, be) in enumerate(PIECE_CASES):
             want, _ = roots_jacobi(m, al, be)
             np.testing.assert_allclose(nodes[row, :m], want, rtol=0, atol=1e-13)
@@ -307,7 +307,7 @@ class TestPieceRules:
         # scipy's own weights lose digits with m: against the 30-digit
         # reference they are off by up to 2e-11 at m=60 and 3e-9 at m=286
         roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
-        _, weights, _ = stack
+        _, weights = stack
         for row, (m, al, be) in enumerate(PIECE_CASES):
             if m == 5:
                 _, want = roots_jacobi(m, al, be)
@@ -315,7 +315,7 @@ class TestPieceRules:
 
     def test_weights_match_mpmath(self, stack):
         mpmath = pytest.importorskip("mpmath")
-        nodes, weights, _ = stack
+        nodes, weights = stack
         with mpmath.workdps(40):
             for row, (m, al, be) in enumerate(PIECE_CASES):
                 for j in sorted({0, 1, m // 2, m - 2, m - 1}):
@@ -328,21 +328,19 @@ class TestPieceRules:
     def test_rules_of_mixed_sizes_equal_each_rule_alone(self):
         """Rules of 3, 9, 9 and 14 points in one batch are, byte for byte, each
         rule built alone, zero past its size, in whatever order they are
-        listed; listed by size, the last run and its table are the 14-point
-        rule's."""
+        listed."""
         from markovsharp.orthopoly import _laguerre_coefficients
 
         tables = [_jacobi_coefficients(0.5, -0.3, 2), _laguerre_coefficients(1.2, 8),
                   _jacobi_coefficients(-0.6, 0.0, 8), _jacobi_coefficients(2.5, 0.0, 13)]
-        alone = [_gauss_rules([rec], 2) for rec in tables]
+        alone = [_gauss_rules([rec]) for rec in tables]
         for listed in ([0, 1, 2, 3], [3, 1, 0, 2]):
-            nodes, weights, table = _gauss_rules([tables[i] for i in listed], 2)
+            nodes, weights = _gauss_rules([tables[i] for i in listed])
             for row, i in enumerate(listed):
                 m = tables[i][0].shape[0]
                 assert nodes[row, :m].tobytes() == alone[i][0].tobytes()
                 assert weights[row, :m].tobytes() == alone[i][1].tobytes()
                 assert not nodes[row, m:].any() and not weights[row, m:].any()
-        assert _gauss_rules(tables, 2)[2].tobytes() == alone[3][2].tobytes()
 
 
 class TestIntegrate:
