@@ -181,10 +181,12 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     ``sharp_constant_l2(spec, n)``, and every range over degrees up to the
     same n (the columns of a sweep, a Mirsky check beside its constants),
     build one recurrence and one D_n.  Only the last degree built for a
-    weight is kept, while that weight (or an equal one) is alive, and
-    nothing outlives the weight, so a request that makes its weight from
-    JSON costs the same whatever requests came before it.  The rule is
-    built on each call and not kept.  Both objects of the pair are
+    weight is kept, while that weight (or an equal one) is alive, and no
+    basis outlives the weight, so a request that makes its weight from JSON
+    gets the same results whatever requests came before it.  Its cost can
+    fall after them: the Gauss-Legendre and Gauss-Laguerre reference rules
+    of the composite rules are kept per process (``quadrature``).  The rule
+    is built on each call and not kept.  Both objects of the pair are
     immutable.
     """
     rec = _kept(spec, [n]).rec

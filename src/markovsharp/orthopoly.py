@@ -42,14 +42,18 @@ def max_degree_cap() -> int:
     """Degree cap for recurrence/sharp-constant computations.
 
     Defaults to 60 (double precision keeps the recurrences healthy there);
-    override with the MARKOVSHARP_MAX_N environment variable.
+    override with the MARKOVSHARP_MAX_N environment variable, a positive
+    integer.
     """
     raw = os.environ.get("MARKOVSHARP_MAX_N", "")
     if raw:
         try:
-            return int(raw)
+            cap = int(raw)
         except ValueError as exc:
             raise WeightError(f"MARKOVSHARP_MAX_N is not an integer: {raw!r}") from exc
+        if cap < 1:
+            raise WeightError(f"MARKOVSHARP_MAX_N must be a positive integer: {raw!r}")
+        return cap
     return DEFAULT_MAX_N
 
 

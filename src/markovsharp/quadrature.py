@@ -15,19 +15,26 @@ exactly, so nothing is truncated.
 The piece rules are affine images of reference Gauss-Jacobi rules on
 [-1, 1]; those and the tails' reference Gauss-Laguerre rules on [0, inf) are
 built in one batch per ``composite_rules`` call, for all the refinement
-levels it is asked for, and read from that batch in place.
+levels it is asked for.  The only reference rules that outlive a call are
+the Gauss-Legendre (interior and split pieces) and Gauss-Laguerre (tails)
+ones, which depend on their node count alone: the process keeps up to
+REFERENCE_RULES_KEPT of them, read-only, and a call's batch holds only the
+rules it does not find there.  A rule does not depend on its batch, so the
+store changes what a call costs, never what it returns.
 ``stabilized_stieltjes`` gives a generalized weight with no closed form its
 recurrence: the discretized Stieltjes procedure on the composite rules,
 refined level by level until two levels agree.  It returns the recurrence
-alone, and no rule outlives it.  A basis checks its constants without a
-rule, by Parseval on its derivative matrix, and ``markov.basis_for`` builds
-the Gauss rule of its recurrence only when called.  This module imports only
-``errors``, ``_kernels`` and ``orthopoly``.
+alone, and no composite rule outlives it.  A basis checks its constants
+without a rule, by Parseval on its derivative matrix, and
+``markov.basis_for`` builds the Gauss rule of its recurrence only when
+called.  This module imports only ``errors``, ``_kernels`` and
+``orthopoly``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import namedtuple
 
 import numpy as np
@@ -41,6 +48,13 @@ TAIL_GAP = 4.0  # the tails start this far beyond the outermost singular point
 MAX_PIECE_NODES = 2000  # a dense Jacobi matrix of this size takes 32 MB
 STABILIZE_TOL = 1e-12
 MAX_REFINE = 6
+# Gauss-Legendre and Gauss-Laguerre reference rules kept per process: at most
+# 8 MB at MAX_PIECE_NODES, and more than the distinct sizes of n <= 40 requests
+REFERENCE_RULES_KEPT = 256
+
+# ("laguerre", m) or (0.0, 0.0, m) -> read-only (nodes, weights) of that reference rule
+_REFERENCE = {}
+_REFERENCE_LOCK = threading.Lock()
 
 
 class QuadRule(namedtuple("QuadRule", "nodes weights")):
@@ -261,6 +275,40 @@ def _tail_rule(spec: WeightSpec, start: float, s, w):
     return x, weights
 
 
+def _reference_rules(keys):
+    """Reference rules of the distinct ``keys``, in order: (nodes, weights), zero-padded.
+
+    The keys are ``composite_rules``'s, listed in increasing node count.  Those
+    not in ``_REFERENCE`` go to one ``_gauss_rules`` batch, in the same
+    order; its Gauss-Legendre and Gauss-Laguerre rows, which no weight
+    changes, go into the store as read-only copies, and the oldest entries
+    leave it past REFERENCE_RULES_KEPT.  A rule does not depend on its
+    batch, so a row reads the same from the store as from the batch.
+    """
+    with _REFERENCE_LOCK:
+        rules = {key: _REFERENCE[key] for key in keys if key in _REFERENCE}
+    missing = [key for key in keys if key not in rules]
+    if missing:
+        nodes, weights = _gauss_rules([
+            _laguerre_coefficients(0.0, key[1] - 1) if key[0] == "laguerre"
+            else _jacobi_coefficients(key[0], key[1], key[2] - 1) for key in missing
+        ])
+        for r, key in enumerate(missing):
+            rules[key] = (nodes[r, : key[-1]].copy(), weights[r, : key[-1]].copy())
+            for a in rules[key]:
+                a.setflags(write=False)
+        with _REFERENCE_LOCK:
+            _REFERENCE.update((key, rules[key]) for key in missing
+                              if key[0] == "laguerre" or key[:2] == (0.0, 0.0))
+            for key in list(_REFERENCE)[: max(0, len(_REFERENCE) - REFERENCE_RULES_KEPT)]:
+                del _REFERENCE[key]
+    ref_nodes = np.zeros((len(keys), max(key[-1] for key in keys)))
+    ref_weights = np.zeros_like(ref_nodes)
+    for row, key in enumerate(keys):
+        ref_nodes[row, : key[-1]], ref_weights[row, : key[-1]] = rules[key]
+    return ref_nodes, ref_weights
+
+
 def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     """Singularity-respecting rules for a generalized weight, one per level in ``levels``.
 
@@ -278,9 +326,11 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     the classical Gauss-Jacobi rules for (1-t)^g_hi (1+t)^g_lo on [-1, 1],
     one per key (g_hi, g_lo, m), and the Gauss-Laguerre rules for e^-s on
     [0, inf), one per key ("laguerre", m).  Those of all the listed levels
-    are built in one ``_gauss_rules`` batch and each level reads its rows of
-    it in place; since a rule does not depend on its batch, each level's rule
-    is the one it gets when built alone.  No reference rule outlives the call.
+    come from ``_reference_rules``: one ``_gauss_rules`` batch of the keys
+    the process does not keep, and the kept Gauss-Legendre (0.0, 0.0, m) and
+    Gauss-Laguerre rules.  Since a rule does not depend on its batch, each
+    level's rule is the one it gets when built alone, from any store.  The
+    rules whose exponents come from the weight die with the call.
     """
     if spec.family not in GENERALIZED_FAMILIES:
         raise WeightError(f"composite_rules needs a generalized family, got {spec.family!r}")
@@ -322,10 +372,7 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     row_of = {key: row for row, key in enumerate(sorted(dict.fromkeys(list(tails.values()) + [
         (g_hi, g_lo, m) for pieces in layouts for _, _, g_lo, g_hi, m in pieces
     ]), key=lambda key: key[-1]))}
-    ref_nodes, ref_weights = _gauss_rules([
-        _laguerre_coefficients(0.0, key[1] - 1) if key[0] == "laguerre"
-        else _jacobi_coefficients(key[0], key[1], key[2] - 1) for key in row_of
-    ])
+    ref_nodes, ref_weights = _reference_rules(row_of)
 
     rules = []
     for level, pieces in zip(levels, layouts):
@@ -387,12 +434,15 @@ def stabilized_stieltjes(spec: WeightSpec, n: int):
     into 2^L equal parts with the same node count, so each level doubles the
     nodes.  Every stabilization compares levels 0 and 1, so one
     ``composite_rules`` call builds both from one batch of reference rules;
-    each later level is built alone.  Each level runs ``_kernels.stieltjes``
-    on its rule's arrays; a rule of n or fewer nodes raises QuadratureError
-    first, since the kernel would return a last b_k of roundoff size rather
-    than fail.  Accepts once two consecutive levels give coefficients within
-    1e-12 relative of each other (at most 6 refinements, else an error).
-    Returns the accepted table; no rule outlives the ladder.
+    each later level is built alone.  The Gauss-Legendre and Gauss-Laguerre
+    reference rules of every level may come from the process's store, so a
+    ladder can cost less after others, and returns the same table.  Each
+    level runs ``_kernels.stieltjes`` on its rule's arrays; a rule of n or
+    fewer nodes raises QuadratureError first, since the kernel would return
+    a last b_k of roundoff size rather than fail.  Accepts once two
+    consecutive levels give coefficients within 1e-12 relative of each other
+    (at most 6 refinements, else an error).
+    Returns the accepted table; no composite rule outlives the ladder.
     """
     prev, degree, weight_id = None, 2 * n + 1, spec.weight_id
     first = composite_rules(spec, degree, (0, 1))

@@ -482,6 +482,32 @@ class TestSobolev:
             SobolevSpec((-1.0,))
 
 
+class TestLargeLambda:
+    """For one lambda, S_n(lambda) -> sigma_{n-1} as lambda -> inf, and
+    S_n(lambda)/sigma_{n-1} - 1 falls as 1/lambda: the norm forces the
+    extremal polynomial's top coefficient to 0 at rate 1/lambda."""
+
+    WEIGHTS = [
+        LEGENDRE,
+        {"family": "laguerre", "alpha": 1.5},
+        {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]},
+        GEN_JACOBI,
+    ]
+
+    @pytest.mark.parametrize("raw", WEIGHTS, ids=lambda raw: raw["family"])
+    def test_scaled_gap_settles(self, raw):
+        spec = make_weight(raw)
+        ns = [5, 12, 20]
+        sigma = [res.value for res in sharp_constants(spec, [n - 1 for n in ns])]
+        scaled = {
+            lam: [lam * (res.value / s - 1) for res, s in zip(sharp_constants(spec, ns, (lam,)), sigma)]
+            for lam in (1e4, 1e6)
+        }
+        # 2e-4 apart at most (Laguerre, n = 5), as the 1/lambda^2 term predicts
+        for n, a, b in zip(ns, scaled[1e4], scaled[1e6]):
+            assert a != 0 and abs(a / b - 1) <= 1e-3, (n, a, b)
+
+
 class TestZeroLambdas:
     """Trailing zero Sobolev weights add nothing, so they take the shorter path."""
 

@@ -374,3 +374,8 @@ class TestInvariants:
         monkeypatch.setenv("MARKOVSHARP_MAX_N", "junk")
         with pytest.raises(WeightError):
             max_degree_cap()
+        # a cap below 1 admits no degree, so it is bad input, named as such
+        for raw in ("0", "-3"):
+            monkeypatch.setenv("MARKOVSHARP_MAX_N", raw)
+            with pytest.raises(WeightError, match=f"must be a positive integer: '{raw}'"):
+                max_degree_cap()

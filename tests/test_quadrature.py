@@ -157,16 +157,38 @@ class TestCompositeRule:
             assert np.sum(rule.weights) == pytest.approx(4 / 3, rel=1e-12)
 
 
+def _weight_free(log):
+    """The (size, entries) of ``log`` that are Gauss-Legendre or Gauss-Laguerre Jacobi matrices."""
+    from markovsharp.orthopoly import _laguerre_coefficients
+
+    def entries(table):
+        return table[0].tobytes() + table[1].tobytes()
+
+    return [(m, e) for m, e in log if e in (entries(_jacobi_coefficients(0.0, 0.0, m - 1)),
+                                             entries(_laguerre_coefficients(0.0, m - 1)))]
+
+
 class TestReferenceRules:
     """composite_rules builds the [-1, 1] Gauss-Jacobi and Gauss-Laguerre
-    reference rules of all its levels in one batch, private to the call."""
+    reference rules of all its levels in one batch, but for the Gauss-Legendre
+    and Gauss-Laguerre rules the process already keeps."""
 
     SPEC = {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]}
 
     @pytest.fixture
-    def solved(self, monkeypatch):
+    def empty_store(self, monkeypatch):
+        """An empty store of kept reference rules for the test, the cold case;
+        the process's own store is back afterwards."""
+        import markovsharp.quadrature as quad
+
+        store = {}
+        monkeypatch.setattr(quad, "_REFERENCE", store)
+        return store
+
+    @pytest.fixture
+    def solved(self, monkeypatch, empty_store):
         """Record (size, entries) of every Jacobi matrix eigvalsh solves, and
-        the size of every _gauss_rules batch."""
+        the size of every _gauss_rules batch, from an empty store."""
         import markovsharp.quadrature as quad
 
         log, batches = [], []
@@ -185,7 +207,7 @@ class TestReferenceRules:
         monkeypatch.setattr(quad, "_gauss_rules", counted_gauss_rules)
         return log, batches
 
-    def test_each_rule_solved_once(self, solved):
+    def test_each_rule_solved_once(self, solved, empty_store):
         from markovsharp.markov import basis_for
         from markovsharp.quadrature import stabilized_stieltjes
 
@@ -195,28 +217,39 @@ class TestReferenceRules:
         # accepted at level 1, from the one batch that builds levels 0 and 1
         assert len(batches) == 1
         assert len({entries for _, entries in log}) == len(log)  # no matrix solved twice
-        first = sorted(log)
-        # the matrices of levels 0 and 1, as each level built alone solves them
+        first, kept = sorted(log), dict(empty_store)
+        # the matrices of levels 0 and 1, as each level built alone from an
+        # empty store solves them
+        empty_store.clear()
         log.clear()
         composite_rules(spec, 83, (1,))
         level_1 = set(log)
+        empty_store.clear()
         log.clear()
         composite_rules(spec, 83, (0,))
         assert set(first) == level_1 | set(log)
         # refinement splits pieces and keeps their node counts; the one rule
         # larger than level 0's is level 2's own Gauss-Laguerre tail
         widest = max(m for m, _ in log)
+        empty_store.clear()
         log.clear()
         composite_rules(spec, 83, (2,))
         base = 83 // 2 + 9
         assert [m for m, _ in log if m > widest] == [base + 2 * ((base + 1) // 2)]
-        # the same stabilized_stieltjes(spec, 41) build solves the same matrices
-        # again: no rule outlives the build, so its cost does not depend on it.
-        # basis_for adds one matrix, the 42-point Jacobi matrix of the rule it builds
+        # a second stabilized_stieltjes(spec, 41) build, on the store the first
+        # left, solves exactly the weight-dependent matrices of the first: the
+        # Gauss-Legendre and Gauss-Laguerre rules come from the store, and no
+        # other rule outlives the build.  basis_for adds one matrix, the
+        # 42-point Jacobi matrix of the rule it builds
+        weight_free = _weight_free(first)
+        assert weight_free and len(weight_free) < len(first)
+        assert sorted(key[-1] for key in kept) == sorted(m for m, _ in weight_free)
+        empty_store.clear()
+        empty_store.update(kept)
         log.clear()
         rec, _ = basis_for(spec, 40)
         own = (42, rec.diag.tobytes() + rec.offdiag.tobytes())
-        assert sorted(log) == sorted(first + [own])
+        assert sorted(log) == sorted([e for e in first if e not in weight_free] + [own])
 
     def test_results_independent_of_table(self):
         """A rule's bytes do not depend on the other rules its batch's table holds."""
@@ -262,7 +295,7 @@ class TestReferenceRules:
                     total += p * p
                 assert weights[row, : diag.shape[0]].tobytes() == (1.0 / total).tobytes()
 
-    def test_batch_memory_stays_near_the_eigensolve(self, monkeypatch):
+    def test_batch_memory_stays_near_the_eigensolve(self, monkeypatch, empty_store):
         """A wide gen_hermite batch (rules of 50 to 463 points, three of 463)
         pads only rules of close sizes into one kernel pass and squares the
         table in place, so its traced peak stays near the dense Jacobi
@@ -287,6 +320,120 @@ class TestReferenceRules:
             tracemalloc.stop()
         assert shapes == [(2, 75), (3, 147), (3, 463)]
         assert peak <= 1.3 * 3 * 463 * 463 * 8
+
+
+class TestReferenceStore:
+    """The Gauss-Legendre and Gauss-Laguerre reference rules, which no weight
+    changes, are kept per process in a bounded store of read-only arrays."""
+
+    WEIGHTS = [
+        {"family": "gen_jacobi", "interval": [-1, 2], "singularities": [[0.0, 0.5], [1.0, -0.3]]},
+        TestReferenceRules.SPEC,
+        {"family": "gen_hermite", "singularities": [[-1.0, 0.5], [0.5, 1.5]]},
+    ]
+    # the same singular points with other exponents: the same pieces and tails
+    OTHERS = [
+        {"family": "gen_jacobi", "interval": [-1, 2], "singularities": [[0.0, -0.4], [1.0, 1.2]]},
+        {"family": "gen_laguerre", "singularities": [[0.0, 0.7], [1.0, 2.5]]},
+        {"family": "gen_hermite", "singularities": [[-1.0, -0.2], [0.5, 0.3]]},
+    ]
+
+    empty_store = TestReferenceRules.empty_store
+    solved = TestReferenceRules.solved
+
+    @pytest.mark.parametrize("raw, other", list(zip(WEIGHTS, OTHERS)), ids=lambda raw: raw["family"])
+    def test_rules_independent_of_the_store(self, solved, empty_store, raw, other):
+        """A weight's composite rules are byte for byte the same from an empty
+        store and from one that other weights filled."""
+        log, _ = solved
+        spec = make_weight(raw)
+        cold = composite_rules(spec, 41, (0, 1, 2))
+        cold_solves = len(log)
+        empty_store.clear()
+        for degree in (41, 23):
+            composite_rules(make_weight(other), degree, (0, 1, 2))
+        log.clear()
+        warm = composite_rules(spec, 41, (0, 1, 2))
+        assert 0 < len(log) < cold_solves  # the store served some rules, not every one
+        for a, b in zip(cold, warm):
+            assert a.nodes.tobytes() == b.nodes.tobytes()
+            assert a.weights.tobytes() == b.weights.tobytes()
+
+    def test_stored_arrays_are_read_only(self, empty_store):
+        for raw in self.WEIGHTS:
+            composite_rules(make_weight(raw), 31, (0, 1))
+        assert {key[0] for key in empty_store} == {0.0, "laguerre"}
+        for key, (nodes, weights) in empty_store.items():
+            assert nodes.shape == weights.shape == (key[-1],)
+            for a in (nodes, weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+
+    def test_store_stays_within_its_bound(self, monkeypatch, empty_store):
+        import markovsharp.quadrature as quad
+
+        assert len(quad._REFERENCE) <= quad.REFERENCE_RULES_KEPT
+        want = [composite_rules(make_weight(raw), 41, (0, 1)) for raw in self.WEIGHTS]
+        monkeypatch.setattr(quad, "REFERENCE_RULES_KEPT", 3)
+        empty_store.clear()
+        for _ in range(2):
+            for raw, rules in zip(self.WEIGHTS, want):
+                got = composite_rules(make_weight(raw), 41, (0, 1))
+                assert 0 < len(empty_store) <= 3
+                # a rule that left the store is built again, to the same bytes
+                for a, b in zip(rules, got):
+                    assert a.nodes.tobytes() == b.nodes.tobytes()
+                    assert a.weights.tobytes() == b.weights.tobytes()
+
+    def test_concurrent_calls_share_the_store(self, monkeypatch, empty_store):
+        """Threads that build rules at once, with a store small enough to evict
+        on every call, get each rule's bytes and leave the store in bound."""
+        import os
+        import sys
+        import threading
+
+        import markovsharp.quadrature as quad
+
+        want = [composite_rules(make_weight(raw), 41, (0, 1)) for raw in self.WEIGHTS + self.OTHERS]
+        monkeypatch.setattr(quad, "REFERENCE_RULES_KEPT", 4)
+        empty_store.clear()
+        failures, done = [], []
+
+        def build(first):
+            try:
+                for i in range(3 * len(want)):
+                    k = (first + i) % len(want)
+                    got = composite_rules(make_weight((self.WEIGHTS + self.OTHERS)[k]), 41, (0, 1))
+                    if any(a.nodes.tobytes() != b.nodes.tobytes()
+                           or a.weights.tobytes() != b.weights.tobytes() for a, b in zip(want[k], got)):
+                        failures.append(k)
+                done.append(first)
+            except Exception as exc:  # reported below, with the thread that raised it
+                failures.append(exc)
+
+        count = min(32, 2 * (os.cpu_count() or 1) + 2)  # more threads than cores
+        threads = [threading.Thread(target=build, args=(t,)) for t in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == [] and len(done) == len(threads)
+        assert 0 < len(empty_store) <= 4
+
+    def test_second_weight_solves_no_weight_free_matrix(self, solved):
+        log, _ = solved
+        spec, other = (make_weight(raw) for raw in (self.WEIGHTS[1], self.OTHERS[1]))
+        composite_rules(spec, 83, (0, 1))
+        assert _weight_free(log)
+        log.clear()
+        composite_rules(other, 83, (0, 1))
+        assert log and not _weight_free(log)
 
 
 class TestPieceRules:
