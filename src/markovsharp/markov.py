@@ -45,19 +45,22 @@ round differently, so the values agree with a single degree to 1e-11
 relative and to a high-precision reference as closely as single degrees do.
 ``sharp_constants`` and ``mirsky_bounds`` are these range paths; the
 single-degree functions call them with one degree.  The basis of the last
-degree N asked for is kept while its weight is alive, so every range up to
-the same N (the columns of a sweep, a Mirsky check beside its constants)
-and ``basis_for``, which the extremal evaluator reads after its constant,
-share one recurrence and one D_N.  No Gauss rule is kept: ``basis_for``
-builds the (N+2)-point rule of the recurrence each time it is called.
+degree N asked for is kept per process under the weight's ``weight_id``, so
+every range up to the same N (the columns of a sweep, a Mirsky check beside
+its constants) and ``basis_for``, which the extremal evaluator reads after
+its constant, share one recurrence and one D_N, also when each call makes
+its weight afresh from JSON.  The least recently used bases leave once
+their arrays exceed BASES_KEPT_BYTES.  A basis is a pure function of the
+weight_id and N, so what ran before changes what a call costs, never what
+it returns.  No Gauss rule is kept: ``basis_for`` builds the (N+2)-point
+rule of the recurrence each time it is called.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import weakref
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 
@@ -67,6 +70,7 @@ from .linalg import _fix_sign, solve_triangular
 from .orthopoly import (
     RecurrenceTable,
     WeightSpec,
+    _as_float,
     _symmetric,
     closed_form,
     eval_orthonormal,
@@ -77,12 +81,29 @@ from .quadrature import QuadRule, gauss_rule, stabilized_stieltjes
 
 RESIDUAL_TOL = 1e-8
 MAX_SOBOLEV_ORDER = 4
+# Bytes of recurrence and D_n arrays the process keeps; 4 MB holds about 300
+# bases at n = 40 and 3 at n = 400
+BASES_KEPT_BYTES = 4 * 1024 * 1024
 
 # The basis kept for one weight and top degree n: the recurrence to n+1 and D_n
 _Basis = namedtuple("_Basis", "n rec mat")
-# WeightSpec -> its _Basis
-_BASES = weakref.WeakKeyDictionary()
+# weight_id -> its _Basis, least recently used first; _BASES_BYTES is the
+# running total of their arrays' bytes
+_BASES = OrderedDict()
+_BASES_BYTES = 0
 _BASES_LOCK = threading.Lock()
+
+
+def _lambda_values(lambdas) -> tuple[float, ...]:
+    """``lambdas`` as a tuple of floats: not a string, each item a number and not a bool."""
+    # a string iterates character by character, and "10" is not (1.0, 0.0)
+    if isinstance(lambdas, (str, bytes)):
+        raise WeightError(f"lambdas must be a sequence of numbers, got {lambdas!r}")
+    try:
+        values = tuple(lambdas)
+    except TypeError as exc:
+        raise WeightError(f"lambdas must be a sequence of numbers, got {lambdas!r}") from exc
+    return tuple(_as_float(v, "lambda", finite=False) for v in values)
 
 
 class SobolevSpec(namedtuple("SobolevSpec", "lambdas")):
@@ -95,7 +116,7 @@ class SobolevSpec(namedtuple("SobolevSpec", "lambdas")):
     __slots__ = ()
 
     def __new__(cls, lambdas):
-        lams = tuple(float(v) for v in lambdas)
+        lams = _lambda_values(lambdas)
         if len(lams) < 1:
             raise WeightError("need at least one lambda (k >= 1)")
         if any(not (v >= 0 and math.isfinite(v)) for v in lams):
@@ -150,26 +171,42 @@ def _top_degree(ns) -> int:
     return top
 
 
+def _nbytes(basis: _Basis) -> int:
+    return basis.rec.diag.nbytes + basis.rec.offdiag.nbytes + basis.mat.nbytes
+
+
 def _kept(spec: WeightSpec, ns) -> _Basis:
     """The kept basis of ``spec`` for the degrees ``ns``: the ``_Basis`` of N = max(ns).
 
     A kept entry for N is read as it is; otherwise ``closed_form`` decides,
     once, how the recurrence to N+1 is built: by its closed form, whose mass
     is checked here, or by ``stabilized_stieltjes``.  D_N is built with it,
-    and the entry is kept as ``basis_for`` describes.
+    and the entry is kept as ``basis_for`` describes: under the weight's
+    ``weight_id``, in place of the entry for another N, as the most recently
+    used.  Least recently used entries then leave while the arrays kept
+    exceed BASES_KEPT_BYTES, all but the newest.
     """
-    top = _top_degree(ns)
+    global _BASES_BYTES
+    top, key = _top_degree(ns), spec.weight_id
     with _BASES_LOCK:
-        kept = _BASES.get(spec)
-    if kept is None or kept.n != top:
-        if closed_form(spec) is None:
-            rec = stabilized_stieltjes(spec, top + 1)
-        else:
-            rec = recurrence_classical(spec, top + 1)
-            _kernels._p0(rec.mass)
-        kept = _Basis(top, rec, derivative_matrix(rec, top))
-        with _BASES_LOCK:
-            _BASES[spec] = kept
+        kept = _BASES.get(key)
+        if kept is not None and kept.n == top:
+            _BASES.move_to_end(key)
+            return kept
+    if closed_form(spec) is None:
+        rec = stabilized_stieltjes(spec, top + 1)
+    else:
+        rec = recurrence_classical(spec, top + 1)
+        _kernels._p0(rec.mass)
+    kept = _Basis(top, rec, derivative_matrix(rec, top))
+    with _BASES_LOCK:
+        old = _BASES.pop(key, None)
+        if old is not None:
+            _BASES_BYTES -= _nbytes(old)
+        _BASES[key] = kept
+        _BASES_BYTES += _nbytes(kept)
+        while _BASES_BYTES > BASES_KEPT_BYTES and len(_BASES) > 1:
+            _BASES_BYTES -= _nbytes(_BASES.popitem(last=False)[1])
     return kept
 
 
@@ -180,13 +217,14 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     which also holds D_n, so the extremal evaluator after
     ``sharp_constant_l2(spec, n)``, and every range over degrees up to the
     same n (the columns of a sweep, a Mirsky check beside its constants),
-    build one recurrence and one D_n.  Only the last degree built for a
-    weight is kept, while that weight (or an equal one) is alive, and no
-    basis outlives the weight, so a request that makes its weight from JSON
-    gets the same results whatever requests came before it.  Its cost can
-    fall after them: the Gauss-Legendre and Gauss-Laguerre reference rules
-    of the composite rules are kept per process (``quadrature``).  The rule
-    is built on each call and not kept.  Both objects of the pair are
+    build one recurrence and one D_n.  The process keeps the last degree
+    built for each weight by its ``weight_id``, so a weight made afresh from
+    the same JSON reads the basis an earlier request built, until
+    BASES_KEPT_BYTES of newer bases push it out.  A kept basis is a pure
+    function of the weight_id and n, as are the reference rules of the
+    composite rules (``quadrature``), so a request gets the same results
+    whatever requests came before it; only its cost falls after them.  The
+    rule is built on each call and not kept.  Both objects of the pair are
     immutable.
     """
     rec = _kept(spec, [n]).rec
@@ -248,7 +286,7 @@ def sobolev_gram(mat: np.ndarray, lambdas: tuple[float, ...]) -> np.ndarray:
 
 def _checked_lambdas(lambdas) -> tuple[float, ...]:
     """Validated derivative weights of a Sobolev norm; () is the weighted L2 norm."""
-    lambdas = tuple(lambdas)
+    lambdas = _lambda_values(lambdas)
     return SobolevSpec(lambdas).lambdas if lambdas else ()
 
 

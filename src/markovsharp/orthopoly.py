@@ -60,18 +60,19 @@ def max_degree_cap() -> int:
 class WeightSpec:
     """A validated weight: family, interval, exponents, singular factors, scale.
 
-    Immutable, and equal and hashed by its field tuple.  A slotted class
-    rather than a tuple, because the kept bases are keyed by weak
-    references to it.
+    Immutable, and equal and hashed by its field tuple, so -0.0 and 0.0
+    make equal weights; ``weight_id`` tells them apart, and the kept bases
+    are keyed by it.  A slotted class rather than a tuple, and weakly
+    referable.
     """
 
-    __slots__ = _WEIGHT_FIELDS + ("__weakref__",)
+    __slots__ = _WEIGHT_FIELDS + ("_id", "__weakref__")
 
     def __init__(self, family: str, interval: tuple[float, float], alpha: float = 0.0,
                  beta: float = 0.0, singularities: tuple[tuple[float, float], ...] = (),
                  scale: float = 1.0):
-        values = (family, interval, alpha, beta, singularities, scale)
-        for name, value in zip(_WEIGHT_FIELDS, values):
+        values = (family, interval, alpha, beta, singularities, scale, None)
+        for name, value in zip(_WEIGHT_FIELDS + ("_id",), values):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
@@ -100,7 +101,12 @@ class WeightSpec:
 
     @property
     def weight_id(self) -> str:
-        return json.dumps(weight_to_json(self), sort_keys=True, separators=(",", ":"))
+        # built once per object: the kept bases are looked up by it, and
+        # every recurrence table and extremal evaluator reads it again
+        if self._id is None:
+            wid = json.dumps(weight_to_json(self), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_id", wid)
+        return self._id
 
 
 class RecurrenceTable(namedtuple("RecurrenceTable", "n_max diag offdiag mass weight_id")):

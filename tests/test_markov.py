@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,12 @@ RANGE_WEIGHTS = [
     {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]},
     {"family": "gen_hermite", "singularities": [[-1.0, 0.5], [1.0, 0.5]]},
 ]
+
+
+def _clear_bases():
+    """Empty the basis store the test runs with, and its byte count."""
+    markov._BASES.clear()
+    markov._BASES_BYTES = 0
 
 
 @pytest.fixture
@@ -481,6 +488,19 @@ class TestSobolev:
         with pytest.raises(WeightError):
             SobolevSpec((-1.0,))
 
+    @pytest.mark.parametrize("bad, message", [
+        ("10", "lambdas must be a sequence of numbers, got '10'"),  # not (1.0, 0.0)
+        ([True], "lambda is not a number: True"),  # not (1.0,)
+        ((1, "2"), "lambda is not a number: '2'"),  # not (1.0, 2.0)
+        (5, "lambdas must be a sequence of numbers, got 5"),  # not a bare TypeError
+    ], ids=["string", "bool", "string_item", "number"])
+    def test_lambdas_are_numbers(self, bad, message):
+        # as make_weight takes its numbers: no bool, no string
+        with pytest.raises(WeightError, match=f"^{re.escape(message)}$"):
+            SobolevSpec(bad)
+        with pytest.raises(WeightError, match=f"^{re.escape(message)}$"):
+            sharp_constants(make_weight(HERMITE), [4], bad)
+
 
 class TestLargeLambda:
     """For one lambda, S_n(lambda) -> sigma_{n-1} as lambda -> inf, and
@@ -590,7 +610,7 @@ class TestAchievedRatio:
 
         spec, ns = make_weight(raw), range(1, 21)
         results = sharp_constants(spec, ns, lams)
-        rec = markov._BASES[spec].rec
+        rec = markov._BASES[spec.weight_id].rec
         for res in results:
             rule = gauss_rule(rec, res.n + 2)
             table = eval_derivative_table(rec, rule.nodes, res.n, len(lams) + 1)
@@ -920,7 +940,7 @@ class TestHermiteSobolevClosedForm:
 
 
 class TestBasisTable:
-    """basis_for keeps the last recurrence it built for a weight while the weight lives."""
+    """basis_for keeps the last recurrence it built for each weight, by its weight_id."""
 
     def test_repeat_returns_the_same_objects(self, stieltjes_calls):
         # the recurrence is kept; the rule is built anew on each call, with the same bytes
@@ -928,7 +948,7 @@ class TestBasisTable:
             spec = make_weight(raw)
             rec, rule = basis_for(spec, 12)
             again = basis_for(spec, 12)
-            assert again[0] is rec and again[0] is markov._BASES[spec].rec
+            assert again[0] is rec and again[0] is markov._BASES[spec.weight_id].rec
             assert again[1].nodes.tobytes() == rule.nodes.tobytes()
             assert again[1].weights.tobytes() == rule.weights.tobytes()
         assert len(stieltjes_calls) == 1
@@ -951,13 +971,15 @@ class TestBasisTable:
         assert stieltjes_calls == [spec, spec, spec]
         assert len(markov._BASES) == 1
 
-    def test_nothing_outlives_the_weight(self):
+    def test_outlives_the_weight(self, stieltjes_calls):
         spec = make_weight(GEN_JACOBI)
-        first = basis_for(spec, 12)
-        # an equal weight shares the recurrence while one of them is alive
-        assert basis_for(make_weight(GEN_JACOBI), 12)[0] is first[0]
-        del spec, first
-        assert len(markov._BASES) == 0
+        rec = basis_for(spec, 12)[0]
+        # an equal weight shares the recurrence, and so does one made after
+        # every earlier weight object is gone
+        assert basis_for(make_weight(GEN_JACOBI), 12)[0] is rec
+        del spec
+        assert basis_for(make_weight(GEN_JACOBI), 12)[0] is rec
+        assert list(markov._BASES) == [rec.weight_id] and len(stieltjes_calls) == 1
 
     def test_cached_degree_past_lowered_cap_raises(self, monkeypatch):
         spec = make_weight(HERMITE)
@@ -965,6 +987,152 @@ class TestBasisTable:
         monkeypatch.setenv("MARKOVSHARP_MAX_N", "10")
         with pytest.raises(WeightError, match="degree cap 10"):
             basis_for(spec, 20)
+
+
+class TestBasisStore:
+    """The process keeps each weight's basis by its weight_id, least recently
+    used out first, within BASES_KEPT_BYTES; a kept basis changes what a
+    call costs, never what it returns."""
+
+    # a Stieltjes weight and a classical one, each made afresh from its JSON
+    VERIFY_JOBS = [("gen_jacobi_4", GEN_JACOBI),
+                   ("jacobi_3", {**LEGENDRE, "alpha": 1.0, "beta": 2.0})]
+
+    @pytest.mark.parametrize("case, raw", VERIFY_JOBS, ids=[case for case, _ in VERIFY_JOBS])
+    def test_a_weight_made_afresh_reads_the_kept_entry(self, monkeypatch, case, raw,
+                                                       stieltjes_calls):
+        # a benchmark's or a service's pattern: each job makes its weight from JSON
+        from markovsharp import verify_theorem
+
+        built = []
+        real = markov.derivative_matrix
+        monkeypatch.setattr(markov, "derivative_matrix",
+                            lambda rec, n: built.append(n) or real(rec, n))
+        ns = range(4, 41)
+        sobolev = verify_theorem(case, make_weight(raw), SobolevSpec((1.0, 0.5)), ns)
+        kept = markov._BASES[make_weight(raw).weight_id]
+        l2 = verify_theorem(case, make_weight(raw), SobolevSpec((0.0,)), ns)
+        assert markov._BASES[make_weight(raw).weight_id] is kept and len(markov._BASES) == 1
+        assert built == [40]
+        assert len(stieltjes_calls) == (closed_form(make_weight(raw)) is None)
+        # the same values as a cold store gives each job
+        for lams, check in (((1.0, 0.5), sobolev), ((0.0,), l2)):
+            _clear_bases()
+            cold = verify_theorem(case, make_weight(raw), SobolevSpec(lams), ns)
+            assert cold.sharp_values == check.sharp_values
+
+    def test_results_independent_of_the_store(self):
+        # values, coefficient bytes, residuals, achieved ratios and Mirsky
+        # bounds from an empty store, and from one that every other weight,
+        # and this weight at another degree, filled first
+        ns, lams = range(1, 31), [(), (1.0, 0.5)]
+
+        def fields(raw):
+            spec = make_weight(raw)
+            return ([_fields(sharp_constants(spec, ns, lam)) for lam in lams],
+                    markov.mirsky_bounds(spec, ns))
+
+        cold = []
+        for raw in RANGE_WEIGHTS:
+            _clear_bases()
+            cold.append(fields(raw))
+        _clear_bases()
+        for raw in RANGE_WEIGHTS:
+            basis_for(make_weight(raw), 12)
+            fields(raw)
+        warm = [fields(raw) for raw in RANGE_WEIGHTS]
+        assert warm == cold
+        assert len(markov._BASES) == len(RANGE_WEIGHTS)
+
+    def test_signed_zero_weights_keep_their_own_basis(self):
+        # equal WeightSpecs, distinct weight_ids: each reads a recurrence of its own id
+        a = make_weight({"family": "jacobi", "alpha": 0.0, "beta": 1})
+        b = make_weight({"family": "jacobi", "alpha": -0.0, "beta": 1})
+        assert a == b and a.weight_id != b.weight_id
+        rec_a, _ = basis_for(a, 7)
+        rec_b, _ = basis_for(b, 7)
+        assert (rec_a.weight_id, rec_b.weight_id) == (a.weight_id, b.weight_id)
+        res = sharp_constant_l2(b, 7)
+        assert extremal_polynomial(res, rec_b).achieved_ratio == res.achieved_ratio
+        assert res.value == sharp_constant_l2(a, 7).value
+
+    def test_the_newest_entry_is_kept_alone_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(markov, "BASES_KEPT_BYTES", 1)
+        for raw in RANGE_WEIGHTS:
+            spec = make_weight(raw)
+            sharp_constants(spec, range(4, 21))
+            (kept,) = markov._BASES.values()
+            assert list(markov._BASES) == [spec.weight_id]
+            assert markov._BASES_BYTES == markov._nbytes(kept) > markov.BASES_KEPT_BYTES
+
+    def test_least_recently_used_leave_first(self, monkeypatch):
+        specs = [make_weight(raw) for raw in RANGE_WEIGHTS[:4]]
+        size = markov._nbytes(markov._kept(specs[0], [12]))
+        _clear_bases()
+        monkeypatch.setattr(markov, "BASES_KEPT_BYTES", 3 * size)
+        a, b, c, d = specs
+        for spec in (a, b, c, a):  # the last reads a's entry, which makes it the newest
+            basis_for(spec, 12)
+        basis_for(d, 12)
+        assert list(markov._BASES) == [c.weight_id, a.weight_id, d.weight_id]
+        # another degree replaces the weight's entry, and the count follows it
+        basis_for(c, 13)
+        assert list(markov._BASES) == [d.weight_id, c.weight_id]
+        assert markov._BASES_BYTES == sum(markov._nbytes(v) for v in markov._BASES.values())
+        assert markov._BASES_BYTES <= markov.BASES_KEPT_BYTES
+
+    def test_the_store_stays_within_its_bound(self):
+        # 400 weights at N = 40 need more than the 4 MB kept: the newest stay
+        specs = [make_weight({**HERMITE, "scale": 1.0 + k / 64}) for k in range(400)]
+        for spec in specs:
+            markov.mirsky_bounds(spec, [40])
+        ids = [spec.weight_id for spec in specs]
+        kept = len(markov._BASES)
+        assert 200 < kept < 400 and list(markov._BASES) == ids[-kept:]
+        assert markov._BASES_BYTES == sum(markov._nbytes(v) for v in markov._BASES.values())
+        assert markov.BASES_KEPT_BYTES - markov._nbytes(markov._BASES[ids[-1]]) \
+            < markov._BASES_BYTES <= markov.BASES_KEPT_BYTES
+
+    def test_concurrent_calls_share_the_store(self, monkeypatch):
+        """Threads that compute ranges at once, with a store small enough to
+        evict on almost every call, get each weight's bytes and leave the
+        store in bound with its byte count exact."""
+        import os
+        import sys
+        import threading
+
+        raws = RANGE_WEIGHTS
+        want = [_fields(sharp_constants(make_weight(raw), range(4, 25))) for raw in raws]
+        size = max(markov._nbytes(v) for v in markov._BASES.values())
+        _clear_bases()
+        monkeypatch.setattr(markov, "BASES_KEPT_BYTES", 2 * size)
+        failures, done = [], []
+
+        def compute(first):
+            try:
+                for i in range(3 * len(raws)):
+                    k = (first + i) % len(raws)
+                    if _fields(sharp_constants(make_weight(raws[k]), range(4, 25))) != want[k]:
+                        failures.append(k)
+                done.append(first)
+            except Exception as exc:  # reported below, with the thread that raised it
+                failures.append(exc)
+
+        count = min(32, 2 * (os.cpu_count() or 1) + 2)  # more threads than cores
+        threads = [threading.Thread(target=compute, args=(t,)) for t in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == [] and len(done) == count
+        assert 0 < len(markov._BASES) <= 2
+        assert markov._BASES_BYTES == sum(markov._nbytes(v) for v in markov._BASES.values())
 
 
 def _fields(results):
@@ -996,7 +1164,7 @@ class TestFusedBasis:
         spec = make_weight(raw)
         for n in (1, 7, 40, 60):
             rec, rule = basis_for(spec, n)
-            assert rec is markov._BASES[spec].rec
+            assert rec is markov._BASES[spec.weight_id].rec
             m = n + 2
             nodes, weights = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
             assert rule.nodes.tobytes() == nodes[0].tobytes()
@@ -1016,7 +1184,7 @@ class TestFusedBasis:
 
         spec, n = make_weight(raw), 30
         rec, rule = basis_for(spec, n)
-        mat = markov._BASES[spec].mat
+        mat = markov._BASES[spec.weight_id].mat
         want = eval_derivative_table(rec, rule.nodes, n, markov.MAX_SOBOLEV_ORDER + 1)
         got = want[0]
         for d in range(1, markov.MAX_SOBOLEV_ORDER + 2):
@@ -1030,7 +1198,7 @@ class TestFusedBasis:
         spec, ns, lams = make_weight(raw), range(4, 41), (1.0, 0.5)
         sharp_constants(spec, ns)
         after_l2 = sharp_constants(spec, ns, lams)
-        markov._BASES.clear()
+        _clear_bases()
         assert _fields(after_l2) == _fields(sharp_constants(spec, ns, lams))
 
     @pytest.mark.parametrize("raw", FUSED_WEIGHTS + [GEN_JACOBI], ids=lambda raw: raw["family"])
@@ -1039,10 +1207,10 @@ class TestFusedBasis:
         # kept recurrence table and D_N, Stieltjes bases included, and builds nothing
         spec, ns = make_weight(raw), range(4, 41)
         sharp_constants(spec, ns, (1.0, 0.5))
-        kept = markov._BASES[spec]
+        kept = markov._BASES[spec.weight_id]
         after_sobolev = sharp_constants(spec, ns)
-        assert markov._BASES[spec] is kept
-        markov._BASES.clear()
+        assert markov._BASES[spec.weight_id] is kept
+        _clear_bases()
         assert _fields(after_sobolev) == _fields(sharp_constants(spec, ns))
 
     @pytest.mark.parametrize("lams", [(), (1.0, 0.5)])
@@ -1067,10 +1235,10 @@ class TestMirsky:
         # Mirsky keeps the basis, and the range after it reads that same basis
         spec, ns = make_weight(raw), range(4, 41)
         markov.mirsky_bounds(spec, ns)
-        rec = markov._BASES[spec].rec
+        rec = markov._BASES[spec.weight_id].rec
         after_mirsky = sharp_constants(spec, ns, lams)
-        assert markov._BASES[spec].rec is rec
-        markov._BASES.clear()
+        assert markov._BASES[spec.weight_id].rec is rec
+        _clear_bases()
         assert _fields(after_mirsky) == _fields(sharp_constants(spec, ns, lams))
 
     def test_hermite_closed_form(self):
@@ -1094,7 +1262,9 @@ class TestMirsky:
         # ||p_nu'||^2 = nu for Laguerre alpha = 0
         want = [math.sqrt(n * (n + 1) * (2 * n + 1) / 6) for n in ns]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        assert len(markov._BASES) == 0
+        # the basis of the largest degree is kept, a recurrence and D_200 alone
+        (kept,) = markov._BASES.values()
+        assert kept.n == 200 and kept.rec.n_max == 201 and kept.mat.shape == (201, 201)
 
     def test_classical_checks_the_mass(self):
         with pytest.raises(QuadratureError, match="mass 1.772e-320"):
