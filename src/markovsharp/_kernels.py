@@ -78,11 +78,12 @@ def stieltjes(nodes, weights, n):
     """
     diag = np.zeros(n + 1)
     offdiag = np.zeros(n)
-    mass = float(np.sum(weights))
-    p_prev = np.zeros_like(nodes)
-    p_cur = np.full_like(nodes, _p0(mass))
-    # an overflow leaves a sum non-finite, and that sum names its degree below
+    # an overflow leaves a sum non-finite: ``_p0`` names the mass, and each
+    # later sum its degree below
     with np.errstate(over="ignore", invalid="ignore"):
+        mass = float(np.sum(weights))
+        p_prev = np.zeros_like(nodes)
+        p_cur = np.full_like(nodes, _p0(mass))
         wx = weights * nodes
         diag[0] = np.dot(wx, p_cur * p_cur)
         for k in range(n):

@@ -49,18 +49,19 @@ degree N asked for is kept per process under the weight's ``weight_id``, so
 every range up to the same N (the columns of a sweep, a Mirsky check beside
 its constants) and ``basis_for``, which the extremal evaluator reads after
 its constant, share one recurrence and one D_N, also when each call makes
-its weight afresh from JSON.  The least recently used bases leave once
-their arrays exceed BASES_KEPT_BYTES.  A basis is a pure function of the
-weight_id and N, so what ran before changes what a call costs, never what
-it returns.  No Gauss rule is kept: ``basis_for`` builds the (N+2)-point
-rule of the recurrence each time it is called.
+its weight afresh from JSON.  The bases are kept in ``quadrature``'s one
+store, beside its reference rules: the least recently used entries of
+either kind leave once their arrays exceed ``quadrature.KEPT_BYTES``.  A
+basis is a pure function of the weight_id and N, so what ran before changes
+what a call costs, never what it returns.  No Gauss rule is kept:
+``basis_for`` builds the (N+2)-point rule of the recurrence each time it is
+called.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -77,21 +78,13 @@ from .orthopoly import (
     max_degree_cap,
     recurrence_classical,
 )
-from .quadrature import QuadRule, gauss_rule, stabilized_stieltjes
+from .quadrature import QuadRule, _store_get, _store_put, gauss_rule, stabilized_stieltjes
 
 RESIDUAL_TOL = 1e-8
 MAX_SOBOLEV_ORDER = 4
-# Bytes of recurrence and D_n arrays the process keeps; 4 MB holds about 300
-# bases at n = 40 and 3 at n = 400
-BASES_KEPT_BYTES = 4 * 1024 * 1024
 
 # The basis kept for one weight and top degree n: the recurrence to n+1 and D_n
 _Basis = namedtuple("_Basis", "n rec mat")
-# weight_id -> its _Basis, least recently used first; _BASES_BYTES is the
-# running total of their arrays' bytes
-_BASES = OrderedDict()
-_BASES_BYTES = 0
-_BASES_LOCK = threading.Lock()
 
 
 def _lambda_values(lambdas) -> tuple[float, ...]:
@@ -171,42 +164,30 @@ def _top_degree(ns) -> int:
     return top
 
 
-def _nbytes(basis: _Basis) -> int:
-    return basis.rec.diag.nbytes + basis.rec.offdiag.nbytes + basis.mat.nbytes
-
-
 def _kept(spec: WeightSpec, ns) -> _Basis:
     """The kept basis of ``spec`` for the degrees ``ns``: the ``_Basis`` of N = max(ns).
 
     A kept entry for N is read as it is; otherwise ``closed_form`` decides,
     once, how the recurrence to N+1 is built: by its closed form, whose mass
     is checked here, or by ``stabilized_stieltjes``.  D_N is built with it,
-    and the entry is kept as ``basis_for`` describes: under the weight's
-    ``weight_id``, in place of the entry for another N, as the most recently
-    used.  Least recently used entries then leave while the arrays kept
-    exceed BASES_KEPT_BYTES, all but the newest.
+    and the entry is kept as ``basis_for`` describes: in ``quadrature``'s one
+    store, under the weight's ``weight_id``, in place of the entry for
+    another N, as the most recently used, with the bytes of its recurrence
+    and D_N.  Least recently used entries of the store, bases and reference
+    rules alike, then leave while its arrays exceed ``quadrature.KEPT_BYTES``,
+    all but the newest.
     """
-    global _BASES_BYTES
     top, key = _top_degree(ns), spec.weight_id
-    with _BASES_LOCK:
-        kept = _BASES.get(key)
-        if kept is not None and kept.n == top:
-            _BASES.move_to_end(key)
-            return kept
+    kept = _store_get(key)
+    if kept is not None and kept.n == top:
+        return kept
     if closed_form(spec) is None:
         rec = stabilized_stieltjes(spec, top + 1)
     else:
         rec = recurrence_classical(spec, top + 1)
         _kernels._p0(rec.mass)
     kept = _Basis(top, rec, derivative_matrix(rec, top))
-    with _BASES_LOCK:
-        old = _BASES.pop(key, None)
-        if old is not None:
-            _BASES_BYTES -= _nbytes(old)
-        _BASES[key] = kept
-        _BASES_BYTES += _nbytes(kept)
-        while _BASES_BYTES > BASES_KEPT_BYTES and len(_BASES) > 1:
-            _BASES_BYTES -= _nbytes(_BASES.popitem(last=False)[1])
+    _store_put(key, kept, rec.diag.nbytes + rec.offdiag.nbytes + kept.mat.nbytes)
     return kept
 
 
@@ -220,12 +201,12 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     build one recurrence and one D_n.  The process keeps the last degree
     built for each weight by its ``weight_id``, so a weight made afresh from
     the same JSON reads the basis an earlier request built, until
-    BASES_KEPT_BYTES of newer bases push it out.  A kept basis is a pure
-    function of the weight_id and n, as are the reference rules of the
-    composite rules (``quadrature``), so a request gets the same results
-    whatever requests came before it; only its cost falls after them.  The
-    rule is built on each call and not kept.  Both objects of the pair are
-    immutable.
+    ``quadrature.KEPT_BYTES`` of newer entries in the process's one store
+    push it out.  A kept basis is a pure function of the weight_id and n,
+    as are the reference rules of the composite rules kept beside it, so a
+    request gets the same results whatever requests came before it; only
+    its cost falls after them.  The rule is built on each call and not
+    kept.  Both objects of the pair are immutable.
     """
     rec = _kept(spec, [n]).rec
     return rec, gauss_rule(rec, n + 2)

@@ -62,11 +62,10 @@ class WeightSpec:
 
     Immutable, and equal and hashed by its field tuple, so -0.0 and 0.0
     make equal weights; ``weight_id`` tells them apart, and the kept bases
-    are keyed by it.  A slotted class rather than a tuple, and weakly
-    referable.
+    are keyed by it.  A slotted class rather than a tuple.
     """
 
-    __slots__ = _WEIGHT_FIELDS + ("_id", "__weakref__")
+    __slots__ = _WEIGHT_FIELDS + ("_id",)
 
     def __init__(self, family: str, interval: tuple[float, float], alpha: float = 0.0,
                  beta: float = 0.0, singularities: tuple[tuple[float, float], ...] = (),
@@ -326,13 +325,13 @@ def _jacobi_coefficients(al: float, be: float, n: int, a: float = -1.0, b: float
     the exponents and the interval.
     """
     k = np.arange(1.0, n + 1.0)
-    s = 2 * k + al + be
     diag = np.empty(n + 1)
     diag[0] = (be - al) / (al + be + 2)
     try:
         if math.isinf(b - a):  # the mapping below would turn a zero entry into inf * 0
             raise OverflowError
         with np.errstate(over="raise", invalid="raise"):
+            s = 2 * k + al + be
             diag[1:] = (be * be - al * al) / (s * (s + 2))
             # beta_k of the monic recurrence, k = 1..n; beta_1 has its own form
             beta = np.empty(n)

@@ -17,10 +17,13 @@ The piece rules are affine images of reference Gauss-Jacobi rules on
 built in one batch per ``composite_rules`` call, for all the refinement
 levels it is asked for.  The only reference rules that outlive a call are
 the Gauss-Legendre (interior and split pieces) and Gauss-Laguerre (tails)
-ones, which depend on their node count alone: the process keeps up to
-REFERENCE_RULES_KEPT of them, read-only, and a call's batch holds only the
-rules it does not find there.  A rule does not depend on its batch, so the
-store changes what a call costs, never what it returns.
+ones, which depend on their node count alone.  This module holds the one
+store of what the process keeps (``_store_get``, ``_store_put``): those
+reference rules and ``markov``'s kept bases, each read-only and a pure
+function of its key, under one lock, in one least recently used order,
+within KEPT_BYTES of arrays in all.  A call's batch holds only the
+reference rules it does not find there.  A rule does not depend on its
+batch, so the store changes what a call costs, never what it returns.
 ``stabilized_stieltjes`` gives a generalized weight with no closed form its
 recurrence: the discretized Stieltjes procedure on the composite rules,
 refined level by level until two levels agree.  It returns the recurrence
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 
@@ -48,13 +51,42 @@ TAIL_GAP = 4.0  # the tails start this far beyond the outermost singular point
 MAX_PIECE_NODES = 2000  # a dense Jacobi matrix of this size takes 32 MB
 STABILIZE_TOL = 1e-12
 MAX_REFINE = 6
-# Gauss-Legendre and Gauss-Laguerre reference rules kept per process: at most
-# 8 MB at MAX_PIECE_NODES, and more than the distinct sizes of n <= 40 requests
-REFERENCE_RULES_KEPT = 256
+# Bytes of arrays the process keeps: about 300 bases at n = 40, or 3 at n = 400,
+# beside the reference rules that requests of n <= 40 read
+KEPT_BYTES = 4 * 1024 * 1024
 
-# ("laguerre", m) or (0.0, 0.0, m) -> read-only (nodes, weights) of that reference rule
-_REFERENCE = {}
-_REFERENCE_LOCK = threading.Lock()
+# What the process keeps, least recently used first: key -> (value, bytes of its
+# arrays).  A weight_id keys markov's basis of that weight; ("laguerre", m) and
+# (0.0, 0.0, m) key the read-only (nodes, weights) of a reference rule.
+# _STORE_BYTES is the running total of the bytes.
+_STORE = OrderedDict()
+_STORE_BYTES = 0
+_STORE_LOCK = threading.Lock()
+
+
+def _store_get(key):
+    """The value kept under ``key``, now the most recently used, or None."""
+    with _STORE_LOCK:
+        value, _ = _STORE.get(key, (None, 0))
+        if value is not None:
+            _STORE.move_to_end(key)
+    return value
+
+
+def _store_put(key, value, nbytes: int) -> None:
+    """Keep ``value``, whose arrays hold ``nbytes``, under ``key`` as the most recently used.
+
+    It replaces the key's entry, whose bytes leave the total; then the least
+    recently used entries leave while the total exceeds KEPT_BYTES, all but
+    the newest.  Every value is read-only and a pure function of its key, so
+    the store changes what a call costs, never what it returns.
+    """
+    global _STORE_BYTES
+    with _STORE_LOCK:
+        _STORE_BYTES += nbytes - _STORE.pop(key, (None, 0))[1]
+        _STORE[key] = (value, nbytes)
+        while _STORE_BYTES > KEPT_BYTES and len(_STORE) > 1:
+            _STORE_BYTES -= _STORE.popitem(last=False)[1][1]
 
 
 class QuadRule(namedtuple("QuadRule", "nodes weights")):
@@ -279,15 +311,15 @@ def _reference_rules(keys):
     """Reference rules of the distinct ``keys``, in order: (nodes, weights), zero-padded.
 
     The keys are ``composite_rules``'s, listed in increasing node count.  Those
-    not in ``_REFERENCE`` go to one ``_gauss_rules`` batch, in the same
+    the store does not hold go to one ``_gauss_rules`` batch, in the same
     order; its Gauss-Legendre and Gauss-Laguerre rows, which no weight
-    changes, go into the store as read-only copies, and the oldest entries
-    leave it past REFERENCE_RULES_KEPT.  A rule does not depend on its
-    batch, so a row reads the same from the store as from the batch.
+    changes, go into the store as read-only copies under their keys, each
+    the most recently used, and a key read from the store becomes so too.
+    A rule does not depend on its batch, so a row reads the same from the
+    store as from the batch.
     """
-    with _REFERENCE_LOCK:
-        rules = {key: _REFERENCE[key] for key in keys if key in _REFERENCE}
-    missing = [key for key in keys if key not in rules]
+    rules = {key: _store_get(key) for key in keys}
+    missing = [key for key, rule in rules.items() if rule is None]
     if missing:
         nodes, weights = _gauss_rules([
             _laguerre_coefficients(0.0, key[1] - 1) if key[0] == "laguerre"
@@ -297,11 +329,8 @@ def _reference_rules(keys):
             rules[key] = (nodes[r, : key[-1]].copy(), weights[r, : key[-1]].copy())
             for a in rules[key]:
                 a.setflags(write=False)
-        with _REFERENCE_LOCK:
-            _REFERENCE.update((key, rules[key]) for key in missing
-                              if key[0] == "laguerre" or key[:2] == (0.0, 0.0))
-            for key in list(_REFERENCE)[: max(0, len(_REFERENCE) - REFERENCE_RULES_KEPT)]:
-                del _REFERENCE[key]
+            if key[0] == "laguerre" or key[:2] == (0.0, 0.0):
+                _store_put(key, rules[key], 2 * rules[key][0].nbytes)
     ref_nodes = np.zeros((len(keys), max(key[-1] for key in keys)))
     ref_weights = np.zeros_like(ref_nodes)
     for row, key in enumerate(keys):
@@ -327,10 +356,12 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     one per key (g_hi, g_lo, m), and the Gauss-Laguerre rules for e^-s on
     [0, inf), one per key ("laguerre", m).  Those of all the listed levels
     come from ``_reference_rules``: one ``_gauss_rules`` batch of the keys
-    the process does not keep, and the kept Gauss-Legendre (0.0, 0.0, m) and
-    Gauss-Laguerre rules.  Since a rule does not depend on its batch, each
-    level's rule is the one it gets when built alone, from any store.  The
-    rules whose exponents come from the weight die with the call.
+    the process does not keep, and the Gauss-Legendre (0.0, 0.0, m) and
+    Gauss-Laguerre rules kept in the process's one store.  Since a rule does
+    not depend on its batch, each level's rule is the one it gets when built
+    alone, from any store.  The rules whose exponents come from the weight
+    die with the call.  A piece whose nodes leave the floating-point range
+    raises QuadratureError naming the piece.
     """
     if spec.family not in GENERALIZED_FAMILIES:
         raise WeightError(f"composite_rules needs a generalized family, got {spec.family!r}")
@@ -380,15 +411,22 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
         rows = [row_of[g_hi, g_lo, m] for _, _, g_lo, g_hi, m in pieces]
         width = max(m for *_, m in pieces)
         lo_s, hi_s, g_lo, g_hi, m = (np.array(col)[:, None] for col in zip(*pieces))
-        half = 0.5 * (hi_s - lo_s)
-        nodes = 0.5 * (lo_s + hi_s) + half * ref_nodes[rows, :width]
-        if spec.family == "gen_jacobi":
-            smooth = np.full_like(nodes, spec.scale)
-        else:  # the exponential factor e^-x or e^(-x^2)
-            smooth = spec.scale * np.exp(-(nodes if spec.family == "gen_laguerre" else nodes**2))
-        # a scale or exponent near the float range overflows here (and inf * 0 is
-        # NaN); the Stieltjes mass check names the result
+        # a piece, scale or exponent near the float range overflows here (and
+        # inf * 0 is NaN); a piece is named at once, the rest by the Stieltjes
+        # mass check
         with np.errstate(over="ignore", invalid="ignore"):
+            half = 0.5 * (hi_s - lo_s)
+            nodes = 0.5 * (lo_s + hi_s) + half * ref_nodes[rows, :width]
+            finite = np.isfinite(nodes).all(axis=1)
+            if not finite.all():
+                lo_p, hi_p = pieces[int(np.argmin(finite))][:2]
+                raise QuadratureError(f"the nodes of the piece [{lo_p!r}, {hi_p!r}] are out "
+                                      "of floating-point range")
+            if spec.family == "gen_jacobi":
+                smooth = np.full_like(nodes, spec.scale)
+            else:  # the exponential factor e^-x or e^(-x^2)
+                power = nodes if spec.family == "gen_laguerre" else nodes**2
+                smooth = spec.scale * np.exp(-power)
             # the [-1,1] rule's mass is 2^(g_lo+g_hi+1) B(...); rescale to the piece length
             weights = ref_weights[rows, :width] * half ** (g_lo + g_hi + 1)
             for c, g in spec.singularities:
@@ -435,8 +473,9 @@ def stabilized_stieltjes(spec: WeightSpec, n: int):
     nodes.  Every stabilization compares levels 0 and 1, so one
     ``composite_rules`` call builds both from one batch of reference rules;
     each later level is built alone.  The Gauss-Legendre and Gauss-Laguerre
-    reference rules of every level may come from the process's store, so a
-    ladder can cost less after others, and returns the same table.  Each
+    reference rules of every level may come from the process's one store,
+    beside the kept bases, so a ladder can cost less after others, and
+    returns the same table.  Each
     level runs ``_kernels.stieltjes`` on its rule's arrays; a rule of n or
     fewer nodes raises QuadratureError first, since the kernel would return
     a last b_k of roundoff size rather than fail.  Accepts once two

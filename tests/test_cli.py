@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import warnings
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -728,6 +727,23 @@ class TestContracts:
             ('{"family": "gen_jacobi", "interval": [0, 1e-300], '
              '"singularities": [[5e-301, 1]]}', SHARP_5,
              "every weight of the 30-point composite rule underflowed"),
+            # the composite rule's weights are finite, but their sum, the mass, is not
+            ('{"family": "gen_hermite", "singularities": [[10, 0.5]], "scale": 1e308}', SHARP_5,
+             "mass inf"),
+            ('{"family": "gen_laguerre", "singularities": [[5, 0.5]], "scale": 1e308}', SHARP_5,
+             "mass inf"),
+            ('{"family": "gen_jacobi", "interval": [-2, 0], "singularities": [[-0.2, -0.5]], '
+             '"scale": 1e308}', SHARP_5, "mass inf"),
+            # the exponent sum alpha + beta of the closed-form recurrence overflows
+            ('{"family": "jacobi", "alpha": 1e308, "beta": 1e308}', SHARP_5,
+             "exponents alpha=1e+308, beta=1e+308"),
+            ('{"family": "gen_jacobi", "interval": [-1, 1], '
+             '"singularities": [[-1, 1e308], [1, 1e308]]}', SHARP_5,
+             "exponents alpha=1e+308, beta=1e+308"),
+            # the midpoint of a piece overflows, so its nodes are not finite
+            ('{"family": "gen_jacobi", "interval": [-1, 1e308], '
+             '"singularities": [[0, 2], [8.1e307, 1]]}', SHARP_5,
+             "the nodes of the piece [8.1e+307, 1e+308] are out of floating-point range"),
         ],
         ids=["mass_overflow", "zero_constant", "sobolev_gram_overflow", "subnormal_mass",
              "hermite_subnormal_mass", "laguerre_subnormal_mass", "gen_laguerre_tiny_scale",
@@ -736,7 +752,10 @@ class TestContracts:
              "gen_laguerre_factor_nan", "residual_square_overflow", "gram_overflow",
              "mirsky_square_overflow", "length_overflow_sharp", "length_overflow_mirsky",
              "antisymmetric_length_overflow_sharp", "antisymmetric_length_overflow_mirsky",
-             "composite_weights_underflow"],
+             "composite_weights_underflow", "gen_hermite_rule_sum_overflow",
+             "gen_laguerre_rule_sum_overflow", "gen_jacobi_rule_sum_overflow",
+             "jacobi_exponent_sum_overflow", "gen_jacobi_exponent_sum_overflow",
+             "gen_jacobi_midpoint_overflow"],
     )
     def test_out_of_range_weight_exits_three(self, capsys, weight, argv, named):
         # an infinite mass or a zero constant is a numerical failure, never a NaN
@@ -983,7 +1002,7 @@ class TestRecords:
         with pytest.raises(WeightError, match="finite and >= 0"):
             SobolevSpec((1.0,))._replace(lambdas=(-1.0,))
 
-    def test_weight_spec_is_immutable_hashable_and_weakly_referenced(self):
+    def test_weight_spec_is_immutable_hashable_and_picklable(self):
         spec = make_weight({"family": "jacobi", "alpha": 0.5})
         twin = make_weight({"family": "jacobi", "alpha": 0.5})
         assert spec == twin and spec is not twin and hash(spec) == hash(twin)
@@ -991,7 +1010,6 @@ class TestRecords:
         with pytest.raises(AttributeError):
             spec.alpha = 1.0
         assert spec.alpha == 0.5
-        assert weakref.ref(spec)() is spec
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_no_module_imports_dataclasses(self):

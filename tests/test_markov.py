@@ -22,12 +22,13 @@ from markovsharp import (
     sharp_constants,
     sobolev_gram,
 )
-from markovsharp import linalg, markov
+from markovsharp import linalg, markov, quadrature
 from markovsharp.markov import basis_for
 from markovsharp.orthopoly import closed_form
 
 from oracles import derivative_matrix_by_quadrature, pencil_power_iteration
 from test_acceptance import CASE5_MATRIX
+from test_quadrature import _refill
 
 LEGENDRE = {"family": "jacobi", "interval": [-1, 1]}
 HERMITE = {"family": "hermite"}
@@ -44,10 +45,25 @@ RANGE_WEIGHTS = [
 ]
 
 
+def _bases():
+    """weight_ids of the bases in the store the test runs with, least recently used first."""
+    return [key for key in quadrature._STORE if isinstance(key, str)]
+
+
+def _basis(spec):
+    """The basis the store the test runs with keeps for ``spec``."""
+    return quadrature._STORE[spec.weight_id][0]
+
+
+def _nbytes(basis):
+    """The bytes of a kept basis's arrays: its recurrence and D_N."""
+    return basis.rec.diag.nbytes + basis.rec.offdiag.nbytes + basis.mat.nbytes
+
+
 def _clear_bases():
-    """Empty the basis store the test runs with, and its byte count."""
-    markov._BASES.clear()
-    markov._BASES_BYTES = 0
+    """Drop every kept basis from the store the test runs with, and its bytes from the total."""
+    for key in _bases():
+        quadrature._STORE_BYTES -= quadrature._STORE.pop(key)[1]
 
 
 @pytest.fixture
@@ -610,7 +626,7 @@ class TestAchievedRatio:
 
         spec, ns = make_weight(raw), range(1, 21)
         results = sharp_constants(spec, ns, lams)
-        rec = markov._BASES[spec.weight_id].rec
+        rec = _basis(spec).rec
         for res in results:
             rule = gauss_rule(rec, res.n + 2)
             table = eval_derivative_table(rec, rule.nodes, res.n, len(lams) + 1)
@@ -948,7 +964,7 @@ class TestBasisTable:
             spec = make_weight(raw)
             rec, rule = basis_for(spec, 12)
             again = basis_for(spec, 12)
-            assert again[0] is rec and again[0] is markov._BASES[spec.weight_id].rec
+            assert again[0] is rec and again[0] is _basis(spec).rec
             assert again[1].nodes.tobytes() == rule.nodes.tobytes()
             assert again[1].weights.tobytes() == rule.weights.tobytes()
         assert len(stieltjes_calls) == 1
@@ -969,7 +985,7 @@ class TestBasisTable:
         basis_for(spec, 13)
         basis_for(spec, 12)
         assert stieltjes_calls == [spec, spec, spec]
-        assert len(markov._BASES) == 1
+        assert len(_bases()) == 1
 
     def test_outlives_the_weight(self, stieltjes_calls):
         spec = make_weight(GEN_JACOBI)
@@ -979,7 +995,7 @@ class TestBasisTable:
         assert basis_for(make_weight(GEN_JACOBI), 12)[0] is rec
         del spec
         assert basis_for(make_weight(GEN_JACOBI), 12)[0] is rec
-        assert list(markov._BASES) == [rec.weight_id] and len(stieltjes_calls) == 1
+        assert _bases() == [rec.weight_id] and len(stieltjes_calls) == 1
 
     def test_cached_degree_past_lowered_cap_raises(self, monkeypatch):
         spec = make_weight(HERMITE)
@@ -990,9 +1006,10 @@ class TestBasisTable:
 
 
 class TestBasisStore:
-    """The process keeps each weight's basis by its weight_id, least recently
-    used out first, within BASES_KEPT_BYTES; a kept basis changes what a
-    call costs, never what it returns."""
+    """The process keeps each weight's basis by its weight_id in its one store,
+    beside the reference rules, least recently used out first, within
+    quadrature.KEPT_BYTES; a kept entry changes what a call costs, never what
+    it returns."""
 
     # a Stieltjes weight and a classical one, each made afresh from its JSON
     VERIFY_JOBS = [("gen_jacobi_4", GEN_JACOBI),
@@ -1010,9 +1027,9 @@ class TestBasisStore:
                             lambda rec, n: built.append(n) or real(rec, n))
         ns = range(4, 41)
         sobolev = verify_theorem(case, make_weight(raw), SobolevSpec((1.0, 0.5)), ns)
-        kept = markov._BASES[make_weight(raw).weight_id]
+        kept = _basis(make_weight(raw))
         l2 = verify_theorem(case, make_weight(raw), SobolevSpec((0.0,)), ns)
-        assert markov._BASES[make_weight(raw).weight_id] is kept and len(markov._BASES) == 1
+        assert _basis(make_weight(raw)) is kept and len(_bases()) == 1
         assert built == [40]
         assert len(stieltjes_calls) == (closed_form(make_weight(raw)) is None)
         # the same values as a cold store gives each job
@@ -1021,7 +1038,7 @@ class TestBasisStore:
             cold = verify_theorem(case, make_weight(raw), SobolevSpec(lams), ns)
             assert cold.sharp_values == check.sharp_values
 
-    def test_results_independent_of_the_store(self):
+    def test_results_independent_of_the_store(self, empty_store):
         # values, coefficient bytes, residuals, achieved ratios and Mirsky
         # bounds from an empty store, and from one that every other weight,
         # and this weight at another degree, filled first
@@ -1034,15 +1051,15 @@ class TestBasisStore:
 
         cold = []
         for raw in RANGE_WEIGHTS:
-            _clear_bases()
+            _refill(empty_store)
             cold.append(fields(raw))
-        _clear_bases()
+        _refill(empty_store)
         for raw in RANGE_WEIGHTS:
             basis_for(make_weight(raw), 12)
             fields(raw)
         warm = [fields(raw) for raw in RANGE_WEIGHTS]
         assert warm == cold
-        assert len(markov._BASES) == len(RANGE_WEIGHTS)
+        assert len(_bases()) == len(RANGE_WEIGHTS) < len(empty_store)
 
     def test_signed_zero_weights_keep_their_own_basis(self):
         # equal WeightSpecs, distinct weight_ids: each reads a recurrence of its own id
@@ -1056,56 +1073,102 @@ class TestBasisStore:
         assert extremal_polynomial(res, rec_b).achieved_ratio == res.achieved_ratio
         assert res.value == sharp_constant_l2(a, 7).value
 
-    def test_the_newest_entry_is_kept_alone_past_the_bound(self, monkeypatch):
-        monkeypatch.setattr(markov, "BASES_KEPT_BYTES", 1)
+    def test_the_newest_entry_is_kept_alone_past_the_bound(self, monkeypatch, empty_store):
+        # a Stieltjes basis puts its reference rules first, so the basis is the newest
+        monkeypatch.setattr(quadrature, "KEPT_BYTES", 1)
         for raw in RANGE_WEIGHTS:
             spec = make_weight(raw)
             sharp_constants(spec, range(4, 21))
-            (kept,) = markov._BASES.values()
-            assert list(markov._BASES) == [spec.weight_id]
-            assert markov._BASES_BYTES == markov._nbytes(kept) > markov.BASES_KEPT_BYTES
+            (kept,) = (value for value, _ in empty_store.values())
+            assert list(empty_store) == [spec.weight_id]
+            assert quadrature._STORE_BYTES == _nbytes(kept) > quadrature.KEPT_BYTES
 
-    def test_least_recently_used_leave_first(self, monkeypatch):
+    def test_least_recently_used_leave_first(self, monkeypatch, empty_store):
         specs = [make_weight(raw) for raw in RANGE_WEIGHTS[:4]]
-        size = markov._nbytes(markov._kept(specs[0], [12]))
+        size = _nbytes(markov._kept(specs[0], [12]))
         _clear_bases()
-        monkeypatch.setattr(markov, "BASES_KEPT_BYTES", 3 * size)
+        monkeypatch.setattr(quadrature, "KEPT_BYTES", 3 * size)
         a, b, c, d = specs
         for spec in (a, b, c, a):  # the last reads a's entry, which makes it the newest
             basis_for(spec, 12)
         basis_for(d, 12)
-        assert list(markov._BASES) == [c.weight_id, a.weight_id, d.weight_id]
-        # another degree replaces the weight's entry, and the count follows it
+        assert list(empty_store) == [c.weight_id, a.weight_id, d.weight_id]
+        # another degree replaces the weight's entry, and the total follows it
         basis_for(c, 13)
-        assert list(markov._BASES) == [d.weight_id, c.weight_id]
-        assert markov._BASES_BYTES == sum(markov._nbytes(v) for v in markov._BASES.values())
-        assert markov._BASES_BYTES <= markov.BASES_KEPT_BYTES
+        assert list(empty_store) == [d.weight_id, c.weight_id]
+        assert quadrature._STORE_BYTES == sum(_nbytes(v) for v, _ in empty_store.values())
+        assert quadrature._STORE_BYTES <= quadrature.KEPT_BYTES
 
-    def test_the_store_stays_within_its_bound(self):
+    def test_reference_rules_read_between_bases_outlive_them(self, monkeypatch, empty_store):
+        # one order for both kinds: the rules a Stieltjes ladder reads again
+        # become newer than the bases put before the read, so the bases leave first
+        rules_of = make_weight({"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]})
+        quadrature.composite_rules(rules_of, 41, (0, 1))
+        rules = list(empty_store)
+        assert rules and all(isinstance(key, tuple) for key in rules)
+        a, b, c, d = (make_weight(raw) for raw in RANGE_WEIGHTS[:4])
+        basis_for(a, 12)
+        basis_for(b, 12)
+        quadrature.composite_rules(rules_of, 41, (0, 1))  # reads every rule again
+        assert list(empty_store) == [a.weight_id, b.weight_id] + rules
+        # two more bases of the same size push out exactly the two older ones
+        monkeypatch.setattr(quadrature, "KEPT_BYTES", quadrature._STORE_BYTES)
+        basis_for(c, 12)
+        basis_for(d, 12)
+        assert list(empty_store) == rules + [c.weight_id, d.weight_id]
+
+    def test_the_running_total_is_the_bytes_kept(self, monkeypatch, empty_store):
+        # bases and reference rules, each entry with the bytes of its own
+        # arrays, and a total that follows every put, replacement and eviction
+        def own_bytes(value):
+            if isinstance(value, markov._Basis):
+                return _nbytes(value)
+            nodes, weights = value
+            return nodes.nbytes + weights.nbytes
+
+        def check():
+            assert all(nbytes == own_bytes(value) for value, nbytes in empty_store.values())
+            assert quadrature._STORE_BYTES == sum(nbytes for _, nbytes in empty_store.values())
+
+        for raw in RANGE_WEIGHTS:
+            sharp_constants(make_weight(raw), range(4, 21))
+            check()
+        assert {type(key) for key in empty_store} == {str, tuple}
+        for n in (21, 12):  # replacements of every basis, by a larger and a smaller one
+            for raw in RANGE_WEIGHTS:
+                basis_for(make_weight(raw), n)
+                check()
+        monkeypatch.setattr(quadrature, "KEPT_BYTES", quadrature._STORE_BYTES // 3)
+        for raw in RANGE_WEIGHTS:
+            basis_for(make_weight(raw), 20)
+            check()
+        assert quadrature._STORE_BYTES <= quadrature.KEPT_BYTES
+
+    def test_the_store_stays_within_its_bound(self, empty_store):
         # 400 weights at N = 40 need more than the 4 MB kept: the newest stay
         specs = [make_weight({**HERMITE, "scale": 1.0 + k / 64}) for k in range(400)]
         for spec in specs:
             markov.mirsky_bounds(spec, [40])
         ids = [spec.weight_id for spec in specs]
-        kept = len(markov._BASES)
-        assert 200 < kept < 400 and list(markov._BASES) == ids[-kept:]
-        assert markov._BASES_BYTES == sum(markov._nbytes(v) for v in markov._BASES.values())
-        assert markov.BASES_KEPT_BYTES - markov._nbytes(markov._BASES[ids[-1]]) \
-            < markov._BASES_BYTES <= markov.BASES_KEPT_BYTES
+        kept = len(empty_store)
+        assert 200 < kept < 400 and list(empty_store) == ids[-kept:]
+        assert quadrature._STORE_BYTES == sum(_nbytes(v) for v, _ in empty_store.values())
+        assert quadrature.KEPT_BYTES - _nbytes(_basis(specs[-1])) \
+            < quadrature._STORE_BYTES <= quadrature.KEPT_BYTES
 
-    def test_concurrent_calls_share_the_store(self, monkeypatch):
+    def test_concurrent_calls_share_the_store(self, monkeypatch, empty_store):
         """Threads that compute ranges at once, with a store small enough to
         evict on almost every call, get each weight's bytes and leave the
-        store in bound with its byte count exact."""
+        store in bound with its byte total exact."""
         import os
         import sys
         import threading
 
         raws = RANGE_WEIGHTS
         want = [_fields(sharp_constants(make_weight(raw), range(4, 25))) for raw in raws]
-        size = max(markov._nbytes(v) for v in markov._BASES.values())
-        _clear_bases()
-        monkeypatch.setattr(markov, "BASES_KEPT_BYTES", 2 * size)
+        size = max(_nbytes(_basis(make_weight(raw))) for raw in raws)
+        _refill(empty_store)
+        monkeypatch.setattr(quadrature, "KEPT_BYTES", 2 * size)
         failures, done = [], []
 
         def compute(first):
@@ -1131,8 +1194,9 @@ class TestBasisStore:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == [] and len(done) == count
-        assert 0 < len(markov._BASES) <= 2
-        assert markov._BASES_BYTES == sum(markov._nbytes(v) for v in markov._BASES.values())
+        assert 0 < len(_bases()) <= 2
+        assert quadrature._STORE_BYTES == sum(nbytes for _, nbytes in empty_store.values())
+        assert quadrature._STORE_BYTES <= quadrature.KEPT_BYTES or len(empty_store) == 1
 
 
 def _fields(results):
@@ -1164,7 +1228,7 @@ class TestFusedBasis:
         spec = make_weight(raw)
         for n in (1, 7, 40, 60):
             rec, rule = basis_for(spec, n)
-            assert rec is markov._BASES[spec.weight_id].rec
+            assert rec is _basis(spec).rec
             m = n + 2
             nodes, weights = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
             assert rule.nodes.tobytes() == nodes[0].tobytes()
@@ -1184,7 +1248,7 @@ class TestFusedBasis:
 
         spec, n = make_weight(raw), 30
         rec, rule = basis_for(spec, n)
-        mat = markov._BASES[spec.weight_id].mat
+        mat = _basis(spec).mat
         want = eval_derivative_table(rec, rule.nodes, n, markov.MAX_SOBOLEV_ORDER + 1)
         got = want[0]
         for d in range(1, markov.MAX_SOBOLEV_ORDER + 2):
@@ -1207,9 +1271,9 @@ class TestFusedBasis:
         # kept recurrence table and D_N, Stieltjes bases included, and builds nothing
         spec, ns = make_weight(raw), range(4, 41)
         sharp_constants(spec, ns, (1.0, 0.5))
-        kept = markov._BASES[spec.weight_id]
+        kept = _basis(spec)
         after_sobolev = sharp_constants(spec, ns)
-        assert markov._BASES[spec.weight_id] is kept
+        assert _basis(spec) is kept
         _clear_bases()
         assert _fields(after_sobolev) == _fields(sharp_constants(spec, ns))
 
@@ -1235,9 +1299,9 @@ class TestMirsky:
         # Mirsky keeps the basis, and the range after it reads that same basis
         spec, ns = make_weight(raw), range(4, 41)
         markov.mirsky_bounds(spec, ns)
-        rec = markov._BASES[spec.weight_id].rec
+        rec = _basis(spec).rec
         after_mirsky = sharp_constants(spec, ns, lams)
-        assert markov._BASES[spec.weight_id].rec is rec
+        assert _basis(spec).rec is rec
         _clear_bases()
         assert _fields(after_mirsky) == _fields(sharp_constants(spec, ns, lams))
 
@@ -1263,7 +1327,8 @@ class TestMirsky:
         want = [math.sqrt(n * (n + 1) * (2 * n + 1) / 6) for n in ns]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         # the basis of the largest degree is kept, a recurrence and D_200 alone
-        (kept,) = markov._BASES.values()
+        (key,) = _bases()
+        kept = quadrature._STORE[key][0]
         assert kept.n == 200 and kept.rec.n_max == 201 and kept.mat.shape == (201, 201)
 
     def test_classical_checks_the_mass(self):

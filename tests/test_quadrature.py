@@ -168,22 +168,22 @@ def _weight_free(log):
                                              entries(_laguerre_coefficients(0.0, m - 1)))]
 
 
+def _refill(store, entries=()):
+    """Put ``entries`` (key -> (value, bytes)) in place of what the test's store
+    holds, with the running total to match."""
+    import markovsharp.quadrature as quad
+
+    store.clear()
+    store.update(entries)
+    quad._STORE_BYTES = sum(nbytes for _, nbytes in store.values())
+
+
 class TestReferenceRules:
     """composite_rules builds the [-1, 1] Gauss-Jacobi and Gauss-Laguerre
     reference rules of all its levels in one batch, but for the Gauss-Legendre
     and Gauss-Laguerre rules the process already keeps."""
 
     SPEC = {"family": "gen_laguerre", "singularities": [[0.0, -0.5], [1.0, -0.4]]}
-
-    @pytest.fixture
-    def empty_store(self, monkeypatch):
-        """An empty store of kept reference rules for the test, the cold case;
-        the process's own store is back afterwards."""
-        import markovsharp.quadrature as quad
-
-        store = {}
-        monkeypatch.setattr(quad, "_REFERENCE", store)
-        return store
 
     @pytest.fixture
     def solved(self, monkeypatch, empty_store):
@@ -220,18 +220,18 @@ class TestReferenceRules:
         first, kept = sorted(log), dict(empty_store)
         # the matrices of levels 0 and 1, as each level built alone from an
         # empty store solves them
-        empty_store.clear()
+        _refill(empty_store)
         log.clear()
         composite_rules(spec, 83, (1,))
         level_1 = set(log)
-        empty_store.clear()
+        _refill(empty_store)
         log.clear()
         composite_rules(spec, 83, (0,))
         assert set(first) == level_1 | set(log)
         # refinement splits pieces and keeps their node counts; the one rule
         # larger than level 0's is level 2's own Gauss-Laguerre tail
         widest = max(m for m, _ in log)
-        empty_store.clear()
+        _refill(empty_store)
         log.clear()
         composite_rules(spec, 83, (2,))
         base = 83 // 2 + 9
@@ -244,8 +244,7 @@ class TestReferenceRules:
         weight_free = _weight_free(first)
         assert weight_free and len(weight_free) < len(first)
         assert sorted(key[-1] for key in kept) == sorted(m for m, _ in weight_free)
-        empty_store.clear()
-        empty_store.update(kept)
+        _refill(empty_store, kept)
         log.clear()
         rec, _ = basis_for(spec, 40)
         own = (42, rec.diag.tobytes() + rec.offdiag.tobytes())
@@ -324,7 +323,8 @@ class TestReferenceRules:
 
 class TestReferenceStore:
     """The Gauss-Legendre and Gauss-Laguerre reference rules, which no weight
-    changes, are kept per process in a bounded store of read-only arrays."""
+    changes, are kept as read-only arrays in the process's one store, within
+    its byte bound KEPT_BYTES."""
 
     WEIGHTS = [
         {"family": "gen_jacobi", "interval": [-1, 2], "singularities": [[0.0, 0.5], [1.0, -0.3]]},
@@ -338,7 +338,6 @@ class TestReferenceStore:
         {"family": "gen_hermite", "singularities": [[-1.0, -0.2], [0.5, 0.3]]},
     ]
 
-    empty_store = TestReferenceRules.empty_store
     solved = TestReferenceRules.solved
 
     @pytest.mark.parametrize("raw, other", list(zip(WEIGHTS, OTHERS)), ids=lambda raw: raw["family"])
@@ -349,7 +348,7 @@ class TestReferenceStore:
         spec = make_weight(raw)
         cold = composite_rules(spec, 41, (0, 1, 2))
         cold_solves = len(log)
-        empty_store.clear()
+        _refill(empty_store)
         for degree in (41, 23):
             composite_rules(make_weight(other), degree, (0, 1, 2))
         log.clear()
@@ -363,8 +362,9 @@ class TestReferenceStore:
         for raw in self.WEIGHTS:
             composite_rules(make_weight(raw), 31, (0, 1))
         assert {key[0] for key in empty_store} == {0.0, "laguerre"}
-        for key, (nodes, weights) in empty_store.items():
+        for key, ((nodes, weights), nbytes) in empty_store.items():
             assert nodes.shape == weights.shape == (key[-1],)
+            assert nbytes == nodes.nbytes + weights.nbytes
             for a in (nodes, weights):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 1.0
@@ -372,14 +372,16 @@ class TestReferenceStore:
     def test_store_stays_within_its_bound(self, monkeypatch, empty_store):
         import markovsharp.quadrature as quad
 
-        assert len(quad._REFERENCE) <= quad.REFERENCE_RULES_KEPT
         want = [composite_rules(make_weight(raw), 41, (0, 1)) for raw in self.WEIGHTS]
-        monkeypatch.setattr(quad, "REFERENCE_RULES_KEPT", 3)
-        empty_store.clear()
+        # the bytes of the three largest rules, fewer than these weights read
+        sizes = sorted(nbytes for _, nbytes in empty_store.values())
+        assert len(sizes) > 3
+        monkeypatch.setattr(quad, "KEPT_BYTES", sum(sizes[-3:]))
+        _refill(empty_store)
         for _ in range(2):
             for raw, rules in zip(self.WEIGHTS, want):
                 got = composite_rules(make_weight(raw), 41, (0, 1))
-                assert 0 < len(empty_store) <= 3
+                assert 0 < quad._STORE_BYTES <= quad.KEPT_BYTES and len(empty_store) < len(sizes)
                 # a rule that left the store is built again, to the same bytes
                 for a, b in zip(rules, got):
                     assert a.nodes.tobytes() == b.nodes.tobytes()
@@ -395,8 +397,9 @@ class TestReferenceStore:
         import markovsharp.quadrature as quad
 
         want = [composite_rules(make_weight(raw), 41, (0, 1)) for raw in self.WEIGHTS + self.OTHERS]
-        monkeypatch.setattr(quad, "REFERENCE_RULES_KEPT", 4)
-        empty_store.clear()
+        largest = max(nbytes for _, nbytes in empty_store.values())
+        monkeypatch.setattr(quad, "KEPT_BYTES", 4 * largest)
+        _refill(empty_store)
         failures, done = [], []
 
         def build(first):
@@ -424,7 +427,8 @@ class TestReferenceStore:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == [] and len(done) == len(threads)
-        assert 0 < len(empty_store) <= 4
+        assert 0 < quad._STORE_BYTES <= quad.KEPT_BYTES
+        assert quad._STORE_BYTES == sum(nbytes for _, nbytes in empty_store.values())
 
     def test_second_weight_solves_no_weight_free_matrix(self, solved):
         log, _ = solved
