@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             p.add_argument("--case", default="", choices=("",) + bounds.CASE_IDS)
             p.add_argument("--tol", type=float, default=None,
-                           help="override the fit slack (default 0.1)")
+                           help=f"override the fit slack (default {bounds.FIT_SLACK})")
 
     p = sub.add_parser(
         "selftest", help="kernel self-tests: quadrature, orthonormality, recurrence, eigen"

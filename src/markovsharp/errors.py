@@ -14,7 +14,7 @@ class QuadratureError(MarkovSharpError):
 
 
 class EigenError(MarkovSharpError):
-    """Eigen/SVD failure: non-convergence, bad symmetry, or B not positive definite."""
+    """Eigensolve or Sobolev factor failed: no convergence, B not positive definite, overflow."""
 
 
 class HypothesisError(MarkovSharpError, ValueError):

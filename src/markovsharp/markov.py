@@ -309,7 +309,7 @@ def _checked_residual(mat, coeffs, ns, values, lambdas=()):
                 )
             raise QuadratureError(
                 f"sharp-constant residual {gap:.3e} at n={n} exceeds {RESIDUAL_TOL:.0e}; "
-                "quadrature or eigensolver failure"
+                "the eigensolve or the Sobolev factor failed"
             )
     return achieved, residual
 

@@ -2,10 +2,13 @@
 
 A weight is one of the classical families (Jacobi, Laguerre, Hermite) or a
 generalized family: the classical exponential factor times a product of
-singular factors |x - c_j|^gamma_j.  ``closed_form`` decides which weights
-have closed-form recurrence coefficients: the classical families, and the
-generalized weights whose singular factors restate a classical one; every
-other weight gets its recurrence from ``quadrature.stabilized_stieltjes``.
+singular factors |x - c_j|^gamma_j.  ``WeightSpec`` is a namedtuple that
+checks a weight's hypotheses on every construction, ``_replace`` and
+unpickling included; ``make_weight`` only reads the JSON form into one.
+``closed_form`` decides which weights have closed-form recurrence
+coefficients: the classical families, and the generalized weights whose
+singular factors restate a classical one; every other weight gets its
+recurrence from ``quadrature.stabilized_stieltjes``.
 ``_symmetric`` decides, from the family as ``closed_form`` restates it,
 whether a weight is symmetric about the centre of its interval, so that
 ``markov`` names no family.  This module imports only ``errors`` and
@@ -57,55 +60,106 @@ def max_degree_cap() -> int:
     return DEFAULT_MAX_N
 
 
-class WeightSpec:
+class WeightSpec(namedtuple("WeightSpec", _WEIGHT_FIELDS)):
     """A validated weight: family, interval, exponents, singular factors, scale.
 
-    Immutable, and equal and hashed by its field tuple, so -0.0 and 0.0
-    make equal weights; ``weight_id`` tells them apart, and the kept bases
-    are keyed by it.  A slotted class rather than a tuple.
+    Every construction, ``_replace`` and unpickling (pickle protocol 2 and
+    up) included, checks the weight in its canonical form and raises
+    WeightError when it fails: a known family on an interval (a, b) with
+    a < b that suits the family, float fields, singular factors as strictly
+    increasing (location, exponent) pairs, and the family's integrability
+    and exponent-sum hypotheses.  A gen_hermite |x|^alpha factor is the
+    singular factor (0, alpha), so its alpha is 0; ``make_weight`` reads
+    the shorthand.
+    Equal and hashed by its fields, so -0.0 and 0.0 make equal weights;
+    ``weight_id`` tells them apart, and the kept bases are keyed by it.
     """
 
-    __slots__ = _WEIGHT_FIELDS + ("_id",)
+    def __new__(cls, family: str, interval: tuple[float, float], alpha: float = 0.0,
+                beta: float = 0.0, singularities: tuple[tuple[float, float], ...] = (),
+                scale: float = 1.0):
+        if family not in FAMILIES:
+            raise WeightError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if not isinstance(interval, (list, tuple)) or len(interval) != 2:
+            raise WeightError("interval must be a pair [a, b]")
+        a = _as_float(interval[0], "interval[0]", finite=False)
+        b = _as_float(interval[1], "interval[1]", finite=False)
+        if not a < b:
+            raise WeightError(f"empty interval: [{a}, {b}]")
 
-    def __init__(self, family: str, interval: tuple[float, float], alpha: float = 0.0,
-                 beta: float = 0.0, singularities: tuple[tuple[float, float], ...] = (),
-                 scale: float = 1.0):
-        values = (family, interval, alpha, beta, singularities, scale, None)
-        for name, value in zip(_WEIGHT_FIELDS + ("_id",), values):
-            object.__setattr__(self, name, value)
+        alpha = _as_float(alpha, "alpha")
+        beta = _as_float(beta, "beta")
+        scale = _as_float(scale, "scale")
+        if not scale > 0:
+            raise WeightError(f"scale must be a positive finite number, got {scale}")
+        sings = _singular_pairs(singularities)
 
-    def _key(self) -> tuple:
-        return (self.family, self.interval, self.alpha, self.beta, self.singularities, self.scale)
+        if family in ("laguerre", "gen_laguerre") and (a, b) != (0.0, math.inf):
+            raise WeightError(f"{family}: interval must be [0, inf)")
+        if family in ("hermite", "gen_hermite") and (a, b) != (-math.inf, math.inf):
+            raise WeightError(f"{family}: interval must be the whole real line")
+        if family in ("jacobi", "gen_jacobi") and not (math.isfinite(a) and math.isfinite(b)):
+            raise WeightError(f"{family}: interval must be finite")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"WeightSpec is immutable: cannot assign to {name!r}")
+        if family == "jacobi":
+            if alpha <= -1 or beta <= -1:
+                raise WeightError(
+                    "jacobi: non-integrable endpoint singularity (need alpha, beta > -1)")
+        elif family == "laguerre":
+            if alpha <= -1:
+                raise WeightError("laguerre: non-integrable endpoint singularity (need alpha > -1)")
+            if beta != 0.0:
+                raise WeightError("laguerre: beta is not used")
+        elif family == "hermite":
+            if alpha != 0.0 or beta != 0.0:
+                raise WeightError("hermite: alpha/beta are not used")
+        elif family == "gen_hermite" and beta != 0.0:
+            raise WeightError("gen_hermite: beta is not used")
+        elif alpha != 0.0 or beta != 0.0:
+            raise WeightError(f"{family}: alpha/beta are not used (put exponents in singularities)")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"WeightSpec is immutable: cannot delete {name!r}")
+        if family in CLASSICAL_FAMILIES and sings:
+            raise WeightError(f"{family}: singularities are not allowed for classical families")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+        cs = [c for c, _ in sings]
+        if any(c2 <= c1 for c1, c2 in zip(cs, cs[1:])):
+            raise WeightError("singularity locations must be strictly increasing")
+        for c, g in sings:
+            if a <= c <= b and g <= -1:
+                raise WeightError(
+                    f"non-integrable singularity: gamma={g} at c={c} inside the interval")
 
-    def __hash__(self):
-        return hash(self._key())
+        if family == "gen_laguerre" and sings:
+            if cs[-1] < 0:
+                raise WeightError("gen_laguerre: the largest singularity location must be >= 0")
+            inner_sum = sum(g for _, g in sings[:-1])
+            total_sum = sum(g for _, g in sings)
+            if abs(inner_sum) > _SUM_TOL and not total_sum > -1:
+                raise WeightError(
+                    "gen_laguerre: need either sum of all but the last exponent = 0 "
+                    f"(got {inner_sum}) or total exponent sum > -1 (got {total_sum})"
+                )
+        if family == "gen_hermite":
+            total_sum = sum(g for _, g in sings)
+            if total_sum < 0:
+                raise WeightError(f"gen_hermite: exponent sum must be >= 0, got {total_sum}")
 
-    def __reduce__(self):
-        return self.__class__, self._key()
+        return super().__new__(cls, family, (a, b), alpha, beta, tuple(sings), scale)
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_WEIGHT_FIELDS, self._key()))
-        return f"WeightSpec({fields})"
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def weight_id(self) -> str:
         # built once per object: the kept bases are looked up by it, and
-        # every recurrence table and extremal evaluator reads it again
-        if self._id is None:
+        # every recurrence table and extremal evaluator reads it again; a
+        # tuple subclass has no slot for it, so it waits in the instance dict
+        wid = self.__dict__.get("_id")
+        if wid is None:
             wid = json.dumps(weight_to_json(self), sort_keys=True, separators=(",", ":"))
-            object.__setattr__(self, "_id", wid)
-        return self._id
+            self.__dict__["_id"] = wid
+        return wid
 
 
 class RecurrenceTable(namedtuple("RecurrenceTable", "n_max diag offdiag mass weight_id")):
@@ -151,14 +205,31 @@ def _as_float(value, name: str, finite: bool = True) -> float:
     return out
 
 
+def _singular_pairs(pairs) -> list[tuple[float, float]]:
+    """The singular factors as (location, exponent) float pairs, in the order given."""
+    if not isinstance(pairs, (list, tuple)):
+        raise WeightError("singularities must be pairs [c, gamma]")
+    sings = []
+    for item in pairs:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise WeightError("singularities must be pairs [c, gamma]")
+        sings.append((_as_float(item[0], "singularity location"),
+                      _as_float(item[1], "singularity exponent")))
+    return sings
+
+
+_INFINITE_ENDPOINTS = {
+    "inf": math.inf, "+inf": math.inf, "infinity": math.inf, "+infinity": math.inf,
+    "-inf": -math.inf, "-infinity": -math.inf,
+}
+
+
 def _parse_endpoint(value, name: str) -> float:
     if isinstance(value, str):
         token = value.strip().lower()
-        if token in ("inf", "+inf", "infinity"):
-            return math.inf
-        if token == "-inf":
-            return -math.inf
-        raise WeightError(f"{name}: unrecognized endpoint {value!r}")
+        if token not in _INFINITE_ENDPOINTS:
+            raise WeightError(f"{name}: unrecognized endpoint {value!r}")
+        return _INFINITE_ENDPOINTS[token]
     return _as_float(value, name, finite=False)
 
 
@@ -172,118 +243,43 @@ _DEFAULT_INTERVALS = {
 
 
 def make_weight(raw) -> WeightSpec:
-    """Validate a weight description and return a WeightSpec.
+    """Read a weight description and return its WeightSpec.
 
     ``raw`` is a JSON-style mapping with keys family, interval, alpha, beta,
-    singularities, scale (endpoints may be the strings "inf"/"-inf"), or an
-    existing WeightSpec (returned unchanged).
+    singularities, scale, or an existing WeightSpec (returned unchanged).
+    An endpoint may be the string "inf" or "infinity", signed or not, in any
+    case; the interval defaults to the family's own, except for gen_jacobi;
+    a gen_hermite alpha is the singular factor (0, alpha).  WeightSpec runs
+    every other check.
     """
     if isinstance(raw, WeightSpec):
         return raw
     if not isinstance(raw, dict):
         raise WeightError(f"weight description must be a mapping, got {type(raw).__name__}")
-    known = {"family", "interval", "alpha", "beta", "singularities", "scale"}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_WEIGHT_FIELDS)
     if unknown:
         raise WeightError(f"unknown weight fields: {sorted(unknown)}")
 
-    family = raw.get("family")
-    if family not in FAMILIES:
-        raise WeightError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    family, interval = raw.get("family"), raw.get("interval")
+    if family in FAMILIES:  # else WeightSpec names the family first
+        if "interval" not in raw:
+            if family not in _DEFAULT_INTERVALS:
+                raise WeightError(f"{family}: interval is required")
+            interval = _DEFAULT_INTERVALS[family]
+        elif isinstance(interval, (list, tuple)) and len(interval) == 2:
+            interval = [_parse_endpoint(v, f"interval[{i}]") for i, v in enumerate(interval)]
 
-    if "interval" in raw:
-        pair = raw["interval"]
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise WeightError("interval must be a pair [a, b]")
-        a = _parse_endpoint(pair[0], "interval[0]")
-        b = _parse_endpoint(pair[1], "interval[1]")
-    elif family in _DEFAULT_INTERVALS:
-        a, b = _DEFAULT_INTERVALS[family]
-    else:
-        raise WeightError(f"{family}: interval is required")
-    if not a < b:
-        raise WeightError(f"empty interval: [{a}, {b}]")
-
-    alpha = _as_float(raw.get("alpha", 0.0), "alpha")
-    beta = _as_float(raw.get("beta", 0.0), "beta")
-    scale = _as_float(raw.get("scale", 1.0), "scale")
-    if not scale > 0:
-        raise WeightError(f"scale must be a positive finite number, got {scale}")
-
-    pairs, sings = raw.get("singularities", ()), []
-    if not isinstance(pairs, (list, tuple)):
-        raise WeightError("singularities must be pairs [c, gamma]")
-    for item in pairs:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise WeightError("singularities must be pairs [c, gamma]")
-        sings.append((_as_float(item[0], "singularity location"),
-                      _as_float(item[1], "singularity exponent")))
-
-    if family in ("laguerre", "gen_laguerre") and (a, b) != (0.0, math.inf):
-        raise WeightError(f"{family}: interval must be [0, inf)")
-    if family in ("hermite", "gen_hermite") and (a, b) != (-math.inf, math.inf):
-        raise WeightError(f"{family}: interval must be the whole real line")
-    if family in ("jacobi", "gen_jacobi") and not (math.isfinite(a) and math.isfinite(b)):
-        raise WeightError(f"{family}: interval must be finite")
-
-    if family == "jacobi":
-        if alpha <= -1 or beta <= -1:
-            raise WeightError("jacobi: non-integrable endpoint singularity (need alpha, beta > -1)")
-    elif family == "laguerre":
-        if alpha <= -1:
-            raise WeightError("laguerre: non-integrable endpoint singularity (need alpha > -1)")
-        if beta != 0.0:
-            raise WeightError("laguerre: beta is not used")
-    elif family == "hermite":
-        if alpha != 0.0 or beta != 0.0:
-            raise WeightError("hermite: alpha/beta are not used")
-    elif family == "gen_hermite":
-        if beta != 0.0:
-            raise WeightError("gen_hermite: beta is not used")
+    alpha, sings = raw.get("alpha", 0.0), raw.get("singularities", ())
+    if family == "gen_hermite":
+        alpha = _as_float(alpha, "alpha")
+        if alpha < 0:
+            raise WeightError("gen_hermite: the |x|^alpha exponent must be >= 0")
         if alpha != 0.0:
-            if alpha < 0:
-                raise WeightError("gen_hermite: the |x|^alpha exponent must be >= 0")
+            sings = _singular_pairs(sings)
             if any(c == 0.0 for c, _ in sings):
                 raise WeightError("gen_hermite: alpha duplicates an explicit singularity at 0")
-            sings.append((0.0, alpha))
-            sings.sort()
-            alpha = 0.0
-    elif alpha != 0.0 or beta != 0.0:
-        raise WeightError(f"{family}: alpha/beta are not used (put exponents in singularities)")
-
-    if family in ("jacobi", "laguerre", "hermite") and sings:
-        raise WeightError(f"{family}: singularities are not allowed for classical families")
-
-    cs = [c for c, _ in sings]
-    if any(c2 <= c1 for c1, c2 in zip(cs, cs[1:])):
-        raise WeightError("singularity locations must be strictly increasing")
-    for c, g in sings:
-        if a <= c <= b and g <= -1:
-            raise WeightError(f"non-integrable singularity: gamma={g} at c={c} inside the interval")
-
-    if family == "gen_laguerre" and sings:
-        if cs[-1] < 0:
-            raise WeightError("gen_laguerre: the largest singularity location must be >= 0")
-        inner_sum = sum(g for _, g in sings[:-1])
-        total_sum = sum(g for _, g in sings)
-        if abs(inner_sum) > _SUM_TOL and not total_sum > -1:
-            raise WeightError(
-                "gen_laguerre: need either sum of all but the last exponent = 0 "
-                f"(got {inner_sum}) or total exponent sum > -1 (got {total_sum})"
-            )
-    if family == "gen_hermite":
-        total_sum = sum(g for _, g in sings)
-        if total_sum < 0:
-            raise WeightError(f"gen_hermite: exponent sum must be >= 0, got {total_sum}")
-
-    return WeightSpec(
-        family=family,
-        interval=(a, b),
-        alpha=alpha,
-        beta=beta,
-        singularities=tuple(sings),
-        scale=scale,
-    )
+            sings, alpha = sorted(sings + [(0.0, alpha)]), 0.0
+    return WeightSpec(family, interval, alpha, raw.get("beta", 0.0), sings, raw.get("scale", 1.0))
 
 
 def weight_to_json(spec: WeightSpec) -> dict:

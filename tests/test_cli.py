@@ -18,6 +18,7 @@ from markovsharp import (
     QuadRule,
     SobolevSpec,
     WeightError,
+    WeightSpec,
     derivative_matrix,
     gauss_rule,
     make_weight,
@@ -985,8 +986,8 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 class TestRecords:
-    # the records are namedtuples that validate in __new__, and WeightSpec a
-    # slotted class; a cold call then runs no generated dataclass code
+    # the records, WeightSpec among them, are namedtuples that validate in
+    # __new__; a cold call then runs no generated dataclass code
     def test_replace_validates(self):
         spec = make_weight({"family": "hermite"})
         res = sharp_constant_l2(spec, 3)
@@ -1009,8 +1010,15 @@ class TestRecords:
         assert spec != make_weight({"family": "jacobi", "alpha": 0.25})
         with pytest.raises(AttributeError):
             spec.alpha = 1.0
+        with pytest.raises(AttributeError):
+            spec.weight_id = "{}"
         assert spec.alpha == 0.5
-        assert pickle.loads(pickle.dumps(spec)) == spec
+        again = pickle.loads(pickle.dumps(spec))
+        assert again == spec and again.weight_id == spec.weight_id
+        # a hand-built weight holds floats, so it shares the parsed weight's id and basis
+        built = WeightSpec("jacobi", (-1, 1), alpha=1)
+        assert built.weight_id == make_weight({"family": "jacobi", "alpha": 1}).weight_id
+        assert '"alpha":1.0' in built.weight_id and built == tuple(built)
 
     def test_no_module_imports_dataclasses(self):
         imported = []

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from markovsharp import (
     recurrence_classical,
     weight_to_json,
 )
-from markovsharp.orthopoly import RecurrenceTable, eval_derivative_table, max_degree_cap
+from markovsharp.orthopoly import (
+    _DEFAULT_INTERVALS,
+    RecurrenceTable,
+    WeightSpec,
+    eval_derivative_table,
+    max_degree_cap,
+)
 from markovsharp.quadrature import _recurrence_change, stabilized_stieltjes
 
 from oracles import (
@@ -28,6 +35,21 @@ LEGENDRE = {"family": "jacobi", "interval": [-1, 1], "alpha": 0.0, "beta": 0.0}
 HERMITE = {"family": "hermite"}
 
 
+def assert_rejected(raw, match):
+    """``raw`` fails with one message from make_weight, WeightSpec, _replace and unpickling."""
+    fields = {"interval": _DEFAULT_INTERVALS.get(raw["family"]), **raw}
+    valid = make_weight(LEGENDRE)
+    unchecked = tuple.__new__(WeightSpec, {**valid._asdict(), **fields}.values())
+    messages = set()
+    for build in (lambda: make_weight(raw), lambda: WeightSpec(**fields),
+                  lambda: valid._replace(**fields),
+                  lambda: pickle.loads(pickle.dumps(unchecked))):
+        with pytest.raises(WeightError, match=match) as exc:
+            build()
+        messages.add(str(exc.value))
+    assert len(messages) == 1, messages
+
+
 class TestMakeWeight:
     def test_legendre_is_valid(self):
         spec = make_weight(LEGENDRE)
@@ -35,8 +57,7 @@ class TestMakeWeight:
         assert spec.interval == (-1.0, 1.0)
 
     def test_jacobi_alpha_at_minus_one_rejected(self):
-        with pytest.raises(WeightError, match="non-integrable"):
-            make_weight({"family": "jacobi", "interval": [-1, 1], "alpha": -1.0})
+        assert_rejected({"family": "jacobi", "interval": [-1, 1], "alpha": -1.0}, "non-integrable")
 
     def test_gen_jacobi_interior_singularity_valid(self):
         spec = make_weight(
@@ -45,29 +66,50 @@ class TestMakeWeight:
         assert spec.singularities == ((0.0, -0.5),)
 
     def test_gen_jacobi_non_integrable_interior_rejected(self):
-        with pytest.raises(WeightError, match="non-integrable"):
-            make_weight(
-                {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, -1.0]]}
-            )
+        assert_rejected(
+            {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, -1.0]]},
+            "non-integrable",
+        )
 
     def test_decreasing_singularities_rejected(self):
-        with pytest.raises(WeightError, match="increasing"):
-            make_weight(
-                {
-                    "family": "gen_jacobi",
-                    "interval": [-1, 1],
-                    "singularities": [[0.5, 1.0], [0.0, 1.0]],
-                }
-            )
+        assert_rejected(
+            {
+                "family": "gen_jacobi",
+                "interval": [-1, 1],
+                "singularities": [[0.5, 1.0], [0.0, 1.0]],
+            },
+            "increasing",
+        )
 
     def test_empty_interval_rejected(self):
-        with pytest.raises(WeightError, match="empty interval"):
-            make_weight({"family": "jacobi", "interval": [1, -1]})
+        assert_rejected({"family": "jacobi", "interval": [1, -1]}, "empty interval")
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            ({"family": "hermite", "interval": [0.0, 1.0]}, "whole real line"),
+            ({"family": "laguerre", "interval": [-1.0, 1.0]}, r"\[0, inf\)"),
+            ({"family": "gen_jacobi", "interval": [0.0, math.inf]}, "finite"),
+        ],
+        ids=["hermite", "laguerre", "gen_jacobi"],
+    )
+    def test_interval_must_suit_the_family(self, raw, match):
+        # a hand-built WeightSpec once took any interval: hermite on [0, 1]
+        # gave Hermite's constant on the whole line
+        assert_rejected(raw, match)
 
     def test_infinite_endpoints_parse_from_strings(self):
         spec = make_weight({"family": "laguerre", "interval": [0, "inf"], "alpha": 0.5})
         assert spec.interval == (0.0, math.inf)
         assert weight_to_json(spec)["interval"] == [0.0, "inf"]
+        # each sign takes the same spellings, in any case and with spaces around
+        for lo, hi in [("-inf", "inf"), ("-infinity", "infinity"), ("-Infinity", " +INF "),
+                       (" -INF", "+infinity")]:
+            spec = make_weight({"family": "hermite", "interval": [lo, hi]})
+            assert spec.interval == (-math.inf, math.inf)
+        for token in ("--inf", "+-inf", "-infinite", "inf inf"):
+            with pytest.raises(WeightError, match="unrecognized endpoint"):
+                make_weight({"family": "hermite", "interval": [token, "inf"]})
 
     def test_gen_hermite_alpha_folds_into_singularities(self):
         spec = make_weight({"family": "gen_hermite", "alpha": 2.0})
@@ -75,30 +117,26 @@ class TestMakeWeight:
         assert spec.alpha == 0.0
 
     def test_gen_hermite_negative_sum_rejected(self):
-        with pytest.raises(WeightError, match="sum"):
-            make_weight({"family": "gen_hermite", "singularities": [[1.0, -0.5]]})
+        assert_rejected({"family": "gen_hermite", "singularities": [[1.0, -0.5]]}, "sum")
 
     def test_gen_laguerre_hypotheses(self):
         # balanced inner sum (5.1) is fine even with total <= -1 impossible here
         make_weight({"family": "gen_laguerre", "singularities": [[2.0, 1.5]]})
         # general mode (5.2) needs total sum > -1
-        with pytest.raises(WeightError, match="sum"):
-            make_weight(
-                {
-                    "family": "gen_laguerre",
-                    "singularities": [[-2.0, -3.0], [1.0, 0.5]],
-                }
-            )
-        with pytest.raises(WeightError, match=">= 0"):
-            make_weight({"family": "gen_laguerre", "singularities": [[-1.0, 0.5]]})
+        assert_rejected(
+            {
+                "family": "gen_laguerre",
+                "singularities": [[-2.0, -3.0], [1.0, 0.5]],
+            },
+            "sum",
+        )
+        assert_rejected({"family": "gen_laguerre", "singularities": [[-1.0, 0.5]]}, ">= 0")
 
     def test_scale_must_be_positive(self):
-        with pytest.raises(WeightError, match="scale"):
-            make_weight({"family": "hermite", "scale": 0.0})
+        assert_rejected({"family": "hermite", "scale": 0.0}, "scale")
 
     def test_unknown_family_and_fields(self):
-        with pytest.raises(WeightError, match="family"):
-            make_weight({"family": "chebyshev"})
+        assert_rejected({"family": "chebyshev"}, "family")
         with pytest.raises(WeightError, match="unknown weight fields"):
             make_weight({"family": "hermite", "bogus": 1})
 
