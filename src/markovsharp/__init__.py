@@ -8,7 +8,6 @@ from .bounds import (
     gen_hermite_exponent,
     gen_laguerre_exponent,
     growth_fit,
-    lupas_constant,
     lupas_growth_exponent,
     verify_theorem,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "gen_hermite_exponent",
     "gen_laguerre_exponent",
     "growth_fit",
-    "lupas_constant",
     "lupas_growth_exponent",
     "make_weight",
     "mirsky_bound",

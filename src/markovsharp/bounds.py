@@ -91,34 +91,6 @@ def gen_laguerre_exponent(gammas, centers) -> ExponentReport:
     return _pair_report(gs[first:], 2.0)
 
 
-def lupas_constant(n: int, alpha: float, beta: float) -> float:
-    """Sup-norm versus weighted-L2 constant for the Jacobi weight on [-1, 1].
-
-    Lupas' inequality: for P of degree at most n,
-    ||P||_inf <= sqrt(G(n+a+b+2) / (2^(a+b+1) G(q+1) G(n+q'+1)) * C(n+q+1, n))
-    * ||P||_L2(w), with q = max(a,b) >= -1/2 and q' = min(a,b).  Evaluated
-    through log-gamma to avoid overflow.
-    """
-    if n < 0:
-        raise WeightError("n must be >= 0")
-    if alpha <= -1 or beta <= -1:
-        raise WeightError("need alpha, beta > -1")
-    q, qp = max(alpha, beta), min(alpha, beta)
-    if q < -0.5:
-        raise HypothesisError(f"Lupas hypothesis violated: max(alpha, beta) = {q} < -1/2")
-    lg = math.lgamma
-    log_sq = (
-        lg(n + alpha + beta + 2)
-        - (alpha + beta + 1) * math.log(2)
-        - lg(q + 1)
-        - lg(n + qp + 1)
-        + lg(n + q + 2)
-        - lg(n + 1)
-        - lg(q + 2)
-    )
-    return math.exp(0.5 * log_sq)
-
-
 def lupas_growth_exponent(alpha: float, beta: float) -> float:
     """Power of n governing the squared Lupas constant: a + b + |a-b| + 2."""
     return alpha + beta + abs(alpha - beta) + 2.0

@@ -14,7 +14,11 @@ class QuadratureError(MarkovSharpError):
 
 
 class EigenError(MarkovSharpError):
-    """Eigensolve or Sobolev factor failed: no convergence, B not positive definite, overflow."""
+    """Eigensolve or Sobolev factor failed.
+
+    No convergence, B not positive definite, overflow, or a sharp constant
+    whose extremal coefficients miss it by more than the residual tolerance.
+    """
 
 
 class HypothesisError(MarkovSharpError, ValueError):

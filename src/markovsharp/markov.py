@@ -52,8 +52,9 @@ its constant, share one recurrence and one D_N, also when each call makes
 its weight afresh from JSON.  The bases are kept in ``quadrature``'s one
 store, beside its reference rules: the least recently used entries of
 either kind leave once their arrays exceed ``quadrature.KEPT_BYTES``.  A
-basis is a pure function of the weight_id and N, so what ran before changes
-what a call costs, never what it returns.  No Gauss rule is kept:
+basis is a pure function of the weight_id and N, and read-only, its
+recurrence and D_N alike, so what ran before changes what a call costs,
+never what it returns.  No Gauss rule is kept:
 ``basis_for`` builds the (N+2)-point rule of the recurrence each time it is
 called.
 """
@@ -72,6 +73,8 @@ from .orthopoly import (
     RecurrenceTable,
     WeightSpec,
     _as_float,
+    _frozen,
+    _Record,
     _symmetric,
     closed_form,
     eval_orthonormal,
@@ -99,7 +102,7 @@ def _lambda_values(lambdas) -> tuple[float, ...]:
     return tuple(_as_float(v, "lambda", finite=False) for v in values)
 
 
-class SobolevSpec(namedtuple("SobolevSpec", "lambdas")):
+class SobolevSpec(_Record, namedtuple("SobolevSpec", "lambdas")):
     """Derivative weights lambda_1..lambda_k of a weighted Sobolev norm.
 
     ``lambdas`` is a tuple of 1 to MAX_SOBOLEV_ORDER finite floats >= 0,
@@ -121,19 +124,15 @@ class SobolevSpec(namedtuple("SobolevSpec", "lambdas")):
             )
         return super().__new__(cls, lams)
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
 
 class SharpResult(
-    namedtuple("SharpResult", "n value coeffs residual weight achieved_ratio lambdas")
+    _Record, namedtuple("SharpResult", "n value coeffs residual weight achieved_ratio lambdas")
 ):
     """Sharp constant, extremal coefficients, and the ratio they achieve.
 
     ``residual`` is the relative gap between ``achieved_ratio`` and ``value``.
-    ``coeffs`` is a read-only float array on every construction, ``_replace``
-    included.
+    ``coeffs`` is a read-only float array of the n+1 coefficients, checked on
+    every construction, ``_replace`` included.
     """
 
     __slots__ = ()
@@ -141,12 +140,10 @@ class SharpResult(
     def __new__(cls, n: int, value: float, coeffs, residual: float, weight: WeightSpec,
                 achieved_ratio: float, lambdas: tuple[float, ...] = ()):
         c = np.asarray(coeffs, dtype=float)
-        c.setflags(write=False)
-        return super().__new__(cls, n, value, c, residual, weight, achieved_ratio, lambdas)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+        if c.shape != (n + 1,):
+            raise ValueError(f"coeffs of shape {c.shape} for degree {n}; need ({n + 1},)")
+        return super().__new__(cls, n, value, _frozen(c), residual, weight, achieved_ratio,
+                               lambdas)
 
 
 def _top_degree(ns) -> int:
@@ -169,13 +166,14 @@ def _kept(spec: WeightSpec, ns) -> _Basis:
 
     A kept entry for N is read as it is; otherwise ``closed_form`` decides,
     once, how the recurrence to N+1 is built: by its closed form, whose mass
-    is checked here, or by ``stabilized_stieltjes``.  D_N is built with it,
-    and the entry is kept as ``basis_for`` describes: in ``quadrature``'s one
-    store, under the weight's ``weight_id``, in place of the entry for
-    another N, as the most recently used, with the bytes of its recurrence
-    and D_N.  Least recently used entries of the store, bases and reference
-    rules alike, then leave while its arrays exceed ``quadrature.KEPT_BYTES``,
-    all but the newest.
+    is checked here, or by ``stabilized_stieltjes``.  D_N is built with it
+    and made read-only, as the recurrence's arrays are, since every later
+    call for the weight reads it.  The entry is kept as ``basis_for``
+    describes: in ``quadrature``'s one store, under the weight's
+    ``weight_id``, in place of the entry for another N, as the most recently
+    used, with the bytes of its recurrence and D_N.  Least recently used
+    entries of the store, bases and reference rules alike, then leave while
+    its arrays exceed ``quadrature.KEPT_BYTES``, all but the newest.
     """
     top, key = _top_degree(ns), spec.weight_id
     kept = _store_get(key)
@@ -186,9 +184,18 @@ def _kept(spec: WeightSpec, ns) -> _Basis:
     else:
         rec = recurrence_classical(spec, top + 1)
         _kernels._p0(rec.mass)
-    kept = _Basis(top, rec, derivative_matrix(rec, top))
+    kept = _Basis(top, rec, _frozen(derivative_matrix(rec, top)))
     _store_put(key, kept, rec.diag.nbytes + rec.offdiag.nbytes + kept.mat.nbytes)
     return kept
+
+
+def recurrence_for(spec: WeightSpec, n: int) -> RecurrenceTable:
+    """Recurrence table to degree n+1 of the basis kept for the weight (``_kept``).
+
+    It builds no Gauss rule, so it is the table ``basis_for`` returns without
+    the cost of its rule.
+    """
+    return _kept(spec, [n]).rec
 
 
 def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
@@ -208,7 +215,7 @@ def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
     its cost falls after them.  The rule is built on each call and not
     kept.  Both objects of the pair are immutable.
     """
-    rec = _kept(spec, [n]).rec
+    rec = recurrence_for(spec, n)
     return rec, gauss_rule(rec, n + 2)
 
 
@@ -279,10 +286,11 @@ def _checked_residual(mat, coeffs, ns, values, lambdas=()):
     Each order d is one product over the whole range: the rows times D_N^T
     are the coefficients of the next derivative, and
     ||P^(d)||^2 = ||D^d c||^2.  With no lambdas the ratio is the weighted L2
-    ratio ||P'|| / ||P||.  The gaps are relative; QuadratureError names the
-    first degree whose value is not positive and finite, else the first
-    whose gap exceeds RESIDUAL_TOL, and then names the norms as the cause
-    when their squares left the floating-point range.
+    ratio ||P'|| / ||P||.  The gaps are relative.  QuadratureError names the
+    first degree whose value is not positive and finite; else, for the first
+    degree whose gap exceeds RESIDUAL_TOL, it names the norms when their
+    squares left the floating-point range, and otherwise EigenError names
+    the gap.
     """
     for n, value in zip(ns, values):
         if not (math.isfinite(value) and value > 0):
@@ -307,7 +315,7 @@ def _checked_residual(mat, coeffs, ns, values, lambdas=()):
                     f"the norms of the extremal polynomial at n={n} are out of "
                     "floating-point range"
                 )
-            raise QuadratureError(
+            raise EigenError(
                 f"sharp-constant residual {gap:.3e} at n={n} exceeds {RESIDUAL_TOL:.0e}; "
                 "the eigensolve or the Sobolev factor failed"
             )

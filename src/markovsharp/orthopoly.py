@@ -2,9 +2,11 @@
 
 A weight is one of the classical families (Jacobi, Laguerre, Hermite) or a
 generalized family: the classical exponential factor times a product of
-singular factors |x - c_j|^gamma_j.  ``WeightSpec`` is a namedtuple that
-checks a weight's hypotheses on every construction, ``_replace`` and
-unpickling included; ``make_weight`` only reads the JSON form into one.
+singular factors |x - c_j|^gamma_j.  The package's records, ``WeightSpec``
+among them, are namedtuples derived from ``_Record``: each checks its fields
+in its own ``__new__``, which every way of building one runs, and holds its
+arrays read-only (``_frozen``).  ``make_weight`` only reads the JSON form of
+a weight into a ``WeightSpec``.
 ``closed_form`` decides which weights have closed-form recurrence
 coefficients: the classical families, and the generalized weights whose
 singular factors restate a classical one; every other weight gets its
@@ -60,15 +62,40 @@ def max_degree_cap() -> int:
     return DEFAULT_MAX_N
 
 
-class WeightSpec(namedtuple("WeightSpec", _WEIGHT_FIELDS)):
+class _Record:
+    """Base of the package's checked, read-only namedtuples.
+
+    A call, ``_make``, ``_replace``, ``copy``, ``deepcopy`` and unpickling at
+    every pickle protocol all build a record through its class, so its own
+    ``__new__`` checks every instance.  List it before the namedtuple base.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float array (the array itself when it is one)."""
+    out = np.asarray(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+class WeightSpec(_Record, namedtuple("WeightSpec", _WEIGHT_FIELDS)):
     """A validated weight: family, interval, exponents, singular factors, scale.
 
-    Every construction, ``_replace`` and unpickling (pickle protocol 2 and
-    up) included, checks the weight in its canonical form and raises
-    WeightError when it fails: a known family on an interval (a, b) with
-    a < b that suits the family, float fields, singular factors as strictly
-    increasing (location, exponent) pairs, and the family's integrability
-    and exponent-sum hypotheses.  A gen_hermite |x|^alpha factor is the
+    Every construction, ``_replace``, ``copy`` and unpickling at every
+    pickle protocol included, checks the weight in its canonical form and
+    raises WeightError when it fails: a known family on an interval (a, b)
+    with a < b that suits the family, float fields, singular factors as
+    strictly increasing (location, exponent) pairs, and the family's
+    integrability and exponent-sum hypotheses.  A gen_hermite |x|^alpha factor is the
     singular factor (0, alpha), so its alpha is 0; ``make_weight`` reads
     the shorthand.
     Equal and hashed by its fields, so -0.0 and 0.0 make equal weights;
@@ -146,10 +173,6 @@ class WeightSpec(namedtuple("WeightSpec", _WEIGHT_FIELDS)):
 
         return super().__new__(cls, family, (a, b), alpha, beta, tuple(sings), scale)
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
     @property
     def weight_id(self) -> str:
         # built once per object: the kept bases are looked up by it, and
@@ -162,7 +185,8 @@ class WeightSpec(namedtuple("WeightSpec", _WEIGHT_FIELDS)):
         return wid
 
 
-class RecurrenceTable(namedtuple("RecurrenceTable", "n_max diag offdiag mass weight_id")):
+class RecurrenceTable(_Record,
+                      namedtuple("RecurrenceTable", "n_max diag offdiag mass weight_id")):
     """Three-term recurrence coefficients of the orthonormal polynomials.
 
     The coefficient arrays are read-only float arrays, checked against
@@ -172,19 +196,12 @@ class RecurrenceTable(namedtuple("RecurrenceTable", "n_max diag offdiag mass wei
     __slots__ = ()
 
     def __new__(cls, n_max: int, diag, offdiag, mass: float, weight_id: str = ""):
-        diag = np.asarray(diag, dtype=float)
-        offdiag = np.asarray(offdiag, dtype=float)
+        diag, offdiag = np.asarray(diag, dtype=float), np.asarray(offdiag, dtype=float)
         if diag.shape != (n_max + 1,) or offdiag.shape != (n_max,):
             raise ValueError("recurrence arrays inconsistent with n_max")
         if n_max > 0 and not np.all(offdiag > 0):
             raise ValueError("offdiag coefficients must be strictly positive")
-        diag.setflags(write=False)
-        offdiag.setflags(write=False)
-        return super().__new__(cls, n_max, diag, offdiag, mass, weight_id)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+        return super().__new__(cls, n_max, _frozen(diag), _frozen(offdiag), mass, weight_id)
 
 
 def _as_float(value, name: str, finite: bool = True) -> float:

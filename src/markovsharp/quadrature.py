@@ -19,9 +19,10 @@ levels it is asked for.  The only reference rules that outlive a call are
 the Gauss-Legendre (interior and split pieces) and Gauss-Laguerre (tails)
 ones, which depend on their node count alone.  This module holds the one
 store of what the process keeps (``_store_get``, ``_store_put``): those
-reference rules and ``markov``'s kept bases, each read-only and a pure
-function of its key, under one lock, in one least recently used order,
-within KEPT_BYTES of arrays in all.  A call's batch holds only the
+reference rules and ``markov``'s kept bases, each a pure function of its
+key, under one lock, in one least recently used order, within KEPT_BYTES of
+arrays in all.  Every array kept there is read-only: a rule's nodes and
+weights, a basis's recurrence and D_N.  A call's batch holds only the
 reference rules it does not find there.  A rule does not depend on its
 batch, so the store changes what a call costs, never what it returns.
 ``stabilized_stieltjes`` gives a generalized weight with no closed form its
@@ -45,7 +46,7 @@ import numpy as np
 from . import _kernels
 from .errors import EigenError, QuadratureError, WeightError
 from .orthopoly import GENERALIZED_FAMILIES, RecurrenceTable, WeightSpec
-from .orthopoly import _jacobi_coefficients, _laguerre_coefficients
+from .orthopoly import _frozen, _jacobi_coefficients, _laguerre_coefficients, _Record
 
 TAIL_GAP = 4.0  # the tails start this far beyond the outermost singular point
 MAX_PIECE_NODES = 2000  # a dense Jacobi matrix of this size takes 32 MB
@@ -56,8 +57,9 @@ MAX_REFINE = 6
 KEPT_BYTES = 4 * 1024 * 1024
 
 # What the process keeps, least recently used first: key -> (value, bytes of its
-# arrays).  A weight_id keys markov's basis of that weight; ("laguerre", m) and
-# (0.0, 0.0, m) key the read-only (nodes, weights) of a reference rule.
+# arrays).  A weight_id keys markov's basis of that weight, with its read-only
+# recurrence and D_N; ("laguerre", m) and (0.0, 0.0, m) key the read-only
+# (nodes, weights) of a reference rule.
 # _STORE_BYTES is the running total of the bytes.
 _STORE = OrderedDict()
 _STORE_BYTES = 0
@@ -89,7 +91,7 @@ def _store_put(key, value, nbytes: int) -> None:
             _STORE_BYTES -= _STORE.popitem(last=False)[1][1]
 
 
-class QuadRule(namedtuple("QuadRule", "nodes weights")):
+class QuadRule(_Record, namedtuple("QuadRule", "nodes weights")):
     """Positive quadrature rule for integrals against one weight.
 
     Nodes strictly increasing and weights positive, as read-only float
@@ -99,8 +101,7 @@ class QuadRule(namedtuple("QuadRule", "nodes weights")):
     __slots__ = ()
 
     def __new__(cls, nodes, weights):
-        nodes = np.asarray(nodes, dtype=float)
-        weights = np.asarray(weights, dtype=float)
+        nodes, weights = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be 1-D arrays of equal length")
         if nodes.size == 0:
@@ -109,13 +110,7 @@ class QuadRule(namedtuple("QuadRule", "nodes weights")):
             raise ValueError("nodes must be strictly increasing")
         if not np.all(weights > 0):
             raise ValueError("weights must be strictly positive")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return super().__new__(cls, nodes, weights)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+        return super().__new__(cls, _frozen(nodes), _frozen(weights))
 
 
 def _jacobi_nodes(diag, offdiag):
@@ -326,9 +321,7 @@ def _reference_rules(keys):
             else _jacobi_coefficients(key[0], key[1], key[2] - 1) for key in missing
         ])
         for r, key in enumerate(missing):
-            rules[key] = (nodes[r, : key[-1]].copy(), weights[r, : key[-1]].copy())
-            for a in rules[key]:
-                a.setflags(write=False)
+            rules[key] = tuple(_frozen(a[r, : key[-1]].copy()) for a in (nodes, weights))
             if key[0] == "laguerre" or key[:2] == (0.0, 0.0):
                 _store_put(key, rules[key], 2 * rules[key][0].nbytes)
     ref_nodes = np.zeros((len(keys), max(key[-1] for key in keys)))

@@ -1,7 +1,7 @@
 """Independent reference computations the tests check the library against.
 
 Everything here works from first principles (moments, brute force, power
-iteration) and never calls the code paths it is used to verify.
+iteration, closed forms) and never calls the code paths it is used to verify.
 """
 
 import math
@@ -135,3 +135,26 @@ def gauss_jacobi_point_mp(m, alpha, beta, x0, mp):
         / (mp.gamma(m + a + b + 1) * mp.factorial(m))
     )
     return x, const / ((1 - x * x) * deriv(x) ** 2)
+
+
+def lupas_constant(n, alpha, beta):
+    """Lupas' sup-norm versus weighted-L2 constant for the Jacobi weight on [-1, 1].
+
+    For P of degree at most n,
+    ||P||_inf <= sqrt(G(n+a+b+2) / (2^(a+b+1) G(q+1) G(n+q'+1)) * C(n+q+1, n))
+    * ||P||_L2(w), with q = max(a,b) >= -1/2 and q' = min(a,b).  Evaluated
+    through log-gamma to avoid overflow.
+    """
+    q, qp = max(alpha, beta), min(alpha, beta)
+    assert q >= -0.5, "Lupas' inequality needs max(alpha, beta) >= -1/2"
+    lg = math.lgamma
+    log_sq = (
+        lg(n + alpha + beta + 2)
+        - (alpha + beta + 1) * math.log(2)
+        - lg(q + 1)
+        - lg(n + qp + 1)
+        + lg(n + q + 2)
+        - lg(n + 1)
+        - lg(q + 2)
+    )
+    return math.exp(0.5 * log_sq)

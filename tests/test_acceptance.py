@@ -30,7 +30,6 @@ from markovsharp import (
     SobolevSpec,
     gauss_rule,
     growth_fit,
-    lupas_constant,
     lupas_growth_exponent,
     make_weight,
     mirsky_bound,
@@ -44,7 +43,7 @@ from markovsharp.cli import build_parser, cmd_selftest
 from markovsharp.markov import basis_for
 from markovsharp.orthopoly import eval_derivative_table, eval_orthonormal
 
-from oracles import pencil_power_iteration
+from oracles import lupas_constant, pencil_power_iteration
 
 HERMITE = make_weight({"family": "hermite"})
 LEGENDRE = make_weight({"family": "jacobi", "interval": [-1, 1]})

@@ -11,7 +11,6 @@ from markovsharp import (
     gen_hermite_exponent,
     gen_laguerre_exponent,
     growth_fit,
-    lupas_constant,
     lupas_growth_exponent,
     make_weight,
     recurrence_classical,
@@ -24,6 +23,8 @@ from markovsharp.bounds import (
     predicted_envelope,
 )
 from markovsharp.orthopoly import WeightSpec, eval_orthonormal
+
+from oracles import lupas_constant
 
 
 class TestGenHermiteExponent:
@@ -88,15 +89,8 @@ class TestGenLaguerreExponent:
 
 
 class TestLupas:
-    def test_degree_zero_legendre(self):
-        assert lupas_constant(0, 0.0, 0.0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
-
-    def test_degree_one_legendre(self):
-        assert lupas_constant(1, 0.0, 0.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-
-    def test_hypothesis_violation(self):
-        with pytest.raises(HypothesisError, match="Lupas"):
-            lupas_constant(3, -0.6, -0.7)
+    # Lupas' constant is a closed form in tests/oracles.py; these check the
+    # Gauss rules, the basis and the growth fit against it
 
     @pytest.mark.parametrize("ab", [(0.0, 0.0), (2.0, 1.0), (-0.5, 3.0)])
     def test_sup_norm_bound_on_random_polynomials(self, ab):
@@ -160,6 +154,22 @@ class TestGrowthFit:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(WeightError, match="positive"):
             growth_fit([1, 2, 3, 4], [1.0, -2.0, 3.0, 4.0])
+
+
+class TestInputChecks:
+    # each input check that no other test reaches, with the class and text it raises
+    @pytest.mark.parametrize("build, error, message", [
+        pytest.param(lambda: gen_laguerre_exponent([0.5], []), HypothesisError,
+                     "need equally many exponents and locations (at least one)", id="pairing"),
+        pytest.param(lambda: gen_laguerre_exponent([-1.0, 0.5], [0.0, 1.0]), HypothesisError,
+                     "exponents at non-negative locations must be > -1", id="exponent"),
+        pytest.param(lambda: growth_fit([4, 4, 4, 4], [1.0, 2.0, 3.0, 4.0]), WeightError,
+                     "degenerate fit: degrees in the fitted half are all equal", id="degenerate"),
+    ])
+    def test_message(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestVerifyTheorem:

@@ -1,4 +1,5 @@
 import ast
+import copy
 import inspect
 import json
 import math
@@ -626,6 +627,24 @@ class TestContracts:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["sharp", "--weight", '{"family": hermite}', "--n", "3"],
+                     "invalid weight JSON: ", id="weight-json"),
+        pytest.param(["sharp", "--weight", "hermite", "--n", "3", "--lambdas", "1,x"],
+                     "invalid --lambdas value '1,x'", id="lambdas"),
+        pytest.param(["sweep", "--weight", "hermite", "--n", "3", "--n-min", "1", "--n-max", "4"],
+                     "give either --n or --n-min/--n-max, not both", id="n-and-range"),
+        pytest.param(["sweep", "--weight", "hermite", "--n-min", "1"],
+                     "--n-min and --n-max must be given together", id="half-range"),
+        pytest.param(["sweep", "--weight", "hermite", "--n-min", "5", "--n-max", "4"],
+                     "need n-min <= n-max and n-step >= 1", id="empty-range"),
+    ])
+    def test_bad_input_exits_two_and_names_it(self, capsys, argv, message):
+        # each input check of the CLI that no other test reaches
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
+
     def test_numerical_failure_exits_three(self, capsys, monkeypatch):
         from markovsharp.errors import QuadratureError
 
@@ -1002,6 +1021,45 @@ class TestRecords:
             rule._replace(nodes=rule.nodes[::-1])
         with pytest.raises(WeightError, match="finite and >= 0"):
             SobolevSpec((1.0,))._replace(lambdas=(-1.0,))
+
+    @staticmethod
+    def _records():
+        """One valid instance of each checked record, invalid fields for it, and its error."""
+        spec = make_weight({"family": "hermite"})
+        rec = recurrence_classical(spec, 3)
+        rule = gauss_rule(rec, 3)
+        res = sharp_constant_l2(spec, 3)
+        return {
+            "WeightSpec": (spec, ("hermite", (0.0, 1.0), 0.0, 0.0, (), 1.0), WeightError,
+                           "whole real line"),
+            "RecurrenceTable": (rec, (3, rec.diag, -rec.offdiag, rec.mass, rec.weight_id),
+                                ValueError, "strictly positive"),
+            "QuadRule": (rule, (rule.nodes[::-1], rule.weights), ValueError,
+                         "strictly increasing"),
+            "SobolevSpec": (SobolevSpec((1.0,)), ((-1.0,),), WeightError, "finite and >= 0"),
+            "SharpResult": (res, (3, res.value, res.coeffs[:3], *res[3:]), ValueError,
+                            "for degree 3"),
+        }
+
+    @pytest.mark.parametrize("name", ["WeightSpec", "RecurrenceTable", "QuadRule",
+                                      "SobolevSpec", "SharpResult"])
+    def test_copies_and_unpickling_run_the_checks(self, name):
+        valid, fields, error, match = self._records()[name]
+        unchecked = tuple.__new__(type(valid), fields)
+        copies = [copy.copy, copy.deepcopy] + [
+            lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p))
+            for p in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for make_copy in copies:
+            with pytest.raises(error, match=match):
+                make_copy(unchecked)
+            again = make_copy(valid)
+            assert type(again) is type(valid) and again._fields == valid._fields
+            for field, value in zip(again, valid):
+                if isinstance(value, np.ndarray):
+                    assert not field.flags.writeable and field.tobytes() == value.tobytes()
+                else:
+                    assert field == value
 
     def test_weight_spec_is_immutable_hashable_and_picklable(self):
         spec = make_weight({"family": "jacobi", "alpha": 0.5})

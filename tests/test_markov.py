@@ -601,7 +601,7 @@ class TestResidualCheck:
     @pytest.mark.parametrize("lams", [(), (1.0, 0.5)], ids=["l2", "sobolev"])
     def test_off_sigma_names_its_degree(self, monkeypatch, lams):
         self._patch_sigma(monkeypatch, lambda value: value * (1 + 1e-6))
-        with pytest.raises(QuadratureError, match=r"residual 1\.0\d*e-06 at n=17 exceeds"):
+        with pytest.raises(EigenError, match=r"residual 1\.0\d*e-06 at n=17 exceeds"):
             markov.sharp_constants(make_weight(GEN_JACOBI), range(4, 41), lams)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
@@ -1003,6 +1003,49 @@ class TestBasisTable:
         monkeypatch.setenv("MARKOVSHARP_MAX_N", "10")
         with pytest.raises(WeightError, match="degree cap 10"):
             basis_for(spec, 20)
+
+    def test_recurrence_for_builds_no_rule(self, monkeypatch):
+        # the kept recurrence basis_for returns, without its Gauss rule
+        spec, built = make_weight(LEGENDRE), []
+        with monkeypatch.context() as patched:
+            patched.setattr(quadrature, "_gauss_rules", built.append)
+            rec = markov.recurrence_for(spec, 12)
+        assert built == [] and rec.n_max == 13
+        assert basis_for(spec, 12)[0] is rec
+
+    def test_kept_arrays_are_read_only(self):
+        # no caller can change what a later call for the weight reads
+        spec = make_weight({"family": "laguerre", "alpha": 0.0})
+        value = sharp_constant_l2(spec, 5).value
+        for raw in (spec, GEN_JACOBI):
+            basis = markov._kept(make_weight(raw), [5])
+            for array in (basis.rec.diag, basis.rec.offdiag, basis.mat):
+                assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                basis.mat[0, 1] *= 2.0
+        assert sharp_constant_l2(spec, 5).value == value
+        # so is every reference rule the store keeps beside the bases
+        rules = [kept for key, (kept, _) in quadrature._STORE.items() if not isinstance(key, str)]
+        assert rules and not any(a.flags.writeable for rule in rules for a in rule)
+
+
+class TestInputChecks:
+    # each input check that no other test reaches, with the class and text it raises
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: sharp_constants(make_weight(HERMITE), []),
+                     "need at least one degree", id="no-degree"),
+        pytest.param(lambda: derivative_matrix(recurrence_classical(make_weight(HERMITE), 3), -1),
+                     "n must be >= 0", id="matrix-degree"),
+        pytest.param(lambda: derivative_matrix(recurrence_classical(make_weight(HERMITE), 3), 4),
+                     "recurrence table too short: n=4 > n_max=3", id="matrix-table"),
+        pytest.param(lambda: extremal_polynomial(sharp_constant_l2(make_weight(HERMITE), 3),
+                                                 recurrence_classical(make_weight(HERMITE), 3)),
+                     "recurrence table too short: need n_max >= 4", id="extremal-table"),
+    ])
+    def test_message(self, build, message):
+        with pytest.raises(WeightError) as exc:
+            build()
+        assert type(exc.value) is WeightError and str(exc.value) == message
 
 
 class TestBasisStore:

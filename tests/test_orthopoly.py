@@ -417,3 +417,59 @@ class TestInvariants:
             monkeypatch.setenv("MARKOVSHARP_MAX_N", raw)
             with pytest.raises(WeightError, match=f"must be a positive integer: '{raw}'"):
                 max_degree_cap()
+
+
+def _table3():
+    return recurrence_classical(make_weight(HERMITE), 3)
+
+
+class TestInputChecks:
+    # each input check that no other test reaches, with the class and text it raises
+    @pytest.mark.parametrize("build, error, message", [
+        pytest.param(lambda: make_weight({"family": "jacobi", "interval": [0, 1, 2]}),
+                     WeightError, "interval must be a pair [a, b]", id="interval-pair"),
+        pytest.param(lambda: make_weight({"family": "laguerre", "alpha": -1}), WeightError,
+                     "laguerre: non-integrable endpoint singularity (need alpha > -1)",
+                     id="laguerre-alpha"),
+        pytest.param(lambda: make_weight({"family": "laguerre", "beta": 1}), WeightError,
+                     "laguerre: beta is not used", id="laguerre-beta"),
+        pytest.param(lambda: make_weight({"family": "hermite", "alpha": 1}), WeightError,
+                     "hermite: alpha/beta are not used", id="hermite-alpha"),
+        pytest.param(lambda: make_weight({"family": "gen_hermite", "beta": 1}), WeightError,
+                     "gen_hermite: beta is not used", id="gen-hermite-beta"),
+        pytest.param(lambda: make_weight({"family": "gen_laguerre", "alpha": 1}), WeightError,
+                     "gen_laguerre: alpha/beta are not used (put exponents in singularities)",
+                     id="gen-laguerre-alpha"),
+        pytest.param(lambda: make_weight({"family": "jacobi", "singularities": [[0, 1]]}),
+                     WeightError, "jacobi: singularities are not allowed for classical families",
+                     id="classical-singularities"),
+        pytest.param(lambda: RecurrenceTable(2, [0.0, 0.0], [1.0, 1.0], 1.0), ValueError,
+                     "recurrence arrays inconsistent with n_max", id="table-shape"),
+        pytest.param(lambda: make_weight({"family": "jacobi", "alpha": None}), WeightError,
+                     "alpha is not a number: None", id="not-a-number"),
+        pytest.param(lambda: make_weight({"family": "jacobi", "alpha": math.nan}), WeightError,
+                     "alpha is NaN", id="nan"),
+        pytest.param(lambda: make_weight({"family": "gen_jacobi", "interval": [-1, 1],
+                                          "singularities": [[0, 1, 2]]}),
+                     WeightError, "singularities must be pairs [c, gamma]", id="singular-pair"),
+        pytest.param(lambda: make_weight("hermite"), WeightError,
+                     "weight description must be a mapping, got str", id="not-a-mapping"),
+        pytest.param(lambda: make_weight({"family": "gen_jacobi"}), WeightError,
+                     "gen_jacobi: interval is required", id="gen-jacobi-interval"),
+        pytest.param(lambda: make_weight({"family": "gen_hermite", "alpha": -0.5}), WeightError,
+                     "gen_hermite: the |x|^alpha exponent must be >= 0", id="gen-hermite-alpha"),
+        pytest.param(lambda: make_weight({"family": "gen_hermite", "alpha": 1,
+                                          "singularities": [[0, 1]]}),
+                     WeightError, "gen_hermite: alpha duplicates an explicit singularity at 0",
+                     id="gen-hermite-duplicate"),
+        pytest.param(lambda: recurrence_classical(make_weight(HERMITE), -1), WeightError,
+                     "n must be >= 0", id="recurrence-degree"),
+        pytest.param(lambda: eval_orthonormal(_table3(), [[0.0]], 2), ValueError,
+                     "evaluation points must be a scalar or 1-D array", id="points-2d"),
+        pytest.param(lambda: eval_derivative_table(_table3(), 0.0, 2, -1), ValueError,
+                     "order must be >= 0", id="negative-order"),
+    ])
+    def test_message(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error and str(exc.value) == message

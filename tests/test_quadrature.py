@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from markovsharp import (
+    QuadRule,
     composite_rules,
     gauss_rule,
     make_weight,
@@ -11,7 +12,7 @@ from markovsharp import (
 )
 from markovsharp.errors import QuadratureError, WeightError
 from markovsharp.orthopoly import _jacobi_coefficients
-from markovsharp.quadrature import _gauss_rules
+from markovsharp.quadrature import _gauss_rules, stabilized_stieltjes
 
 from oracles import gauss_jacobi_point_mp
 
@@ -514,3 +515,34 @@ class TestIntegrate:
         val = np.dot(rule.weights, eval_orthonormal(rec, rule.nodes, 3)[3] ** 2)
         assert val == pytest.approx(1.0, rel=1e-12)
 
+
+
+SINGULAR_JACOBI = {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}
+STEEP_HERMITE = {"family": "gen_hermite", "singularities": [[0.5, 300]]}
+
+
+class TestInputChecks:
+    # each input check that no other test reaches, with the class and text it raises
+    @pytest.mark.parametrize("build, error, message", [
+        pytest.param(lambda: QuadRule([0.0, 1.0], [1.0]), ValueError,
+                     "nodes and weights must be 1-D arrays of equal length", id="rule-shape"),
+        pytest.param(lambda: QuadRule([], []), ValueError, "empty rule", id="rule-empty"),
+        pytest.param(lambda: QuadRule([0.0, 1.0], [1.0, -1.0]), ValueError,
+                     "weights must be strictly positive", id="rule-weights"),
+        pytest.param(lambda: _rule({"family": "hermite"}, 0, 3), ValueError, "m must be >= 1",
+                     id="gauss-size"),
+        pytest.param(lambda: _rule({"family": "hermite"}, 5, 3), ValueError,
+                     "recurrence table too short for an 5-point rule (n_max=3)",
+                     id="gauss-table"),
+        pytest.param(lambda: composite_rules(make_weight(SINGULAR_JACOBI), -1, (0,)),
+                     ValueError, "degree must be >= 0", id="composite-degree"),
+        # no two consecutive levels of |x - 0.5|^300 e^(-x^2) agree to 1e-12
+        pytest.param(lambda: stabilized_stieltjes(make_weight(STEEP_HERMITE), 6),
+                     QuadratureError,
+                     "recurrence coefficients did not stabilize after 6 rule refinements",
+                     id="no-stabilization"),
+    ])
+    def test_message(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error and str(exc.value) == message
