@@ -4,9 +4,9 @@ A weight is one of the classical families (Jacobi, Laguerre, Hermite) or a
 generalized family: the classical exponential factor times a product of
 singular factors |x - c_j|^gamma_j.  The package's records, ``WeightSpec``
 among them, are namedtuples derived from ``_Record``: each checks its fields
-in its own ``__new__``, which every way of building one runs, and holds its
-arrays read-only (``_frozen``).  ``make_weight`` only reads the JSON form of
-a weight into a ``WeightSpec``.
+in its own ``__new__``, which every way of building one runs, and holds
+read-only copies of the arrays it is given (``_frozen``).  ``make_weight``
+only reads the JSON form of a weight into a ``WeightSpec``.
 ``closed_form`` decides which weights have closed-form recurrence
 coefficients: the classical families, and the generalized weights whose
 singular factors restate a classical one; every other weight gets its
@@ -81,8 +81,8 @@ class _Record:
 
 
 def _frozen(values) -> np.ndarray:
-    """``values`` as a read-only float array (the array itself when it is one)."""
-    out = np.asarray(values, dtype=float)
+    """A read-only float copy of ``values``, so no view of the caller's array can change it."""
+    out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -301,21 +301,8 @@ def make_weight(raw) -> WeightSpec:
 
 def weight_to_json(spec: WeightSpec) -> dict:
     """JSON-ready mapping for a WeightSpec (infinite endpoints become strings)."""
-    def endpoint(v):
-        if v == math.inf:
-            return "inf"
-        if v == -math.inf:
-            return "-inf"
-        return v
-
-    return {
-        "family": spec.family,
-        "interval": [endpoint(spec.interval[0]), endpoint(spec.interval[1])],
-        "alpha": spec.alpha,
-        "beta": spec.beta,
-        "singularities": [[c, g] for c, g in spec.singularities],
-        "scale": spec.scale,
-    }
+    return {**spec._asdict(), "singularities": [list(p) for p in spec.singularities],
+            "interval": [str(v) if math.isinf(v) else v for v in spec.interval]}
 
 
 def _gamma_mass(family: str, exponent: float, x: float) -> float:

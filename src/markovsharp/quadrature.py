@@ -15,9 +15,12 @@ exactly, so nothing is truncated.
 The piece rules are affine images of reference Gauss-Jacobi rules on
 [-1, 1]; those and the tails' reference Gauss-Laguerre rules on [0, inf) are
 built in one batch per ``composite_rules`` call, for all the refinement
-levels it is asked for.  The only reference rules that outlive a call are
-the Gauss-Legendre (interior and split pieces) and Gauss-Laguerre (tails)
-ones, which depend on their node count alone.  This module holds the one
+levels it is asked for.  Only the batch pads its rules with zeros, for its
+eigensolves and kernel passes; every reference rule leaves it as its own
+nodes and weights, and a level's pieces read theirs end to end.  The only
+reference rules that outlive a call are the Gauss-Legendre (interior and
+split pieces) and Gauss-Laguerre (tails) ones, which depend on their node
+count alone.  This module holds the one
 store of what the process keeps (``_store_get``, ``_store_put``): those
 reference rules and ``markov``'s kept bases, each a pure function of its
 key, under one lock, in one least recently used order, within KEPT_BYTES of
@@ -227,26 +230,19 @@ def _graded_subpieces(u: float, v: float, spec: WeightSpec) -> list[float]:
     Gauss rules on the whole piece converge slowly; sub-pieces whose lengths
     grow geometrically away from that end restore fast convergence.
     """
-    outside_left = [u - c for c, _ in spec.singularities if c < u]
-    outside_right = [c - v for c, _ in spec.singularities if c > v]
-    delta_u = min(outside_left) if outside_left else math.inf
-    delta_v = min(outside_right) if outside_right else math.inf
     length = v - u
     pts = {u, v}
-    if length > 4 * delta_u:
-        step = delta_u
-        x = u + step
-        while x < u + 0.6 * length:
-            pts.add(x)
-            step *= 2
-            x += step
-    if length > 4 * delta_v:
-        step = delta_v
-        x = v - step
-        while x > v - 0.6 * length:
-            pts.add(x)
-            step *= 2
-            x -= step
+    # side -1 grades away from u, side +1 away from v
+    for end, side in ((u, -1), (v, 1)):
+        delta = min((d for c, _ in spec.singularities if (d := side * (c - end)) > 0),
+                    default=math.inf)
+        if length > 4 * delta:
+            step, limit = delta, end - side * 0.6 * length
+            x = end - side * step
+            while side * x > side * limit:
+                pts.add(x)
+                step *= 2
+                x -= side * step
     ordered = sorted(pts)
     out = [ordered[0]]
     for p in ordered[1:]:
@@ -303,15 +299,15 @@ def _tail_rule(spec: WeightSpec, start: float, s, w):
 
 
 def _reference_rules(keys):
-    """Reference rules of the distinct ``keys``, in order: (nodes, weights), zero-padded.
+    """Reference rules of the distinct ``keys``: a mapping key -> (nodes, weights).
 
     The keys are ``composite_rules``'s, listed in increasing node count.  Those
     the store does not hold go to one ``_gauss_rules`` batch, in the same
-    order; its Gauss-Legendre and Gauss-Laguerre rows, which no weight
-    changes, go into the store as read-only copies under their keys, each
-    the most recently used, and a key read from the store becomes so too.
-    A rule does not depend on its batch, so a row reads the same from the
-    store as from the batch.
+    order, and each comes back as a read-only copy of its unpadded part;
+    its Gauss-Legendre and Gauss-Laguerre rules, which no weight changes, go
+    into the store under their keys, each the most recently used, and a key
+    read from the store becomes so too.  A rule does not depend on its
+    batch, so it reads the same from the store as from the batch.
     """
     rules = {key: _store_get(key) for key in keys}
     missing = [key for key, rule in rules.items() if rule is None]
@@ -321,14 +317,10 @@ def _reference_rules(keys):
             else _jacobi_coefficients(key[0], key[1], key[2] - 1) for key in missing
         ])
         for r, key in enumerate(missing):
-            rules[key] = tuple(_frozen(a[r, : key[-1]].copy()) for a in (nodes, weights))
+            rules[key] = tuple(_frozen(a[r, : key[-1]]) for a in (nodes, weights))
             if key[0] == "laguerre" or key[:2] == (0.0, 0.0):
                 _store_put(key, rules[key], 2 * rules[key][0].nbytes)
-    ref_nodes = np.zeros((len(keys), max(key[-1] for key in keys)))
-    ref_weights = np.zeros_like(ref_nodes)
-    for row, key in enumerate(keys):
-        ref_nodes[row, : key[-1]], ref_weights[row, : key[-1]] = rules[key]
-    return ref_nodes, ref_weights
+    return rules
 
 
 def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
@@ -350,11 +342,14 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     [0, inf), one per key ("laguerre", m).  Those of all the listed levels
     come from ``_reference_rules``: one ``_gauss_rules`` batch of the keys
     the process does not keep, and the Gauss-Legendre (0.0, 0.0, m) and
-    Gauss-Laguerre rules kept in the process's one store.  Since a rule does
-    not depend on its batch, each level's rule is the one it gets when built
+    Gauss-Laguerre rules kept in the process's one store, each read by its
+    key as its own nodes and weights; only the batch pads them.  A level
+    lays its pieces' reference rules end to end, with each piece's ends and
+    exponents repeated over that piece's nodes.  Since a rule does not
+    depend on its batch, each level's rule is the one it gets when built
     alone, from any store.  The rules whose exponents come from the weight
     die with the call.  A piece whose nodes leave the floating-point range
-    raises QuadratureError naming the piece.
+    raises QuadratureError naming the piece of the first such node.
     """
     if spec.family not in GENERALIZED_FAMILIES:
         raise WeightError(f"composite_rules needs a generalized family, got {spec.family!r}")
@@ -392,51 +387,47 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
             pieces += [(ends[j], ends[j + 1], g_lo if j == 0 else 0.0,
                         g_hi if j == parts - 1 else 0.0, m) for j in range(parts)]
         layouts.append(pieces)
-    # one row per distinct key, in increasing node count, so the batch pads only close sizes
-    row_of = {key: row for row, key in enumerate(sorted(dict.fromkeys(list(tails.values()) + [
+    # the distinct keys in increasing node count, so the batch pads only close sizes
+    refs = _reference_rules(sorted(dict.fromkeys(list(tails.values()) + [
         (g_hi, g_lo, m) for pieces in layouts for _, _, g_lo, g_hi, m in pieces
-    ]), key=lambda key: key[-1]))}
-    ref_nodes, ref_weights = _reference_rules(row_of)
+    ]), key=lambda key: key[-1]))
 
     rules = []
     for level, pieces in zip(levels, layouts):
-        # each piece's [-1, 1] rule is its row of the batch, zero-padded to this level's widest
-        rows = [row_of[g_hi, g_lo, m] for _, _, g_lo, g_hi, m in pieces]
-        width = max(m for *_, m in pieces)
-        lo_s, hi_s, g_lo, g_hi, m = (np.array(col)[:, None] for col in zip(*pieces))
+        # the pieces' [-1, 1] rules end to end, each piece's ends and exponents over its nodes
+        ref_nodes, ref_weights = (np.concatenate(col) for col in zip(*(
+            refs[g_hi, g_lo, m] for _, _, g_lo, g_hi, m in pieces)))
+        *columns, counts = zip(*pieces)
+        lo_s, hi_s, g_lo, g_hi = (np.repeat(col, counts) for col in columns)
         # a piece, scale or exponent near the float range overflows here (and
         # inf * 0 is NaN); a piece is named at once, the rest by the Stieltjes
         # mass check
         with np.errstate(over="ignore", invalid="ignore"):
             half = 0.5 * (hi_s - lo_s)
-            nodes = 0.5 * (lo_s + hi_s) + half * ref_nodes[rows, :width]
-            finite = np.isfinite(nodes).all(axis=1)
+            nodes = 0.5 * (lo_s + hi_s) + half * ref_nodes
+            finite = np.isfinite(nodes)
             if not finite.all():
-                lo_p, hi_p = pieces[int(np.argmin(finite))][:2]
-                raise QuadratureError(f"the nodes of the piece [{lo_p!r}, {hi_p!r}] are out "
-                                      "of floating-point range")
+                first = int(np.argmin(finite))
+                raise QuadratureError(f"the nodes of the piece [{float(lo_s[first])!r}, "
+                                      f"{float(hi_s[first])!r}] are out of floating-point range")
             if spec.family == "gen_jacobi":
                 smooth = np.full_like(nodes, spec.scale)
             else:  # the exponential factor e^-x or e^(-x^2)
                 power = nodes if spec.family == "gen_laguerre" else nodes**2
                 smooth = spec.scale * np.exp(-power)
-            # the [-1,1] rule's mass is 2^(g_lo+g_hi+1) B(...); rescale to the piece length
-            weights = ref_weights[rows, :width] * half ** (g_lo + g_hi + 1)
             for c, g in spec.singularities:
-                off = (lo_s[:, 0] != c) & (hi_s[:, 0] != c)
+                off = (lo_s != c) & (hi_s != c)
                 smooth[off] = smooth[off] * np.abs(nodes[off] - c) ** g
-            # drop the padding, add the tails, and drop any node whose weight underflowed
-            padding = np.arange(nodes.shape[1]) >= m
-            nodes, weights = nodes[~padding], (weights * smooth)[~padding]
+            # the [-1,1] rule's mass is 2^(g_lo+g_hi+1) B(...); rescale to the piece length
+            weights = ref_weights * half ** (g_lo + g_hi + 1) * smooth
         if tails:
-            row, size = row_of[tails[level]], tails[level][1]
-            x, w = _tail_rule(spec, hi, ref_nodes[row, :size], ref_weights[row, :size])
+            x, w = _tail_rule(spec, hi, *refs[tails[level]])
             nodes, weights = np.concatenate([nodes, x]), np.concatenate([weights, w])
         if not weights.any():
             raise QuadratureError(
                 f"every weight of the {weights.shape[0]}-point composite rule underflowed to 0"
             )
-        keep = weights > 0
+        keep = weights > 0  # drop any node whose weight underflowed
         order = np.argsort(nodes[keep])
         rules.append(QuadRule(nodes[keep][order], weights[keep][order]))
     return rules

@@ -1,40 +1,80 @@
-"""Write golden_verify_matrix.json: the constants that test_golden.py pins.
+"""Write, or check, the golden files that test_golden.py pins.
 
-For every weight of the benchmark's criterion-5 matrix (``VERIFY_MATRIX`` in
-perfbench/workloads.py) it records, for n = 1..40, the sharp constants in the
-weighted L2 norm and in the Sobolev norm with lambda = (1, 0.5), and the
-Mirsky bounds, each as the range call over all 40 degrees computes them.
+golden_verify_matrix.json holds, for every weight of the benchmark's
+criterion-5 matrix (``VERIFY_MATRIX`` in perfbench/workloads.py) and for
+n = 1..40, the sharp constants in the weighted L2 norm and in the Sobolev
+norm with lambda = (1, 0.5), and the Mirsky bounds, each as the range call
+over all 40 degrees computes them.
 
-    python tests/make_golden.py
+golden_random_requests.json holds the four blocks of random_requests that
+``random.Random(1)`` generates (``random_block`` in perfbench/workloads.py):
+960 requests, every (family, degree, operation) triple once, each stored
+with its inputs and the values the benchmark's worker reads, each request
+computed alone through the single-degree calls.
 
-Rerun it only when a change is meant to move these numbers, and say why.
+    python tests/make_golden.py          # rewrite both files
+    python tests/make_golden.py --check  # recompute, compare, write nothing
+
+``--check`` prints the largest relative change of each quantity against the
+committed files and exits 1 when one exceeds its tolerance in TOLERANCES,
+or when the inputs differ.  Rewrite the files only when a change is meant to
+move these numbers, and say why.
 """
 
 import importlib.util
 import json
+import random
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = Path(__file__).with_name("golden_verify_matrix.json")
+VERIFY_GOLDEN = Path(__file__).with_name("golden_verify_matrix.json")
+RANDOM_GOLDEN = Path(__file__).with_name("golden_random_requests.json")
 NS = list(range(1, 41))
 LAMBDAS = [1.0, 0.5]
+RANDOM_SEED, RANDOM_BLOCKS = 1, 4
+# relative tolerances of the range contract, per quantity
+TOLERANCES = {"l2": 1e-14, "sobolev": 1e-11, "mirsky": 1e-14, "achieved": 1e-11}
 
 
-def verify_matrix():
-    """The (case, weight) pairs of the benchmark's verify matrix, read from its source."""
+def _workloads():
+    """The benchmark's input generators, read from their source."""
     spec = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return workloads.VERIFY_MATRIX
+    return workloads
 
 
-def main():
-    sys.path.insert(0, str(ROOT / "src"))
+def request_values(req) -> dict:
+    """The quantities the benchmark's worker reads from one request, by name.
+
+    An L2 or Mirsky request gives its one value, a Sobolev request its
+    lambda > 0 value, and an extremal request the L2 or Sobolev value of its
+    lambdas and the ratio its extremal polynomial achieves.
+    """
+    import markovsharp as ms
+
+    spec, n = ms.make_weight(req["weight"]), req["n"]
+    if req["op"] == "mirsky":
+        return {"mirsky": float(ms.mirsky_bound(spec, n))}
+    if req["lambdas"]:
+        name, res = "sobolev", ms.sharp_constant_sobolev(spec, ms.SobolevSpec(req["lambdas"]), n)
+    else:
+        name, res = "l2", ms.sharp_constant_l2(spec, n)
+    values = {name: float(res.value)}
+    if req["op"] == "extremal":
+        poly = ms.extremal_polynomial(res, ms.markov.recurrence_for(spec, n))
+        values["achieved"] = float(poly.achieved_ratio)
+    return values
+
+
+def golden_files() -> dict:
+    """Both golden files' contents as the program computes them now, by path."""
     from markovsharp import make_weight, markov
 
+    workloads, rng = _workloads(), random.Random(RANDOM_SEED)
     rows = []
-    for case, raw in verify_matrix():
+    for case, raw in workloads.VERIFY_MATRIX:
         spec = make_weight(raw)
         rows.append({
             "case": case,
@@ -43,8 +83,73 @@ def main():
             "sobolev": [r.value for r in markov.sharp_constants(spec, NS, LAMBDAS)],
             "mirsky": markov.mirsky_bounds(spec, NS),
         })
-    GOLDEN.write_text(json.dumps({"ns": NS, "lambdas": LAMBDAS, "weights": rows}, indent=1) + "\n")
+    requests = [{"request": req, "values": request_values(req)}
+                for offset in range(RANDOM_BLOCKS) for req in workloads.random_block(rng, offset)]
+    return {
+        VERIFY_GOLDEN: {"ns": NS, "lambdas": LAMBDAS, "weights": rows},
+        RANDOM_GOLDEN: {"seed": RANDOM_SEED, "blocks": RANDOM_BLOCKS, "requests": requests},
+    }
+
+
+def quantities(path, golden) -> tuple[dict, list]:
+    """Every value of a golden file, listed per quantity, and the file's inputs."""
+    values = {name: [] for name in TOLERANCES}
+    if path == VERIFY_GOLDEN:
+        inputs = [golden["ns"], golden["lambdas"]] + [row["weight"] for row in golden["weights"]]
+        for row in golden["weights"]:
+            for name in ("l2", "sobolev", "mirsky"):
+                values[name] += row[name]
+    else:
+        inputs = [row["request"] for row in golden["requests"]]
+        for row in golden["requests"]:
+            for name, value in row["values"].items():
+                values[name].append(value)
+    return values, inputs
+
+
+def _write(path, golden):
+    if path == VERIFY_GOLDEN:
+        path.write_text(json.dumps(golden, indent=1) + "\n")
+        return
+    # one request per line, so that a changed value shows as one changed line
+    head = json.dumps({key: golden[key] for key in ("seed", "blocks")})[:-1]
+    rows = ",\n".join(json.dumps(row) for row in golden["requests"])
+    path.write_text(f'{head}, "requests": [\n{rows}\n]}}\n')
+
+
+def check(fresh) -> int:
+    """Print the largest relative change per quantity; 1 if one is out of tolerance."""
+    changes, failed = {name: 0.0 for name in TOLERANCES}, False
+    for path, golden in fresh.items():
+        new, new_inputs = quantities(path, golden)
+        old, old_inputs = quantities(path, json.loads(path.read_text()))
+        if new_inputs != old_inputs or any(len(new[k]) != len(old[k]) for k in TOLERANCES):
+            print(f"{path.name}: the inputs differ from the committed file")
+            failed = True
+            continue
+        for name in TOLERANCES:
+            for a, b in zip(new[name], old[name]):
+                changes[name] = max(changes[name], abs(a - b) / abs(b))
+    for name, tol in TOLERANCES.items():
+        verdict = "ok" if changes[name] <= tol else "EXCEEDS"
+        failed |= changes[name] > tol
+        print(f"{name:9s} largest relative change {changes[name]:.3e} "
+              f"(tolerance {tol:.0e}) {verdict}")
+    return int(failed)
+
+
+def main(argv) -> int:
+    if argv not in ([], ["--check"]):
+        print(f"usage: python {Path(__file__).name} [--check]", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(ROOT / "src"))
+    fresh = golden_files()
+    if argv:
+        return check(fresh)
+    for path, golden in fresh.items():
+        _write(path, golden)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -1061,6 +1061,23 @@ class TestRecords:
                 else:
                     assert field == value
 
+    @pytest.mark.parametrize("name", ["RecurrenceTable", "QuadRule", "SharpResult"])
+    def test_records_own_their_arrays(self, name):
+        # a record freezes a copy: the caller's arrays stay writable, and
+        # writing through a view taken before the record was built leaves it
+        # as built (at -5.0, a QuadRule weight would have escaped its check)
+        valid = self._records()[name][0]
+        fields = [np.array(v) if isinstance(v, np.ndarray) else v for v in valid]
+        given = [v for v in fields if isinstance(v, np.ndarray)]
+        views = [a[:] for a in given]
+        record = type(valid)(*fields)
+        for a, view in zip(given, views):
+            assert a.flags.writeable
+            view[0] = -5.0
+        for field, value in zip(record, valid):
+            if isinstance(value, np.ndarray):
+                assert not field.flags.writeable and field.tobytes() == value.tobytes()
+
     def test_weight_spec_is_immutable_hashable_and_picklable(self):
         spec = make_weight({"family": "jacobi", "alpha": 0.5})
         twin = make_weight({"family": "jacobi", "alpha": 0.5})

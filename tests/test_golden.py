@@ -10,6 +10,13 @@ lambda = (1, 0.5)), and the benchmark's scipy reference for every weight
 those of the range contract: 1e-14 relative for the L2 constants and the
 Mirsky bounds, 1e-11 for lambda > 0.  Bytes are not compared, since
 another numpy or BLAS build may round differently.
+
+golden_random_requests.json, written by the same script, holds 960
+benchmark requests on fresh weights of all six families, each with the
+values the benchmark's worker reads; they are checked with the same
+tolerances, and the ratios extremal polynomials achieve within 1e-11.  Its
+values are what the program computed when the file was written, and no
+independent reference checked them: they catch a change, not an error.
 """
 
 import json
@@ -18,9 +25,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from make_golden import TOLERANCES, request_values
 from markovsharp import make_weight, markov
+from markovsharp.orthopoly import FAMILIES
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_verify_matrix.json").read_text())
+RANDOM = json.loads(Path(__file__).with_name("golden_random_requests.json").read_text())
 
 
 @pytest.mark.parametrize("row", GOLDEN["weights"],
@@ -32,3 +42,15 @@ def test_verify_matrix_constants(row):
     np.testing.assert_allclose(l2, row["l2"], rtol=1e-14, atol=0)
     np.testing.assert_allclose(markov.mirsky_bounds(spec, ns), row["mirsky"], rtol=1e-14, atol=0)
     np.testing.assert_allclose(sobolev, row["sobolev"], rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_random_request_values(family):
+    rows = [row for row in RANDOM["requests"] if row["request"]["weight"]["family"] == family]
+    assert len(rows) == 160  # every degree 1..40 with every operation
+    for row in rows:
+        values = request_values(row["request"])
+        assert values.keys() == row["values"].keys()
+        for name, want in row["values"].items():
+            np.testing.assert_allclose(values[name], want, rtol=TOLERANCES[name], atol=0,
+                                       err_msg=json.dumps(row["request"]))

@@ -12,7 +12,7 @@ from markovsharp import (
 )
 from markovsharp.errors import QuadratureError, WeightError
 from markovsharp.orthopoly import _jacobi_coefficients
-from markovsharp.quadrature import _gauss_rules, stabilized_stieltjes
+from markovsharp.quadrature import _gauss_rules, _graded_subpieces, stabilized_stieltjes
 
 from oracles import gauss_jacobi_point_mp
 
@@ -493,6 +493,33 @@ class TestPieceRules:
                 assert nodes[row, :m].tobytes() == alone[i][0].tobytes()
                 assert weights[row, :m].tobytes() == alone[i][1].tobytes()
                 assert not nodes[row, m:].any() and not weights[row, m:].any()
+
+
+class TestGradedSubpieces:
+    """A piece is split dyadically away from the nearest singular point beyond each end.
+
+    The weight has singular points at -0.5, 0, 8 and 8.25; each piece below
+    is graded from an end whose nearest outside point lies closer than a
+    quarter of the piece's length, with steps that double from that gap up
+    to 0.6 of the length.  Every breakpoint is dyadic, so exact.
+    """
+
+    SPEC = make_weight({"family": "gen_jacobi", "interval": [-1.0, 12.0],
+                        "singularities": [[-0.5, 0.5], [0.0, 0.5], [8.0, 0.5], [8.25, 0.5]]})
+
+    def test_both_sides(self):
+        # from 0 with gap 0.5: 0.5, 1.5, 3.5 (7.5 passes 4.8);
+        # from 8 with gap 0.25: 7.75, 7.25, 6.25, 4.25 (0.25 passes 3.2)
+        assert _graded_subpieces(0.0, 8.0, self.SPEC) == [
+            0.0, 0.5, 1.5, 3.5, 4.25, 6.25, 7.25, 7.75, 8.0]
+
+    def test_one_side(self):
+        # from 8.25 with gap 0.25: 8.5, 9.0, 10.0 (12.0 passes 10.5); no point lies beyond 12
+        assert _graded_subpieces(8.25, 12.0, self.SPEC) == [8.25, 8.5, 9.0, 10.0, 12.0]
+
+    def test_neither_side(self):
+        # no point lies below -1, and the gap 0.5 to 0 is the piece's whole length
+        assert _graded_subpieces(-1.0, -0.5, self.SPEC) == [-1.0, -0.5]
 
 
 class TestIntegrate:
