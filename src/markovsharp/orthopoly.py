@@ -300,7 +300,11 @@ def make_weight(raw) -> WeightSpec:
 
 
 def weight_to_json(spec: WeightSpec) -> dict:
-    """JSON-ready mapping for a WeightSpec (infinite endpoints become strings)."""
+    """JSON-ready mapping for a WeightSpec (infinite endpoints become strings).
+
+    Its keys come in ``_WEIGHT_FIELDS`` order, which is the key order of the
+    CLI's JSON output: the merge replaces values and keeps the order.
+    """
     return {**spec._asdict(), "singularities": [list(p) for p in spec.singularities],
             "interval": [str(v) if math.isinf(v) else v for v in spec.interval]}
 

@@ -1,4 +1,4 @@
-"""Write, or check, the golden files that test_golden.py pins.
+"""Write the golden files that test_golden.py pins.
 
 golden_verify_matrix.json holds, for every weight of the benchmark's
 criterion-5 matrix (``VERIFY_MATRIX`` in perfbench/workloads.py) and for
@@ -10,17 +10,16 @@ golden_random_requests.json holds the four blocks of random_requests that
 ``random.Random(1)`` generates (``random_block`` in perfbench/workloads.py):
 960 requests, every (family, degree, operation) triple once, each stored
 with its inputs and the values the benchmark's worker reads, each request
-computed alone through the single-degree calls.
+run alone through the worker's own ``run_op``.
 
-    python tests/make_golden.py          # rewrite both files
-    python tests/make_golden.py --check  # recompute, compare, write nothing
+    python tests/make_golden.py   # rewrite both files
 
-``--check`` prints the largest relative change of each quantity against the
-committed files and exits 1 when one exceeds its tolerance in TOLERANCES,
-or when the inputs differ.  Rewrite the files only when a change is meant to
-move these numbers, and say why.
+``pytest tests/test_golden.py`` recomputes every value and compares it with
+the files within the tolerances in TOLERANCES.  Rewrite the files only when
+a change is meant to move these numbers, and say why.
 """
 
+import functools
 import importlib.util
 import json
 import random
@@ -37,34 +36,37 @@ RANDOM_SEED, RANDOM_BLOCKS = 1, 4
 TOLERANCES = {"l2": 1e-14, "sobolev": 1e-11, "mirsky": 1e-14, "achieved": 1e-11}
 
 
-def _workloads():
-    """The benchmark's input generators, read from their source."""
-    spec = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+def _perfbench(name):
+    """A module of the benchmark, read from its source in perfbench/."""
+    bench = str(ROOT / "perfbench")
+    sys.path.insert(0, bench)  # the worker imports its siblings machine and spans
+    try:
+        spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", f"{bench}/{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(bench)
+    return module
+
+
+_worker = functools.cache(lambda: _perfbench("worker"))
 
 
 def request_values(req) -> dict:
     """The quantities the benchmark's worker reads from one request, by name.
 
-    An L2 or Mirsky request gives its one value, a Sobolev request its
-    lambda > 0 value, and an extremal request the L2 or Sobolev value of its
-    lambdas and the ratio its extremal polynomial achieves.
+    The request runs through the worker's ``run_op``.  Its value is named
+    mirsky for a Mirsky request, sobolev when it has lambdas and l2
+    otherwise; an extremal request adds the ratio its extremal polynomial
+    achieves.
     """
     import markovsharp as ms
 
-    spec, n = ms.make_weight(req["weight"]), req["n"]
-    if req["op"] == "mirsky":
-        return {"mirsky": float(ms.mirsky_bound(spec, n))}
-    if req["lambdas"]:
-        name, res = "sobolev", ms.sharp_constant_sobolev(spec, ms.SobolevSpec(req["lambdas"]), n)
-    else:
-        name, res = "l2", ms.sharp_constant_l2(spec, n)
-    values = {name: float(res.value)}
+    out = _worker().run_op(ms, req)
+    name = "mirsky" if req["op"] == "mirsky" else "sobolev" if req["lambdas"] else "l2"
+    values = {name: out["value"]}
     if req["op"] == "extremal":
-        poly = ms.extremal_polynomial(res, ms.markov.recurrence_for(spec, n))
-        values["achieved"] = float(poly.achieved_ratio)
+        values["achieved"] = out["achieved"]
     return values
 
 
@@ -72,7 +74,7 @@ def golden_files() -> dict:
     """Both golden files' contents as the program computes them now, by path."""
     from markovsharp import make_weight, markov
 
-    workloads, rng = _workloads(), random.Random(RANDOM_SEED)
+    workloads, rng = _perfbench("workloads"), random.Random(RANDOM_SEED)
     rows = []
     for case, raw in workloads.VERIFY_MATRIX:
         spec = make_weight(raw)
@@ -91,22 +93,6 @@ def golden_files() -> dict:
     }
 
 
-def quantities(path, golden) -> tuple[dict, list]:
-    """Every value of a golden file, listed per quantity, and the file's inputs."""
-    values = {name: [] for name in TOLERANCES}
-    if path == VERIFY_GOLDEN:
-        inputs = [golden["ns"], golden["lambdas"]] + [row["weight"] for row in golden["weights"]]
-        for row in golden["weights"]:
-            for name in ("l2", "sobolev", "mirsky"):
-                values[name] += row[name]
-    else:
-        inputs = [row["request"] for row in golden["requests"]]
-        for row in golden["requests"]:
-            for name, value in row["values"].items():
-                values[name].append(value)
-    return values, inputs
-
-
 def _write(path, golden):
     if path == VERIFY_GOLDEN:
         path.write_text(json.dumps(golden, indent=1) + "\n")
@@ -117,39 +103,11 @@ def _write(path, golden):
     path.write_text(f'{head}, "requests": [\n{rows}\n]}}\n')
 
 
-def check(fresh) -> int:
-    """Print the largest relative change per quantity; 1 if one is out of tolerance."""
-    changes, failed = {name: 0.0 for name in TOLERANCES}, False
-    for path, golden in fresh.items():
-        new, new_inputs = quantities(path, golden)
-        old, old_inputs = quantities(path, json.loads(path.read_text()))
-        if new_inputs != old_inputs or any(len(new[k]) != len(old[k]) for k in TOLERANCES):
-            print(f"{path.name}: the inputs differ from the committed file")
-            failed = True
-            continue
-        for name in TOLERANCES:
-            for a, b in zip(new[name], old[name]):
-                changes[name] = max(changes[name], abs(a - b) / abs(b))
-    for name, tol in TOLERANCES.items():
-        verdict = "ok" if changes[name] <= tol else "EXCEEDS"
-        failed |= changes[name] > tol
-        print(f"{name:9s} largest relative change {changes[name]:.3e} "
-              f"(tolerance {tol:.0e}) {verdict}")
-    return int(failed)
-
-
-def main(argv) -> int:
-    if argv not in ([], ["--check"]):
-        print(f"usage: python {Path(__file__).name} [--check]", file=sys.stderr)
-        return 2
+def main():
     sys.path.insert(0, str(ROOT / "src"))
-    fresh = golden_files()
-    if argv:
-        return check(fresh)
-    for path, golden in fresh.items():
+    for path, golden in golden_files().items():
         _write(path, golden)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
