@@ -17,7 +17,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import HypothesisError, WeightError
-from .markov import SobolevSpec, mirsky_bounds, sharp_constants
+from .markov import SobolevSpec, _degree, mirsky_bounds, sharp_constants
 from .orthopoly import _SUM_TOL, WeightSpec
 
 FIT_SLACK = 0.1
@@ -236,7 +236,7 @@ def verify_theorem(
         raise HypothesisError(violation)
     if not math.isfinite(slack):
         raise WeightError(f"the fit slack must be finite, got {slack}")
-    ns = sorted(int(n) for n in ns)
+    ns = sorted(_degree(n) for n in ns)
     if len(ns) < 4:
         raise WeightError("need at least 4 degrees for the exponent fit")
     predicted = predicted_exponent(case_id, spec)

@@ -35,7 +35,6 @@ import numpy as np
 
 from . import bounds
 from .errors import HypothesisError, MarkovSharpError, WeightError
-from .linalg import solve_triangular
 from .markov import (
     SharpResult,
     SobolevSpec,
@@ -44,6 +43,7 @@ from .markov import (
     mirsky_bounds,
     sharp_constants,
     sobolev_gram,
+    solve_triangular,
 )
 from .orthopoly import (
     RecurrenceTable,

@@ -57,6 +57,13 @@ recurrence and D_N alike, so what ran before changes what a call costs,
 never what it returns.  No Gauss rule is kept:
 ``basis_for`` builds the (N+2)-point rule of the recurrence each time it is
 called.
+
+The sign rule (``_fix_sign``), which makes the last entry of non-negligible
+size of every vector positive so outputs are deterministic, and the
+triangular solve (``solve_triangular``, which ``cli`` uses too) live here.
+numpy has no triangular solver, but LAPACK's partially pivoted LU on a
+triangular matrix is plain substitution, so ``solve_triangular`` is
+``np.linalg.solve``.
 """
 
 from __future__ import annotations
@@ -68,7 +75,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import EigenError, QuadratureError, WeightError
-from .linalg import _fix_sign, solve_triangular
 from .orthopoly import (
     RecurrenceTable,
     WeightSpec,
@@ -85,6 +91,7 @@ from .quadrature import QuadRule, _store_get, _store_put, gauss_rule, stabilized
 
 RESIDUAL_TOL = 1e-8
 MAX_SOBOLEV_ORDER = 4
+_SIGN_RTOL = 1e-12
 
 # The basis kept for one weight and top degree n: the recurrence to n+1 and D_n
 _Basis = namedtuple("_Basis", "n rec mat")
@@ -146,10 +153,18 @@ class SharpResult(
                                lambdas)
 
 
+def _degree(n) -> int:
+    """``n`` as a Python int: a bool or a value without ``__index__`` (5.0, "5") is no degree."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise WeightError(f"degree {n!r} is not an integer")
+    return n.__index__()
+
+
 def _top_degree(ns) -> int:
-    """max(ns), once every degree in ``ns`` is >= 1 and the largest is within the cap."""
+    """max(ns), once each degree in ``ns`` is an integer >= 1 and the largest is within the cap."""
     if not ns:
         raise WeightError("need at least one degree")
+    ns = [_degree(n) for n in ns]
     if min(ns) < 1:
         raise WeightError(f"n must be >= 1, got {min(ns)}")
     top = max(ns)
@@ -320,6 +335,34 @@ def _checked_residual(mat, coeffs, ns, values, lambdas=()):
                 "the eigensolve or the Sobolev factor failed"
             )
     return achieved, residual
+
+
+def _fix_sign(rows: np.ndarray, solved) -> np.ndarray:
+    """Flip each row so its last entry of non-negligible size is positive.
+
+    Only the ``solved`` entries (a mask broadcast against ``rows``) change
+    sign, so the zero padding around a row's solved entries keeps its +0.0;
+    padding never decides the sign, because it is never of non-negligible
+    size.  A row with no such entry is kept as it is.
+    """
+    mag = np.abs(rows)
+    big = mag > _SIGN_RTOL * mag.max(axis=1, keepdims=True)
+    last = rows.shape[1] - 1 - big[:, ::-1].argmax(axis=1)
+    flip = (rows * big)[np.arange(len(rows)), last] < 0
+    return np.where(flip[:, None] & solved, -rows, rows)
+
+
+def solve_triangular(t: np.ndarray, x: np.ndarray, lower: bool = False) -> np.ndarray:
+    """Solve t y = x for a triangular t by substitution.
+
+    numpy has no triangular solver, but LAPACK's partially pivoted LU finds
+    every pivot on the diagonal of an upper-triangular matrix and eliminates
+    nothing, so ``np.linalg.solve`` reduces to back substitution there.  A
+    lower-triangular system is solved as the reversed, upper-triangular one.
+    """
+    if lower:
+        return np.linalg.solve(t[::-1, ::-1], x[::-1])[::-1]
+    return np.linalg.solve(t, x)
 
 
 def _top_pairs(reduced: np.ndarray, ns, split: bool):

@@ -10,9 +10,10 @@ golden_random_requests.json holds the four blocks of random_requests that
 ``random.Random(1)`` generates (``random_block`` in perfbench/workloads.py):
 960 requests, every (family, degree, operation) triple once, each stored
 with its inputs and the values the benchmark's worker reads, each request
-run alone through the worker's own ``run_op``.
+run alone through the worker's own ``run_op``.  golden_random_requests_2.json
+to _4.json hold the same for seeds 2 to 4.
 
-    python tests/make_golden.py   # rewrite both files
+    python tests/make_golden.py   # rewrite every file
 
 ``pytest tests/test_golden.py`` recomputes every value and compares it with
 the files within the tolerances in TOLERANCES.  Rewrite the files only when
@@ -28,10 +29,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 VERIFY_GOLDEN = Path(__file__).with_name("golden_verify_matrix.json")
-RANDOM_GOLDEN = Path(__file__).with_name("golden_random_requests.json")
+# the random_requests file of each seed
+RANDOM_GOLDEN = {1: Path(__file__).with_name("golden_random_requests.json"),
+                 **{seed: Path(__file__).with_name(f"golden_random_requests_{seed}.json")
+                    for seed in (2, 3, 4)}}
 NS = list(range(1, 41))
 LAMBDAS = [1.0, 0.5]
-RANDOM_SEED, RANDOM_BLOCKS = 1, 4
+RANDOM_BLOCKS = 4
 # relative tolerances of the range contract, per quantity
 TOLERANCES = {"l2": 1e-14, "sobolev": 1e-11, "mirsky": 1e-14, "achieved": 1e-11}
 
@@ -71,10 +75,10 @@ def request_values(req) -> dict:
 
 
 def golden_files() -> dict:
-    """Both golden files' contents as the program computes them now, by path."""
+    """Every golden file's contents as the program computes them now, by path."""
     from markovsharp import make_weight, markov
 
-    workloads, rng = _perfbench("workloads"), random.Random(RANDOM_SEED)
+    workloads = _perfbench("workloads")
     rows = []
     for case, raw in workloads.VERIFY_MATRIX:
         spec = make_weight(raw)
@@ -85,12 +89,13 @@ def golden_files() -> dict:
             "sobolev": [r.value for r in markov.sharp_constants(spec, NS, LAMBDAS)],
             "mirsky": markov.mirsky_bounds(spec, NS),
         })
-    requests = [{"request": req, "values": request_values(req)}
-                for offset in range(RANDOM_BLOCKS) for req in workloads.random_block(rng, offset)]
-    return {
-        VERIFY_GOLDEN: {"ns": NS, "lambdas": LAMBDAS, "weights": rows},
-        RANDOM_GOLDEN: {"seed": RANDOM_SEED, "blocks": RANDOM_BLOCKS, "requests": requests},
-    }
+    files = {VERIFY_GOLDEN: {"ns": NS, "lambdas": LAMBDAS, "weights": rows}}
+    for seed, path in RANDOM_GOLDEN.items():
+        rng = random.Random(seed)
+        requests = [{"request": req, "values": request_values(req)} for offset in
+                    range(RANDOM_BLOCKS) for req in workloads.random_block(rng, offset)]
+        files[path] = {"seed": seed, "blocks": RANDOM_BLOCKS, "requests": requests}
+    return files
 
 
 def _write(path, golden):

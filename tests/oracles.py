@@ -137,6 +137,53 @@ def gauss_jacobi_point_mp(m, alpha, beta, x0, mp):
     return x, const / ((1 - x * x) * deriv(x) ** 2)
 
 
+def jacobi_derivative_matrix_mp(alpha, beta, n, mp):
+    """Derivative matrix D_n, entry (i, k) = <p_i, p_k'>, of the orthonormal
+    Jacobi basis for (1-x)^alpha (1+x)^beta on [-1, 1], at the working
+    precision of ``mp``.
+
+    The recurrence coefficients come from their closed forms in ``mp``
+    arithmetic, from the exact values of the floats alpha and beta, and the
+    columns from differentiating x p_k = b_k p_{k+1} + a_k p_k + b_{k-1} p_{k-1}:
+    b_k D[:, k+1] = (J - a_k) D[:, k] + e_k - b_{k-1} D[:, k-1], D[:, 0] = 0.
+    """
+    al, be = mp.mpf(alpha), mp.mpf(beta)
+    diag = [(be - al) / (al + be + 2)]
+    off = []
+    for k in range(1, n + 1):
+        s = 2 * k + al + be
+        diag.append((be * be - al * al) / (s * (s + 2)))
+        if k == 1:
+            beta_k = 4 * (1 + al) * (1 + be) / ((2 + al + be) ** 2 * (3 + al + be))
+        else:
+            beta_k = 4 * k * (k + al) * (k + be) * (k + al + be) / (s * s * (s + 1) * (s - 1))
+        off.append(mp.sqrt(beta_k))
+    cols = [[mp.zero] * (n + 1)]
+    for k in range(n):
+        col = cols[k]
+        nxt = []
+        for i in range(n + 1):
+            v = (diag[i] - diag[k]) * col[i]
+            if i > 0:
+                v += off[i - 1] * col[i - 1]
+            if i < n:
+                v += off[i] * col[i + 1]
+            if i == k:
+                v += 1
+            if k > 0:
+                v -= off[k - 1] * cols[k - 1][i]
+            nxt.append(v / off[k])
+        cols.append(nxt)
+    return mp.matrix([[cols[k][i] for k in range(n + 1)] for i in range(n + 1)])
+
+
+def top_singular_value_mp(mat, n, mp):
+    """Greatest singular value of the leading (n+1) x (n+1) block of ``mat``,
+    from ``mp.eigsy`` of its Gram matrix at the working precision of ``mp``."""
+    block = mat[: n + 1, : n + 1]
+    return mp.sqrt(max(mp.eigsy(block.T * block, eigvals_only=True)))
+
+
 def lupas_constant(n, alpha, beta):
     """Lupas' sup-norm versus weighted-L2 constant for the Jacobi weight on [-1, 1].
 

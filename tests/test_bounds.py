@@ -165,6 +165,9 @@ class TestInputChecks:
                      "exponents at non-negative locations must be > -1", id="exponent"),
         pytest.param(lambda: growth_fit([4, 4, 4, 4], [1.0, 2.0, 3.0, 4.0]), WeightError,
                      "degenerate fit: degrees in the fitted half are all equal", id="degenerate"),
+        pytest.param(lambda: verify_theorem("schmidt", make_weight({"family": "hermite"}),
+                                            SobolevSpec((0.0,)), [4, 5, 6, 7.9]),
+                     WeightError, "degree 7.9 is not an integer", id="degree"),
     ])
     def test_message(self, build, error, message):
         with pytest.raises(error) as exc:
@@ -210,6 +213,12 @@ class TestVerifyTheorem:
             "mirsky", make_weight({"family": "hermite"}), SobolevSpec((0.0,)), range(4, 17)
         )
         assert chk.passed and chk.predicted_exponent == 1.5
+
+    def test_numpy_degrees(self):
+        spec = make_weight({"family": "hermite"})
+        chk = verify_theorem("schmidt", spec, SobolevSpec((0.0,)), np.arange(4, 12))
+        assert all(type(n) is int for n in chk.n_range)
+        assert chk == verify_theorem("schmidt", spec, SobolevSpec((0.0,)), range(4, 12))
 
     def test_unknown_case(self):
         with pytest.raises(WeightError, match="unknown case"):

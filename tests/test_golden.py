@@ -11,11 +11,12 @@ those of the range contract: 1e-14 relative for the L2 constants and the
 Mirsky bounds, 1e-11 for lambda > 0.  Bytes are not compared, since
 another numpy or BLAS build may round differently.
 
-golden_random_requests.json, written by the same script, holds 960
-benchmark requests on fresh weights of all six families, each with the
-values the benchmark's worker reads; they are checked with the same
-tolerances, and the ratios extremal polynomials achieve within 1e-11.  Its
-values are what the program computed when the file was written, and no
+golden_random_requests.json and golden_random_requests_2.json to _4.json,
+written by the same script, each hold 960 benchmark requests of one
+random_requests seed (1 to 4) on fresh weights of all six families, each
+with the values the benchmark's worker reads; they are checked with the same
+tolerances, and the ratios extremal polynomials achieve within 1e-11.  Their
+values are what the program computed when the files were written, and no
 independent reference checked them: they catch a change, not an error.
 """
 
@@ -25,12 +26,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from make_golden import TOLERANCES, request_values
+from make_golden import RANDOM_GOLDEN, TOLERANCES, request_values
 from markovsharp import make_weight, markov
 from markovsharp.orthopoly import FAMILIES
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_verify_matrix.json").read_text())
-RANDOM = json.loads(Path(__file__).with_name("golden_random_requests.json").read_text())
+RANDOM = {seed: json.loads(path.read_text()) for seed, path in RANDOM_GOLDEN.items()}
 
 
 @pytest.mark.parametrize("row", GOLDEN["weights"],
@@ -44,9 +45,13 @@ def test_verify_matrix_constants(row):
     np.testing.assert_allclose(sobolev, row["sobolev"], rtol=1e-11, atol=0)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_random_request_values(family):
-    rows = [row for row in RANDOM["requests"] if row["request"]["weight"]["family"] == family]
+@pytest.mark.parametrize("seed, family", [
+    pytest.param(seed, family, id=family if seed == 1 else f"seed{seed}-{family}")
+    for seed in RANDOM for family in FAMILIES])
+def test_random_request_values(seed, family):
+    assert RANDOM[seed]["seed"] == seed
+    rows = [row for row in RANDOM[seed]["requests"]
+            if row["request"]["weight"]["family"] == family]
     assert len(rows) == 160  # every degree 1..40 with every operation
     for row in rows:
         values = request_values(row["request"])

@@ -1,6 +1,6 @@
 import numpy as np
 
-from markovsharp.linalg import _fix_sign, solve_triangular
+from markovsharp.markov import _fix_sign, solve_triangular
 
 
 class TestFixSign:

@@ -22,11 +22,16 @@ from markovsharp import (
     sharp_constants,
     sobolev_gram,
 )
-from markovsharp import linalg, markov, quadrature
+from markovsharp import markov, quadrature
 from markovsharp.markov import basis_for
 from markovsharp.orthopoly import closed_form
 
-from oracles import derivative_matrix_by_quadrature, pencil_power_iteration
+from oracles import (
+    derivative_matrix_by_quadrature,
+    jacobi_derivative_matrix_mp,
+    pencil_power_iteration,
+    top_singular_value_mp,
+)
 from test_acceptance import CASE5_MATRIX
 from test_quadrature import _refill
 
@@ -350,6 +355,30 @@ class TestClosedForm:
         rec, _ = basis_for(spec, 10)
         assert stieltjes_calls == [spec]
         assert rec.weight_id == spec.weight_id
+
+
+class TestHighPrecisionOracle:
+    """The accuracy the residual cannot see, pinned against a 40-digit D.
+
+    The residual checks that a constant is a singular value of the D_n it was
+    computed from; an error in D_n itself passes it.  Here D_n is rebuilt in
+    40-digit mpmath from the closed-form Jacobi coefficients, and the L2
+    constants must lie within 0.05 n^2 eps relative of its top singular value
+    (0.030, 0.035 and 0.032 n^2 eps at n = 10, 20, 40 when this was written).
+    A relative error of 1e-13 in one off-diagonal coefficient reaches
+    2.3 n^2 eps or more, and one of 1e-12 in a diagonal one 0.06 n^2 eps.
+    """
+
+    def test_jacobi_l2_constants(self):
+        mpmath = pytest.importorskip("mpmath")
+        ns, eps = (10, 20, 40), np.finfo(float).eps
+        spec = make_weight({"family": "jacobi", "interval": [-1, 1], "alpha": 0.5, "beta": -0.3})
+        values = sharp_constants(spec, ns)
+        with mpmath.workdps(40):
+            mat = jacobi_derivative_matrix_mp(0.5, -0.3, max(ns), mpmath.mp)
+            refs = [top_singular_value_mp(mat, n, mpmath.mp) for n in ns]
+        rel = [float(abs(res.value - ref) / ref) for res, ref in zip(values, refs)]
+        assert all(r <= 0.05 * n * n * eps for n, r in zip(ns, rel)), rel
 
 
 PENCIL_WEIGHTS = {
@@ -763,7 +792,7 @@ def _per_block_pairs(reduced, ns, split):
                 m = np.ascontiguousarray(reduced[block(c)])
                 vals, eig = np.linalg.eigh(m.T @ m)
                 pairs[c] = (float(np.sqrt(max(vals[-1], 0.0))),
-                            linalg._fix_sign(eig[None, :, -1], True)[0])
+                            markov._fix_sign(eig[None, :, -1], True)[0])
         c = max(ends, key=lambda end: pairs[end][0])
         value, vecs[row, block(c)[1]] = pairs[c]
         values.append(value)
@@ -783,7 +812,7 @@ def _per_block_constants(spec, ns, lams):
         solved = markov.solve_triangular(chol.T, vecs.T).T
         for row, n in enumerate(ns):
             c, v = solved[row, : n + 1], vecs[row, : n + 1]
-            coeffs[row] = linalg._fix_sign(np.where(c == 0.0, np.copysign(0.0, v), c)[None],
+            coeffs[row] = markov._fix_sign(np.where(c == 0.0, np.copysign(0.0, v), c)[None],
                                            True)[0]
     return values, coeffs
 
@@ -1046,6 +1075,26 @@ class TestInputChecks:
         with pytest.raises(WeightError) as exc:
             build()
         assert type(exc.value) is WeightError and str(exc.value) == message
+
+    # a degree is an integer: a float or a string is not truncated or compared, a bool is not 1
+    @pytest.mark.parametrize("n", [5.0, 5.5, True, "5", np.float64(3)],
+                             ids=["float", "fraction", "bool", "str", "np-float"])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda n: sharp_constant_l2(make_weight(HERMITE), n), id="l2-hermite"),
+        pytest.param(lambda n: sharp_constant_l2(make_weight(GEN_JACOBI), n), id="l2-gen_jacobi"),
+        pytest.param(lambda n: mirsky_bound(make_weight(HERMITE), n), id="mirsky"),
+        pytest.param(lambda n: basis_for(make_weight(LEGENDRE), n), id="basis"),
+    ])
+    def test_degree_not_an_integer(self, call, n):
+        self.test_message(lambda: call(n), f"degree {n!r} is not an integer")
+
+    @pytest.mark.parametrize("weight", [HERMITE, GEN_JACOBI], ids=["hermite", "gen_jacobi"])
+    def test_numpy_integer_degree(self, weight):
+        got = sharp_constant_l2(make_weight(weight), np.int64(5))
+        want = sharp_constant_l2(make_weight(weight), 5)
+        assert got.n == 5 and got.value == want.value
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert mirsky_bound(make_weight(weight), np.int64(5)) == mirsky_bound(make_weight(weight), 5)
 
 
 class TestBasisStore:
