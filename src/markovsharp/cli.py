@@ -201,7 +201,7 @@ def cmd_verify(args) -> tuple[str, bool]:
     spec = args.weight
     case = args.case or bounds.default_case(spec)
     slack = bounds.FIT_SLACK if args.tol is None else args.tol
-    sob = SobolevSpec(args.lambdas or (0.0,))
+    sob = SobolevSpec(args.lambdas)
     check = bounds.verify_theorem(case, spec, sob, args.ns, slack=slack)
     if args.format == "csv":
         header = ("case_id", "n", "sharp", "predicted_envelope", "fitted_constant",
@@ -217,32 +217,20 @@ def cmd_verify(args) -> tuple[str, bool]:
     return _json({**payload, "weight": weight_to_json(spec)}), check.passed
 
 
-def _weyl_stream():
-    """``draw(*shape)``: the next entries of frac(k * phi) - 1/2, k = 1, 2, ..., in ``shape``.
-
-    The golden-ratio Weyl sequence is deterministic and equidistributed, so
-    the quadrature self-test gets generic inputs without loading a random
-    generator.
-    """
-    phi, start = (1.0 + math.sqrt(5.0)) / 2.0, 1
-
-    def draw(*shape):
-        nonlocal start
-        k = np.arange(start, start + math.prod(shape))
-        start += k.size
-        return (k * phi % 1.0 - 0.5).reshape(shape)
-
-    return draw
-
-
-def _selftest_quadrature(draw) -> tuple[bool, str]:
+def _selftest_quadrature() -> tuple[bool, str]:
+    # 20 polynomials of degree 2m-1 per preset, highest power first, with
+    # coefficients frac(k * phi) - 1/2, k = 1, 2, ...: the golden-ratio Weyl
+    # sequence is deterministic and equidistributed, so the test gets generic
+    # inputs without loading a random generator
     worst = 0.0
     m = 8
-    for name in PRESETS:
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    k = np.arange(1, len(PRESETS) * 2 * m * 20 + 1)
+    draws = (k * phi % 1.0 - 0.5).reshape(len(PRESETS), 2 * m, 20)
+    for name, coeffs in zip(PRESETS, draws):
         rec = recurrence_classical(load_weight(name), 4 * m)
         rule = gauss_rule(rec, m)
         ref = gauss_rule(rec, 4 * m)
-        coeffs = draw(2 * m, 20)  # 20 polynomials of degree 2m-1, highest power first
         val = rule.weights @ np.vander(rule.nodes, 2 * m) @ coeffs
         ref_val = ref.weights @ np.vander(ref.nodes, 2 * m) @ coeffs
         worst = max(worst, float(np.max(np.abs(val - ref_val) / np.maximum(1.0, np.abs(ref_val)))))
@@ -303,9 +291,8 @@ def _selftest_eigen() -> tuple[bool, str]:
 
 
 def cmd_selftest(args) -> tuple[str, bool]:
-    draw = _weyl_stream()
     suites = [
-        ("quadrature-exactness", lambda: _selftest_quadrature(draw)),
+        ("quadrature-exactness", _selftest_quadrature),
         ("orthonormality", _selftest_orthonormality),
         ("recurrence-consistency", _selftest_recurrence),
         ("eigen-svd-residuals", _selftest_eigen),

@@ -112,16 +112,15 @@ def _lambda_values(lambdas) -> tuple[float, ...]:
 class SobolevSpec(_Record, namedtuple("SobolevSpec", "lambdas")):
     """Derivative weights lambda_1..lambda_k of a weighted Sobolev norm.
 
-    ``lambdas`` is a tuple of 1 to MAX_SOBOLEV_ORDER finite floats >= 0,
-    checked on every construction, ``_replace`` included.
+    ``lambdas`` is a tuple of 0 to MAX_SOBOLEV_ORDER finite floats >= 0,
+    checked on every construction, ``_replace`` included; ``()`` is the
+    weighted L2 norm.
     """
 
     __slots__ = ()
 
     def __new__(cls, lambdas):
         lams = _lambda_values(lambdas)
-        if len(lams) < 1:
-            raise WeightError("need at least one lambda (k >= 1)")
         if any(not (v >= 0 and math.isfinite(v)) for v in lams):
             raise WeightError(f"lambdas must be finite and >= 0, got {lams}")
         if len(lams) > MAX_SOBOLEV_ORDER:
@@ -138,14 +137,16 @@ class SharpResult(
     """Sharp constant, extremal coefficients, and the ratio they achieve.
 
     ``residual`` is the relative gap between ``achieved_ratio`` and ``value``.
-    ``coeffs`` is a read-only float array of the n+1 coefficients, checked on
-    every construction, ``_replace`` included.
+    ``n`` is a Python int (``_degree``) and ``coeffs`` a read-only float array
+    of the n+1 coefficients, both checked on every construction, ``_replace``
+    included.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, value: float, coeffs, residual: float, weight: WeightSpec,
                 achieved_ratio: float, lambdas: tuple[float, ...] = ()):
+        n = _degree(n)
         c = np.asarray(coeffs, dtype=float)
         if c.shape != (n + 1,):
             raise ValueError(f"coeffs of shape {c.shape} for degree {n}; need ({n + 1},)")
@@ -160,24 +161,23 @@ def _degree(n) -> int:
     return n.__index__()
 
 
-def _top_degree(ns) -> int:
-    """max(ns), once each degree in ``ns`` is an integer >= 1 and the largest is within the cap."""
+def _degrees(ns) -> list[int]:
+    """``ns`` as Python ints, once each is an integer >= 1 and the largest is within the cap."""
+    ns = [_degree(n) for n in ns]
     if not ns:
         raise WeightError("need at least one degree")
-    ns = [_degree(n) for n in ns]
     if min(ns) < 1:
         raise WeightError(f"n must be >= 1, got {min(ns)}")
-    top = max(ns)
     cap = max_degree_cap()
-    if top > cap:
+    if max(ns) > cap:
         raise WeightError(
-            f"n={top} exceeds the degree cap {cap} (set MARKOVSHARP_MAX_N to raise it)"
+            f"n={max(ns)} exceeds the degree cap {cap} (set MARKOVSHARP_MAX_N to raise it)"
         )
-    return top
+    return ns
 
 
 def _kept(spec: WeightSpec, ns) -> _Basis:
-    """The kept basis of ``spec`` for the degrees ``ns``: the ``_Basis`` of N = max(ns).
+    """The kept basis of ``spec`` for degrees ``ns`` checked by ``_degrees``: that of N = max(ns).
 
     A kept entry for N is read as it is; otherwise ``closed_form`` decides,
     once, how the recurrence to N+1 is built: by its closed form, whose mass
@@ -190,7 +190,7 @@ def _kept(spec: WeightSpec, ns) -> _Basis:
     entries of the store, bases and reference rules alike, then leave while
     its arrays exceed ``quadrature.KEPT_BYTES``, all but the newest.
     """
-    top, key = _top_degree(ns), spec.weight_id
+    top, key = max(ns), spec.weight_id
     kept = _store_get(key)
     if kept is not None and kept.n == top:
         return kept
@@ -210,7 +210,7 @@ def recurrence_for(spec: WeightSpec, n: int) -> RecurrenceTable:
     It builds no Gauss rule, so it is the table ``basis_for`` returns without
     the cost of its rule.
     """
-    return _kept(spec, [n]).rec
+    return _kept(spec, _degrees([n])).rec
 
 
 def basis_for(spec: WeightSpec, n: int) -> tuple[RecurrenceTable, QuadRule]:
@@ -285,12 +285,6 @@ def sobolev_gram(mat: np.ndarray, lambdas: tuple[float, ...]) -> np.ndarray:
             f"the Sobolev Gram matrix B for lambdas {lambdas!r} is out of floating-point range"
         )
     return b
-
-
-def _checked_lambdas(lambdas) -> tuple[float, ...]:
-    """Validated derivative weights of a Sobolev norm; () is the weighted L2 norm."""
-    lambdas = _lambda_values(lambdas)
-    return SobolevSpec(lambdas).lambdas if lambdas else ()
 
 
 def _checked_residual(mat, coeffs, ns, values, lambdas=()):
@@ -436,12 +430,14 @@ def _top_pairs(reduced: np.ndarray, ns, split: bool):
 def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     """Sharp constants of ||P'||_W <= C ||P||_W over P_n, one per degree n in ``ns``.
 
-    ``lambdas`` are the derivative weights of the Sobolev norm W; () gives the
-    weighted L2 norm.  Every degree reads the one D_N of the basis kept for
-    N = max(ns) (``_kept``), and in a Sobolev norm the one factor L_N of B_N.
-    Trailing zero lambdas add exactly nothing to B or to the residual, so
-    they are dropped after validation; all-zero lambdas take the L2 path.
-    Results keep the lambdas as given.
+    ``lambdas`` are the 0 to MAX_SOBOLEV_ORDER derivative weights of the
+    Sobolev norm W, checked as ``SobolevSpec`` checks them; () gives the
+    weighted L2 norm.  The degrees are checked once (``_degrees``), and every
+    result carries its degree as a Python int.  Every degree reads the one
+    D_N of the basis kept for N = max(ns) (``_kept``), and in a Sobolev norm
+    the one factor L_N of B_N.  Trailing zero lambdas add exactly nothing to
+    B or to the residual, so they are dropped after validation; all-zero
+    lambdas take the L2 path.  Results keep the lambdas as given.
 
     With B = L L^T, the ratio for P = sum c_k p_k is ||L^T D c|| / ||L^T c||,
     so the constant is sigma_max(L^T D L^-T); its right singular vector v gives
@@ -459,7 +455,7 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     n+1 entries of every row.  One product with D_N^T per derivative order
     then checks every degree (``_checked_residual``).
     """
-    ns, given = list(ns), _checked_lambdas(lambdas)
+    given, ns = SobolevSpec(lambdas).lambdas, _degrees(ns)
     lambdas = given
     while lambdas and lambdas[-1] == 0.0:
         lambdas = lambdas[:-1]
@@ -511,7 +507,7 @@ def mirsky_bounds(spec: WeightSpec, ns) -> list[float]:
 
     They read D_N of the kept basis alone.
     """
-    ns = list(ns)
+    ns = _degrees(ns)
     mat = _kept(spec, ns).mat
     # D is strictly upper triangular: column k of D_n is the head of column k of D_N
     with np.errstate(over="ignore"):

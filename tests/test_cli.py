@@ -17,6 +17,7 @@ import pytest
 import markovsharp
 from markovsharp import (
     QuadRule,
+    SharpResult,
     SobolevSpec,
     WeightError,
     WeightSpec,
@@ -574,6 +575,140 @@ class TestSelftest:
         assert any(ln.startswith("FAIL recurrence-consistency") for ln in out.strip().split("\n"))
 
 
+# (weight, argv, named): each exits 3 naming its cause; make_golden.py records them too
+OUT_OF_RANGE_WEIGHTS = [
+    ('{"family": "jacobi", "scale": 1e308}', SHARP_5, "mass inf"),
+    ('{"family": "jacobi", "interval": [-1, 1e308]}', SHARP_5, "sharp constant 0.0"),
+    ("hermite", [*SHARP_5, "--lambdas", "1e308,1e308"], "Sobolev Gram matrix"),
+    ('{"family": "gen_laguerre", "singularities": [[1, 0.5]], "scale": 1e-320}', SHARP_5,
+     "mass 7.88e-321"),
+    ('{"family": "hermite", "scale": 1e-320}', SHARP_5, "mass 1.772e-320"),
+    ('{"family": "laguerre", "scale": 1e-320}', SHARP_5, "mass 1e-320"),
+    # p_0 = 1/sqrt(mass) is near 1e150, so the Stieltjes sums overflow
+    ('{"family": "gen_laguerre", "singularities": [[2, 1]], "scale": 1e-300}', SHARP_5,
+     "out of floating-point range at degree 3"),
+    ('{"family": "gen_hermite", "singularities": [[-1, 0.5], [1, 0.5]], '
+     '"scale": 1e-300}', SHARP_5, "out of floating-point range at degree 6"),
+    # the composite rule's weights overflow to an infinite mass
+    ('{"family": "gen_laguerre", "singularities": [[2, 1]], "scale": 1e308}', SHARP_5,
+     "mass inf"),
+    # a piece rescale or a singular factor overflows, and inf * 0 is NaN
+    ('{"family": "gen_jacobi", "interval": [0, 100], '
+     '"singularities": [[0, 300], [50, 0.5]]}', SHARP_5, "mass inf"),
+    ('{"family": "gen_hermite", "singularities": [[22.5, 240]]}', SHARP_5, "mass inf"),
+    ('{"family": "gen_hermite", "singularities": [[-27, 3], [11, 93], [15, 186]]}', SHARP_5,
+     "mass inf"),
+    ('{"family": "gen_laguerre", "singularities": [[4, 1], [17, 1], [23, 390]]}', SHARP_5,
+     "absolute exponent sum 392.0"),
+    # D_N is finite on a tiny interval, but its squares overflow: in the
+    # residual's norms of P'' (lambda_1 = 1e-300 keeps B in range), the
+    # Gram products and the Mirsky sums
+    ('{"family": "jacobi", "interval": [0, 1e-100]}',
+     ["sharp", "--n", "40", "--lambdas", "1e-300"],
+     "the norms of the extremal polynomial at n=40 are out of floating-point range"),
+    ('{"family": "jacobi", "interval": [0, 1e-300]}', ["sharp", "--n", "40"],
+     "Gram matrix M^T M at n=40"),
+    ('{"family": "jacobi", "interval": [0, 1e-300]}',
+     ["mirsky", "--n-min", "38", "--n-max", "40"], "Mirsky bound at n=38"),
+    # the length b - a overflows, so no recurrence is mapped onto the interval
+    ('{"family": "jacobi", "interval": [-1e308, 1e308]}', ["sharp", "--n", "7"],
+     "exponents alpha=0.0, beta=0.0 on [-1e+308, 1e+308]"),
+    ('{"family": "jacobi", "interval": [-1e308, 1e308]}', ["mirsky", "--n", "7"],
+     "exponents alpha=0.0, beta=0.0 on [-1e+308, 1e+308]"),
+    ('{"family": "jacobi", "interval": [-1e308, 1e308], "alpha": 0.5, "beta": -0.5}',
+     ["sharp", "--n", "7"], "exponents alpha=0.5, beta=-0.5 on [-1e+308, 1e+308]"),
+    ('{"family": "jacobi", "interval": [-1e308, 1e308], "alpha": 0.5, "beta": -0.5}',
+     ["mirsky", "--n", "7"], "exponents alpha=0.5, beta=-0.5 on [-1e+308, 1e+308]"),
+    # every weight of the composite rule underflows to 0
+    ('{"family": "gen_jacobi", "interval": [0, 1e-300], '
+     '"singularities": [[5e-301, 1]]}', SHARP_5,
+     "every weight of the 30-point composite rule underflowed"),
+    # the composite rule's weights are finite, but their sum, the mass, is not
+    ('{"family": "gen_hermite", "singularities": [[10, 0.5]], "scale": 1e308}', SHARP_5,
+     "mass inf"),
+    ('{"family": "gen_laguerre", "singularities": [[5, 0.5]], "scale": 1e308}', SHARP_5,
+     "mass inf"),
+    ('{"family": "gen_jacobi", "interval": [-2, 0], "singularities": [[-0.2, -0.5]], '
+     '"scale": 1e308}', SHARP_5, "mass inf"),
+    # the exponent sum alpha + beta of the closed-form recurrence overflows
+    ('{"family": "jacobi", "alpha": 1e308, "beta": 1e308}', SHARP_5,
+     "exponents alpha=1e+308, beta=1e+308"),
+    ('{"family": "gen_jacobi", "interval": [-1, 1], '
+     '"singularities": [[-1, 1e308], [1, 1e308]]}', SHARP_5,
+     "exponents alpha=1e+308, beta=1e+308"),
+    # the midpoint of a piece overflows, so its nodes are not finite
+    ('{"family": "gen_jacobi", "interval": [-1, 1e308], '
+     '"singularities": [[0, 2], [8.1e307, 1]]}', SHARP_5,
+     "the nodes of the piece [8.1e+307, 1e+308] are out of floating-point range"),
+]
+OUT_OF_RANGE_IDS = [
+    "mass_overflow", "zero_constant", "sobolev_gram_overflow", "subnormal_mass",
+    "hermite_subnormal_mass", "laguerre_subnormal_mass", "gen_laguerre_tiny_scale",
+    "gen_hermite_tiny_scale", "gen_laguerre_huge_scale", "gen_jacobi_rescale_overflow",
+    "gen_hermite_rescale_overflow", "gen_hermite_factor_nan", "gen_laguerre_factor_nan",
+    "residual_square_overflow", "gram_overflow", "mirsky_square_overflow",
+    "length_overflow_sharp", "length_overflow_mirsky", "antisymmetric_length_overflow_sharp",
+    "antisymmetric_length_overflow_mirsky", "composite_weights_underflow",
+    "gen_hermite_rule_sum_overflow", "gen_laguerre_rule_sum_overflow",
+    "gen_jacobi_rule_sum_overflow", "jacobi_exponent_sum_overflow",
+    "gen_jacobi_exponent_sum_overflow", "gen_jacobi_midpoint_overflow",
+]
+
+
+# (weight, exit code, named) of `sharp --n 5`; bytes are a weight file's contents.
+# make_golden.py records them too
+EDGE_WEIGHTS = [
+    ('{"family": "jacobi", "alpha": 1' + "0" * 400 + "}", 2, ""),
+    ('{"family": "jacobi", "alpha": 1e999}', 2, ""),
+    (b"\xff\xfe{", 2, ""),
+    ('{"family": "laguerre", "alpha": 1e300}', 3, "laguerre weight with exponent 1e+300"),
+    ('{"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 1e308]]}', 3,
+     "exponents alpha=1e+308, beta=0.0"),
+    ('{"family": "jacobi", "alpha": 2000}', 3, "exponents alpha=2000.0, beta=0.0"),
+    ('{"family": "gen_hermite", "alpha": 400}', 3, "gen_hermite weight with exponent 400.0"),
+    ('{"family": "gen_laguerre", "singularities": [[0.5, 1e300]]}', 3,
+     "gen_laguerre weight with absolute exponent sum 1e+300"),
+    ('{"family": "gen_hermite", "singularities": [[0.5, 1e300]]}', 3,
+     "gen_hermite weight with absolute exponent sum 1e+300"),
+    ('{"family": "gen_laguerre", "singularities": [[0.5, 500]]}', 3,
+     "gen_laguerre weight with absolute exponent sum 500.0"),
+    ('{"family": "gen_laguerre", "singularities": [[0, 0.5], [1e6, 1]]}', 3,
+     "250028-point Gauss rule"),
+    ('{"family": "gen_hermite", "singularities": [[1e6, 1]]}', 3,
+     "250002000032-point Gauss rule"),
+    # the mass 0.001^201 B(101, 101) underflows to exactly 0
+    ('{"family": "jacobi", "interval": [0, 0.001], "alpha": 100, "beta": 100}', 3,
+     "mass 0.0"),
+    # JSON booleans are not the numbers 1.0 and 0.0
+    ('{"family": "hermite", "scale": true}', 2, "scale is not a number: True"),
+    ('{"family": "laguerre", "alpha": true}', 2, "alpha is not a number: True"),
+    ('{"family": "jacobi", "interval": [false, 1]}', 2,
+     "interval[0] is not a number: False"),
+    ('{"family": "gen_hermite", "singularities": [[true, 1]]}', 2,
+     "singularity location is not a number: True"),
+    # singularities that are not a list of pairs, and numbers spelled as strings
+    ('{"family": "gen_hermite", "singularities": null}', 2,
+     "singularities must be pairs [c, gamma]"),
+    ('{"family": "gen_hermite", "singularities": 5}', 2,
+     "singularities must be pairs [c, gamma]"),
+    ('{"family": "gen_hermite", "singularities": true}', 2,
+     "singularities must be pairs [c, gamma]"),
+    ('{"family": "hermite", "scale": "2"}', 2, "scale is not a number: '2'"),
+    ('{"family": "laguerre", "alpha": "0.5"}', 2, "alpha is not a number: '0.5'"),
+    ('{"family": "gen_jacobi", "interval": [-1, 1], "singularities": [["0.5", "1"]]}', 2,
+     "singularity location is not a number: '0.5'"),
+]
+EDGE_WEIGHT_IDS = [
+    "int_beyond_float", "infinite_alpha", "undecodable_file", "laguerre_gamma_overflow",
+    "jacobi_coefficient_overflow", "jacobi_mass_overflow", "gen_hermite_gamma_overflow",
+    "gen_laguerre_tail_overflow", "gen_hermite_tail_overflow", "gen_laguerre_mass_overflow",
+    "gen_laguerre_far_singularity", "gen_hermite_far_singularity", "jacobi_zero_mass",
+    "bool_scale", "bool_alpha", "bool_endpoint", "bool_singularity", "null_singularities",
+    "number_singularities", "bool_singularities", "string_scale", "string_alpha",
+    "string_singularity",
+]
+
+
 class TestContracts:
     def test_missing_degree_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--weight", "hermite")
@@ -698,85 +833,7 @@ class TestContracts:
         want = 2e100 * sharp_constant_l2(load_weight("legendre"), 40).value
         assert json.loads(out)["value"] == pytest.approx(want, rel=1e-14, abs=0)
 
-    @pytest.mark.parametrize(
-        "weight, argv, named",
-        [
-            ('{"family": "jacobi", "scale": 1e308}', SHARP_5, "mass inf"),
-            ('{"family": "jacobi", "interval": [-1, 1e308]}', SHARP_5, "sharp constant 0.0"),
-            ("hermite", [*SHARP_5, "--lambdas", "1e308,1e308"], "Sobolev Gram matrix"),
-            ('{"family": "gen_laguerre", "singularities": [[1, 0.5]], "scale": 1e-320}', SHARP_5,
-             "mass 7.88e-321"),
-            ('{"family": "hermite", "scale": 1e-320}', SHARP_5, "mass 1.772e-320"),
-            ('{"family": "laguerre", "scale": 1e-320}', SHARP_5, "mass 1e-320"),
-            # p_0 = 1/sqrt(mass) is near 1e150, so the Stieltjes sums overflow
-            ('{"family": "gen_laguerre", "singularities": [[2, 1]], "scale": 1e-300}', SHARP_5,
-             "out of floating-point range at degree 3"),
-            ('{"family": "gen_hermite", "singularities": [[-1, 0.5], [1, 0.5]], '
-             '"scale": 1e-300}', SHARP_5, "out of floating-point range at degree 6"),
-            # the composite rule's weights overflow to an infinite mass
-            ('{"family": "gen_laguerre", "singularities": [[2, 1]], "scale": 1e308}', SHARP_5,
-             "mass inf"),
-            # a piece rescale or a singular factor overflows, and inf * 0 is NaN
-            ('{"family": "gen_jacobi", "interval": [0, 100], '
-             '"singularities": [[0, 300], [50, 0.5]]}', SHARP_5, "mass inf"),
-            ('{"family": "gen_hermite", "singularities": [[22.5, 240]]}', SHARP_5, "mass inf"),
-            ('{"family": "gen_hermite", "singularities": [[-27, 3], [11, 93], [15, 186]]}', SHARP_5,
-             "mass inf"),
-            ('{"family": "gen_laguerre", "singularities": [[4, 1], [17, 1], [23, 390]]}', SHARP_5,
-             "absolute exponent sum 392.0"),
-            # D_N is finite on a tiny interval, but its squares overflow: in the
-            # residual's norms of P'' (lambda_1 = 1e-300 keeps B in range), the
-            # Gram products and the Mirsky sums
-            ('{"family": "jacobi", "interval": [0, 1e-100]}',
-             ["sharp", "--n", "40", "--lambdas", "1e-300"],
-             "the norms of the extremal polynomial at n=40 are out of floating-point range"),
-            ('{"family": "jacobi", "interval": [0, 1e-300]}', ["sharp", "--n", "40"],
-             "Gram matrix M^T M at n=40"),
-            ('{"family": "jacobi", "interval": [0, 1e-300]}',
-             ["mirsky", "--n-min", "38", "--n-max", "40"], "Mirsky bound at n=38"),
-            # the length b - a overflows, so no recurrence is mapped onto the interval
-            ('{"family": "jacobi", "interval": [-1e308, 1e308]}', ["sharp", "--n", "7"],
-             "exponents alpha=0.0, beta=0.0 on [-1e+308, 1e+308]"),
-            ('{"family": "jacobi", "interval": [-1e308, 1e308]}', ["mirsky", "--n", "7"],
-             "exponents alpha=0.0, beta=0.0 on [-1e+308, 1e+308]"),
-            ('{"family": "jacobi", "interval": [-1e308, 1e308], "alpha": 0.5, "beta": -0.5}',
-             ["sharp", "--n", "7"], "exponents alpha=0.5, beta=-0.5 on [-1e+308, 1e+308]"),
-            ('{"family": "jacobi", "interval": [-1e308, 1e308], "alpha": 0.5, "beta": -0.5}',
-             ["mirsky", "--n", "7"], "exponents alpha=0.5, beta=-0.5 on [-1e+308, 1e+308]"),
-            # every weight of the composite rule underflows to 0
-            ('{"family": "gen_jacobi", "interval": [0, 1e-300], '
-             '"singularities": [[5e-301, 1]]}', SHARP_5,
-             "every weight of the 30-point composite rule underflowed"),
-            # the composite rule's weights are finite, but their sum, the mass, is not
-            ('{"family": "gen_hermite", "singularities": [[10, 0.5]], "scale": 1e308}', SHARP_5,
-             "mass inf"),
-            ('{"family": "gen_laguerre", "singularities": [[5, 0.5]], "scale": 1e308}', SHARP_5,
-             "mass inf"),
-            ('{"family": "gen_jacobi", "interval": [-2, 0], "singularities": [[-0.2, -0.5]], '
-             '"scale": 1e308}', SHARP_5, "mass inf"),
-            # the exponent sum alpha + beta of the closed-form recurrence overflows
-            ('{"family": "jacobi", "alpha": 1e308, "beta": 1e308}', SHARP_5,
-             "exponents alpha=1e+308, beta=1e+308"),
-            ('{"family": "gen_jacobi", "interval": [-1, 1], '
-             '"singularities": [[-1, 1e308], [1, 1e308]]}', SHARP_5,
-             "exponents alpha=1e+308, beta=1e+308"),
-            # the midpoint of a piece overflows, so its nodes are not finite
-            ('{"family": "gen_jacobi", "interval": [-1, 1e308], '
-             '"singularities": [[0, 2], [8.1e307, 1]]}', SHARP_5,
-             "the nodes of the piece [8.1e+307, 1e+308] are out of floating-point range"),
-        ],
-        ids=["mass_overflow", "zero_constant", "sobolev_gram_overflow", "subnormal_mass",
-             "hermite_subnormal_mass", "laguerre_subnormal_mass", "gen_laguerre_tiny_scale",
-             "gen_hermite_tiny_scale", "gen_laguerre_huge_scale", "gen_jacobi_rescale_overflow",
-             "gen_hermite_rescale_overflow", "gen_hermite_factor_nan",
-             "gen_laguerre_factor_nan", "residual_square_overflow", "gram_overflow",
-             "mirsky_square_overflow", "length_overflow_sharp", "length_overflow_mirsky",
-             "antisymmetric_length_overflow_sharp", "antisymmetric_length_overflow_mirsky",
-             "composite_weights_underflow", "gen_hermite_rule_sum_overflow",
-             "gen_laguerre_rule_sum_overflow", "gen_jacobi_rule_sum_overflow",
-             "jacobi_exponent_sum_overflow", "gen_jacobi_exponent_sum_overflow",
-             "gen_jacobi_midpoint_overflow"],
-    )
+    @pytest.mark.parametrize("weight, argv, named", OUT_OF_RANGE_WEIGHTS, ids=OUT_OF_RANGE_IDS)
     def test_out_of_range_weight_exits_three(self, capsys, weight, argv, named):
         # an infinite mass or a zero constant is a numerical failure, never a NaN
         # residual, and its one-line message, naming the cause, is all that
@@ -790,57 +847,7 @@ class TestContracts:
         assert named in err
         assert err.count("\n") == 1 and err.endswith("\n")
 
-    @pytest.mark.parametrize(
-        "weight, expected, named",
-        [
-            ('{"family": "jacobi", "alpha": 1' + "0" * 400 + "}", 2, ""),
-            ('{"family": "jacobi", "alpha": 1e999}', 2, ""),
-            (b"\xff\xfe{", 2, ""),
-            ('{"family": "laguerre", "alpha": 1e300}', 3, "laguerre weight with exponent 1e+300"),
-            ('{"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 1e308]]}', 3,
-             "exponents alpha=1e+308, beta=0.0"),
-            ('{"family": "jacobi", "alpha": 2000}', 3, "exponents alpha=2000.0, beta=0.0"),
-            ('{"family": "gen_hermite", "alpha": 400}', 3, "gen_hermite weight with exponent 400.0"),
-            ('{"family": "gen_laguerre", "singularities": [[0.5, 1e300]]}', 3,
-             "gen_laguerre weight with absolute exponent sum 1e+300"),
-            ('{"family": "gen_hermite", "singularities": [[0.5, 1e300]]}', 3,
-             "gen_hermite weight with absolute exponent sum 1e+300"),
-            ('{"family": "gen_laguerre", "singularities": [[0.5, 500]]}', 3,
-             "gen_laguerre weight with absolute exponent sum 500.0"),
-            ('{"family": "gen_laguerre", "singularities": [[0, 0.5], [1e6, 1]]}', 3,
-             "250028-point Gauss rule"),
-            ('{"family": "gen_hermite", "singularities": [[1e6, 1]]}', 3,
-             "250002000032-point Gauss rule"),
-            # the mass 0.001^201 B(101, 101) underflows to exactly 0
-            ('{"family": "jacobi", "interval": [0, 0.001], "alpha": 100, "beta": 100}', 3,
-             "mass 0.0"),
-            # JSON booleans are not the numbers 1.0 and 0.0
-            ('{"family": "hermite", "scale": true}', 2, "scale is not a number: True"),
-            ('{"family": "laguerre", "alpha": true}', 2, "alpha is not a number: True"),
-            ('{"family": "jacobi", "interval": [false, 1]}', 2,
-             "interval[0] is not a number: False"),
-            ('{"family": "gen_hermite", "singularities": [[true, 1]]}', 2,
-             "singularity location is not a number: True"),
-            # singularities that are not a list of pairs, and numbers spelled as strings
-            ('{"family": "gen_hermite", "singularities": null}', 2,
-             "singularities must be pairs [c, gamma]"),
-            ('{"family": "gen_hermite", "singularities": 5}', 2,
-             "singularities must be pairs [c, gamma]"),
-            ('{"family": "gen_hermite", "singularities": true}', 2,
-             "singularities must be pairs [c, gamma]"),
-            ('{"family": "hermite", "scale": "2"}', 2, "scale is not a number: '2'"),
-            ('{"family": "laguerre", "alpha": "0.5"}', 2, "alpha is not a number: '0.5'"),
-            ('{"family": "gen_jacobi", "interval": [-1, 1], "singularities": [["0.5", "1"]]}', 2,
-             "singularity location is not a number: '0.5'"),
-        ],
-        ids=["int_beyond_float", "infinite_alpha", "undecodable_file", "laguerre_gamma_overflow",
-             "jacobi_coefficient_overflow", "jacobi_mass_overflow", "gen_hermite_gamma_overflow",
-             "gen_laguerre_tail_overflow", "gen_hermite_tail_overflow", "gen_laguerre_mass_overflow",
-             "gen_laguerre_far_singularity", "gen_hermite_far_singularity",
-             "jacobi_zero_mass", "bool_scale", "bool_alpha", "bool_endpoint", "bool_singularity",
-             "null_singularities", "number_singularities", "bool_singularities", "string_scale",
-             "string_alpha", "string_singularity"],
-    )
+    @pytest.mark.parametrize("weight, expected, named", EDGE_WEIGHTS, ids=EDGE_WEIGHT_IDS)
     def test_edge_weight_exit_codes(self, capsys, tmp_path, weight, expected, named):
         # an overflow names the family and the exponents that caused it
         if isinstance(weight, bytes):
@@ -1020,6 +1027,18 @@ class TestRecords:
             rule._replace(nodes=rule.nodes[::-1])
         with pytest.raises(WeightError, match="finite and >= 0"):
             SobolevSpec((1.0,))._replace(lambdas=(-1.0,))
+
+    def test_sharp_result_degree_is_an_int(self):
+        # (6,) == (6.0,) and (2,) == (True + 1,), so only the degree check
+        # rejects these; a numpy integer is kept as a Python int
+        res = sharp_constant_l2(make_weight({"family": "hermite"}), 5)
+        for n, coeffs in ((5.0, res.coeffs), (True, res.coeffs[:2])):
+            fields = (n, res.value, coeffs, *res[3:])
+            for build in (lambda: SharpResult(*fields), lambda: SharpResult._make(fields),
+                          lambda: res._replace(n=n, coeffs=coeffs)):
+                with pytest.raises(WeightError, match=f"^degree {n!r} is not an integer$"):
+                    build()
+        assert type(res._replace(n=np.int64(5)).n) is int
 
     @staticmethod
     def _records():

@@ -18,6 +18,11 @@ with the values the benchmark's worker reads; they are checked with the same
 tolerances, and the ratios extremal polynomials achieve within 1e-11.  Their
 values are what the program computed when the files were written, and no
 independent reference checked them: they catch a change, not an error.
+
+golden_cli.json holds the exit code and first stderr line of 290 command
+lines: six cli_cycle invocations for each seed 1 to 40 and every edge weight
+of test_cli.py.  They are replayed in-process through the same
+``cli_outcome`` and compared exactly.
 """
 
 import json
@@ -26,12 +31,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from make_golden import RANDOM_GOLDEN, TOLERANCES, request_values
+from make_golden import CLI_GOLDEN, RANDOM_GOLDEN, TOLERANCES, cli_outcome, request_values
 from markovsharp import make_weight, markov
 from markovsharp.orthopoly import FAMILIES
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_verify_matrix.json").read_text())
 RANDOM = {seed: json.loads(path.read_text()) for seed, path in RANDOM_GOLDEN.items()}
+CLI = json.loads(CLI_GOLDEN.read_text())
 
 
 @pytest.mark.parametrize("row", GOLDEN["weights"],
@@ -59,3 +65,15 @@ def test_random_request_values(seed, family):
         for name, want in row["values"].items():
             np.testing.assert_allclose(values[name], want, rtol=TOLERANCES[name], atol=0,
                                        err_msg=json.dumps(row["request"]))
+
+
+@pytest.mark.parametrize("group", ["cli_cycle", "out_of_range", "edge_weight"])
+def test_cli_exit_codes_and_messages(group):
+    cases = [case for case in CLI["cases"] if case["group"] == group]
+    assert len(cases) == {"cli_cycle": 240, "out_of_range": 27, "edge_weight": 23}[group]
+    changed = []
+    for case in cases:
+        got = cli_outcome(case["args"], case["out"], case["weight_file"])
+        if got != {"code": case["code"], "stderr": case["stderr"]}:
+            changed.append((case["name"], got))
+    assert changed == []

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -23,7 +24,8 @@ from markovsharp import (
     sobolev_gram,
 )
 from markovsharp import markov, quadrature
-from markovsharp.markov import basis_for
+from markovsharp.cli import PRESETS
+from markovsharp.markov import _fix_sign, basis_for, solve_triangular
 from markovsharp.orthopoly import closed_form
 
 from oracles import (
@@ -528,8 +530,15 @@ class TestSobolev:
                 markov.sharp_constants(make_weight(HERMITE), [8], (lam,) * 5)
 
     def test_lambda_validation(self):
-        with pytest.raises(WeightError):
-            SobolevSpec(())
+        # no lambdas is the weighted L2 norm, as lambdas=() is for the ranges
+        sob = SobolevSpec(())
+        assert sob.lambdas == ()
+        for name in PRESETS:
+            spec = make_weight(dict(PRESETS[name]))
+            for n in range(1, 41):
+                got, want = sharp_constant_sobolev(spec, sob, n), sharp_constant_l2(spec, n)
+                assert got.value == want.value
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
         with pytest.raises(WeightError):
             SobolevSpec((-1.0,))
 
@@ -1096,6 +1105,21 @@ class TestInputChecks:
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
         assert mirsky_bound(make_weight(weight), np.int64(5)) == mirsky_bound(make_weight(weight), 5)
 
+    @pytest.mark.parametrize("weight", [HERMITE, GEN_JACOBI], ids=["hermite", "gen_jacobi"])
+    def test_results_carry_python_int_degrees(self, weight):
+        # numpy integers are read once as Python ints, which JSON writes
+        spec = make_weight(weight)
+        for got, want in (
+            ([sharp_constant_l2(spec, np.int32(4))], [sharp_constant_l2(spec, 4)]),
+            (sharp_constants(spec, [np.int64(5)]), sharp_constants(spec, [5])),
+            (sharp_constants(spec, np.arange(1, 6)), sharp_constants(spec, range(1, 6))),
+        ):
+            assert len(got) == len(want)
+            for res, ref in zip(got, want):
+                assert type(res.n) is int and json.dumps(res.n) == str(ref.n)
+                assert res.value == ref.value
+                assert res.coeffs.tobytes() == ref.coeffs.tobytes()
+
 
 class TestBasisStore:
     """The process keeps each weight's basis by its weight_id in its one store,
@@ -1532,3 +1556,46 @@ def test_classical_recurrence_available_beyond_cap():
     # internal rule building needs long tables; the cap guards sharp-constant entry points
     rec = recurrence_classical(make_weight(HERMITE), 200)
     assert rec.n_max == 200
+
+
+class TestFixSign:
+    def test_last_entry_of_size_made_positive(self):
+        # the last entry is below the 1e-12 relative threshold, so the one before it decides
+        rows = np.array([[0.0, 2.0, -1.0], [3.0, -1.0, 1e-13], [1.0, 2.0, 3.0]])
+        got = _fix_sign(rows, True)
+        np.testing.assert_array_equal(got, [[-0.0, -2.0, 1.0], [-3.0, 1.0, -1e-13], rows[2]])
+
+    def test_padding_keeps_positive_zero(self):
+        # only the solved entries change sign; the padding stays +0.0, never -0.0
+        rows = np.array([[1.0, 0.0, -2.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+        solved = np.array([[True, True, True, False], [True, True, False, False]])
+        got = _fix_sign(rows, solved)
+        np.testing.assert_array_equal(got, [[-1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        assert not np.signbit(got[:, -1]).any()
+        assert not np.signbit(got[1, 2:]).any()
+
+    def test_zero_row_kept(self):
+        rows = np.array([[0.0, -0.0, 0.0], [0.0, -1.0, 0.0]])
+        got = _fix_sign(rows, True)
+        assert got[0].tobytes() == rows[0].tobytes()
+        np.testing.assert_array_equal(got[1], [-0.0, 1.0, -0.0])
+
+
+class TestSolveTriangular:
+    def test_substitution_keeps_the_zeros(self):
+        # a strictly lower right-hand side has a strictly lower solution, with
+        # exact zeros, whose leading block is the leading block's solution
+        rng = np.random.default_rng(11)
+        low = np.tril(rng.standard_normal((9, 9)), -1) + np.diag(rng.uniform(1.0, 2.0, 9))
+        rhs = np.tril(rng.standard_normal((9, 9)), -1)
+        y = solve_triangular(low, rhs, lower=True)
+        np.testing.assert_allclose(low @ y, rhs, rtol=0, atol=1e-13)
+        assert np.all(np.triu(y) == 0.0)
+        lead = solve_triangular(low[:4, :4], rhs[:4, :4], lower=True)
+        np.testing.assert_allclose(lead, y[:4, :4], rtol=0, atol=1e-14)
+
+    def test_upper_system(self):
+        rng = np.random.default_rng(13)
+        up = np.triu(rng.standard_normal((7, 7)), 1) + np.diag(rng.uniform(1.0, 2.0, 7))
+        rhs = rng.standard_normal(7)
+        np.testing.assert_allclose(up @ solve_triangular(up, rhs), rhs, rtol=0, atol=1e-13)
