@@ -17,7 +17,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import HypothesisError, WeightError
-from .markov import SobolevSpec, _degree, mirsky_bounds, sharp_constants
+from .markov import SobolevSpec, _degrees, mirsky_bounds, sharp_constants
 from .orthopoly import _SUM_TOL, WeightSpec
 
 FIT_SLACK = 0.1
@@ -230,13 +230,15 @@ def verify_theorem(
     Passes when the fitted exponent is at most predicted + slack (default
     0.1) and, for the explicit constant cases, when the pointwise bound holds
     as well (schmidt additionally checks equality with sqrt(2n) to 1e-10).
-    mirsky fits the Mirsky bounds; mirsky and schmidt use the L2 norm.
+    mirsky fits the Mirsky bounds; mirsky and schmidt use the L2 norm.  The
+    degrees are checked as every range checks them (``_degrees``), then
+    sorted; the fit needs at least four.
     """
     if violation := _violation(case_id, spec):
         raise HypothesisError(violation)
     if not math.isfinite(slack):
         raise WeightError(f"the fit slack must be finite, got {slack}")
-    ns = sorted(_degree(n) for n in ns)
+    ns = sorted(_degrees(ns))
     if len(ns) < 4:
         raise WeightError("need at least 4 degrees for the exponent fit")
     predicted = predicted_exponent(case_id, spec)

@@ -28,9 +28,10 @@ Stieltjes ladder.  Degree n takes its top singular pair from the leading
 that block maps even coefficient indices to odd ones and odd to even, so its
 Gram matrix is an even and an odd block; degree n adds index n to one of
 them, so it solves that block alone and keeps the other's pair from degree
-n - 1.  Each block costs only its copy, its Gram product and one eigensolve;
-the rest is one pass over the range: the square roots, the choice of block,
-the placement of every vector in one zero-padded matrix and the sign rule,
+n - 1.  Each block costs only its copy, its Gram product and one eigensolve,
+with the square root of its top eigenvalue; the choice of block is one
+comparison per degree, and the rest is one pass over the range: the
+placement of every vector in one zero-padded matrix and the sign rule,
 then one back substitution with L_N^T for every coefficient vector, the step
 that gives exact zeros their sign from the vector, the sign rule again, and
 one product with D_N^T per derivative order to check every degree.  Squares
@@ -367,26 +368,30 @@ def _top_pairs(reduced: np.ndarray, ns, split: bool):
     so the residual's products read each row as one contiguous vector).
     With ``split`` (a symmetric weight) ``reduced`` maps even coefficient
     indices to odd ones and odd to even, so M_n^T M_n is an even block and
-    an odd block.  The block ending in column c reads the other parity's
-    rows above c (``reduced`` is strictly upper triangular, so the rows from
-    c on are zero): a slice fixed by c alone, so a range and a single degree
-    solve the same bytes.  Degree n has the blocks ending in n and n - 1, of
-    which only the first grew from degree n - 1; it takes the larger value,
-    and the block ending in n on a tie.
+    an odd block.  ``step`` (2 with ``split``, else 1) states that layout
+    once: the block ending in column c reads every ``step``-th column up to
+    c and the rows of the other parity above c (``reduced`` is strictly
+    upper triangular, so the rows from c on are zero), a slice fixed by c
+    alone, so a range and a single degree solve the same bytes.  Degree n
+    has the blocks ending in n and n - 1, of which only the first grew from
+    degree n - 1; it takes the larger value, and the block ending in n on a
+    tie.
 
-    Each block costs only its copy, its Gram product M^T M and one ``eigh``,
-    whose top eigenvalue is well separated, so its square root is accurate
-    enough.  The square roots, the choice of block, the placement and the
+    The pairs are kept in one dict keyed by each block's last column, in
+    the order the degrees first use them.  Each block costs only its copy,
+    its Gram product M^T M, one ``eigh`` and the square root of the top
+    eigenvalue, which is well separated, so the root is accurate enough.
+    The choice of block is one comparison per degree; the placement and the
     sign rule (``_fix_sign``, which negates only the solved entries) run
-    once on the whole range.  One check per range keeps
-    every Gram product in floating-point range: an EigenError names the
-    first degree that reads a column whose squared norm overflows.
+    once on the whole range.  One check per range keeps every Gram product
+    in floating-point range: an EigenError names the first degree that
+    reads a column whose squared norm overflows.
     """
 
+    step = 2 if split else 1
+
     def block(c):  # rows and columns of the block ending in column c
-        if split:
-            return slice(1 - c % 2, c, 2), slice(c % 2, c + 1, 2)
-        return slice(c + 1), slice(c + 1)
+        return slice((c + 1) % step, c + 1, step), slice(c % step, c + 1, step)
 
     # the sum of all squares bounds every Gram entry; only when it overflows
     # are the columns summed one by one
@@ -399,32 +404,21 @@ def _top_pairs(reduced: np.ndarray, ns, split: bool):
                     f"the Gram matrix M^T M at n={min(n for n in ns if n >= first)} "
                     "is out of floating-point range"
                 )
-    ends = {}  # last column c -> index of its block's pair
-    for n in ns:
-        for c in (n, n - 1) if split else (n,):
-            ends.setdefault(c, len(ends))
-    tops, vecs = [], []
+    # last column c -> (sigma, v) of its block
+    pairs = dict.fromkeys(c for n in ns for c in range(n, n - step, -1))
     try:
-        for c in ends:
+        for c in pairs:
             m = np.ascontiguousarray(reduced[block(c)])
             vals, eig = np.linalg.eigh(m.T @ m)
-            tops.append(max(vals[-1], 0.0))
-            vecs.append(eig[:, -1])
+            pairs[c] = math.sqrt(max(vals[-1], 0.0)), eig[:, -1]
     except np.linalg.LinAlgError as exc:
         raise EigenError(f"eigensolver did not converge: {exc}") from exc
-    sigma = np.sqrt(tops)
-    last, pick = np.array(ns), np.array([ends[n] for n in ns])
-    if split:
-        prev = np.array([ends[n - 1] for n in ns])
-        older = sigma[prev] > sigma[pick]
-        last, pick = last - older, np.where(older, prev, pick)
+    last = np.array([n - 1 if split and pairs[n - 1][0] > pairs[n][0] else n for n in ns])
     cols = np.arange(reduced.shape[1])
-    solved = cols <= last[:, None]
-    if split:
-        solved &= (last[:, None] - cols) % 2 == 0
+    solved = (cols <= last[:, None]) & ((last[:, None] - cols) % step == 0)
     rows = np.zeros(solved.shape)
-    rows[solved] = np.concatenate([vecs[i] for i in pick])
-    return sigma[pick].tolist(), _fix_sign(rows, solved)
+    rows[solved] = np.concatenate([pairs[c][1] for c in last])
+    return [pairs[c][0] for c in last], _fix_sign(rows, solved)
 
 
 def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:

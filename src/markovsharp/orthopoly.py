@@ -263,14 +263,11 @@ def make_weight(raw) -> WeightSpec:
     """Read a weight description and return its WeightSpec.
 
     ``raw`` is a JSON-style mapping with keys family, interval, alpha, beta,
-    singularities, scale, or an existing WeightSpec (returned unchanged).
-    An endpoint may be the string "inf" or "infinity", signed or not, in any
-    case; the interval defaults to the family's own, except for gen_jacobi;
-    a gen_hermite alpha is the singular factor (0, alpha).  WeightSpec runs
-    every other check.
+    singularities, scale.  An endpoint may be the string "inf" or
+    "infinity", signed or not, in any case; the interval defaults to the
+    family's own, except for gen_jacobi; a gen_hermite alpha is the singular
+    factor (0, alpha).  WeightSpec runs every other check.
     """
-    if isinstance(raw, WeightSpec):
-        return raw
     if not isinstance(raw, dict):
         raise WeightError(f"weight description must be a mapping, got {type(raw).__name__}")
     unknown = set(raw) - set(_WEIGHT_FIELDS)

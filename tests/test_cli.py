@@ -727,10 +727,16 @@ class TestContracts:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize("command", ["sweep", "mirsky", "verify"])
-    @pytest.mark.parametrize("n_min", ["0", "-2"])
-    def test_range_below_degree_one_names_it(self, capsys, command, n_min):
+    @pytest.mark.parametrize("n_min, n_max", [
+        pytest.param("0", "3", id="0"),
+        pytest.param("-2", "3", id="-2"),
+        # too few degrees for verify's fit: the degree is still named first
+        pytest.param("0", "2", id="0-to-2"),
+        pytest.param("-2", "2", id="-2-to-2"),
+    ])
+    def test_range_below_degree_one_names_it(self, capsys, command, n_min, n_max):
         code, out, err = run_cli(
-            capsys, command, "--weight", "legendre", "--n-min", n_min, "--n-max", "3"
+            capsys, command, "--weight", "legendre", "--n-min", n_min, "--n-max", n_max
         )
         assert code == 2
         assert out == ""

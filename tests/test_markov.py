@@ -829,15 +829,22 @@ def _per_block_constants(spec, ns, lams):
 class TestRangePass:
     """The whole-range pass gives the bytes of the per-block loop it replaced."""
 
-    @pytest.mark.parametrize("lams", [(), (1.0, 0.5)], ids=["l2", "sobolev"])
+    @pytest.mark.parametrize("lams, ns", [
+        pytest.param((), range(1, 41), id="l2"),
+        pytest.param((1.0, 0.5), range(1, 41), id="sobolev"),
+        # unsorted, with a repeat and with degree 1's empty parity block: the
+        # order the pairs are kept in and the tie rule
+        pytest.param((), [9, 2, 40, 2, 17, 1], id="l2-unsorted"),
+        pytest.param((1.0, 0.5), [9, 2, 40, 2, 17, 1], id="sobolev-unsorted"),
+    ])
     @pytest.mark.parametrize(
         "raw",
         [raw for _, raw in CASE5_MATRIX] + list(SYMMETRIC_WEIGHTS.values()),
         ids=[f"{case}-{i}" for i, (case, _) in enumerate(CASE5_MATRIX)] + list(SYMMETRIC_WEIGHTS),
     )
-    def test_equals_per_block_loop(self, monkeypatch, raw, lams):
+    def test_equals_per_block_loop(self, monkeypatch, raw, lams, ns):
         # values and coefficient bytes, signed zeros included
-        spec, ns = make_weight(raw), range(1, 41)
+        spec = make_weight(raw)
 
         def check():
             results = markov.sharp_constants(spec, ns, lams)
@@ -1055,8 +1062,8 @@ class TestBasisTable:
         # no caller can change what a later call for the weight reads
         spec = make_weight({"family": "laguerre", "alpha": 0.0})
         value = sharp_constant_l2(spec, 5).value
-        for raw in (spec, GEN_JACOBI):
-            basis = markov._kept(make_weight(raw), [5])
+        for weight in (spec, make_weight(GEN_JACOBI)):
+            basis = markov._kept(weight, [5])
             for array in (basis.rec.diag, basis.rec.offdiag, basis.mat):
                 assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

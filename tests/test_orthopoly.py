@@ -454,6 +454,8 @@ class TestInputChecks:
                      WeightError, "singularities must be pairs [c, gamma]", id="singular-pair"),
         pytest.param(lambda: make_weight("hermite"), WeightError,
                      "weight description must be a mapping, got str", id="not-a-mapping"),
+        pytest.param(lambda: make_weight(make_weight(HERMITE)), WeightError,
+                     "weight description must be a mapping, got WeightSpec", id="spec-not-json"),
         pytest.param(lambda: make_weight({"family": "gen_jacobi"}), WeightError,
                      "gen_jacobi: interval is required", id="gen-jacobi-interval"),
         pytest.param(lambda: make_weight({"family": "gen_hermite", "alpha": -0.5}), WeightError,
