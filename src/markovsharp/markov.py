@@ -23,12 +23,13 @@ one computation at its largest degree N on one kept basis (``_kept``): one
 recurrence to N+1, one D_N and, for a Sobolev norm, one Cholesky factor L_N
 of B_N and one L_N^T D_N L_N^-T.  ``closed_form`` decides once, when the
 basis is built, whether the recurrence has a closed form or comes from the
-Stieltjes ladder.  Degree n takes its top singular pair from the leading
-(n+1) x (n+1) block of that matrix.  For a weight symmetric about its centre
-that block maps even coefficient indices to odd ones and odd to even, so its
-Gram matrix is an even and an odd block; degree n adds index n to one of
-them, so it solves that block alone and keeps the other's pair from degree
-n - 1.  Each block costs only its copy, its Gram product and one eigensolve,
+Stieltjes ladder, and ``_symmetric`` whether the weight is symmetric, which
+the basis keeps as ``split``.  Degree n takes its top singular pair from
+the leading (n+1) x (n+1) block of that matrix.  For a weight symmetric
+about its centre that block maps even coefficient indices to odd ones and
+odd to even, so its Gram matrix is an even and an odd block; degree n adds
+index n to one of them, so it solves that block alone and keeps the other's
+pair from degree n - 1.  Each block costs only its copy, its Gram product and one eigensolve,
 with the square root of its top eigenvalue; the choice of block is one
 comparison per degree, and the rest is one pass over the range: the
 placement of every vector in one zero-padded matrix and the sign rule,
@@ -74,13 +75,13 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import EigenError, QuadratureError, WeightError
 from .orthopoly import (
     RecurrenceTable,
     WeightSpec,
     _as_float,
     _frozen,
+    _p0,
     _Record,
     _symmetric,
     closed_form,
@@ -94,8 +95,9 @@ RESIDUAL_TOL = 1e-8
 MAX_SOBOLEV_ORDER = 4
 _SIGN_RTOL = 1e-12
 
-# The basis kept for one weight and top degree n: the recurrence to n+1 and D_n
-_Basis = namedtuple("_Basis", "n rec mat")
+# The basis kept for one weight and top degree n: the recurrence to n+1, D_n
+# and whether the weight is symmetric (``_symmetric``)
+_Basis = namedtuple("_Basis", "n rec mat split")
 
 
 def _lambda_values(lambdas) -> tuple[float, ...]:
@@ -184,12 +186,13 @@ def _kept(spec: WeightSpec, ns) -> _Basis:
     once, how the recurrence to N+1 is built: by its closed form, whose mass
     is checked here, or by ``stabilized_stieltjes``.  D_N is built with it
     and made read-only, as the recurrence's arrays are, since every later
-    call for the weight reads it.  The entry is kept as ``basis_for``
-    describes: in ``quadrature``'s one store, under the weight's
-    ``weight_id``, in place of the entry for another N, as the most recently
-    used, with the bytes of its recurrence and D_N.  Least recently used
-    entries of the store, bases and reference rules alike, then leave while
-    its arrays exceed ``quadrature.KEPT_BYTES``, all but the newest.
+    call for the weight reads it, and ``_symmetric`` decides, once, whether
+    the weight's blocks split by parity (``split``).  The entry is kept as
+    ``basis_for`` describes: in ``quadrature``'s one store, under the
+    weight's ``weight_id``, in place of the entry for another N, as the most
+    recently used, with the bytes of its recurrence and D_N.  Least recently
+    used entries of the store, bases and reference rules alike, then leave
+    while its arrays exceed ``quadrature.KEPT_BYTES``, all but the newest.
     """
     top, key = max(ns), spec.weight_id
     kept = _store_get(key)
@@ -199,8 +202,8 @@ def _kept(spec: WeightSpec, ns) -> _Basis:
         rec = stabilized_stieltjes(spec, top + 1)
     else:
         rec = recurrence_classical(spec, top + 1)
-        _kernels._p0(rec.mass)
-    kept = _Basis(top, rec, _frozen(derivative_matrix(rec, top)))
+        _p0(rec.mass)
+    kept = _Basis(top, rec, _frozen(derivative_matrix(rec, top)), _symmetric(spec))
     _store_put(key, kept, rec.diag.nbytes + rec.offdiag.nbytes + kept.mat.nbytes)
     return kept
 
@@ -453,7 +456,8 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     lambdas = given
     while lambdas and lambdas[-1] == 0.0:
         lambdas = lambdas[:-1]
-    mat = _kept(spec, ns).mat
+    basis = _kept(spec, ns)
+    mat = basis.mat
     if lambdas:
         # D_N[:, :n+1] = [D_n; 0], so B_n, L_n and L_n^T D_n L_n^-T are the
         # leading blocks of the degree-N ones: one factorization serves the
@@ -468,7 +472,7 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
         # B = I needs no Cholesky factor or solves (4.5% of random_requests
         # p50 on a 2-vCPU Xeon)
         reduced = mat
-    values, vecs = _top_pairs(reduced, ns, _symmetric(spec))
+    values, vecs = _top_pairs(reduced, ns, basis.split)
     coeffs = vecs
     if lambdas:
         solved = solve_triangular(chol.T, vecs.T).T

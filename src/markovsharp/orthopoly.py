@@ -13,8 +13,17 @@ singular factors restate a classical one; every other weight gets its
 recurrence from ``quadrature.stabilized_stieltjes``.
 ``_symmetric`` decides, from the family as ``closed_form`` restates it,
 whether a weight is symmetric about the centre of its interval, so that
-``markov`` names no family.  This module imports only ``errors`` and
-``_kernels``.
+``markov`` names no family.
+``deriv_tables`` is the one loop that evaluates a recurrence at points, for
+one recurrence or a zero-padded stack of them, looping only over the degree:
+the Gauss rules' weights read its order-0 values, and ``eval_orthonormal``
+and ``eval_derivative_table`` its derivatives too.  No constant reads it:
+the residual of a constant is taken from its derivative matrix, so the
+derivative orders serve the self-test and the tests' quadrature oracle.
+It takes and returns arrays only.  ``_p0`` is the one place a weight's
+mass becomes p_0 = 1/sqrt(mass), and the one check that the mass allows it:
+a mass that does not raises ``QuadratureError`` naming it.  This module
+imports only ``errors``.
 
 Orthonormal normalization throughout: p_0 = 1/sqrt(mass) and
 x p_k = b_k p_{k+1} + a_k p_k + b_{k-1} p_{k-1}, with every b_k > 0 and the
@@ -30,8 +39,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import _kernels
-from .errors import WeightError
+from .errors import QuadratureError, WeightError
 
 CLASSICAL_FAMILIES = ("jacobi", "laguerre", "hermite")
 GENERALIZED_FAMILIES = ("gen_jacobi", "gen_laguerre", "gen_hermite")
@@ -449,6 +457,50 @@ def _as_points(x):
     return arr, np.isscalar(x) or getattr(x, "ndim", 1) == 0
 
 
+def _p0(mass):
+    """p_0 = 1/sqrt(mass), the constant orthonormal polynomial of a weight.
+
+    Raises ``QuadratureError`` unless the mass and its reciprocal are
+    positive and finite: p_0^2 = 1/mass, so a subnormal mass leaves p_0
+    finite but its square not.
+    """
+    if not (0.0 < mass < math.inf and 1.0 / mass < math.inf):
+        raise QuadratureError(f"the weight's mass {mass!r} or its reciprocal is not finite")
+    return 1.0 / math.sqrt(mass)
+
+
+def deriv_tables(diag, offdiag, p0, x, order):
+    """Tables of p_k^(d)(x) for d = 0..order, shape (order+1, n+1, *x.shape).
+
+    Obtained by differentiating the three-term recurrence d times,
+    p_{k+1}^(d) = ((x - a_k) p_k^(d) + d p_k^(d-1) - b_{k-1} p_{k-1}^(d)) * (1/b_k).
+    Takes one recurrence, diag (n+1,), offdiag (n,), a scalar p0 and points
+    x (points,), or a stack of them, one per row: diag (rows, n+1), offdiag
+    (rows, n), p0 (rows,) and x (rows, points).  A row of m < n+1 points is
+    padded with offdiag = 0 from entry m-1 on; 1/b_k is taken as 0 there,
+    so every p_k past its size vanishes.
+    """
+    n = diag.shape[-1] - 1
+    # the degree first and one trailing axis, so a[k] broadcasts against x
+    a, b = diag.T[..., None], offdiag.T[..., None]
+    inv = np.zeros_like(b)
+    np.divide(1.0, b, out=inv, where=b > 0)
+    d = np.arange(1.0, order + 1.0).reshape((order,) + (1,) * x.ndim)
+    # work[k] holds every order of p_k, one contiguous block per degree
+    work = np.zeros((n + 1, order + 1) + x.shape)
+    work[0, 0] = np.asarray(p0)[..., None]
+    for k in range(n):
+        nxt = work[k + 1]
+        np.subtract(x, a[k], out=nxt)
+        nxt *= work[k]
+        if order:
+            nxt[1:] += d * work[k, :-1]
+        if k:
+            nxt -= b[k - 1] * work[k - 1]
+        nxt *= inv[k]
+    return np.ascontiguousarray(work.swapaxes(0, 1))
+
+
 def eval_orthonormal(rec: RecurrenceTable, x, n: int) -> np.ndarray:
     """Values (p_0(x), ..., p_n(x)) by the forward three-term recurrence."""
     return eval_derivative_table(rec, x, n, 0)[0]
@@ -464,6 +516,6 @@ def eval_derivative_table(rec: RecurrenceTable, x, n: int, order: int) -> np.nda
     if order < 0:
         raise ValueError("order must be >= 0")
     pts, scalar = _as_points(x)
-    p0 = _kernels._p0(rec.mass)
-    stack = _kernels.deriv_tables(rec.diag[: n + 1], rec.offdiag[:n], p0, pts, order)
+    p0 = _p0(rec.mass)
+    stack = deriv_tables(rec.diag[: n + 1], rec.offdiag[:n], p0, pts, order)
     return stack[:, :, 0] if scalar else stack

@@ -3,7 +3,7 @@
 ``gauss_rule`` is the Golub-Welsch construction: nodes are the eigenvalues of
 the symmetric tridiagonal Jacobi matrix, weights come from the Christoffel
 function.  One builder (``_gauss_rules``) makes every rule, for a stack of
-recurrences at once: it reads the weights from ``_kernels.deriv_tables`` at
+recurrences at once: it reads the weights from ``orthopoly.deriv_tables`` at
 order 0 on the nodes of the stack.  ``composite_rules`` handles
 generalized weights by splitting the interval at every singular point: each
 finite piece gets a Gauss-Jacobi rule whose weight absorbs the endpoint
@@ -30,12 +30,15 @@ reference rules it does not find there.  A rule does not depend on its
 batch, so the store changes what a call costs, never what it returns.
 ``stabilized_stieltjes`` gives a generalized weight with no closed form its
 recurrence: the discretized Stieltjes procedure on the composite rules,
-refined level by level until two levels agree.  It returns the recurrence
-alone, and no composite rule outlives it.  A basis checks its constants
-without a rule, by Parseval on its derivative matrix, and
-``markov.basis_for`` builds the Gauss rule of its recurrence only when
-called.  This module imports only ``errors``, ``_kernels`` and
-``orthopoly``.
+refined level by level until two levels agree.  Each level runs
+``stieltjes`` on its rule's arrays, a loop over the degree that raises
+``QuadratureError`` naming the degree, or through ``_p0`` the mass, that
+fails.  It returns the recurrence alone, and no composite rule outlives
+it.  A basis checks its constants without a rule, by Parseval on its
+derivative matrix, and ``markov.basis_for`` builds the Gauss rule of its
+recurrence only when called.  This module imports only ``errors`` and
+``orthopoly``, whose point tables (``deriv_tables``) and mass check
+(``_p0``) it reads.
 """
 
 from __future__ import annotations
@@ -46,10 +49,9 @@ from collections import OrderedDict, namedtuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import EigenError, QuadratureError, WeightError
-from .orthopoly import GENERALIZED_FAMILIES, RecurrenceTable, WeightSpec
-from .orthopoly import _frozen, _jacobi_coefficients, _laguerre_coefficients, _Record
+from .orthopoly import GENERALIZED_FAMILIES, RecurrenceTable, WeightSpec, deriv_tables
+from .orthopoly import _frozen, _jacobi_coefficients, _laguerre_coefficients, _p0, _Record
 
 TAIL_GAP = 4.0  # the tails start this far beyond the outermost singular point
 MAX_PIECE_NODES = 2000  # a dense Jacobi matrix of this size takes 32 MB
@@ -163,7 +165,7 @@ def _gauss_rules(tables):
     The rule of a table has m = len(diag) points; offdiag has m-1 entries.
     Returns (nodes, weights), padded with zeros to the largest m.  Nodes
     come from one ``_jacobi_nodes`` call per stretch of equal m.  The
-    weights 1 / sum_k p_k(x_j)^2 come from ``_kernels.deriv_tables`` at
+    weights 1 / sum_k p_k(x_j)^2 come from ``deriv_tables`` at
     order 0, run on consecutive rules zero-padded to the largest of them,
     squared in place and summed in order from k = 0; a new run starts where
     padding the run to the next rule's m would make its table more than
@@ -178,7 +180,7 @@ def _gauss_rules(tables):
     width = max(sizes)
     diag = np.zeros((len(tables), width))
     offdiag = np.zeros((len(tables), width - 1))
-    p0 = np.array([_kernels._p0(mass) for _, _, mass in tables])
+    p0 = np.array([_p0(mass) for _, _, mass in tables])
     for r, (d, o, _) in enumerate(tables):
         diag[r, : sizes[r]], offdiag[r, : sizes[r] - 1] = d, o
     nodes, weights = np.zeros_like(diag), np.zeros_like(diag)
@@ -198,7 +200,7 @@ def _gauss_rules(tables):
         a, b = diag[lo:hi, :m], offdiag[lo:hi, : m - 1]
         # an overflow at an outer node spoils its weight, which _check_weights names
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values = _kernels.deriv_tables(a, b, p0[lo:hi], nodes[lo:hi, :m], 0)[0]
+            values = deriv_tables(a, b, p0[lo:hi], nodes[lo:hi, :m], 0)[0]
             weights[lo:hi, :m] = 1.0 / np.sum(np.square(values, out=values), axis=0)
     weights[np.arange(width) >= np.array(sizes)[:, None]] = 0.0
     _check_weights(nodes, weights, diag, offdiag, sizes)
@@ -348,13 +350,18 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     exponents repeated over that piece's nodes.  Since a rule does not
     depend on its batch, each level's rule is the one it gets when built
     alone, from any store.  The rules whose exponents come from the weight
-    die with the call.  A piece whose nodes leave the floating-point range
-    raises QuadratureError naming the piece of the first such node.
+    die with the call.  A level is an int in 0..MAX_REFINE, the levels the
+    Stieltjes ladder can ask for, else ValueError names it.  A piece whose
+    nodes leave the floating-point range raises QuadratureError naming the
+    piece of the first such node.
     """
     if spec.family not in GENERALIZED_FAMILIES:
         raise WeightError(f"composite_rules needs a generalized family, got {spec.family!r}")
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    for level in levels:
+        if isinstance(level, bool) or not isinstance(level, int) or not 0 <= level <= MAX_REFINE:
+            raise ValueError(f"refinement level {level!r} is not an integer in 0..{MAX_REFINE}")
 
     tails = {}
     if spec.family == "gen_jacobi":
@@ -433,6 +440,42 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     return rules
 
 
+def stieltjes(nodes, weights, n):
+    """Recurrence coefficients of the discrete measure sum w_q δ(x - x_q).
+
+    Runs the Stieltjes procedure on orthonormal (not monic) values so the
+    iterates stay O(1).  Returns (diag, offdiag, mass).  Raises
+    ``QuadratureError`` if the mass or its reciprocal is not finite, if the
+    sums of some degree leave the floating-point range, or if the rule loses
+    positivity at some degree.
+    """
+    diag = np.zeros(n + 1)
+    offdiag = np.zeros(n)
+    # an overflow leaves a sum non-finite: ``_p0`` names the mass, and each
+    # later sum its degree below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = float(np.sum(weights))
+        p_prev = np.zeros_like(nodes)
+        p_cur = np.full_like(nodes, _p0(mass))
+        wx = weights * nodes
+        diag[0] = np.dot(wx, p_cur * p_cur)
+        for k in range(n):
+            t = (nodes - diag[k]) * p_cur - (offdiag[k - 1] if k > 0 else 0.0) * p_prev
+            nrm2 = float(np.dot(weights, t * t))
+            if not math.isfinite(nrm2):
+                raise QuadratureError(f"quadrature out of floating-point range at degree {k + 1}")
+            if not nrm2 > 0.0:
+                raise QuadratureError(f"quadrature insufficient: lost positivity at degree {k + 1}")
+            b = math.sqrt(nrm2)
+            offdiag[k] = b
+            p_prev = p_cur
+            p_cur = t / b
+            diag[k + 1] = np.dot(wx, p_cur * p_cur)
+    if not math.isfinite(diag[n]):
+        raise QuadratureError(f"quadrature out of floating-point range at degree {n}")
+    return diag, offdiag, mass
+
+
 def _recurrence_change(old: RecurrenceTable, new: RecurrenceTable, hint: float = 0.0) -> float:
     # componentwise relative change; entries far below the natural scale of
     # the recurrence (roundoff-level diag entries of symmetric weights, say)
@@ -459,12 +502,11 @@ def stabilized_stieltjes(spec: WeightSpec, n: int):
     each later level is built alone.  The Gauss-Legendre and Gauss-Laguerre
     reference rules of every level may come from the process's one store,
     beside the kept bases, so a ladder can cost less after others, and
-    returns the same table.  Each
-    level runs ``_kernels.stieltjes`` on its rule's arrays; a rule of n or
-    fewer nodes raises QuadratureError first, since the kernel would return
-    a last b_k of roundoff size rather than fail.  Accepts once two
-    consecutive levels give coefficients within 1e-12 relative of each other
-    (at most 6 refinements, else an error).
+    returns the same table.  Each level runs ``stieltjes`` on its rule's
+    arrays; a rule of n or fewer nodes raises QuadratureError first, since
+    ``stieltjes`` would return a last b_k of roundoff size rather than fail.
+    Accepts once two consecutive levels give coefficients within 1e-12
+    relative of each other (at most 6 refinements, else an error).
     Returns the accepted table; no composite rule outlives the ladder.
     """
     prev, degree, weight_id = None, 2 * n + 1, spec.weight_id
@@ -476,7 +518,7 @@ def stabilized_stieltjes(spec: WeightSpec, n: int):
             raise QuadratureError(
                 f"rule too short: {size} nodes cannot support degree {n} (need at least {n + 1})"
             )
-        cur = RecurrenceTable(n, *_kernels.stieltjes(rule.nodes, rule.weights, n), weight_id)
+        cur = RecurrenceTable(n, *stieltjes(rule.nodes, rule.weights, n), weight_id)
         hint = float(np.max(np.abs(rule.nodes)))
         if prev is not None and _recurrence_change(prev, cur, hint) <= STABILIZE_TOL:
             return cur

@@ -33,11 +33,12 @@ def _poly_axpy(p, c, q):
     return out
 
 
-def recurrence_from_moments(moments, n):
-    """Orthonormal recurrence (diag, offdiag, mass) from raw moments.
+def monic_recurrence(moments, n):
+    """Monic recurrence (alphas, betas) from raw moments; exact when they are Fractions.
 
-    Runs the monic three-term recurrence with inner products taken directly
-    from the moment list; exact when the moments are Fractions.
+    x m_k = m_{k+1} + alphas[k] m_k + betas[k-1] m_{k-1} for k = 0..n, with
+    inner products taken directly from the moment list; betas[k-1] is
+    ||m_k||^2 / ||m_{k-1}||^2, k = 1..n.
     """
     one = moments[0] / moments[0] if isinstance(moments[0], Fraction) else 1.0
     pi_prev = None
@@ -56,6 +57,12 @@ def recurrence_from_moments(moments, n):
         pi_prev, pi = pi, nxt
         norm_prev, norm = norm, _poly_inner(pi, pi, moments)
         betas.append(norm / norm_prev)
+    return alphas, betas
+
+
+def recurrence_from_moments(moments, n):
+    """Orthonormal recurrence (diag, offdiag, mass) from raw moments, by ``monic_recurrence``."""
+    alphas, betas = monic_recurrence(moments, n)
     diag = np.array([float(a) for a in alphas])
     offdiag = np.sqrt(np.array([float(b) for b in betas]))
     return diag, offdiag, float(moments[0])
@@ -65,12 +72,128 @@ def legendre_moments(count):
     return [Fraction(1 + (-1) ** k, k + 1) for k in range(count)]
 
 
-def laguerre_moments(count):
-    return [Fraction(math.factorial(k)) for k in range(count)]
+def laguerre_moments(count, alpha=0):
+    """Moments of x^alpha e^-x over its mass, exact for a rational alpha:
+    mu_{k+1} = (k+1+alpha) mu_k."""
+    out = [Fraction(1)]
+    for k in range(count - 1):
+        out.append(out[-1] * (k + 1 + Fraction(alpha)))
+    return out[:count]
+
+
+def jacobi_moments(count, alpha, beta):
+    """Moments of (1 - x)^alpha (1 + x)^beta on [-1, 1] over its mass, exact for
+    rational exponents.
+
+    The moments of 1 + x are ratios of Beta functions,
+    nu_{j+1} = 2 (beta+1+j) / (alpha+beta+2+j) nu_j, and x^k = ((1 + x) - 1)^k.
+    """
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    nu = [Fraction(1)]
+    for j in range(count - 1):
+        nu.append(nu[-1] * 2 * (beta + 1 + j) / (alpha + beta + 2 + j))
+    return [sum(math.comb(k, j) * (-1) ** (k - j) * nu[j] for j in range(k + 1))
+            for k in range(count)]
+
+
+def gen_hermite_moments(count, g):
+    """Moments of |x|^g e^(-x^2) over its mass, exact for a rational g:
+    mu_{k+2} = (k+1+g)/2 mu_k, and the odd ones vanish."""
+    out, even = [], Fraction(1)
+    for k in range(count):
+        out.append(Fraction(0) if k % 2 else even)
+        if not k % 2:
+            even *= (k + 1 + Fraction(g)) / 2
+    return out
 
 
 def hermite_moments(count):
     return [0.0 if k % 2 else math.gamma((k + 1) / 2) for k in range(count)]
+
+
+def _matmul(a, b):
+    """Product of two square Fraction matrices (lists of rows), skipping zeros."""
+    size = len(a)
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for i, row in enumerate(a):
+        acc = out[i]
+        for m, aim in enumerate(row):
+            if aim:
+                for k, bmk in enumerate(b[m]):
+                    if bmk:
+                        acc[k] += aim * bmk
+    return out
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def markov_pencil_exact(alphas, betas, lambdas):
+    """(K, G) of the Markov pencil on the monic basis m_0..m_n of a recurrence, exact.
+
+    ``alphas`` and ``betas`` are a ``monic_recurrence`` in Fractions, and
+    the sharp constant C of ||P'||_W <= C ||P||_W over degree n has
+    C^2 = max c^T K c / c^T G c.  R holds the derivatives,
+    m'_k = sum_i R[i][k] m_i, column by column from
+    m'_{k+1} = m_k + (x - a_k) m'_k - c_k m'_{k-1} and
+    x m_i = m_{i+1} + a_i m_i + c_i m_{i-1}; H = diag(prod_{j<=k} c_j) is the
+    Gram matrix of the monic basis for mass 1 (the mass scales K and G
+    alike), G = H + sum_j lambda_j (R^j)^T H R^j and K = R^T G R.  R is
+    strictly upper triangular, so the leading blocks of K and G are the
+    pencil of every lower degree.
+    """
+    size = len(alphas)
+    lambdas = [Fraction(lam) for lam in lambdas]
+    cols = [[Fraction(0)] * size for _ in range(size)]  # cols[k][i] = R[i][k]
+    for k in range(size - 1):
+        nxt = cols[k + 1]
+        nxt[k] += 1
+        for i, r in enumerate(cols[k]):
+            if r:
+                if i + 1 < size:
+                    nxt[i + 1] += r
+                nxt[i] += (alphas[i] - alphas[k]) * r
+                if i:
+                    nxt[i - 1] += betas[i - 1] * r
+        if k:
+            for i, r in enumerate(cols[k - 1]):
+                nxt[i] -= betas[k - 1] * r
+    r_mat = _transpose(cols)
+    h = [Fraction(1)]
+    for c in betas:
+        h.append(h[-1] * c)
+    gram = [[h[i] if i == k else Fraction(0) for k in range(size)] for i in range(size)]
+    power = r_mat
+    for j, lam in enumerate(lambdas):
+        if j:
+            power = _matmul(r_mat, power)
+        weighted = [[h[i] * x for x in row] for i, row in enumerate(power)]
+        term = _matmul(_transpose(power), weighted)
+        gram = [[g + lam * t for g, t in zip(grow, trow)] for grow, trow in zip(gram, term)]
+    k_mat = _matmul(_transpose(r_mat), _matmul(gram, r_mat))
+    return k_mat, gram
+
+
+def is_pd(mat):
+    """Whether the symmetric Fraction matrix ``mat`` is positive definite.
+
+    An exact LDL^T on its lower triangle, which stops at the first pivot
+    <= 0.
+    """
+    a = [list(row[: i + 1]) for i, row in enumerate(mat)]
+    for k in range(len(a)):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / pivot
+            if f:
+                row = a[i]
+                for j in range(k + 1, i + 1):
+                    if a[j][k]:
+                        row[j] -= f * a[j][k]
+    return True
 
 
 def pencil_power_iteration(k_mat, g_mat, iters=100000, seed=0):

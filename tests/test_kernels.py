@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from markovsharp import _kernels
 from markovsharp.errors import QuadratureError
+from markovsharp.orthopoly import _p0, deriv_tables
+from markovsharp.quadrature import stieltjes
 
 
 def test_stieltjes_reports_positivity_loss():
@@ -11,14 +12,14 @@ def test_stieltjes_reports_positivity_loss():
     nodes = np.array([0.0, 1.0])
     weights = np.array([2.0, -1.0])
     with pytest.raises(QuadratureError, match="lost positivity at degree 1"):
-        _kernels.stieltjes(nodes, weights, 2)
+        stieltjes(nodes, weights, 2)
 
 
 def test_stieltjes_flags_empty_mass():
     nodes = np.array([0.0, 1.0])
     weights = np.array([1.0, -1.0])
     with pytest.raises(QuadratureError, match="mass 0.0 or its reciprocal is not finite"):
-        _kernels.stieltjes(nodes, weights, 1)
+        stieltjes(nodes, weights, 1)
 
 
 def test_stieltjes_names_an_overflow():
@@ -28,7 +29,7 @@ def test_stieltjes_names_an_overflow():
     nodes = np.array([0.0, 1e5])
     weights = np.array([1e-300, 1e-300])
     with pytest.raises(QuadratureError, match="out of floating-point range at degree 1"):
-        _kernels.stieltjes(nodes, weights, 2)
+        stieltjes(nodes, weights, 2)
 
 
 def test_stieltjes_names_an_overflow_of_the_last_diagonal():
@@ -37,14 +38,14 @@ def test_stieltjes_names_an_overflow_of_the_last_diagonal():
     nodes = np.array([-1e-3, 1e-3, 1e152])
     weights = np.array([0.5, 0.5, 1e-320])
     with pytest.raises(QuadratureError, match="out of floating-point range at degree 1"):
-        _kernels.stieltjes(nodes, weights, 1)
+        stieltjes(nodes, weights, 1)
 
 
 def test_p0_checks_the_mass():
-    assert _kernels._p0(4.0) == 0.5
+    assert _p0(4.0) == 0.5
     for mass in (0.0, -1.0, 1e-320, float("inf"), float("nan")):
         with pytest.raises(QuadratureError, match="or its reciprocal is not finite"):
-            _kernels._p0(mass)
+            _p0(mass)
 
 
 def test_deriv_tables_of_a_stack_equal_each_row_alone():
@@ -59,13 +60,13 @@ def test_deriv_tables_of_a_stack_equal_each_row_alone():
     diag, offdiag = np.zeros((3, width)), np.zeros((3, width - 1))
     for r, (d, o, _) in enumerate(recs):
         diag[r, : d.shape[0]], offdiag[r, : o.shape[0]] = d, o
-    p0 = np.array([_kernels._p0(mass) for _, _, mass in recs])
+    p0 = np.array([_p0(mass) for _, _, mass in recs])
     x = np.random.default_rng(3).uniform(-1.0, 4.0, (3, width))
     for order in range(6):
-        stack = _kernels.deriv_tables(diag, offdiag, p0, x, order)
+        stack = deriv_tables(diag, offdiag, p0, x, order)
         assert stack.shape == (order + 1, width, 3, width)
         for r, (d, o, _) in enumerate(recs):
-            alone = _kernels.deriv_tables(d, o, p0[r], x[r], order)
+            alone = deriv_tables(d, o, p0[r], x[r], order)
             m = d.shape[0]
             assert stack[:, :m, r].tobytes() == alone.tobytes()
             assert not stack[:, m:, r].any()

@@ -30,7 +30,14 @@ from markovsharp.orthopoly import closed_form
 
 from oracles import (
     derivative_matrix_by_quadrature,
+    gen_hermite_moments,
+    is_pd,
     jacobi_derivative_matrix_mp,
+    jacobi_moments,
+    laguerre_moments,
+    legendre_moments,
+    markov_pencil_exact,
+    monic_recurrence,
     pencil_power_iteration,
     top_singular_value_mp,
 )
@@ -89,13 +96,13 @@ def stieltjes_calls(monkeypatch):
 
 @pytest.fixture
 def outside_ladder(monkeypatch):
-    """Calls of quadrature._gauss_rules and _kernels.deriv_tables made outside the Stieltjes ladder.
+    """Calls of quadrature._gauss_rules and deriv_tables made outside the Stieltjes ladder.
 
     Every Gauss rule is built by ``_gauss_rules``, and every table of the
     p_k^(d) at points by ``deriv_tables``; the ladder's own reference rules
     are not counted.
     """
-    from markovsharp import _kernels, quadrature
+    from markovsharp import orthopoly, quadrature
 
     calls, depth = {"_gauss_rules": 0, "deriv_tables": 0}, [0]
     ladder = markov.stabilized_stieltjes
@@ -108,7 +115,8 @@ def outside_ladder(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(markov, "stabilized_stieltjes", in_ladder)
-    for owner, name in ((quadrature, "_gauss_rules"), (_kernels, "deriv_tables")):
+    for owner, name in ((quadrature, "_gauss_rules"), (quadrature, "deriv_tables"),
+                        (orthopoly, "deriv_tables")):
 
         def counted(*args, _name=name, _original=getattr(owner, name)):
             if not depth[0]:
@@ -381,6 +389,58 @@ class TestHighPrecisionOracle:
             refs = [top_singular_value_mp(mat, n, mpmath.mp) for n in ns]
         rel = [float(abs(res.value - ref) / ref) for res, ref in zip(values, refs)]
         assert all(r <= 0.05 * n * n * eps for n, r in zip(ns, rel)), rel
+
+
+class TestExactOracle:
+    """Every constant against the exact pencil of its weight, in rational arithmetic.
+
+    The monic recurrence comes from exact moments, and the derivative
+    matrix R and the Gram matrix G of the monic basis from it, all in
+    Fractions (``markov_pencil_exact``); C^2 is the top eigenvalue of the
+    pencil (R^T G R, G).  A value v is within tau = 0.1 n^2 eps relative
+    of C when theta G - R^T G R is positive definite at theta = v^2 (1 + 2 tau)
+    and not at v^2 (1 - 2 tau), each decided by an exact LDL^T (``is_pd``).
+    The worst error when this was written was 0.053 n^2 eps (laguerre0,
+    lambdas (1, 0.5), n = 10), and 0.045 n^2 eps the next, so 0.05 n^2 eps
+    would not hold.  A relative change of 1e-13 in one closed-form
+    off-diagonal coefficient, or of 1e-12 in one lambda term of B, fails it.
+    """
+
+    # the weight and its exact moments over its mass; every parameter is binary-exact
+    WEIGHTS = {
+        "legendre": (LEGENDRE, legendre_moments),
+        "chebyshev1": ({"family": "jacobi", "interval": [-1, 1], "alpha": -0.5, "beta": -0.5},
+                       lambda count: jacobi_moments(count, -0.5, -0.5)),
+        "jacobi_1_2": ({"family": "jacobi", "interval": [-1, 1], "alpha": 1.0, "beta": 2.0},
+                       lambda count: jacobi_moments(count, 1, 2)),
+        "laguerre0": ({"family": "laguerre"}, laguerre_moments),
+        "laguerre_1.5": ({"family": "laguerre", "alpha": 1.5},
+                         lambda count: laguerre_moments(count, Fraction(3, 2))),
+        "hermite": ({"family": "hermite"}, lambda count: gen_hermite_moments(count, 0)),
+        "gen_hermite_2": ({"family": "gen_hermite", "singularities": [[0.0, 2.0]]},
+                          lambda count: gen_hermite_moments(count, 2)),
+    }
+
+    @pytest.mark.parametrize("lams", [(), (1.0, 0.5)], ids=["l2", "sobolev"])
+    @pytest.mark.parametrize("name", WEIGHTS)
+    def test_values_bracket_the_exact_constant(self, name, lams):
+        raw, moments = self.WEIGHTS[name]
+        spec, top = make_weight(raw), 20
+        k_mat, gram = markov_pencil_exact(*monic_recurrence(moments(2 * top + 2), top), lams)
+        # each degree alone, and both as one range
+        results = [res for ns in ([10], [20], [10, 20]) for res in sharp_constants(spec, ns, lams)]
+        for res in results:
+            size = res.n + 1
+            tau = Fraction(res.n * res.n, 10) * Fraction(1, 2**52)  # 0.1 n^2 eps
+
+            def shifted(theta):
+                # the leading blocks of R^T G R and G are the pencil of degree n
+                return [[theta * g - k for g, k in zip(g_row[:size], k_row[:size])]
+                        for g_row, k_row in zip(gram[:size], k_mat[:size])]
+
+            square = Fraction(res.value) ** 2
+            assert is_pd(shifted(square * (1 + 2 * tau))), (res.n, res.value)
+            assert not is_pd(shifted(square * (1 - 2 * tau))), (res.n, res.value)
 
 
 PENCIL_WEIGHTS = {
@@ -725,6 +785,22 @@ class TestParitySplit:
     @pytest.mark.parametrize("raw, twin", TestClosedForm.TWINS)
     def test_twins_agree(self, raw, twin):
         assert markov._symmetric(make_weight(raw)) == markov._symmetric(make_weight(twin))
+
+    def test_parity_is_decided_once_per_basis(self, monkeypatch):
+        # the kept basis holds the parity, so a range on it asks for it no more;
+        # a gen_hermite twin restates a classical weight on every ask
+        calls, symmetric = [0], markov._symmetric
+
+        def counted(spec):
+            calls[0] += 1
+            return symmetric(spec)
+
+        monkeypatch.setattr(markov, "_symmetric", counted)
+        spec = make_weight({"family": "gen_hermite", "singularities": [[0.0, 2.0]]})
+        markov.sharp_constants(spec, range(1, 11))
+        built = calls[0]
+        markov.sharp_constants(spec, range(1, 11), (1.0, 0.5))
+        assert calls[0] == built
 
     @pytest.mark.parametrize("lams", [(), (1.0, 0.5)], ids=["l2", "sobolev"])
     @pytest.mark.parametrize("name", SYMMETRIC_WEIGHTS)

@@ -7,7 +7,6 @@ import pytest
 from markovsharp import (
     QuadratureError,
     WeightError,
-    _kernels,
     eval_orthonormal,
     gauss_rule,
     make_weight,
@@ -200,7 +199,7 @@ class TestStieltjes:
         spec = make_weight(LEGENDRE)
         rec = recurrence_classical(spec, 12)
         rule = gauss_rule(rec, 12)  # exact through degree 23 >= 2*5+1
-        diag, offdiag, mass = _kernels.stieltjes(rule.nodes, rule.weights, 5)
+        diag, offdiag, mass = quadrature.stieltjes(rule.nodes, rule.weights, 5)
         scale = np.max(rec.offdiag[:5])
         np.testing.assert_allclose(diag, rec.diag[:6], atol=1e-13 * scale)
         np.testing.assert_allclose(offdiag, rec.offdiag[:5], rtol=1e-12)
@@ -218,7 +217,7 @@ class TestStieltjes:
         spec = make_weight(raw)
         rec = recurrence_classical(spec, 20)
         rule = gauss_rule(rec, 20)
-        diag, offdiag, _ = _kernels.stieltjes(rule.nodes, rule.weights, 8)
+        diag, offdiag, _ = quadrature.stieltjes(rule.nodes, rule.weights, 8)
         scale = np.max(rec.offdiag[:8])
         np.testing.assert_allclose(diag, rec.diag[:9], rtol=1e-12, atol=1e-12 * scale)
         np.testing.assert_allclose(offdiag, rec.offdiag[:8], rtol=1e-12)

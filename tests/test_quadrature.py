@@ -12,7 +12,7 @@ from markovsharp import (
 )
 from markovsharp.errors import QuadratureError, WeightError
 from markovsharp.orthopoly import _jacobi_coefficients
-from markovsharp.quadrature import _gauss_rules, _graded_subpieces, stabilized_stieltjes
+from markovsharp.quadrature import MAX_REFINE, _gauss_rules, _graded_subpieces, stabilized_stieltjes
 
 from oracles import gauss_jacobi_point_mp
 
@@ -302,15 +302,15 @@ class TestReferenceRules:
         matrices of the largest size, which the eigensolve builds anyway."""
         import tracemalloc
 
-        import markovsharp._kernels as kernels
+        from markovsharp import quadrature
 
-        shapes, deriv_tables = [], kernels.deriv_tables
+        shapes, deriv_tables = [], quadrature.deriv_tables
 
         def recorded(diag, offdiag, p0, x, order):
             shapes.append(x.shape)
             return deriv_tables(diag, offdiag, p0, x, order)
 
-        monkeypatch.setattr(kernels, "deriv_tables", recorded)
+        monkeypatch.setattr(quadrature, "deriv_tables", recorded)
         spec = make_weight({"family": "gen_hermite", "singularities": [[-40.0, 0.5], [40.0, 0.5]]})
         tracemalloc.start()
         try:
@@ -563,6 +563,17 @@ class TestInputChecks:
                      id="gauss-table"),
         pytest.param(lambda: composite_rules(make_weight(SINGULAR_JACOBI), -1, (0,)),
                      ValueError, "degree must be >= 0", id="composite-degree"),
+        pytest.param(lambda: composite_rules(make_weight(SINGULAR_JACOBI), 5, (-1,)), ValueError,
+                     f"refinement level -1 is not an integer in 0..{MAX_REFINE}",
+                     id="composite-level-negative"),
+        pytest.param(lambda: composite_rules(make_weight(SINGULAR_JACOBI), 5, (1.5,)), ValueError,
+                     f"refinement level 1.5 is not an integer in 0..{MAX_REFINE}",
+                     id="composite-level-fraction"),
+        # level L builds 2^L parts per piece, so an unchecked large level
+        # exhausts memory; the ladder asks for none beyond MAX_REFINE
+        pytest.param(lambda: composite_rules(make_weight(SINGULAR_JACOBI), 5, (MAX_REFINE + 1,)),
+                     ValueError, f"refinement level {MAX_REFINE + 1} is not an integer in "
+                     f"0..{MAX_REFINE}", id="composite-level-beyond"),
         # no two consecutive levels of |x - 0.5|^300 e^(-x^2) agree to 1e-12
         pytest.param(lambda: stabilized_stieltjes(make_weight(STEEP_HERMITE), 6),
                      QuadratureError,
