@@ -34,6 +34,15 @@ class ExponentReport(namedtuple("ExponentReport", "exponent pair_max pair_terms"
     __slots__ = ()
 
 
+def _finite(values, name: str, error) -> list[float]:
+    """``values`` as floats; ``error`` names the first that is not finite by ``name`` and index."""
+    out = [float(v) for v in values]
+    for i, v in enumerate(out):
+        if not math.isfinite(v):
+            raise error(f"{name} {i} is {v!r}, not a finite number")
+    return out
+
+
 def _pair_report(gs: list[float], shift: float) -> ExponentReport:
     """Pair terms of the zero-padded exponents, and the exponent max(2, (pair_max + shift) / 2).
 
@@ -56,8 +65,9 @@ def gen_hermite_exponent(gammas) -> ExponentReport:
 
     Requires every exponent > -1, a non-negative exponent sum, and
     max(g_j, g_{j+1}) >= -1/2 for every consecutive zero-padded pair.
+    Every exponent must be finite.
     """
-    gs = [float(g) for g in gammas]
+    gs = _finite(gammas, "exponent", HypothesisError)
     if any(g <= -1 for g in gs):
         raise HypothesisError("every singular exponent must be > -1")
     if sum(gs) < 0:
@@ -73,9 +83,10 @@ def gen_laguerre_exponent(gammas, centers) -> ExponentReport:
     strictly increasing locations, a non-negative largest location, total
     exponent sum > -1, every exponent at a location >= 0 strictly > -1, and
     max >= -1/2 over consecutive pairs of the zeroed-and-padded exponents.
+    Every exponent and location must be finite.
     """
-    gs = [float(g) for g in gammas]
-    cs = [float(c) for c in centers]
+    gs = _finite(gammas, "exponent", HypothesisError)
+    cs = _finite(centers, "location", HypothesisError)
     if len(gs) != len(cs) or not gs:
         raise HypothesisError("need equally many exponents and locations (at least one)")
     if any(c2 <= c1 for c1, c2 in zip(cs, cs[1:])):
@@ -99,10 +110,11 @@ def lupas_growth_exponent(alpha: float, beta: float) -> float:
 def growth_fit(ns, values) -> tuple[float, float]:
     """Fit values ~ C n^e by least squares on the largest half of the range.
 
-    Returns (C, e).  Requires at least four points and positive values.
+    Returns (C, e).  Requires at least four points, and finite positive
+    degrees and values.
     """
-    ns = [float(n) for n in ns]
-    values = [float(v) for v in values]
+    ns = _finite(ns, "degree", WeightError)
+    values = _finite(values, "value", WeightError)
     if len(ns) != len(values) or len(ns) < 4:
         raise WeightError("growth_fit needs at least 4 (n, value) points")
     if any(v <= 0 for v in values) or any(n <= 0 for n in ns):

@@ -69,11 +69,14 @@ EXIT_NUMERICAL = 3
 
 
 def load_weight(token: str) -> WeightSpec:
-    """Resolve a --weight argument: preset name, inline JSON, or JSON file."""
+    """Resolve a --weight argument: preset name, inline JSON, or JSON file.
+
+    A token that starts with ``{`` or ``[`` is inline JSON, anything else a path.
+    """
     if token in PRESETS:
         return make_weight(dict(PRESETS[token]))
     text = token
-    if not token.lstrip().startswith("{"):
+    if not token.lstrip().startswith(("{", "[")):
         path = Path(token)
         if not path.is_file():
             raise WeightError(

@@ -80,6 +80,7 @@ from .orthopoly import (
     RecurrenceTable,
     WeightSpec,
     _as_float,
+    _degree,
     _frozen,
     _p0,
     _Record,
@@ -155,13 +156,6 @@ class SharpResult(
             raise ValueError(f"coeffs of shape {c.shape} for degree {n}; need ({n + 1},)")
         return super().__new__(cls, n, value, _frozen(c), residual, weight, achieved_ratio,
                                lambdas)
-
-
-def _degree(n) -> int:
-    """``n`` as a Python int: a bool or a value without ``__index__`` (5.0, "5") is no degree."""
-    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
-        raise WeightError(f"degree {n!r} is not an integer")
-    return n.__index__()
 
 
 def _degrees(ns) -> list[int]:
@@ -248,6 +242,7 @@ def derivative_matrix(rec: RecurrenceTable, n: int) -> np.ndarray:
     (degree k-1), so every entry on or below the diagonal is exactly zero and
     so is the last row.
     """
+    n = _degree(n, "n")
     if n < 0:
         raise WeightError("n must be >= 0")
     if n > rec.n_max:

@@ -197,19 +197,31 @@ class RecurrenceTable(_Record,
                       namedtuple("RecurrenceTable", "n_max diag offdiag mass weight_id")):
     """Three-term recurrence coefficients of the orthonormal polynomials.
 
-    The coefficient arrays are read-only float arrays, checked against
-    ``n_max`` on every construction, ``_replace`` included.
+    ``n_max`` is a Python int (``_degree``) and the coefficient arrays are
+    read-only float arrays, checked against it on every construction,
+    ``_replace`` included.
     """
 
     __slots__ = ()
 
     def __new__(cls, n_max: int, diag, offdiag, mass: float, weight_id: str = ""):
+        n_max = _degree(n_max, "n_max")
         diag, offdiag = np.asarray(diag, dtype=float), np.asarray(offdiag, dtype=float)
         if diag.shape != (n_max + 1,) or offdiag.shape != (n_max,):
             raise ValueError("recurrence arrays inconsistent with n_max")
         if n_max > 0 and not np.all(offdiag > 0):
             raise ValueError("offdiag coefficients must be strictly positive")
         return super().__new__(cls, n_max, _frozen(diag), _frozen(offdiag), mass, weight_id)
+
+
+def _degree(n, name: str = "degree") -> int:
+    """``n`` as a Python int: a bool or a value without ``__index__`` (5.0, "5") is no count.
+
+    The WeightError names the argument as ``name``.
+    """
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise WeightError(f"{name} {n!r} is not an integer")
+    return n.__index__()
 
 
 def _as_float(value, name: str, finite: bool = True) -> float:
@@ -426,6 +438,7 @@ def recurrence_classical(spec: WeightSpec, n: int) -> RecurrenceTable:
     e.g. Gautschi, "Orthogonal Polynomials: Computation and Approximation".
     The table carries the weight_id of ``spec`` itself.
     """
+    n = _degree(n, "n")
     if n < 0:
         raise WeightError("n must be >= 0")
     form = closed_form(spec)
@@ -511,6 +524,7 @@ def eval_derivative_table(rec: RecurrenceTable, x, n: int, order: int) -> np.nda
 
     Shape (order+1, n+1) for scalar x, else (order+1, n+1, len(x)).
     """
+    n, order = _degree(n, "n"), _degree(order, "order")
     if n < 0 or n > rec.n_max:
         raise ValueError(f"need 0 <= n <= n_max={rec.n_max}, got {n}")
     if order < 0:

@@ -4,30 +4,30 @@
 the symmetric tridiagonal Jacobi matrix, weights come from the Christoffel
 function.  One builder (``_gauss_rules``) makes every rule, for a stack of
 recurrences at once: it reads the weights from ``orthopoly.deriv_tables`` at
-order 0 on the nodes of the stack.  ``composite_rules`` handles
-generalized weights by splitting the interval at every singular point: each
-finite piece gets a Gauss-Jacobi rule whose weight absorbs the endpoint
-factors |x-c|^gamma exactly, while the exponential factor and the off-piece
-singular factors are folded into the rule weights.  On unbounded intervals
-the finite part ends TAIL_GAP beyond the outermost singular point, and each
-tail beyond it gets a Gauss-Laguerre rule that takes the exponential factor
-exactly, so nothing is truncated.
+order 0 on the nodes of the stack.  It pads the stack with zeros for its
+eigensolves and kernel passes, and the padding stays inside it: every rule
+leaves it as its own nodes and weights, exactly its points.
+``composite_rules`` handles generalized weights by splitting the interval at
+every singular point: each finite piece gets a Gauss-Jacobi rule whose
+weight absorbs the endpoint factors |x-c|^gamma exactly, while the
+exponential factor and the off-piece singular factors are folded into the
+rule weights.  On unbounded intervals the finite part ends TAIL_GAP beyond
+the outermost singular point, and each tail beyond it gets a Gauss-Laguerre
+rule that takes the exponential factor exactly, so nothing is truncated.
 The piece rules are affine images of reference Gauss-Jacobi rules on
 [-1, 1]; those and the tails' reference Gauss-Laguerre rules on [0, inf) are
 built in one batch per ``composite_rules`` call, for all the refinement
-levels it is asked for.  Only the batch pads its rules with zeros, for its
-eigensolves and kernel passes; every reference rule leaves it as its own
-nodes and weights, and a level's pieces read theirs end to end.  The only
-reference rules that outlive a call are the Gauss-Legendre (interior and
-split pieces) and Gauss-Laguerre (tails) ones, which depend on their node
-count alone.  This module holds the one
-store of what the process keeps (``_store_get``, ``_store_put``): those
-reference rules and ``markov``'s kept bases, each a pure function of its
-key, under one lock, in one least recently used order, within KEPT_BYTES of
-arrays in all.  Every array kept there is read-only: a rule's nodes and
-weights, a basis's recurrence and D_N.  A call's batch holds only the
-reference rules it does not find there.  A rule does not depend on its
-batch, so the store changes what a call costs, never what it returns.
+levels it is asked for; a level's pieces read their rules end to end.  The
+only reference rules that outlive a call are the Gauss-Legendre (interior
+and split pieces) and Gauss-Laguerre (tails) ones, which depend on their
+node count alone.  This module holds the one store of what the process
+keeps (``_store_get``, ``_store_put``): those reference rules and
+``markov``'s kept bases, each a pure function of its key, under one lock,
+in one least recently used order, within KEPT_BYTES of arrays in all.
+Every array kept there is read-only: a rule's nodes and weights, a basis's
+recurrence and D_N.  A call's batch holds only the reference rules it does
+not find there.  A rule does not depend on its batch, so the store changes
+what a call costs, never what it returns.
 ``stabilized_stieltjes`` gives a generalized weight with no closed form its
 recurrence: the discretized Stieltjes procedure on the composite rules,
 refined level by level until two levels agree.  Each level runs
@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import EigenError, QuadratureError, WeightError
 from .orthopoly import GENERALIZED_FAMILIES, RecurrenceTable, WeightSpec, deriv_tables
-from .orthopoly import _frozen, _jacobi_coefficients, _laguerre_coefficients, _p0, _Record
+from .orthopoly import _degree, _frozen, _jacobi_coefficients, _laguerre_coefficients, _p0, _Record
 
 TAIL_GAP = 4.0  # the tails start this far beyond the outermost singular point
 MAX_PIECE_NODES = 2000  # a dense Jacobi matrix of this size takes 32 MB
@@ -135,51 +135,49 @@ def _jacobi_nodes(diag, offdiag):
         raise EigenError(f"Jacobi-matrix eigensolver did not converge: {exc}") from exc
 
 
-def _check_weights(nodes, weights, diag, offdiag, sizes):
-    """Raise QuadratureError for the first rule of a stack whose weights are not usable.
+def _check_weights(rules, tables):
+    """Raise QuadratureError for the first rule whose weights are not usable.
 
-    Row r holds a rule of sizes[r] points, padded past it.  Every weight of
-    a rule must be positive and finite.  From finite nodes and recurrence
-    only an overflow of the Christoffel sum at the outer nodes (large
-    Laguerre and Hermite rules) can spoil one, and the message says so;
-    otherwise it names the nodes or recurrence that are not finite.
+    rules[r] is the (nodes, weights) pair of the recurrence tables[r], each
+    exactly its m points.  Every weight of a rule must be positive and
+    finite.  From finite nodes and recurrence only an overflow of the
+    Christoffel sum at the outer nodes (large Laguerre and Hermite rules)
+    can spoil one, and the message says so; otherwise it names the nodes or
+    recurrence that are not finite.
     """
-    padding = np.arange(nodes.shape[1]) >= np.array(sizes)[:, None]
-    ok = np.all(((weights > 0) & np.isfinite(weights)) | padding, axis=1)
-    if ok.all():
-        return
-    r = int(np.argmin(ok))
-    m = sizes[r]
-    inputs = (nodes[r, :m], diag[r, :m], offdiag[r, : m - 1])
-    cause = (
-        "the Christoffel sum sum_k p_k(x)^2 overflows at an outer node, so its weight "
-        "cannot be represented" if all(np.isfinite(v).all() for v in inputs)
-        else "its nodes or recurrence are not finite, so it has no positive weights"
-    )
-    raise QuadratureError(f"{m}-point Gauss rule: {cause}")
+    for (nodes, weights), (diag, offdiag, _) in zip(rules, tables):
+        if not np.all((weights > 0) & np.isfinite(weights)):
+            cause = (
+                "the Christoffel sum sum_k p_k(x)^2 overflows at an outer node, so its weight "
+                "cannot be represented" if all(np.isfinite(v).all() for v in (nodes, diag, offdiag))
+                else "its nodes or recurrence are not finite, so it has no positive weights"
+            )
+            raise QuadratureError(f"{nodes.shape[0]}-point Gauss rule: {cause}")
 
 
 def _gauss_rules(tables):
     """Gauss rules of a list of (diag, offdiag, mass) recurrences, one rule per row.
 
     The rule of a table has m = len(diag) points; offdiag has m-1 entries.
-    Returns (nodes, weights), padded with zeros to the largest m.  Nodes
-    come from one ``_jacobi_nodes`` call per stretch of equal m.  The
-    weights 1 / sum_k p_k(x_j)^2 come from ``deriv_tables`` at
-    order 0, run on consecutive rules zero-padded to the largest of them,
-    squared in place and summed in order from k = 0; a new run starts where
-    padding the run to the next rule's m would make its table more than
-    twice its rules' own.  Listed in increasing m, as ``composite_rules``
+    Returns a list with one (nodes, weights) pair per table, each exactly
+    its m points: views of the builder's own arrays, which it pads with
+    zeros to the largest m and which no caller sees whole.  Nodes come from
+    one ``_jacobi_nodes`` call per stretch of equal m.  The weights
+    1 / sum_k p_k(x_j)^2 come from ``deriv_tables`` at order 0, run on
+    consecutive rules zero-padded to the largest of them, squared in place
+    and summed in order from k = 0; a new run starts where padding the run
+    to the next rule's m would make its table more than twice its rules'
+    own.  Listed in increasing m, as ``composite_rules``
     lists them (any order gives the same rules), a batch of close sizes is
     one pass, and one of far sizes needs no more memory than the eigensolve
     of its largest rules.  Raises QuadratureError before any solve when a
-    mass or its reciprocal is not finite, and through ``_check_weights``
-    when a weight is not positive and finite.
+    mass or its reciprocal is not finite, and through ``_check_weights``,
+    which reads each returned rule, when a weight is not positive and
+    finite.
     """
     sizes = [d.shape[0] for d, _, _ in tables]
-    width = max(sizes)
-    diag = np.zeros((len(tables), width))
-    offdiag = np.zeros((len(tables), width - 1))
+    diag = np.zeros((len(tables), max(sizes)))
+    offdiag = np.zeros((len(tables), max(sizes) - 1))
     p0 = np.array([_p0(mass) for _, _, mass in tables])
     for r, (d, o, _) in enumerate(tables):
         diag[r, : sizes[r]], offdiag[r, : sizes[r] - 1] = d, o
@@ -202,9 +200,9 @@ def _gauss_rules(tables):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values = deriv_tables(a, b, p0[lo:hi], nodes[lo:hi, :m], 0)[0]
             weights[lo:hi, :m] = 1.0 / np.sum(np.square(values, out=values), axis=0)
-    weights[np.arange(width) >= np.array(sizes)[:, None]] = 0.0
-    _check_weights(nodes, weights, diag, offdiag, sizes)
-    return nodes, weights
+    rules = [(nodes[r, :m], weights[r, :m]) for r, m in enumerate(sizes)]
+    _check_weights(rules, tables)
+    return rules
 
 
 def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
@@ -217,12 +215,13 @@ def gauss_rule(rec: RecurrenceTable, m: int) -> QuadRule:
     to zero (extreme Gauss-Laguerre nodes), while the polynomial form keeps
     them positive.  This is ``_gauss_rules`` of a one-row stack.
     """
+    m = _degree(m, "m")
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > rec.n_max + 1:
         raise ValueError(f"recurrence table too short for an {m}-point rule (n_max={rec.n_max})")
-    nodes, weights = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
-    return QuadRule(nodes=nodes[0], weights=weights[0])
+    (rule,) = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
+    return QuadRule(*rule)
 
 
 def _graded_subpieces(u: float, v: float, spec: WeightSpec) -> list[float]:
@@ -305,7 +304,7 @@ def _reference_rules(keys):
 
     The keys are ``composite_rules``'s, listed in increasing node count.  Those
     the store does not hold go to one ``_gauss_rules`` batch, in the same
-    order, and each comes back as a read-only copy of its unpadded part;
+    order, and each comes back as a read-only copy of its own pair;
     its Gauss-Legendre and Gauss-Laguerre rules, which no weight changes, go
     into the store under their keys, each the most recently used, and a key
     read from the store becomes so too.  A rule does not depend on its
@@ -314,12 +313,12 @@ def _reference_rules(keys):
     rules = {key: _store_get(key) for key in keys}
     missing = [key for key, rule in rules.items() if rule is None]
     if missing:
-        nodes, weights = _gauss_rules([
+        built = _gauss_rules([
             _laguerre_coefficients(0.0, key[1] - 1) if key[0] == "laguerre"
             else _jacobi_coefficients(key[0], key[1], key[2] - 1) for key in missing
         ])
-        for r, key in enumerate(missing):
-            rules[key] = tuple(_frozen(a[r, : key[-1]]) for a in (nodes, weights))
+        for key, rule in zip(missing, built):
+            rules[key] = tuple(_frozen(a) for a in rule)
             if key[0] == "laguerre" or key[:2] == (0.0, 0.0):
                 _store_put(key, rules[key], 2 * rules[key][0].nbytes)
     return rules
@@ -345,7 +344,7 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     come from ``_reference_rules``: one ``_gauss_rules`` batch of the keys
     the process does not keep, and the Gauss-Legendre (0.0, 0.0, m) and
     Gauss-Laguerre rules kept in the process's one store, each read by its
-    key as its own nodes and weights; only the batch pads them.  A level
+    key as its own nodes and weights.  A level
     lays its pieces' reference rules end to end, with each piece's ends and
     exponents repeated over that piece's nodes.  Since a rule does not
     depend on its batch, each level's rule is the one it gets when built
@@ -357,6 +356,7 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     """
     if spec.family not in GENERALIZED_FAMILIES:
         raise WeightError(f"composite_rules needs a generalized family, got {spec.family!r}")
+    degree = _degree(degree)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     for level in levels:

@@ -156,6 +156,41 @@ class TestGrowthFit:
             growth_fit([1, 2, 3, 4], [1.0, -2.0, 3.0, 4.0])
 
 
+class TestNonFinite:
+    # a NaN or an infinity is named, never read as a number that passes a comparison
+    NAN, INF = math.nan, math.inf
+
+    @pytest.mark.parametrize("gammas, message", [
+        ([NAN], "exponent 0 is nan, not a finite number"),
+        ([1.0, NAN], "exponent 1 is nan, not a finite number"),
+        ([0.5, INF], "exponent 1 is inf, not a finite number"),
+    ])
+    def test_gen_hermite_exponent(self, gammas, message):
+        with pytest.raises(HypothesisError) as exc:
+            gen_hermite_exponent(gammas)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("gammas, centers, message", [
+        ([0.5, 0.2], [NAN, 1.0], "location 0 is nan, not a finite number"),
+        ([0.5], [NAN], "location 0 is nan, not a finite number"),
+        ([0.5, -INF], [0.0, 1.0], "exponent 1 is -inf, not a finite number"),
+    ])
+    def test_gen_laguerre_exponent(self, gammas, centers, message):
+        with pytest.raises(HypothesisError) as exc:
+            gen_laguerre_exponent(gammas, centers)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("ns, values, message", [
+        ([1, 2, 3, 4], [1.0, 2.0, 3.0, INF], "value 3 is inf, not a finite number"),
+        ([1, 2, NAN, 4], [1.0, 2.0, 3.0, 4.0], "degree 2 is nan, not a finite number"),
+        ([1, 2, 3, INF], [1.0, 2.0, 3.0, 4.0], "degree 3 is inf, not a finite number"),
+    ])
+    def test_growth_fit(self, ns, values, message):
+        with pytest.raises(WeightError) as exc:
+            growth_fit(ns, values)
+        assert str(exc.value) == message
+
+
 class TestInputChecks:
     # each input check that no other test reaches, with the class and text it raises
     @pytest.mark.parametrize("build, error, message", [

@@ -75,6 +75,18 @@ class TestSharp:
         assert code == 0
         assert json.loads(out)["n"] == 3
 
+    @pytest.mark.parametrize("source", ["inline", "file"])
+    def test_json_list_weight_is_not_a_mapping(self, capsys, tmp_path, source):
+        # a token that starts with "[" is inline JSON, as one that starts with "{" is
+        token = "[1, 2]"
+        if source == "file":
+            path = tmp_path / "w.json"
+            path.write_text(token)
+            token = str(path)
+        code, out, err = run_cli(capsys, "sharp", "--weight", token, "--n", "3")
+        assert code == 2 and out == ""
+        assert "weight description must be a mapping, got list" in err
+
     def test_weight_from_file(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         path.write_text('{"family": "laguerre", "alpha": 1.0}')

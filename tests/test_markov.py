@@ -1429,9 +1429,9 @@ class TestFusedBasis:
             rec, rule = basis_for(spec, n)
             assert rec is _basis(spec).rec
             m = n + 2
-            nodes, weights = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
-            assert rule.nodes.tobytes() == nodes[0].tobytes()
-            assert rule.weights.tobytes() == weights[0].tobytes()
+            ((nodes, weights),) = _gauss_rules([(rec.diag[:m], rec.offdiag[: m - 1], rec.mass)])
+            assert rule.nodes.tobytes() == nodes.tobytes()
+            assert rule.weights.tobytes() == weights.tobytes()
             table = eval_orthonormal(rec, rule.nodes, n + 1)
             gram = (table * rule.weights) @ table.T
             np.testing.assert_allclose(gram, np.eye(m), rtol=0, atol=1e-12)

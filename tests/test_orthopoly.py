@@ -7,6 +7,8 @@ import pytest
 from markovsharp import (
     QuadratureError,
     WeightError,
+    composite_rules,
+    derivative_matrix,
     eval_orthonormal,
     gauss_rule,
     make_weight,
@@ -18,6 +20,8 @@ from markovsharp.orthopoly import (
     _DEFAULT_INTERVALS,
     RecurrenceTable,
     WeightSpec,
+    _p0,
+    deriv_tables,
     eval_derivative_table,
     max_degree_cap,
 )
@@ -422,6 +426,43 @@ def _table3():
     return recurrence_classical(make_weight(HERMITE), 3)
 
 
+def _table8():
+    return recurrence_classical(make_weight(HERMITE), 8)
+
+
+class TestCounts:
+    """Every count the lower layers take is an integer: a bool is not 1, and a
+    float or a string is not truncated, while a numpy integer is read as the
+    Python int it holds."""
+
+    # call of a count, and the name its message gives the count
+    CALLS = {
+        "table": (lambda v: RecurrenceTable(v, np.zeros(6), np.ones(5), 1.0), "n_max"),
+        "recurrence": (lambda v: recurrence_classical(make_weight(HERMITE), v), "n"),
+        "gauss_rule": (lambda v: gauss_rule(_table8(), v), "m"),
+        "derivative_matrix": (lambda v: derivative_matrix(_table8(), v), "n"),
+        "eval_orthonormal": (lambda v: eval_orthonormal(_table8(), 0.3, v), "n"),
+        "order": (lambda v: eval_derivative_table(_table8(), 0.3, 3, v), "order"),
+        "composite_rules": (lambda v: composite_rules(make_weight(
+            {"family": "gen_jacobi", "interval": [-1, 1], "singularities": [[0.0, 0.5]]}),
+            v, (0,)), "degree"),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("value", [True, 5.0, "5"], ids=["bool", "float", "str"])
+    def test_not_an_integer(self, call, value):
+        build, name = self.CALLS[call]
+        with pytest.raises(WeightError) as exc:
+            build(value)
+        assert str(exc.value) == f"{name} {value!r} is not an integer"
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_numpy_integer(self, call):
+        # the same bytes as for the int, ints included: a pickle holds a numpy integer apart
+        build, _ = self.CALLS[call]
+        assert pickle.dumps(build(np.int64(5))) == pickle.dumps(build(5))
+
+
 class TestInputChecks:
     # each input check that no other test reaches, with the class and text it raises
     @pytest.mark.parametrize("build, error, message", [
@@ -474,3 +515,34 @@ class TestInputChecks:
         with pytest.raises(error) as exc:
             build()
         assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_p0_checks_the_mass():
+    assert _p0(4.0) == 0.5
+    for mass in (0.0, -1.0, 1e-320, float("inf"), float("nan")):
+        with pytest.raises(QuadratureError, match="or its reciprocal is not finite"):
+            _p0(mass)
+
+
+def test_deriv_tables_of_a_stack_equal_each_row_alone():
+    # rules of 3, 9 and 14 points zero-padded to one stack: every row's table
+    # is, byte for byte, the table of its own recurrence at its points, and
+    # zero past its size
+    from markovsharp.orthopoly import _jacobi_coefficients, _laguerre_coefficients
+
+    recs = [_jacobi_coefficients(0.5, -0.3, 2), _laguerre_coefficients(1.2, 8),
+            _jacobi_coefficients(2.5, 0.0, 13)]
+    width = max(d.shape[0] for d, _, _ in recs)
+    diag, offdiag = np.zeros((3, width)), np.zeros((3, width - 1))
+    for r, (d, o, _) in enumerate(recs):
+        diag[r, : d.shape[0]], offdiag[r, : o.shape[0]] = d, o
+    p0 = np.array([_p0(mass) for _, _, mass in recs])
+    x = np.random.default_rng(3).uniform(-1.0, 4.0, (3, width))
+    for order in range(6):
+        stack = deriv_tables(diag, offdiag, p0, x, order)
+        assert stack.shape == (order + 1, width, 3, width)
+        for r, (d, o, _) in enumerate(recs):
+            alone = deriv_tables(d, o, p0[r], x[r], order)
+            m = d.shape[0]
+            assert stack[:, :m, r].tobytes() == alone.tobytes()
+            assert not stack[:, m:, r].any()

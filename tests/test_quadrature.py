@@ -12,7 +12,13 @@ from markovsharp import (
 )
 from markovsharp.errors import QuadratureError, WeightError
 from markovsharp.orthopoly import _jacobi_coefficients
-from markovsharp.quadrature import MAX_REFINE, _gauss_rules, _graded_subpieces, stabilized_stieltjes
+from markovsharp.quadrature import (
+    MAX_REFINE,
+    _gauss_rules,
+    _graded_subpieces,
+    stabilized_stieltjes,
+    stieltjes,
+)
 
 from oracles import gauss_jacobi_point_mp
 
@@ -282,9 +288,8 @@ class TestReferenceRules:
         for raw in (self.SPEC, gen_hermite):
             composite_rules(make_weight(raw), 61, (0, 1))
         assert len(batches) == 2
-        for tables, (nodes, weights) in batches:
-            for row, (diag, offdiag, mass) in enumerate(tables):
-                x = nodes[row, : diag.shape[0]]
+        for tables, rules in batches:
+            for (diag, offdiag, mass), (x, weights) in zip(tables, rules):
                 p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
                 total = p * p
                 for k in range(diag.shape[0] - 1):
@@ -293,7 +298,7 @@ class TestReferenceRules:
                         t -= offdiag[k - 1] * p_prev
                     p_prev, p = p, t * (1.0 / offdiag[k])
                     total += p * p
-                assert weights[row, : diag.shape[0]].tobytes() == (1.0 / total).tobytes()
+                assert weights.tobytes() == (1.0 / total).tobytes()
 
     def test_batch_memory_stays_near_the_eigensolve(self, monkeypatch, empty_store):
         """A wide gen_hermite batch (rules of 50 to 463 points, three of 463)
@@ -450,49 +455,47 @@ class TestPieceRules:
 
     def test_nodes_match_scipy(self, stack):
         roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
-        nodes, _ = stack
-        for row, (m, al, be) in enumerate(PIECE_CASES):
+        for (nodes, _), (m, al, be) in zip(stack, PIECE_CASES):
             want, _ = roots_jacobi(m, al, be)
-            np.testing.assert_allclose(nodes[row, :m], want, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(nodes, want, rtol=0, atol=1e-13)
 
     def test_weights_match_scipy_at_low_order(self, stack):
         # scipy's own weights lose digits with m: against the 30-digit
         # reference they are off by up to 2e-11 at m=60 and 3e-9 at m=286
         roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
-        _, weights = stack
-        for row, (m, al, be) in enumerate(PIECE_CASES):
+        for (_, weights), (m, al, be) in zip(stack, PIECE_CASES):
             if m == 5:
                 _, want = roots_jacobi(m, al, be)
-                np.testing.assert_allclose(weights[row, :m], want, rtol=1e-13)
+                np.testing.assert_allclose(weights, want, rtol=1e-13)
 
     def test_weights_match_mpmath(self, stack):
         mpmath = pytest.importorskip("mpmath")
-        nodes, weights = stack
         with mpmath.workdps(40):
-            for row, (m, al, be) in enumerate(PIECE_CASES):
+            for (nodes, weights), (m, al, be) in zip(stack, PIECE_CASES):
                 for j in sorted({0, 1, m // 2, m - 2, m - 1}):
-                    x, w = gauss_jacobi_point_mp(m, al, be, nodes[row, j], mpmath.mp)
-                    assert abs(nodes[row, j] - float(x)) <= 1e-15
+                    x, w = gauss_jacobi_point_mp(m, al, be, nodes[j], mpmath.mp)
+                    assert abs(nodes[j] - float(x)) <= 1e-15
                     # a node error of one ulp moves an end weight by ~m^2 ulp
-                    assert abs(weights[row, j] / float(w) - 1) <= 1e-15 * m * m, (m, al, be, j)
+                    assert abs(weights[j] / float(w) - 1) <= 1e-15 * m * m, (m, al, be, j)
 
 
     def test_rules_of_mixed_sizes_equal_each_rule_alone(self):
         """Rules of 3, 9, 9 and 14 points in one batch are, byte for byte, each
-        rule built alone, zero past its size, in whatever order they are
-        listed."""
+        rule built alone, each exactly its own size, in whatever order they
+        are listed."""
         from markovsharp.orthopoly import _laguerre_coefficients
 
         tables = [_jacobi_coefficients(0.5, -0.3, 2), _laguerre_coefficients(1.2, 8),
                   _jacobi_coefficients(-0.6, 0.0, 8), _jacobi_coefficients(2.5, 0.0, 13)]
-        alone = [_gauss_rules([rec]) for rec in tables]
+        alone = [_gauss_rules([rec])[0] for rec in tables]
         for listed in ([0, 1, 2, 3], [3, 1, 0, 2]):
-            nodes, weights = _gauss_rules([tables[i] for i in listed])
-            for row, i in enumerate(listed):
+            rules = _gauss_rules([tables[i] for i in listed])
+            assert len(rules) == len(listed)
+            for (nodes, weights), i in zip(rules, listed):
                 m = tables[i][0].shape[0]
-                assert nodes[row, :m].tobytes() == alone[i][0].tobytes()
-                assert weights[row, :m].tobytes() == alone[i][1].tobytes()
-                assert not nodes[row, m:].any() and not weights[row, m:].any()
+                assert nodes.shape == weights.shape == (m,)
+                assert nodes.tobytes() == alone[i][0].tobytes()
+                assert weights.tobytes() == alone[i][1].tobytes()
 
 
 class TestGradedSubpieces:
@@ -584,3 +587,38 @@ class TestInputChecks:
         with pytest.raises(error) as exc:
             build()
         assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_stieltjes_reports_positivity_loss():
+    # positive mass 1, but the degree-1 residual x + 1 has squared norm
+    # 2 * 1^2 - 1 * 2^2 = -2
+    nodes = np.array([0.0, 1.0])
+    weights = np.array([2.0, -1.0])
+    with pytest.raises(QuadratureError, match="lost positivity at degree 1"):
+        stieltjes(nodes, weights, 2)
+
+
+def test_stieltjes_flags_empty_mass():
+    nodes = np.array([0.0, 1.0])
+    weights = np.array([1.0, -1.0])
+    with pytest.raises(QuadratureError, match="mass 0.0 or its reciprocal is not finite"):
+        stieltjes(nodes, weights, 1)
+
+
+def test_stieltjes_names_an_overflow():
+    # p_0 = 1/sqrt(2e-300) is about 7e149, so the degree-1 residual at the
+    # nodes, about 3.5e154, overflows when squared: a floating-point-range
+    # failure at degree 1, not a loss of positivity, and no warning leaks
+    nodes = np.array([0.0, 1e5])
+    weights = np.array([1e-300, 1e-300])
+    with pytest.raises(QuadratureError, match="out of floating-point range at degree 1"):
+        stieltjes(nodes, weights, 2)
+
+
+def test_stieltjes_names_an_overflow_of_the_last_diagonal():
+    # the degree-1 norm is 1e-6 and finite, but p_1 = 1e155 at the node of
+    # subnormal weight, so the last diagonal sum overflows
+    nodes = np.array([-1e-3, 1e-3, 1e152])
+    weights = np.array([0.5, 0.5, 1e-320])
+    with pytest.raises(QuadratureError, match="out of floating-point range at degree 1"):
+        stieltjes(nodes, weights, 1)
