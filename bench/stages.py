@@ -10,15 +10,18 @@ for its calibration, which it reads and never changes.  BLAS runs on one
 thread, as in ``perfbench/run.py``.
 
 Stages, timed for one weight per family at n = 40, each from an empty store
-of kept bases and reference rules (a cold process):
+of kept bases and reference rules (a cold process).  Each calls the
+program's own function on the inputs of one ``markov._kept`` basis, built
+untimed:
 
-* ``recurrence``: the closed form, or the ``stabilized_stieltjes`` ladder, to
-  degree n + 1, as the kept basis builds it;
-* ``derivative_matrix``: D_n from that recurrence;
+* ``recurrence``: ``quadrature._recurrence`` to degree n + 1, the closed form
+  or the Stieltjes ladder, as the kept basis builds it;
+* ``derivative_matrix``: ``markov.derivative_matrix``, D_n from that
+  recurrence;
 * ``top_pairs``: ``markov._top_pairs`` of D_n at degree n, the weighted L2
   eigensolves;
-* ``sobolev_factor``: for lambda = (1, 0.5), ``sobolev_gram``, its Cholesky
-  factor L and L^T D L^-T;
+* ``sobolev_factor``: ``markov._sobolev_factor`` for lambda = (1, 0.5): the
+  Gram matrix B, its Cholesky factor L and L^T D L^-T;
 * ``residual``: ``markov._checked_residual`` of the L2 pair.
 
 End-to-end jobs, each from an empty store:
@@ -67,8 +70,7 @@ sys.dont_write_bytecode = True  # leave no cache files beside perfbench/ or src/
 import machine  # noqa: E402
 from markovsharp import markov, quadrature  # noqa: E402
 from markovsharp.bounds import verify_theorem  # noqa: E402
-from markovsharp.orthopoly import _symmetric, closed_form, make_weight  # noqa: E402
-from markovsharp.orthopoly import recurrence_classical  # noqa: E402
+from markovsharp.orthopoly import make_weight  # noqa: E402
 from workloads import VERIFY_LAMBDAS, VERIFY_MATRIX, VERIFY_NS  # noqa: E402
 
 N = 40
@@ -93,28 +95,15 @@ def empty_store() -> None:
     quadrature._STORE_BYTES = 0
 
 
-def recurrence(spec):
-    if closed_form(spec) is None:
-        return quadrature.stabilized_stieltjes(spec, N + 1)
-    return recurrence_classical(spec, N + 1)
-
-
-def sobolev_factor(mat):
-    chol = np.linalg.cholesky(markov.sobolev_gram(mat, LAMBDAS))
-    return chol.T @ markov.solve_triangular(chol, mat.T, lower=True).T
-
-
 def stage_calls(spec):
-    """(stage, call) pairs for one weight, their inputs built once and untimed."""
-    rec = recurrence(spec)
-    mat = markov.derivative_matrix(rec, N)
-    split = _symmetric(spec)
+    """(stage, call) pairs for one weight, their inputs from one kept basis, built untimed."""
+    _, rec, mat, split = markov._kept(spec, [N])
     values, vecs = markov._top_pairs(mat, [N], split)
     return [
-        ("recurrence", lambda: recurrence(spec)),
+        ("recurrence", lambda: quadrature._recurrence(spec, N + 1)),
         ("derivative_matrix", lambda: markov.derivative_matrix(rec, N)),
         ("top_pairs", lambda: markov._top_pairs(mat, [N], split)),
-        ("sobolev_factor", lambda: sobolev_factor(mat)),
+        ("sobolev_factor", lambda: markov._sobolev_factor(mat, LAMBDAS)),
         ("residual", lambda: markov._checked_residual(mat, vecs, [N], values)),
     ]
 

@@ -156,15 +156,18 @@ def _gen_laguerre_51_violation(spec: WeightSpec):
         return "case gen_laguerre_51 needs the exponents short of the last to sum to zero"
 
 
-class _Case(namedtuple("_Case", "families exponent hypothesis envelope check",
-                        defaults=(lambda spec: None, None, None))):
+class _Case(namedtuple("_Case", "families exponent hypothesis envelope check l2 fits",
+                        defaults=(lambda spec: None, None, None, False, None))):
     """One verification case: the weights it covers and the bound it asserts.
 
     ``exponent`` is the power of n in the bound, or the function of the weight
     that gives it; ``hypothesis`` returns the violated condition beyond the
     family, or None.  ``envelope`` is the explicit bound at degree n, where
     known, and ``check(value, envelope, sharp)`` the pointwise test each degree
-    must pass, with ``sharp`` the sharp L2 constant.
+    must pass, with ``sharp`` the sharp constant in the case's norm.  ``l2``
+    is True for a case verified in the weighted L2 norm whatever Sobolev norm
+    is asked for.  ``fits(spec, ns)`` gives the values the case fits in place
+    of the sharp constants, or ``fits`` is None to fit the sharp constants.
     """
 
     __slots__ = ()
@@ -187,11 +190,11 @@ _CASES = {
     ),
     "mirsky": _Case(
         ("hermite",), 1.5, envelope=lambda n: math.sqrt(n * (n + 1) * (2 * n + 1) / 3.0),
-        check=lambda m, env, s: m >= s,
+        check=lambda m, env, s: m >= s, l2=True, fits=mirsky_bounds,
     ),
     "schmidt": _Case(
         ("hermite",), 0.5, envelope=lambda n: math.sqrt(2.0 * n),
-        check=lambda v, env, s: abs(v - env) <= 1e-10 * env,
+        check=lambda v, env, s: abs(v - env) <= 1e-10 * env, l2=True,
     ),
 }
 CASE_IDS = tuple(_CASES)
@@ -242,9 +245,10 @@ def verify_theorem(
     Passes when the fitted exponent is at most predicted + slack (default
     0.1) and, for the explicit constant cases, when the pointwise bound holds
     as well (schmidt additionally checks equality with sqrt(2n) to 1e-10).
-    mirsky fits the Mirsky bounds; mirsky and schmidt use the L2 norm.  The
-    degrees are checked as every range checks them (``_degrees``), then
-    sorted; the fit needs at least four.
+    The case says which norm it is verified in and which values it fits
+    (``_Case``): mirsky fits the Mirsky bounds, and mirsky and schmidt use
+    the L2 norm.  The degrees are checked as every range checks them
+    (``_degrees``), then sorted; the fit needs at least four.
     """
     if violation := _violation(case_id, spec):
         raise HypothesisError(violation)
@@ -256,9 +260,9 @@ def verify_theorem(
     predicted = predicted_exponent(case_id, spec)
     case = _CASES[case_id]
 
-    lambdas = () if case_id in ("mirsky", "schmidt") else sob.lambdas
+    lambdas = () if case.l2 else sob.lambdas
     sharp = [res.value for res in sharp_constants(spec, ns, lambdas)]
-    values = mirsky_bounds(spec, ns) if case_id == "mirsky" else sharp
+    values = case.fits(spec, ns) if case.fits else sharp
     extra_ok = case.check is None or all(
         case.check(v, case.envelope(n), s) for n, v, s in zip(ns, values, sharp))
 

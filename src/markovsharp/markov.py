@@ -21,11 +21,11 @@ factored matrix whose singular value it checks.
 The basis is nested and D is strictly upper triangular, so a degree range is
 one computation at its largest degree N on one kept basis (``_kept``): one
 recurrence to N+1, one D_N and, for a Sobolev norm, one Cholesky factor L_N
-of B_N and one L_N^T D_N L_N^-T.  ``closed_form`` decides once, when the
-basis is built, whether the recurrence has a closed form or comes from the
-Stieltjes ladder, and ``_symmetric`` whether the weight is symmetric, which
-the basis keeps as ``split``.  Degree n takes its top singular pair from
-the leading (n+1) x (n+1) block of that matrix.  For a weight symmetric
+of B_N and one L_N^T D_N L_N^-T (``_sobolev_factor``).  When the basis is
+built, ``quadrature._recurrence`` builds its recurrence, as it decides for
+the weight, and ``_symmetric`` decides whether the weight is symmetric,
+which the basis keeps as ``split``.  Degree n takes its top singular pair
+from the leading (n+1) x (n+1) block of that matrix.  For a weight symmetric
 about its centre that block maps even coefficient indices to odd ones and
 odd to even, so its Gram matrix is an even and an odd block; degree n adds
 index n to one of them, so it solves that block alone and keeps the other's
@@ -82,15 +82,12 @@ from .orthopoly import (
     _as_float,
     _degree,
     _frozen,
-    _p0,
     _Record,
     _symmetric,
-    closed_form,
     eval_orthonormal,
     max_degree_cap,
-    recurrence_classical,
 )
-from .quadrature import QuadRule, _store_get, _store_put, gauss_rule, stabilized_stieltjes
+from .quadrature import QuadRule, _recurrence, _store_get, _store_put, gauss_rule
 
 RESIDUAL_TOL = 1e-8
 MAX_SOBOLEV_ORDER = 4
@@ -176,11 +173,10 @@ def _degrees(ns) -> list[int]:
 def _kept(spec: WeightSpec, ns) -> _Basis:
     """The kept basis of ``spec`` for degrees ``ns`` checked by ``_degrees``: that of N = max(ns).
 
-    A kept entry for N is read as it is; otherwise ``closed_form`` decides,
-    once, how the recurrence to N+1 is built: by its closed form, whose mass
-    is checked here, or by ``stabilized_stieltjes``.  D_N is built with it
-    and made read-only, as the recurrence's arrays are, since every later
-    call for the weight reads it, and ``_symmetric`` decides, once, whether
+    A kept entry for N is read as it is; otherwise ``quadrature._recurrence``
+    builds the recurrence to N+1, once.  D_N is built with it and made
+    read-only, as the recurrence's arrays are, since every later call for
+    the weight reads it, and ``_symmetric`` decides, once, whether
     the weight's blocks split by parity (``split``).  The entry is kept as
     ``basis_for`` describes: in ``quadrature``'s one store, under the
     weight's ``weight_id``, in place of the entry for another N, as the most
@@ -192,11 +188,7 @@ def _kept(spec: WeightSpec, ns) -> _Basis:
     kept = _store_get(key)
     if kept is not None and kept.n == top:
         return kept
-    if closed_form(spec) is None:
-        rec = stabilized_stieltjes(spec, top + 1)
-    else:
-        rec = recurrence_classical(spec, top + 1)
-        _p0(rec.mass)
+    rec = _recurrence(spec, top + 1)
     kept = _Basis(top, rec, _frozen(derivative_matrix(rec, top)), _symmetric(spec))
     _store_put(key, kept, rec.diag.nbytes + rec.offdiag.nbytes + kept.mat.nbytes)
     return kept
@@ -284,6 +276,20 @@ def sobolev_gram(mat: np.ndarray, lambdas: tuple[float, ...]) -> np.ndarray:
             f"the Sobolev Gram matrix B for lambdas {lambdas!r} is out of floating-point range"
         )
     return b
+
+
+def _sobolev_factor(mat: np.ndarray, lambdas: tuple[float, ...]):
+    """The Cholesky factor L of the Sobolev Gram matrix B = L L^T of ``mat``, and L^T D L^-T.
+
+    ``mat`` is the square derivative matrix D and ``lambdas`` are not all
+    zero.  L^T D L^-T takes one forward substitution with L.  An EigenError
+    says when B is not positive definite.
+    """
+    try:
+        chol = np.linalg.cholesky(sobolev_gram(mat, lambdas))
+    except np.linalg.LinAlgError as exc:
+        raise EigenError("Sobolev Gram matrix B is not positive definite") from exc
+    return chol, chol.T @ solve_triangular(chol, mat.T, lower=True).T
 
 
 def _checked_residual(mat, coeffs, ns, values, lambdas=()):
@@ -427,9 +433,9 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
     weighted L2 norm.  The degrees are checked once (``_degrees``), and every
     result carries its degree as a Python int.  Every degree reads the one
     D_N of the basis kept for N = max(ns) (``_kept``), and in a Sobolev norm
-    the one factor L_N of B_N.  Trailing zero lambdas add exactly nothing to
-    B or to the residual, so they are dropped after validation; all-zero
-    lambdas take the L2 path.  Results keep the lambdas as given.
+    the one factor L_N of B_N (``_sobolev_factor``).  Trailing zero lambdas
+    add exactly nothing to B or to the residual, so they are dropped after
+    validation; all-zero lambdas take the L2 path.  Results keep the lambdas as given.
 
     With B = L L^T, the ratio for P = sum c_k p_k is ||L^T D c|| / ||L^T c||,
     so the constant is sigma_max(L^T D L^-T); its right singular vector v gives
@@ -458,11 +464,7 @@ def sharp_constants(spec: WeightSpec, ns, lambdas=()) -> list[SharpResult]:
         # leading blocks of the degree-N ones: one factorization serves the
         # range.  Every factor is triangular with exact zeros, so the product
         # is too, and its leading blocks read no entry past degree n
-        try:
-            chol = np.linalg.cholesky(sobolev_gram(mat, lambdas))
-        except np.linalg.LinAlgError as exc:
-            raise EigenError("Sobolev Gram matrix B is not positive definite") from exc
-        reduced = chol.T @ solve_triangular(chol, mat.T, lower=True).T
+        chol, reduced = _sobolev_factor(mat, lambdas)
     else:
         # B = I needs no Cholesky factor or solves (4.5% of random_requests
         # p50 on a 2-vCPU Xeon)

@@ -28,17 +28,19 @@ Every array kept there is read-only: a rule's nodes and weights, a basis's
 recurrence and D_N.  A call's batch holds only the reference rules it does
 not find there.  A rule does not depend on its batch, so the store changes
 what a call costs, never what it returns.
-``stabilized_stieltjes`` gives a generalized weight with no closed form its
-recurrence: the discretized Stieltjes procedure on the composite rules,
-refined level by level until two levels agree.  Each level runs
-``stieltjes`` on its rule's arrays, a loop over the degree that raises
+``_recurrence`` holds the one decision of how a weight's recurrence is
+built: a weight that ``orthopoly.closed_form`` restates takes its closed
+form, with its mass checked, and any other goes through
+``stabilized_stieltjes``: the discretized Stieltjes procedure on the
+composite rules, refined level by level until two levels agree.  Each level
+runs ``stieltjes`` on its rule's arrays, a loop over the degree that raises
 ``QuadratureError`` naming the degree, or through ``_p0`` the mass, that
 fails.  It returns the recurrence alone, and no composite rule outlives
 it.  A basis checks its constants without a rule, by Parseval on its
 derivative matrix, and ``markov.basis_for`` builds the Gauss rule of its
 recurrence only when called.  This module imports only ``errors`` and
-``orthopoly``, whose point tables (``deriv_tables``) and mass check
-(``_p0``) it reads.
+``orthopoly``, whose closed forms, point tables (``deriv_tables``) and mass
+check (``_p0``) it reads.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ from collections import OrderedDict, namedtuple
 import numpy as np
 
 from .errors import EigenError, QuadratureError, WeightError
-from .orthopoly import GENERALIZED_FAMILIES, RecurrenceTable, WeightSpec, deriv_tables
+from .orthopoly import GENERALIZED_FAMILIES, RecurrenceTable, WeightSpec, closed_form
 from .orthopoly import _degree, _frozen, _jacobi_coefficients, _laguerre_coefficients, _p0, _Record
+from .orthopoly import deriv_tables, recurrence_classical
 
 TAIL_GAP = 4.0  # the tails start this far beyond the outermost singular point
 MAX_PIECE_NODES = 2000  # a dense Jacobi matrix of this size takes 32 MB
@@ -349,10 +352,11 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     exponents repeated over that piece's nodes.  Since a rule does not
     depend on its batch, each level's rule is the one it gets when built
     alone, from any store.  The rules whose exponents come from the weight
-    die with the call.  A level is an int in 0..MAX_REFINE, the levels the
-    Stieltjes ladder can ask for, else ValueError names it.  A piece whose
-    nodes leave the floating-point range raises QuadratureError naming the
-    piece of the first such node.
+    die with the call.  A level is an integer in 0..MAX_REFINE, the levels
+    the Stieltjes ladder can ask for, read as every count is read (any
+    ``__index__`` integer but a bool), else ValueError names it.  A piece
+    whose nodes leave the floating-point range raises QuadratureError naming
+    the piece of the first such node.
     """
     if spec.family not in GENERALIZED_FAMILIES:
         raise WeightError(f"composite_rules needs a generalized family, got {spec.family!r}")
@@ -360,8 +364,10 @@ def composite_rules(spec: WeightSpec, degree: int, levels) -> list[QuadRule]:
     if degree < 0:
         raise ValueError("degree must be >= 0")
     for level in levels:
-        if isinstance(level, bool) or not isinstance(level, int) or not 0 <= level <= MAX_REFINE:
+        if isinstance(level, bool) or not hasattr(type(level), "__index__") or not (
+                0 <= level.__index__() <= MAX_REFINE):
             raise ValueError(f"refinement level {level!r} is not an integer in 0..{MAX_REFINE}")
+    levels = [level.__index__() for level in levels]
 
     tails = {}
     if spec.family == "gen_jacobi":
@@ -526,3 +532,17 @@ def stabilized_stieltjes(spec: WeightSpec, n: int):
     raise QuadratureError(
         f"recurrence coefficients did not stabilize after {MAX_REFINE} rule refinements"
     )
+
+
+def _recurrence(spec: WeightSpec, n: int) -> RecurrenceTable:
+    """The recurrence of ``spec`` to degree n, built as every kept basis builds it.
+
+    A weight that ``closed_form`` restates takes its closed form, whose mass
+    is checked (``_p0``); any other weight takes ``stabilized_stieltjes``,
+    whose ``stieltjes`` checks the mass of every level.
+    """
+    if closed_form(spec) is None:
+        return stabilized_stieltjes(spec, n)
+    rec = recurrence_classical(spec, n)
+    _p0(rec.mass)
+    return rec

@@ -84,13 +84,13 @@ def _clear_bases():
 def stieltjes_calls(monkeypatch):
     """Weights that basis_for builds through stabilized_stieltjes."""
     calls = []
-    real = markov.stabilized_stieltjes
+    real = quadrature.stabilized_stieltjes
 
     def counted(spec, n):
         calls.append(spec)
         return real(spec, n)
 
-    monkeypatch.setattr(markov, "stabilized_stieltjes", counted)
+    monkeypatch.setattr(quadrature, "stabilized_stieltjes", counted)
     return calls
 
 
@@ -105,7 +105,7 @@ def outside_ladder(monkeypatch):
     from markovsharp import orthopoly, quadrature
 
     calls, depth = {"_gauss_rules": 0, "deriv_tables": 0}, [0]
-    ladder = markov.stabilized_stieltjes
+    ladder = quadrature.stabilized_stieltjes
 
     def in_ladder(spec, n):
         depth[0] += 1
@@ -114,7 +114,7 @@ def outside_ladder(monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(markov, "stabilized_stieltjes", in_ladder)
+    monkeypatch.setattr(quadrature, "stabilized_stieltjes", in_ladder)
     for owner, name in ((quadrature, "_gauss_rules"), (quadrature, "deriv_tables"),
                         (orthopoly, "deriv_tables")):
 
@@ -547,6 +547,24 @@ class TestSobolev:
         spec = make_weight(GEN_JACOBI)
         verify_theorem("gen_jacobi_4", spec, SobolevSpec((1.0, 0.5)), range(4, 41))
         assert calls == [True, False]
+
+    def test_one_factor_per_sobolev_range(self, monkeypatch):
+        # the range factors B_N once, and the L2 path, all-zero lambdas
+        # included, factors nothing
+        calls, factor = [], markov._sobolev_factor
+
+        def counted(mat, lambdas):
+            calls.append((mat.shape[0], lambdas))
+            return factor(mat, lambdas)
+
+        monkeypatch.setattr(markov, "_sobolev_factor", counted)
+        spec = make_weight(GEN_JACOBI)
+        sharp_constants(spec, range(4, 41))
+        sharp_constants(spec, [7, 3, 19], (0.0, 0.0))
+        assert calls == []
+        sharp_constants(spec, range(4, 41), (1.0, 0.5, 0.0))
+        sharp_constant_sobolev(spec, SobolevSpec((0.3,)), 12)
+        assert calls == [(41, (1.0, 0.5)), (13, (0.3,))]
 
     def test_gram_not_positive_definite(self, monkeypatch):
         monkeypatch.setattr(markov, "sobolev_gram", lambda mat, lambdas: -np.eye(mat.shape[0]))
@@ -1117,6 +1135,25 @@ class TestBasisTable:
         del spec
         assert basis_for(make_weight(GEN_JACOBI), 12)[0] is rec
         assert _bases() == [rec.weight_id] and len(stieltjes_calls) == 1
+
+    def test_builds_one_recurrence_per_basis(self, monkeypatch):
+        # a new basis builds its recurrence to N+1 once; a store hit builds none
+        calls, build = [], markov._recurrence
+
+        def counted(spec, n):
+            calls.append((spec.weight_id, n))
+            return build(spec, n)
+
+        monkeypatch.setattr(markov, "_recurrence", counted)
+        for raw in (LEGENDRE, GEN_JACOBI):
+            spec = make_weight(raw)
+            sharp_constants(spec, range(4, 13), (1.0, 0.5))
+            markov.mirsky_bounds(spec, [12, 5])
+            basis_for(make_weight(raw), 12)
+        legendre, gen = make_weight(LEGENDRE).weight_id, make_weight(GEN_JACOBI).weight_id
+        assert calls == [(legendre, 13), (gen, 13)]
+        sharp_constant_l2(make_weight(GEN_JACOBI), 14)
+        assert calls[2:] == [(gen, 15)]
 
     def test_cached_degree_past_lowered_cap_raises(self, monkeypatch):
         spec = make_weight(HERMITE)

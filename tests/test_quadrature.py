@@ -572,6 +572,13 @@ class TestInputChecks:
         pytest.param(lambda: composite_rules(make_weight(SINGULAR_JACOBI), 5, (1.5,)), ValueError,
                      f"refinement level 1.5 is not an integer in 0..{MAX_REFINE}",
                      id="composite-level-fraction"),
+        pytest.param(lambda: composite_rules(make_weight(SINGULAR_JACOBI), 5, (True,)),
+                     ValueError, f"refinement level True is not an integer in 0..{MAX_REFINE}",
+                     id="composite-level-bool"),
+        pytest.param(lambda: composite_rules(make_weight(SINGULAR_JACOBI), 5,
+                                             (np.int64(MAX_REFINE + 1),)), ValueError,
+                     f"refinement level np.int64({MAX_REFINE + 1}) is not an integer in "
+                     f"0..{MAX_REFINE}", id="composite-level-numpy-beyond"),
         # level L builds 2^L parts per piece, so an unchecked large level
         # exhausts memory; the ladder asks for none beyond MAX_REFINE
         pytest.param(lambda: composite_rules(make_weight(SINGULAR_JACOBI), 5, (MAX_REFINE + 1,)),
@@ -587,6 +594,14 @@ class TestInputChecks:
         with pytest.raises(error) as exc:
             build()
         assert type(exc.value) is error and str(exc.value) == message
+
+    def test_numpy_levels_are_read_as_ints(self):
+        # a level is read as every count is: any __index__ integer but a bool
+        spec = make_weight(SINGULAR_JACOBI)
+        for got, want in zip(composite_rules(spec, 5, (np.int64(0), np.uint8(2))),
+                             composite_rules(spec, 5, (0, 2))):
+            assert got.nodes.tobytes() == want.nodes.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
 
 
 def test_stieltjes_reports_positivity_loss():
